@@ -29,6 +29,6 @@ pub use endpoint_stats::{ReceiverStats, SenderStats};
 pub use rate::{RateEstimator, RateSample, TxRecord};
 pub use receiver::Receiver;
 pub use rtt::RttEstimator;
-pub use scoreboard::{AckResult, Scoreboard, Segment};
+pub use scoreboard::{AckResult, Scoreboard};
 pub use sender::{start_msg, CaState, Sender, SenderConfig, SenderMetrics};
 pub use slab::{FlowKey, FlowSlab, HotRow, SharedFlowSlab};

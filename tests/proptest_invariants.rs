@@ -4,11 +4,131 @@
 use ccsim::net::packet::{SackBlock, SackBlocks};
 use ccsim::sim::{Bandwidth, SimDuration, SimTime};
 use ccsim::tcp::rate::RateEstimator;
+use ccsim::tcp::rate::TxRecord;
 use ccsim::tcp::rtt::RttEstimator;
 use ccsim::tcp::scoreboard::Scoreboard;
 use proptest::prelude::*;
 
+#[path = "support/scoreboard_oracle.rs"]
+mod oracle;
+
 const MSS: u64 = 1000;
+
+/// The indexed scoreboard and the linear-scan oracle, driven in lock-step.
+struct Boards {
+    indexed: Scoreboard,
+    oracle: oracle::Scoreboard,
+    /// Start of every segment ever sent, plus `snd_nxt`: the sequences an
+    /// ACK or a SACK block edge may land on.
+    bounds: Vec<u64>,
+    /// Blocks of earlier ACKs, to be repeated as dup-ACKs repeat them.
+    past_blocks: Vec<SackBlock>,
+    sent: u64,
+}
+
+impl Boards {
+    fn new() -> Boards {
+        Boards {
+            indexed: Scoreboard::new(MSS as u32),
+            oracle: oracle::Scoreboard::new(MSS as u32),
+            bounds: vec![0],
+            past_blocks: Vec::new(),
+            sent: 0,
+        }
+    }
+
+    fn tx(&mut self, now: SimTime, r: u64) -> TxRecord {
+        self.sent += 1;
+        TxRecord {
+            sent_time: now,
+            delivered: self.sent,
+            delivered_time: SimTime::from_nanos(r % 1000),
+            first_tx_time: SimTime::from_nanos(r % 777),
+            app_limited: r & 3 == 0,
+        }
+    }
+
+    fn send(&mut self, len: u64, now: SimTime, r: u64) {
+        let tx = self.tx(now, r);
+        self.indexed.on_send_new(len, tx);
+        self.oracle.on_send_new(len, tx);
+        self.bounds.push(self.indexed.snd_nxt());
+    }
+
+    /// Segment boundaries still outstanding: `snd_una ..= snd_nxt`.
+    fn live_bounds(&self) -> &[u64] {
+        let una = self.indexed.snd_una();
+        &self.bounds[self.bounds.partition_point(|&b| b < una)..]
+    }
+
+    fn ack(&mut self, now: SimTime, ack_seq: u64, sack: &SackBlocks) {
+        let a = self.indexed.process_ack(now, ack_seq, sack);
+        let b = self.oracle.process_ack(now, ack_seq, sack);
+        assert_eq!(
+            (
+                a.newly_acked,
+                a.newly_sacked,
+                a.snd_una_advanced,
+                a.rtt_sample,
+                a.latest_tx
+            ),
+            (
+                b.newly_acked,
+                b.newly_sacked,
+                b.snd_una_advanced,
+                b.rtt_sample,
+                b.latest_tx
+            ),
+            "AckResult of ack {ack_seq} {:?}",
+            sack.as_slice()
+        );
+        self.past_blocks.extend_from_slice(sack.as_slice());
+    }
+
+    fn retransmit_one(&mut self, now: SimTime, r: u64) -> bool {
+        let next = self.indexed.next_lost_below(u64::MAX);
+        assert_eq!(next, self.oracle.next_lost_below(u64::MAX));
+        let Some((seq, _)) = next else { return false };
+        let tx = self.tx(now, r);
+        self.indexed.mark_retransmitted(seq, tx);
+        self.oracle.mark_retransmitted(seq, tx);
+        true
+    }
+
+    fn saved(&self) -> (Vec<u8>, Vec<u8>) {
+        let mut a = ccsim::sim::SnapWriter::new();
+        let mut b = ccsim::sim::SnapWriter::new();
+        self.indexed.save_state(&mut a);
+        self.oracle.save_state(&mut b);
+        (a.into_bytes(), b.into_bytes())
+    }
+
+    fn assert_same(&self, limit: u64) {
+        let (a, b) = (&self.indexed, &self.oracle);
+        assert_eq!(
+            (
+                a.snd_una(),
+                a.snd_nxt(),
+                a.len(),
+                a.in_flight(),
+                a.sacked_bytes(),
+                a.lost_bytes()
+            ),
+            (
+                b.snd_una(),
+                b.snd_nxt(),
+                b.len(),
+                b.in_flight(),
+                b.sacked_bytes(),
+                b.lost_bytes()
+            )
+        );
+        assert_eq!(a.next_lost_below(u64::MAX), b.next_lost_below(u64::MAX));
+        assert_eq!(a.next_lost_below(limit), b.next_lost_below(limit));
+        let (saved_a, saved_b) = self.saved();
+        assert_eq!(saved_a, saved_b, "checkpoint bytes differ");
+    }
+}
 
 proptest! {
     /// Serialization time is monotone in frame size and inversely monotone
@@ -138,6 +258,95 @@ proptest! {
                 outstanding
             );
             prop_assert!(board.in_flight() <= outstanding);
+        }
+    }
+
+    /// The indexed scoreboard is the linear-scan one, observably: random
+    /// interleavings of sends, cumulative ACKs, ACKs with 1–4 SACK blocks
+    /// (fresh ranges, ranges bridging earlier ones, repeats of earlier
+    /// blocks), loss detection, retransmission of one or of every lost
+    /// segment, RTO, a short final segment and a checkpoint round trip
+    /// mid-recovery; after every step each answer and the checkpoint bytes
+    /// equal the oracle's. `ragged` makes every segment a random length,
+    /// which no sender does but which drives the binary-search fallbacks
+    /// and separates the byte dupthresh rule from the count rule. (In debug
+    /// builds each scoreboard also rebuilds its indexes after every call.)
+    #[test]
+    fn indexed_scoreboard_matches_linear_oracle(
+        ops in prop::collection::vec((0u8..12, 0u64..u64::MAX), 1..400),
+        ragged in proptest::bool::ANY,
+        finish_after in 0usize..500,
+    ) {
+        let mut b = Boards::new();
+        let mut now_us = 0u64;
+        let mut finished = false;
+        for (step, (op, r)) in ops.into_iter().enumerate() {
+            // Advance the clock only sometimes, so batches share a stamp.
+            now_us += (r >> 8) % 3 * 250;
+            let now = SimTime::from_micros(now_us);
+            match op {
+                // Send new data: a burst of 1–4 segments, until the flow's
+                // (short) final segment has gone out.
+                0..=3 if !finished => {
+                    for k in 0..1 + (r >> 16) % 4 {
+                        let len = if ragged { 1 + (r >> (20 + k)) % MSS } else { MSS };
+                        b.send(len, now, r);
+                    }
+                    if step >= finish_after {
+                        b.send(1 + (r >> 12) % (MSS - 1), now, r);
+                        finished = true;
+                    }
+                }
+                // ACK: maybe advance snd_una, carry 0–4 SACK blocks above
+                // it, then look for losses as the sender does.
+                0..=8 => {
+                    let live = b.live_bounds().to_vec();
+                    let ack_seq = if op == 4 || live.len() < 3 {
+                        live[(r >> 12) as usize % live.len()]
+                    } else {
+                        live[0]
+                    };
+                    let above: Vec<u64> = live.into_iter().filter(|&s| s > ack_seq).collect();
+                    let mut sack = SackBlocks::EMPTY;
+                    if above.len() >= 2 {
+                        for k in 0..(r >> 20) % 5 {
+                            let w = r.rotate_left(7 * k as u32 + 3);
+                            if w & 3 == 0 && !b.past_blocks.is_empty() {
+                                // Repeat old coverage (possibly below snd_una by now).
+                                sack.push(b.past_blocks[(w >> 4) as usize % b.past_blocks.len()]);
+                                continue;
+                            }
+                            let i = (w >> 4) as usize % (above.len() - 1);
+                            let span = 1 + (w >> 24) as usize % 6;
+                            let j = (i + span).min(above.len() - 1);
+                            sack.push(SackBlock { start: above[i], end: above[j] });
+                        }
+                    }
+                    b.ack(now, ack_seq, &sack);
+                    if r & 7 != 0 {
+                        prop_assert_eq!(b.indexed.detect_losses(), b.oracle.detect_losses());
+                    }
+                }
+                // Retransmit the first lost segment, or all of them.
+                9 => {
+                    b.retransmit_one(now, r);
+                }
+                10 => while b.retransmit_one(now, r) {},
+                // RTO, rarely; otherwise a checkpoint round trip.
+                _ => {
+                    if r & 3 == 0 {
+                        prop_assert_eq!(b.indexed.mark_all_lost(), b.oracle.mark_all_lost());
+                    } else {
+                        let (saved, _) = b.saved();
+                        let mut restored = Scoreboard::new(MSS as u32);
+                        let mut reader = ccsim::sim::SnapReader::new(&saved);
+                        restored.load_state(&mut reader).expect("own checkpoint loads");
+                        prop_assert!(reader.is_exhausted());
+                        b.indexed = restored;
+                    }
+                }
+            }
+            b.assert_same(b.live_bounds()[(r >> 40) as usize % b.live_bounds().len()] + r % 2);
         }
     }
 
