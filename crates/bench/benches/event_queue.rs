@@ -6,8 +6,16 @@
 //!
 //! The wheel's win is O(1) schedule/cancel versus the heap's O(log n)
 //! sift; `BENCH_perf.json` records the end-to-end consequence.
+//!
+//! The hold pattern pops from the sorted run and pushes into a wheel slot,
+//! so it never sees what the size of a queue element costs. The last two
+//! groups do, with a packet-sized payload: *fan-out at now* (every pop
+//! sends three same-instant events, which sift through the overlay heap)
+//! and *rearm* (every pop cancels a 200 ms timer and arms another, so
+//! tombstones pile up in the coarse levels and cascade).
 
 use ccsim_net::msg::{Msg, TimerToken};
+use ccsim_net::packet::{FlowId, Packet};
 use ccsim_sim::{ComponentId, EventQueue, HeapQueue, SimDuration, SimTime};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
@@ -179,10 +187,94 @@ fn bench_batch_extraction(c: &mut Criterion) {
     g.finish();
 }
 
+fn packet(i: u64) -> Packet {
+    Packet::data(
+        FlowId(i as u32),
+        ComponentId::from_raw(0),
+        i,
+        i + 1448,
+        SimTime::ZERO,
+    )
+}
+
+/// The two patterns, written once for both queues (they share no trait).
+macro_rules! payload_patterns {
+    ($fanout:ident, $rearm:ident, $queue:ident) => {
+        /// Every arriving packet sends three more at the same instant (a
+        /// link handing to a router handing to a receiver handing an ACK
+        /// back) and schedules the next arrival; the same-instant ones,
+        /// marked `retransmit`, send nothing, so the population is steady.
+        fn $fanout() -> u64 {
+            let dst = ComponentId::from_raw(0);
+            let mut q: $queue<Msg> = $queue::new();
+            for i in 0..PENDING / 4 {
+                q.schedule(SimTime::ZERO + delay(i), dst, Msg::Packet(packet(i)));
+            }
+            for i in 0..OPS {
+                let e = q.pop().unwrap();
+                let Msg::Packet(p) = e.msg else {
+                    unreachable!()
+                };
+                if !p.retransmit {
+                    for k in 0..3 {
+                        let hop = Packet {
+                            retransmit: true,
+                            ..packet(i + k)
+                        };
+                        q.schedule(e.time, dst, Msg::Packet(hop));
+                    }
+                    q.schedule(e.time + delay(i), dst, Msg::Packet(packet(i)));
+                }
+            }
+            q.scheduled_total()
+        }
+
+        /// Every popped event cancels its flow's 200 ms timer and arms a
+        /// new one (the RTO on every ACK) beside 20 k pending packets.
+        fn $rearm() -> u64 {
+            const FLOWS: usize = 1_000;
+            let dst = ComponentId::from_raw(0);
+            let mut q: $queue<Msg> = $queue::new();
+            for i in 0..20_000 {
+                q.schedule(SimTime::ZERO + delay(i), dst, Msg::Packet(packet(i)));
+            }
+            let rto = SimDuration::from_millis(200);
+            let mut timers: Vec<_> = (0..FLOWS)
+                .map(|_| q.schedule_cancellable(SimTime::ZERO + rto, dst, msg()))
+                .collect();
+            for i in 0..OPS {
+                let e = q.pop().unwrap();
+                let flow = i as usize % FLOWS;
+                q.cancel(timers[flow]);
+                timers[flow] = q.schedule_cancellable(e.time + rto, dst, msg());
+                q.schedule(e.time + delay(i), dst, Msg::Packet(packet(i)));
+            }
+            q.scheduled_total()
+        }
+    };
+}
+
+payload_patterns!(wheel_fanout, wheel_rearm, EventQueue);
+payload_patterns!(heap_fanout, heap_rearm, HeapQueue);
+
+fn bench_payload_patterns(c: &mut Criterion) {
+    let mut g = c.benchmark_group("event_queue/fanout_at_now");
+    g.throughput(Throughput::Elements(OPS));
+    g.bench_function("wheel", |b| b.iter(wheel_fanout));
+    g.bench_function("heap", |b| b.iter(heap_fanout));
+    g.finish();
+    let mut g = c.benchmark_group("event_queue/rearm");
+    g.throughput(Throughput::Elements(OPS));
+    g.bench_function("wheel", |b| b.iter(wheel_rearm));
+    g.bench_function("heap", |b| b.iter(heap_rearm));
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_hold_pattern,
     bench_cancel_rearm,
-    bench_batch_extraction
+    bench_batch_extraction,
+    bench_payload_patterns
 );
 criterion_main!(benches);

@@ -5,6 +5,7 @@
 //! Usage: queue_probe [pending] [ops]
 
 use ccsim_net::msg::Msg;
+use ccsim_sim::event::{KEY_BYTES, READY_BYTES};
 use ccsim_sim::{ComponentId, EventQueue, HeapQueue, SimDuration, SimTime};
 use std::time::Instant;
 
@@ -31,6 +32,11 @@ fn main() {
     println!(
         "payload: Msg={}B, pending={pending}, ops={ops}",
         std::mem::size_of::<Msg>()
+    );
+    // What the wheel moves per event, against what it parks once.
+    println!(
+        "wheel: key={KEY_BYTES}B, batch record={READY_BYTES}B, slab slot={}B",
+        std::mem::size_of::<Option<Msg>>()
     );
 
     let mut wheel: EventQueue<Msg> = EventQueue::new();

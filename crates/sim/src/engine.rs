@@ -10,7 +10,7 @@
 //! Components are `Any` so the harness can recover concrete types after a run
 //! (e.g. to read final flow statistics) via [`Simulator::component`].
 
-use crate::event::{CancelToken, Event, EventQueue};
+use crate::event::{CancelToken, EventQueue, Ready, READY_BYTES};
 use crate::rng::RngFactory;
 use crate::snap::{SnapError, SnapReader, SnapWriter};
 use crate::time::{SimDuration, SimTime};
@@ -237,8 +237,10 @@ pub struct Simulator<M> {
     queue: EventQueue<M>,
     /// Same-timestamp dispatch batch: `run_until_*` extracts every event
     /// sharing the head timestamp in one queue operation and drains them
-    /// here, instead of paying the peek/pop machinery per event.
-    batch: VecDeque<Event<M>>,
+    /// here, instead of paying the peek/pop machinery per event. The
+    /// records are 16 bytes each; a record's payload stays in the queue's
+    /// slab until it is claimed immediately before its handler runs.
+    batch: VecDeque<Ready>,
     now: SimTime,
     rng: RngFactory,
     processed: u64,
@@ -318,10 +320,20 @@ impl<M: 'static> Simulator<M> {
         self.queue.wheel_stats()
     }
 
-    /// Approximate heap footprint of the event queue (see
-    /// [`EventQueue::memory_bytes`]).
+    /// Heap footprint of the event queue (see
+    /// [`EventQueue::memory_bytes`]) and the dispatch batch.
     pub fn queue_memory_bytes(&self) -> u64 {
-        self.queue.memory_bytes()
+        self.queue.memory_bytes() + (self.batch.capacity() * READY_BYTES) as u64
+    }
+
+    /// Panic unless the queue's payload slab is consistent with its keys
+    /// and the undelivered part of the dispatch batch (see
+    /// `EventQueue::debug_check_with`). Linear in the pending events: for
+    /// tests.
+    #[doc(hidden)]
+    pub fn debug_check(&self) {
+        self.queue
+            .debug_check_with(self.batch.iter().map(|r| r.slot));
     }
 
     /// Size the per-class event counters for [`Simulator::run_until_classified`]
@@ -365,8 +377,13 @@ impl<M: 'static> Simulator<M> {
     }
 
     /// Install a component, returning its id.
+    ///
+    /// # Panics
+    /// Panics if the arena would outgrow `u32` indices: the event queue
+    /// stores a destination as `u32`.
     pub fn add_component<C: Component<M>>(&mut self, c: C) -> ComponentId {
         let id = ComponentId(self.components.len());
+        assert!(u32::try_from(id.0).is_ok(), "component arena exceeds u32");
         self.components.push(Box::new(c));
         id
     }
@@ -408,15 +425,25 @@ impl<M: 'static> Simulator<M> {
         self.max_pending = self
             .max_pending
             .max((self.queue.len() + self.batch.len()) as u64);
-        let ev = match self.batch.pop_front() {
-            Some(ev) => ev,
+        let (time, dst, msg) = match self.batch.pop_front() {
+            Some(r) => self.claim(r),
             None => match self.queue.pop() {
-                Some(ev) => ev,
+                Some(ev) => (ev.time, ev.dst, ev.msg),
                 None => return Ok(false),
             },
         };
-        self.dispatch(ev, classify)?;
+        self.dispatch(time, dst, msg, classify)?;
         Ok(true)
+    }
+
+    /// Take a batch record's payload out of the queue's slab.
+    #[inline(always)]
+    fn claim(&mut self, r: Ready) -> (SimTime, ComponentId, M) {
+        (
+            r.time,
+            ComponentId(r.dst as usize),
+            self.queue.claim(r.slot),
+        )
     }
 
     /// Deliver one already-extracted event: advance the clock, classify,
@@ -424,34 +451,33 @@ impl<M: 'static> Simulator<M> {
     #[inline(always)]
     fn dispatch<F: FnMut(&M) -> Option<usize>>(
         &mut self,
-        ev: Event<M>,
+        time: SimTime,
+        dst: ComponentId,
+        msg: M,
         classify: &mut F,
     ) -> Result<(), EngineError> {
-        debug_assert!(ev.time >= self.now, "event queue went backwards");
-        self.now = ev.time;
-        if let Some(k) = classify(&ev.msg) {
+        debug_assert!(time >= self.now, "event queue went backwards");
+        self.now = time;
+        if let Some(k) = classify(&msg) {
             if let Some(last) = self.class_counts.len().checked_sub(1) {
                 self.class_counts[k.min(last)] += 1;
             }
             if let Some(p) = self.prof.as_deref_mut() {
-                p.record(ev.dst.as_usize(), k);
+                p.record(dst.as_usize(), k);
             }
         }
         let Simulator {
             components, queue, ..
         } = self;
-        let Some(comp) = components.get_mut(ev.dst.as_usize()) else {
-            return Err(EngineError::UnknownComponent {
-                dst: ev.dst,
-                at: ev.time,
-            });
+        let Some(comp) = components.get_mut(dst.as_usize()) else {
+            return Err(EngineError::UnknownComponent { dst, at: time });
         };
         let mut ctx = Ctx {
-            now: ev.time,
-            self_id: ev.dst,
+            now: time,
+            self_id: dst,
             queue,
         };
-        comp.on_event(ev.time, ev.msg, &mut ctx);
+        comp.on_event(time, msg, &mut ctx);
         self.processed += 1;
         Ok(())
     }
@@ -496,12 +522,13 @@ impl<M: 'static> Simulator<M> {
             // schedules *at* the batch timestamp carry higher seqs and are
             // picked up by the next batch extraction, exactly where the
             // per-event pop loop would have placed them.
-            while let Some(ev) = self.batch.pop_front() {
+            while let Some(r) = self.batch.pop_front() {
                 let pending = (self.queue.len() + self.batch.len()) as u64 + 1;
                 self.max_pending = self.max_pending.max(pending);
-                self.dispatch(ev, &mut classify)?;
+                let (time, dst, msg) = self.claim(r);
+                self.dispatch(time, dst, msg, &mut classify)?;
             }
-            if self.queue.take_head_batch_until(deadline, &mut self.batch) == 0 {
+            if self.queue.take_head_ready_until(deadline, &mut self.batch) == 0 {
                 // Queue drained, or the next event lies past the deadline:
                 // advance the clock so callers observe a consistent
                 // "simulated through deadline" state.
@@ -582,6 +609,9 @@ impl<M: 'static> Simulator<M> {
     /// Panics if called mid-dispatch-batch.
     pub fn save_state(&self, w: &mut SnapWriter, save_msg: impl FnMut(&mut SnapWriter, &M)) {
         assert!(self.batch.is_empty(), "engine snapshot mid-dispatch-batch");
+        if cfg!(debug_assertions) {
+            self.debug_check();
+        }
         w.time(self.now);
         w.u64(self.processed);
         w.u64(self.max_pending);
@@ -598,6 +628,11 @@ impl<M: 'static> Simulator<M> {
     /// Saved per-class event counts only apply when the current
     /// configuration has matching class dimensions (an unobserved
     /// snapshot restored into an observed run keeps its zeroed counters).
+    ///
+    /// A snapshot whose queue is inconsistent (see
+    /// [`EventQueue::load_state`]) or holds an event for a component this
+    /// engine does not have is [`SnapError::Corrupt`], and the engine is
+    /// left as it was.
     pub fn restore_state<'a>(
         &mut self,
         r: &mut SnapReader<'a>,
@@ -607,7 +642,10 @@ impl<M: 'static> Simulator<M> {
         let processed = r.u64()?;
         let max_pending = r.u64()?;
         let class_counts = r.seq(|r| r.u64())?;
-        let queue = EventQueue::load_state(r, load_msg)?;
+        // An entry addressed outside the arena would otherwise surface
+        // mid-run as `UnknownComponent`; the snapshot never came from this
+        // configuration.
+        let queue = EventQueue::load_state_bounded(r, self.components.len(), load_msg)?;
         self.now = now;
         self.processed = processed;
         self.max_pending = max_pending;
@@ -822,6 +860,103 @@ mod tests {
         assert!(err.to_string().contains("unknown component #7"));
         // The clock still advanced to the faulty event's time.
         assert_eq!(sim.now(), SimTime::from_secs(3));
+    }
+
+    /// Logs what it receives; on its first event cancels `victim`.
+    struct Canceller {
+        victim: CancelToken,
+        cancel_hit: Option<bool>,
+        seen: Vec<u32>,
+    }
+
+    impl Component<Msg> for Canceller {
+        fn on_event(&mut self, _now: SimTime, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
+            if let Msg::Ping(n) = msg {
+                self.seen.push(n);
+            }
+            if self.cancel_hit.is_none() {
+                self.cancel_hit = Some(ctx.cancel(self.victim));
+            }
+        }
+    }
+
+    fn canceller_sim() -> (Simulator<Msg>, ComponentId) {
+        let mut sim = Simulator::new(0);
+        let c = sim.add_component(Canceller {
+            victim: CancelToken::default(),
+            cancel_hit: None,
+            seen: Vec::new(),
+        });
+        (sim, c)
+    }
+
+    #[test]
+    fn cancelling_an_event_already_in_the_batch_misses_and_it_still_fires() {
+        let (mut sim, c) = canceller_sim();
+        let t = SimTime::from_micros(7);
+        sim.schedule(t, c, Msg::Ping(1));
+        let victim = sim.queue.schedule_cancellable(t, c, Msg::Ping(2));
+        sim.component_mut::<Canceller>(c).victim = victim;
+        sim.run_until(t);
+        // Both were extracted together, so the token was already retired:
+        // the cancel reports a miss, releases nothing, and Ping(2) arrives
+        // with its own payload.
+        let got = sim.component::<Canceller>(c);
+        assert_eq!(got.cancel_hit, Some(false));
+        assert_eq!(got.seen, vec![1, 2]);
+        sim.debug_check();
+    }
+
+    #[test]
+    fn a_dispatch_error_leaves_the_rest_of_the_batch_claimable() {
+        let (mut sim, c) = canceller_sim();
+        let t = SimTime::from_micros(7);
+        sim.schedule(t, c, Msg::Ping(1));
+        sim.schedule(t, ComponentId::from_raw(9), Msg::Ping(2));
+        sim.schedule(t, c, Msg::Ping(3));
+        assert!(sim.try_run_until(t).is_err());
+        // Ping(3) sits in the batch as a record that still owns its slot.
+        assert_eq!((sim.batch.len(), sim.events_pending()), (1, 1));
+        sim.debug_check();
+        assert!(sim.step());
+        assert_eq!(sim.component::<Canceller>(c).seen, vec![1, 3]);
+        sim.debug_check();
+    }
+
+    #[test]
+    fn restore_refuses_an_entry_addressed_outside_the_arena() {
+        let snapshot_with_dst = |dst: usize| {
+            let mut sim: Simulator<Msg> = Simulator::new(0);
+            sim.add_component(Ponger);
+            sim.schedule(
+                SimTime::from_secs(1),
+                ComponentId::from_raw(dst),
+                Msg::Ping(4),
+            );
+            let mut w = SnapWriter::new();
+            sim.save_state(&mut w, |w, m| match m {
+                Msg::Ping(n) | Msg::Pong(n) => w.u32(*n),
+            });
+            w.into_bytes()
+        };
+        let restore = |bytes: &[u8]| {
+            let mut sim: Simulator<Msg> = Simulator::new(0);
+            sim.add_component(Ponger);
+            sim.schedule(
+                SimTime::from_secs(2),
+                ComponentId::from_raw(0),
+                Msg::Ping(5),
+            );
+            let r = sim.restore_state(&mut SnapReader::new(bytes), |r| Ok(Msg::Ping(r.u32()?)));
+            (r, sim.now(), sim.events_pending())
+        };
+        let (ok, now, pending) = restore(&snapshot_with_dst(0));
+        assert!(ok.is_ok());
+        assert_eq!((now, pending), (SimTime::ZERO, 1));
+        // One past the arena: refused, and the engine is as it was.
+        let (bad, now, pending) = restore(&snapshot_with_dst(1));
+        assert!(matches!(bad, Err(SnapError::Corrupt(ref m)) if m.contains("entry dst 1")));
+        assert_eq!((now, pending), (SimTime::ZERO, 1));
     }
 
     #[test]

@@ -10,13 +10,24 @@
 //!
 //! A CoreScale run (10 Gbps × 5000 flows) keeps ~30 k events pending at all
 //! times: pacing releases, link serialization completions, delayed-ACK and
-//! RTO timers. A binary heap pays O(log n) comparisons **and** moves the
-//! full ~100-byte entry (`Packet` payload included) at every sift level, for
-//! both push and pop. Virtually all of these events are near-horizon and
-//! coarsely bucketable, which is the textbook timer-wheel workload
-//! (Varghese & Lauck, SOSP '87): O(1) insert into a slot keyed by the
-//! event's arrival granule, and ordering work only for the handful of
-//! events sharing one granule.
+//! RTO timers. A binary heap pays O(log n) comparisons at every push and
+//! pop. Virtually all of these events are near-horizon and coarsely
+//! bucketable, which is the textbook timer-wheel workload (Varghese &
+//! Lauck, SOSP '87): O(1) insert into a slot keyed by the event's arrival
+//! granule, and ordering work only for the handful of events sharing one
+//! granule.
+//!
+//! ## Keys move, payloads stay
+//!
+//! An event is split in two. Its **key** — `(time, seq)`, the cancellation
+//! token, the destination and a slab index, 40 bytes whatever `M` is — is
+//! what the structures below hold, sort, sift and cascade. Its **payload**
+//! (`M`; a 112-byte `Packet` message in the simulator) is written into a
+//! slab slot by `schedule` and taken out once, at dispatch; in between it
+//! does not move. A cancelled event gives its slab slot back at once, so
+//! the tombstone a rearmed RTO leaves behind in a far wheel slot is a key,
+//! not a packet. Slab slots are an implementation detail: pop order depends
+//! on `(time, seq)` alone and checkpoints never mention them.
 //!
 //! [`EventQueue`] is a tiered scheduler:
 //!
@@ -27,28 +38,37 @@
 //!   `u64` nanosecond range (GRAN_BITS + LEVELS·SLOT_BITS = 64 bits), so no
 //!   separate far-future overflow structure is needed — `SimTime::MAX`
 //!   sentinels simply land in the top level. A per-level occupancy bitmap
-//!   finds the next nonempty slot with one `trailing_zeros`.
-//! * **Ready heap** — a small binary min-heap on (time, seq) holding only
-//!   the current granule's events (one drained slot at a time, typically a
-//!   handful of entries). All intra-granule and same-timestamp ordering is
-//!   resolved here, so the (time, seq) total order of the old global heap
-//!   is preserved *exactly* — same pops, same digests.
+//!   finds the next nonempty slot with one `trailing_zeros`. A bucket is a
+//!   chain of six-key chunks drawn from one arena shared by all 576
+//!   buckets: a drained bucket's chunks go straight to whichever bucket
+//!   fills next, so the wheel holds as much memory as its fullest moment
+//!   needed and no bucket keeps a private high-water buffer.
+//! * **Ready stage** — the current granule's keys: one drained level-0
+//!   slot, sorted once into a run that pops off its tail, plus a small
+//!   binary min-heap (the overlay) for keys scheduled into the current
+//!   granule afterwards — every `send` at "now". All intra-granule and
+//!   same-timestamp ordering is resolved here, so the (time, seq) total
+//!   order of the old global heap is preserved *exactly* — same pops,
+//!   same digests.
 //! * **Cancellation tokens** — [`EventQueue::schedule_cancellable`] returns
-//!   a [`CancelToken`]; [`EventQueue::cancel`] tombstones the entry in O(1)
-//!   via a generation table. Dead entries are dropped when their slot is
-//!   drained, so a cancel-and-rearm timer (RTO, delayed ACK) no longer
-//!   parks dead events in the queue nor burns a dispatch when they surface.
+//!   a [`CancelToken`]; [`EventQueue::cancel`] bumps the token's entry in a
+//!   generation table and drops the payload, both O(1). The dead key is
+//!   recognised by its stale generation and discarded when its slot is
+//!   drained, so a cancel-and-rearm timer (RTO, delayed ACK) neither parks
+//!   a payload in the queue nor burns a dispatch when it surfaces.
 //!
-//! The previous implementation is kept verbatim as [`HeapQueue`]: it is the
-//! ordering oracle for the equivalence property tests
-//! (`tests/queue_model.rs`, `tests/scheduler_equivalence.rs`) and the
-//! baseline for the `event_queue` criterion bench.
+//! The binary heap the wheel replaced is kept verbatim as [`HeapQueue`],
+//! payload inline in every entry: it is the ordering oracle for the
+//! equivalence property tests (`tests/proptest_event_queue.rs` at the
+//! workspace root, `tests/queue_model.rs` and
+//! `tests/scheduler_equivalence.rs` in this crate) and the baseline for the
+//! `event_queue` criterion bench.
 
 use crate::engine::ComponentId;
 use crate::snap::{SnapError, SnapReader, SnapWriter};
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// A scheduled event: deliver `msg` to component `dst` at instant `time`.
 #[derive(Debug, Clone)]
@@ -158,32 +178,36 @@ impl TokenTable {
     }
 }
 
-/// An entry as stored in the wheel / ready heap. Unlike the old global
-/// heap, entries move at most [`LEVELS`] times (one cascade per level),
-/// not once per sift level per push/pop.
-struct Entry<M> {
+/// What the wheel orders: everything about a pending event except its
+/// payload. Slots, the sorted run and the overlay heap hold only these, so
+/// a cascade, a granule sort or a heap sift moves 40 bytes whatever `M`
+/// is; the payload waits in the slab at index `slot` (see
+/// [`EventQueue`]). `dst` is the component's arena index, which
+/// [`crate::Simulator::add_component`] keeps within `u32`.
+#[derive(Clone, Copy)]
+struct Key {
     time: SimTime,
     seq: u64,
-    tok: u32,
     tok_gen: u64,
-    dst: ComponentId,
-    msg: M,
+    tok: u32,
+    dst: u32,
+    slot: u32,
 }
 
-impl<M> PartialEq for Entry<M> {
+impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
     }
 }
-impl<M> Eq for Entry<M> {}
+impl Eq for Key {}
 
-impl<M> PartialOrd for Entry<M> {
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<M> Ord for Entry<M> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
         // first.
@@ -193,6 +217,78 @@ impl<M> Ord for Entry<M> {
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
+
+/// An event extracted for dispatch whose payload is still in the slab:
+/// what the engine's same-timestamp batch holds. The record owns payload
+/// slot `slot` until [`EventQueue::claim`] takes the message out,
+/// immediately before the handler runs.
+#[derive(Clone, Copy)]
+pub(crate) struct Ready {
+    pub(crate) time: SimTime,
+    pub(crate) dst: u32,
+    pub(crate) slot: u32,
+}
+
+/// "No chunk": end of a bucket's chain, or of the vacant-chunk list.
+const NIL: u32 = u32::MAX;
+/// Keys per [`Chunk`]: with the link they fill four cache lines. A level-0
+/// bucket (one microsecond of events) usually fits in one chunk; a coarse
+/// bucket of thousands is walked at one dependent load per six keys.
+const CHUNK_KEYS: usize = 6;
+
+/// The unit in which wheel buckets hold keys: a bucket is a chain of
+/// chunks out of one arena, newest first, every chunk but the newest
+/// full. One arena rather than a `Vec` per bucket: 576 buffers of 40-byte
+/// keys, each doubling its way to its own bucket's crest and trimmed back
+/// after a drain, are small enough to live in the allocator's heap, where
+/// the holes they leave outlast the queue (measured: peak RSS 17 → 11 MB
+/// on the parking-lot benchmark workload, 121 → 110 MB on CoreScale, and
+/// the observed workload's export buffers no longer land on top of a
+/// fragmented heap). The arena is one allocation, reused chunk by chunk
+/// and handed back whole, and it makes per-bucket trimming unnecessary.
+#[derive(Clone, Copy)]
+#[repr(align(64))]
+struct Chunk {
+    next: u32,
+    keys: [Key; CHUNK_KEYS],
+}
+
+impl Chunk {
+    const EMPTY: Chunk = Chunk {
+        keys: [Key {
+            time: SimTime::ZERO,
+            seq: 0,
+            tok_gen: 0,
+            tok: NO_TOKEN,
+            dst: 0,
+            slot: 0,
+        }; CHUNK_KEYS],
+        next: NIL,
+    };
+}
+
+/// One wheel bucket: its newest chunk ([`NIL`] while the bucket is empty)
+/// and how many keys that chunk holds. Every chunk further down the chain
+/// is full, so the count lives here, beside the head, and an insert touches
+/// nothing of the chunk but the key it writes.
+#[derive(Clone, Copy)]
+struct Bucket {
+    head: u32,
+    len: u32,
+}
+
+impl Bucket {
+    const EMPTY: Bucket = Bucket { head: NIL, len: 0 };
+}
+
+/// Bytes per element of the wheel's buckets, run and overlay heap.
+pub const KEY_BYTES: usize = std::mem::size_of::<Key>();
+/// Bytes per element of the engine's dispatch batch.
+pub const READY_BYTES: usize = std::mem::size_of::<Ready>();
+// Neither type has a type parameter, so neither size can depend on the
+// payload; these pin the absolute figures the design rests on.
+const _: () = assert!(KEY_BYTES <= 40);
+const _: () = assert!(READY_BYTES <= 16);
 
 /// log2 of the wheel granularity: one tick = 1024 ns ≈ 1 µs, fine enough
 /// that a drained slot holds only the events of a single microsecond-scale
@@ -208,14 +304,6 @@ pub const LEVELS: usize = 9;
 
 /// log2 buckets of the batch-size histogram in [`WheelStats`].
 pub const BATCH_BUCKETS: usize = 16;
-
-/// Entries of retained capacity below which a drained slot buffer is
-/// never trimmed. Buffers at or under this ride the swap-recycle path
-/// untouched, so ordinary workloads keep their zero-allocation steady
-/// state; only burst-inflated buffers (start-of-run transients at
-/// megascale flow counts grew slots far beyond any later rotation's
-/// refill) pay a shrink. See [`EventQueue::advance_wheel`].
-const SLOT_TRIM_FLOOR: usize = 512;
 
 /// Always-on scheduler counters: plain integer adds on paths that already
 /// touch the same cache lines, harvested by the profiling layer
@@ -260,30 +348,46 @@ impl Default for WheelStats {
 /// Priority queue of pending events, earliest first, FIFO within a
 /// timestamp. See the module docs for the internal structure.
 pub struct EventQueue<M> {
-    /// The current granule's events, sorted **descending** by (time, seq):
+    /// The current granule's keys, sorted **descending** by (time, seq):
     /// the next event to fire is `run.last()`, so a pop is an O(1) tail
     /// pop with no sift traffic. Filled (and sorted once) per drained
     /// level-0 slot. Always consulted before the wheel.
-    run: Vec<Entry<M>>,
-    /// Entries scheduled at or before the current granule *after* the run
+    run: Vec<Key>,
+    /// Keys scheduled at or before the current granule *after* the run
     /// was sorted (handler `send()`s at "now", late external schedules).
     /// Usually empty or tiny; min-ordered by (time, seq). The head of the
     /// queue is the smaller of `run.last()` and `overlay.peek()`.
-    overlay: BinaryHeap<Entry<M>>,
-    /// `LEVELS × SLOTS` buckets, row-major by level.
-    slots: Vec<Vec<Entry<M>>>,
+    overlay: BinaryHeap<Key>,
+    /// The `LEVELS × SLOTS` wheel buckets, row-major by level.
+    buckets: Vec<Bucket>,
+    /// The key arena every bucket draws its chunks from.
+    chunks: Vec<Chunk>,
+    /// Head of the vacant-chunk list (linked through `Chunk::next`).
+    free_chunk: u32,
+    /// The payload slab: `payload[k.slot]` is `Some` exactly while a live
+    /// key `k` (or a [`Ready`] record extracted from one) owns the slot.
+    /// Written by `schedule`, taken by [`EventQueue::claim`] or dropped by
+    /// `cancel`; never moved in between.
+    payload: Vec<Option<M>>,
+    /// Vacant slab slots, reused last-freed-first so the slots in use stay
+    /// the ones most recently in cache.
+    free_slots: Vec<u32>,
+    /// Token index → payload slot of the live event bearing that token
+    /// (meaningful only while the token is live), so `cancel` can release
+    /// the payload without finding the key.
+    tok_slot: Vec<u32>,
     /// Per-level occupancy bitmaps (bit = slot has entries).
     occupied: [u64; LEVELS],
     /// The wheel's notion of "now", in ticks (ns >> GRAN_BITS). Invariant:
-    /// every wheel entry has tick > cur_tick; `ready` holds ticks
-    /// ≤ cur_tick, so `ready` is always globally earliest.
+    /// every wheel entry has tick > cur_tick; the ready stage holds ticks
+    /// ≤ cur_tick, so it is always globally earliest.
     cur_tick: u64,
     tokens: TokenTable,
     /// Live (scheduled minus popped minus cancelled) entry count.
     live: usize,
     next_seq: u64,
     scheduled_total: u64,
-    /// Physically-resident entries per level (tombstones included), the
+    /// Physically-resident keys per level (tombstones included), the
     /// basis for the per-level high-water marks in `stats`.
     level_live: [u64; LEVELS],
     stats: WheelStats,
@@ -298,12 +402,15 @@ impl<M> Default for EventQueue<M> {
 impl<M> EventQueue<M> {
     /// An empty queue.
     pub fn new() -> Self {
-        let mut slots = Vec::with_capacity(LEVELS * SLOTS);
-        slots.resize_with(LEVELS * SLOTS, Vec::new);
         EventQueue {
             run: Vec::new(),
             overlay: BinaryHeap::new(),
-            slots,
+            buckets: vec![Bucket::EMPTY; LEVELS * SLOTS],
+            chunks: Vec::new(),
+            free_chunk: NIL,
+            payload: Vec::new(),
+            free_slots: Vec::new(),
+            tok_slot: Vec::new(),
             occupied: [0; LEVELS],
             cur_tick: 0,
             tokens: TokenTable::default(),
@@ -317,29 +424,67 @@ impl<M> EventQueue<M> {
 
     /// Pre-allocate capacity for `n` simultaneous pending events.
     ///
-    /// The wheel's slot vectors grow on demand; `n` sizes the ready heap,
-    /// which is the only per-pop allocation-sensitive structure.
+    /// The wheel's key arena grows on demand; `n` sizes the payload slab
+    /// (one slot per pending event) and the sorted run.
     pub fn with_capacity(n: usize) -> Self {
         let mut q = Self::new();
-        q.run.reserve(n.min(1 << 16));
+        let n = n.min(1 << 16);
+        q.run.reserve(n);
+        q.payload.reserve(n);
         q
+    }
+
+    /// Park `msg` in a vacant slab slot until dispatch (or cancellation).
+    #[inline]
+    fn store(&mut self, msg: M) -> u32 {
+        if let Some(slot) = self.free_slots.pop() {
+            debug_assert!(self.payload[slot as usize].is_none(), "free slot occupied");
+            self.payload[slot as usize] = Some(msg);
+            slot
+        } else {
+            let slot = u32::try_from(self.payload.len()).expect("payload slab exhausted");
+            self.payload.push(Some(msg));
+            slot
+        }
+    }
+
+    /// Take the payload an extracted [`Ready`] record owns, vacating its
+    /// slot. Each record is claimed exactly once.
+    #[inline]
+    pub(crate) fn claim(&mut self, slot: u32) -> M {
+        let msg = self.payload[slot as usize]
+            .take()
+            .expect("payload slot claimed twice");
+        self.free_slots.push(slot);
+        msg
+    }
+
+    /// The key for a new event: next sequence number, payload stored.
+    #[inline]
+    fn new_key(&mut self, time: SimTime, dst: ComponentId, tok: u32, tok_gen: u64, msg: M) -> Key {
+        // `Simulator::add_component` keeps every real id within u32; an id
+        // beyond it can only be a wiring bug, and must not alias a real
+        // component by truncation.
+        let dst = u32::try_from(dst.as_usize()).expect("component id exceeds u32");
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.scheduled_total += 1;
+        self.live += 1;
+        Key {
+            time,
+            seq,
+            tok_gen,
+            tok,
+            dst,
+            slot: self.store(msg),
+        }
     }
 
     /// Schedule `msg` for delivery to `dst` at absolute instant `time`.
     #[inline]
     pub fn schedule(&mut self, time: SimTime, dst: ComponentId, msg: M) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.scheduled_total += 1;
-        self.live += 1;
-        self.insert(Entry {
-            time,
-            seq,
-            tok: NO_TOKEN,
-            tok_gen: 0,
-            dst,
-            msg,
-        });
+        let k = self.new_key(time, dst, NO_TOKEN, 0, msg);
+        self.insert(k);
     }
 
     /// Schedule `msg` like [`EventQueue::schedule`], returning a token that
@@ -347,28 +492,32 @@ impl<M> EventQueue<M> {
     #[inline]
     pub fn schedule_cancellable(&mut self, time: SimTime, dst: ComponentId, msg: M) -> CancelToken {
         let tok = self.tokens.alloc();
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.scheduled_total += 1;
         self.stats.cancellable_scheduled += 1;
-        self.live += 1;
-        self.insert(Entry {
-            time,
-            seq,
-            tok: tok.idx,
-            tok_gen: tok.gen,
-            dst,
-            msg,
-        });
+        let k = self.new_key(time, dst, tok.idx, tok.gen, msg);
+        if tok.idx as usize == self.tok_slot.len() {
+            self.tok_slot.push(k.slot);
+        } else {
+            self.tok_slot[tok.idx as usize] = k.slot;
+        }
+        self.insert(k);
         tok
     }
 
     /// Cancel a pending event. Returns `true` iff the token was live (the
     /// event had neither fired nor been cancelled); the event will then
-    /// never be delivered. O(1): the entry is tombstoned in place and
-    /// physically dropped when its slot is next touched.
+    /// never be delivered. O(1): the payload is dropped and its slab slot
+    /// vacated here; the key stays behind as a tombstone, recognised by
+    /// its stale token generation and discarded when its slot is next
+    /// touched.
     pub fn cancel(&mut self, tok: CancelToken) -> bool {
         if self.tokens.cancel(tok) {
+            let slot = self.tok_slot[tok.idx as usize];
+            debug_assert!(
+                self.payload[slot as usize].is_some(),
+                "live token, no payload"
+            );
+            self.payload[slot as usize] = None;
+            self.free_slots.push(slot);
             self.live -= 1;
             self.stats.cancels += 1;
             true
@@ -384,23 +533,42 @@ impl<M> EventQueue<M> {
         tok.idx != NO_TOKEN && self.tokens.is_live(tok.idx, tok.gen)
     }
 
-    /// Route an entry to the ready stage or the correct wheel slot.
+    /// Route a key to the ready stage or the correct wheel slot.
     #[inline]
-    fn insert(&mut self, e: Entry<M>) {
-        let tick = e.time.as_nanos() >> GRAN_BITS;
+    fn insert(&mut self, k: Key) {
+        let tick = k.time.as_nanos() >> GRAN_BITS;
         if tick <= self.cur_tick {
             // Current granule (or a causality-violating past schedule —
             // the engine debug-asserts against those; ordering is still
             // correct here either way): joins via the overlay heap, since
             // the sorted run must not be disturbed.
-            self.overlay.push(e);
+            self.overlay.push(k);
             return;
         }
         let diff = tick ^ self.cur_tick;
         // diff != 0 (tick > cur_tick), so the high bit index is well defined.
         let level = ((63 - diff.leading_zeros()) / SLOT_BITS) as usize;
         let slot = ((tick >> (level as u32 * SLOT_BITS)) & (SLOTS as u64 - 1)) as usize;
-        self.slots[level * SLOTS + slot].push(e);
+        let bucket = level * SLOTS + slot;
+        let Bucket { head, len } = self.buckets[bucket];
+        let (mut c, mut len) = (head, len);
+        if c == NIL || len as usize >= CHUNK_KEYS {
+            let next = c;
+            c = self.free_chunk;
+            if c == NIL {
+                c = u32::try_from(self.chunks.len()).expect("key arena exhausted");
+                self.chunks.push(Chunk::EMPTY);
+            } else {
+                self.free_chunk = self.chunks[c as usize].next;
+            }
+            self.chunks[c as usize].next = next;
+            len = 0;
+        }
+        self.chunks[c as usize].keys[len as usize] = k;
+        self.buckets[bucket] = Bucket {
+            head: c,
+            len: len + 1,
+        };
         self.occupied[level] |= 1 << slot;
         self.level_live[level] += 1;
         if self.level_live[level] > self.stats.level_high_water[level] {
@@ -408,23 +576,23 @@ impl<M> EventQueue<M> {
         }
     }
 
-    /// Make the globally-earliest live entry poppable from the ready stage
+    /// Make the globally-earliest live key poppable from the ready stage
     /// (tail of `run` or top of `overlay`). Returns `false` iff no live
     /// entries remain anywhere.
     ///
-    /// Dead (cancelled) entries encountered on the way are dropped and
-    /// never surface from `pop`.
+    /// Dead (cancelled) keys encountered on the way are dropped and never
+    /// surface from `pop`; their payload slots were vacated by `cancel`.
     fn prepare(&mut self) -> bool {
         loop {
             // Drop tombstones off both ready-stage heads.
-            while let Some(e) = self.run.last() {
-                if self.tokens.is_live(e.tok, e.tok_gen) {
+            while let Some(k) = self.run.last() {
+                if self.tokens.is_live(k.tok, k.tok_gen) {
                     break;
                 }
                 self.run.pop();
             }
-            while let Some(e) = self.overlay.peek() {
-                if self.tokens.is_live(e.tok, e.tok_gen) {
+            while let Some(k) = self.overlay.peek() {
+                if self.tokens.is_live(k.tok, k.tok_gen) {
                     break;
                 }
                 self.overlay.pop();
@@ -449,39 +617,48 @@ impl<M> EventQueue<M> {
         }
     }
 
-    /// After a successful [`EventQueue::prepare`]: the (time, seq) of the
+    /// After a successful [`EventQueue::prepare`]: the timestamp of the
     /// next event.
     #[inline]
-    fn head_key(&self) -> (SimTime, u64) {
+    fn head_time(&self) -> SimTime {
         if self.head_in_run() {
-            let e = self.run.last().expect("prepared");
-            (e.time, e.seq)
+            self.run.last().expect("prepared").time
         } else {
-            let e = self.overlay.peek().expect("prepared");
-            (e.time, e.seq)
+            self.overlay.peek().expect("prepared").time
         }
     }
 
-    /// After a successful [`EventQueue::prepare`]: extract the next event.
+    /// After a successful [`EventQueue::prepare`]: extract the next key,
+    /// retiring its token. The caller now owns payload slot `slot`.
     #[inline]
-    fn pop_prepared(&mut self) -> Entry<M> {
-        let e = if self.head_in_run() {
+    fn pop_prepared(&mut self) -> Key {
+        let k = if self.head_in_run() {
             self.run.pop().expect("prepared")
         } else {
             self.overlay.pop().expect("prepared")
         };
-        self.tokens.retire(e.tok);
+        self.tokens.retire(k.tok);
         self.live -= 1;
-        e
+        k
+    }
+
+    /// Claim an extracted key's payload and assemble the public event.
+    #[inline]
+    fn deliver(&mut self, k: Key) -> Event<M> {
+        Event {
+            time: k.time,
+            dst: ComponentId::from_raw(k.dst as usize),
+            msg: self.claim(k.slot),
+        }
     }
 
     /// Advance `cur_tick` to the next occupied slot and drain it: the
     /// lowest nonempty level always holds the earliest wheel entries
     /// (higher levels differ from `cur_tick` in a more significant bit
-    /// group, i.e. lie further out). A level-0 slot drains straight into
-    /// the ready heap; a higher-level slot cascades its entries back
-    /// through [`EventQueue::insert`] against the advanced `cur_tick`, so
-    /// they land in lower levels (or `ready`) and the loop converges.
+    /// group, i.e. lie further out). A level-0 slot becomes the sorted
+    /// run; a higher-level slot cascades its keys back through
+    /// [`EventQueue::insert`] against the advanced `cur_tick`, so they
+    /// land in lower levels (or the overlay) and the loop converges.
     /// Returns `false` iff the whole wheel is empty.
     fn advance_wheel(&mut self) -> bool {
         let Some(level) = self.occupied.iter().position(|&b| b != 0) else {
@@ -492,52 +669,46 @@ impl<M> EventQueue<M> {
         // Jump to the start of that slot's range: replace cur_tick's bit
         // group at `level` with the slot index and zero all lower groups.
         // Occupied slots always lie strictly ahead of cur_tick's own group
-        // (entries at or before cur_tick go to `ready` on insert), so this
-        // only moves the wheel forward.
+        // (entries at or before cur_tick go to the overlay on insert), so
+        // this only moves the wheel forward.
         debug_assert!(slot > (self.cur_tick >> shift) & (SLOTS as u64 - 1) || level > 0);
         self.cur_tick = ((self.cur_tick >> (shift + SLOT_BITS)) << SLOT_BITS | slot) << shift;
         self.occupied[level] &= !(1 << slot);
-        let mut bucket = std::mem::take(&mut self.slots[level * SLOTS + slot as usize]);
-        self.level_live[level] -= bucket.len() as u64;
+        let bucket = &mut self.buckets[level * SLOTS + slot as usize];
+        let Bucket { head, len } = std::mem::replace(bucket, Bucket::EMPTY);
+        let (mut c, mut len) = (head, len);
         if level > 0 {
             self.stats.cascades += 1;
         }
-        if level == 0 {
-            // Every entry in a level-0 slot shares the tick == cur_tick, so
-            // they are exactly the new current granule: sort once
-            // (descending, so pops come off the tail) instead of paying a
-            // heap sift per event. `run` is empty here (prepare only
-            // advances the wheel once the ready stage is exhausted), so
-            // swapping buffers reuses both allocations.
-            debug_assert!(self.run.is_empty());
-            std::mem::swap(&mut self.run, &mut bucket);
-            let tokens = &self.tokens;
-            self.run.retain(|e| tokens.is_live(e.tok, e.tok_gen));
-            self.run
-                .sort_unstable_by_key(|e| std::cmp::Reverse((e.time, e.seq)));
-        } else {
-            for e in bucket.drain(..) {
-                if self.tokens.is_live(e.tok, e.tok_gen) {
+        debug_assert!(level > 0 || self.run.is_empty());
+        while c != NIL {
+            self.level_live[level] -= len as u64;
+            for i in 0..len as usize {
+                let k = self.chunks[c as usize].keys[i];
+                if !self.tokens.is_live(k.tok, k.tok_gen) {
+                    continue;
+                }
+                if level == 0 {
+                    self.run.push(k);
+                } else {
                     self.stats.cascaded_entries += 1;
-                    self.insert(e);
+                    self.insert(k);
                 }
             }
+            let chunk = &mut self.chunks[c as usize];
+            let next = std::mem::replace(&mut chunk.next, self.free_chunk);
+            self.free_chunk = c;
+            c = next;
+            len = CHUNK_KEYS as u32;
         }
-        // Hand the emptied (but still allocated) bucket back for reuse,
-        // deflating outsized capacity first. Coarse-level slots ride a
-        // traveling wave of rearm tombstones (every RTO reset parks a
-        // dead entry until its slot drains), so each slot's capacity
-        // climbs to the wave's crest and, untrimmed, LEVELS x SLOTS
-        // crest-sized buffers dominated megascale memory. Post-drain the
-        // buffer is empty and its slot won't refill until the wheel laps
-        // it, so regrowth costs a handful of doublings per (rare) coarse
-        // drain. Buffers at or under the floor — every fine-level slot in
-        // a steady workload — keep the zero-allocation swap path.
-        // Trimming never touches pop order, so digests are unaffected.
-        if bucket.capacity() > SLOT_TRIM_FLOOR {
-            bucket.shrink_to(SLOT_TRIM_FLOOR);
+        if level == 0 {
+            // Every key in a level-0 slot shares the tick == cur_tick, so
+            // they are exactly the new current granule: sort once
+            // (descending, so pops come off the tail) instead of paying a
+            // heap sift per event.
+            self.run
+                .sort_unstable_by_key(|k| std::cmp::Reverse((k.time, k.seq)));
         }
-        self.slots[level * SLOTS + slot as usize] = bucket;
         true
     }
 
@@ -547,53 +718,40 @@ impl<M> EventQueue<M> {
         if !self.prepare() {
             return None;
         }
-        let e = self.pop_prepared();
-        Some(Event {
-            time: e.time,
-            dst: e.dst,
-            msg: e.msg,
-        })
+        let k = self.pop_prepared();
+        Some(self.deliver(k))
     }
 
-    /// Move **every** event sharing the earliest pending timestamp into
-    /// `out` (in seq order), returning how many were moved. The engine uses
-    /// this to dispatch same-timestamp bursts without re-running the
-    /// peek/pop machinery per event; events a handler schedules *at* that
-    /// same timestamp carry higher seqs and correctly join the next batch,
-    /// not the current one.
-    pub fn take_head_batch(&mut self, out: &mut std::collections::VecDeque<Event<M>>) -> usize {
-        self.take_head_batch_until(SimTime::MAX, out)
-    }
-
-    /// [`EventQueue::take_head_batch`], but only if the head timestamp is
-    /// at or before `deadline` (otherwise moves nothing and returns 0).
-    /// Folds the engine's per-iteration peek + batch-extract into one
-    /// queue operation.
-    pub fn take_head_batch_until(
+    /// The one batch extraction: if the head timestamp is at or before
+    /// `deadline`, move **every** key sharing it out of the queue (in seq
+    /// order), push `emit(self, key)` for each onto `out` and return how
+    /// many there were; otherwise move nothing and return 0. Tokens are
+    /// retired here, at extraction — so cancelling an event that already
+    /// sits in the caller's batch reports `false` and releases nothing.
+    #[inline]
+    fn take_head_until<T>(
         &mut self,
         deadline: SimTime,
-        out: &mut std::collections::VecDeque<Event<M>>,
+        out: &mut VecDeque<T>,
+        mut emit: impl FnMut(&mut Self, Key) -> T,
     ) -> usize {
         if !self.prepare() {
             return 0;
         }
-        let head_time = self.head_key().0;
+        let head_time = self.head_time();
         if head_time > deadline {
             return 0;
         }
         let mut n: usize = 0;
         loop {
-            let e = self.pop_prepared();
-            out.push_back(Event {
-                time: e.time,
-                dst: e.dst,
-                msg: e.msg,
-            });
+            let k = self.pop_prepared();
+            let item = emit(self, k);
+            out.push_back(item);
             n += 1;
             // The ready stage always holds the entire current granule, and
             // wheel ticks beyond it cannot share head_time — so once the
             // prepared head moves past head_time the batch is complete.
-            if !self.prepare() || self.head_key().0 != head_time {
+            if !self.prepare() || self.head_time() != head_time {
                 break;
             }
         }
@@ -603,6 +761,40 @@ impl<M> EventQueue<M> {
         n
     }
 
+    /// The engine's extraction: the head-timestamp batch as [`Ready`]
+    /// records, payloads left in the slab until each is
+    /// [`EventQueue::claim`]ed. Events a handler schedules *at* that same
+    /// timestamp carry higher seqs and correctly join the next batch, not
+    /// the current one.
+    #[inline]
+    pub(crate) fn take_head_ready_until(
+        &mut self,
+        deadline: SimTime,
+        out: &mut VecDeque<Ready>,
+    ) -> usize {
+        self.take_head_until(deadline, out, |_, k| Ready {
+            time: k.time,
+            dst: k.dst,
+            slot: k.slot,
+        })
+    }
+
+    /// Move **every** event sharing the earliest pending timestamp into
+    /// `out` (in seq order), returning how many were moved.
+    pub fn take_head_batch(&mut self, out: &mut VecDeque<Event<M>>) -> usize {
+        self.take_head_batch_until(SimTime::MAX, out)
+    }
+
+    /// [`EventQueue::take_head_batch`], but only if the head timestamp is
+    /// at or before `deadline` (otherwise moves nothing and returns 0).
+    pub fn take_head_batch_until(
+        &mut self,
+        deadline: SimTime,
+        out: &mut VecDeque<Event<M>>,
+    ) -> usize {
+        self.take_head_until(deadline, out, Self::deliver)
+    }
+
     /// Timestamp of the earliest pending event, if any.
     ///
     /// Takes `&mut self`: finding the earliest event may lazily advance the
@@ -610,7 +802,7 @@ impl<M> EventQueue<M> {
     #[inline]
     pub fn peek_time(&mut self) -> Option<SimTime> {
         if self.prepare() {
-            Some(self.head_key().0)
+            Some(self.head_time())
         } else {
             None
         }
@@ -641,22 +833,102 @@ impl<M> EventQueue<M> {
         &self.stats
     }
 
-    /// Approximate heap footprint of the queue's own structures (slot
-    /// vectors, ready stage, token table) — entry payloads included at
-    /// their in-queue size. Feeds the `MemAccount` registry's `sim/wheel`
-    /// gauge.
+    /// Heap footprint of everything the queue allocates: key arena and
+    /// bucket table, ready stage, payload slab with its free list, token
+    /// table with its token→slot map. Feeds the `MemAccount` registry's
+    /// `sim/wheel` gauge.
     pub fn memory_bytes(&self) -> u64 {
         use std::mem::size_of;
-        let entry = size_of::<Entry<M>>() as u64;
-        let mut bytes = size_of::<Self>() as u64
-            + self.run.capacity() as u64 * entry
-            + self.overlay.capacity() as u64 * entry
-            + self.tokens.gens.capacity() as u64 * size_of::<u64>() as u64
-            + self.tokens.free.capacity() as u64 * size_of::<u32>() as u64;
-        for s in &self.slots {
-            bytes += size_of::<Vec<Entry<M>>>() as u64 + s.capacity() as u64 * entry;
+        fn held<T>(capacity: usize) -> u64 {
+            (capacity * size_of::<T>()) as u64
         }
-        bytes
+        size_of::<Self>() as u64
+            + held::<Key>(self.run.capacity() + self.overlay.capacity())
+            + held::<Bucket>(self.buckets.capacity())
+            + held::<Chunk>(self.chunks.capacity())
+            + held::<Option<M>>(self.payload.capacity())
+            + held::<u32>(self.free_slots.capacity() + self.tok_slot.capacity())
+            + held::<u64>(self.tokens.gens.capacity())
+            + held::<u32>(self.tokens.free.capacity())
+    }
+
+    /// Every key still in the queue, tombstones included.
+    fn keys(&self) -> impl Iterator<Item = &Key> {
+        self.run
+            .iter()
+            .chain(self.overlay.iter())
+            .chain(self.buckets.iter().flat_map(move |b| {
+                let (mut c, mut len) = (b.head, b.len);
+                std::iter::from_fn(move || {
+                    let chunk = self.chunks.get(c as usize)?;
+                    let keys = &chunk.keys[..len as usize];
+                    (c, len) = (chunk.next, CHUNK_KEYS as u32);
+                    Some(keys)
+                })
+                .flatten()
+            }))
+    }
+
+    /// Panic unless the slab is consistent with the keys: every slot is
+    /// either on the free list and empty, or full and owned by exactly one
+    /// live key or one of `extracted` (the payload slots of [`Ready`]
+    /// records not yet claimed); `len()` equals the live key count; and a
+    /// live token maps to its key's slot. Likewise the key arena: every
+    /// chunk is on exactly one bucket's chain or on the vacant list.
+    /// O(resident keys + slab) — for tests and rare debug-build
+    /// checkpoints, not the dispatch path.
+    pub(crate) fn debug_check_with(&self, extracted: impl Iterator<Item = u32>) {
+        let mut linked = vec![false; self.chunks.len()];
+        let chains = self.buckets.iter().map(|b| b.head);
+        for mut c in chains.chain([self.free_chunk]) {
+            while c != NIL {
+                let seen = std::mem::replace(&mut linked[c as usize], true);
+                assert!(!seen, "chunk {c} linked twice");
+                c = self.chunks[c as usize].next;
+            }
+        }
+        assert!(linked.iter().all(|&l| l), "chunk on no chain");
+
+        const FREE: u8 = u8::MAX;
+        let mut owners = vec![0u8; self.payload.len()];
+        for &s in &self.free_slots {
+            assert_eq!(owners[s as usize], 0, "slot {s} on the free list twice");
+            owners[s as usize] = FREE;
+        }
+        let mut own = |s: u32, who: &str| {
+            assert_eq!(
+                owners[s as usize], 0,
+                "slot {s}: second owner or free ({who})"
+            );
+            owners[s as usize] = 1;
+        };
+        let mut live = 0;
+        for k in self.keys() {
+            if self.tokens.is_live(k.tok, k.tok_gen) {
+                live += 1;
+                own(k.slot, "live key");
+                assert!(
+                    k.tok == NO_TOKEN || self.tok_slot[k.tok as usize] == k.slot,
+                    "token {} maps to slot {}, its key holds {}",
+                    k.tok,
+                    self.tok_slot[k.tok as usize],
+                    k.slot
+                );
+            }
+        }
+        assert_eq!(live, self.live, "live count drifted");
+        extracted.for_each(|s| own(s, "batch record"));
+        for (s, (p, &o)) in self.payload.iter().zip(&owners).enumerate() {
+            assert_eq!(p.is_some(), o == 1, "slot {s}: payload vs owner mismatch");
+            assert!(o != 0, "slot {s} leaked: neither free nor owned");
+        }
+    }
+
+    /// [`EventQueue::debug_check_with`] for a queue with no extracted
+    /// records outstanding (every `pop`/`take_head_batch*` caller).
+    #[doc(hidden)]
+    pub fn debug_check(&self) {
+        self.debug_check_with(std::iter::empty());
     }
 
     // ----- checkpoint/restore -------------------------------------------
@@ -666,8 +938,9 @@ impl<M> EventQueue<M> {
     /// The encoding is canonical: live entries are written sorted by
     /// (time, seq) — a total order, seqs are unique — so
     /// encode → decode → encode is a byte fixpoint regardless of how
-    /// entries were physically distributed across wheel levels, the run
-    /// stage, and the overlay heap at snapshot time. Tombstoned
+    /// keys were physically distributed across wheel levels, the run
+    /// stage, and the overlay heap at snapshot time, or which slab slots
+    /// their payloads sat in (slot numbers are never written). Tombstoned
     /// (cancelled) entries are skipped; their token slots were already
     /// retired into the free list, which is carried verbatim so
     /// post-restore token allocation replays identically. Wheel telemetry
@@ -678,34 +951,24 @@ impl<M> EventQueue<M> {
         w.seq(&self.tokens.free, |w, &i| w.u32(i));
         w.u64(self.next_seq);
         w.u64(self.scheduled_total);
-        let mut entries: Vec<&Entry<M>> = Vec::with_capacity(self.live);
-        for e in &self.run {
-            if self.tokens.is_live(e.tok, e.tok_gen) {
-                entries.push(e);
-            }
-        }
-        for e in self.overlay.iter() {
-            if self.tokens.is_live(e.tok, e.tok_gen) {
-                entries.push(e);
-            }
-        }
-        for bucket in &self.slots {
-            for e in bucket {
-                if self.tokens.is_live(e.tok, e.tok_gen) {
-                    entries.push(e);
-                }
-            }
-        }
+        let mut entries: Vec<&Key> = Vec::with_capacity(self.live);
+        entries.extend(
+            self.keys()
+                .filter(|k| self.tokens.is_live(k.tok, k.tok_gen)),
+        );
         debug_assert_eq!(entries.len(), self.live, "live count drifted");
-        entries.sort_by_key(|e| (e.time, e.seq));
+        entries.sort_by_key(|k| (k.time, k.seq));
         w.u64(entries.len() as u64);
-        for e in entries {
-            w.time(e.time);
-            w.u64(e.seq);
-            w.u32(e.tok);
-            w.u64(e.tok_gen);
-            w.usize(e.dst.as_usize());
-            save_msg(w, &e.msg);
+        for k in entries {
+            w.time(k.time);
+            w.u64(k.seq);
+            w.u32(k.tok);
+            w.u64(k.tok_gen);
+            w.usize(k.dst as usize);
+            let msg = self.payload[k.slot as usize]
+                .as_ref()
+                .expect("live key owns a payload");
+            save_msg(w, msg);
         }
     }
 
@@ -714,57 +977,99 @@ impl<M> EventQueue<M> {
     /// Entries re-enter the wheel with their **original** sequence
     /// numbers, so the (time, seq) total order — and therefore every
     /// subsequent pop — is identical to the un-snapshotted queue's. The
-    /// physical wheel layout (current tick, level distribution) need not
-    /// match: it is an implementation detail the ordering contract hides.
+    /// physical layout (current tick, level distribution, slab slots,
+    /// token→slot map) need not match and is rebuilt here: it is an
+    /// implementation detail the ordering contract hides.
+    ///
+    /// The entries are checked against each other as well as one by one:
+    /// a snapshot with a repeated `seq`, a token index borne by two
+    /// entries, or a live entry whose token is also on the free list is
+    /// [`SnapError::Corrupt`] — each would otherwise load and later
+    /// mis-order events or cancel the wrong one.
     pub fn load_state<'a>(
         r: &mut SnapReader<'a>,
+        load_msg: impl FnMut(&mut SnapReader<'a>) -> Result<M, SnapError>,
+    ) -> Result<EventQueue<M>, SnapError> {
+        Self::load_state_bounded(r, usize::MAX, load_msg)
+    }
+
+    /// [`EventQueue::load_state`], additionally rejecting an entry whose
+    /// destination index is not below `dst_limit` (the engine passes its
+    /// component count).
+    pub(crate) fn load_state_bounded<'a>(
+        r: &mut SnapReader<'a>,
+        dst_limit: usize,
         mut load_msg: impl FnMut(&mut SnapReader<'a>) -> Result<M, SnapError>,
     ) -> Result<EventQueue<M>, SnapError> {
+        let corrupt = |what: String| Err(SnapError::Corrupt(what));
         let gens = r.seq(|r| r.u64())?;
         let free = r.seq(|r| r.u32())?;
+        // Per token index: on the free list, or borne by a loaded entry.
+        let mut tok_taken = vec![false; gens.len()];
         for &idx in &free {
-            if idx as usize >= gens.len() {
-                return Err(SnapError::Corrupt(format!(
-                    "token free-list index {idx} out of range ({} slots)",
-                    gens.len()
-                )));
+            match tok_taken.get_mut(idx as usize) {
+                Some(taken) if !*taken => *taken = true,
+                Some(_) => return corrupt(format!("token {idx} on the free list twice")),
+                None => {
+                    return corrupt(format!(
+                        "token free-list index {idx} out of range ({} slots)",
+                        gens.len()
+                    ))
+                }
             }
         }
         let next_seq = r.u64()?;
         let scheduled_total = r.u64()?;
         let mut q = EventQueue::new();
+        q.tok_slot = vec![0; gens.len()];
         q.tokens = TokenTable { gens, free };
         q.next_seq = next_seq;
         q.scheduled_total = scheduled_total;
         let n = r.usize()?;
+        let mut seqs = Vec::new();
         for _ in 0..n {
             let time = r.time()?;
             let seq = r.u64()?;
             let tok = r.u32()?;
             let tok_gen = r.u64()?;
-            let dst = ComponentId::from_raw(r.usize()?);
+            let dst = r.usize()?;
             let msg = load_msg(r)?;
             if seq >= next_seq {
-                return Err(SnapError::Corrupt(format!(
-                    "entry seq {seq} >= next_seq {next_seq}"
-                )));
+                return corrupt(format!("entry seq {seq} >= next_seq {next_seq}"));
             }
-            if tok != NO_TOKEN
-                && (tok as usize >= q.tokens.gens.len() || q.tokens.gens[tok as usize] != tok_gen)
-            {
-                return Err(SnapError::Corrupt(format!(
-                    "entry token ({tok}, {tok_gen}) not live in restored table"
-                )));
+            let Some(dst) = u32::try_from(dst).ok().filter(|_| dst < dst_limit) else {
+                return corrupt(format!("entry dst {dst} out of range"));
+            };
+            if tok != NO_TOKEN {
+                if q.tokens.gens.get(tok as usize) != Some(&tok_gen) {
+                    return corrupt(format!(
+                        "entry token ({tok}, {tok_gen}) not live in restored table"
+                    ));
+                }
+                if std::mem::replace(&mut tok_taken[tok as usize], true) {
+                    return corrupt(format!(
+                        "token {tok} borne by two entries, or by one and the free list"
+                    ));
+                }
             }
+            seqs.push(seq);
             q.live += 1;
-            q.insert(Entry {
+            let slot = q.store(msg);
+            if tok != NO_TOKEN {
+                q.tok_slot[tok as usize] = slot;
+            }
+            q.insert(Key {
                 time,
                 seq,
-                tok,
                 tok_gen,
+                tok,
                 dst,
-                msg,
+                slot,
             });
+        }
+        seqs.sort_unstable();
+        if let Some(w) = seqs.windows(2).find(|w| w[0] == w[1]) {
+            return corrupt(format!("seq {} borne by two entries", w[0]));
         }
         Ok(q)
     }
@@ -1169,6 +1474,118 @@ mod tests {
         assert_eq!(s.batch_hist[0], 1);
         assert!(s.level_high_water.iter().sum::<u64>() >= 4);
         assert!(q.memory_bytes() > 0);
+    }
+
+    #[test]
+    fn cancel_vacates_the_payload_slot_at_once() {
+        // The rearm pattern: each cancel must hand its slab slot to the
+        // very next schedule, so the slab never outgrows the live set
+        // while the tombstoned keys wait in a far wheel slot.
+        let mut q = EventQueue::new();
+        let far = SimTime::from_secs(3);
+        let mut tok = q.schedule_cancellable(far, id(0), 0u64);
+        for i in 1..1_000 {
+            assert!(q.cancel(tok));
+            tok = q.schedule_cancellable(far, id(0), i);
+            q.debug_check();
+        }
+        assert_eq!(q.payload.len(), 1);
+        assert_eq!(q.keys().count(), 1_000, "999 tombstones and one live key");
+        // A tombstone that surfaces releases nothing: the slot it once
+        // owned belongs to the survivor by now.
+        assert_eq!(q.pop().unwrap().msg, 999);
+        assert!(q.pop().is_none());
+        q.debug_check();
+        assert_eq!(q.free_slots, vec![0]);
+    }
+
+    #[test]
+    fn extracted_records_own_their_slots_until_claimed() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_micros(5);
+        for i in 0..4u64 {
+            q.schedule(t, id(i as usize), i);
+        }
+        let mut batch = VecDeque::new();
+        assert_eq!(q.take_head_ready_until(t, &mut batch), 4);
+        assert_eq!(q.len(), 0);
+        // A send at "now" while the batch is outstanding takes a fresh
+        // slot, not one a record still points at.
+        q.schedule(t, id(9), 9);
+        q.debug_check_with(batch.iter().map(|r| r.slot));
+        let got: Vec<_> = batch.drain(..).map(|r| (r.dst, q.claim(r.slot))).collect();
+        assert_eq!(got, vec![(0, 0), (1, 1), (2, 2), (3, 3)]);
+        q.debug_check();
+        assert_eq!(q.pop().unwrap().msg, 9);
+    }
+
+    #[test]
+    fn memory_bytes_counts_the_slab_and_with_capacity_reserves_it() {
+        let q: EventQueue<[u64; 14]> = EventQueue::with_capacity(1_000);
+        let slab = 1_000 * std::mem::size_of::<Option<[u64; 14]>>() as u64;
+        assert!(q.memory_bytes() >= slab + 1_000 * KEY_BYTES as u64);
+        assert!(EventQueue::<[u64; 14]>::new().memory_bytes() < slab);
+    }
+
+    /// A snapshot entry less its payload: time, seq, tok, tok_gen, dst.
+    type Row = (u64, u64, u32, u64, usize);
+    /// An edit to a snapshot's entries and token free list.
+    type Edit = dyn Fn(&mut [Row], &mut Vec<u32>);
+
+    /// A two-entry snapshot (both cancellable, tokens 0 and 1, one retired
+    /// token 2 on the free list), with `edit` applied to its fields.
+    fn doctored_snapshot(edit: &Edit) -> Vec<u8> {
+        let mut entries = [(1_000, 0, 0, 1, 3), (2_000, 1, 1, 1, 4)];
+        let mut free = vec![2];
+        edit(&mut entries, &mut free);
+        let mut w = SnapWriter::new();
+        w.seq(&[1u64, 1, 2], |w, &g| w.u64(g));
+        w.seq(&free, |w, &i| w.u32(i));
+        w.u64(3); // next_seq
+        w.u64(3); // scheduled_total
+        w.u64(entries.len() as u64);
+        for (time, seq, tok, tok_gen, dst) in entries {
+            w.time(SimTime::from_nanos(time));
+            w.u64(seq);
+            w.u32(tok);
+            w.u64(tok_gen);
+            w.usize(dst);
+            w.u64(seq * 10); // msg
+        }
+        w.into_bytes()
+    }
+
+    fn load(bytes: &[u8]) -> Result<EventQueue<u64>, SnapError> {
+        EventQueue::load_state(&mut SnapReader::new(bytes), |r| r.u64())
+    }
+
+    #[test]
+    fn load_state_refuses_entries_that_contradict_each_other() {
+        let good = doctored_snapshot(&|_, _| {});
+        let q = load(&good).expect("consistent snapshot loads");
+        q.debug_check();
+        let mut w = SnapWriter::new();
+        q.save_state(&mut w, |w, &m| w.u64(m));
+        assert_eq!(w.as_bytes(), &good[..]);
+
+        let cases: [(&str, &Edit); 5] = [
+            ("seq 0 borne by two entries", &|e, _| e[1].1 = 0),
+            ("token 0 borne by two entries", &|e, _| e[1].2 = 0),
+            (
+                "token 1 borne by two entries, or by one and the free list",
+                &|_, f| f.push(1),
+            ),
+            ("token 2 on the free list twice", &|_, f| f.push(2)),
+            ("entry dst 4294967296 out of range", &|e, _| {
+                e[0].4 = 1 << 32
+            }),
+        ];
+        for (what, edit) in cases {
+            match load(&doctored_snapshot(edit)) {
+                Err(SnapError::Corrupt(msg)) => assert!(msg.contains(what), "{what}: got {msg}"),
+                other => panic!("{what}: want Corrupt, got {:?}", other.map(|q| q.len())),
+            }
+        }
     }
 
     /// Drive the wheel and the reference heap through an identical

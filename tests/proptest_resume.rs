@@ -6,11 +6,19 @@
 //! Below the container, the scoreboard section of a sender snapshot: a
 //! well-formed section that contradicts itself must be refused, because
 //! the digest only proves the bytes are the ones written, not that the
-//! writer was sane.
+//! writer was sane. Likewise the event queue's section: entries that are
+//! each well-formed but contradict one another (a repeated sequence
+//! number, one cancellation token on two events or on an event and the
+//! free list, a destination the engine does not have) must be refused,
+//! because the queue rebuilds its payload slab and token→slot map from
+//! them.
 
 use ccsim::net::packet::{SackBlock, SackBlocks};
 use ccsim::resume::{Checkpoint, ResumeError};
-use ccsim::sim::{SimTime, SnapError, SnapReader, SnapWriter};
+use ccsim::sim::{
+    CancelToken, Component, ComponentId, Ctx, EventQueue, SimTime, Simulator, SnapError,
+    SnapReader, SnapWriter,
+};
 use ccsim::tcp::{Scoreboard, TxRecord};
 use proptest::prelude::*;
 
@@ -203,6 +211,158 @@ proptest! {
                 (board.in_flight(), board.sacked_bytes(), board.lost_bytes(), board.len()),
                 (0, 0, 0, 0)
             );
+        }
+    }
+}
+
+/// Byte offsets into an `EventQueue<u64>` snapshot whose payloads are
+/// written as one `u64`: `gens, free, next_seq, scheduled_total, n`, then
+/// 44 bytes per entry — time, seq (+8), tok (+16, `u32`), tok_gen (+20),
+/// dst (+28), payload (+36).
+struct QueueLayout {
+    free_at: usize,
+    free_len: usize,
+    entries_at: usize,
+    entries: usize,
+}
+
+const ENTRY_BYTES: usize = 44;
+
+impl QueueLayout {
+    fn of(bytes: &[u8]) -> QueueLayout {
+        let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+        let free_count_at = 8 + 8 * u64_at(0);
+        let free_len = u64_at(free_count_at);
+        let count_at = free_count_at + 8 + 4 * free_len + 16;
+        QueueLayout {
+            free_at: free_count_at + 8,
+            free_len,
+            entries_at: count_at + 8,
+            entries: u64_at(count_at),
+        }
+    }
+
+    fn entry(&self, i: usize) -> usize {
+        self.entries_at + ENTRY_BYTES * (i % self.entries)
+    }
+}
+
+/// A queue snapshot with plain and cancellable events pending and some
+/// tokens retired (by cancellation and by firing) onto the free list.
+fn queue_snapshot(n: u64, seed: u64) -> Vec<u8> {
+    let mut q: EventQueue<u64> = EventQueue::new();
+    let mut tokens: Vec<CancelToken> = Vec::new();
+    let mut x = seed | 1;
+    for id in 0..n {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let at = SimTime::from_nanos(x % 5_000_000);
+        let dst = ComponentId::from_raw((x >> 32) as usize % 3);
+        if matches!(x % 3, 0) {
+            q.schedule(at, dst, id);
+        } else {
+            tokens.push(q.schedule_cancellable(at, dst, id));
+        }
+        if x & 7 == 0 && !tokens.is_empty() {
+            q.cancel(tokens[(x >> 8) as usize % tokens.len()]);
+        }
+    }
+    q.pop();
+    let mut w = SnapWriter::new();
+    q.save_state(&mut w, |w, &id| w.u64(id));
+    w.into_bytes()
+}
+
+fn load_queue(bytes: &[u8]) -> Result<EventQueue<u64>, SnapError> {
+    EventQueue::load_state(&mut SnapReader::new(bytes), |r| r.u64())
+}
+
+struct Sink;
+
+impl Component<u64> for Sink {
+    fn on_event(&mut self, _: SimTime, _: u64, _: &mut Ctx<'_, u64>) {}
+}
+
+fn engine_with(components: usize) -> Simulator<u64> {
+    let mut sim = Simulator::new(0);
+    for _ in 0..components {
+        sim.add_component(Sink);
+    }
+    sim
+}
+
+proptest! {
+    /// Copying one entry's sequence number or token onto another, or
+    /// putting a pending event's token on the free list, leaves a queue
+    /// snapshot in which every entry still passes its own checks. Loaded,
+    /// the first would pop two events in an order no run produced and the
+    /// other two would let one `cancel` drop another event's payload.
+    #[test]
+    fn inconsistent_queue_snapshots_are_refused(
+        n in 8u64..120,
+        seed in 0u64..u64::MAX,
+        field in 0usize..3,
+        i in 0usize..1_000,
+        j in 1usize..1_000,
+    ) {
+        let good = queue_snapshot(n, seed);
+        let reloaded = load_queue(&good).expect("own snapshot loads");
+        reloaded.debug_check();
+        let lay = QueueLayout::of(&good);
+        // Entries with a token: the unit of both token cases.
+        let tokened: Vec<usize> = (0..lay.entries)
+            .map(|e| lay.entry(e))
+            .filter(|&at| good[at + 16..at + 20] != [0xFF; 4])
+            .collect();
+        let mut bad = good.clone();
+        match field {
+            0 if lay.entries >= 2 => {
+                let (from, to) = (lay.entry(i), lay.entry(i + 1 + j % (lay.entries - 1)));
+                bad.copy_within(from + 8..from + 16, to + 8);
+            }
+            1 if tokened.len() >= 2 => {
+                let from = tokened[i % tokened.len()];
+                let to = tokened[(i + 1 + j % (tokened.len() - 1)) % tokened.len()];
+                bad.copy_within(from + 16..from + 28, to + 16);
+            }
+            2 if lay.free_len > 0 && !tokened.is_empty() => {
+                let from = tokened[i % tokened.len()];
+                bad.copy_within(from + 16..from + 20, lay.free_at + 4 * (j % lay.free_len));
+            }
+            _ => return,
+        }
+        prop_assert_ne!(&bad, &good);
+        match load_queue(&bad) {
+            Err(SnapError::Corrupt(_)) => {}
+            other => panic!("field {field}: want Corrupt, got {:?}", other.map(|q| q.len())),
+        }
+    }
+
+    /// An engine snapshot restores only into an engine that has every
+    /// component its pending events are addressed to.
+    #[test]
+    fn events_for_missing_components_are_refused_at_restore(
+        components in 1usize..6,
+        events in 1u64..40,
+        missing in 1usize..4,
+    ) {
+        let mut sim = engine_with(components);
+        for id in 0..events {
+            let dst = ComponentId::from_raw(id as usize % components);
+            sim.schedule(SimTime::from_micros(id), dst, id);
+        }
+        let mut w = SnapWriter::new();
+        sim.save_state(&mut w, |w, &id| w.u64(id));
+        let restore = |into: usize| {
+            engine_with(into).restore_state(&mut SnapReader::new(w.as_bytes()), |r| r.u64())
+        };
+        prop_assert!(restore(components).is_ok());
+        prop_assert!(restore(components + missing).is_ok());
+        if events as usize >= components {
+            // Some event is addressed to the last component.
+            let short = components.saturating_sub(missing);
+            prop_assert!(matches!(restore(short), Err(SnapError::Corrupt(_))));
         }
     }
 }
