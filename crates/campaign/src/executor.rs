@@ -1,7 +1,7 @@
 //! The parallel sweep executor: a worker pool over campaign jobs.
 //!
 //! Each job runs through the existing observed-run path
-//! ([`ccsim_core::try_run_observed`]) on its own thread, so every run
+//! ([`ccsim_core::try_run_observed_live`]) on its own thread, so every run
 //! carries its provenance manifest and the observation-inertness
 //! guarantee. The pool is a plain `std::thread::scope` with an atomic
 //! job-pull counter — the same shape as `ccsim_core::run_all`, plus

@@ -27,7 +27,6 @@ use ccsim_net::AqmKind;
 use ccsim_sim::{ComponentId, SimDuration, SimTime, Simulator};
 use ccsim_tcp::receiver::Receiver;
 use ccsim_tcp::sender::{start_msg, Sender, SenderConfig};
-use ccsim_tcp::slab::{shared_with_capacity, HotRow, SharedFlowSlab};
 use ccsim_tcp::CongestionControl;
 use ccsim_topo::{instantiate, Topology};
 use ccsim_trace::{FlowRecorder, QueueRecorder};
@@ -58,15 +57,20 @@ pub struct BuiltNetwork {
     pub flow_rtt: Vec<SimDuration>,
     /// Per-flow start instants (after jitter).
     pub start_times: Vec<SimTime>,
-    /// Dense per-flow hot-state slab (struct-of-arrays: cwnd, inflight,
-    /// srtt, pacing, retransmits, delivered), written back by each
-    /// endpoint at the end of every event. Slot `i` == flow `i`. This is
-    /// **derived** state: readers (timeline sampler, delivered snapshots,
-    /// profiler) scan its columns between events instead of walking the
-    /// component arena, and attaching or detaching it cannot change an
-    /// outcome digest. `None` only for diagnostic detached builds (see
-    /// [`BuiltNetwork::try_build_detached`]).
-    pub slab: Option<SharedFlowSlab>,
+    /// Always `None`. The frozen `benchmark/` harness still names this
+    /// field (`compat.rs::harvest`); a benchmark-archetype PR drops that
+    /// line, `InSitu::slab_bytes` and `tcp.slab.bytes_per_flow`, then this.
+    #[doc(hidden)]
+    pub slab: Option<std::cell::RefCell<RetiredSlab>>,
+}
+
+/// Uninhabited: `BuiltNetwork::slab` can never be `Some`.
+#[doc(hidden)]
+pub enum RetiredSlab {}
+impl RetiredSlab {
+    pub fn memory_bytes(&self) -> u64 {
+        match *self {}
+    }
 }
 
 /// Per-flow CCA construction: `(flow_index, kind, mss, seed)` → instance.
@@ -104,25 +108,6 @@ impl BuiltNetwork {
     pub fn try_build_with_factory(
         scenario: &Scenario,
         factory: &CcaFactory<'_>,
-    ) -> Result<BuiltNetwork, ScenarioError> {
-        BuiltNetwork::try_build_inner(scenario, factory, true)
-    }
-
-    /// Build without attaching the flow slab — the diagnostic
-    /// configuration the digest-inertness differential test runs against
-    /// the default build. Readers fall back to component-arena walks.
-    pub fn try_build_detached(scenario: &Scenario) -> Result<BuiltNetwork, ScenarioError> {
-        BuiltNetwork::try_build_inner(
-            scenario,
-            &|_, kind, mss, seed| make_cca(kind, mss, seed),
-            false,
-        )
-    }
-
-    fn try_build_inner(
-        scenario: &Scenario,
-        factory: &CcaFactory<'_>,
-        attach_slab: bool,
     ) -> Result<BuiltNetwork, ScenarioError> {
         scenario.validate()?;
         let mut sim = Simulator::new(scenario.seed);
@@ -180,7 +165,6 @@ impl BuiltNetwork {
 
         let endpoint_base = built.links.len() + built.routers.len();
         let n = scenario.flow_count() as usize;
-        let slab = attach_slab.then(|| shared_with_capacity(n));
         let mut senders = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
         let mut flow_cca = Vec::with_capacity(n);
@@ -234,17 +218,6 @@ impl BuiltNetwork {
                     sim.component_mut::<Receiver>(receiver_id)
                         .set_delack_segments(scenario.tuning.delack_segments);
                 }
-                if let Some(slab) = &slab {
-                    // Flows are inserted in flow order into an empty slab,
-                    // so slot == flow id (asserted). Attach syncs each
-                    // row from the endpoint's live state.
-                    let key = slab.borrow_mut().insert(HotRow::default());
-                    assert_eq!(key.slot(), flow, "slab slot == flow id");
-                    sim.component_mut::<Sender>(sender_id)
-                        .attach_slab(slab.clone(), key);
-                    sim.component_mut::<Receiver>(receiver_id)
-                        .attach_slab(slab.clone(), key);
-                }
 
                 // Start jitter: uniform in [0, start_jitter).
                 let start = if scenario.start_jitter.is_zero() {
@@ -276,7 +249,7 @@ impl BuiltNetwork {
             flow_cca,
             flow_rtt,
             start_times,
-            slab,
+            slab: None,
         })
     }
 
@@ -293,15 +266,9 @@ impl BuiltNetwork {
     }
 
     /// Fill `out` with cumulative delivered bytes for every flow,
-    /// reusing its capacity — the per-slice snapshot path. With the slab
-    /// attached this is one dense column copy; detached builds fall back
-    /// to walking the receiver components.
+    /// reusing its capacity — the per-slice snapshot path.
     pub fn per_flow_delivered_into(&self, out: &mut Vec<u64>) {
         out.clear();
-        if let Some(slab) = &self.slab {
-            out.extend_from_slice(slab.borrow().delivered_prefix(self.flow_count()));
-            return;
-        }
         out.extend(
             self.receivers
                 .iter()

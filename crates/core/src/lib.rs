@@ -40,9 +40,8 @@ pub use crash::{
 };
 pub use error::SimError;
 pub use observe::{
-    run_observed, run_observed_with_progress, try_run_observed, try_run_observed_checkpointed,
-    try_run_observed_live, try_run_observed_with, try_run_observed_with_progress, ObserveOptions,
-    ObservedRun, RunInstruments,
+    run_observed, try_run_observed_checkpointed, try_run_observed_live, try_run_observed_with,
+    ObserveOptions, ObservedRun, RunInstruments,
 };
 pub use outcome::{BottleneckMetrics, PInterpretation, RunOutcome};
 pub use runner::{
@@ -59,29 +58,8 @@ pub use scenario::{
 /// Each scenario gets its own simulator on its own thread (the simulator is
 /// single-threaded by design; experiments parallelize across runs).
 pub fn run_all(scenarios: &[Scenario]) -> Vec<RunOutcome> {
-    run_all_with_progress(scenarios, |_, _| {})
-}
-
-/// [`run_all`] with a per-scenario completion callback.
-///
-/// `on_done(index, outcome)` fires from the worker thread that finished
-/// scenario `index`, as soon as it completes (not in input order). Long
-/// sweeps use this to report progress instead of going silent for minutes;
-/// the callback must be cheap and thread-safe.
-pub fn run_all_with_progress<F>(scenarios: &[Scenario], on_done: F) -> Vec<RunOutcome>
-where
-    F: Fn(usize, &RunOutcome) + Sync,
-{
     if scenarios.len() <= 1 {
-        return scenarios
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let o = run(s);
-                on_done(i, &o);
-                o
-            })
-            .collect();
+        return scenarios.iter().map(run).collect();
     }
     let mut results: Vec<Option<RunOutcome>> = Vec::new();
     results.resize_with(scenarios.len(), || None);
@@ -98,7 +76,6 @@ where
                     break;
                 }
                 let outcome = run(&scenarios[i]);
-                on_done(i, &outcome);
                 results_mutex.lock().unwrap()[i] = Some(outcome);
             });
         }

@@ -259,39 +259,12 @@ pub fn scenario_digest(scenario: &Scenario) -> u64 {
 /// inertness guarantee.
 ///
 /// # Panics
-/// Panics on any [`SimError`] — [`try_run_observed`] reports it instead.
+/// Panics on any [`SimError`] — [`try_run_observed_with`] reports it
+/// instead (and takes a progress callback; feed it a
+/// [`RunProgress`](ccsim_telemetry::RunProgress) for a live stderr line).
 pub fn run_observed(scenario: &Scenario) -> ObservedRun {
-    run_observed_with_progress(scenario, |_| {})
-}
-
-/// [`run_observed`], surfacing failures as typed errors.
-pub fn try_run_observed(scenario: &Scenario) -> Result<ObservedRun, SimError> {
-    try_run_observed_with_progress(scenario, |_| {})
-}
-
-/// [`run_observed`] with a progress callback, invoked after every
-/// simulated slice (warm-up and measurement) with the fraction of
-/// sim-time covered — feed it a
-/// [`RunProgress`](ccsim_telemetry::RunProgress) for a live stderr line.
-///
-/// # Panics
-/// Panics on any [`SimError`]; see [`try_run_observed_with_progress`].
-pub fn run_observed_with_progress<F>(scenario: &Scenario, on_progress: F) -> ObservedRun
-where
-    F: FnMut(&Progress),
-{
-    try_run_observed_with_progress(scenario, on_progress).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`try_run_observed`] with a progress callback.
-pub fn try_run_observed_with_progress<F>(
-    scenario: &Scenario,
-    on_progress: F,
-) -> Result<ObservedRun, SimError>
-where
-    F: FnMut(&Progress),
-{
-    try_run_observed_with(scenario, ObserveOptions::default(), on_progress)
+    try_run_observed_with(scenario, ObserveOptions::default(), |_| {})
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The full-control entry point: an observed run with explicit
@@ -602,19 +575,8 @@ mod tests {
                 "sim/scratch",
                 "sim/wheel",
                 "tcp/senders",
-                "tcp/slab",
                 "trace/rings"
             ]
-        );
-        // The slab gauge tracks the dense flow-state columns.
-        assert!(
-            p.memory
-                .iter()
-                .find(|g| g.name == "tcp/slab")
-                .unwrap()
-                .bytes
-                > 0,
-            "slab is attached on every runner build"
         );
         // Tracing was off, so the rings pool is empty but present.
         assert_eq!(

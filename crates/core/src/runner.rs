@@ -22,7 +22,7 @@ use ccsim_analysis::{jain_fairness_index, jain_fairness_subset};
 use ccsim_net::link::{Link, LinkStats};
 use ccsim_net::AqmKind;
 use ccsim_resume::{Checkpoint, ResumeError};
-use ccsim_sim::{SimTime, VecPool};
+use ccsim_sim::SimTime;
 use ccsim_tcp::sender::Sender;
 use ccsim_telemetry::{FlowMetrics, ThroughputTracker};
 use ccsim_timeline::{FlowPoint, LinkPoint, Timeline};
@@ -258,7 +258,7 @@ fn comp_class_table(net: &BuiltNetwork) -> Vec<u8> {
 /// owns the dispatch span totals.
 fn harvest_profile(
     net: &mut BuiltNetwork,
-    scratch: &VecPool<u64>,
+    scratch_bytes: u64,
     stride: u64,
     checkpoint_bytes: u64,
 ) -> Option<ccsim_prof::Profile> {
@@ -280,12 +280,7 @@ fn harvest_profile(
     accounts
         .account("sim/wheel")
         .set(net.sim.queue_memory_bytes());
-    accounts.account("sim/scratch").set(scratch.memory_bytes());
-    if let Some(slab) = &net.slab {
-        accounts
-            .account("tcp/slab")
-            .set(slab.borrow().memory_bytes());
-    }
+    accounts.account("sim/scratch").set(scratch_bytes);
     for &id in &net.senders {
         let s = net.sim.component::<Sender>(id);
         senders.alloc(s.memory_bytes());
@@ -315,40 +310,19 @@ fn harvest_profile(
 
 /// Snapshot the sampler inputs: one [`FlowPoint`] per sampled flow and
 /// one [`LinkPoint`] per link, all read-only simulator state.
-///
-/// With the flow slab attached the per-flow columns are read straight
-/// out of the dense arrays (slot `i` == flow `i`) — senders write their
-/// row back at the end of every handled event, so between events the
-/// columns hold exactly what a component walk would read, at a fraction
-/// of the cache traffic. Detached builds fall back to the walk.
 fn timeline_points(net: &BuiltNetwork, sampled_flows: usize) -> (Vec<FlowPoint>, Vec<LinkPoint>) {
-    let flows = if let Some(slab) = &net.slab {
-        let slab = slab.borrow();
-        (0..sampled_flows)
-            .map(|i| {
-                let (cwnd_bytes, inflight_bytes, srtt_nanos, retransmits) = slab.sender_row(i);
-                FlowPoint {
-                    retransmits,
-                    cwnd_bytes,
-                    srtt_secs: srtt_nanos as f64 / 1e9,
-                    inflight_bytes,
-                }
-            })
-            .collect()
-    } else {
-        net.senders[..sampled_flows]
-            .iter()
-            .map(|&id| {
-                let s = net.sim.component::<Sender>(id);
-                FlowPoint {
-                    retransmits: s.stats().retransmits,
-                    cwnd_bytes: s.cca().cwnd(),
-                    srtt_secs: s.srtt().as_secs_f64(),
-                    inflight_bytes: s.in_flight(),
-                }
-            })
-            .collect()
-    };
+    let flows = net.senders[..sampled_flows]
+        .iter()
+        .map(|&id| {
+            let s = net.sim.component::<Sender>(id);
+            FlowPoint {
+                retransmits: s.stats().retransmits,
+                cwnd_bytes: s.cca().cwnd(),
+                srtt_secs: s.srtt().as_secs_f64(),
+                inflight_bytes: s.in_flight(),
+            }
+        })
+        .collect();
     let links = net
         .links
         .iter()
@@ -370,13 +344,13 @@ fn timeline_points(net: &BuiltNetwork, sampled_flows: usize) -> (Vec<FlowPoint>,
 /// Feed the timeline sampler at a slice boundary. `delivered` lets the
 /// measurement loop reuse the vector it already gathered for the tracker;
 /// other call sites pass `None` and the helper snapshots the flows itself
-/// into a pooled buffer — but only once a row is actually due, so
+/// into `scratch` — but only once a row is actually due, so
 /// off-grid slices cost one comparison. `force` closes a possibly-short
 /// row regardless of the window grid (warm-up boundary, end of run).
 fn sample_timeline(
     net: &BuiltNetwork,
     inst: Option<&RunInstruments>,
-    scratch: &mut VecPool<u64>,
+    scratch: &mut Vec<u64>,
     now: SimTime,
     delivered: Option<&[u64]>,
     force: bool,
@@ -391,10 +365,8 @@ fn sample_timeline(
     match delivered {
         Some(d) => tl.push_row(now, d, &flows, &links),
         None => {
-            let mut buf = scratch.acquire();
-            net.per_flow_delivered_into(&mut buf);
-            tl.push_row(now, &buf, &flows, &links);
-            scratch.release(buf);
+            net.per_flow_delivered_into(scratch);
+            tl.push_row(now, scratch, &flows, &links);
         }
     }
 }
@@ -453,9 +425,8 @@ pub(crate) fn run_internal_ctl(
     let build_span = inst.map(|i| i.profiler.span("build"));
     let mut net = BuiltNetwork::try_build(scenario)?;
     let mut watchdog = Watchdog::new(scenario.watchdog);
-    // Free-listed scratch for per-flow snapshot gathers: after the first
-    // slice primes its capacity, the steady-state loop allocates nothing.
-    let mut scratch: VecPool<u64> = VecPool::new();
+    // Reused by the timeline's off-loop delivered snapshots.
+    let mut scratch: Vec<u64> = Vec::new();
     if let Some(inst) = inst {
         net.sim.set_event_classes(EVENT_KINDS.len());
         net.sim
@@ -498,10 +469,8 @@ pub(crate) fn run_internal_ctl(
         if let Some(cfg) = inst.options.timeline {
             let mut tl = Timeline::new(cfg, net.flow_count(), net.links.len(), net.sim.now());
             let (flows, links) = timeline_points(&net, tl.sampled_flows());
-            let mut buf = scratch.acquire();
-            net.per_flow_delivered_into(&mut buf);
-            tl.prime(&buf, &flows, &links);
-            scratch.release(buf);
+            net.per_flow_delivered_into(&mut scratch);
+            tl.prime(&scratch, &flows, &links);
             *inst.timeline.borrow_mut() = Some(tl);
         }
     }
@@ -766,7 +735,7 @@ pub(crate) fn run_internal_ctl(
         if inst.options.profile {
             *inst.profile_out.borrow_mut() = harvest_profile(
                 &mut net,
-                &scratch,
+                (scratch.capacity() * std::mem::size_of::<u64>()) as u64,
                 inst.options.profile_stride,
                 inst.checkpoint_bytes.get(),
             );

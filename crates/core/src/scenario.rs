@@ -201,12 +201,22 @@ impl fmt::Debug for Scenario {
     }
 }
 
+/// Most flows one scenario may hold. Each flow is two components and the
+/// simulator addresses its arena with `u32`, so this leaves half the index
+/// space to the topology's links and routers.
+const MAX_FLOWS: u64 = 1 << 30;
+
 /// Structured scenario-validation failure, replacing the former
 /// `assert!`-based validation. `Display` keeps the old assert messages so
 /// operators (and tests) recognize them.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioError {
     NoFlows,
+    /// The flow groups sum past what one simulator can address.
+    TooManyFlows {
+        total: u64,
+        max: u64,
+    },
     ZeroBandwidth,
     ZeroMss,
     /// `warmup < start_jitter`: flows could start inside the measurement
@@ -227,6 +237,9 @@ impl fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ScenarioError::NoFlows => f.write_str("scenario has no flows"),
+            ScenarioError::TooManyFlows { total, max } => {
+                write!(f, "scenario has {total} flows; at most {max} are supported")
+            }
             ScenarioError::ZeroBandwidth => f.write_str("zero bottleneck bandwidth"),
             ScenarioError::ZeroMss => f.write_str("zero MSS"),
             ScenarioError::JitterExceedsWarmup => {
@@ -463,9 +476,15 @@ impl Scenario {
         )
     }
 
-    /// Total number of flows.
+    /// Total number of flows. Group counts are outside input, so the sum
+    /// is taken in `u64` and saturates; [`Scenario::validate`] rejects
+    /// any total above `MAX_FLOWS` before anything is sized from it.
     pub fn flow_count(&self) -> u32 {
-        self.flows.iter().map(|g| g.count).sum()
+        u32::try_from(self.flow_total()).unwrap_or(u32::MAX)
+    }
+
+    fn flow_total(&self) -> u64 {
+        self.flows.iter().map(|g| u64::from(g.count)).sum()
     }
 
     /// End of the scenario's time horizon (warm-up + measurement window);
@@ -476,8 +495,15 @@ impl Scenario {
 
     /// Validate internal consistency, returning a structured error.
     pub fn validate(&self) -> Result<(), ScenarioError> {
-        if self.flow_count() == 0 {
+        let total = self.flow_total();
+        if total == 0 {
             return Err(ScenarioError::NoFlows);
+        }
+        if total > MAX_FLOWS {
+            return Err(ScenarioError::TooManyFlows {
+                total,
+                max: MAX_FLOWS,
+            });
         }
         if self.bottleneck.as_bps() == 0 {
             return Err(ScenarioError::ZeroBandwidth);
@@ -568,6 +594,24 @@ mod tests {
         let err = Scenario::edge_scale().validate().unwrap_err();
         assert_eq!(err, ScenarioError::NoFlows);
         assert_eq!(err.to_string(), "scenario has no flows");
+    }
+
+    #[test]
+    fn flow_totals_past_the_limit_fail_validation_without_wrapping() {
+        let reno = |count| FlowGroup::new(CcaKind::Reno, count, SimDuration::from_millis(20));
+        // As a u32 sum the first wraps to 0 (read as NoFlows) and the second
+        // to 1 (passed validation, then indexed out of bounds in the build);
+        // the third is over the limit only as a total.
+        for counts in [[u32::MAX, 1], [u32::MAX, 2], [1 << 29, (1 << 29) + 1]] {
+            let total = counts.iter().map(|&c| u64::from(c)).sum::<u64>();
+            let s = Scenario::edge_scale().flows(counts.map(reno).to_vec());
+            assert_eq!(u64::from(s.flow_count()), total.min(u64::from(u32::MAX)));
+            let err = s.validate().unwrap_err();
+            let max = MAX_FLOWS;
+            assert_eq!(err, ScenarioError::TooManyFlows { total, max });
+            let text = format!("scenario has {total} flows; at most 1073741824 are supported");
+            assert_eq!(err.to_string(), text);
+        }
     }
 
     #[test]

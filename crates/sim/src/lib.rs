@@ -46,7 +46,6 @@
 pub mod engine;
 pub mod event;
 pub mod jsonfmt;
-pub mod pool;
 pub mod rate;
 pub mod rng;
 pub mod snap;
@@ -54,7 +53,6 @@ pub mod time;
 
 pub use engine::{Component, ComponentId, Ctx, EngineError, Simulator};
 pub use event::{CancelToken, Event, EventQueue, HeapQueue, WheelStats};
-pub use pool::{PoolStats, VecPool};
 pub use rate::Bandwidth;
 pub use rng::RngFactory;
 pub use snap::{SnapError, SnapReader, SnapWriter};

@@ -22,7 +22,6 @@ pub mod receiver;
 pub mod rtt;
 pub mod scoreboard;
 pub mod sender;
-pub mod slab;
 
 pub use cc::{AckSample, CongestionControl, FixedWindow, INITIAL_CWND_SEGMENTS, MIN_CWND_SEGMENTS};
 pub use endpoint_stats::{ReceiverStats, SenderStats};
@@ -31,4 +30,3 @@ pub use receiver::Receiver;
 pub use rtt::RttEstimator;
 pub use scoreboard::{AckResult, Scoreboard};
 pub use sender::{start_msg, CaState, Sender, SenderConfig, SenderMetrics};
-pub use slab::{FlowKey, FlowSlab, HotRow, SharedFlowSlab};

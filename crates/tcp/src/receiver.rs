@@ -17,7 +17,6 @@
 //! the study measures: senders see base RTT + queueing delay either way.
 
 use crate::endpoint_stats::ReceiverStats;
-use crate::slab::{FlowKey, SharedFlowSlab};
 use ccsim_net::msg::{Msg, TimerToken};
 use ccsim_net::packet::{FlowId, Packet, SackBlock, SackBlocks};
 use ccsim_sim::{
@@ -74,9 +73,6 @@ pub struct Receiver {
     /// events — every non-default value changes digests, so the knob is
     /// scenario-gated and defaulted everywhere else.
     delack_segments: u32,
-    /// Dense hot-state mirror (see [`crate::slab`]): the receiver owns the
-    /// `delivered_bytes` column. Derived state, not checkpointed.
-    slab: Option<(SharedFlowSlab, FlowKey)>,
     stats: ReceiverStats,
 }
 
@@ -97,7 +93,6 @@ impl Receiver {
             ece_pending: false,
             ack_first_hop: None,
             delack_segments: DELACK_SEGMENTS,
-            slab: None,
             stats: ReceiverStats::default(),
         }
     }
@@ -107,20 +102,6 @@ impl Receiver {
     /// burstier cwnd growth; 0 is clamped to 1 (ACK every segment).
     pub fn set_delack_segments(&mut self, segments: u32) {
         self.delack_segments = segments.max(1);
-    }
-
-    /// Attach this receiver's row in the shared hot-state slab and publish
-    /// the current delivered count into it.
-    pub fn attach_slab(&mut self, slab: SharedFlowSlab, key: FlowKey) {
-        self.slab = Some((slab, key));
-        self.sync_slab();
-    }
-
-    /// Write `delivered_bytes` back into the slab (no-op when detached).
-    fn sync_slab(&self) {
-        if let Some((slab, key)) = &self.slab {
-            slab.borrow_mut().write_delivered(*key, self.rcv_nxt);
-        }
     }
 
     /// Route outgoing ACKs through `hop` (a reverse-path link) instead of
@@ -215,8 +196,6 @@ impl Receiver {
         self.delack_generation = r.u64()?;
         self.ece_pending = r.bool()?;
         self.stats.load_state(r)?;
-        // Derived state: refresh the slab mirror from the overlaid values.
-        self.sync_slab();
         Ok(())
     }
 
@@ -406,7 +385,6 @@ impl Component<Msg> for Receiver {
                 }
             }
         }
-        self.sync_slab();
     }
 }
 

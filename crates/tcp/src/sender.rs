@@ -28,7 +28,6 @@ use crate::endpoint_stats::SenderStats;
 use crate::rate::RateEstimator;
 use crate::rtt::RttEstimator;
 use crate::scoreboard::Scoreboard;
-use crate::slab::{FlowKey, SharedFlowSlab};
 use ccsim_net::msg::{Msg, TimerToken};
 use ccsim_net::packet::{FlowId, Packet};
 use ccsim_sim::{
@@ -151,11 +150,6 @@ pub struct Sender {
     /// Optional registry-backed metrics (shared across all senders),
     /// attached when a run is observed.
     metrics: Option<SenderMetrics>,
-    /// Dense hot-state mirror (see [`crate::slab`]): when attached, the
-    /// sender writes its hot row back after every event it handles, so
-    /// samplers scan columns instead of downcasting components. Purely
-    /// derived state — not checkpointed, no effect on behavior.
-    slab: Option<(SharedFlowSlab, FlowKey)>,
 }
 
 impl Sender {
@@ -187,31 +181,6 @@ impl Sender {
             cwnd_trace: None,
             recorder: None,
             metrics: None,
-            slab: None,
-        }
-    }
-
-    /// Attach this sender's row in the shared hot-state slab and publish
-    /// the current values into it. Subsequent events keep the row fresh.
-    pub fn attach_slab(&mut self, slab: SharedFlowSlab, key: FlowKey) {
-        self.slab = Some((slab, key));
-        self.sync_slab();
-    }
-
-    /// Write the hot row back into the slab (no-op when detached). Called
-    /// at the end of every handled event and after a checkpoint overlay,
-    /// so column readers between events always observe exactly what a
-    /// component walk would.
-    fn sync_slab(&self) {
-        if let Some((slab, key)) = &self.slab {
-            slab.borrow_mut().write_sender(
-                *key,
-                self.cca.cwnd(),
-                self.board.in_flight(),
-                self.rtt.srtt().as_nanos(),
-                self.pacing_next,
-                self.stats.retransmits,
-            );
         }
     }
 
@@ -408,9 +377,6 @@ impl Sender {
             }
         }
         self.cca.load_state(r)?;
-        // The slab mirror is derived state, not checkpointed: refresh it
-        // from the overlaid values so post-restore samplers stay exact.
-        self.sync_slab();
         Ok(())
     }
 
@@ -828,6 +794,5 @@ impl Component<Msg> for Sender {
                 other => unreachable!("unknown sender timer kind {other}"),
             },
         }
-        self.sync_slab();
     }
 }

@@ -10,8 +10,8 @@
 //!
 //! * [`RunProgress`] — one in-flight run: percent of sim-time, ETA, and
 //!   current events/sec, rewritten in place on TTYs.
-//! * [`SweepProgress`] — N-of-M completion for scenario sweeps, driven
-//!   from `run_all_with_progress` worker threads (thread-safe).
+//! * [`SweepProgress`] — N-of-M completion for scenario sweeps, safe to
+//!   drive from worker threads.
 //! * [`StageTimer`] — a labeled wall-clock stage that prints one
 //!   `[label: 12.3s]` line when finished; the uniform replacement for
 //!   the `Stopwatch` + `eprintln!` pattern.
@@ -193,7 +193,7 @@ impl RunProgress {
 
 /// Thread-safe N-of-M progress for scenario sweeps.
 ///
-/// Designed to be the `on_done` callback of `run_all_with_progress`:
+/// Call [`SweepProgress::item_done`] from whichever thread finished an item:
 /// every completion prints one line with the running count, percent, ETA
 /// extrapolated from the mean per-item wall time, and the item's label.
 pub struct SweepProgress {

@@ -53,6 +53,23 @@ fn usage_errors_go_to_stderr_with_exit_2() {
 }
 
 #[test]
+fn flow_totals_past_the_limit_are_a_named_usage_error() {
+    // 2^32 and 2^32 + 1 flows: a wrapping u32 sum reads 0 and 1.
+    for last in ["reno:1:20", "reno:2:20"] {
+        let out = ccsim(&["run", "--flows", "reno:4294967295:20", "--flows", last]);
+        assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(
+            err.contains("invalid scenario: scenario has 42949672"),
+            "{err}"
+        );
+        assert!(err.contains("at most 1073741824"), "{err}");
+        assert!(!err.contains("panicked"), "{err}");
+        assert!(stdout(&out).is_empty());
+    }
+}
+
+#[test]
 fn help_goes_to_stdout_with_exit_0() {
     for args in [
         &["--help"][..],

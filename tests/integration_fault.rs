@@ -6,7 +6,8 @@
 
 use ccsim::cca::CcaKind;
 use ccsim::experiments::{
-    run, run_guarded, try_run, CrashBundle, FlowGroup, GuardOptions, Scenario, SimError,
+    run, run_guarded, try_run, CrashBundle, FlowGroup, GuardOptions, Scenario, ScenarioError,
+    SimError,
 };
 use ccsim::fault::{FaultPlan, WatchdogConfig};
 use ccsim::sim::{Bandwidth, SimDuration, SimTime};
@@ -173,4 +174,22 @@ fn scenario_and_engine_failures_stay_typed() {
     let caught = std::panic::catch_unwind(|| run(&bad)).unwrap_err();
     let msg = caught.downcast_ref::<String>().cloned().unwrap_or_default();
     assert!(msg.contains("no flows"), "panic message: {msg}");
+}
+
+/// Group counts are outside input. A u32 sum of these wraps to 0 (read as
+/// "no flows") or to 1 (passed validation, then indexed past the one-flow
+/// topology inside `try_build`); the total is rejected as itself, before
+/// any per-flow allocation.
+#[test]
+fn flow_totals_past_u32_are_a_typed_error() {
+    for extra in [1, 2] {
+        let reno = |n| FlowGroup::new(CcaKind::Reno, n, SimDuration::from_millis(20));
+        let huge = Scenario::edge_scale().flows(vec![reno(u32::MAX), reno(extra)]);
+        match try_run(&huge) {
+            Err(SimError::Scenario(ScenarioError::TooManyFlows { total, .. })) => {
+                assert_eq!(total, u64::from(u32::MAX) + u64::from(extra));
+            }
+            other => panic!("expected TooManyFlows, got {other:?}"),
+        }
+    }
 }

@@ -1,20 +1,18 @@
 //! Megascale flow-state overhaul: the digest-preservation contract and
-//! the batching/slab machinery, end to end.
+//! the batching machinery, end to end.
 //!
-//! The overhaul touched every hot layer (slab-backed flow state, pooled
-//! snapshot buffers, wheel slot trimming, scoreboard deflation, batched
-//! ACK/transmit paths), all of which must be byte-inert for every
-//! pre-existing configuration. The differential tests here replay the
-//! committed baseline ledgers' shapes (ci-smoke, topo-smoke,
-//! perf-corescale) and compare digests, and run the slab attached vs
-//! detached over a high-flow-count scenario.
+//! The overhaul touched every hot layer (wheel slot trimming, scoreboard
+//! deflation, batched ACK/transmit paths), all of which must be
+//! byte-inert for every pre-existing configuration. The differential
+//! tests here replay the committed baseline ledgers' shapes (ci-smoke,
+//! topo-smoke, perf-corescale) and compare digests, and cross-check the
+//! outcome against the timeline over a high-flow-count scenario.
 
 use ccsim::campaign::{CampaignSpec, Ledger};
 use ccsim::cca::CcaKind;
 use ccsim::experiments::observe::scenario_digest;
-use ccsim::experiments::{run, BuiltNetwork, FlowGroup, Scenario, Tuning};
-use ccsim::sim::{Bandwidth, SimDuration, SimTime};
-use ccsim::tcp::sender::Sender;
+use ccsim::experiments::{run, try_run_observed_with, FlowGroup, ObserveOptions, Scenario, Tuning};
+use ccsim::sim::{Bandwidth, SimDuration};
 use std::path::Path;
 
 /// Replay a committed spec/ledger pair: every job's config digest must
@@ -88,10 +86,10 @@ fn perf_corescale_baseline_digests_are_preserved() {
 
 /// A high-flow-count scenario kept cheap enough for debug CI: 10k flows
 /// share 500 Mbps for a sub-second horizon, deep enough into the run
-/// that every flow has started and the slab columns are hot.
+/// that every flow has started.
 fn dense_scenario(seed: u64) -> Scenario {
     let mut s = Scenario::mega_scale()
-        .named("slab-dense")
+        .named("dense-10k")
         .flows(vec![
             FlowGroup::new(CcaKind::Reno, 5_000, SimDuration::from_millis(20)),
             FlowGroup::new(CcaKind::Cubic, 5_000, SimDuration::from_millis(40)),
@@ -108,37 +106,43 @@ fn dense_scenario(seed: u64) -> Scenario {
 }
 
 #[test]
-fn slab_attachment_is_event_inert_at_10k_flows() {
-    // Same scenario, slab attached (the runner's configuration) vs
-    // detached: the slab is derived state, so the event sequence, the
-    // delivered column, and every sender's hot fields must be identical.
+fn timeline_rows_integrate_to_the_outcome_at_10k_flows() {
+    // The outcome and the timeline are both gathered by walking the
+    // endpoint components at slice boundaries, so they must agree exactly:
+    // a reader that sampled mid-event state, or a row that straddled the
+    // warm-up reset, would break the telescoping sums below.
     let s = dense_scenario(5);
-    let horizon = SimTime::ZERO + s.warmup + s.duration;
+    let plain = run(&s);
+    let mut options = ObserveOptions::timelined();
+    options.timeline.as_mut().unwrap().window = s.snapshot_interval; // a row per slice
+    let obs = try_run_observed_with(&s, options, |_| {}).unwrap();
+    assert_eq!(obs.outcome.digest(), plain.digest());
+    assert_eq!(obs.outcome.to_json(), plain.to_json());
 
-    let mut with = BuiltNetwork::try_build(&s).unwrap();
-    let mut without = BuiltNetwork::try_build_detached(&s).unwrap();
-    assert!(with.slab.is_some());
-    assert!(without.slab.is_none());
-    with.sim.try_run_until(horizon).unwrap();
-    without.sim.try_run_until(horizon).unwrap();
-
-    assert_eq!(with.sim.events_processed(), without.sim.events_processed());
-    assert_eq!(with.per_flow_delivered(), without.per_flow_delivered());
-    assert!(with.per_flow_delivered().iter().sum::<u64>() > 0);
-
-    // The slab columns hold exactly what a component walk reads.
-    let slab = with.slab.as_ref().unwrap().borrow();
-    assert_eq!(slab.len(), with.flow_count());
-    for (i, (&a, &b)) in with.senders.iter().zip(&without.senders).enumerate() {
-        let sa = with.sim.component::<Sender>(a);
-        let sb = without.sim.component::<Sender>(b);
-        let (cwnd, inflight, srtt_nanos, retransmits) = slab.sender_row(i);
-        assert_eq!(cwnd, sa.cca().cwnd(), "flow {i} cwnd");
-        assert_eq!(cwnd, sb.cca().cwnd(), "flow {i} cwnd detached");
-        assert_eq!(inflight, sa.in_flight(), "flow {i} inflight");
-        assert_eq!(srtt_nanos, sa.srtt().as_nanos(), "flow {i} srtt");
-        assert_eq!(retransmits, sa.stats().retransmits, "flow {i} retransmits");
-        assert_eq!(sb.stats().retransmits, retransmits);
+    let tl = obs.timeline.as_ref().expect("timeline captured");
+    let rows = tl.rows();
+    assert_eq!(rows.evicted(), 0, "budget holds the whole run");
+    // Σ column × weight(span) over the rows that end after the warm-up.
+    let warmup = s.warmup.as_secs_f64();
+    let integrate = |name: &str, weight: fn(f64) -> f64| -> u64 {
+        let c = tl.columns().iter().position(|n| n == name).unwrap();
+        let cells = rows.column(c).zip(rows.spans()).zip(rows.times());
+        let total: f64 = cells
+            .filter(|&(_, t)| t > warmup)
+            .map(|((v, span), _)| v * weight(span))
+            .sum();
+        total.round() as u64
+    };
+    let delivered: u64 = plain.flows.iter().map(|f| f.delivered_bytes).sum();
+    assert!(delivered > 0);
+    assert_eq!(integrate("agg/goodput_bps", |span| span), delivered);
+    let sampled = &plain.flows[..tl.sampled_flows()];
+    assert!(sampled.iter().any(|f| f.retransmits > 0));
+    for (i, flow) in sampled.iter().enumerate() {
+        let goodput = integrate(&format!("flow{i}/goodput_bps"), |span| span);
+        assert_eq!(goodput, flow.delivered_bytes, "flow {i} goodput");
+        let retrans = integrate(&format!("flow{i}/retrans"), |_| 1.0);
+        assert_eq!(retrans, flow.retransmits, "flow {i} retransmits");
     }
 }
 
