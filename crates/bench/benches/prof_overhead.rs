@@ -10,7 +10,7 @@
 //! the cost of an aggressive sampling stride.
 
 use ccsim_cca::CcaKind;
-use ccsim_core::{try_run_observed_with, FlowGroup, ObserveOptions, Scenario};
+use ccsim_core::{FlowGroup, ObserveOptions, RunRequest, Scenario};
 use ccsim_sim::SimDuration;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -33,7 +33,9 @@ fn quickstart() -> Scenario {
 }
 
 fn observed(scenario: &Scenario, options: ObserveOptions) -> u64 {
-    try_run_observed_with(scenario, options, |_| {})
+    RunRequest::new(scenario)
+        .observe(options)
+        .execute()
         .expect("quickstart scenario runs clean")
         .outcome
         .events_processed

@@ -10,7 +10,7 @@
 //! bounds an aggressive 100 ms window (10× the fold rate).
 
 use ccsim_cca::CcaKind;
-use ccsim_core::{try_run_observed_with, FlowGroup, ObserveOptions, Scenario};
+use ccsim_core::{FlowGroup, ObserveOptions, RunRequest, Scenario};
 use ccsim_sim::SimDuration;
 use ccsim_timeline::TimelineConfig;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -34,7 +34,9 @@ fn quickstart() -> Scenario {
 }
 
 fn observed(scenario: &Scenario, options: ObserveOptions) -> u64 {
-    try_run_observed_with(scenario, options, |_| {})
+    RunRequest::new(scenario)
+        .observe(options)
+        .execute()
         .expect("quickstart scenario runs clean")
         .outcome
         .events_processed

@@ -7,7 +7,7 @@ use ccsim_core::experiments::mathis;
 fn main() {
     let opts = parse_args();
     let sw = StageTimer::new("burstiness");
-    let rows = mathis::run_grid(&opts.config);
+    let rows = mathis::run_grid(&opts.config, opts.grid("burstiness"));
     section(
         "Finding 3 corroboration — queue-drop burstiness",
         &mathis::render(&rows),

@@ -7,7 +7,7 @@ use ccsim_core::experiments::mathis;
 fn main() {
     let opts = parse_args();
     let sw = StageTimer::new("fig2");
-    let rows = mathis::run_grid(&opts.config);
+    let rows = mathis::run_grid(&opts.config, opts.grid("fig2"));
     section(
         "Figure 2 — Mathis median prediction error",
         &mathis::render(&rows),

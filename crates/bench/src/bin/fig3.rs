@@ -7,7 +7,7 @@ use ccsim_core::experiments::mathis;
 fn main() {
     let opts = parse_args();
     let sw = StageTimer::new("fig3");
-    let rows = mathis::run_grid(&opts.config);
+    let rows = mathis::run_grid(&opts.config, opts.grid("fig3"));
     section(
         "Figure 3 — packet-loss / CWND-halving ratio",
         &mathis::render(&rows),

@@ -8,7 +8,7 @@ use ccsim_core::experiments::intra;
 fn main() {
     let opts = parse_args();
     let sw = StageTimer::new("fig4");
-    let rows = intra::run_grid(&opts.config, CcaKind::Bbr);
+    let rows = intra::run_grid(&opts.config, CcaKind::Bbr, opts.grid("fig4"));
     section(
         "Figure 4 — BBR intra-CCA fairness (JFI)",
         &intra::render(&rows),

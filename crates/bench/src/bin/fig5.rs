@@ -8,7 +8,12 @@ use ccsim_core::experiments::inter;
 fn main() {
     let opts = parse_args();
     let sw = StageTimer::new("fig5");
-    let rows = inter::run_grid(&opts.config, CcaKind::Cubic, CcaKind::Reno);
+    let rows = inter::run_grid(
+        &opts.config,
+        CcaKind::Cubic,
+        CcaKind::Reno,
+        opts.grid("fig5"),
+    );
     section(
         "Figure 5 — Cubic vs NewReno (equal counts)",
         &inter::render(&rows),

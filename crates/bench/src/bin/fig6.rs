@@ -9,7 +9,7 @@ use ccsim_core::experiments::single_bbr;
 fn main() {
     let opts = parse_args();
     let sw = StageTimer::new("fig6");
-    let rows = single_bbr::run_grid(&opts.config, CcaKind::Reno);
+    let rows = single_bbr::run_grid(&opts.config, CcaKind::Reno, opts.grid("fig6"));
     section("Figure 6 — 1 BBR vs N NewReno", &single_bbr::render(&rows));
     println!(
         "\npaper: ~40% BBR share at every N, 'Home Link' reference ~40%;\n\

@@ -8,12 +8,22 @@ use ccsim_core::experiments::inter;
 fn main() {
     let opts = parse_args();
     let sw = StageTimer::new("fig8");
-    let a = inter::run_grid(&opts.config, CcaKind::Bbr, CcaKind::Reno);
+    let a = inter::run_grid(
+        &opts.config,
+        CcaKind::Bbr,
+        CcaKind::Reno,
+        opts.grid("fig8a"),
+    );
     section(
         "Figure 8a — BBR vs NewReno (equal counts)",
         &inter::render(&a),
     );
-    let b = inter::run_grid(&opts.config, CcaKind::Bbr, CcaKind::Cubic);
+    let b = inter::run_grid(
+        &opts.config,
+        CcaKind::Bbr,
+        CcaKind::Cubic,
+        opts.grid("fig8b"),
+    );
     section(
         "Figure 8b — BBR vs Cubic (equal counts)",
         &inter::render(&b),

@@ -8,12 +8,12 @@ use ccsim_core::experiments::intra;
 fn main() {
     let opts = parse_args();
     let sw = StageTimer::new("finding4");
-    let reno = intra::run_grid(&opts.config, CcaKind::Reno);
+    let reno = intra::run_grid(&opts.config, CcaKind::Reno, opts.grid("finding4/reno"));
     section(
         "Finding 4 — NewReno intra-CCA fairness",
         &intra::render(&reno),
     );
-    let cubic = intra::run_grid(&opts.config, CcaKind::Cubic);
+    let cubic = intra::run_grid(&opts.config, CcaKind::Cubic, opts.grid("finding4/cubic"));
     section(
         "Finding 4 — Cubic intra-CCA fairness",
         &intra::render(&cubic),

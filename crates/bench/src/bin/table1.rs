@@ -8,7 +8,7 @@ use ccsim_core::experiments::mathis;
 fn main() {
     let opts = parse_args();
     let sw = StageTimer::new("table1");
-    let rows = mathis::run_grid(&opts.config);
+    let rows = mathis::run_grid(&opts.config, opts.grid("table1"));
     section(
         "Table 1 — Mathis constant C by p-interpretation",
         &mathis::render(&rows),

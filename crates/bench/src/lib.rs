@@ -38,16 +38,30 @@
 //! scenario runs, plus the DESIGN.md ablations and the observability
 //! registry's overhead (`registry_overhead`).
 
+use ccsim_campaign::executor::{run_scenarios, ExecutorOptions};
+use ccsim_campaign::ledger::{LedgerEntry, LedgerWriter};
+use ccsim_campaign::spec::Tolerances;
 use ccsim_core::experiments::ExperimentConfig;
-use ccsim_core::Fidelity;
+use ccsim_core::{Fidelity, RunOutcome, Scenario};
+use ccsim_telemetry::CampaignProgress;
+use std::path::Path;
+use std::sync::Mutex;
 
 /// Command-line options shared by every figure binary.
-#[derive(Debug, Clone)]
 pub struct BenchOptions {
     /// The experiment grid.
     pub config: ExperimentConfig,
     /// Whether the full paper-scale flow counts were requested.
     pub paper_scale: bool,
+    exec: GridExec,
+}
+
+impl BenchOptions {
+    /// The executor to hand to a `run_grid`: runs the grid's scenarios on
+    /// the campaign worker pool under a progress line titled `label`.
+    pub fn grid<'a>(&'a self, label: &'a str) -> impl FnOnce(&[Scenario]) -> Vec<RunOutcome> + 'a {
+        move |scenarios| self.exec.run(label, scenarios)
+    }
 }
 
 /// Parse common CLI arguments (exits with usage on malformed input).
@@ -135,6 +149,7 @@ pub fn parse_args() -> BenchOptions {
     BenchOptions {
         config,
         paper_scale,
+        exec: GridExec::new(),
     }
 }
 
@@ -143,6 +158,58 @@ fn usage(err: &str) -> ! {
         "{err}\n\nusage: <bin> [--fidelity quick|standard|paper] [--seed N] [--scale down|paper]"
     );
     std::process::exit(2);
+}
+
+/// What every figure binary's grids run on: the campaign worker pool
+/// (cells run in parallel with a live aggregate progress line; outcomes
+/// depend only on configuration and seed) plus an optional ledger sink —
+/// set `CCSIM_LEDGER=<path>` to append every run to a campaign ledger
+/// (named after the binary) that `ccsim campaign report`/`diff` can read.
+struct GridExec {
+    opts: ExecutorOptions,
+    ledger: Option<Mutex<LedgerWriter>>,
+}
+
+impl GridExec {
+    fn new() -> GridExec {
+        let ledger = std::env::var("CCSIM_LEDGER").ok().map(|path| {
+            let exe = std::env::args().next().unwrap_or_default();
+            let name = Path::new(&exe).file_stem().and_then(|s| s.to_str());
+            let name = name.unwrap_or("ccsim-bench");
+            let w = LedgerWriter::create(Path::new(&path), name, &Tolerances::default(), &[])
+                .unwrap_or_else(|e| panic!("cannot create ledger {path}: {e}"));
+            eprintln!("[ledger: {path}]");
+            Mutex::new(w)
+        });
+        GridExec {
+            opts: ExecutorOptions::default(),
+            ledger,
+        }
+    }
+
+    /// Run one grid's scenarios on the pool, in input order; panic on any
+    /// failed cell.
+    fn run(&self, label: &str, scenarios: &[Scenario]) -> Vec<RunOutcome> {
+        let progress = CampaignProgress::new(label, scenarios.len());
+        let results = run_scenarios(scenarios, &self.opts, |r| {
+            let entry = LedgerEntry::from_result(r);
+            if let Some(l) = &self.ledger {
+                l.lock()
+                    .unwrap()
+                    .append(&entry)
+                    .unwrap_or_else(|e| panic!("ledger write failed: {e}"));
+            }
+            progress.job_done(&entry.job, entry.events_processed, entry.ok());
+        });
+        progress.finish();
+        results
+            .into_iter()
+            .map(|r| match r.run {
+                Ok(obs) => obs.outcome,
+                Err(e) => panic!("{} failed: {e}", r.job.name),
+            })
+            .collect()
+    }
 }
 
 /// Print a titled report section.

@@ -1,12 +1,11 @@
 //! The parallel sweep executor: a worker pool over campaign jobs.
 //!
-//! Each job runs through the existing observed-run path
-//! ([`ccsim_core::try_run_observed_live`]) on its own thread, so every run
-//! carries its provenance manifest and the observation-inertness
-//! guarantee. The pool is a plain `std::thread::scope` with an atomic
-//! job-pull counter — the same shape as `ccsim_core::run_all`, plus
-//! failure capture: typed errors and panics become failed [`JobResult`]s
-//! (with an optional crash bundle) instead of tearing down the campaign.
+//! Each job is an observed, guarded [`ccsim_core::RunRequest`] on its own
+//! thread, so every run carries its provenance manifest and the
+//! observation-inertness guarantee. The pool is a plain
+//! `std::thread::scope` with an atomic job-pull counter, plus failure
+//! capture: typed errors and panics become failed [`JobResult`]s (with an
+//! optional crash bundle) instead of tearing down the campaign.
 //!
 //! Determinism: a scenario's outcome depends only on its configuration
 //! and seed, never on scheduling, so a campaign run with `--workers 8`
@@ -18,11 +17,10 @@ use ccsim_analysis::mathis::fit_constant;
 use ccsim_cca::CcaKind;
 use ccsim_core::observe::scenario_digest;
 use ccsim_core::{
-    crash, try_run_observed_live, BottleneckMetrics, LiveState, ObserveOptions, ObservedRun,
-    PInterpretation, RunOutcome, Scenario, TimelineConfig,
+    crash, BottleneckMetrics, LiveState, ObserveOptions, ObservedRun, PInterpretation, RunOutcome,
+    RunRequest, Scenario, TimelineConfig,
 };
 use ccsim_sim::SimDuration;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -284,8 +282,9 @@ impl AttemptError {
     }
 }
 
-/// Run one attempt inline, folding panics (including the forced-panic
-/// test hook) into `SimError::Panic` with the payload text preserved.
+/// Run one attempt inline. The request's guard folds panics (including
+/// the forced-panic test hook) into `SimError::Panic` with the payload
+/// text preserved.
 fn attempt(
     job: &CampaignJob,
     observe: ObserveOptions,
@@ -298,8 +297,12 @@ fn attempt(
     let force_panic = sup.forces_panic(&job.name);
     let force_hang = sup.forces_hang(&job.name);
     let mut hook_fired = false;
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        try_run_observed_live(&job.scenario, observe, None, live, |_| {
+    let mut request = RunRequest::new(&job.scenario).observe(observe).guard(None);
+    if let Some(state) = live {
+        request = request.live(state);
+    }
+    let report = request
+        .on_progress(|_| {
             heartbeat.store(clock.elapsed().as_nanos() as u64, Ordering::Relaxed);
             if !hook_fired {
                 hook_fired = true;
@@ -318,14 +321,8 @@ fn attempt(
                 }
             }
         })
-        .map(|(obs, _)| obs)
-    }));
-    match caught {
-        Ok(r) => r,
-        Err(payload) => Err(ccsim_core::SimError::Panic {
-            message: ccsim_core::panic_message(payload.as_ref()),
-        }),
-    }
+        .execute()?;
+    Ok(report.into_observed().expect("observed request"))
 }
 
 /// Run one attempt under supervision. Unmonitored jobs run inline on the
@@ -367,7 +364,7 @@ fn supervised_attempt(
             }
             Err(RecvTimeoutError::Disconnected) => {
                 // The attempt thread died without sending (it cannot
-                // panic past the catch_unwind; this is belt-and-braces).
+                // panic past the request's guard; this is belt-and-braces).
                 let _ = handle.join();
                 return Err(AttemptError::Hang(
                     "job thread exited without reporting a result".to_string(),

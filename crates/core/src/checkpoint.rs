@@ -14,7 +14,8 @@
 
 use crate::build::BuiltNetwork;
 use crate::error::SimError;
-use crate::runner::{run_to_checkpoint, SenderBaseline};
+use crate::request::RunRequest;
+use crate::runner::SenderBaseline;
 use crate::scenario::Scenario;
 use crate::watchdog::Watchdog;
 use ccsim_net::link::Link;
@@ -285,8 +286,8 @@ pub fn bisect_divergence(
                  on_probe: &mut dyn FnMut(usize, SimTime, bool)|
      -> Result<(Checkpoint, Checkpoint, bool), SimError> {
         let at = boundaries[k];
-        let ca = run_to_checkpoint(&a, at)?;
-        let cb = run_to_checkpoint(&b, at)?;
+        let ca = RunRequest::new(&a).checkpoint_at(at).capture()?;
+        let cb = RunRequest::new(&b).checkpoint_at(at).capture()?;
         let diverged = ca.state_digest() != cb.state_digest();
         on_probe(k, at, diverged);
         Ok((ca, cb, diverged))
@@ -334,7 +335,7 @@ pub fn bisect_divergence(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run, run_to_checkpoint, try_resume_run, try_run_with_checkpoint};
+    use crate::request::run;
     use crate::scenario::FlowGroup;
     use ccsim_cca::CcaKind;
     use ccsim_sim::{Bandwidth, SimDuration};
@@ -359,16 +360,24 @@ mod tests {
         s
     }
 
+    fn capture_at(s: &Scenario, at: SimTime) -> Result<Checkpoint, SimError> {
+        Ok(RunRequest::new(s).checkpoint_at(at).capture()?)
+    }
+
+    fn resume(cp: &Checkpoint) -> crate::outcome::RunOutcome {
+        RunRequest::resume(cp).execute().unwrap().outcome
+    }
+
     #[test]
     fn resume_from_measurement_checkpoint_reproduces_the_run() {
         let s = tiny(3);
         let full = run(&s);
         let mid = SimTime::ZERO + s.warmup + SimDuration::from_secs(2);
-        let cp = run_to_checkpoint(&s, mid).unwrap();
+        let cp = capture_at(&s, mid).unwrap();
         assert_eq!(cp.taken_at_nanos, mid.as_nanos());
         // Round-trip the container exactly as a file load would.
         let cp = Checkpoint::decode(&cp.encode()).unwrap();
-        let resumed = try_resume_run(&cp).unwrap();
+        let resumed = resume(&cp);
         assert_eq!(full.to_json(), resumed.to_json());
         assert_eq!(full.digest(), resumed.digest());
         assert_eq!(full.events_processed, resumed.events_processed);
@@ -380,8 +389,8 @@ mod tests {
         let mut s = tiny(5);
         s.warmup = SimDuration::from_secs(3);
         let full = run(&s);
-        let cp = run_to_checkpoint(&s, SimTime::from_secs(1)).unwrap();
-        let resumed = try_resume_run(&cp).unwrap();
+        let cp = capture_at(&s, SimTime::from_secs(1)).unwrap();
+        let resumed = resume(&cp);
         assert_eq!(full.to_json(), resumed.to_json());
     }
 
@@ -390,19 +399,21 @@ mod tests {
         let s = tiny(7);
         let plain = run(&s);
         let mid = SimTime::ZERO + s.warmup + SimDuration::from_secs(1);
-        let (outcome, cp) = try_run_with_checkpoint(&s, mid).unwrap();
-        assert_eq!(plain.to_json(), outcome.to_json());
-        let cp = cp.expect("boundary inside the horizon yields a checkpoint");
+        let report = RunRequest::new(&s).checkpoint_at(mid).execute().unwrap();
+        assert_eq!(plain.to_json(), report.outcome.to_json());
+        let cp = report
+            .checkpoint
+            .expect("boundary inside the horizon yields a checkpoint");
         assert_eq!(
             cp.state_digest(),
-            run_to_checkpoint(&s, mid).unwrap().state_digest()
+            capture_at(&s, mid).unwrap().state_digest()
         );
     }
 
     #[test]
     fn checkpoint_past_the_horizon_is_a_typed_error() {
         let s = tiny(1);
-        let err = run_to_checkpoint(&s, SimTime::from_secs(600)).unwrap_err();
+        let err = capture_at(&s, SimTime::from_secs(600)).unwrap_err();
         assert_eq!(err.class(), "resume");
     }
 
@@ -452,7 +463,7 @@ mod tests {
     #[test]
     fn truncated_body_is_a_typed_error_not_a_panic() {
         let s = tiny(4);
-        let cp = run_to_checkpoint(&s, SimTime::from_secs(2)).unwrap();
+        let cp = capture_at(&s, SimTime::from_secs(2)).unwrap();
         for cut in [0, 1, cp.body.len() / 2, cp.body.len() - 1] {
             let mut short = cp.clone();
             short.body.truncate(cut);
@@ -465,7 +476,7 @@ mod tests {
     #[test]
     fn flow_count_mismatch_is_a_typed_error() {
         let s = tiny(4);
-        let cp = run_to_checkpoint(&s, SimTime::from_secs(2)).unwrap();
+        let cp = capture_at(&s, SimTime::from_secs(2)).unwrap();
         let mut other = tiny(4);
         other.flows = vec![FlowGroup::new(
             CcaKind::Reno,

@@ -1,8 +1,8 @@
 //! Crash-bundle capture and replay.
 //!
-//! When a run fails — a typed [`SimError`] or an outright panic — the
-//! guard in this module captures everything needed to reproduce the
-//! failure into a self-contained directory:
+//! When a guarded run fails — a typed [`SimError`] or an outright panic —
+//! [`RunRequest::guard`](crate::RunRequest::guard) captures everything
+//! needed to reproduce the failure into a self-contained directory:
 //!
 //! ```text
 //! crash-<config-digest>/
@@ -23,103 +23,14 @@ use crate::codec::{scenario_from_json, scenario_to_json};
 use crate::error::SimError;
 use crate::observe::scenario_digest;
 use crate::outcome::RunOutcome;
-use crate::runner::{try_run_with_progress, Progress};
+use crate::request::RunRequest;
 use crate::scenario::Scenario;
 use ccsim_fault::json::{escape, Json, JsonError};
-use ccsim_sim::SimTime;
 use std::fmt;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-
-/// How [`run_guarded`] should behave around a failure.
-#[derive(Debug, Clone, Default)]
-pub struct GuardOptions {
-    /// Directory to write crash bundles under (created on demand). When
-    /// `None`, failures are reported but nothing is written.
-    pub bundle_dir: Option<PathBuf>,
-    /// Test hook: panic from inside the run once the simulated clock
-    /// reaches this instant — how CI proves a forced panic really turns
-    /// into a loadable, replayable bundle without planting a bug.
-    pub force_panic_at: Option<SimTime>,
-}
-
-/// A failure caught by [`run_guarded`], with the bundle it produced.
-#[derive(Debug)]
-pub struct GuardedFailure {
-    pub error: SimError,
-    /// Path of the written bundle (`None` when no `bundle_dir` was
-    /// configured or writing itself failed — then `write_error` says why).
-    pub bundle: Option<PathBuf>,
-    /// The I/O error that prevented bundle capture, if any.
-    pub write_error: Option<io::Error>,
-}
-
-impl fmt::Display for GuardedFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.error)?;
-        if let Some(dir) = &self.bundle {
-            write!(f, " (crash bundle: {})", dir.display())?;
-        }
-        Ok(())
-    }
-}
-
-/// Run a scenario with panic capture and crash-bundle writing.
-///
-/// Typed failures pass through as-is; panics (from anywhere inside the
-/// run) are caught and converted to [`SimError::Panic`]. Either way a
-/// bundle is written when `opts.bundle_dir` is set.
-// The Err variant is cold: it fires at most once per run, on failure.
-#[allow(clippy::result_large_err)]
-pub fn run_guarded(scenario: &Scenario, opts: &GuardOptions) -> Result<RunOutcome, GuardedFailure> {
-    run_guarded_with_progress(scenario, opts, |_| {})
-}
-
-/// [`run_guarded`] with a progress callback (composed with the
-/// force-panic hook; the callback fires first).
-#[allow(clippy::result_large_err)]
-pub fn run_guarded_with_progress<F>(
-    scenario: &Scenario,
-    opts: &GuardOptions,
-    mut on_progress: F,
-) -> Result<RunOutcome, GuardedFailure>
-where
-    F: FnMut(&Progress),
-{
-    let force_at = opts.force_panic_at;
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        try_run_with_progress(scenario, |p: &Progress| {
-            on_progress(p);
-            if let Some(t) = force_at {
-                if p.now >= t {
-                    panic!("forced panic at {} (GuardOptions::force_panic_at)", p.now);
-                }
-            }
-        })
-    }));
-    let error = match result {
-        Ok(Ok(outcome)) => return Ok(outcome),
-        Ok(Err(e)) => e,
-        Err(payload) => SimError::Panic {
-            message: panic_message(payload.as_ref()),
-        },
-    };
-    let (bundle, write_error) = match &opts.bundle_dir {
-        None => (None, None),
-        Some(dir) => match write_bundle(dir, scenario, &error) {
-            Ok(path) => (Some(path), None),
-            Err(e) => (None, Some(e)),
-        },
-    };
-    Err(GuardedFailure {
-        error,
-        bundle,
-        write_error,
-    })
-}
 
 /// Best-effort text of a panic payload (the common `&str`/`String` cases).
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -259,7 +170,7 @@ impl CrashBundle {
     /// the same typed error; externally-injected ones (a forced panic)
     /// replay clean and yield the outcome the crashed run never produced.
     pub fn replay(&self) -> Result<RunOutcome, SimError> {
-        crate::runner::try_run(&self.scenario)
+        Ok(RunRequest::new(&self.scenario).execute()?.outcome)
     }
 }
 
@@ -268,7 +179,7 @@ mod tests {
     use super::*;
     use crate::scenario::FlowGroup;
     use ccsim_cca::CcaKind;
-    use ccsim_sim::{Bandwidth, SimDuration};
+    use ccsim_sim::{Bandwidth, SimDuration, SimTime};
 
     fn tiny(seed: u64) -> Scenario {
         let mut s = Scenario::edge_scale()
@@ -297,18 +208,22 @@ mod tests {
 
     #[test]
     fn clean_run_passes_through() {
-        let out = run_guarded(&tiny(1), &GuardOptions::default()).unwrap();
-        assert!(out.events_processed > 0);
+        let out = RunRequest::new(&tiny(1)).guard(None).execute().unwrap();
+        assert!(out.outcome.events_processed > 0);
     }
 
     #[test]
     fn forced_panic_is_caught_and_bundled() {
         let base = temp_dir("panic");
-        let opts = GuardOptions {
-            bundle_dir: Some(base.clone()),
-            force_panic_at: Some(SimTime::from_secs(2)),
-        };
-        let failure = run_guarded(&tiny(2), &opts).unwrap_err();
+        let failure = RunRequest::new(&tiny(2))
+            .guard(Some(base.clone()))
+            .on_progress(|p| {
+                if p.now >= SimTime::from_secs(2) {
+                    panic!("forced panic at {}", p.now);
+                }
+            })
+            .execute()
+            .unwrap_err();
         assert!(matches!(failure.error, SimError::Panic { .. }));
         assert!(failure.write_error.is_none());
         let bundle_dir = failure.bundle.unwrap();
@@ -332,12 +247,11 @@ mod tests {
     #[test]
     fn scenario_error_needs_no_unwind() {
         let base = temp_dir("scenario");
-        let opts = GuardOptions {
-            bundle_dir: Some(base.clone()),
-            force_panic_at: None,
-        };
         let bad = Scenario::edge_scale().named("empty"); // no flows
-        let failure = run_guarded(&bad, &opts).unwrap_err();
+        let failure = RunRequest::new(&bad)
+            .guard(Some(base.clone()))
+            .execute()
+            .unwrap_err();
         assert!(matches!(failure.error, SimError::Scenario(_)));
         let bundle = CrashBundle::load(&failure.bundle.unwrap()).unwrap();
         assert_eq!(bundle.error_class, "scenario");

@@ -1,12 +1,12 @@
 //! The typed run-failure hierarchy.
 //!
-//! [`SimError`] is what [`crate::runner::try_run`] returns instead of
-//! panicking: every way a run can fail — invalid configuration, an engine
-//! dispatch error, a watchdog invariant violation, or a caught panic from
-//! [`crate::crash::run_guarded`] — is a variant with enough structure for
-//! crash-bundle capture and for callers to branch on. The legacy
-//! panicking entry points ([`crate::runner::run`] and friends) are thin
-//! wrappers that format the same error.
+//! [`SimError`] is what a [`crate::RunRequest`] reports (inside its
+//! [`crate::RunFailure`]) instead of panicking: every way a run can fail —
+//! invalid configuration, an engine dispatch error, a watchdog invariant
+//! violation, or a panic caught by [`crate::RunRequest::guard`] — is a
+//! variant with enough structure for crash-bundle capture and for callers
+//! to branch on. The panicking convenience [`crate::run`] formats the same
+//! error.
 
 use crate::scenario::ScenarioError;
 use ccsim_fault::WatchdogReport;
@@ -31,7 +31,7 @@ pub enum SimError {
         report: WatchdogReport,
         trace: Option<RunTrace>,
     },
-    /// A panic caught by the crash guard ([`crate::crash::run_guarded`]).
+    /// A panic caught by the crash guard ([`crate::RunRequest::guard`]).
     Panic { message: String },
     /// A checkpoint could not be taken, loaded, or applied (bad magic,
     /// version skew, truncation, digest mismatch, or a run that ended

@@ -51,15 +51,10 @@ pub fn cell_scenario(
         .named(name)
 }
 
-/// Run the equal-split grid for the pair `(a, b)` over both settings.
-pub fn run_grid(cfg: &ExperimentConfig, a: CcaKind, b: CcaKind) -> Vec<InterRow> {
-    run_grid_with(cfg, a, b, crate::run_all)
-}
-
-/// [`run_grid`] with a caller-supplied executor (e.g. the campaign
-/// worker pool). `runner` must return one outcome per scenario, in
-/// input order.
-pub fn run_grid_with(
+/// Run the equal-split grid for the pair `(a, b)` over both settings on a
+/// caller-supplied executor (the bench binaries pass the campaign worker
+/// pool). `runner` must return one outcome per scenario, in input order.
+pub fn run_grid(
     cfg: &ExperimentConfig,
     a: CcaKind,
     b: CcaKind,
@@ -122,7 +117,9 @@ mod tests {
     #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run with --release")]
     fn cubic_beats_reno_in_smoke_grid() {
         let cfg = ExperimentConfig::smoke();
-        let rows = run_grid(&cfg, CcaKind::Cubic, CcaKind::Reno);
+        let rows = run_grid(&cfg, CcaKind::Cubic, CcaKind::Reno, |s| {
+            s.iter().map(crate::run).collect()
+        });
         assert_eq!(rows.len(), 2);
         for r in &rows {
             // Cubic should get at least half; the paper reports 70-80%.

@@ -46,15 +46,10 @@ pub fn cell_scenario(skeleton: Scenario, cca: CcaKind, count: u32, rtt_ms: u64) 
         .named(name)
 }
 
-/// Run the intra-CCA grid for `cca` over both settings.
-pub fn run_grid(cfg: &ExperimentConfig, cca: CcaKind) -> Vec<IntraRow> {
-    run_grid_with(cfg, cca, crate::run_all)
-}
-
-/// [`run_grid`] with a caller-supplied executor (e.g. the campaign
-/// worker pool). `runner` must return one outcome per scenario, in
-/// input order.
-pub fn run_grid_with(
+/// Run the intra-CCA grid for `cca` over both settings on a
+/// caller-supplied executor (the bench binaries pass the campaign worker
+/// pool). `runner` must return one outcome per scenario, in input order.
+pub fn run_grid(
     cfg: &ExperimentConfig,
     cca: CcaKind,
     runner: impl FnOnce(&[Scenario]) -> Vec<RunOutcome>,
@@ -117,7 +112,7 @@ mod tests {
     #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run with --release")]
     fn reno_smoke_grid_is_fair() {
         let cfg = ExperimentConfig::smoke();
-        let rows = run_grid(&cfg, CcaKind::Reno);
+        let rows = run_grid(&cfg, CcaKind::Reno, |s| s.iter().map(crate::run).collect());
         assert_eq!(rows.len(), 2);
         for r in &rows {
             assert!(r.utilization > 0.5, "util = {}", r.utilization);

@@ -79,15 +79,10 @@ pub fn cell_scenario(skeleton: Scenario, count: u32) -> Scenario {
         .named(name)
 }
 
-/// Run the full Mathis grid: every EdgeScale and CoreScale flow count.
-pub fn run_grid(cfg: &ExperimentConfig) -> Vec<MathisRow> {
-    run_grid_with(cfg, crate::run_all)
-}
-
-/// [`run_grid`] with a caller-supplied executor (e.g. the campaign
-/// worker pool). `runner` must return one outcome per scenario, in
-/// input order.
-pub fn run_grid_with(
+/// Run the full Mathis grid: every EdgeScale and CoreScale flow count on a
+/// caller-supplied executor (the bench binaries pass the campaign worker
+/// pool). `runner` must return one outcome per scenario, in input order.
+pub fn run_grid(
     cfg: &ExperimentConfig,
     runner: impl FnOnce(&[Scenario]) -> Vec<RunOutcome>,
 ) -> Vec<MathisRow> {
@@ -156,7 +151,7 @@ mod tests {
     #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run with --release")]
     fn smoke_grid_produces_full_rows() {
         let cfg = ExperimentConfig::smoke();
-        let rows = run_grid(&cfg);
+        let rows = run_grid(&cfg, |s| s.iter().map(crate::run).collect());
         assert_eq!(rows.len(), 2); // 1 edge + 1 core cell
         let edge = &rows[0];
         assert_eq!(edge.setting, "EdgeScale");

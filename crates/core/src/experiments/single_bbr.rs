@@ -48,15 +48,10 @@ pub fn cell_scenario(skeleton: Scenario, competitor: CcaKind, count: u32, rtt_ms
         .named(name)
 }
 
-/// Run the single-BBR grid against `competitor` over both settings.
-pub fn run_grid(cfg: &ExperimentConfig, competitor: CcaKind) -> Vec<SingleBbrRow> {
-    run_grid_with(cfg, competitor, crate::run_all)
-}
-
-/// [`run_grid`] with a caller-supplied executor (e.g. the campaign
-/// worker pool). `runner` must return one outcome per scenario, in
-/// input order.
-pub fn run_grid_with(
+/// Run the single-BBR grid against `competitor` over both settings on a
+/// caller-supplied executor (the bench binaries pass the campaign worker
+/// pool). `runner` must return one outcome per scenario, in input order.
+pub fn run_grid(
     cfg: &ExperimentConfig,
     competitor: CcaKind,
     runner: impl FnOnce(&[Scenario]) -> Vec<RunOutcome>,
@@ -132,7 +127,7 @@ mod tests {
     #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run with --release")]
     fn single_bbr_grabs_disproportionate_share() {
         let cfg = ExperimentConfig::smoke();
-        let rows = run_grid(&cfg, CcaKind::Reno);
+        let rows = run_grid(&cfg, CcaKind::Reno, |s| s.iter().map(crate::run).collect());
         assert_eq!(rows.len(), 2);
         // The BBR flow needs ~30+ s beyond the smoke horizon to claw back
         // bandwidth after the competitors' slow-start storm (it reaches

@@ -4,10 +4,15 @@
 //!
 //! * [`scenario`] — EdgeScale/CoreScale settings and flow-group builders.
 //! * [`build`] — dumbbell topology wiring.
+//! * [`request`] — the one way to run a scenario: [`RunRequest`] with
+//!   composable options (observe, live, checkpoint, guard, progress),
+//!   `execute`/`capture`, and [`run`] as the plain convenience.
 //! * [`runner`] — warm-up, snapshotting, the convergence stopping rule,
-//!   and window-scoped metric collection.
+//!   and window-scoped metric collection (the loop behind every request).
 //! * [`observe`] — self-observability: metric attachment, Prometheus
-//!   dumps, and per-run provenance manifests ([`run_observed`]).
+//!   dumps, and per-run provenance manifests.
+//! * [`crash`] / [`checkpoint`] — crash bundles and replay; whole-run
+//!   checkpoint capture/restore and the divergence bisector.
 //! * [`outcome`] — run results with the paper's derived quantities (JFI,
 //!   group shares, Mathis observations, loss-to-halving ratios).
 //! * [`experiments`] — one function per table/figure of the paper, plus
@@ -24,6 +29,7 @@ pub mod experiments;
 pub mod observe;
 pub mod outcome;
 pub mod report;
+pub mod request;
 pub mod runner;
 pub mod scenario;
 mod watchdog;
@@ -34,54 +40,68 @@ pub use ccsim_timeline::serve::{serve, LiveState, ServeHandle};
 pub use ccsim_timeline::{Timeline, TimelineConfig, TimelineSummary};
 pub use checkpoint::{bisect_divergence, slice_boundaries, BisectOutcome, DivergencePoint};
 pub use codec::{scenario_from_json, scenario_to_json};
-pub use crash::{
-    panic_message, run_guarded, run_guarded_with_progress, BundleError, CrashBundle, GuardOptions,
-    GuardedFailure,
-};
+pub use crash::{panic_message, BundleError, CrashBundle};
 pub use error::SimError;
-pub use observe::{
-    run_observed, try_run_observed_checkpointed, try_run_observed_live, try_run_observed_with,
-    ObserveOptions, ObservedRun, RunInstruments,
-};
+pub use observe::{ObserveOptions, ObservedRun};
 pub use outcome::{BottleneckMetrics, PInterpretation, RunOutcome};
-pub use runner::{
-    run, run_to_checkpoint, run_with_progress, scenario_from_checkpoint, try_resume_run,
-    try_resume_run_with_progress, try_run, try_run_with_checkpoint, try_run_with_progress,
-    Progress,
-};
+pub use request::{run, RunFailure, RunReport, RunRequest};
+pub use runner::{scenario_from_checkpoint, Progress};
 pub use scenario::{
     ConvergenceRule, Fidelity, FlowGroup, Scenario, ScenarioError, Tuning, DEFAULT_MSS,
 };
 
-/// Run several scenarios in parallel, preserving input order.
-///
-/// Each scenario gets its own simulator on its own thread (the simulator is
-/// single-threaded by design; experiments parallelize across runs).
-pub fn run_all(scenarios: &[Scenario]) -> Vec<RunOutcome> {
-    if scenarios.len() <= 1 {
-        return scenarios.iter().map(run).collect();
+// ---------------------------------------------------------------------
+// Frozen-benchmark shims. `benchmark/src/compat.rs` imports exactly these
+// four names and `BENCHMARK.json` freezes `benchmark/` for every PR that
+// is not a benchmark PR, so they survive as one-line delegations to
+// `RunRequest`. `compat.rs` is their only caller — nothing else in the
+// workspace may use them. Follow-up (benchmark archetype, ROADMAP item 4):
+// move `compat.rs` onto `RunRequest` and delete this block.
+// ---------------------------------------------------------------------
+
+#[doc(hidden)]
+pub fn run_with_progress<F: FnMut(&Progress)>(scenario: &Scenario, on_progress: F) -> RunOutcome {
+    match RunRequest::new(scenario).on_progress(on_progress).execute() {
+        Ok(report) => report.outcome,
+        Err(failure) => panic!("{failure}"),
     }
-    let mut results: Vec<Option<RunOutcome>> = Vec::new();
-    results.resize_with(scenarios.len(), || None);
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let results_mutex = std::sync::Mutex::new(&mut results);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(scenarios.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= scenarios.len() {
-                    break;
-                }
-                let outcome = run(&scenarios[i]);
-                results_mutex.lock().unwrap()[i] = Some(outcome);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|o| o.expect("every scenario produced an outcome"))
-        .collect()
+}
+
+#[doc(hidden)]
+pub fn try_run_observed_with<F: FnMut(&Progress)>(
+    scenario: &Scenario,
+    options: ObserveOptions,
+    on_progress: F,
+) -> Result<ObservedRun, SimError> {
+    let request = RunRequest::new(scenario).observe(options);
+    let report = request.on_progress(on_progress).execute()?;
+    Ok(report.into_observed().expect("observed request"))
+}
+
+#[doc(hidden)]
+pub fn try_run_observed_checkpointed<F: FnMut(&Progress)>(
+    scenario: &Scenario,
+    options: ObserveOptions,
+    checkpoint_at: Option<ccsim_sim::SimTime>,
+    on_progress: F,
+) -> Result<(ObservedRun, Option<Checkpoint>), SimError> {
+    let mut request = RunRequest::new(scenario).observe(options);
+    if let Some(at) = checkpoint_at {
+        request = request.checkpoint_at(at);
+    }
+    let mut report = request.on_progress(on_progress).execute()?;
+    let checkpoint = report.checkpoint.take();
+    Ok((
+        report.into_observed().expect("observed request"),
+        checkpoint,
+    ))
+}
+
+#[doc(hidden)]
+pub fn try_resume_run_with_progress<F: FnMut(&Progress)>(
+    checkpoint: &Checkpoint,
+    on_progress: F,
+) -> Result<RunOutcome, SimError> {
+    let request = RunRequest::resume(checkpoint).on_progress(on_progress);
+    Ok(request.execute()?.outcome)
 }

@@ -57,58 +57,7 @@ pub struct Progress {
     pub events_pending: usize,
 }
 
-impl Scenario {
-    /// Convenience: run this scenario to completion (see [`run`]).
-    pub fn run(&self) -> RunOutcome {
-        run(self)
-    }
-
-    /// Convenience: [`try_run`] as a method.
-    pub fn try_run(&self) -> Result<RunOutcome, SimError> {
-        try_run(self)
-    }
-}
-
-/// Run a scenario to completion and collect its outcome.
-///
-/// # Panics
-/// Panics on any [`SimError`] (invalid scenario, engine error, watchdog
-/// violation) — [`try_run`] reports the error instead.
-pub fn run(scenario: &Scenario) -> RunOutcome {
-    try_run(scenario).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Run a scenario to completion, surfacing failures as typed errors.
-pub fn try_run(scenario: &Scenario) -> Result<RunOutcome, SimError> {
-    run_internal(scenario, None, &mut |_| {})
-}
-
-/// [`run`] with a progress callback, invoked after every simulated slice
-/// with the fraction of sim-time covered.
-///
-/// # Panics
-/// Panics on any [`SimError`]; see [`try_run_with_progress`].
-pub fn run_with_progress<F>(scenario: &Scenario, on_progress: F) -> RunOutcome
-where
-    F: FnMut(&Progress),
-{
-    try_run_with_progress(scenario, on_progress).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`try_run`] with a progress callback.
-pub fn try_run_with_progress<F>(
-    scenario: &Scenario,
-    mut on_progress: F,
-) -> Result<RunOutcome, SimError>
-where
-    F: FnMut(&Progress),
-{
-    run_internal(scenario, None, &mut on_progress)
-}
-
-/// Checkpoint/resume control for one run. The default is a plain
-/// start-to-finish run.
-#[derive(Default)]
+/// Checkpoint/resume control for one run.
 pub(crate) struct RunCtl<'a> {
     /// Restore this checkpoint into the freshly built network instead of
     /// starting from `t = 0`. The network must have been built from the
@@ -119,85 +68,6 @@ pub(crate) struct RunCtl<'a> {
     pub(crate) checkpoint_at: Option<SimTime>,
     /// Return immediately after capturing instead of finishing the run.
     pub(crate) stop_at_checkpoint: bool,
-}
-
-/// Run `scenario` just far enough to capture a checkpoint at the first
-/// slice boundary at or after `at`, then stop. Errors with
-/// [`SimError::Resume`] if the run ends (horizon or convergence) before
-/// reaching `at`.
-pub fn run_to_checkpoint(scenario: &Scenario, at: SimTime) -> Result<Checkpoint, SimError> {
-    let mut out = None;
-    let finished = run_internal_ctl(
-        scenario,
-        None,
-        &mut |_| {},
-        RunCtl {
-            checkpoint_at: Some(at),
-            stop_at_checkpoint: true,
-            ..RunCtl::default()
-        },
-        &mut out,
-    )?;
-    debug_assert!(finished.is_none() || out.is_none());
-    out.ok_or_else(|| {
-        SimError::Resume(ResumeError::Corrupt(format!(
-            "run ended at {} before the requested checkpoint instant {at}",
-            finished.map_or(SimTime::ZERO, |o| o.ended_at)
-        )))
-    })
-}
-
-/// Run `scenario` to completion, capturing a checkpoint en route at the
-/// first slice boundary at or after `at`. The checkpoint is `None` when
-/// the run ended (converged) before reaching `at`.
-pub fn try_run_with_checkpoint(
-    scenario: &Scenario,
-    at: SimTime,
-) -> Result<(RunOutcome, Option<Checkpoint>), SimError> {
-    let mut out = None;
-    let outcome = run_internal_ctl(
-        scenario,
-        None,
-        &mut |_| {},
-        RunCtl {
-            checkpoint_at: Some(at),
-            ..RunCtl::default()
-        },
-        &mut out,
-    )?
-    .expect("non-stopping run always produces an outcome");
-    Ok((outcome, out))
-}
-
-/// Resume a run from a checkpoint and drive it to completion. The
-/// scenario is rebuilt from the JSON embedded in the checkpoint, so the
-/// outcome is byte-identical to the donor run's (differential tests
-/// assert this for every CCA × topology × fault-plan combination).
-pub fn try_resume_run(cp: &Checkpoint) -> Result<RunOutcome, SimError> {
-    try_resume_run_with_progress(cp, |_| {})
-}
-
-/// [`try_resume_run`] with a progress callback.
-pub fn try_resume_run_with_progress<F>(
-    cp: &Checkpoint,
-    mut on_progress: F,
-) -> Result<RunOutcome, SimError>
-where
-    F: FnMut(&Progress),
-{
-    let scenario = scenario_from_checkpoint(cp)?;
-    let outcome = run_internal_ctl(
-        &scenario,
-        None,
-        &mut on_progress,
-        RunCtl {
-            resume_from: Some(cp),
-            ..RunCtl::default()
-        },
-        &mut None,
-    )?
-    .expect("non-stopping run always produces an outcome");
-    Ok(outcome)
 }
 
 /// Parse the scenario a checkpoint was taken from.
@@ -398,21 +268,10 @@ fn drain_trace(net: &mut BuiltNetwork, scenario: &Scenario) -> Option<RunTrace> 
     Some(RunTrace::assemble(meta, parts))
 }
 
-/// The single implementation behind [`run`], [`run_with_progress`], and
-/// [`crate::observe::run_observed`]. When `inst` is present, metric
-/// handles are attached to the engine/link/senders and runner phases are
-/// profiled; the simulated event sequence is identical either way (the
-/// instruments only observe).
-pub(crate) fn run_internal(
-    scenario: &Scenario,
-    inst: Option<&RunInstruments>,
-    on_progress: &mut dyn FnMut(&Progress),
-) -> Result<RunOutcome, SimError> {
-    let outcome = run_internal_ctl(scenario, inst, on_progress, RunCtl::default(), &mut None)?;
-    Ok(outcome.expect("non-stopping run always produces an outcome"))
-}
-
-/// [`run_internal`] with checkpoint/resume control. Returns `Ok(None)`
+/// The single runner loop behind every [`crate::RunRequest`]. When `inst`
+/// is present, metric handles are attached to the engine/link/senders and
+/// runner phases are profiled; the simulated event sequence is identical
+/// either way (the instruments only observe). Returns `Ok(None)`
 /// iff `ctl.stop_at_checkpoint` ended the run right after capture; a
 /// captured checkpoint (if any) lands in `checkpoint_out`.
 pub(crate) fn run_internal_ctl(
@@ -458,6 +317,9 @@ pub(crate) fn run_internal_ctl(
             checkpoint::restore_into(&mut net, &mut watchdog, &cp.body)
                 .map_err(SimError::Resume)?,
         );
+        if let Some(inst) = inst {
+            inst.events_at_restore.set(net.sim.events_processed());
+        }
     }
 
     // Arm the windowed sampler once the network exists (it needs the
@@ -784,6 +646,7 @@ fn store_checkpoint(cp: Checkpoint, out: &mut Option<Checkpoint>, inst: Option<&
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::run;
     use crate::scenario::FlowGroup;
     use ccsim_cca::CcaKind;
     use ccsim_sim::{Bandwidth, SimDuration};

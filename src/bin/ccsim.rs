@@ -52,7 +52,17 @@
 //! Prometheus exposition at `/metrics` and the rolling timeline at
 //! `/timeline.jsonl`, refreshed at every progress slice.
 //!
-//! Robustness flags (shared by `run` and `trace`):
+//! Every run flag composes with every other: `run`, `trace`, `perf`,
+//! `timeline` and `--resume-from` all build one `RunRequest`, so metrics,
+//! a timeline, a live endpoint, a checkpoint and the crash guard can ride
+//! on the same run. Two combinations are rejected, both because they
+//! would be wrong rather than because nothing implements them:
+//! `--resume-from` with any flag that shapes the scenario (the checkpoint
+//! carries its own — the `trace` subcommand counts, tracing is part of the
+//! scenario), and `trace` with `--checkpoint-at` (no test yet proves a
+//! restored flight recorder byte-exact).
+//!
+//! Robustness flags:
 //!
 //! * `--fault <spec>` (repeatable) schedules a timed link impairment;
 //!   specs are `blackout:<at_s>:<dur_s>`, `bw:<at_s>:<mbps>`,
@@ -63,21 +73,23 @@
 //!   bounds, cwnd sanity, clock monotonicity) at every snapshot slice.
 //! * `--crash-dir <dir>` catches failures — typed errors, watchdog
 //!   violations, panics — and writes a replayable crash bundle there.
-//! * `--force-panic <s>` (testing) panics mid-run at the given simulated
-//!   time to exercise the crash path; combine with `--crash-dir`.
+//! * `--force-panic <s>` (testing) panics from the progress callback at
+//!   the given simulated time to exercise the crash path; combine with
+//!   `--crash-dir`.
 //!
 //! `replay` loads a crash bundle and re-runs its exact scenario (same
 //! seed, same fault plan), reporting whether the failure reproduces.
 //!
-//! Checkpoint/restore (`run` and `perf`): `--checkpoint-at <s>` captures
-//! a versioned, digest-stamped snapshot of the full engine state at the
-//! first snapshot-slice boundary at or after `<s>` simulated seconds and
-//! writes it to `--checkpoint-out` (default `ccsim.ckpt`); the run then
-//! continues to its normal end. `ccsim run --resume-from <ckpt>`
-//! restores the snapshot (scenario included — no other flags needed) and
-//! runs to the horizon, producing an outcome byte-identical to the
-//! uninterrupted run. `ccsim bisect a.json b.json` binary-searches two
-//! scenarios' checkpoint slices for the first divergent slice.
+//! Checkpoint/restore: `--checkpoint-at <s>` captures a versioned,
+//! digest-stamped snapshot of the full engine state at the first
+//! snapshot-slice boundary at or after `<s>` simulated seconds and writes
+//! it to `--checkpoint-out` (default `ccsim.ckpt`); the run then
+//! continues to its normal end. `ccsim run --resume-from <ckpt>` restores
+//! the snapshot (scenario included) and runs to the horizon, producing an
+//! outcome byte-identical to the uninterrupted run; an observed resume's
+//! manifest reports the events/s of the resumed segment only.
+//! `ccsim bisect a.json b.json` binary-searches two scenarios' checkpoint
+//! slices for the first divergent slice.
 //!
 //! `campaign` drives whole parameter sweeps: `run` expands a JSON spec
 //! (scenario template × axes × seeds) onto a worker pool and appends
@@ -103,8 +115,8 @@
 
 use ccsim::cca::CcaKind;
 use ccsim::experiments::{
-    run_guarded_with_progress, run_with_progress, CrashBundle, Fidelity, FlowGroup, GuardOptions,
-    LiveState, ObserveOptions, RunOutcome, Scenario, Timeline, TimelineConfig,
+    scenario_from_checkpoint, Checkpoint, CrashBundle, Fidelity, FlowGroup, LiveState,
+    ObserveOptions, RunOutcome, RunRequest, Scenario, ServeHandle, Timeline, TimelineConfig,
 };
 use ccsim::fault::{FaultPlan, WatchdogConfig};
 use ccsim::net::AqmKind;
@@ -113,6 +125,7 @@ use ccsim::telemetry::{validate_exposition, RunProgress};
 use ccsim::topo::TopologyKind;
 use ccsim::trace::{RetentionPolicy, TraceConfig};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 const USAGE: &str = "usage: ccsim run [--setting edge|core] [--bw <mbps>] \
     [--buffer <bytes>] --flows <cca>:<count>:<rtt_ms> [--flows ...] \
@@ -163,7 +176,10 @@ fn help() -> ! {
          wall-time/event matrix, timer-wheel counters, and memory accounts;\n\
          --folded <path> additionally writes a folded-stack file for\n\
          flamegraph tooling, --stride <events> sets the wall-clock sampling\n\
-         stride (default {}).",
+         stride (default {}).\n\
+         Run flags compose freely, with two exceptions: --resume-from takes\n\
+         no flag that shapes the scenario (the checkpoint carries its own;\n\
+         the trace subcommand counts), and trace takes no --checkpoint-at.",
         ccsim::prof::DEFAULT_STRIDE
     );
     std::process::exit(0);
@@ -305,14 +321,20 @@ fn parse_cli(args: &[String]) -> Cli {
     let mut timeline_out = None;
     let mut timeline_format = String::from("jsonl");
     let mut serve_port = None;
+    // The first flag that shapes the scenario: every arm of the first
+    // match below does, so a flag added there is covered by the
+    // --resume-from rule without a second list to keep in step.
+    let mut shaped: Option<&str> = None;
     let mut i = 1;
     while i < args.len() {
         let take = |i: &mut usize| -> &String {
             *i += 1;
             args.get(*i).unwrap_or_else(|| usage("missing value"))
         };
-        match args[i].as_str() {
-            // ----- flags shared by `run` and `trace` ---------------------
+        let flag = args[i].as_str();
+        let mut shapes_scenario = true;
+        match flag {
+            // ----- flags that shape the scenario -------------------------
             "--setting" => {
                 scenario = match take(&mut i).as_str() {
                     "edge" => Scenario::edge_scale(),
@@ -366,6 +388,36 @@ fn parse_cli(args: &[String]) -> Cli {
                         .unwrap_or_else(|_| usage("bad --jitter")),
                 );
             }
+            "--fault" => fault = parse_fault(fault, take(&mut i)),
+            "--watchdog" => watchdog = true,
+            "--fidelity" => {
+                fidelity = Some(match take(&mut i).as_str() {
+                    "quick" => Fidelity::Quick,
+                    "standard" => Fidelity::Standard,
+                    "paper" => Fidelity::Paper,
+                    other => usage(&format!("bad --fidelity {other}")),
+                });
+            }
+            "--policy" if tracing => trace_cfg.policy = parse_policy(take(&mut i)),
+            "--trace-budget" if tracing => {
+                trace_cfg.max_bytes = take(&mut i)
+                    .parse()
+                    .unwrap_or_else(|_| usage("bad --trace-budget"));
+            }
+            "--queue-every" if tracing => {
+                trace_cfg.queue_sample_every = take(&mut i)
+                    .parse()
+                    .unwrap_or_else(|_| usage("bad --queue-every"));
+            }
+            _ => shapes_scenario = false,
+        }
+        if shapes_scenario {
+            shaped.get_or_insert(flag);
+            i += 1;
+            continue;
+        }
+        match flag {
+            // ----- how to run it and what to report ----------------------
             "--json" => json = true,
             "--quiet" => quiet = true,
             "--metrics" => metrics_out = Some(take(&mut i).clone()),
@@ -397,8 +449,6 @@ fn parse_cli(args: &[String]) -> Cli {
                         .unwrap_or_else(|_| usage("bad --serve port")),
                 );
             }
-            "--fault" => fault = parse_fault(fault, take(&mut i)),
-            "--watchdog" => watchdog = true,
             "--crash-dir" => crash_dir = Some(PathBuf::from(take(&mut i))),
             "--force-panic" => {
                 let secs: f64 = take(&mut i)
@@ -414,14 +464,6 @@ fn parse_cli(args: &[String]) -> Cli {
             }
             "--checkpoint-out" => checkpoint_out = PathBuf::from(take(&mut i)),
             "--resume-from" => resume_from = Some(PathBuf::from(take(&mut i))),
-            "--fidelity" => {
-                fidelity = Some(match take(&mut i).as_str() {
-                    "quick" => Fidelity::Quick,
-                    "standard" => Fidelity::Standard,
-                    "paper" => Fidelity::Paper,
-                    other => usage(&format!("bad --fidelity {other}")),
-                });
-            }
             // ----- perf-only flags ---------------------------------------
             "--folded" if perf => folded_out = Some(take(&mut i).clone()),
             "--stride" if perf => {
@@ -484,17 +526,6 @@ fn parse_cli(args: &[String]) -> Cli {
                     usage(&format!("bad --format {format}"));
                 }
             }
-            "--policy" if tracing => trace_cfg.policy = parse_policy(take(&mut i)),
-            "--trace-budget" if tracing => {
-                trace_cfg.max_bytes = take(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --trace-budget"));
-            }
-            "--queue-every" if tracing => {
-                trace_cfg.queue_sample_every = take(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --queue-every"));
-            }
             "--sync-bin" if tracing => {
                 sync_bin = SimDuration::from_millis(
                     take(&mut i)
@@ -522,19 +553,15 @@ fn parse_cli(args: &[String]) -> Cli {
         i += 1;
     }
     if resume_from.is_some() {
-        // The checkpoint carries its own scenario; re-specifying one (or
-        // mixing in other run modes) would silently be ignored.
-        if !flows.is_empty() || tracing || perf || timeline_cmd {
-            usage("--resume-from runs the checkpoint's own scenario (plain run only; no --flows)");
+        // The checkpoint carries its own scenario, flight-recorder
+        // configuration included; anything given here would be ignored.
+        if tracing {
+            usage("trace cannot be combined with --resume-from: the checkpoint carries its own scenario");
         }
-        if metrics_out.is_some()
-            || crash_dir.is_some()
-            || force_panic.is_some()
-            || checkpoint_at.is_some()
-            || timeline.is_some()
-            || serve_port.is_some()
-        {
-            usage("--resume-from cannot be combined with --metrics/--crash-dir/--force-panic/--checkpoint-at/--timeline/--serve");
+        if let Some(flag) = shaped {
+            usage(&format!(
+                "{flag} cannot be combined with --resume-from: the checkpoint carries its own scenario"
+            ));
         }
     } else {
         if flows.is_empty() {
@@ -558,19 +585,9 @@ fn parse_cli(args: &[String]) -> Cli {
             usage(&format!("invalid scenario: {e}"));
         }
     }
-    if metrics_out.is_some() && (crash_dir.is_some() || force_panic.is_some()) {
-        usage("--metrics cannot be combined with --crash-dir/--force-panic");
-    }
-    if perf && (crash_dir.is_some() || force_panic.is_some()) {
-        usage("perf cannot be combined with --crash-dir/--force-panic");
-    }
-    if (timeline.is_some() || serve_port.is_some())
-        && (crash_dir.is_some() || force_panic.is_some())
-    {
-        usage("--timeline/--serve cannot be combined with --crash-dir/--force-panic");
-    }
-    if checkpoint_at.is_some() && (tracing || crash_dir.is_some() || force_panic.is_some()) {
-        usage("--checkpoint-at works with run and perf only (not trace/--crash-dir/--force-panic)");
+    if tracing && checkpoint_at.is_some() {
+        // No test yet proves a restored flight recorder byte-exact.
+        usage("trace cannot be combined with --checkpoint-at");
     }
     Cli {
         tracing,
@@ -821,17 +838,8 @@ fn campaign_run(args: &[String]) -> ! {
     );
     // Bind before dispatching jobs so the endpoint is up for the whole
     // campaign; every worker publishes through the shared state.
-    let serve_handle = serve_port.map(|port| {
-        let state = std::sync::Arc::new(LiveState::new());
-        opts.live = Some(std::sync::Arc::clone(&state));
-        let handle = ccsim::experiments::serve(port, std::sync::Arc::clone(&state))
-            .unwrap_or_else(|e| fail(format!("cannot bind --serve port {port}: {e}")));
-        eprintln!(
-            "serving http://{0}/metrics and http://{0}/timeline.jsonl for the campaign",
-            handle.addr()
-        );
-        (state, handle)
-    });
+    let live = serve_port.map(|port| serve_live(port, "campaign"));
+    opts.live = live.as_ref().map(|(state, _)| Arc::clone(state));
     let progress = (!quiet).then(|| CampaignProgress::new(&spec.name, jobs.len()));
     // The ledger is appended in completion order from worker threads; a
     // write failure is recorded and reported once at the end.
@@ -851,12 +859,8 @@ fn campaign_run(args: &[String]) -> ! {
     if let Some(p) = &progress {
         p.finish();
     }
-    if let Some((state, handle)) = serve_handle {
-        eprintln!(
-            "live endpoint served {} request(s); shutting down",
-            state.hits()
-        );
-        handle.stop();
+    if let Some(live) = live {
+        stop_live(live);
     }
     if let Some(e) = sink.into_inner().unwrap().1 {
         fail(format!("ledger write failed: {e}"));
@@ -929,7 +933,7 @@ fn campaign_run(args: &[String]) -> ! {
             ccsim::sim::jsonfmt::json_f64(dispatch),
             ccsim::sim::jsonfmt::json_f64(ccsim::sim::jsonfmt::safe_rate(events as f64, dispatch)),
         );
-        std::fs::write(path, summary).unwrap_or_else(|e| fail(format!("cannot write {path}: {e}")));
+        write_file(Path::new(path), summary);
         eprintln!("wrote {path}");
     }
     if let Some(path) = &report_path {
@@ -947,8 +951,7 @@ fn write_campaign_report(ledger: &ccsim::campaign::Ledger, path: &str, html: boo
     if path == "-" {
         print!("{rendered}");
     } else {
-        std::fs::write(path, rendered)
-            .unwrap_or_else(|e| fail(format!("cannot write report {path}: {e}")));
+        write_file(Path::new(path), rendered);
         eprintln!("wrote {path}");
     }
 }
@@ -1030,42 +1033,36 @@ fn campaign(args: &[String]) -> ! {
     }
 }
 
-/// The `run --resume-from` path: restore a checkpoint, run it out.
-fn resume_run(cli: &Cli, path: &Path) -> ! {
-    use ccsim::experiments::{scenario_from_checkpoint, try_resume_run_with_progress, Checkpoint};
-    let cp = Checkpoint::read_file(path)
-        .unwrap_or_else(|e| fail(format!("cannot load checkpoint {}: {e}", path.display())));
-    let scenario = scenario_from_checkpoint(&cp)
-        .unwrap_or_else(|e| fail(format!("bad checkpoint {}: {e}", path.display())));
+/// Bind `127.0.0.1:<port>` for the duration of a run or campaign; the
+/// state is what the progress hooks publish into.
+fn serve_live(port: u16, what: &str) -> (Arc<LiveState>, ServeHandle) {
+    let state = Arc::new(LiveState::new());
+    let handle = ccsim::experiments::serve(port, Arc::clone(&state))
+        .unwrap_or_else(|e| fail(format!("cannot bind --serve port {port}: {e}")));
     eprintln!(
-        "resuming {} at t={} ({} snapshot bytes, state digest {:016x})...",
-        scenario.name,
-        SimTime::from_nanos(cp.taken_at_nanos),
-        cp.encoded_len(),
-        cp.state_digest(),
+        "serving http://{0}/metrics and http://{0}/timeline.jsonl for the {what}",
+        handle.addr()
     );
-    let mut progress = (!cli.quiet).then(|| RunProgress::new("resume"));
-    let outcome = try_resume_run_with_progress(&cp, |p| {
-        if let Some(prog) = &mut progress {
-            prog.update(p.fraction, p.events_processed);
-        }
-    })
-    .unwrap_or_else(|e| fail(format!("resume failed: {e}")));
-    if let Some(prog) = &mut progress {
-        prog.finish(outcome.events_processed);
-    }
-    if cli.json {
-        println!("{}", outcome.to_json());
-    } else {
-        print_human(&outcome);
-    }
-    eprintln!("outcome digest  : {:016x}", outcome.digest());
-    std::process::exit(0);
+    (state, handle)
+}
+
+fn stop_live((state, handle): (Arc<LiveState>, ServeHandle)) {
+    eprintln!(
+        "live endpoint served {} request(s); shutting down",
+        state.hits()
+    );
+    handle.stop();
+}
+
+/// Write an output file or exit 1 naming it.
+fn write_file(path: &Path, contents: impl AsRef<[u8]>) {
+    std::fs::write(path, contents)
+        .unwrap_or_else(|e| fail(format!("cannot write {}: {e}", path.display())));
 }
 
 /// Report a captured checkpoint (or its absence) after a
 /// `--checkpoint-at` run.
-fn write_checkpoint(cp: &Option<ccsim::experiments::Checkpoint>, out: &Path, requested: SimTime) {
+fn write_checkpoint(cp: &Option<Checkpoint>, out: &Path, requested: SimTime) {
     match cp {
         Some(cp) => {
             cp.write_file(out).unwrap_or_else(|e| {
@@ -1189,13 +1186,16 @@ fn replay(args: &[String]) -> ! {
         bundle.error
     );
     let mut progress = (!quiet).then(|| RunProgress::new("replay"));
-    let result = ccsim::experiments::try_run_with_progress(&bundle.scenario, |p| {
-        if let Some(prog) = &mut progress {
-            prog.update(p.fraction, p.events_processed);
-        }
-    });
+    let result = RunRequest::new(&bundle.scenario)
+        .on_progress(|p| {
+            if let Some(prog) = &mut progress {
+                prog.update(p.fraction, p.events_processed);
+            }
+        })
+        .execute();
     match result {
-        Ok(outcome) => {
+        Ok(report) => {
+            let outcome = report.outcome;
             if let Some(prog) = &mut progress {
                 prog.finish(outcome.events_processed);
             }
@@ -1233,151 +1233,133 @@ fn main() {
         bisect(&args);
     }
     let cli = parse_cli(&args);
-    if let Some(path) = cli.resume_from.clone() {
-        resume_run(&cli, &path);
+
+    // What to run: the flags' scenario, or a checkpoint and the scenario
+    // embedded in it.
+    let checkpoint = cli.resume_from.as_deref().map(|path| {
+        Checkpoint::read_file(path)
+            .unwrap_or_else(|e| fail(format!("cannot load checkpoint {}: {e}", path.display())))
+    });
+    let restored = checkpoint.as_ref().map(|cp| {
+        let scenario =
+            scenario_from_checkpoint(cp).unwrap_or_else(|e| fail(format!("bad checkpoint: {e}")));
+        eprintln!(
+            "resuming {} at t={} ({} snapshot bytes, state digest {:016x})...",
+            scenario.name,
+            SimTime::from_nanos(cp.taken_at_nanos),
+            cp.encoded_len(),
+            cp.state_digest(),
+        );
+        scenario
+    });
+    let scenario = restored.as_ref().unwrap_or(&cli.scenario);
+    if checkpoint.is_none() {
+        eprintln!(
+            "running {} flows on {} (buffer {:.2} MB, warmup {}, duration {})...",
+            scenario.flow_count(),
+            scenario.bottleneck,
+            scenario.buffer_bytes as f64 / 1e6,
+            scenario.warmup,
+            scenario.duration
+        );
     }
-    let scenario = &cli.scenario;
 
-    eprintln!(
-        "running {} flows on {} (buffer {:.2} MB, warmup {}, duration {})...",
-        scenario.flow_count(),
-        scenario.bottleneck,
-        scenario.buffer_bytes as f64 / 1e6,
-        scenario.warmup,
-        scenario.duration
-    );
-    let mut progress = (!cli.quiet).then(|| RunProgress::new("ccsim"));
-    let mut on_progress = |p: &ccsim::experiments::Progress| {
-        if let Some(prog) = &mut progress {
-            prog.update(p.fraction, p.events_processed);
-        }
+    // How to run it: one request, every option independent of the others.
+    let mut request = match &checkpoint {
+        Some(cp) => RunRequest::resume(cp),
+        None => RunRequest::new(scenario),
     };
-
-    let mut perf_table = None;
-    let mut timeline_capture: Option<Timeline> = None;
-    let observed =
-        cli.perf || cli.metrics_out.is_some() || cli.timeline.is_some() || cli.serve_port.is_some();
-    let outcome = if observed {
-        let options = ObserveOptions {
+    if cli.perf || cli.metrics_out.is_some() || cli.timeline.is_some() {
+        request = request.observe(ObserveOptions {
             profile: cli.perf,
             profile_stride: cli.stride,
             timeline: cli.timeline,
-        };
-        // The endpoint binds before the run and serves snapshots the
-        // progress hook publishes; it never touches simulator state.
-        let live = cli.serve_port.map(|port| {
-            let state = std::sync::Arc::new(LiveState::new());
-            let handle = ccsim::experiments::serve(port, std::sync::Arc::clone(&state))
-                .unwrap_or_else(|e| fail(format!("cannot bind --serve port {port}: {e}")));
-            eprintln!(
-                "serving http://{0}/metrics and http://{0}/timeline.jsonl for the run",
-                handle.addr()
-            );
-            (state, handle)
         });
-        let (mut obs, cp) = ccsim::experiments::try_run_observed_live(
-            scenario,
-            options,
-            cli.checkpoint_at,
-            live.as_ref().map(|(state, _)| std::sync::Arc::clone(state)),
-            &mut on_progress,
-        )
-        .unwrap_or_else(|e| fail(format!("run failed: {e}")));
-        if let Some((state, handle)) = live {
-            eprintln!(
-                "live endpoint served {} request(s); shutting down",
-                state.hits()
-            );
-            handle.stop();
-        }
-        timeline_capture = obs.timeline.take();
-        if let Some(prog) = &mut progress {
-            prog.finish(obs.outcome.events_processed);
-        }
-        if let Some(at) = cli.checkpoint_at {
-            write_checkpoint(&cp, &cli.checkpoint_out, at);
-        }
-        if let Some(metrics_path) = &cli.metrics_out {
-            if let Err(e) = validate_exposition(&obs.prometheus) {
-                eprintln!("internal error: metrics dump failed validation: {e}");
-                std::process::exit(1);
+    }
+    // The endpoint binds before the run and serves snapshots the
+    // progress hook publishes; it never touches simulator state.
+    let live = cli.serve_port.map(|port| serve_live(port, "run"));
+    if let Some((state, _)) = &live {
+        request = request.live(Arc::clone(state));
+    }
+    if let Some(at) = cli.checkpoint_at {
+        request = request.checkpoint_at(at);
+    }
+    if cli.crash_dir.is_some() || cli.force_panic.is_some() {
+        request = request.guard(cli.crash_dir.clone());
+    }
+    let label = checkpoint.as_ref().map_or("ccsim", |_| "resume");
+    let mut progress = (!cli.quiet).then(|| RunProgress::new(label));
+    let result = request
+        .on_progress(|p| {
+            if let Some(prog) = &mut progress {
+                prog.update(p.fraction, p.events_processed);
             }
-            let manifest_path = Path::new(metrics_path).with_extension("manifest.json");
-            let write = |path: &Path, contents: &str| {
-                std::fs::write(path, contents).unwrap_or_else(|e| {
-                    eprintln!("cannot write {}: {e}", path.display());
-                    std::process::exit(1);
-                });
-            };
-            write(Path::new(metrics_path), &obs.prometheus);
-            write(&manifest_path, &obs.manifest.to_json());
-            eprintln!(
-                "wrote {metrics_path} ({} series) and {} (outcome digest {})",
-                obs.manifest.metric_series,
-                manifest_path.display(),
-                obs.manifest.outcome_digest
-            );
-        }
-        if cli.perf {
-            let profile = obs
-                .manifest
-                .profile
-                .as_ref()
-                .unwrap_or_else(|| fail("internal error: profiled run produced no profile"));
-            if let Some(path) = &cli.folded_out {
-                std::fs::write(path, profile.to_folded())
-                    .unwrap_or_else(|e| fail(format!("cannot write {path}: {e}")));
-                eprintln!("wrote {path}");
+            if cli.force_panic.is_some_and(|t| p.now >= t) {
+                panic!("forced panic at {} (--force-panic)", p.now);
             }
-            perf_table = Some(profile.render_table());
+        })
+        .execute();
+    if let Some(live) = live {
+        stop_live(live);
+    }
+    let report = result.unwrap_or_else(|failure| {
+        eprintln!("\nrun failed: {failure}");
+        if let Some(e) = &failure.write_error {
+            eprintln!("crash-bundle write failed: {e}");
         }
-        obs.outcome
-    } else if cli.crash_dir.is_some() || cli.force_panic.is_some() {
-        let opts = GuardOptions {
-            bundle_dir: cli.crash_dir.clone(),
-            force_panic_at: cli.force_panic,
-        };
-        match run_guarded_with_progress(scenario, &opts, &mut on_progress) {
-            Ok(outcome) => {
-                if let Some(prog) = &mut progress {
-                    prog.finish(outcome.events_processed);
-                }
-                outcome
-            }
-            Err(failure) => {
-                eprintln!("\nrun failed: {failure}");
-                if let Some(e) = &failure.write_error {
-                    eprintln!("crash-bundle write failed: {e}");
-                }
-                if let Some(dir) = &failure.bundle {
-                    eprintln!("replay with: ccsim replay {}", dir.display());
-                }
-                std::process::exit(1);
-            }
+        if let Some(dir) = &failure.bundle {
+            eprintln!("replay with: ccsim replay {}", dir.display());
         }
-    } else if let Some(at) = cli.checkpoint_at {
-        let (outcome, cp) = ccsim::experiments::try_run_with_checkpoint(scenario, at)
-            .unwrap_or_else(|e| fail(format!("run failed: {e}")));
-        write_checkpoint(&cp, &cli.checkpoint_out, at);
-        outcome
-    } else {
-        let outcome = run_with_progress(scenario, &mut on_progress);
-        if let Some(prog) = &mut progress {
-            prog.finish(outcome.events_processed);
+        std::process::exit(1);
+    });
+
+    // What came back.
+    let outcome = &report.outcome;
+    if let Some(prog) = &mut progress {
+        prog.finish(outcome.events_processed);
+    }
+    if let Some(at) = cli.checkpoint_at {
+        write_checkpoint(&report.checkpoint, &cli.checkpoint_out, at);
+    }
+    if let (Some(metrics_path), Some(prometheus), Some(manifest)) =
+        (&cli.metrics_out, &report.prometheus, &report.manifest)
+    {
+        if let Err(e) = validate_exposition(prometheus) {
+            fail(format!(
+                "internal error: metrics dump failed validation: {e}"
+            ));
         }
-        outcome
-    };
+        let manifest_path = Path::new(metrics_path).with_extension("manifest.json");
+        write_file(Path::new(metrics_path), prometheus);
+        write_file(&manifest_path, manifest.to_json());
+        eprintln!(
+            "wrote {metrics_path} ({} series) and {} (outcome digest {})",
+            manifest.metric_series,
+            manifest_path.display(),
+            manifest.outcome_digest
+        );
+    }
+    // Present only under `perf`: nothing else asks for a profile.
+    let profile = report.manifest.as_ref().and_then(|m| m.profile.as_ref());
+    if let (Some(profile), Some(path)) = (profile, &cli.folded_out) {
+        write_file(Path::new(path), profile.to_folded());
+        eprintln!("wrote {path}");
+    }
 
     if cli.json {
         println!("{}", outcome.to_json());
     } else {
-        print_human(&outcome);
+        print_human(outcome);
     }
-    if let Some(table) = &perf_table {
+    if checkpoint.is_some() {
+        eprintln!("outcome digest  : {:016x}", outcome.digest());
+    }
+    if let Some(profile) = profile {
         println!();
-        print!("{table}");
+        print!("{}", profile.render_table());
     }
-    if let Some(tl) = &timeline_capture {
+    if let Some(tl) = &report.timeline {
         if cli.timeline_cmd {
             println!();
             print_timeline_summary(tl);
@@ -1388,8 +1370,7 @@ fn main() {
             } else {
                 ccsim::timeline::export::to_jsonl(tl).into_bytes()
             };
-            std::fs::write(path, bytes)
-                .unwrap_or_else(|e| fail(format!("cannot write {path}: {e}")));
+            write_file(Path::new(path), bytes);
             eprintln!("wrote {path} ({})", cli.timeline_format);
         }
     }
@@ -1405,7 +1386,7 @@ fn main() {
                 eprintln!("trace export failed: {e}");
                 std::process::exit(1);
             });
-        print_trace_summary(&outcome, cli.sync_bin);
+        print_trace_summary(outcome, cli.sync_bin);
         for path in written {
             println!("wrote {}", path.display());
         }

@@ -29,7 +29,8 @@
 //! * [`resume`] — versioned, digest-stamped checkpoint container with
 //!   typed decode errors; the engine-state snapshots behind
 //!   `ccsim run --checkpoint-at`/`--resume-from` and `ccsim bisect`.
-//! * [`experiments`] — the paper's EdgeScale/CoreScale scenarios and the
+//! * [`experiments`] — the paper's EdgeScale/CoreScale scenarios, the one
+//!   way to run them (`RunRequest`; `run` for the plain case), and the
 //!   per-figure experiment functions.
 //! * [`campaign`] — parallel sweep executor, persistent run ledger,
 //!   regression sentinel (`campaign diff`), and fidelity reports.
@@ -37,7 +38,7 @@
 //! ## Quickstart
 //!
 //! ```no_run
-//! use ccsim::experiments::{Scenario, FlowGroup};
+//! use ccsim::experiments::{run, FlowGroup, ObserveOptions, RunRequest, Scenario};
 //! use ccsim::cca::CcaKind;
 //! use ccsim_sim::SimDuration;
 //!
@@ -45,9 +46,17 @@
 //! let scenario = Scenario::edge_scale()
 //!     .flows(vec![FlowGroup::new(CcaKind::Reno, 20, SimDuration::from_millis(20))])
 //!     .seed(1);
-//! let outcome = scenario.run();
+//! let outcome = run(&scenario);
 //! println!("aggregate throughput: {:.1} Mbps", outcome.aggregate_throughput_mbps());
 //! println!("JFI: {:.3}", outcome.jain_index().unwrap());
+//!
+//! // The same run, observed and crash-guarded, with typed failures.
+//! let report = RunRequest::new(&scenario)
+//!     .observe(ObserveOptions::default())
+//!     .guard(None)
+//!     .execute()?;
+//! assert_eq!(report.outcome.digest(), outcome.digest());
+//! # Ok::<(), ccsim::experiments::RunFailure>(())
 //! ```
 
 pub use ccsim_analysis as analysis;

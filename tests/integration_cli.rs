@@ -205,3 +205,181 @@ fn campaign_diff_fails_with_exit_1_on_missing_ledger() {
     assert_eq!(out.status.code(), Some(1));
     assert!(stderr(&out).contains("cannot load ledger"));
 }
+
+/// A 2-flow run small enough for the debug binary.
+const TINY: &[&str] = &[
+    "run",
+    "--flows",
+    "reno:2:20",
+    "--bw",
+    "10",
+    "--buffer",
+    "100000",
+    "--warmup",
+    "1",
+    "--duration",
+    "4",
+    "--seed",
+    "3",
+    "--json",
+];
+
+fn tiny_with(extra: &[&str]) -> Output {
+    ccsim(&[TINY, extra].concat())
+}
+
+/// `--checkpoint-at` used to pick the one entry point without a callback:
+/// the progress line and the `done in` summary went missing.
+#[test]
+fn checkpointing_keeps_the_progress_line_and_the_outcome() {
+    let dir = temp_dir("ckpt-progress");
+    let ckpt = dir.join("x.ckpt");
+    let flags = [
+        "--checkpoint-at",
+        "2",
+        "--checkpoint-out",
+        ckpt.to_str().unwrap(),
+    ];
+
+    let plain = tiny_with(&["--quiet"]);
+    assert_eq!(plain.status.code(), Some(0), "stderr: {}", stderr(&plain));
+
+    let loud = tiny_with(&flags);
+    assert_eq!(loud.status.code(), Some(0), "stderr: {}", stderr(&loud));
+    assert!(
+        stderr(&loud).contains("[ccsim] done in"),
+        "{}",
+        stderr(&loud)
+    );
+    assert!(ckpt.is_file());
+    assert_eq!(stdout(&loud), stdout(&plain));
+
+    let quiet = tiny_with(&[&flags[..], &["--quiet"]].concat());
+    assert!(!stderr(&quiet).contains("[ccsim]"), "{}", stderr(&quiet));
+    assert_eq!(stdout(&quiet), stdout(&plain));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The checkpoint carries its own scenario: a scenario-shaping flag beside
+/// `--resume-from` is a named usage error, not silently dropped.
+#[test]
+fn resume_from_rejects_scenario_flags_by_name() {
+    for (args, named) in [
+        (&["run", "--resume-from", "x", "--seed", "9"][..], "--seed"),
+        (
+            &["run", "--duration", "100", "--resume-from", "x"][..],
+            "--duration",
+        ),
+        (
+            &["run", "--resume-from", "x", "--watchdog"][..],
+            "--watchdog",
+        ),
+        (&["trace", "--resume-from", "x"][..], "trace"),
+    ] {
+        let out = ccsim(args);
+        assert_eq!(out.status.code(), Some(2), "args {args:?}");
+        let err = stderr(&out);
+        let complaint = err.lines().next().unwrap_or_default();
+        assert!(complaint.contains(named), "args {args:?}: {complaint}");
+        assert!(
+            complaint.contains("--resume-from"),
+            "args {args:?}: {complaint}"
+        );
+        assert!(stdout(&out).is_empty());
+    }
+    // The other rule that stays: no restored flight recorder is proven exact.
+    let out = ccsim(&["trace", "--flows", "reno:2:20", "--checkpoint-at", "2"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).starts_with("trace cannot be combined with --checkpoint-at"));
+}
+
+/// `resume × observe` had no entry point before the request: it is legal
+/// now, inert, and the manifest describes the whole run's outcome.
+#[test]
+fn a_resumed_run_can_be_observed() {
+    let dir = temp_dir("resume-observed");
+    let ckpt = dir.join("x.ckpt");
+    let prom = dir.join("resumed.prom");
+
+    let full = tiny_with(&[
+        "--quiet",
+        "--checkpoint-at",
+        "2",
+        "--checkpoint-out",
+        ckpt.to_str().unwrap(),
+    ]);
+    assert_eq!(full.status.code(), Some(0), "stderr: {}", stderr(&full));
+
+    let resumed = ccsim(&[
+        "run",
+        "--resume-from",
+        ckpt.to_str().unwrap(),
+        "--metrics",
+        prom.to_str().unwrap(),
+        "--json",
+        "--quiet",
+    ]);
+    assert_eq!(
+        resumed.status.code(),
+        Some(0),
+        "stderr: {}",
+        stderr(&resumed)
+    );
+    assert_eq!(stdout(&resumed), stdout(&full));
+    assert!(prom.is_file());
+    let manifest = std::fs::read_to_string(prom.with_extension("manifest.json")).unwrap();
+    let digest = stderr(&resumed)
+        .lines()
+        .find_map(|l| l.strip_prefix("outcome digest  : ").map(str::to_string))
+        .expect("resume prints the outcome digest");
+    assert!(
+        manifest.contains(&format!("\"outcome_digest\": \"{digest}\"")),
+        "{manifest}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every pair the parser used to forbid, at once: an observed,
+/// timelined, checkpointing run under the crash guard. The forced panic
+/// still becomes exit 1 and a bundle that replays clean.
+#[test]
+fn the_crash_guard_composes_with_every_other_option() {
+    let dir = temp_dir("guard-composes");
+    let crashes = dir.join("crashes");
+    let out = tiny_with(&[
+        "--quiet",
+        "--metrics",
+        dir.join("m.prom").to_str().unwrap(),
+        "--timeline",
+        "--checkpoint-at",
+        "2",
+        "--checkpoint-out",
+        dir.join("x.ckpt").to_str().unwrap(),
+        "--crash-dir",
+        crashes.to_str().unwrap(),
+        "--force-panic",
+        "3",
+    ]);
+    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));
+    assert!(
+        stderr(&out).contains("run failed: run panicked: forced panic"),
+        "{}",
+        stderr(&out)
+    );
+    assert!(stdout(&out).is_empty(), "a failed run reports no outcome");
+
+    let bundle = std::fs::read_dir(&crashes)
+        .expect("crash dir written")
+        .next()
+        .expect("one bundle")
+        .unwrap()
+        .path();
+    let replay = ccsim(&["replay", bundle.to_str().unwrap(), "--quiet", "--json"]);
+    assert_eq!(replay.status.code(), Some(0), "stderr: {}", stderr(&replay));
+    let clean = tiny_with(&["--quiet"]);
+    assert_eq!(
+        stdout(&replay).lines().next(),
+        stdout(&clean).lines().next()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

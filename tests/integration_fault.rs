@@ -6,12 +6,16 @@
 
 use ccsim::cca::CcaKind;
 use ccsim::experiments::{
-    run, run_guarded, try_run, CrashBundle, FlowGroup, GuardOptions, Scenario, ScenarioError,
-    SimError,
+    run, CrashBundle, FlowGroup, RunOutcome, RunRequest, Scenario, ScenarioError, SimError,
 };
 use ccsim::fault::{FaultPlan, WatchdogConfig};
 use ccsim::sim::{Bandwidth, SimDuration, SimTime};
 use std::path::PathBuf;
+
+/// The plain request, with its failure as the typed error.
+fn execute(s: &Scenario) -> Result<RunOutcome, SimError> {
+    Ok(RunRequest::new(s).execute()?.outcome)
+}
 
 /// 4 Reno flows on 20 Mbps: small enough for CI, congested enough that
 /// loss/blackout effects are unmistakable. Warm-up 2 s, measure 10 s.
@@ -100,7 +104,7 @@ fn watchdog_is_digest_inert() {
     for cca in [CcaKind::Reno, CcaKind::Cubic, CcaKind::Bbr] {
         let plan = FaultPlan::none().iid_loss(SimTime::from_secs(4), 0.01);
         let plain = run(&small(42, cca).faulted(plan.clone()));
-        let watched = try_run(
+        let watched = execute(
             &small(42, cca)
                 .faulted(plan)
                 .watched(WatchdogConfig::every_slice()),
@@ -123,7 +127,7 @@ fn watchdog_stays_clean_under_faults() {
         let s = small(seed, cca)
             .faulted(plan.clone())
             .watched(WatchdogConfig::every_slice());
-        try_run(&s).unwrap_or_else(|e| panic!("{cca}: {e}"));
+        execute(&s).unwrap_or_else(|e| panic!("{cca}: {e}"));
     }
 }
 
@@ -135,11 +139,15 @@ fn forced_panic_round_trips_through_a_crash_bundle() {
     let base = temp_dir("bundle");
     let scenario =
         small(77, CcaKind::Reno).faulted(FaultPlan::none().iid_loss(SimTime::from_secs(3), 0.02));
-    let opts = GuardOptions {
-        bundle_dir: Some(base.clone()),
-        force_panic_at: Some(SimTime::from_secs(5)),
-    };
-    let failure = run_guarded(&scenario, &opts).unwrap_err();
+    let failure = RunRequest::new(&scenario)
+        .guard(Some(base.clone()))
+        .on_progress(|p| {
+            if p.now >= SimTime::from_secs(5) {
+                panic!("forced panic at {}", p.now);
+            }
+        })
+        .execute()
+        .unwrap_err();
     assert!(matches!(failure.error, SimError::Panic { .. }));
     let dir = failure.bundle.expect("bundle written");
 
@@ -166,7 +174,7 @@ fn forced_panic_round_trips_through_a_crash_bundle() {
 fn scenario_and_engine_failures_stay_typed() {
     // Invalid scenario: typed ScenarioError, surfaced before building.
     let bad = Scenario::edge_scale().named("no-flows");
-    match try_run(&bad) {
+    match execute(&bad) {
         Err(SimError::Scenario(_)) => {}
         other => panic!("expected Scenario error, got {other:?}"),
     }
@@ -185,7 +193,7 @@ fn flow_totals_past_u32_are_a_typed_error() {
     for extra in [1, 2] {
         let reno = |n| FlowGroup::new(CcaKind::Reno, n, SimDuration::from_millis(20));
         let huge = Scenario::edge_scale().flows(vec![reno(u32::MAX), reno(extra)]);
-        match try_run(&huge) {
+        match execute(&huge) {
             Err(SimError::Scenario(ScenarioError::TooManyFlows { total, .. })) => {
                 assert_eq!(total, u64::from(u32::MAX) + u64::from(extra));
             }

@@ -11,7 +11,7 @@
 use ccsim::campaign::{CampaignSpec, Ledger};
 use ccsim::cca::CcaKind;
 use ccsim::experiments::observe::scenario_digest;
-use ccsim::experiments::{run, try_run_observed_with, FlowGroup, ObserveOptions, Scenario, Tuning};
+use ccsim::experiments::{run, FlowGroup, ObserveOptions, RunRequest, Scenario, Tuning};
 use ccsim::sim::{Bandwidth, SimDuration};
 use std::path::Path;
 
@@ -115,7 +115,12 @@ fn timeline_rows_integrate_to_the_outcome_at_10k_flows() {
     let plain = run(&s);
     let mut options = ObserveOptions::timelined();
     options.timeline.as_mut().unwrap().window = s.snapshot_interval; // a row per slice
-    let obs = try_run_observed_with(&s, options, |_| {}).unwrap();
+    let obs = RunRequest::new(&s)
+        .observe(options)
+        .execute()
+        .unwrap()
+        .into_observed()
+        .unwrap();
     assert_eq!(obs.outcome.digest(), plain.digest());
     assert_eq!(obs.outcome.to_json(), plain.to_json());
 

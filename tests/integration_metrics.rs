@@ -4,9 +4,18 @@
 //! internally consistent.
 
 use ccsim::cca::CcaKind;
-use ccsim::experiments::{run, run_observed, FlowGroup, Scenario};
+use ccsim::experiments::{run, FlowGroup, ObserveOptions, ObservedRun, RunRequest, Scenario};
 use ccsim::sim::{Bandwidth, SimDuration};
 use ccsim::telemetry::{validate_exposition, RunManifest};
+
+fn run_observed(scenario: &Scenario) -> ObservedRun {
+    RunRequest::new(scenario)
+        .observe(ObserveOptions::default())
+        .execute()
+        .expect("run succeeds")
+        .into_observed()
+        .expect("observed request")
+}
 
 fn scenario(seed: u64, cca: CcaKind) -> Scenario {
     let mut s = Scenario::edge_scale()

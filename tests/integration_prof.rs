@@ -4,7 +4,7 @@
 
 use ccsim::campaign::{run_campaign, CampaignSpec, ExecutorOptions, LedgerEntry};
 use ccsim::cca::CcaKind;
-use ccsim::experiments::{try_run_observed_with, FlowGroup, ObserveOptions, Scenario};
+use ccsim::experiments::{FlowGroup, ObserveOptions, RunRequest, Scenario};
 use ccsim::sim::SimDuration;
 use ccsim::telemetry::RunManifest;
 use ccsim::topo::TopologyKind;
@@ -100,7 +100,12 @@ fn profiled_parking_lot_manifest_round_trips_with_bottlenecks() {
     scenario.start_jitter = SimDuration::from_millis(200);
     scenario.convergence = None;
 
-    let obs = try_run_observed_with(&scenario, ObserveOptions::profiled(), |_| {}).unwrap();
+    let obs = RunRequest::new(&scenario)
+        .observe(ObserveOptions::profiled())
+        .execute()
+        .unwrap()
+        .into_observed()
+        .unwrap();
     let manifest = &obs.manifest;
     assert!(
         !manifest.bottlenecks.is_empty(),

@@ -15,9 +15,7 @@ use ccsim::campaign::{
 };
 use ccsim::cca::CcaKind;
 use ccsim::experiments::observe::scenario_digest;
-use ccsim::experiments::{
-    run_to_checkpoint, try_resume_run, try_run, Checkpoint, FlowGroup, Scenario,
-};
+use ccsim::experiments::{Checkpoint, FlowGroup, RunRequest, Scenario};
 use ccsim::fault::FaultPlan;
 use ccsim::net::AqmKind;
 use ccsim::sim::{Bandwidth, SimDuration, SimTime};
@@ -42,15 +40,21 @@ fn base(cca: CcaKind, seed: u64) -> Scenario {
 /// The differential: full run vs checkpoint-at-midpoint, round-tripped
 /// through the serialized container, then resumed to the horizon.
 fn assert_resume_identical(s: &Scenario) {
-    let full = try_run(s).expect("full run");
-    let cp = run_to_checkpoint(s, SimTime::from_secs(4)).expect("checkpoint");
+    let full = RunRequest::new(s).execute().expect("full run").outcome;
+    let cp = RunRequest::new(s)
+        .checkpoint_at(SimTime::from_secs(4))
+        .capture()
+        .expect("checkpoint");
     let decoded = Checkpoint::decode(&cp.encode()).expect("container round-trip");
     assert_eq!(
         decoded, cp,
         "{}: container round-trip changed state",
         s.name
     );
-    let resumed = try_resume_run(&decoded).expect("resumed run");
+    let resumed = RunRequest::resume(&decoded)
+        .execute()
+        .expect("resumed run")
+        .outcome;
     assert_eq!(
         full.digest(),
         resumed.digest(),

@@ -94,7 +94,7 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
 #[test]
 fn live_endpoint_serves_metrics_and_timeline_over_http() {
     use ccsim::cca::CcaKind;
-    use ccsim::experiments::{try_run_observed_live, FlowGroup, Scenario};
+    use ccsim::experiments::{FlowGroup, RunRequest, Scenario};
     use ccsim::sim::Bandwidth;
 
     let mut scenario = Scenario::edge_scale()
@@ -115,14 +115,13 @@ fn live_endpoint_serves_metrics_and_timeline_over_http() {
     let handle = serve(0, Arc::clone(&state)).expect("bind ephemeral port");
     let addr = handle.addr();
 
-    let (obs, _) = try_run_observed_live(
-        &scenario,
-        ObserveOptions::timelined(),
-        None,
-        Some(Arc::clone(&state)),
-        |_| {},
-    )
-    .expect("run succeeds");
+    let obs = RunRequest::new(&scenario)
+        .observe(ObserveOptions::timelined())
+        .live(Arc::clone(&state))
+        .execute()
+        .expect("run succeeds")
+        .into_observed()
+        .expect("observed request");
 
     let (head, body) = http_get(addr, "/metrics");
     assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");

@@ -8,7 +8,7 @@
 //! the deterministic integration tests cover the per-fault-kind behavior.
 
 use ccsim::cca::CcaKind;
-use ccsim::experiments::{try_run, FlowGroup, Scenario};
+use ccsim::experiments::{FlowGroup, RunRequest, Scenario};
 use ccsim::fault::{FaultPlan, WatchdogConfig};
 use ccsim::sim::{Bandwidth, SimDuration, SimTime};
 use proptest::prelude::*;
@@ -107,8 +107,11 @@ proptest! {
             .faulted(plan)
             .watched(WatchdogConfig::every_slice());
         prop_assert!(scenario.validate().is_ok());
-        let a = try_run(&scenario).unwrap_or_else(|e| panic!("watchdog/engine: {e}"));
-        let b = try_run(&scenario).unwrap();
+        let run = || match RunRequest::new(&scenario).execute() {
+            Ok(report) => report.outcome,
+            Err(e) => panic!("watchdog/engine: {e}"),
+        };
+        let (a, b) = (run(), run());
         prop_assert_eq!(a.to_json(), b.to_json());
         prop_assert_eq!(a.digest(), b.digest());
     }
