@@ -10,13 +10,22 @@
 //! The hold pattern pops from the sorted run and pushes into a wheel slot,
 //! so it never sees what the size of a queue element costs. The last two
 //! groups do, with a packet-sized payload: *fan-out at now* (every pop
-//! sends three same-instant events, which sift through the overlay heap)
-//! and *rearm* (every pop cancels a 200 ms timer and arms another, so
-//! tombstones pile up in the coarse levels and cascade).
+//! schedules three same-instant events, which sift through the overlay
+//! heap) and *rearm* (every pop cancels a 200 ms timer and arms another,
+//! so tombstones pile up in the coarse levels and cascade).
+//!
+//! *Fan-out at now* calls `EventQueue::schedule` directly, which is not
+//! what a component does: a handler's same-instant hand-off is
+//! `Ctx::send`, which the engine keeps out of the wheel altogether. The
+//! `send_at_now` group measures that road where it is taken, at engine
+//! level: a `Simulator` whose component answers every arrival with k
+//! sends.
 
 use ccsim_net::msg::{Msg, TimerToken};
 use ccsim_net::packet::{FlowId, Packet};
-use ccsim_sim::{ComponentId, EventQueue, HeapQueue, SimDuration, SimTime};
+use ccsim_sim::{
+    Component, ComponentId, Ctx, EventQueue, HeapQueue, SimDuration, SimTime, Simulator,
+};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
 /// CoreScale-like delay mix: mostly ~µs serializations and sub-ms
@@ -270,11 +279,63 @@ fn bench_payload_patterns(c: &mut Criterion) {
     g.finish();
 }
 
+/// Answers each arriving packet with `k` same-instant sends to itself
+/// (marked `retransmit`; those answer nothing) and, until `arrivals` runs
+/// out, schedules the next arrival: the sender → link → router hand-off
+/// chain, with the population held steady.
+struct Fan {
+    k: u64,
+    arrivals: u64,
+}
+
+impl Component<Msg> for Fan {
+    fn on_event(&mut self, _now: SimTime, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
+        let Msg::Packet(p) = msg else { unreachable!() };
+        if p.retransmit {
+            return;
+        }
+        for i in 0..self.k {
+            let hop = Packet {
+                retransmit: true,
+                ..packet(p.seq + i)
+            };
+            ctx.send(ctx.self_id(), Msg::Packet(hop));
+        }
+        if self.arrivals > 0 {
+            self.arrivals -= 1;
+            ctx.schedule_self(delay(p.seq), Msg::Packet(packet(p.seq + 1)));
+        }
+    }
+}
+
+/// `OPS` arrivals (beyond the seeded ones) through the engine's batch
+/// loop, each fanning out `k` sends; returns the events processed.
+fn engine_send_fanout(k: u64) -> u64 {
+    let mut sim: Simulator<Msg> = Simulator::new(0);
+    let fan = sim.add_component(Fan { k, arrivals: OPS });
+    for i in 0..PENDING / 4 {
+        sim.schedule(SimTime::ZERO + delay(i), fan, Msg::Packet(packet(i)));
+    }
+    sim.run_until(SimTime::MAX);
+    sim.events_processed()
+}
+
+fn bench_send_at_now(c: &mut Criterion) {
+    let mut g = c.benchmark_group("event_queue/send_at_now");
+    for k in [1, 4, 16] {
+        // Every arrival, seeded or scheduled, is one event plus k sends.
+        g.throughput(Throughput::Elements((OPS + PENDING / 4) * (k + 1)));
+        g.bench_function(format!("engine_k{k}"), |b| b.iter(|| engine_send_fanout(k)));
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_hold_pattern,
     bench_cancel_rearm,
     bench_batch_extraction,
-    bench_payload_patterns
+    bench_payload_patterns,
+    bench_send_at_now
 );
 criterion_main!(benches);

@@ -218,11 +218,11 @@ pub fn section(title: &str, body: &str) {
     println!("{body}");
 }
 
-// Stage timing and sweep progress for the figure binaries. These replace
+// Stage timing and run progress for the figure binaries. These replace
 // the old local `Stopwatch` + ad-hoc `eprintln!` pattern: every timing
 // line now goes to stderr in one format, keeping stdout clean for the
 // EXPERIMENTS.md-ready report bodies.
-pub use ccsim_telemetry::{RunProgress, StageTimer, SweepProgress};
+pub use ccsim_telemetry::{RunProgress, StageTimer};
 
 #[cfg(test)]
 mod tests {

@@ -26,11 +26,13 @@ impl ComponentId {
     /// Construct from a raw arena index. Exposed for tests and for wiring
     /// code that needs to pre-compute ids; normal code should use the id
     /// returned by [`Simulator::add_component`].
+    #[inline]
     pub const fn from_raw(i: usize) -> Self {
         ComponentId(i)
     }
 
     /// The raw arena index.
+    #[inline]
     pub const fn as_usize(self) -> usize {
         self.0
     }
@@ -115,10 +117,13 @@ impl<'a, M> Ctx<'a, M> {
     }
 
     /// Deliver `msg` to `dst` "now" (after all already-queued events at the
-    /// current instant — FIFO tiebreak).
+    /// current instant — FIFO tiebreak). Ordered exactly like
+    /// `schedule_at(self.now(), ..)`, but cheaper: a zero-delay hand-off
+    /// has nothing to be sorted against, so it waits in the queue's
+    /// same-instant FIFO lane instead of the timer wheel.
     #[inline]
     pub fn send(&mut self, dst: ComponentId, msg: M) {
-        self.queue.schedule(self.now, dst, msg);
+        self.queue.send_now(self.now, dst, msg);
     }
 
     /// Schedule a message to self after `delay` (the timer idiom).
@@ -528,6 +533,19 @@ impl<M: 'static> Simulator<M> {
                 let (time, dst, msg) = self.claim(r);
                 self.dispatch(time, dst, msg, &mut classify)?;
             }
+            // Those handlers' `send`s are the next batch at this instant,
+            // already in seq order in the queue's lane: deliver them
+            // straight from it, generation by generation, until a
+            // generation sends nothing (or another same-instant key turns
+            // up and the queue merges the lane into the ready stage).
+            while let Some((time, n)) = self.queue.lane_generation() {
+                for _ in 0..n {
+                    // As above: the event about to run still counts.
+                    self.max_pending = self.max_pending.max(self.queue.len() as u64);
+                    let (dst, msg) = self.queue.pop_lane();
+                    self.dispatch(time, ComponentId(dst as usize), msg, &mut classify)?;
+                }
+            }
             if self.queue.take_head_ready_until(deadline, &mut self.batch) == 0 {
                 // Queue drained, or the next event lies past the deadline:
                 // advance the clock so callers observe a consistent
@@ -603,12 +621,14 @@ impl<M: 'static> Simulator<M> {
     ///
     /// Must be called between run slices (never from inside a handler):
     /// a partially-drained same-timestamp dispatch batch cannot be
-    /// represented.
+    /// represented, and neither can sends still waiting in the queue's
+    /// same-instant lane (a completed `run_until` leaves both empty).
     ///
     /// # Panics
-    /// Panics if called mid-dispatch-batch.
+    /// Panics if called mid-dispatch-batch or with sends undelivered.
     pub fn save_state(&self, w: &mut SnapWriter, save_msg: impl FnMut(&mut SnapWriter, &M)) {
         assert!(self.batch.is_empty(), "engine snapshot mid-dispatch-batch");
+        assert_eq!(self.queue.lane_len(), 0, "engine snapshot mid-instant");
         if cfg!(debug_assertions) {
             self.debug_check();
         }
@@ -921,6 +941,30 @@ mod tests {
         assert!(sim.step());
         assert_eq!(sim.component::<Canceller>(c).seen, vec![1, 3]);
         sim.debug_check();
+    }
+
+    /// Answers every ping with a same-instant pong to itself.
+    struct Echo;
+
+    impl Component<Msg> for Echo {
+        fn on_event(&mut self, _now: SimTime, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
+            if let Msg::Ping(n) = msg {
+                ctx.send(ctx.self_id(), Msg::Pong(n));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "engine snapshot mid-instant")]
+    fn a_snapshot_with_a_send_undelivered_is_refused() {
+        let mut sim = Simulator::new(0);
+        let c = sim.add_component(Echo);
+        sim.schedule(SimTime::from_micros(1), c, Msg::Ping(1));
+        // One step delivers the ping; its pong waits in the lane, counted
+        // as pending, where no snapshot would find it.
+        assert!(sim.step());
+        assert_eq!(sim.events_pending(), 1);
+        sim.save_state(&mut SnapWriter::new(), |_, _| {});
     }
 
     #[test]

@@ -45,11 +45,27 @@
 //!   needed and no bucket keeps a private high-water buffer.
 //! * **Ready stage** — the current granule's keys: one drained level-0
 //!   slot, sorted once into a run that pops off its tail, plus a small
-//!   binary min-heap (the overlay) for keys scheduled into the current
-//!   granule afterwards — every `send` at "now". All intra-granule and
+//!   binary min-heap (the overlay) for keys that reach the current
+//!   granule afterwards: a schedule a few hundred nanoseconds ahead, a
+//!   cascade, a late external schedule. All intra-granule and
 //!   same-timestamp ordering is resolved here, so the (time, seq) total
 //!   order of the old global heap is preserved *exactly* — same pops,
 //!   same digests.
+//! * **Same-instant lane** — a handler's `Ctx::send` is an event at "now":
+//!   about half of a CoreScale run's events (every sender → first hop and
+//!   router → link hand-off). It has nothing to be sorted against except
+//!   other sends of the same instant, which arrive in seq order already,
+//!   so it skips the key, the slab and the heap: a FIFO of
+//!   `(seq, dst, payload)` that the engine drains one *generation* at a
+//!   time — the lane's length when the dispatch batch runs dry, which is
+//!   exactly the next same-timestamp batch the ready stage would have
+//!   produced. Seqs are drawn from the same counter as every other
+//!   event's. The one thing that can interleave with a generation is
+//!   another key at the lane's instant (a zero-delay `schedule`, or a
+//!   leftover of the sorted run under single-stepping); when one exists
+//!   the lane is merged into the overlay as ordinary keys carrying their
+//!   original seqs, and the ready stage orders the lot. The lane is empty
+//!   between run slices and is never serialized.
 //! * **Cancellation tokens** — [`EventQueue::schedule_cancellable`] returns
 //!   a [`CancelToken`]; [`EventQueue::cancel`] bumps the token's entry in a
 //!   generation table and drops the payload, both O(1). The dead key is
@@ -218,6 +234,14 @@ impl Ord for Key {
     }
 }
 
+/// A destination as keys hold it. `Simulator::add_component` keeps every
+/// real id within u32; an id beyond it can only be a wiring bug, and must
+/// not alias a real component by truncation.
+#[inline]
+fn dst_index(dst: ComponentId) -> u32 {
+    u32::try_from(dst.as_usize()).expect("component id exceeds u32")
+}
+
 /// An event extracted for dispatch whose payload is still in the slab:
 /// what the engine's same-timestamp batch holds. The record owns payload
 /// slot `slot` until [`EventQueue::claim`] takes the message out,
@@ -227,6 +251,15 @@ pub(crate) struct Ready {
     pub(crate) time: SimTime,
     pub(crate) dst: u32,
     pub(crate) slot: u32,
+}
+
+/// A same-instant send waiting in the lane (see [`EventQueue::send_now`]):
+/// its delivery time is the lane's, it bears no token, and its payload
+/// travels inline — it never touches the slab.
+struct Sent<M> {
+    seq: u64,
+    dst: u32,
+    msg: M,
 }
 
 /// "No chunk": end of a bucket's chain, or of the vacant-chunk list.
@@ -329,6 +362,12 @@ pub struct WheelStats {
     pub cancel_misses: u64,
     /// Events scheduled with a cancellation token (rearmable timers).
     pub cancellable_scheduled: u64,
+    /// Same-instant sends that entered the FIFO lane (every `Ctx::send`).
+    pub sends_now: u64,
+    /// Times the lane was merged into the overlay heap because another
+    /// key shared its instant (or the queue was popped directly): the
+    /// fallback, 0 on a run whose only same-instant events are sends.
+    pub lane_merges: u64,
 }
 
 impl Default for WheelStats {
@@ -341,6 +380,8 @@ impl Default for WheelStats {
             cancels: 0,
             cancel_misses: 0,
             cancellable_scheduled: 0,
+            sends_now: 0,
+            lane_merges: 0,
         }
     }
 }
@@ -354,10 +395,18 @@ pub struct EventQueue<M> {
     /// level-0 slot. Always consulted before the wheel.
     run: Vec<Key>,
     /// Keys scheduled at or before the current granule *after* the run
-    /// was sorted (handler `send()`s at "now", late external schedules).
-    /// Usually empty or tiny; min-ordered by (time, seq). The head of the
+    /// was sorted (a handler's schedule a fraction of a microsecond ahead
+    /// or at "now", a cascaded key, a late external schedule, a merged
+    /// lane). Usually empty or tiny; min-ordered by (time, seq). The head of the
     /// queue is the smaller of `run.last()` and `overlay.peek()`.
     overlay: BinaryHeap<Key>,
+    /// Same-instant sends in seq order, all due at `lane_time`; every one
+    /// has a higher seq than any key extracted so far. Drained by the
+    /// engine a generation at a time, or merged into `overlay` when a key
+    /// elsewhere in the ready stage shares its instant.
+    lane: VecDeque<Sent<M>>,
+    /// Delivery instant of everything in `lane` (meaningless while empty).
+    lane_time: SimTime,
     /// The `LEVELS × SLOTS` wheel buckets, row-major by level.
     buckets: Vec<Bucket>,
     /// The key arena every bucket draws its chunks from.
@@ -405,6 +454,8 @@ impl<M> EventQueue<M> {
         EventQueue {
             run: Vec::new(),
             overlay: BinaryHeap::new(),
+            lane: VecDeque::new(),
+            lane_time: SimTime::ZERO,
             buckets: vec![Bucket::EMPTY; LEVELS * SLOTS],
             chunks: Vec::new(),
             free_chunk: NIL,
@@ -459,25 +510,116 @@ impl<M> EventQueue<M> {
         msg
     }
 
-    /// The key for a new event: next sequence number, payload stored.
+    /// Count one more pending event and give it the next sequence number.
     #[inline]
-    fn new_key(&mut self, time: SimTime, dst: ComponentId, tok: u32, tok_gen: u64, msg: M) -> Key {
-        // `Simulator::add_component` keeps every real id within u32; an id
-        // beyond it can only be a wiring bug, and must not alias a real
-        // component by truncation.
-        let dst = u32::try_from(dst.as_usize()).expect("component id exceeds u32");
+    fn draw_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.scheduled_total += 1;
         self.live += 1;
+        seq
+    }
+
+    /// The key for a new event: next sequence number, payload stored.
+    #[inline]
+    fn new_key(&mut self, time: SimTime, dst: ComponentId, tok: u32, tok_gen: u64, msg: M) -> Key {
         Key {
             time,
-            seq,
+            seq: self.draw_seq(),
             tok_gen,
             tok,
-            dst,
+            dst: dst_index(dst),
             slot: self.store(msg),
         }
+    }
+
+    /// Deliver `msg` to `dst` at `now`, the instant being dispatched: the
+    /// event joins the same-instant lane instead of the wheel. It draws
+    /// its seq like any other event, so it fires exactly where
+    /// `schedule(now, dst, msg)` would have put it.
+    #[inline]
+    pub(crate) fn send_now(&mut self, now: SimTime, dst: ComponentId, msg: M) {
+        debug_assert!(
+            self.lane.is_empty() || self.lane_time == now,
+            "lane holds sends of another instant"
+        );
+        self.lane_time = now;
+        self.stats.sends_now += 1;
+        let sent = Sent {
+            seq: self.draw_seq(),
+            dst: dst_index(dst),
+            msg,
+        };
+        self.lane.push_back(sent);
+    }
+
+    /// Start a lane generation: the `n` sends now waiting are the next
+    /// same-timestamp batch, to be taken with `n` calls of
+    /// [`EventQueue::pop_lane`] (sends their handlers make queue up behind
+    /// them, for the generation after). `None` when the lane is empty, or
+    /// when a key in the ready stage shares the lane's instant: the lane
+    /// has then been merged and the batch must come from
+    /// [`EventQueue::take_head_ready_until`].
+    #[inline]
+    pub(crate) fn lane_generation(&mut self) -> Option<(SimTime, usize)> {
+        let n = self.lane.len();
+        if n == 0 {
+            return None;
+        }
+        let time = self.lane_time;
+        // Anything the ready stage holds at or before the lane's instant
+        // was scheduled while these sends were, so seqs may interleave.
+        // (A tombstone there makes this a false alarm; merging is still
+        // correct.) The wheel proper only holds later granules.
+        let clash = |k: Option<&Key>| k.is_some_and(|k| k.time <= time);
+        if clash(self.overlay.peek()) || clash(self.run.last()) {
+            self.merge_lane();
+            return None;
+        }
+        self.count_batch(n);
+        Some((time, n))
+    }
+
+    /// The next send of the generation in progress.
+    #[inline]
+    pub(crate) fn pop_lane(&mut self) -> (u32, M) {
+        let sent = self.lane.pop_front().expect("generation outlives the lane");
+        self.live -= 1;
+        (sent.dst, sent.msg)
+    }
+
+    /// The fallback: turn every waiting send into an ordinary key, with
+    /// the seq it already drew, so the ready stage orders it against
+    /// whatever shares its instant.
+    #[cold]
+    #[inline(never)]
+    fn merge_lane(&mut self) {
+        self.stats.lane_merges += 1;
+        let time = self.lane_time;
+        while let Some(Sent { seq, dst, msg }) = self.lane.pop_front() {
+            let slot = self.store(msg);
+            self.insert(Key {
+                time,
+                seq,
+                tok_gen: 0,
+                tok: NO_TOKEN,
+                dst,
+                slot,
+            });
+        }
+    }
+
+    /// Sends waiting in the lane (0 between run slices).
+    #[inline]
+    pub(crate) fn lane_len(&self) -> usize {
+        self.lane.len()
+    }
+
+    /// Tally one same-timestamp dispatch batch of `n` ≥ 1 events.
+    #[inline]
+    fn count_batch(&mut self, n: usize) {
+        let bucket = (usize::BITS - n.leading_zeros() - 1) as usize;
+        self.stats.batch_hist[bucket.min(BATCH_BUCKETS - 1)] += 1;
     }
 
     /// Schedule `msg` for delivery to `dst` at absolute instant `time`.
@@ -582,7 +724,13 @@ impl<M> EventQueue<M> {
     ///
     /// Dead (cancelled) keys encountered on the way are dropped and never
     /// surface from `pop`; their payload slots were vacated by `cancel`.
+    /// Sends still in the lane are merged in first: whoever asks the ready
+    /// stage for its head (`pop`, `peek_time`, a batch extraction) wants
+    /// them ordered with everything else.
     fn prepare(&mut self) -> bool {
+        if !self.lane.is_empty() {
+            self.merge_lane();
+        }
         loop {
             // Drop tombstones off both ready-stage heads.
             while let Some(k) = self.run.last() {
@@ -755,9 +903,7 @@ impl<M> EventQueue<M> {
                 break;
             }
         }
-        // n >= 1 here, so the bit-length bucket index is well defined.
-        let bucket = (usize::BITS - n.leading_zeros() - 1) as usize;
-        self.stats.batch_hist[bucket.min(BATCH_BUCKETS - 1)] += 1;
+        self.count_batch(n);
         n
     }
 
@@ -834,8 +980,8 @@ impl<M> EventQueue<M> {
     }
 
     /// Heap footprint of everything the queue allocates: key arena and
-    /// bucket table, ready stage, payload slab with its free list, token
-    /// table with its token→slot map. Feeds the `MemAccount` registry's
+    /// bucket table, ready stage and lane, payload slab with its free list,
+    /// token table with its token→slot map. Feeds the `MemAccount` registry's
     /// `sim/wheel` gauge.
     pub fn memory_bytes(&self) -> u64 {
         use std::mem::size_of;
@@ -844,6 +990,7 @@ impl<M> EventQueue<M> {
         }
         size_of::<Self>() as u64
             + held::<Key>(self.run.capacity() + self.overlay.capacity())
+            + held::<Sent<M>>(self.lane.capacity())
             + held::<Bucket>(self.buckets.capacity())
             + held::<Chunk>(self.chunks.capacity())
             + held::<Option<M>>(self.payload.capacity())
@@ -872,8 +1019,9 @@ impl<M> EventQueue<M> {
     /// Panic unless the slab is consistent with the keys: every slot is
     /// either on the free list and empty, or full and owned by exactly one
     /// live key or one of `extracted` (the payload slots of [`Ready`]
-    /// records not yet claimed); `len()` equals the live key count; and a
-    /// live token maps to its key's slot. Likewise the key arena: every
+    /// records not yet claimed); `len()` equals the live key count plus the
+    /// sends in the lane (which own no slot); and a live token maps to its
+    /// key's slot. Likewise the key arena: every
     /// chunk is on exactly one bucket's chain or on the vacant list.
     /// O(resident keys + slab) — for tests and rare debug-build
     /// checkpoints, not the dispatch path.
@@ -916,7 +1064,7 @@ impl<M> EventQueue<M> {
                 );
             }
         }
-        assert_eq!(live, self.live, "live count drifted");
+        assert_eq!(live + self.lane.len(), self.live, "live count drifted");
         extracted.for_each(|s| own(s, "batch record"));
         for (s, (p, &o)) in self.payload.iter().zip(&owners).enumerate() {
             assert_eq!(p.is_some(), o == 1, "slot {s}: payload vs owner mismatch");
@@ -1517,6 +1665,36 @@ mod tests {
         assert_eq!(got, vec![(0, 0), (1, 1), (2, 2), (3, 3)]);
         q.debug_check();
         assert_eq!(q.pop().unwrap().msg, 9);
+    }
+
+    #[test]
+    fn the_lane_is_counted_checked_and_merged_on_a_direct_pop() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_micros(5);
+        q.schedule(t, id(0), 0u64);
+        assert_eq!(q.pop().unwrap().msg, 0);
+        let before = q.memory_bytes();
+        q.send_now(t, id(1), 1);
+        q.send_now(t, id(2), 2);
+        assert_eq!((q.len(), q.scheduled_total(), q.lane_len()), (2, 3, 2));
+        assert!(q.memory_bytes() >= before + 2 * std::mem::size_of::<Sent<u64>>() as u64);
+        q.debug_check();
+        // A generation is the lane as it stands; what its handlers send
+        // waits for the next one.
+        assert_eq!(q.lane_generation(), Some((t, 2)));
+        assert_eq!(q.pop_lane(), (1, 1));
+        q.send_now(t, id(3), 3);
+        assert_eq!(q.pop_lane(), (2, 2));
+        assert_eq!((q.len(), q.lane_len()), (1, 1));
+        q.debug_check();
+        // Asking the queue itself for its head merges the lane first.
+        assert_eq!(q.peek_time(), Some(t));
+        assert_eq!((q.len(), q.lane_len()), (1, 0));
+        q.debug_check();
+        assert_eq!(q.pop().unwrap().msg, 3);
+        let s = q.wheel_stats();
+        assert_eq!((s.sends_now, s.lane_merges), (3, 1));
+        assert_eq!(s.batch_hist[1], 1, "the generation of two was tallied");
     }
 
     #[test]

@@ -10,8 +10,6 @@
 //!
 //! * [`RunProgress`] — one in-flight run: percent of sim-time, ETA, and
 //!   current events/sec, rewritten in place on TTYs.
-//! * [`SweepProgress`] — N-of-M completion for scenario sweeps, safe to
-//!   drive from worker threads.
 //! * [`StageTimer`] — a labeled wall-clock stage that prints one
 //!   `[label: 12.3s]` line when finished; the uniform replacement for
 //!   the `Stopwatch` + `eprintln!` pattern.
@@ -191,79 +189,11 @@ impl RunProgress {
     }
 }
 
-/// Thread-safe N-of-M progress for scenario sweeps.
-///
-/// Call [`SweepProgress::item_done`] from whichever thread finished an item:
-/// every completion prints one line with the running count, percent, ETA
-/// extrapolated from the mean per-item wall time, and the item's label.
-pub struct SweepProgress {
-    label: String,
-    total: usize,
-    done: AtomicUsize,
-    started: Instant,
-    // Serializes the line assembly so concurrent completions don't
-    // interleave; the atomic alone orders the counts.
-    print_lock: Mutex<()>,
-}
-
-impl SweepProgress {
-    /// A sweep of `total` items labeled `label`.
-    pub fn new(label: impl Into<String>, total: usize) -> SweepProgress {
-        SweepProgress {
-            label: label.into(),
-            total,
-            done: AtomicUsize::new(0),
-            started: Instant::now(),
-            print_lock: Mutex::new(()),
-        }
-    }
-
-    /// Record one completed item and print a progress line.
-    pub fn item_done(&self, item: &str) {
-        let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
-        let _guard = self.print_lock.lock().unwrap();
-        let elapsed = self.started.elapsed();
-        let eta = if done > 0 && done < self.total {
-            let per_item = elapsed.as_secs_f64() / done as f64;
-            fmt_duration(Duration::from_secs_f64(
-                per_item * (self.total - done) as f64,
-            ))
-        } else {
-            "0s".to_string()
-        };
-        eprintln!(
-            "[{}] {}/{} ({:.0}%) | ETA {} | {}",
-            self.label,
-            done,
-            self.total,
-            done as f64 / self.total.max(1) as f64 * 100.0,
-            eta,
-            item
-        );
-    }
-
-    /// Number of completed items so far.
-    pub fn completed(&self) -> usize {
-        self.done.load(Ordering::Relaxed)
-    }
-
-    /// Print the closing summary line.
-    pub fn finish(&self) {
-        eprintln!(
-            "[{}] {} items in {}",
-            self.label,
-            self.done.load(Ordering::Relaxed),
-            fmt_duration(self.started.elapsed())
-        );
-    }
-}
-
 /// Thread-safe live aggregate for campaign runs: jobs done/failed, ETA
 /// from the mean per-job wall time, and the pooled events/sec rollup.
 ///
-/// This is the campaign executor's `on_done` counterpart to
-/// [`SweepProgress`]: one line per completed job plus a closing summary,
-/// safe to call from any worker thread.
+/// The campaign executor's `on_done` hook: one line per completed job plus
+/// a closing summary, safe to call from any worker thread.
 pub struct CampaignProgress {
     label: String,
     total: usize,
@@ -417,18 +347,6 @@ mod tests {
         assert_eq!(fmt_si(80_500.0), "80.5 k");
         assert_eq!(fmt_si(3_200_000.0), "3.2 M");
         assert_eq!(fmt_si(1.5e9), "1.5 G");
-    }
-
-    #[test]
-    fn sweep_counts_thread_safely() {
-        let sweep = SweepProgress::new("test", 8);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| sweep.item_done("item"));
-            }
-        });
-        assert_eq!(sweep.completed(), 8);
-        sweep.finish();
     }
 
     #[test]

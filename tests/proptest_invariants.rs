@@ -358,34 +358,44 @@ proptest! {
         rtt_ms in 1u64..200,
         n in 10usize..100,
     ) {
-        let mut est = RateEstimator::new();
-        let mut recs = Vec::new();
-        for i in 0..n as u64 {
-            recs.push(est.on_send(SimTime::from_micros(i * gap_us), i == 0));
-        }
-        // The long-run send rate bounds pipelined samples; a lone packet's
-        // sample legitimately measures pkt/RTT instead (its whole flight
-        // was delivered within one RTT), so the true bound is the max.
-        let send_rate = Bandwidth::from_bytes_per(
-            1000,
-            SimDuration::from_micros(gap_us),
-        ).unwrap();
-        let per_rtt_rate =
-            Bandwidth::from_bytes_per(1000, SimDuration::from_millis(rtt_ms)).unwrap();
-        let bound = send_rate.max(per_rtt_rate);
-        let mut max_rate = Bandwidth::ZERO;
-        for (i, rec) in recs.iter().enumerate() {
-            let ack_at = SimTime::from_micros(i as u64 * gap_us)
-                + SimDuration::from_millis(rtt_ms);
-            let s = est.on_ack(ack_at, 1000, rec);
-            if let Some(r) = s.delivery_rate {
-                max_rate = max_rate.max(r);
-            }
-        }
-        // Allow 0.1% rounding slack on the interval.
-        prop_assert!(
-            max_rate.as_bps() <= bound.as_bps() + bound.as_bps() / 1000 + 8,
-            "sampled {max_rate} exceeds bound {bound}"
-        );
+        check_rate_samples_bounded(gap_us, rtt_ms, n);
     }
+}
+
+/// The body of `rate_samples_are_bounded_by_send_rate`, shared with the
+/// explicit regression case below it.
+fn check_rate_samples_bounded(gap_us: u64, rtt_ms: u64, n: usize) {
+    let mut est = RateEstimator::new();
+    let mut recs = Vec::new();
+    for i in 0..n as u64 {
+        recs.push(est.on_send(SimTime::from_micros(i * gap_us), i == 0));
+    }
+    // The long-run send rate bounds pipelined samples; a lone packet's
+    // sample legitimately measures pkt/RTT instead (its whole flight
+    // was delivered within one RTT), so the true bound is the max.
+    let send_rate = Bandwidth::from_bytes_per(1000, SimDuration::from_micros(gap_us)).unwrap();
+    let per_rtt_rate = Bandwidth::from_bytes_per(1000, SimDuration::from_millis(rtt_ms)).unwrap();
+    let bound = send_rate.max(per_rtt_rate);
+    let mut max_rate = Bandwidth::ZERO;
+    for (i, rec) in recs.iter().enumerate() {
+        let ack_at = SimTime::from_micros(i as u64 * gap_us) + SimDuration::from_millis(rtt_ms);
+        let s = est.on_ack(ack_at, 1000, rec);
+        if let Some(r) = s.delivery_rate {
+            max_rate = max_rate.max(r);
+        }
+    }
+    // Allow 0.1% rounding slack on the interval.
+    assert!(
+        max_rate.as_bps() <= bound.as_bps() + bound.as_bps() / 1000 + 8,
+        "sampled {max_rate} exceeds bound {bound}"
+    );
+}
+
+/// The case real proptest once shrank a failure to: the gap exceeds the
+/// RTT, so every packet is alone in flight and its sample measures
+/// packet/RTT, above the long-run send rate. The vendored stand-in reads
+/// no `.proptest-regressions` file, so the case is spelled out.
+#[test]
+fn rate_samples_are_bounded_by_send_rate_regression_gap_5006us_rtt_1ms() {
+    check_rate_samples_bounded(5006, 1, 10);
 }
