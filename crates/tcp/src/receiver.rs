@@ -15,15 +15,46 @@
 //! links guarantee the same). Placing the entire base RTT on the ACK path is
 //! observationally equivalent to any forward/reverse split for every metric
 //! the study measures: senders see base RTT + queueing delay either way.
+//!
+//! # Reassembly state
+//!
+//! Two small structures, neither a tree, neither touched by the allocator
+//! on a per-segment path once warm:
+//!
+//! * `ooo`, the out-of-order ranges, is an ascending `VecDeque<(start,
+//!   end)>` of disjoint, non-adjacent runs. An arrival looks at the back
+//!   first (new data lands past the last hole), binary-searches otherwise,
+//!   and splices in place; `drain_contiguous` pops the front.
+//! * `recent`, the RFC 2018 recency order, is a ring of at most 16
+//!   `(start, end)` entries, most recently updated first. An entry is
+//!   flagged dead at the two places a range dies — absorbed by a neighbour
+//!   in `insert_ooo`, drained in `drain_contiguous` — and carries the
+//!   range's current end, because every change to an end finishes in
+//!   `touch_range`. So `touch_range` is one pass over the ring and
+//!   `sack_blocks` reads its blocks straight off it; neither looks anything
+//!   up in `ooo`.
+//!
+//! A dead entry stays in the ring until the next touch sweeps it, exactly
+//! as long as the stale start stayed in the list when liveness was a
+//! `contains_key` at touch time, and `save_state` writes it: checkpoints
+//! are byte-identical to that implementation's. Flagging early cannot
+//! disagree with looking up late, because a dead start never comes back
+//! to life in between: a range comes into being only in `insert_ooo`, which
+//! ends by touching exactly that start (replacing any entry that has it),
+//! new ranges start above `rcv_nxt` (so not where a drained one did), and
+//! the bytes of an absorbed range can only re-arrive as duplicates of the
+//! range that absorbed them. `tests/proptest_receiver.rs` drives this
+//! against the old implementation in lock-step.
 
 use crate::endpoint_stats::ReceiverStats;
 use ccsim_net::msg::{Msg, TimerToken};
-use ccsim_net::packet::{FlowId, Packet, SackBlock, SackBlocks};
+use ccsim_net::packet::{FlowId, Packet, SackBlock, SackBlocks, MAX_SACK_BLOCKS};
 use ccsim_sim::{
     CancelToken, Component, ComponentId, Ctx, SimDuration, SimTime, SnapError, SnapReader,
     SnapWriter,
 };
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
+use std::num::NonZeroU64;
 
 /// Linux's delayed-ACK timeout floor (`TCP_DELACK_MIN`).
 pub const DELACK_TIMEOUT: SimDuration = SimDuration::from_millis(40);
@@ -32,6 +63,21 @@ pub const DELACK_TIMEOUT: SimDuration = SimDuration::from_millis(40);
 pub const DELACK_SEGMENTS: u32 = 2;
 
 const TIMER_DELACK: u16 = 1;
+
+/// Entries the recency ring keeps: about five ACKs' worth of SACK blocks.
+const RECENT_CAP: usize = 16;
+
+/// One entry of the recency ring: an out-of-order range as of its last
+/// touch. `end` is `None` once the range has died (merged into a
+/// neighbour or drained) and current until then: a range's end only moves
+/// in `insert_ooo`, which re-touches it. A dead entry keeps its `start`
+/// until the next touch sweeps it, because checkpoints list it. Two words
+/// and no padding: `touch_range` copies these in its loop.
+#[derive(Clone, Copy)]
+struct Recent {
+    start: u64,
+    end: Option<NonZeroU64>,
+}
 
 /// The receiver component.
 pub struct Receiver {
@@ -43,13 +89,16 @@ pub struct Receiver {
     mss: u32,
     /// Next expected in-order byte.
     rcv_nxt: u64,
-    /// Out-of-order ranges, keyed by start; disjoint and non-adjacent.
-    ooo: BTreeMap<u64, u64>,
-    /// Range starts in most-recently-updated order (RFC 2018: report the
+    /// Out-of-order `(start, end)` ranges, ascending; disjoint,
+    /// non-adjacent and all above `rcv_nxt`.
+    ooo: VecDeque<(u64, u64)>,
+    /// The ranges in most-recently-updated order (RFC 2018: report the
     /// most recently changed blocks first, rotating older ones through so
     /// the sender eventually learns the full receive state even when it
-    /// has far more holes than fit in one SACK option).
-    recent_ranges: VecDeque<u64>,
+    /// has far more holes than fit in one SACK option). At most
+    /// [`RECENT_CAP`] entries with distinct starts; empty (and
+    /// unallocated) until the first out-of-order arrival.
+    recent: Vec<Recent>,
     /// Full segments received since the last ACK was sent.
     unacked_segments: u32,
     /// Live delayed-ACK timer event (null when disarmed). Sending an ACK
@@ -85,8 +134,8 @@ impl Receiver {
             ack_delay,
             mss,
             rcv_nxt: 0,
-            ooo: BTreeMap::new(),
-            recent_ranges: VecDeque::new(),
+            ooo: VecDeque::new(),
+            recent: Vec::new(),
             unacked_segments: 0,
             delack_timer: CancelToken::default(),
             delack_generation: 0,
@@ -134,18 +183,20 @@ impl Receiver {
 
     /// Serialize the receiver's mutable state for a checkpoint (`flow`,
     /// `sender`, `ack_delay`, `mss`, and `ack_first_hop` are wiring
-    /// configuration). The OOO map iterates in key order, a canonical
-    /// encoding; the recency list is genuine state and written verbatim.
+    /// configuration). The OOO ranges go out ascending, a canonical
+    /// encoding; the recency ring is genuine state and its starts are
+    /// written verbatim, dead ones included (`end` is derived: `load_state`
+    /// looks it up).
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.u64(self.rcv_nxt);
         w.usize(self.ooo.len());
-        for (&s, &e) in &self.ooo {
+        for &(s, e) in &self.ooo {
             w.u64(s);
             w.u64(e);
         }
-        w.usize(self.recent_ranges.len());
-        for &s in &self.recent_ranges {
-            w.u64(s);
+        w.usize(self.recent.len());
+        for r in &self.recent {
+            w.u64(r.start);
         }
         w.u32(self.unacked_segments);
         self.delack_timer.save_state(w);
@@ -155,7 +206,9 @@ impl Receiver {
     }
 
     /// Overlay checkpointed state onto a receiver freshly built from the
-    /// same scenario.
+    /// same scenario. Refuses what no receiver can have written: ranges
+    /// that are empty, out of order, touching each other or `rcv_nxt`, and
+    /// a recency list that is over-long or names a start twice.
     pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.rcv_nxt = r.u64()?;
         let n = r.usize()?;
@@ -165,32 +218,38 @@ impl Receiver {
                 remaining: r.remaining(),
             });
         }
-        let mut ooo = BTreeMap::new();
-        let mut prev_end = 0u64;
+        let mut ooo = VecDeque::with_capacity(n);
+        let mut prev_end = self.rcv_nxt;
         for _ in 0..n {
             let s = r.u64()?;
             let e = r.u64()?;
-            if e <= s || s < prev_end {
+            if e <= s || s <= prev_end {
                 return Err(SnapError::Corrupt(format!(
                     "receiver OOO range [{s}, {e}) invalid after end {prev_end}"
                 )));
             }
             prev_end = e;
-            ooo.insert(s, e);
+            ooo.push_back((s, e));
         }
         self.ooo = ooo;
         let n = r.usize()?;
-        if n > r.remaining() {
-            return Err(SnapError::Truncated {
-                needed: n,
-                remaining: r.remaining(),
-            });
+        if n > RECENT_CAP {
+            return Err(SnapError::Corrupt(format!(
+                "receiver recency list holds {n} starts, over the {RECENT_CAP} kept"
+            )));
         }
-        let mut recent = VecDeque::with_capacity(n);
+        let mut recent: Vec<Recent> = Vec::with_capacity(n);
         for _ in 0..n {
-            recent.push_back(r.u64()?);
+            let start = r.u64()?;
+            if recent.iter().any(|x| x.start == start) {
+                return Err(SnapError::Corrupt(format!(
+                    "receiver recency list repeats start {start}"
+                )));
+            }
+            let end = self.end_of(start);
+            recent.push(Recent { start, end });
         }
-        self.recent_ranges = recent;
+        self.recent = recent;
         self.unacked_segments = r.u32()?;
         self.delack_timer = CancelToken::load_state(r)?;
         self.delack_generation = r.u64()?;
@@ -199,54 +258,110 @@ impl Receiver {
         Ok(())
     }
 
+    /// End of the buffered range starting exactly at `start`, by search.
+    /// Only `load_state` and the debug check need it: per-segment paths
+    /// read the ring.
+    fn end_of(&self, start: u64) -> Option<NonZeroU64> {
+        let i = self.ooo.binary_search_by_key(&start, |&(s, _)| s).ok()?;
+        NonZeroU64::new(self.ooo[i].1)
+    }
+
+    /// Every ring entry says what a lookup of its start would say.
+    fn ring_is_current(&self) -> bool {
+        self.recent.iter().all(|r| self.end_of(r.start) == r.end)
+    }
+
+    /// Buffer `[seq, end)`, coalescing with every range it touches. The
+    /// surviving range keeps the lowest start; absorbed successors die.
     fn insert_ooo(&mut self, seq: u64, end: u64) {
-        // Find a range this one extends or duplicates. Ranges are segment
-        // aligned, so overlaps are exact-duplicate or adjacency cases.
-        // Coalesce with predecessor and successor where adjacent.
+        // Index of the first range starting above `seq`. New data mostly
+        // lands on or past the last range, so look there before searching.
+        let above = match self.ooo.back() {
+            Some(&(s, _)) if s > seq => self.ooo.partition_point(|&(s, _)| s <= seq),
+            _ => self.ooo.len(),
+        };
+        // Ranges are segment aligned, so overlaps are exact-duplicate or
+        // adjacency cases. Only the predecessor can already hold `seq`.
         let mut start = seq;
-        let mut stop = end;
-        // Merge with predecessor if it touches.
-        if let Some((&ps, &pe)) = self.ooo.range(..=seq).next_back() {
+        let mut first = above;
+        if above > 0 {
+            let (ps, pe) = self.ooo[above - 1];
             if pe >= seq {
                 if pe >= end {
                     // exact duplicate of buffered data
-                    self.touch_range(ps);
+                    self.touch_range(ps, pe);
                     return;
                 }
                 start = ps;
-                stop = stop.max(pe);
-                self.ooo.remove(&ps);
+                first = above - 1;
             }
         }
         // Merge with successors that touch.
-        while let Some((&ns, &ne)) = self.ooo.range(start..).next() {
+        let mut stop = end;
+        let mut last = above;
+        while let Some(&(ns, ne)) = self.ooo.get(last) {
             if ns > stop {
                 break;
             }
             stop = stop.max(ne);
-            self.ooo.remove(&ns);
+            self.forget_range(ns);
+            last += 1;
         }
-        self.ooo.insert(start, stop);
-        self.touch_range(start);
+        // Ranges `first..last` collapse into `[start, stop)`.
+        if first == last {
+            self.ooo.insert(first, (start, stop));
+        } else {
+            self.ooo[first] = (start, stop);
+            if last - first > 1 {
+                self.ooo.drain(first + 1..last);
+            }
+        }
+        self.touch_range(start, stop);
     }
 
-    /// Move `start` to the front of the recency list, dropping entries for
-    /// ranges that no longer exist (merged or drained).
-    fn touch_range(&mut self, start: u64) {
-        let ooo = &self.ooo;
-        self.recent_ranges
-            .retain(|s| *s != start && ooo.contains_key(s));
-        self.recent_ranges.push_front(start);
-        self.recent_ranges.truncate(16);
+    /// Put `[start, end)` at the front of the recency ring, sweeping out
+    /// its older entry and every dead one: one pass, each survivor moving
+    /// down by at most one slot.
+    fn touch_range(&mut self, start: u64, end: u64) {
+        debug_assert!(end > start);
+        let mut carry = Recent {
+            start,
+            end: NonZeroU64::new(end),
+        };
+        let mut kept = 0;
+        for i in 0..self.recent.len() {
+            let r = self.recent[i];
+            if r.end.is_some() && r.start != start {
+                self.recent[kept] = carry;
+                carry = r;
+                kept += 1;
+            }
+        }
+        self.recent.truncate(kept);
+        if kept < RECENT_CAP {
+            self.recent.push(carry);
+        }
+    }
+
+    /// The range starting at `start` is gone (merged into a neighbour or
+    /// drained): flag its ring entry dead. Exactly what the next touch's
+    /// lookup would have found — a range comes into being only in
+    /// `insert_ooo`, whose touch replaces any entry with its start, so a
+    /// dead start never names a live range.
+    fn forget_range(&mut self, start: u64) {
+        if let Some(r) = self.recent.iter_mut().find(|r| r.start == start) {
+            r.end = None;
+        }
     }
 
     /// Advance `rcv_nxt` over any now-contiguous OOO ranges.
     fn drain_contiguous(&mut self) {
-        while let Some((&s, &e)) = self.ooo.first_key_value() {
+        while let Some(&(s, e)) = self.ooo.front() {
             if s > self.rcv_nxt {
                 break;
             }
-            self.ooo.remove(&s);
+            self.ooo.pop_front();
+            self.forget_range(s);
             if e > self.rcv_nxt {
                 self.rcv_nxt = e;
             }
@@ -257,28 +372,22 @@ impl Receiver {
     /// falling back to ascending order for any remaining option space.
     fn sack_blocks(&self) -> SackBlocks {
         let mut blocks = SackBlocks::EMPTY;
-        let mut used = [u64::MAX; ccsim_net::packet::MAX_SACK_BLOCKS];
-        let mut n = 0;
-        for &start in &self.recent_ranges {
-            if n >= used.len() {
-                break;
-            }
-            if let Some(&end) = self.ooo.get(&start) {
-                if !used[..n].contains(&start) {
-                    blocks.push(SackBlock { start, end });
-                    used[n] = start;
-                    n += 1;
-                }
-            }
+        let live = self.recent.iter().filter_map(|r| Some((r.start, r.end?)));
+        for (start, end) in live.take(MAX_SACK_BLOCKS) {
+            blocks.push(SackBlock {
+                start,
+                end: end.get(),
+            });
         }
-        for (&s, &e) in &self.ooo {
-            if n >= used.len() {
-                break;
-            }
-            if !used[..n].contains(&s) {
-                blocks.push(SackBlock { start: s, end: e });
-                used[n] = s;
-                n += 1;
+        // Ranges that fell off the ring while it was full.
+        if blocks.len() < MAX_SACK_BLOCKS && blocks.len() < self.ooo.len() {
+            for &(start, end) in &self.ooo {
+                if blocks.len() == MAX_SACK_BLOCKS {
+                    break;
+                }
+                if !blocks.as_slice().iter().any(|b| b.start == start) {
+                    blocks.push(SackBlock { start, end });
+                }
             }
         }
         blocks
@@ -374,6 +483,7 @@ impl Component<Msg> for Receiver {
             Msg::Packet(p) => {
                 debug_assert!(p.is_data(), "receiver got a non-data packet");
                 self.on_data(now, p, ctx);
+                debug_assert!(self.ring_is_current());
             }
             Msg::Timer(t) => {
                 debug_assert_eq!(t.kind(), TIMER_DELACK);
@@ -673,6 +783,120 @@ mod tests {
         assert_eq!(hop_acks.len(), 1);
         // dst still names the sender so the last hop can ToPacketDst it.
         assert_eq!(hop_acks[0].1.dst, sender_sink);
+    }
+
+    /// A receiver holding `holes` one-segment holes (every other segment
+    /// above the first arrived), so the ring is full past 16.
+    fn with_holes(holes: u64) -> Receiver {
+        let (mut sim, _sink, rx) = setup(0);
+        for k in 0..=holes {
+            sim.schedule(
+                SimTime::from_micros(k),
+                rx,
+                Msg::Packet(data(2 * k * 1000, (2 * k + 1) * 1000)),
+            );
+        }
+        sim.run();
+        load(&saved(sim.component::<Receiver>(rx))).expect("own snapshot loads")
+    }
+
+    fn load(bytes: &[u8]) -> Result<Receiver, SnapError> {
+        let mut rx = Receiver::new(FlowId(0), ComponentId::from_raw(0), SimDuration::ZERO, MSS);
+        let mut r = SnapReader::new(bytes);
+        rx.load_state(&mut r)?;
+        Ok(rx)
+    }
+
+    fn saved(rx: &Receiver) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        rx.save_state(&mut w);
+        w.as_bytes().to_vec()
+    }
+
+    /// Everything the per-segment paths take for granted.
+    fn assert_whole(rx: &Receiver) {
+        let mut prev_end = rx.rcv_nxt;
+        for &(s, e) in &rx.ooo {
+            assert!(s > prev_end && e > s, "range [{s}, {e}) after {prev_end}");
+            prev_end = e;
+        }
+        assert!(rx.recent.len() <= RECENT_CAP);
+        for (i, r) in rx.recent.iter().enumerate() {
+            assert!(rx.recent[..i].iter().all(|x| x.start != r.start));
+        }
+        assert!(rx.ring_is_current());
+    }
+
+    #[test]
+    fn ring_and_deque_stay_off_the_heap_until_data_arrives_out_of_order() {
+        let (mut sim, _sink, rx) = setup(0);
+        for i in 0..10u64 {
+            sim.schedule(
+                SimTime::from_micros(i),
+                rx,
+                Msg::Packet(data(i * 1000, (i + 1) * 1000)),
+            );
+        }
+        sim.run();
+        let r = sim.component::<Receiver>(rx);
+        assert_eq!((r.ooo.capacity(), r.recent.capacity()), (0, 0));
+        // 216 B before the deque (a `VecDeque` header is 8 B wider than a
+        // `BTreeMap`'s, a `Vec` 8 B narrower than a `VecDeque`): 100 k of
+        // these sit in `mega100k_batched`'s component arena.
+        assert!(std::mem::size_of::<Receiver>() <= 216 + 16);
+    }
+
+    #[test]
+    fn load_state_refuses_what_no_receiver_writes() {
+        let rx = with_holes(20);
+        assert_whole(&rx);
+        assert_eq!((rx.ooo.len(), rx.recent.len()), (20, RECENT_CAP));
+        let good = saved(&rx);
+        // Layout: rcv_nxt, n, n x (start, end), m, m x start, ...
+        let range_at = |i: usize| 16 + 16 * i;
+        let recent_at = |i: usize| 16 + 16 * 20 + 8 + 8 * i;
+        let put = |at: usize, v: u64| {
+            let mut bytes = good.clone();
+            bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            bytes
+        };
+        let corrupt = |bytes: Vec<u8>, what: &str| match load(&bytes) {
+            Err(SnapError::Corrupt(_)) => {}
+            Err(e) => panic!("{what}: {e:?}"),
+            Ok(_) => panic!("{what}: loaded"),
+        };
+        // First range starting at rcv_nxt (1000) and below it.
+        corrupt(put(range_at(0), 1000), "range at rcv_nxt");
+        corrupt(put(range_at(0), 0), "range below rcv_nxt");
+        // Second range starting where the first ends (3000): adjacent.
+        corrupt(put(range_at(1), 3000), "adjacent ranges");
+        corrupt(put(range_at(1), 2500), "overlapping ranges");
+        // Recency list: a repeated start, live or dead, and a 17th entry.
+        let first = u64::from_le_bytes(good[recent_at(0)..][..8].try_into().unwrap());
+        corrupt(put(recent_at(5), first), "repeated live start");
+        let mut twice = put(recent_at(1), 7);
+        twice[recent_at(9)..][..8].copy_from_slice(&7u64.to_le_bytes());
+        corrupt(twice, "repeated dead start");
+        corrupt(put(recent_at(0) - 8, 17), "17 recent starts");
+        // A dead start on its own is what a merge or a drain leaves behind.
+        let dead = load(&put(recent_at(1), 7)).expect("a dead start loads");
+        assert_whole(&dead);
+        assert!(dead.recent[1].end.is_none());
+    }
+
+    #[test]
+    fn one_corrupt_byte_is_an_error_or_a_whole_receiver() {
+        let good = saved(&with_holes(20));
+        for at in 0..good.len() {
+            for flip in [0x01u8, 0x10, 0x80, 0xff] {
+                let mut bytes = good.clone();
+                bytes[at] ^= flip;
+                if let Ok(rx) = load(&bytes) {
+                    assert_whole(&rx);
+                    assert_eq!(saved(&rx), bytes, "byte {at} ^ {flip:#x}");
+                }
+            }
+        }
     }
 
     #[test]
