@@ -15,13 +15,15 @@
 //! [`Ledger::by_config`].
 
 use crate::executor::{JobResult, Rollup};
-use crate::spec::{parse_tolerances, Expectation, Tolerances};
+use crate::spec::{
+    parse_expectations, parse_tolerances, write_expectations, write_tolerances, Expectation,
+    Tolerances,
+};
 use ccsim_core::BottleneckMetrics;
-use ccsim_fault::json::{escape, Json, JsonError};
-use ccsim_sim::jsonfmt::{json_f64, json_opt_f64};
+use ccsim_sim::json::{Json, JsonError, JsonWriter};
+use ccsim_sim::safe_rate;
 use ccsim_telemetry::RunManifest;
 use std::collections::{HashMap, HashSet};
-use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -118,230 +120,131 @@ impl LedgerEntry {
         }
     }
 
-    /// Serialize to one JSONL line (no trailing newline).
+    /// Serialize to one JSONL line (no trailing newline). Keys newer than
+    /// the first ledger (`attempts`, `quarantined`, `eps_by_kind`, and
+    /// `convergence_time`/`bottlenecks` inside `metrics`) are absent — not
+    /// `null`, `{}` or `[]` — at their defaults, so legacy lines and
+    /// unsupervised, unprofiled runs re-serialize byte-identically.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        let _ = write!(out, "{{\"job\":\"{}\",\"axis\":{{", escape(&self.job));
-        for (i, (param, value)) in self.axis.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":\"{}\"", escape(param), escape(value));
-        }
-        let _ = write!(
-            out,
-            "}},\"seed\":{},\"config_digest\":\"{}\",\"outcome_digest\":{},\"error\":{},\
-             \"crash_bundle\":{},\"sim_secs\":{},\"wall_secs\":{},\"events_processed\":{},\
-             \"events_per_sec\":{}",
-            self.seed,
-            self.config_digest,
-            match &self.outcome_digest {
-                Some(d) => format!("\"{d}\""),
-                None => "null".into(),
-            },
-            match &self.error {
-                Some(e) => format!("\"{}\"", escape(e)),
-                None => "null".into(),
-            },
-            match &self.crash_bundle {
-                Some(p) => format!("\"{}\"", escape(p)),
-                None => "null".into(),
-            },
-            json_f64(self.sim_secs),
-            json_f64(self.wall_secs),
-            self.events_processed,
-            json_f64(self.events_per_sec),
-        );
-        // Supervisor fields are absent at their defaults so legacy lines
-        // and unsupervised runs re-serialize byte-identically.
-        if self.attempts != 1 {
-            let _ = write!(out, ",\"attempts\":{}", self.attempts);
-        }
-        if self.quarantined {
-            out.push_str(",\"quarantined\":true");
-        }
-        // Absent (not `{}`) for legacy and unprofiled runs so old ledger
-        // lines re-serialize byte-identically.
-        if !self.eps_by_kind.is_empty() {
-            out.push_str(",\"eps_by_kind\":{");
-            for (i, (kind, eps)) in self.eps_by_kind.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
+        let mut out = String::with_capacity(2048);
+        JsonWriter::compact(&mut out).obj(|w| {
+            w.key("job").str(&self.job);
+            w.key("axis").obj(|w| {
+                for (param, value) in &self.axis {
+                    w.key(param).str(value);
                 }
-                let _ = write!(out, "\"{}\":{}", escape(kind), json_f64(*eps));
+            });
+            w.key("seed").u64(self.seed);
+            w.key("config_digest").str(&self.config_digest);
+            w.key("outcome_digest")
+                .opt(self.outcome_digest.as_deref(), JsonWriter::str);
+            w.key("error").opt(self.error.as_deref(), JsonWriter::str);
+            w.key("crash_bundle")
+                .opt(self.crash_bundle.as_deref(), JsonWriter::str);
+            w.key("sim_secs").f64(self.sim_secs);
+            w.key("wall_secs").f64(self.wall_secs);
+            w.key("events_processed").u64(self.events_processed);
+            w.key("events_per_sec").f64(self.events_per_sec);
+            if self.attempts != 1 {
+                w.key("attempts").u64(self.attempts.into());
             }
-            out.push('}');
-        }
-        match &self.metrics {
-            None => out.push_str(",\"metrics\":null"),
-            Some(m) => {
-                let _ = write!(
-                    out,
-                    ",\"metrics\":{{\"jfi\":{},\"utilization\":{},\"aggregate_mbps\":{},\
-                     \"loss_rate\":{},\"mathis_err\":{},\"sync_index\":{},\
-                     \"drop_burstiness\":{},\"share_a\":{}",
-                    json_opt_f64(m.jfi),
-                    json_f64(m.utilization),
-                    json_f64(m.aggregate_mbps),
-                    json_f64(m.loss_rate),
-                    json_opt_f64(m.mathis_err),
-                    json_opt_f64(m.sync_index),
-                    json_opt_f64(m.drop_burstiness),
-                    json_opt_f64(m.share_a),
-                );
-                // Absent (not `null`) for runs without a timeline capture
-                // so legacy ledger lines re-serialize byte-identically.
-                if let Some(ct) = m.convergence_time {
-                    let _ = write!(out, ",\"convergence_time\":{}", json_f64(ct));
-                }
-                // The key is absent (not `[]`) for legacy runs so old
-                // ledger lines re-serialize byte-identically.
-                if !m.bottlenecks.is_empty() {
-                    out.push_str(",\"bottlenecks\":[");
-                    for (i, b) in m.bottlenecks.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        let _ = write!(
-                            out,
-                            "{{\"link\":{},\"label\":\"{}\",\"utilization\":{},\"jfi\":{},\
-                             \"loss_rate\":{},\"max_queue_bytes\":{},\"ce_marked\":{}}}",
-                            b.link,
-                            escape(&b.label),
-                            json_f64(b.utilization),
-                            json_opt_f64(b.jfi),
-                            json_f64(b.loss_rate),
-                            b.max_queue_bytes,
-                            b.ce_marked_pkts,
-                        );
+            if self.quarantined {
+                w.key("quarantined").bool(true);
+            }
+            if !self.eps_by_kind.is_empty() {
+                w.key("eps_by_kind").obj(|w| {
+                    for (kind, eps) in &self.eps_by_kind {
+                        w.key(kind).f64(*eps);
                     }
-                    out.push(']');
-                }
-                out.push('}');
+                });
             }
-        }
-        match &self.manifest {
-            None => out.push_str(",\"manifest\":null}"),
-            Some(m) => {
-                let _ = write!(out, ",\"manifest\":{}}}", m.to_json_inline());
-            }
-        }
+            w.key("metrics").opt(self.metrics.as_ref(), |w, m| {
+                w.obj(|w| {
+                    w.key("jfi").opt(m.jfi, JsonWriter::f64);
+                    w.key("utilization").f64(m.utilization);
+                    w.key("aggregate_mbps").f64(m.aggregate_mbps);
+                    w.key("loss_rate").f64(m.loss_rate);
+                    w.key("mathis_err").opt(m.mathis_err, JsonWriter::f64);
+                    w.key("sync_index").opt(m.sync_index, JsonWriter::f64);
+                    w.key("drop_burstiness")
+                        .opt(m.drop_burstiness, JsonWriter::f64);
+                    w.key("share_a").opt(m.share_a, JsonWriter::f64);
+                    if let Some(ct) = m.convergence_time {
+                        w.key("convergence_time").f64(ct);
+                    }
+                    if !m.bottlenecks.is_empty() {
+                        w.key("bottlenecks").arr(&m.bottlenecks, |w, b| {
+                            w.obj(|w| {
+                                w.key("link").u64(b.link.into());
+                                w.key("label").str(&b.label);
+                                w.key("utilization").f64(b.utilization);
+                                w.key("jfi").opt(b.jfi, JsonWriter::f64);
+                                w.key("loss_rate").f64(b.loss_rate);
+                                w.key("max_queue_bytes").u64(b.max_queue_bytes);
+                                w.key("ce_marked").u64(b.ce_marked_pkts);
+                            })
+                        });
+                    }
+                })
+            });
+            w.key("manifest")
+                .opt(self.manifest.as_ref(), |w, m| w.raw(&m.to_json_inline()));
+        });
         out
     }
 
-    /// Parse a line produced by [`LedgerEntry::to_json`].
+    /// Parse a line produced by [`LedgerEntry::to_json`]. The manifest
+    /// (and the profile inside it) are decoded from the parsed nodes.
     pub fn from_value(v: &Json) -> Result<LedgerEntry, JsonError> {
-        let get_str = |key: &str| -> Result<String, JsonError> {
-            v.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| bad(format!("entry missing \"{key}\"")))
-        };
-        let opt_str =
-            |key: &str| -> Option<String> { v.get(key).and_then(Json::as_str).map(str::to_string) };
-        let axis = match v.get("axis") {
-            Some(Json::Obj(fields)) => fields
-                .iter()
-                .map(|(k, val)| {
-                    val.as_str()
-                        .map(|s| (k.clone(), s.to_string()))
-                        .ok_or_else(|| bad("non-string axis value"))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => Vec::new(),
-        };
+        let opt_string = |key: &str| Ok::<_, JsonError>(v.opt_str(key)?.map(str::to_string));
         let metrics = match v.get("metrics") {
             Some(m) if !m.is_null() => {
-                let f = |key: &str| m.get(key).and_then(Json::as_f64);
                 let mut bottlenecks = Vec::new();
-                if let Some(list) = m.get("bottlenecks").and_then(Json::as_arr) {
-                    for b in list {
-                        bottlenecks.push(BottleneckMetrics {
-                            link: b.get("link").and_then(Json::as_u64).unwrap_or(0) as u32,
-                            label: b
-                                .get("label")
-                                .and_then(Json::as_str)
-                                .unwrap_or("")
-                                .to_string(),
-                            utilization: b
-                                .get("utilization")
-                                .and_then(Json::as_f64)
-                                .ok_or_else(|| bad("bottleneck.utilization"))?,
-                            jfi: b.get("jfi").and_then(Json::as_f64),
-                            loss_rate: b
-                                .get("loss_rate")
-                                .and_then(Json::as_f64)
-                                .ok_or_else(|| bad("bottleneck.loss_rate"))?,
-                            max_queue_bytes: b
-                                .get("max_queue_bytes")
-                                .and_then(Json::as_u64)
-                                .unwrap_or(0),
-                            ce_marked_pkts: b.get("ce_marked").and_then(Json::as_u64).unwrap_or(0),
-                        });
-                    }
+                for b in m.opt_arr("bottlenecks")?.unwrap_or(&[]) {
+                    bottlenecks.push(BottleneckMetrics {
+                        link: b.req_u32("link")?,
+                        label: b.req_str("label")?.to_string(),
+                        utilization: b.req_f64("utilization")?,
+                        jfi: b.opt_f64("jfi")?,
+                        loss_rate: b.req_f64("loss_rate")?,
+                        max_queue_bytes: b.req_u64("max_queue_bytes")?,
+                        ce_marked_pkts: b.req_u64("ce_marked")?,
+                    });
                 }
                 Some(Rollup {
-                    jfi: f("jfi"),
-                    utilization: f("utilization").ok_or_else(|| bad("metrics.utilization"))?,
-                    aggregate_mbps: f("aggregate_mbps")
-                        .ok_or_else(|| bad("metrics.aggregate_mbps"))?,
-                    loss_rate: f("loss_rate").ok_or_else(|| bad("metrics.loss_rate"))?,
-                    mathis_err: f("mathis_err"),
-                    sync_index: f("sync_index"),
-                    drop_burstiness: f("drop_burstiness"),
-                    share_a: f("share_a"),
-                    convergence_time: f("convergence_time"),
+                    jfi: m.opt_f64("jfi")?,
+                    utilization: m.req_f64("utilization")?,
+                    aggregate_mbps: m.req_f64("aggregate_mbps")?,
+                    loss_rate: m.req_f64("loss_rate")?,
+                    mathis_err: m.opt_f64("mathis_err")?,
+                    sync_index: m.opt_f64("sync_index")?,
+                    drop_burstiness: m.opt_f64("drop_burstiness")?,
+                    share_a: m.opt_f64("share_a")?,
+                    convergence_time: m.opt_f64("convergence_time")?,
                     bottlenecks,
                 })
             }
             _ => None,
         };
         let manifest = match v.get("manifest") {
-            // The manifest parser is substring-based; re-render the node.
-            Some(m) if !m.is_null() => Some(
-                RunManifest::from_json(&m.render())
-                    .map_err(|e| bad(format!("bad embedded manifest: {e}")))?,
-            ),
+            Some(m) if !m.is_null() => Some(RunManifest::from_value(m)?),
             _ => None,
         };
-        let eps_by_kind = match v.get("eps_by_kind") {
-            Some(Json::Obj(fields)) => fields
-                .iter()
-                .map(|(k, val)| {
-                    val.as_f64()
-                        .map(|eps| (k.clone(), eps))
-                        .ok_or_else(|| bad("non-numeric eps_by_kind value"))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => Vec::new(),
-        };
         Ok(LedgerEntry {
-            job: get_str("job")?,
-            axis,
-            seed: v
-                .get("seed")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad("entry missing \"seed\""))?,
-            config_digest: get_str("config_digest")?,
-            outcome_digest: opt_str("outcome_digest"),
-            error: opt_str("error"),
-            crash_bundle: opt_str("crash_bundle"),
-            attempts: v.get("attempts").and_then(Json::as_u64).unwrap_or(1) as u32,
-            quarantined: v
-                .get("quarantined")
-                .and_then(Json::as_bool)
-                .unwrap_or(false),
-            sim_secs: v.get("sim_secs").and_then(Json::as_f64).unwrap_or(0.0),
-            wall_secs: v.get("wall_secs").and_then(Json::as_f64).unwrap_or(0.0),
-            events_processed: v
-                .get("events_processed")
-                .and_then(Json::as_u64)
-                .unwrap_or(0),
-            events_per_sec: v
-                .get("events_per_sec")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0),
-            eps_by_kind,
+            job: v.req_str("job")?.to_string(),
+            axis: v.opt_pairs("axis", |v| v.as_str().map(str::to_string))?,
+            seed: v.req_u64("seed")?,
+            config_digest: v.req_str("config_digest")?.to_string(),
+            outcome_digest: opt_string("outcome_digest")?,
+            error: opt_string("error")?,
+            crash_bundle: opt_string("crash_bundle")?,
+            attempts: v.opt_u32("attempts")?.unwrap_or(1),
+            quarantined: v.opt_bool("quarantined")?.unwrap_or(false),
+            sim_secs: v.opt_f64("sim_secs")?.unwrap_or(0.0),
+            wall_secs: v.opt_f64("wall_secs")?.unwrap_or(0.0),
+            events_processed: v.opt_u64("events_processed")?.unwrap_or(0),
+            events_per_sec: v.opt_f64("events_per_sec")?.unwrap_or(0.0),
+            eps_by_kind: v.opt_pairs("eps_by_kind", Json::as_f64)?,
             metrics,
             manifest,
         })
@@ -376,13 +279,6 @@ impl LedgerEntry {
     }
 }
 
-fn bad(message: impl Into<String>) -> JsonError {
-    JsonError {
-        offset: 0,
-        message: message.into(),
-    }
-}
-
 /// A loaded ledger: header fields plus the entry list.
 #[derive(Debug, Clone)]
 pub struct Ledger {
@@ -405,32 +301,12 @@ pub fn header_json(
     expectations: &[Expectation],
 ) -> String {
     let mut out = String::with_capacity(256);
-    let _ = write!(
-        out,
-        "{{\"ledger\":\"{LEDGER_FORMAT}\",\"campaign\":\"{}\",\"tolerances\":{{\"jfi\":{},\
-         \"mathis_err\":{},\"sync_index\":{},\"events_per_sec_frac\":{},\
-         \"convergence_secs\":{}}},\"expectations\":[",
-        escape(campaign),
-        json_f64(tolerances.jfi),
-        json_f64(tolerances.mathis_err),
-        json_f64(tolerances.sync_index),
-        json_f64(tolerances.events_per_sec_frac),
-        json_f64(tolerances.convergence_secs),
-    );
-    for (i, e) in expectations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"metric\":\"{}\",\"min\":{},\"max\":{},\"source\":\"{}\"}}",
-            escape(&e.metric),
-            json_opt_f64(e.min),
-            json_opt_f64(e.max),
-            escape(&e.source)
-        );
-    }
-    out.push_str("]}");
+    JsonWriter::compact(&mut out).obj(|w| {
+        w.key("ledger").str(LEDGER_FORMAT);
+        w.key("campaign").str(campaign);
+        write_tolerances(w.key("tolerances"), tolerances);
+        write_expectations(w.key("expectations"), expectations);
+    });
     out
 }
 
@@ -454,37 +330,15 @@ impl Ledger {
             .ok_or_else(|| invalid("empty ledger (no header line)"))?;
         let header =
             Json::parse(header_line).map_err(|e| invalid(format!("bad ledger header: {e}")))?;
-        let format = header.get("ledger").and_then(Json::as_str).unwrap_or("");
+        let format = header.opt_str("ledger")?.unwrap_or("");
         if format != LEDGER_FORMAT {
             return Err(invalid(format!(
                 "unsupported ledger format \"{format}\" (want \"{LEDGER_FORMAT}\")"
             )));
         }
-        let campaign = header
-            .get("campaign")
-            .and_then(Json::as_str)
-            .unwrap_or("")
-            .to_string();
-        let tolerances = parse_tolerances(header.get("tolerances"));
-        let mut expectations = Vec::new();
-        if let Some(list) = header.get("expectations").and_then(Json::as_arr) {
-            for e in list {
-                expectations.push(Expectation {
-                    metric: e
-                        .get("metric")
-                        .and_then(Json::as_str)
-                        .unwrap_or("")
-                        .to_string(),
-                    min: e.get("min").and_then(Json::as_f64),
-                    max: e.get("max").and_then(Json::as_f64),
-                    source: e
-                        .get("source")
-                        .and_then(Json::as_str)
-                        .unwrap_or("")
-                        .to_string(),
-                });
-            }
-        }
+        let campaign = header.opt_str("campaign")?.unwrap_or("").to_string();
+        let tolerances = parse_tolerances(header.get("tolerances"))?;
+        let expectations = parse_expectations(&header)?;
 
         let body: Vec<&str> = lines.collect();
         let mut entries = Vec::with_capacity(body.len());
@@ -533,6 +387,47 @@ impl Ledger {
     /// Successful entries only.
     pub fn ok_entries(&self) -> impl Iterator<Item = &LedgerEntry> {
         self.entries.iter().filter(|e| e.ok())
+    }
+
+    /// The `campaign run --bench` summary document for a campaign that ran
+    /// `jobs` jobs of which `failed` failed. `events_per_sec` divides by
+    /// engine dispatch time only (scenario build, warm-up slicing and
+    /// export wall time excluded) so it is comparable with the sentinel's
+    /// eps gate; `wall_secs` stays as the end-to-end record. Profiled
+    /// campaigns also record the worst memory-per-flow across jobs — the
+    /// megascale headline number and the input to CI's per-flow ceiling.
+    pub fn bench_summary_json(&self, jobs: usize, failed: usize) -> String {
+        let (mut events, mut wall, mut dispatch) = (0u64, 0.0, 0.0);
+        for e in self.ok_entries() {
+            events += e.events_processed;
+            wall += e.wall_secs;
+            dispatch += e.manifest.as_ref().map_or(0.0, |m| m.dispatch_secs);
+        }
+        let per_flow = |&(bytes, flows): &(u64, u32)| bytes as f64 / f64::from(flows);
+        let peak_mem = self
+            .ok_entries()
+            .filter_map(|e| {
+                let p = e.manifest.as_ref()?.profile.as_ref()?;
+                (p.flows > 0).then(|| (p.memory_total_bytes(), p.flows))
+            })
+            .max_by(|a, b| per_flow(a).total_cmp(&per_flow(b)));
+        let mut out = String::with_capacity(256);
+        JsonWriter::compact(&mut out).obj(|w| {
+            w.key("campaign").str(&self.campaign);
+            w.key("jobs").u64(jobs as u64);
+            w.key("failed").u64(failed as u64);
+            w.key("events").u64(events);
+            w.key("wall_secs").f64(wall);
+            w.key("dispatch_secs").f64(dispatch);
+            w.key("events_per_sec")
+                .f64(safe_rate(events as f64, dispatch));
+            if let Some(peak) = peak_mem {
+                w.key("memory_bytes_peak").u64(peak.0);
+                w.key("memory_peak_flows").u64(peak.1.into());
+                w.key("memory_per_flow_bytes").f64(per_flow(&peak));
+            }
+        });
+        out
     }
 
     /// Config digests of the successful entries — the set of jobs a

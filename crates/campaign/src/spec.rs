@@ -7,19 +7,18 @@
 //! 3-value RTT axis, a 2-value CCA axis, and 2 seeds yields 12 jobs, each
 //! a fully validated [`Scenario`] with a stable, human-readable name.
 //!
-//! Specs are JSON documents (hand-rolled on both sides, like every wire
-//! format in the workspace — the vendored serde has no serializer) and
-//! round-trip exactly: [`CampaignSpec::to_json`] → [`CampaignSpec::from_json`]
+//! Specs are JSON documents (schema code over `ccsim_sim::json`, like
+//! every wire format in the workspace) and round-trip exactly:
+//! [`CampaignSpec::to_json`] → [`CampaignSpec::from_json`]
 //! reproduces every field, including the embedded base scenario via
 //! `ccsim_core::codec`. For hand-written specs the `base` object also
 //! accepts a compact preset form (`{"preset": "edge", ...overrides}`) —
 //! see [`CampaignSpec::from_json`].
 
 use ccsim_cca::CcaKind;
-use ccsim_core::{scenario_from_json, scenario_to_json, FlowGroup, Scenario};
-use ccsim_fault::json::{escape, Json, JsonError};
+use ccsim_core::{scenario_from_value, scenario_to_json, FlowGroup, Scenario};
 use ccsim_net::AqmKind;
-use ccsim_sim::jsonfmt::{json_f64, json_opt_f64};
+use ccsim_sim::json::{Json, JsonError, JsonWriter};
 use ccsim_sim::{Bandwidth, SimDuration};
 use ccsim_topo::TopologyKind;
 use std::fmt::Write as _;
@@ -81,15 +80,15 @@ impl AxisParam {
             AxisParam::Cca => {
                 let cca: CcaKind = value
                     .parse()
-                    .map_err(|_| bad(format!("axis cca: unknown CCA \"{value}\"")))?;
+                    .map_err(|_| JsonError::new(format!("axis cca: unknown CCA \"{value}\"")))?;
                 for g in &mut scenario.flows {
                     g.cca = cca;
                 }
             }
             AxisParam::FlowCount => {
-                let count: u32 = value
-                    .parse()
-                    .map_err(|_| bad(format!("axis flow_count: bad count \"{value}\"")))?;
+                let count: u32 = value.parse().map_err(|_| {
+                    JsonError::new(format!("axis flow_count: bad count \"{value}\""))
+                })?;
                 for g in &mut scenario.flows {
                     g.count = count;
                 }
@@ -97,7 +96,7 @@ impl AxisParam {
             AxisParam::RttMs => {
                 let ms: u64 = value
                     .parse()
-                    .map_err(|_| bad(format!("axis rtt_ms: bad value \"{value}\"")))?;
+                    .map_err(|_| JsonError::new(format!("axis rtt_ms: bad value \"{value}\"")))?;
                 for g in &mut scenario.flows {
                     g.base_rtt = SimDuration::from_millis(ms);
                 }
@@ -105,27 +104,29 @@ impl AxisParam {
             AxisParam::BwMbps => {
                 let mbps: u64 = value
                     .parse()
-                    .map_err(|_| bad(format!("axis bw_mbps: bad value \"{value}\"")))?;
+                    .map_err(|_| JsonError::new(format!("axis bw_mbps: bad value \"{value}\"")))?;
                 scenario.bottleneck = Bandwidth::from_mbps(mbps);
             }
             AxisParam::BufferBytes => {
-                scenario.buffer_bytes = value
-                    .parse()
-                    .map_err(|_| bad(format!("axis buffer_bytes: bad value \"{value}\"")))?;
+                scenario.buffer_bytes = value.parse().map_err(|_| {
+                    JsonError::new(format!("axis buffer_bytes: bad value \"{value}\""))
+                })?;
             }
             AxisParam::Topology => {
-                scenario.topology = TopologyKind::parse(value)
-                    .ok_or_else(|| bad(format!("axis topology: unknown shape \"{value}\"")))?;
+                scenario.topology = TopologyKind::parse(value).ok_or_else(|| {
+                    JsonError::new(format!("axis topology: unknown shape \"{value}\""))
+                })?;
             }
             AxisParam::Aqm => {
-                scenario.aqm = AqmKind::parse(value)
-                    .ok_or_else(|| bad(format!("axis aqm: unknown discipline \"{value}\"")))?;
+                scenario.aqm = AqmKind::parse(value).ok_or_else(|| {
+                    JsonError::new(format!("axis aqm: unknown discipline \"{value}\""))
+                })?;
             }
             AxisParam::Ecn => {
                 scenario.ecn = match value {
                     "on" | "true" | "1" => true,
                     "off" | "false" | "0" => false,
-                    _ => return Err(bad(format!("axis ecn: bad value \"{value}\""))),
+                    _ => return Err(JsonError::new(format!("axis ecn: bad value \"{value}\""))),
                 };
             }
         }
@@ -216,24 +217,20 @@ pub struct CampaignJob {
     pub scenario: Scenario,
 }
 
-fn bad(message: impl Into<String>) -> JsonError {
-    JsonError {
-        offset: 0,
-        message: message.into(),
-    }
-}
-
 impl CampaignSpec {
     /// Expand the spec into its full job list (cartesian product of axes
     /// × seeds), validating every resulting scenario.
     pub fn jobs(&self) -> Result<Vec<CampaignJob>, JsonError> {
         if self.seeds.is_empty() {
-            return Err(bad("campaign has no seeds"));
+            return Err(JsonError::new("campaign has no seeds"));
         }
         let mut combos: Vec<Vec<(String, String)>> = vec![Vec::new()];
         for axis in &self.axes {
             if axis.values.is_empty() {
-                return Err(bad(format!("axis {} has no values", axis.param.name())));
+                return Err(JsonError::new(format!(
+                    "axis {} has no values",
+                    axis.param.name()
+                )));
             }
             let mut next = Vec::with_capacity(combos.len() * axis.values.len());
             for combo in &combos {
@@ -260,7 +257,7 @@ impl CampaignSpec {
                 scenario = scenario.named(name.clone()).seed(seed);
                 scenario
                     .validate()
-                    .map_err(|e| bad(format!("job {name}: invalid scenario: {e}")))?;
+                    .map_err(|e| JsonError::new(format!("job {name}: invalid scenario: {e}")))?;
                 jobs.push(CampaignJob {
                     name,
                     axis: combo.clone(),
@@ -277,54 +274,19 @@ impl CampaignSpec {
     /// [`CampaignSpec::from_json`] exactly.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"base\":{},\"axes\":[",
-            escape(&self.name),
-            scenario_to_json(&self.base)
-        );
-        for (i, axis) in self.axes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let values: Vec<String> = axis
-                .values
-                .iter()
-                .map(|v| format!("\"{}\"", escape(v)))
-                .collect();
-            let _ = write!(
-                out,
-                "{{\"param\":\"{}\",\"values\":[{}]}}",
-                axis.param.name(),
-                values.join(",")
-            );
-        }
-        let seeds: Vec<String> = self.seeds.iter().map(u64::to_string).collect();
-        let _ = write!(out, "],\"seeds\":[{}],\"expectations\":[", seeds.join(","));
-        for (i, e) in self.expectations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"metric\":\"{}\",\"min\":{},\"max\":{},\"source\":\"{}\"}}",
-                escape(&e.metric),
-                json_opt_f64(e.min),
-                json_opt_f64(e.max),
-                escape(&e.source)
-            );
-        }
-        let t = &self.tolerances;
-        let _ = write!(
-            out,
-            "],\"tolerances\":{{\"jfi\":{},\"mathis_err\":{},\"sync_index\":{},\
-             \"events_per_sec_frac\":{},\"convergence_secs\":{}}}}}",
-            json_f64(t.jfi),
-            json_f64(t.mathis_err),
-            json_f64(t.sync_index),
-            json_f64(t.events_per_sec_frac),
-            json_f64(t.convergence_secs)
-        );
+        JsonWriter::compact(&mut out).obj(|w| {
+            w.key("name").str(&self.name);
+            w.key("base").raw(&scenario_to_json(&self.base));
+            w.key("axes").arr(&self.axes, |w, axis| {
+                w.obj(|w| {
+                    w.key("param").str(axis.param.name());
+                    w.key("values").arr(&axis.values, |w, v| w.str(v));
+                })
+            });
+            w.key("seeds").arr(&self.seeds, |w, seed| w.u64(*seed));
+            write_expectations(w.key("expectations"), &self.expectations);
+            write_tolerances(w.key("tolerances"), &self.tolerances);
+        });
         out
     }
 
@@ -346,166 +308,159 @@ impl CampaignSpec {
     /// ```
     pub fn from_json(text: &str) -> Result<CampaignSpec, JsonError> {
         let doc = Json::parse(text)?;
-        let name = doc
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("missing campaign \"name\""))?
-            .to_string();
-        let base_json = doc.get("base").ok_or_else(|| bad("missing \"base\""))?;
+        let base_json = doc
+            .get("base")
+            .ok_or_else(|| JsonError::new("missing \"base\""))?;
         let base = if base_json.get("bottleneck_bps").is_some() {
-            scenario_from_json(&base_json.render())?
+            scenario_from_value(base_json)?
         } else {
             base_from_preset(base_json)?
         };
 
         let mut axes = Vec::new();
-        if let Some(list) = doc.get("axes").and_then(Json::as_arr) {
-            for a in list {
-                let pname = a
-                    .get("param")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("axis missing \"param\""))?;
-                let param = AxisParam::parse(pname)
-                    .ok_or_else(|| bad(format!("unknown axis param \"{pname}\"")))?;
-                let values = a
-                    .get("values")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| bad(format!("axis {pname} missing \"values\"")))?
-                    .iter()
-                    .map(|v| match v {
-                        Json::Str(s) => Ok(s.clone()),
-                        Json::Num(raw) => Ok(raw.clone()),
-                        _ => Err(bad(format!("axis {pname}: bad value"))),
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                axes.push(Axis { param, values });
-            }
+        for a in doc.opt_arr("axes")?.unwrap_or(&[]) {
+            let pname = a.req_str("param")?;
+            let param = AxisParam::parse(pname)
+                .ok_or_else(|| JsonError::new(format!("unknown axis param \"{pname}\"")))?;
+            let values = a.req_arr("values")?.iter().map(|v| match v {
+                Json::Str(s) => Ok(s.clone()),
+                Json::Num(raw) => Ok(raw.clone()),
+                _ => Err(JsonError::new(format!("axis {pname}: bad value"))),
+            });
+            axes.push(Axis {
+                param,
+                values: values.collect::<Result<_, _>>()?,
+            });
         }
-
-        let seeds = match doc.get("seeds").and_then(Json::as_arr) {
-            Some(list) => list
-                .iter()
-                .map(|v| v.as_u64().ok_or_else(|| bad("bad seed")))
-                .collect::<Result<Vec<_>, _>>()?,
+        let seeds = match doc.get("seeds") {
+            Some(_) => doc.req_u64s("seeds")?,
             None => vec![base.seed],
         };
-
-        let mut expectations = Vec::new();
-        if let Some(list) = doc.get("expectations").and_then(Json::as_arr) {
-            for e in list {
-                expectations.push(Expectation {
-                    metric: e
-                        .get("metric")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| bad("expectation missing \"metric\""))?
-                        .to_string(),
-                    min: e.get("min").and_then(Json::as_f64),
-                    max: e.get("max").and_then(Json::as_f64),
-                    source: e
-                        .get("source")
-                        .and_then(Json::as_str)
-                        .unwrap_or("")
-                        .to_string(),
-                });
-            }
-        }
-
-        let tolerances = parse_tolerances(doc.get("tolerances"));
         Ok(CampaignSpec {
-            name,
+            name: doc.req_str("name")?.to_string(),
             base,
             axes,
             seeds,
-            expectations,
-            tolerances,
+            expectations: parse_expectations(&doc)?,
+            tolerances: parse_tolerances(doc.get("tolerances"))?,
         })
     }
 }
 
-/// Parse a tolerances object, falling back to defaults per field.
-pub fn parse_tolerances(v: Option<&Json>) -> Tolerances {
+/// Write a tolerances object (shared by the spec and the ledger header).
+pub(crate) fn write_tolerances(w: &mut JsonWriter<'_>, t: &Tolerances) {
+    w.obj(|w| {
+        w.key("jfi").f64(t.jfi);
+        w.key("mathis_err").f64(t.mathis_err);
+        w.key("sync_index").f64(t.sync_index);
+        w.key("events_per_sec_frac").f64(t.events_per_sec_frac);
+        w.key("convergence_secs").f64(t.convergence_secs);
+    });
+}
+
+/// Parse a tolerances object, falling back to defaults per absent field.
+pub(crate) fn parse_tolerances(v: Option<&Json>) -> Result<Tolerances, JsonError> {
     let d = Tolerances::default();
-    let Some(v) = v else { return d };
-    let get = |key: &str, fallback: f64| v.get(key).and_then(Json::as_f64).unwrap_or(fallback);
-    Tolerances {
-        jfi: get("jfi", d.jfi),
-        mathis_err: get("mathis_err", d.mathis_err),
-        sync_index: get("sync_index", d.sync_index),
-        events_per_sec_frac: get("events_per_sec_frac", d.events_per_sec_frac),
-        convergence_secs: get("convergence_secs", d.convergence_secs),
-    }
+    let Some(v) = v else { return Ok(d) };
+    Ok(Tolerances {
+        jfi: v.opt_f64("jfi")?.unwrap_or(d.jfi),
+        mathis_err: v.opt_f64("mathis_err")?.unwrap_or(d.mathis_err),
+        sync_index: v.opt_f64("sync_index")?.unwrap_or(d.sync_index),
+        events_per_sec_frac: v
+            .opt_f64("events_per_sec_frac")?
+            .unwrap_or(d.events_per_sec_frac),
+        convergence_secs: v.opt_f64("convergence_secs")?.unwrap_or(d.convergence_secs),
+    })
+}
+
+/// Write an expectations array (shared by the spec and the ledger header).
+pub(crate) fn write_expectations(w: &mut JsonWriter<'_>, expectations: &[Expectation]) {
+    w.arr(expectations, |w, e| {
+        w.obj(|w| {
+            w.key("metric").str(&e.metric);
+            w.key("min").opt(e.min, JsonWriter::f64);
+            w.key("max").opt(e.max, JsonWriter::f64);
+            w.key("source").str(&e.source);
+        })
+    });
+}
+
+/// Parse `doc`'s optional `expectations` array.
+pub(crate) fn parse_expectations(doc: &Json) -> Result<Vec<Expectation>, JsonError> {
+    let list = doc.opt_arr("expectations")?.unwrap_or(&[]).iter();
+    list.map(|e| {
+        Ok(Expectation {
+            metric: e.req_str("metric")?.to_string(),
+            min: e.opt_f64("min")?,
+            max: e.opt_f64("max")?,
+            source: e.opt_str("source")?.unwrap_or("").to_string(),
+        })
+    })
+    .collect()
 }
 
 fn base_from_preset(v: &Json) -> Result<Scenario, JsonError> {
-    let mut s = match v.get("preset").and_then(Json::as_str).unwrap_or("edge") {
+    let mut s = match v.opt_str("preset")?.unwrap_or("edge") {
         "edge" => Scenario::edge_scale(),
         "core" => Scenario::core_scale(),
         "mega" => Scenario::mega_scale(),
-        other => return Err(bad(format!("unknown preset \"{other}\""))),
+        other => return Err(JsonError::new(format!("unknown preset \"{other}\""))),
     };
-    if let Some(f) = v.get("fidelity").and_then(Json::as_str) {
+    if let Some(f) = v.opt_str("fidelity")? {
         s = s.fidelity(match f {
             "quick" => ccsim_core::Fidelity::Quick,
             "standard" => ccsim_core::Fidelity::Standard,
             "paper" => ccsim_core::Fidelity::Paper,
-            other => return Err(bad(format!("unknown fidelity \"{other}\""))),
+            other => return Err(JsonError::new(format!("unknown fidelity \"{other}\""))),
         });
     }
-    if let Some(mbps) = v.get("bw_mbps").and_then(Json::as_u64) {
+    if let Some(mbps) = v.opt_u64("bw_mbps")? {
         s.bottleneck = Bandwidth::from_mbps(mbps);
     }
-    if let Some(bytes) = v.get("buffer_bytes").and_then(Json::as_u64) {
+    if let Some(bytes) = v.opt_u64("buffer_bytes")? {
         s.buffer_bytes = bytes;
     }
-    if let Some(secs) = v.get("warmup_s").and_then(Json::as_f64) {
+    if let Some(secs) = v.opt_f64("warmup_s")? {
         s.warmup = SimDuration::from_secs_f64(secs);
     }
-    if let Some(secs) = v.get("duration_s").and_then(Json::as_f64) {
+    if let Some(secs) = v.opt_f64("duration_s")? {
         s.duration = SimDuration::from_secs_f64(secs);
     }
-    if let Some(secs) = v.get("jitter_s").and_then(Json::as_f64) {
+    if let Some(secs) = v.opt_f64("jitter_s")? {
         s.start_jitter = SimDuration::from_secs_f64(secs);
     }
-    if let Some(ms) = v.get("snapshot_ms").and_then(Json::as_u64) {
+    if let Some(ms) = v.opt_u64("snapshot_ms")? {
         s.snapshot_interval = SimDuration::from_millis(ms);
     }
-    if v.get("convergence").and_then(Json::as_bool) == Some(false) {
+    if v.opt_bool("convergence")? == Some(false) {
         s.convergence = None;
     }
-    if let Some(n) = v.get("delack_segments").and_then(Json::as_u64) {
-        s.tuning.delack_segments = n as u32;
+    if let Some(n) = v.opt_u32("delack_segments")? {
+        s.tuning.delack_segments = n;
     }
-    if let Some(n) = v.get("tx_burst").and_then(Json::as_u64) {
-        s.tuning.tx_burst = n as u32;
+    if let Some(n) = v.opt_u32("tx_burst")? {
+        s.tuning.tx_burst = n;
     }
-    if let Some(name) = v.get("topology").and_then(Json::as_str) {
-        s.topology =
-            TopologyKind::parse(name).ok_or_else(|| bad(format!("unknown topology \"{name}\"")))?;
+    if let Some(name) = v.opt_str("topology")? {
+        s.topology = TopologyKind::parse(name)
+            .ok_or_else(|| JsonError::new(format!("unknown topology \"{name}\"")))?;
     }
-    if let Some(name) = v.get("aqm").and_then(Json::as_str) {
-        s.aqm = AqmKind::parse(name).ok_or_else(|| bad(format!("unknown aqm \"{name}\"")))?;
+    if let Some(name) = v.opt_str("aqm")? {
+        s.aqm = AqmKind::parse(name)
+            .ok_or_else(|| JsonError::new(format!("unknown aqm \"{name}\"")))?;
     }
-    if let Some(on) = v.get("ecn").and_then(Json::as_bool) {
+    if let Some(on) = v.opt_bool("ecn")? {
         s.ecn = on;
     }
-    if let Some(groups) = v.get("flows").and_then(Json::as_arr) {
+    if let Some(groups) = v.opt_arr("flows")? {
         let mut flows = Vec::with_capacity(groups.len());
         for g in groups {
             let cca: CcaKind = g
-                .get("cca")
-                .and_then(Json::as_str)
-                .ok_or_else(|| bad("flow group missing \"cca\""))?
+                .req_str("cca")?
                 .parse()
-                .map_err(|_| bad("unknown CCA in flow group"))?;
-            let count = g
-                .get("count")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad("flow group missing \"count\""))? as u32;
-            let rtt_ms = g
-                .get("rtt_ms")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad("flow group missing \"rtt_ms\""))?;
-            flows.push(FlowGroup::new(cca, count, SimDuration::from_millis(rtt_ms)));
+                .map_err(|_| JsonError::new("unknown CCA in flow group"))?;
+            let rtt = SimDuration::from_millis(g.req_u64("rtt_ms")?);
+            flows.push(FlowGroup::new(cca, g.req_u32("count")?, rtt));
         }
         s = s.flows(flows);
     }

@@ -1,139 +1,84 @@
-//! Scenario serialization: a hand-rolled, dependency-free JSON codec.
+//! Scenario serialization: schema code over `ccsim_sim::json`.
 //!
 //! Crash bundles must embed the *complete* scenario so a run can be
-//! replayed from the bundle alone (`ccsim replay`). The vendored serde
-//! provides only marker traits, so — like the telemetry manifests and the
-//! fault plans — the scenario document is written by hand and read back
-//! with [`ccsim_fault::json`]'s recursive-descent parser. Numbers are
-//! emitted in their exact integer form (nanoseconds, bits/sec, bytes), so
-//! a decode–encode cycle is byte-identical and a replayed scenario is
-//! bit-for-bit the one that crashed.
+//! replayed from the bundle alone (`ccsim replay`); checkpoints and
+//! campaign specs carry the same document. Numbers are emitted in their
+//! exact integer form (nanoseconds, bits/sec, bytes) and the one float
+//! (the convergence tolerance) shortest-round-trip, so a decode–encode
+//! cycle is byte-identical and a replayed scenario is bit-for-bit the one
+//! that crashed. Keys newer than the first release (`topology`, `aqm`,
+//! `ecn`, `tuning`) are written only when non-default, so older documents
+//! re-encode byte-identically.
 
 use crate::scenario::{ConvergenceRule, FlowGroup, Scenario, Tuning};
-use ccsim_fault::json::{escape, Json, JsonError};
 use ccsim_fault::{FaultPlan, WatchdogConfig};
 use ccsim_net::AqmKind;
-use ccsim_sim::jsonfmt::json_f64;
+use ccsim_sim::json::{Json, JsonError, JsonWriter};
 use ccsim_sim::{Bandwidth, SimDuration};
 use ccsim_topo::TopologyKind;
 use ccsim_trace::{RetentionPolicy, TraceConfig};
-use std::fmt::Write as _;
 
 /// Serialize a scenario to a single-line JSON document.
 pub fn scenario_to_json(s: &Scenario) -> String {
     let mut out = String::with_capacity(512);
-    let _ = write!(
-        out,
-        "{{\"name\":\"{}\",\"bottleneck_bps\":{},\"buffer_bytes\":{},\"mss\":{}",
-        escape(&s.name),
-        s.bottleneck.as_bps(),
-        s.buffer_bytes,
-        s.mss
-    );
-    out.push_str(",\"flows\":[");
-    for (i, g) in s.flows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    JsonWriter::compact(&mut out).obj(|w| {
+        w.key("name").str(&s.name);
+        w.key("bottleneck_bps").u64(s.bottleneck.as_bps());
+        w.key("buffer_bytes").u64(s.buffer_bytes);
+        w.key("mss").u64(s.mss.into());
+        w.key("flows").arr(&s.flows, |w, g| {
+            w.obj(|w| {
+                w.key("cca").str(g.cca.name());
+                w.key("count").u64(g.count.into());
+                w.key("base_rtt_ns").u64(g.base_rtt.as_nanos());
+            })
+        });
+        w.key("seed").u64(s.seed);
+        w.key("start_jitter_ns").u64(s.start_jitter.as_nanos());
+        w.key("warmup_ns").u64(s.warmup.as_nanos());
+        w.key("duration_ns").u64(s.duration.as_nanos());
+        w.key("snapshot_interval_ns")
+            .u64(s.snapshot_interval.as_nanos());
+        w.key("convergence").opt(s.convergence.as_ref(), |w, c| {
+            w.obj(|w| {
+                w.key("window_snapshots").u64(c.window_snapshots as u64);
+                w.key("tolerance").f64(c.tolerance);
+            })
+        });
+        w.key("trace").obj(|w| {
+            w.key("enabled").bool(s.trace.enabled);
+            w.key("policy").str(&match s.trace.policy {
+                RetentionPolicy::KeepAll => "keepall".to_string(),
+                RetentionPolicy::Decimate(n) => format!("decimate:{n}"),
+                RetentionPolicy::Reservoir(k) => format!("reservoir:{k}"),
+            });
+            w.key("max_bytes").u64(s.trace.max_bytes);
+            w.key("queue_sample_every")
+                .u64(s.trace.queue_sample_every.into());
+        });
+        w.key("fault").raw(&s.fault.to_json());
+        w.key("watchdog").obj(|w| {
+            w.key("enabled").bool(s.watchdog.enabled);
+            w.key("every").u64(s.watchdog.every.into());
+        });
+        if s.topology != TopologyKind::SingleBottleneck {
+            w.key("topology").str(&s.topology.as_str());
         }
-        let _ = write!(
-            out,
-            "{{\"cca\":\"{}\",\"count\":{},\"base_rtt_ns\":{}}}",
-            g.cca.name(),
-            g.count,
-            g.base_rtt.as_nanos()
-        );
-    }
-    let _ = write!(
-        out,
-        "],\"seed\":{},\"start_jitter_ns\":{},\"warmup_ns\":{},\"duration_ns\":{},\
-         \"snapshot_interval_ns\":{}",
-        s.seed,
-        s.start_jitter.as_nanos(),
-        s.warmup.as_nanos(),
-        s.duration.as_nanos(),
-        s.snapshot_interval.as_nanos()
-    );
-    match &s.convergence {
-        None => out.push_str(",\"convergence\":null"),
-        Some(c) => {
-            let _ = write!(
-                out,
-                ",\"convergence\":{{\"window_snapshots\":{},\"tolerance\":{}}}",
-                c.window_snapshots,
-                json_f64(c.tolerance)
-            );
+        if s.aqm != AqmKind::DropTail {
+            w.key("aqm").str(s.aqm.as_str());
         }
-    }
-    let policy = match s.trace.policy {
-        RetentionPolicy::KeepAll => "keepall".to_string(),
-        RetentionPolicy::Decimate(n) => format!("decimate:{n}"),
-        RetentionPolicy::Reservoir(k) => format!("reservoir:{k}"),
-    };
-    let _ = write!(
-        out,
-        ",\"trace\":{{\"enabled\":{},\"policy\":\"{policy}\",\"max_bytes\":{},\
-         \"queue_sample_every\":{}}}",
-        s.trace.enabled, s.trace.max_bytes, s.trace.queue_sample_every
-    );
-    let _ = write!(out, ",\"fault\":{}", s.fault.to_json());
-    let _ = write!(
-        out,
-        ",\"watchdog\":{{\"enabled\":{},\"every\":{}}}",
-        s.watchdog.enabled, s.watchdog.every
-    );
-    // Topology / AQM / ECN: emitted only when non-default, so documents
-    // written before these fields existed re-encode byte-identically.
-    if s.topology != TopologyKind::SingleBottleneck {
-        let _ = write!(out, ",\"topology\":\"{}\"", s.topology.as_str());
-    }
-    if s.aqm != AqmKind::DropTail {
-        let _ = write!(out, ",\"aqm\":\"{}\"", s.aqm.as_str());
-    }
-    if s.ecn {
-        out.push_str(",\"ecn\":true");
-    }
-    if !s.tuning.is_default() {
-        let _ = write!(
-            out,
-            ",\"tuning\":{{\"delack_segments\":{},\"tx_burst\":{}}}",
-            s.tuning.delack_segments, s.tuning.tx_burst
-        );
-    }
-    out.push('}');
+        if s.ecn {
+            w.key("ecn").bool(true);
+        }
+        if !s.tuning.is_default() {
+            w.key("tuning").obj(|w| {
+                w.key("delack_segments")
+                    .u64(s.tuning.delack_segments.into());
+                w.key("tx_burst").u64(s.tuning.tx_burst.into());
+            });
+        }
+    });
     out
-}
-
-fn bad(message: impl Into<String>) -> JsonError {
-    JsonError {
-        offset: 0,
-        message: message.into(),
-    }
-}
-
-fn get_u64(doc: &Json, key: &str) -> Result<u64, JsonError> {
-    doc.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| bad(format!("missing or non-integer \"{key}\"")))
-}
-
-fn get_u32(doc: &Json, key: &str) -> Result<u32, JsonError> {
-    u32::try_from(get_u64(doc, key)?).map_err(|_| bad(format!("\"{key}\" exceeds u32")))
-}
-
-fn get_duration(doc: &Json, key: &str) -> Result<SimDuration, JsonError> {
-    Ok(SimDuration::from_nanos(get_u64(doc, key)?))
-}
-
-fn get_str<'a>(doc: &'a Json, key: &str) -> Result<&'a str, JsonError> {
-    doc.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| bad(format!("missing or non-string \"{key}\"")))
-}
-
-fn get_bool(doc: &Json, key: &str) -> Result<bool, JsonError> {
-    doc.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| bad(format!("missing or non-boolean \"{key}\"")))
 }
 
 fn parse_policy(text: &str) -> Result<RetentionPolicy, JsonError> {
@@ -141,113 +86,112 @@ fn parse_policy(text: &str) -> Result<RetentionPolicy, JsonError> {
         return Ok(RetentionPolicy::KeepAll);
     }
     if let Some(n) = text.strip_prefix("decimate:") {
-        let n = n.parse().map_err(|_| bad("bad decimate stride"))?;
+        let n = n
+            .parse()
+            .map_err(|_| JsonError::new("bad decimate stride"))?;
         return Ok(RetentionPolicy::Decimate(n));
     }
     if let Some(k) = text.strip_prefix("reservoir:") {
-        let k = k.parse().map_err(|_| bad("bad reservoir size"))?;
+        let k = k
+            .parse()
+            .map_err(|_| JsonError::new("bad reservoir size"))?;
         return Ok(RetentionPolicy::Reservoir(k));
     }
-    Err(bad(format!("unknown retention policy \"{text}\"")))
+    Err(JsonError::new(format!(
+        "unknown retention policy \"{text}\""
+    )))
 }
 
 /// Parse a document produced by [`scenario_to_json`].
 pub fn scenario_from_json(text: &str) -> Result<Scenario, JsonError> {
-    let doc = Json::parse(text)?;
+    scenario_from_value(&Json::parse(text)?)
+}
 
-    let flows_json = doc
-        .get("flows")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| bad("missing \"flows\" array"))?;
-    let mut flows = Vec::with_capacity(flows_json.len());
-    for g in flows_json {
-        let cca = get_str(g, "cca")?
-            .parse()
-            .map_err(|_| bad("unknown CCA kind"))?;
+/// Decode an already-parsed scenario document (how a campaign spec hands
+/// its embedded `base` down).
+pub fn scenario_from_value(doc: &Json) -> Result<Scenario, JsonError> {
+    let nanos = |key: &str| doc.req_u64(key).map(SimDuration::from_nanos);
+
+    let mut flows = Vec::new();
+    for g in doc.req_arr("flows")? {
         flows.push(FlowGroup {
-            cca,
-            count: get_u32(g, "count")?,
-            base_rtt: get_duration(g, "base_rtt_ns")?,
+            cca: g
+                .req_str("cca")?
+                .parse()
+                .map_err(|_| JsonError::new("unknown CCA kind"))?,
+            count: g.req_u32("count")?,
+            base_rtt: SimDuration::from_nanos(g.req_u64("base_rtt_ns")?),
         });
     }
 
+    // `null` means "no rule"; the key itself is mandatory.
     let convergence = match doc.get("convergence") {
-        None => return Err(bad("missing \"convergence\"")),
-        Some(v) if v.is_null() => None,
-        Some(v) => Some(ConvergenceRule {
-            window_snapshots: get_u64(v, "window_snapshots")? as usize,
-            tolerance: v
-                .get("tolerance")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| bad("missing convergence tolerance"))?,
+        None => return Err(JsonError::new("missing \"convergence\"")),
+        Some(c) if c.is_null() => None,
+        Some(c) => Some(ConvergenceRule {
+            window_snapshots: c.req_u64("window_snapshots")? as usize,
+            tolerance: c.req_f64("tolerance")?,
         }),
     };
 
-    let trace_json = doc.get("trace").ok_or_else(|| bad("missing \"trace\""))?;
+    let trace_json = doc
+        .get("trace")
+        .ok_or_else(|| JsonError::new("missing \"trace\""))?;
     let trace = TraceConfig {
-        enabled: get_bool(trace_json, "enabled")?,
-        policy: parse_policy(get_str(trace_json, "policy")?)?,
-        max_bytes: get_u64(trace_json, "max_bytes")?,
-        queue_sample_every: get_u32(trace_json, "queue_sample_every")?,
+        enabled: trace_json.req_bool("enabled")?,
+        policy: parse_policy(trace_json.req_str("policy")?)?,
+        max_bytes: trace_json.req_u64("max_bytes")?,
+        queue_sample_every: trace_json.req_u32("queue_sample_every")?,
     };
 
     let fault = match doc.get("fault") {
         Some(v) => FaultPlan::from_value(v)?,
         None => FaultPlan::none(),
     };
-
     let watchdog = match doc.get("watchdog") {
         Some(v) => WatchdogConfig {
-            enabled: get_bool(v, "enabled")?,
-            every: get_u32(v, "every")?,
+            enabled: v.req_bool("enabled")?,
+            every: v.req_u32("every")?,
         },
         None => WatchdogConfig::disabled(),
     };
-
-    let topology = match doc.get("topology") {
+    let topology = match doc.opt_str("topology")? {
         None => TopologyKind::SingleBottleneck,
-        Some(v) => {
-            let name = v.as_str().ok_or_else(|| bad("non-string \"topology\""))?;
-            TopologyKind::parse(name).ok_or_else(|| bad(format!("unknown topology \"{name}\"")))?
-        }
+        Some(name) => TopologyKind::parse(name)
+            .ok_or_else(|| JsonError::new(format!("unknown topology \"{name}\"")))?,
     };
-    let aqm = match doc.get("aqm") {
+    let aqm = match doc.opt_str("aqm")? {
         None => AqmKind::DropTail,
-        Some(v) => {
-            let name = v.as_str().ok_or_else(|| bad("non-string \"aqm\""))?;
-            AqmKind::parse(name).ok_or_else(|| bad(format!("unknown AQM \"{name}\"")))?
+        Some(name) => {
+            AqmKind::parse(name).ok_or_else(|| JsonError::new(format!("unknown AQM \"{name}\"")))?
         }
-    };
-    let ecn = match doc.get("ecn") {
-        None => false,
-        Some(v) => v.as_bool().ok_or_else(|| bad("non-boolean \"ecn\""))?,
     };
     let tuning = match doc.get("tuning") {
         None => Tuning::default(),
         Some(v) => Tuning {
-            delack_segments: get_u32(v, "delack_segments")?,
-            tx_burst: get_u32(v, "tx_burst")?,
+            delack_segments: v.req_u32("delack_segments")?,
+            tx_burst: v.req_u32("tx_burst")?,
         },
     };
 
     Ok(Scenario {
-        name: get_str(&doc, "name")?.to_string(),
-        bottleneck: Bandwidth::from_bps(get_u64(&doc, "bottleneck_bps")?),
-        buffer_bytes: get_u64(&doc, "buffer_bytes")?,
-        mss: get_u32(&doc, "mss")?,
+        name: doc.req_str("name")?.to_string(),
+        bottleneck: Bandwidth::from_bps(doc.req_u64("bottleneck_bps")?),
+        buffer_bytes: doc.req_u64("buffer_bytes")?,
+        mss: doc.req_u32("mss")?,
         flows,
-        seed: get_u64(&doc, "seed")?,
-        start_jitter: get_duration(&doc, "start_jitter_ns")?,
-        warmup: get_duration(&doc, "warmup_ns")?,
-        duration: get_duration(&doc, "duration_ns")?,
-        snapshot_interval: get_duration(&doc, "snapshot_interval_ns")?,
+        seed: doc.req_u64("seed")?,
+        start_jitter: nanos("start_jitter_ns")?,
+        warmup: nanos("warmup_ns")?,
+        duration: nanos("duration_ns")?,
+        snapshot_interval: nanos("snapshot_interval_ns")?,
         convergence,
         trace,
         fault,
         watchdog,
         topology,
         aqm,
-        ecn,
+        ecn: doc.opt_bool("ecn")?.unwrap_or(false),
         tuning,
     })
 }

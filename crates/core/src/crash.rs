@@ -25,9 +25,8 @@ use crate::observe::scenario_digest;
 use crate::outcome::RunOutcome;
 use crate::request::RunRequest;
 use crate::scenario::Scenario;
-use ccsim_fault::json::{escape, Json, JsonError};
+use ccsim_sim::json::{Json, JsonError, JsonWriter};
 use std::fmt;
-use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -50,46 +49,32 @@ pub fn write_bundle(base: &Path, scenario: &Scenario, error: &SimError) -> io::R
     fs::write(dir.join("scenario.json"), scenario_to_json(scenario))?;
     fs::write(dir.join("fault_plan.json"), scenario.fault.to_json())?;
 
-    let mut manifest = String::with_capacity(256);
-    let _ = write!(
-        manifest,
-        "{{\"schema\":\"ccsim-crash/1\",\"scenario\":\"{}\",\"seed\":{},\
-         \"config_digest\":\"{:016x}\",\"error_class\":\"{}\",\"error\":\"{}\"",
-        escape(&scenario.name),
-        scenario.seed,
-        scenario_digest(scenario),
-        error.class(),
-        escape(&error.to_string())
-    );
-    if let Some(report) = error.watchdog_report() {
-        let _ = write!(
-            manifest,
-            ",\"checks_run\":{},\"violations\":[",
-            report.checks_run
-        );
-        for (i, v) in report.violations.iter().enumerate() {
-            if i > 0 {
-                manifest.push(',');
-            }
-            let _ = write!(
-                manifest,
-                "{{\"at_ns\":{},\"kind\":\"{}\",\"detail\":\"{}\"}}",
-                v.at.as_nanos(),
-                v.kind.name(),
-                escape(&v.detail)
-            );
-        }
-        manifest.push(']');
-    }
     let trace = match error {
         SimError::Invariant { trace, .. } => trace.as_ref(),
         _ => None,
     };
-    let _ = write!(
-        manifest,
-        ",\"trace_records\":{}}}",
-        trace.map_or(0, |t| t.records.len())
-    );
+    let mut manifest = String::with_capacity(256);
+    JsonWriter::compact(&mut manifest).obj(|w| {
+        w.key("schema").str("ccsim-crash/1");
+        w.key("scenario").str(&scenario.name);
+        w.key("seed").u64(scenario.seed);
+        w.key("config_digest")
+            .str(&format!("{:016x}", scenario_digest(scenario)));
+        w.key("error_class").str(error.class());
+        w.key("error").str(&error.to_string());
+        if let Some(report) = error.watchdog_report() {
+            w.key("checks_run").u64(report.checks_run);
+            w.key("violations").arr(&report.violations, |w, v| {
+                w.obj(|w| {
+                    w.key("at_ns").u64(v.at.as_nanos());
+                    w.key("kind").str(v.kind.name());
+                    w.key("detail").str(&v.detail);
+                })
+            });
+        }
+        w.key("trace_records")
+            .u64(trace.map_or(0, |t| t.records.len() as u64));
+    });
     fs::write(dir.join("crash.json"), manifest)?;
 
     if let Some(trace) = trace {
@@ -146,23 +131,11 @@ impl CrashBundle {
     pub fn load(dir: &Path) -> Result<CrashBundle, BundleError> {
         let scenario = scenario_from_json(&fs::read_to_string(dir.join("scenario.json"))?)?;
         let manifest = Json::parse(&fs::read_to_string(dir.join("crash.json"))?)?;
-        let field = |key: &str| -> Result<String, BundleError> {
-            manifest
-                .get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| {
-                    BundleError::Parse(JsonError {
-                        offset: 0,
-                        message: format!("crash.json missing \"{key}\""),
-                    })
-                })
-        };
         Ok(CrashBundle {
             dir: dir.to_path_buf(),
             scenario,
-            error_class: field("error_class")?,
-            error: field("error")?,
+            error_class: manifest.req_str("error_class")?.to_string(),
+            error: manifest.req_str("error")?.to_string(),
         })
     }
 

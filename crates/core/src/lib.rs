@@ -39,7 +39,7 @@ pub use ccsim_resume::{Checkpoint, ResumeError};
 pub use ccsim_timeline::serve::{serve, LiveState, ServeHandle};
 pub use ccsim_timeline::{Timeline, TimelineConfig, TimelineSummary};
 pub use checkpoint::{bisect_divergence, slice_boundaries, BisectOutcome, DivergencePoint};
-pub use codec::{scenario_from_json, scenario_to_json};
+pub use codec::{scenario_from_json, scenario_from_value, scenario_to_json};
 pub use crash::{panic_message, BundleError, CrashBundle};
 pub use error::SimError;
 pub use observe::{ObserveOptions, ObservedRun};

@@ -38,7 +38,7 @@ use crate::outcome::RunOutcome;
 use crate::scenario::Scenario;
 use ccsim_net::link::LinkMetrics;
 use ccsim_net::msg::Msg;
-use ccsim_sim::jsonfmt::safe_rate;
+use ccsim_sim::safe_rate;
 use ccsim_tcp::sender::SenderMetrics;
 use ccsim_telemetry::manifest::{fnv1a_64, ManifestBottleneck, ManifestTimeline, RunManifest};
 use ccsim_telemetry::prometheus::write_exposition;

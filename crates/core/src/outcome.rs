@@ -3,6 +3,7 @@
 use ccsim_analysis::mathis::FlowObservation;
 use ccsim_analysis::{group_share, jain_fairness_index};
 use ccsim_cca::CcaKind;
+use ccsim_sim::json::JsonWriter;
 use ccsim_sim::{Bandwidth, SimDuration, SimTime};
 use ccsim_telemetry::FlowMetrics;
 use ccsim_trace::RunTrace;
@@ -222,63 +223,51 @@ impl RunOutcome {
         ccsim_analysis::burstiness(&times)
     }
 
-    /// Canonical single-line JSON export (hand-rolled: the vendored serde
-    /// provides derives but no serializer). This is what `ccsim --json`
-    /// prints and what CI smoke checks parse.
+    /// Canonical single-line JSON export. This is what `ccsim --json`
+    /// prints and what CI smoke checks parse. Derived quantities are
+    /// rounded to a fixed number of decimals (the full-precision record is
+    /// the digest); `bottlenecks` appears only when populated, keeping the
+    /// legacy document shape byte-for-byte for legacy configurations.
     pub fn to_json(&self) -> String {
-        let per_flow: Vec<String> = self
-            .flows
-            .iter()
-            .map(|f| {
-                format!(
-                    "{{\"flow\":{},\"cca\":\"{}\",\"mbps\":{:.4},\"events\":{},\"rtx\":{},\"drops\":{}}}",
-                    f.flow,
-                    f.cca,
-                    f.throughput_mbps(),
-                    f.congestion_events,
-                    f.retransmits,
-                    f.queue_drops
-                )
-            })
-            .collect();
-        // `bottlenecks` appears only when populated, keeping the legacy
-        // document shape byte-for-byte for legacy configurations.
-        let bottlenecks = if self.bottlenecks.is_empty() {
-            String::new()
-        } else {
-            let rows: Vec<String> = self
-                .bottlenecks
-                .iter()
-                .map(|b| {
-                    format!(
-                        "{{\"link\":{},\"label\":\"{}\",\"utilization\":{:.6},\"jfi\":{},\"loss_rate\":{:.8},\"max_queue_bytes\":{},\"ce_marked\":{}}}",
-                        b.link,
-                        b.label,
-                        b.utilization,
-                        b.jfi.map_or("null".into(), |v| format!("{v:.6}")),
-                        b.loss_rate,
-                        b.max_queue_bytes,
-                        b.ce_marked_pkts
-                    )
+        let mut out = String::with_capacity(320 + 96 * self.flows.len());
+        JsonWriter::compact(&mut out).obj(|w| {
+            w.key("scenario").str(&self.scenario);
+            w.key("seed").u64(self.seed);
+            w.key("aggregate_mbps")
+                .fixed(self.aggregate_throughput_mbps(), 4);
+            w.key("utilization").fixed(self.utilization(), 6);
+            w.key("loss_rate").fixed(self.aggregate_loss_rate, 8);
+            w.key("jfi").opt(self.jain_index(), |w, v| w.fixed(v, 6));
+            w.key("burstiness")
+                .opt(self.drop_burstiness, |w, v| w.fixed(v, 4));
+            w.key("events_processed").u64(self.events_processed);
+            w.key("max_queue_bytes").u64(self.max_queue_bytes);
+            w.key("converged").bool(self.converged);
+            if !self.bottlenecks.is_empty() {
+                w.key("bottlenecks").arr(&self.bottlenecks, |w, b| {
+                    w.obj(|w| {
+                        w.key("link").u64(b.link.into());
+                        w.key("label").str(&b.label);
+                        w.key("utilization").fixed(b.utilization, 6);
+                        w.key("jfi").opt(b.jfi, |w, v| w.fixed(v, 6));
+                        w.key("loss_rate").fixed(b.loss_rate, 8);
+                        w.key("max_queue_bytes").u64(b.max_queue_bytes);
+                        w.key("ce_marked").u64(b.ce_marked_pkts);
+                    })
+                });
+            }
+            w.key("flows").arr(&self.flows, |w, f| {
+                w.obj(|w| {
+                    w.key("flow").u64(f.flow.into());
+                    w.key("cca").str(&f.cca);
+                    w.key("mbps").fixed(f.throughput_mbps(), 4);
+                    w.key("events").u64(f.congestion_events);
+                    w.key("rtx").u64(f.retransmits);
+                    w.key("drops").u64(f.queue_drops);
                 })
-                .collect();
-            format!(",\"bottlenecks\":[{}]", rows.join(","))
-        };
-        format!(
-            "{{\"scenario\":\"{}\",\"seed\":{},\"aggregate_mbps\":{:.4},\"utilization\":{:.6},\"loss_rate\":{:.8},\"jfi\":{},\"burstiness\":{},\"events_processed\":{},\"max_queue_bytes\":{},\"converged\":{}{},\"flows\":[{}]}}",
-            self.scenario,
-            self.seed,
-            self.aggregate_throughput_mbps(),
-            self.utilization(),
-            self.aggregate_loss_rate,
-            self.jain_index().map_or("null".into(), |v| format!("{v:.6}")),
-            self.drop_burstiness.map_or("null".into(), |v| format!("{v:.4}")),
-            self.events_processed,
-            self.max_queue_bytes,
-            self.converged,
-            bottlenecks,
-            per_flow.join(",")
-        )
+            });
+        });
+        out
     }
 
     /// FNV-1a digest of the outcome at full precision (over the `Debug`

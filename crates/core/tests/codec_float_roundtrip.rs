@@ -1,5 +1,5 @@
 //! Codec-level float round-trip property: a scenario document written by
-//! `ccsim_core::codec` and read back through `ccsim_fault::json` must
+//! `ccsim_core::codec` and read back through `ccsim_sim::json` must
 //! preserve its one float field (the convergence tolerance) bit-for-bit —
 //! including -0.0, subnormals, and magnitudes whose positional expansion
 //! would be hundreds of digits — and a second encode must be
@@ -43,7 +43,7 @@ proptest! {
 fn non_finite_tolerance_still_produces_valid_json() {
     // The old `{:?}` formatting emitted the literal `inf`, which the
     // parser rejects — a crash bundle with a corrupted rule became
-    // unreplayable. json_f64 degrades it to 0 instead.
+    // unreplayable. The JSON writer degrades it to 0 instead.
     let mut s = Scenario::edge_scale();
     s.convergence = Some(ConvergenceRule {
         window_snapshots: 3,

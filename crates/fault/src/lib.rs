@@ -24,17 +24,17 @@
 //!   `ccsim-core` (they need the built network); this crate defines the
 //!   structured violations they report instead of `assert!`ing.
 //!
-//! The crate also hosts [`json`], a minimal recursive-descent JSON parser:
-//! the vendored serde stand-in has no deserializer (`vendor/README.md`),
-//! and crash-bundle replay needs to read back nested scenario/fault-plan
-//! documents that the flat field extractors in `ccsim-telemetry` cannot.
+//! [`json`] (and [`Json`]/[`JsonError`]) is a re-export of
+//! `ccsim_sim::json`, the workspace's one JSON layer, which started life
+//! here. The path survives only because the frozen benchmark harness
+//! (`benchmark/src/compat.rs`) imports `ccsim_fault::Json`; nothing in
+//! the workspace may use it (ROADMAP item 2, harness debt).
 
 pub mod injector;
-pub mod json;
 pub mod plan;
 pub mod watchdog;
 
+pub use ccsim_sim::json::{self, Json, JsonError};
 pub use injector::{AppliedChanges, DeliveryFate, DropReason, FaultStats, LinkFaultInjector};
-pub use json::{Json, JsonError};
 pub use plan::{FaultAction, FaultKind, FaultPlan, FaultPlanError, LossModel};
 pub use watchdog::{InvariantKind, InvariantViolation, WatchdogConfig, WatchdogReport};

@@ -9,8 +9,7 @@
 //! behaviour when a `LinkFaultInjector` executes them against the engine
 //! clock.
 
-use crate::json::{Json, JsonError};
-use ccsim_sim::jsonfmt::json_f64;
+use ccsim_sim::json::{Json, JsonError, JsonWriter};
 use ccsim_sim::{Bandwidth, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -244,133 +243,106 @@ impl FaultPlan {
 
     /// Serialize to a single-line JSON document.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"actions\":[");
-        for (i, a) in self.actions.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("{{\"at_ns\":{},", a.at.as_nanos()));
-            match a.kind {
-                FaultKind::Blackout { duration } => s.push_str(&format!(
-                    "\"kind\":\"blackout\",\"duration_ns\":{}",
-                    duration.as_nanos()
-                )),
-                FaultKind::SetBandwidth { rate } => s.push_str(&format!(
-                    "\"kind\":\"set_bandwidth\",\"bps\":{}",
-                    rate.as_bps()
-                )),
-                FaultKind::SetExtraDelay { delay } => s.push_str(&format!(
-                    "\"kind\":\"set_extra_delay\",\"delay_ns\":{}",
-                    delay.as_nanos()
-                )),
-                FaultKind::SetLoss { model } => {
-                    s.push_str("\"kind\":\"set_loss\",\"model\":");
-                    match model {
-                        None => s.push_str("null"),
-                        Some(LossModel::Iid { rate }) => {
-                            s.push_str(&format!("{{\"iid\":{{\"rate\":{}}}}}", json_f64(rate)))
+        let mut out = String::with_capacity(64 + 96 * self.actions.len());
+        JsonWriter::compact(&mut out).obj(|w| {
+            w.key("actions").arr(&self.actions, |w, a| {
+                w.obj(|w| {
+                    w.key("at_ns").u64(a.at.as_nanos());
+                    match a.kind {
+                        FaultKind::Blackout { duration } => {
+                            w.key("kind").str("blackout");
+                            w.key("duration_ns").u64(duration.as_nanos());
                         }
-                        Some(LossModel::Burst { enter, exit }) => s.push_str(&format!(
-                            "{{\"burst\":{{\"enter\":{},\"exit\":{}}}}}",
-                            json_f64(enter),
-                            json_f64(exit)
-                        )),
+                        FaultKind::SetBandwidth { rate } => {
+                            w.key("kind").str("set_bandwidth");
+                            w.key("bps").u64(rate.as_bps());
+                        }
+                        FaultKind::SetExtraDelay { delay } => {
+                            w.key("kind").str("set_extra_delay");
+                            w.key("delay_ns").u64(delay.as_nanos());
+                        }
+                        FaultKind::SetLoss { model } => {
+                            w.key("kind").str("set_loss");
+                            w.key("model").opt(model, |w, m| {
+                                w.obj(|w| match m {
+                                    LossModel::Iid { rate } => {
+                                        w.key("iid").obj(|w| w.key("rate").f64(rate))
+                                    }
+                                    LossModel::Burst { enter, exit } => w.key("burst").obj(|w| {
+                                        w.key("enter").f64(enter);
+                                        w.key("exit").f64(exit);
+                                    }),
+                                })
+                            });
+                        }
+                        FaultKind::SetReorder { rate, extra } => {
+                            w.key("kind").str("set_reorder");
+                            w.key("rate").f64(rate);
+                            w.key("extra_ns").u64(extra.as_nanos());
+                        }
+                        FaultKind::SetDuplicate { rate } => {
+                            w.key("kind").str("set_duplicate");
+                            w.key("rate").f64(rate);
+                        }
                     }
-                }
-                FaultKind::SetReorder { rate, extra } => s.push_str(&format!(
-                    "\"kind\":\"set_reorder\",\"rate\":{},\"extra_ns\":{}",
-                    json_f64(rate),
-                    extra.as_nanos()
-                )),
-                FaultKind::SetDuplicate { rate } => s.push_str(&format!(
-                    "\"kind\":\"set_duplicate\",\"rate\":{}",
-                    json_f64(rate)
-                )),
-            }
-            s.push('}');
-        }
-        s.push_str("]}");
-        s
+                })
+            })
+        });
+        out
     }
 
     /// Parse a document produced by [`FaultPlan::to_json`].
     pub fn from_json(text: &str) -> Result<FaultPlan, JsonError> {
-        let doc = Json::parse(text)?;
-        Self::from_value(&doc)
+        Self::from_value(&Json::parse(text)?)
     }
 
     /// Decode from an already-parsed [`Json`] value (used when the plan is
     /// embedded in a larger scenario document).
     pub fn from_value(doc: &Json) -> Result<FaultPlan, JsonError> {
-        let bad = |message: &str| JsonError {
-            offset: 0,
-            message: message.to_string(),
-        };
-        let actions_json = doc
-            .get("actions")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("fault plan missing \"actions\" array"))?;
-        let mut actions = Vec::with_capacity(actions_json.len());
-        for a in actions_json {
-            let at = a
-                .get("at_ns")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad("fault action missing \"at_ns\""))?;
-            let kind = a
-                .get("kind")
-                .and_then(Json::as_str)
-                .ok_or_else(|| bad("fault action missing \"kind\""))?;
-            let u64_field = |key: &str| -> Result<u64, JsonError> {
-                a.get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad(&format!("fault action missing \"{key}\"")))
-            };
-            let f64_field = |v: &Json, key: &str| -> Result<f64, JsonError> {
-                v.get(key)
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| bad(&format!("fault action missing \"{key}\"")))
-            };
-            let kind = match kind {
+        let mut actions = Vec::new();
+        for a in doc.req_arr("actions")? {
+            let nanos = |key: &str| a.req_u64(key).map(SimDuration::from_nanos);
+            let kind = match a.req_str("kind")? {
                 "blackout" => FaultKind::Blackout {
-                    duration: SimDuration::from_nanos(u64_field("duration_ns")?),
+                    duration: nanos("duration_ns")?,
                 },
                 "set_bandwidth" => FaultKind::SetBandwidth {
-                    rate: Bandwidth::from_bps(u64_field("bps")?),
+                    rate: Bandwidth::from_bps(a.req_u64("bps")?),
                 },
                 "set_extra_delay" => FaultKind::SetExtraDelay {
-                    delay: SimDuration::from_nanos(u64_field("delay_ns")?),
+                    delay: nanos("delay_ns")?,
                 },
                 "set_loss" => {
                     let model = a
                         .get("model")
-                        .ok_or_else(|| bad("set_loss missing \"model\""))?;
+                        .ok_or_else(|| JsonError::new("set_loss missing \"model\""))?;
                     let model = if model.is_null() {
                         None
                     } else if let Some(iid) = model.get("iid") {
                         Some(LossModel::Iid {
-                            rate: f64_field(iid, "rate")?,
+                            rate: iid.req_f64("rate")?,
                         })
                     } else if let Some(burst) = model.get("burst") {
                         Some(LossModel::Burst {
-                            enter: f64_field(burst, "enter")?,
-                            exit: f64_field(burst, "exit")?,
+                            enter: burst.req_f64("enter")?,
+                            exit: burst.req_f64("exit")?,
                         })
                     } else {
-                        return Err(bad("unknown loss model"));
+                        return Err(JsonError::new("unknown loss model"));
                     };
                     FaultKind::SetLoss { model }
                 }
                 "set_reorder" => FaultKind::SetReorder {
-                    rate: f64_field(a, "rate")?,
-                    extra: SimDuration::from_nanos(u64_field("extra_ns")?),
+                    rate: a.req_f64("rate")?,
+                    extra: nanos("extra_ns")?,
                 },
                 "set_duplicate" => FaultKind::SetDuplicate {
-                    rate: f64_field(a, "rate")?,
+                    rate: a.req_f64("rate")?,
                 },
-                other => return Err(bad(&format!("unknown fault kind \"{other}\""))),
+                other => return Err(JsonError::new(format!("unknown fault kind \"{other}\""))),
             };
             actions.push(FaultAction {
-                at: SimTime::from_nanos(at),
+                at: SimTime::from_nanos(a.req_u64("at_ns")?),
                 kind,
             });
         }

@@ -2,16 +2,15 @@
 //! internals, and memory gauges, with JSON round-trip, folded-stack
 //! flamegraph export, and a human-readable table.
 //!
-//! The JSON document is a single line of **integers only** (no floats),
-//! so it survives every serialization path in the workspace bit-exactly:
-//! the manifest's hand-rolled pretty printer, the ledger's JSONL
-//! inlining, and a parse → [`ccsim_fault::json::Json::render`] →
-//! re-parse round trip. Key names are globally unique across the run
-//! manifest (prefixed `prof_` / `wheel_` / `pool`) because the manifest
-//! parser extracts fields by first occurrence.
+//! The JSON document is a single compact line of **integers only** (no
+//! floats), embedded verbatim in both manifest layouts and therefore in
+//! every ledger line. Key names carry a `prof_` / `wheel_` / `pool`
+//! prefix. Nothing needs that any more — it dates from a manifest reader
+//! that extracted fields by first textual occurrence — but committed
+//! ledgers and CI's `grep -o '"wheel_sends_now":…'` carry the names, so
+//! they are the format.
 
-use ccsim_fault::json::Json;
-use ccsim_sim::jsonfmt::escape_into;
+use ccsim_sim::json::{Json, JsonError, JsonWriter};
 use ccsim_sim::WheelStats;
 use std::fmt::Write as _;
 
@@ -152,7 +151,7 @@ impl Profile {
         self.events
             .per_kind_counts()
             .into_iter()
-            .map(|(k, n)| (k, ccsim_sim::jsonfmt::safe_rate(n as f64, secs)))
+            .map(|(k, n)| (k, ccsim_sim::safe_rate(n as f64, secs)))
             .collect()
     }
 
@@ -180,156 +179,84 @@ impl Profile {
         p
     }
 
-    /// Single-line JSON document (integers only; see module docs).
+    /// Single-line JSON document (integers only; see module docs). The
+    /// two lane counters are written together or — when both are zero,
+    /// which is what a profile recorded before the same-instant lane
+    /// parses to — not at all, so such ledger lines re-serialize
+    /// byte-identically.
     pub fn to_json(&self) -> String {
-        fn str_arr(out: &mut String, items: &[String]) {
-            out.push('[');
-            for (i, s) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                escape_into(s, out);
-                out.push('"');
-            }
-            out.push(']');
-        }
-        fn u64_arr(out: &mut String, items: &[u64]) {
-            out.push('[');
-            for (i, v) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{v}");
-            }
-            out.push(']');
-        }
         let mut out = String::with_capacity(512);
-        out.push_str("{\"prof_classes\":");
-        str_arr(&mut out, &self.events.classes);
-        out.push_str(",\"prof_kinds\":");
-        str_arr(&mut out, &self.events.kinds);
-        let _ = write!(out, ",\"prof_stride\":{}", self.events.stride);
-        out.push_str(",\"prof_counts\":");
-        u64_arr(&mut out, &self.events.counts);
-        out.push_str(",\"prof_nanos\":");
-        u64_arr(&mut out, &self.events.nanos);
-        out.push_str(",\"prof_samples\":");
-        u64_arr(&mut out, &self.events.samples);
-        out.push_str(",\"wheel_high_water\":");
-        u64_arr(&mut out, &self.wheel.level_high_water);
-        let _ = write!(
-            out,
-            ",\"wheel_cascades\":{},\"wheel_cascaded\":{}",
-            self.wheel.cascades, self.wheel.cascaded_entries
-        );
-        out.push_str(",\"wheel_batch_hist\":");
-        u64_arr(&mut out, &self.wheel.batch_hist);
-        let _ = write!(
-            out,
-            ",\"wheel_cancels\":{},\"wheel_cancel_misses\":{},\"wheel_cancellable\":{}",
-            self.wheel.cancels, self.wheel.cancel_misses, self.wheel.cancellable_scheduled
-        );
-        let _ = write!(
-            out,
-            ",\"wheel_sends_now\":{},\"wheel_lane_merges\":{}",
-            self.wheel.sends_now, self.wheel.lane_merges
-        );
-        out.push_str(",\"mem_accounts\":[");
-        for (i, g) in self.memory.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        JsonWriter::compact(&mut out).obj(|w| {
+            let u64s = |w: &mut JsonWriter<'_>, v: &[u64]| w.arr(v, |w, n| w.u64(*n));
+            let strs = |w: &mut JsonWriter<'_>, v: &[String]| w.arr(v, |w, s| w.str(s));
+            strs(w.key("prof_classes"), &self.events.classes);
+            strs(w.key("prof_kinds"), &self.events.kinds);
+            w.key("prof_stride").u64(self.events.stride);
+            u64s(w.key("prof_counts"), &self.events.counts);
+            u64s(w.key("prof_nanos"), &self.events.nanos);
+            u64s(w.key("prof_samples"), &self.events.samples);
+            u64s(w.key("wheel_high_water"), &self.wheel.level_high_water);
+            w.key("wheel_cascades").u64(self.wheel.cascades);
+            w.key("wheel_cascaded").u64(self.wheel.cascaded_entries);
+            u64s(w.key("wheel_batch_hist"), &self.wheel.batch_hist);
+            w.key("wheel_cancels").u64(self.wheel.cancels);
+            w.key("wheel_cancel_misses").u64(self.wheel.cancel_misses);
+            w.key("wheel_cancellable")
+                .u64(self.wheel.cancellable_scheduled);
+            if (self.wheel.sends_now, self.wheel.lane_merges) != (0, 0) {
+                w.key("wheel_sends_now").u64(self.wheel.sends_now);
+                w.key("wheel_lane_merges").u64(self.wheel.lane_merges);
             }
-            out.push_str("{\"pool\":\"");
-            escape_into(&g.name, &mut out);
-            let _ = write!(out, "\",\"pool_bytes\":{}}}", g.bytes);
-        }
-        let _ = write!(
-            out,
-            "],\"dispatch_nanos\":{},\"prof_flows\":{}}}",
-            self.dispatch_nanos, self.flows
-        );
+            w.key("mem_accounts").arr(&self.memory, |w, g| {
+                w.obj(|w| {
+                    w.key("pool").str(&g.name);
+                    w.key("pool_bytes").u64(g.bytes);
+                })
+            });
+            w.key("dispatch_nanos").u64(self.dispatch_nanos);
+            w.key("prof_flows").u64(self.flows.into());
+        });
         out
     }
 
-    /// Parse a document produced by [`Profile::to_json`] (or the same
-    /// object re-rendered through [`Json::render`]).
-    pub fn from_json(text: &str) -> Result<Profile, String> {
-        let v = Json::parse(text).map_err(|e| format!("profile: {e:?}"))?;
-        Profile::from_value(&v)
+    /// Parse a document produced by [`Profile::to_json`].
+    pub fn from_json(text: &str) -> Result<Profile, JsonError> {
+        Profile::from_value(&Json::parse(text)?)
     }
 
-    /// Parse from an already-parsed JSON object.
-    pub fn from_value(v: &Json) -> Result<Profile, String> {
-        fn u64s(v: &Json, key: &str) -> Result<Vec<u64>, String> {
-            v.get(key)
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("profile: missing array {key}"))?
-                .iter()
-                .map(|x| {
-                    x.as_u64()
-                        .ok_or_else(|| format!("profile: {key}: not a u64"))
-                })
-                .collect()
-        }
-        fn strs(v: &Json, key: &str) -> Result<Vec<String>, String> {
-            v.get(key)
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("profile: missing array {key}"))?
-                .iter()
-                .map(|x| {
-                    x.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("profile: {key}: not a string"))
-                })
-                .collect()
-        }
-        fn u64f(v: &Json, key: &str) -> Result<u64, String> {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("profile: missing field {key}"))
-        }
-        // For keys newer than the oldest profile a ledger may hold.
-        let u64_or_zero = |key: &str| v.get(key).and_then(Json::as_u64).unwrap_or(0);
-        let memory = v
-            .get("mem_accounts")
-            .and_then(Json::as_arr)
-            .ok_or("profile: missing array mem_accounts")?
-            .iter()
-            .map(|g| {
-                Ok(MemGauge {
-                    name: g
-                        .get("pool")
-                        .and_then(Json::as_str)
-                        .ok_or("profile: mem account without pool")?
-                        .to_string(),
-                    bytes: u64f(g, "pool_bytes")?,
-                })
+    /// Parse from an already-parsed JSON object (how the manifest and
+    /// ledger readers hand the embedded profile down).
+    pub fn from_value(v: &Json) -> Result<Profile, JsonError> {
+        let memory = v.req_arr("mem_accounts")?.iter().map(|g| {
+            Ok(MemGauge {
+                name: g.req_str("pool")?.to_string(),
+                bytes: g.req_u64("pool_bytes")?,
             })
-            .collect::<Result<Vec<_>, String>>()?;
+        });
         Ok(Profile {
             events: EventCells {
-                classes: strs(v, "prof_classes")?,
-                kinds: strs(v, "prof_kinds")?,
-                stride: u64f(v, "prof_stride")?,
-                counts: u64s(v, "prof_counts")?,
-                nanos: u64s(v, "prof_nanos")?,
-                samples: u64s(v, "prof_samples")?,
+                classes: v.req_strs("prof_classes")?,
+                kinds: v.req_strs("prof_kinds")?,
+                stride: v.req_u64("prof_stride")?,
+                counts: v.req_u64s("prof_counts")?,
+                nanos: v.req_u64s("prof_nanos")?,
+                samples: v.req_u64s("prof_samples")?,
             },
             wheel: WheelProfile {
-                level_high_water: u64s(v, "wheel_high_water")?,
-                cascades: u64f(v, "wheel_cascades")?,
-                cascaded_entries: u64f(v, "wheel_cascaded")?,
-                batch_hist: u64s(v, "wheel_batch_hist")?,
-                cancels: u64f(v, "wheel_cancels")?,
-                cancel_misses: u64f(v, "wheel_cancel_misses")?,
-                cancellable_scheduled: u64f(v, "wheel_cancellable")?,
-                sends_now: u64_or_zero("wheel_sends_now"),
-                lane_merges: u64_or_zero("wheel_lane_merges"),
+                level_high_water: v.req_u64s("wheel_high_water")?,
+                cascades: v.req_u64("wheel_cascades")?,
+                cascaded_entries: v.req_u64("wheel_cascaded")?,
+                batch_hist: v.req_u64s("wheel_batch_hist")?,
+                cancels: v.req_u64("wheel_cancels")?,
+                cancel_misses: v.req_u64("wheel_cancel_misses")?,
+                cancellable_scheduled: v.req_u64("wheel_cancellable")?,
+                // Newer than the oldest profile a ledger may hold.
+                sends_now: v.opt_u64("wheel_sends_now")?.unwrap_or(0),
+                lane_merges: v.opt_u64("wheel_lane_merges")?.unwrap_or(0),
             },
-            memory,
-            dispatch_nanos: u64f(v, "dispatch_nanos")?,
-            flows: u64f(v, "prof_flows")? as u32,
+            memory: memory.collect::<Result<_, JsonError>>()?,
+            dispatch_nanos: v.req_u64("dispatch_nanos")?,
+            flows: v.req_u32("prof_flows")?,
         })
     }
 
@@ -493,13 +420,13 @@ mod tests {
         let back = Profile::from_json(&json).unwrap();
         assert_eq!(back, p);
         assert_eq!(back.to_json(), json);
-        // And through a parse → render → re-parse cycle (the ledger path).
+        // And through a generic parse → render cycle.
         let rendered = Json::parse(&json).unwrap().render();
-        assert_eq!(Profile::from_json(&rendered).unwrap(), p);
+        assert_eq!(rendered, json);
     }
 
     #[test]
-    fn profiles_older_than_the_lane_parse_with_zero_lane_counters() {
+    fn profiles_older_than_the_lane_round_trip_without_lane_counters() {
         let p = sample();
         let old = p
             .to_json()
@@ -508,6 +435,26 @@ mod tests {
         let back = Profile::from_json(&old).unwrap();
         assert_eq!((back.wheel.sends_now, back.wheel.lane_merges), (0, 0));
         assert_eq!(back.wheel.cancellable_scheduled, 15);
+        // The legacy-line rule: what parsed without the keys writes
+        // without them …
+        assert_eq!(back.to_json(), old);
+        // … and one nonzero counter is enough to write both (CI greps
+        // both out of every fresh profile).
+        let mut fresh = back;
+        fresh.wheel.sends_now = 7;
+        assert!(fresh
+            .to_json()
+            .contains(",\"wheel_sends_now\":7,\"wheel_lane_merges\":0,"));
+    }
+
+    #[test]
+    fn mistyped_fields_are_errors_naming_the_key() {
+        let json = sample().to_json();
+        let bad = json.replace("\"wheel_cancels\":8", "\"wheel_cancels\":\"8\"");
+        let err = Profile::from_json(&bad).unwrap_err();
+        assert!(err.message.contains("wheel_cancels"), "{err}");
+        let bad = json.replace("\"prof_counts\":[100,", "\"prof_counts\":[\"x\",");
+        assert!(Profile::from_json(&bad).is_err());
     }
 
     #[test]

@@ -45,19 +45,9 @@ pub const SNAP_MAGIC: [u8; 8] = *b"CCSNAP\r\n";
 /// loudly instead.
 pub const SNAP_VERSION: u32 = 1;
 
-/// FNV-1a offset basis / prime (the workspace-standard stable hash).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0100_0000_01b3;
-
-/// FNV-1a over a byte string.
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+/// The container's integrity hash (defined in `ccsim-sim`; this is its
+/// historical path).
+pub use ccsim_sim::fnv1a_64;
 
 /// Why a checkpoint failed to load. Every variant is a value — loading
 /// untrusted bytes (a file torn by a kill mid-write) must never panic.
@@ -343,11 +333,5 @@ mod tests {
             Err(ResumeError::Io(_))
         ));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn fnv_known_vectors() {
-        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

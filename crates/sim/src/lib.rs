@@ -45,7 +45,7 @@
 
 pub mod engine;
 pub mod event;
-pub mod jsonfmt;
+pub mod json;
 pub mod rate;
 pub mod rng;
 pub mod snap;
@@ -53,7 +53,8 @@ pub mod time;
 
 pub use engine::{Component, ComponentId, Ctx, EngineError, Simulator};
 pub use event::{CancelToken, Event, EventQueue, HeapQueue, WheelStats};
-pub use rate::Bandwidth;
-pub use rng::RngFactory;
+pub use json::{Json, JsonError, JsonWriter};
+pub use rate::{safe_rate, Bandwidth};
+pub use rng::{fnv1a_64, RngFactory};
 pub use snap::{SnapError, SnapReader, SnapWriter};
 pub use time::{SimDuration, SimTime};

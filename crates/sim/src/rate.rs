@@ -139,6 +139,27 @@ impl fmt::Display for Bandwidth {
     }
 }
 
+/// `num / den` with a degenerate-denominator guard: `0.0` when `den` is
+/// zero, negative, or non-finite (a zero-event run, a sub-microsecond
+/// dispatch span), and `0.0` when the quotient itself is non-finite.
+///
+/// Rates written to ledgers and manifests must go through this rather
+/// than relying on the JSON writer's non-finite fallback: that fallback
+/// keeps the *document* parseable but the in-memory value would still be
+/// `inf`/NaN, poisoning comparisons, histograms, and rollup arithmetic
+/// before serialization ever happens.
+pub fn safe_rate(num: f64, den: f64) -> f64 {
+    if den <= 0.0 || !den.is_finite() {
+        return 0.0;
+    }
+    let q = num / den;
+    if q.is_finite() {
+        q
+    } else {
+        0.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,6 +244,18 @@ mod tests {
     #[should_panic(expected = "zero-rate")]
     fn zero_rate_serialization_panics() {
         Bandwidth::ZERO.serialization_time(1);
+    }
+
+    #[test]
+    fn safe_rate_is_finite_for_every_degenerate_denominator() {
+        assert_eq!(safe_rate(100.0, 0.0), 0.0);
+        assert_eq!(safe_rate(100.0, -1.0), 0.0);
+        assert_eq!(safe_rate(100.0, f64::NAN), 0.0);
+        assert_eq!(safe_rate(100.0, f64::INFINITY), 0.0);
+        assert_eq!(safe_rate(0.0, 0.0), 0.0);
+        // Overflowing quotients degrade to zero rather than inf.
+        assert_eq!(safe_rate(f64::MAX, f64::MIN_POSITIVE), 0.0);
+        assert_eq!(safe_rate(9.0, 2.0), 4.5);
     }
 
     #[test]

@@ -25,10 +25,13 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a over a byte string; stable across platforms and compiler versions
-/// (unlike `std::hash`'s unspecified `DefaultHasher`).
+/// 64-bit FNV-1a over a byte string — the workspace's one stable hash:
+/// RNG stream labels, scenario/outcome digests and checkpoint integrity
+/// stamps all use it. Stable across platforms and compiler versions
+/// (unlike `std::hash`'s unspecified `DefaultHasher`) and trivially
+/// reimplementable by external tooling.
 #[inline]
-fn fnv1a(bytes: &[u8]) -> u64 {
+pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
@@ -58,7 +61,7 @@ impl RngFactory {
 
     /// Derive the 64-bit seed for stream `(label, index)`.
     pub fn derive_seed(&self, label: &str, index: u64) -> u64 {
-        let mut s = splitmix64(self.master ^ fnv1a(label.as_bytes()));
+        let mut s = splitmix64(self.master ^ fnv1a_64(label.as_bytes()));
         s = splitmix64(s ^ index.wrapping_mul(0xA24B_AED4_963E_E407));
         s
     }
@@ -126,7 +129,8 @@ mod tests {
     #[test]
     fn fnv_known_vector() {
         // FNV-1a("a") per the reference implementation.
-        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_ne!(fnv1a_64(b"ab"), fnv1a_64(b"ba"));
     }
 }

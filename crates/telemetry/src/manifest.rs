@@ -7,29 +7,21 @@
 //! from which configuration, how fast, and what it produced* — without
 //! re-opening multi-megabyte traces.
 //!
-//! The JSON is hand-rolled on both sides for the same reason the trace
-//! JSONL exporter is (`vendor/README.md`): the offline serde stand-in
-//! provides derive macros but no serializer. `f64` fields print with
-//! Rust's shortest-round-trip `Display` and parse back bit-exact, so
+//! Both directions are schema code over `ccsim_sim::json`: the file form
+//! and the single-line ledger form are the same field list written in
+//! two of the writer's layouts, and the reader is `Json::parse` plus
+//! typed access, so a field is found by its key in its object — never by
+//! where its name first appears in the text. `f64` fields print
+//! shortest-round-trip and parse back bit-exact, so
 //! [`RunManifest::to_json`] → [`RunManifest::from_json`] is lossless
 //! (asserted in tests and in CI's self-observability smoke job).
 
-use ccsim_sim::jsonfmt::{escape_into, json_f64};
+use ccsim_sim::json::{Json, JsonError, JsonWriter};
 use std::io;
 
-/// 64-bit FNV-1a hash — the workspace's canonical digest for scenario
-/// configurations and run outcomes (stable across platforms, trivially
-/// reimplementable by external tooling).
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
+/// The workspace's canonical digest for scenario configurations and run
+/// outcomes (defined in `ccsim-sim`; this is its historical path).
+pub use ccsim_sim::fnv1a_64;
 
 /// Per-bottleneck metrics embedded in the manifest. A manifest-local
 /// mirror of `ccsim-core`'s `BottleneckMetrics` (this crate sits below
@@ -147,260 +139,79 @@ pub struct RunManifest {
     pub timeline: Option<ManifestTimeline>,
 }
 
-fn bad(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-fn field_raw<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = json.find(&pat)? + pat.len();
-    let rest = json[start..].trim_start();
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
-}
-
-fn field_u64(json: &str, key: &str) -> io::Result<u64> {
-    field_raw(json, key)
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| bad(format!("manifest missing/invalid \"{key}\"")))
-}
-
-fn field_f64(json: &str, key: &str) -> io::Result<f64> {
-    field_raw(json, key)
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| bad(format!("manifest missing/invalid \"{key}\"")))
-}
-
-fn field_bool(json: &str, key: &str) -> io::Result<bool> {
-    match field_raw(json, key) {
-        Some("true") => Ok(true),
-        Some("false") => Ok(false),
-        _ => Err(bad(format!("manifest missing/invalid \"{key}\""))),
-    }
-}
-
-/// Extract the balanced `{...}` or `[...]` value for `key`, tolerating
-/// nested braces/brackets and quoted strings (with escapes). The scalar
-/// helpers above stop at the first `,`/`}`, which would truncate a nested
-/// section; every structured manifest field goes through this instead.
-fn field_section<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = json.find(&pat)? + pat.len();
-    let rest = json[start..].trim_start();
-    if !matches!(rest.chars().next(), Some('{' | '[')) {
-        return None;
-    }
-    let mut depth = 0usize;
-    let mut in_str = false;
-    let mut esc = false;
-    for (i, c) in rest.char_indices() {
-        if esc {
-            esc = false;
-            continue;
-        }
-        match c {
-            '\\' if in_str => esc = true,
-            '"' => in_str = !in_str,
-            '{' | '[' if !in_str => depth += 1,
-            '}' | ']' if !in_str => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&rest[..=i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Split a JSON array section into its top-level `{...}` object slices.
-fn section_objects(arr: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    let mut in_str = false;
-    let mut esc = false;
-    for (i, c) in arr.char_indices() {
-        if esc {
-            esc = false;
-            continue;
-        }
-        match c {
-            '\\' if in_str => esc = true,
-            '"' => in_str = !in_str,
-            '{' if !in_str => {
-                if depth == 0 {
-                    start = i;
-                }
-                depth += 1;
-            }
-            '}' if !in_str => {
-                depth -= 1;
-                if depth == 0 {
-                    out.push(&arr[start..=i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-fn field_str(json: &str, key: &str) -> io::Result<String> {
-    let pat = format!("\"{key}\":");
-    let start = json
-        .find(&pat)
-        .ok_or_else(|| bad(format!("manifest missing \"{key}\"")))?
-        + pat.len();
-    let rest = json[start..].trim_start();
-    let rest = rest
-        .strip_prefix('"')
-        .ok_or_else(|| bad(format!("\"{key}\" is not a string")))?;
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Ok(out),
-            '\\' => match chars.next().ok_or_else(|| bad("truncated escape"))? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let v = u32::from_str_radix(&hex, 16).map_err(|_| bad("bad \\u escape"))?;
-                    out.push(char::from_u32(v).ok_or_else(|| bad("bad \\u escape"))?);
-                }
-                other => out.push(other),
-            },
-            c => out.push(c),
-        }
-    }
-    Err(bad(format!("unterminated string for \"{key}\"")))
-}
-
 impl RunManifest {
+    /// The one field list behind both layouts. Structured sections go
+    /// last, each absent when empty so legacy manifests (and their ledger
+    /// lines) re-serialize byte-identically.
+    fn write(&self, w: &mut JsonWriter<'_>) {
+        w.obj(|w| {
+            w.key("scenario").str(&self.scenario);
+            w.key("seed").u64(self.seed);
+            w.key("flows").u64(self.flows.into());
+            w.key("config_digest").str(&self.config_digest);
+            w.key("outcome_digest").str(&self.outcome_digest);
+            w.key("sim_secs").f64(self.sim_secs);
+            w.key("wall_secs").f64(self.wall_secs);
+            w.key("dispatch_secs").f64(self.dispatch_secs);
+            w.key("sim_wall_ratio").f64(self.sim_wall_ratio);
+            w.key("events_processed").u64(self.events_processed);
+            w.key("events_per_sec").f64(self.events_per_sec);
+            w.key("peak_queue_bytes").u64(self.peak_queue_bytes);
+            w.key("peak_pending_events").u64(self.peak_pending_events);
+            w.key("trace_bytes").u64(self.trace_bytes);
+            w.key("metric_bytes").u64(self.metric_bytes);
+            w.key("metric_series").u64(self.metric_series);
+            w.key("converged").bool(self.converged);
+            if self.checkpoint_bytes > 0 {
+                w.key("checkpoint_bytes").u64(self.checkpoint_bytes);
+            }
+            if !self.events_by_kind.is_empty() {
+                w.key("events_by_kind").obj(|w| {
+                    for (kind, count) in &self.events_by_kind {
+                        w.key(kind).u64(*count);
+                    }
+                });
+            }
+            if !self.bottlenecks.is_empty() {
+                w.key("bottlenecks").arr(&self.bottlenecks, |w, b| {
+                    w.obj(|w| {
+                        w.key("link").u64(b.link.into());
+                        w.key("label").str(&b.label);
+                        w.key("utilization").f64(b.utilization);
+                        w.key("jfi").opt(b.jfi, JsonWriter::f64);
+                        w.key("loss_rate").f64(b.loss_rate);
+                        w.key("max_queue_bytes").u64(b.max_queue_bytes);
+                        w.key("ce_marked").u64(b.ce_marked_pkts);
+                    })
+                });
+            }
+            if let Some(p) = &self.profile {
+                // The profile document is compact in both layouts.
+                w.key("profile").raw(&p.to_json());
+            }
+            if let Some(t) = &self.timeline {
+                w.key("timeline").obj(|w| {
+                    w.key("window_secs").f64(t.window_secs);
+                    w.key("rows").u64(t.rows);
+                    w.key("retained").u64(t.retained);
+                    w.key("evicted").u64(t.evicted);
+                    w.key("flows_sampled").u64(t.flows_sampled.into());
+                    w.key("series").u64(t.series.into());
+                    w.key("alpha").f64(t.alpha);
+                    w.key("time_to_alpha_fair")
+                        .opt(t.time_to_alpha_fair, JsonWriter::f64);
+                    w.key("final_jfi").opt(t.final_jfi, JsonWriter::f64);
+                });
+            }
+        });
+    }
+
     /// Serialize to a single pretty-enough JSON object (one field per
     /// line, so diffs between runs read naturally).
     pub fn to_json(&self) -> String {
-        let mut scenario = String::new();
-        escape_into(&self.scenario, &mut scenario);
-        let mut s = String::with_capacity(512);
-        s.push_str("{\n");
-        s.push_str(&format!("  \"scenario\": \"{scenario}\",\n"));
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!("  \"flows\": {},\n", self.flows));
-        s.push_str(&format!(
-            "  \"config_digest\": \"{}\",\n",
-            self.config_digest
-        ));
-        s.push_str(&format!(
-            "  \"outcome_digest\": \"{}\",\n",
-            self.outcome_digest
-        ));
-        s.push_str(&format!("  \"sim_secs\": {},\n", json_f64(self.sim_secs)));
-        s.push_str(&format!("  \"wall_secs\": {},\n", json_f64(self.wall_secs)));
-        s.push_str(&format!(
-            "  \"dispatch_secs\": {},\n",
-            json_f64(self.dispatch_secs)
-        ));
-        s.push_str(&format!(
-            "  \"sim_wall_ratio\": {},\n",
-            json_f64(self.sim_wall_ratio)
-        ));
-        s.push_str(&format!(
-            "  \"events_processed\": {},\n",
-            self.events_processed
-        ));
-        s.push_str(&format!(
-            "  \"events_per_sec\": {},\n",
-            json_f64(self.events_per_sec)
-        ));
-        s.push_str(&format!(
-            "  \"peak_queue_bytes\": {},\n",
-            self.peak_queue_bytes
-        ));
-        s.push_str(&format!(
-            "  \"peak_pending_events\": {},\n",
-            self.peak_pending_events
-        ));
-        s.push_str(&format!("  \"trace_bytes\": {},\n", self.trace_bytes));
-        s.push_str(&format!("  \"metric_bytes\": {},\n", self.metric_bytes));
-        s.push_str(&format!("  \"metric_series\": {},\n", self.metric_series));
-        s.push_str(&format!("  \"converged\": {}", self.converged));
-        // Structured sections go last, each absent when empty so legacy
-        // manifests (and their ledger lines) re-serialize byte-identically.
-        if self.checkpoint_bytes > 0 {
-            s.push_str(&format!(
-                ",\n  \"checkpoint_bytes\": {}",
-                self.checkpoint_bytes
-            ));
-        }
-        if !self.events_by_kind.is_empty() {
-            s.push_str(",\n  \"events_by_kind\": {");
-            for (i, (kind, count)) in self.events_by_kind.iter().enumerate() {
-                if i > 0 {
-                    s.push_str(", ");
-                }
-                let mut k = String::new();
-                escape_into(kind, &mut k);
-                s.push_str(&format!("\"{k}\": {count}"));
-            }
-            s.push('}');
-        }
-        if !self.bottlenecks.is_empty() {
-            s.push_str(",\n  \"bottlenecks\": [");
-            for (i, b) in self.bottlenecks.iter().enumerate() {
-                if i > 0 {
-                    s.push_str(", ");
-                }
-                let mut label = String::new();
-                escape_into(&b.label, &mut label);
-                s.push_str(&format!(
-                    "{{\"link\": {}, \"label\": \"{label}\", \"utilization\": {}, \
-                     \"jfi\": {}, \"loss_rate\": {}, \"max_queue_bytes\": {}, \
-                     \"ce_marked\": {}}}",
-                    b.link,
-                    json_f64(b.utilization),
-                    match b.jfi {
-                        Some(j) => json_f64(j),
-                        None => "null".into(),
-                    },
-                    json_f64(b.loss_rate),
-                    b.max_queue_bytes,
-                    b.ce_marked_pkts,
-                ));
-            }
-            s.push(']');
-        }
-        if let Some(p) = &self.profile {
-            s.push_str(",\n  \"profile\": ");
-            s.push_str(&p.to_json());
-        }
-        if let Some(t) = &self.timeline {
-            s.push_str(&format!(
-                ",\n  \"timeline\": {{\"window_secs\": {}, \"rows\": {}, \
-                 \"retained\": {}, \"evicted\": {}, \"flows_sampled\": {}, \
-                 \"series\": {}, \"alpha\": {}, \"time_to_alpha_fair\": {}, \
-                 \"final_jfi\": {}}}",
-                json_f64(t.window_secs),
-                t.rows,
-                t.retained,
-                t.evicted,
-                t.flows_sampled,
-                t.series,
-                json_f64(t.alpha),
-                match t.time_to_alpha_fair {
-                    Some(v) => json_f64(v),
-                    None => "null".into(),
-                },
-                match t.final_jfi {
-                    Some(v) => json_f64(v),
-                    None => "null".into(),
-                },
-            ));
-        }
-        s.push_str("\n}");
-        s
+        let mut out = String::with_capacity(1024);
+        self.write(&mut JsonWriter::pretty(&mut out));
+        out
     }
 
     /// Single-line variant of [`RunManifest::to_json`], for embedding the
@@ -408,61 +219,74 @@ impl RunManifest {
     /// one manifest-bearing JSON object per line). Parses back with
     /// [`RunManifest::from_json`] exactly like the pretty form.
     pub fn to_json_inline(&self) -> String {
-        let mut out = String::with_capacity(512);
-        for (i, line) in self.to_json().lines().enumerate() {
-            if i > 0 {
-                out.push(' ');
-            }
-            out.push_str(line.trim_start());
-        }
+        let mut out = String::with_capacity(1024);
+        self.write(&mut JsonWriter::inline(&mut out));
         out
     }
 
-    /// Parse a manifest produced by [`RunManifest::to_json`] (scalar field
-    /// order is not required; unknown fields are ignored). The structured
-    /// sections added after the format's first release — `events_by_kind`,
-    /// `bottlenecks`, `profile`, and the `dispatch_secs` scalar — default
-    /// to empty/zero when absent, so legacy manifests still parse.
+    /// Parse a manifest produced by [`RunManifest::to_json`] or
+    /// [`RunManifest::to_json_inline`]; see [`RunManifest::from_value`].
     pub fn from_json(json: &str) -> io::Result<RunManifest> {
-        let events_by_kind = match field_section(json, "events_by_kind") {
-            Some(sec) => parse_kind_counts(sec),
-            None => Vec::new(),
-        };
-        let bottlenecks = match field_section(json, "bottlenecks") {
-            Some(sec) => parse_bottlenecks(sec)?,
-            None => Vec::new(),
-        };
-        let profile = match field_section(json, "profile") {
-            Some(sec) => Some(
-                ccsim_prof::Profile::from_json(sec)
-                    .map_err(|e| bad(format!("bad embedded profile: {e}")))?,
-            ),
+        Ok(RunManifest::from_value(&Json::parse(json)?)?)
+    }
+
+    /// Decode an already-parsed manifest object (field order is not
+    /// required; unknown fields are ignored). The fields added after the
+    /// format's first release — `dispatch_secs`, `checkpoint_bytes`,
+    /// `events_by_kind`, `bottlenecks`, `profile`, `timeline` — default to
+    /// zero/empty when absent, so legacy manifests still parse; a field
+    /// that is present but malformed is an error, never a default.
+    pub fn from_value(v: &Json) -> Result<RunManifest, JsonError> {
+        let mut bottlenecks = Vec::new();
+        for b in v.opt_arr("bottlenecks")?.unwrap_or(&[]) {
+            bottlenecks.push(ManifestBottleneck {
+                link: b.req_u32("link")?,
+                label: b.req_str("label")?.to_string(),
+                utilization: b.req_f64("utilization")?,
+                jfi: b.opt_f64("jfi")?,
+                loss_rate: b.req_f64("loss_rate")?,
+                max_queue_bytes: b.req_u64("max_queue_bytes")?,
+                ce_marked_pkts: b.req_u64("ce_marked")?,
+            });
+        }
+        let profile = match v.get("profile") {
+            Some(p) => Some(ccsim_prof::Profile::from_value(p)?),
             None => None,
         };
-        let timeline = match field_section(json, "timeline") {
-            Some(sec) => Some(parse_timeline(sec)?),
+        let timeline = match v.get("timeline") {
+            Some(t) => Some(ManifestTimeline {
+                window_secs: t.req_f64("window_secs")?,
+                rows: t.req_u64("rows")?,
+                retained: t.req_u64("retained")?,
+                evicted: t.req_u64("evicted")?,
+                flows_sampled: t.req_u32("flows_sampled")?,
+                series: t.req_u32("series")?,
+                alpha: t.req_f64("alpha")?,
+                time_to_alpha_fair: t.opt_f64("time_to_alpha_fair")?,
+                final_jfi: t.opt_f64("final_jfi")?,
+            }),
             None => None,
         };
         Ok(RunManifest {
-            scenario: field_str(json, "scenario")?,
-            seed: field_u64(json, "seed")?,
-            flows: field_u64(json, "flows")? as u32,
-            config_digest: field_str(json, "config_digest")?,
-            outcome_digest: field_str(json, "outcome_digest")?,
-            sim_secs: field_f64(json, "sim_secs")?,
-            wall_secs: field_f64(json, "wall_secs")?,
-            dispatch_secs: field_f64(json, "dispatch_secs").unwrap_or(0.0),
-            sim_wall_ratio: field_f64(json, "sim_wall_ratio")?,
-            events_processed: field_u64(json, "events_processed")?,
-            events_per_sec: field_f64(json, "events_per_sec")?,
-            peak_queue_bytes: field_u64(json, "peak_queue_bytes")?,
-            peak_pending_events: field_u64(json, "peak_pending_events")?,
-            trace_bytes: field_u64(json, "trace_bytes")?,
-            metric_bytes: field_u64(json, "metric_bytes")?,
-            metric_series: field_u64(json, "metric_series")?,
-            converged: field_bool(json, "converged")?,
-            checkpoint_bytes: field_u64(json, "checkpoint_bytes").unwrap_or(0),
-            events_by_kind,
+            scenario: v.req_str("scenario")?.to_string(),
+            seed: v.req_u64("seed")?,
+            flows: v.req_u32("flows")?,
+            config_digest: v.req_str("config_digest")?.to_string(),
+            outcome_digest: v.req_str("outcome_digest")?.to_string(),
+            sim_secs: v.req_f64("sim_secs")?,
+            wall_secs: v.req_f64("wall_secs")?,
+            dispatch_secs: v.opt_f64("dispatch_secs")?.unwrap_or(0.0),
+            sim_wall_ratio: v.req_f64("sim_wall_ratio")?,
+            events_processed: v.req_u64("events_processed")?,
+            events_per_sec: v.req_f64("events_per_sec")?,
+            peak_queue_bytes: v.req_u64("peak_queue_bytes")?,
+            peak_pending_events: v.req_u64("peak_pending_events")?,
+            trace_bytes: v.req_u64("trace_bytes")?,
+            metric_bytes: v.req_u64("metric_bytes")?,
+            metric_series: v.req_u64("metric_series")?,
+            converged: v.req_bool("converged")?,
+            checkpoint_bytes: v.opt_u64("checkpoint_bytes")?.unwrap_or(0),
+            events_by_kind: v.opt_pairs("events_by_kind", Json::as_u64)?,
             bottlenecks,
             profile,
             timeline,
@@ -479,74 +303,11 @@ impl RunManifest {
         self.events_by_kind
             .iter()
             .map(|(kind, count)| {
-                let eps = ccsim_sim::jsonfmt::safe_rate(*count as f64, self.dispatch_secs);
+                let eps = ccsim_sim::safe_rate(*count as f64, self.dispatch_secs);
                 (kind.clone(), eps)
             })
             .collect()
     }
-}
-
-/// Parse an `{"kind": count, ...}` section. Kind names come from the
-/// engine classifier's fixed table, so they never contain `,`/`:`.
-fn parse_kind_counts(sec: &str) -> Vec<(String, u64)> {
-    let inner = sec.trim().trim_start_matches('{').trim_end_matches('}');
-    let mut out = Vec::new();
-    for part in inner.split(',') {
-        let mut halves = part.splitn(2, ':');
-        let (Some(k), Some(v)) = (halves.next(), halves.next()) else {
-            continue;
-        };
-        let k = k.trim().trim_matches('"');
-        if let Ok(n) = v.trim().parse::<u64>() {
-            out.push((k.to_string(), n));
-        }
-    }
-    out
-}
-
-fn parse_timeline(sec: &str) -> io::Result<ManifestTimeline> {
-    let opt_f64 = |key: &str| -> io::Result<Option<f64>> {
-        match field_raw(sec, key) {
-            Some("null") | None => Ok(None),
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| bad(format!("timeline \"{key}\" is not a number"))),
-        }
-    };
-    Ok(ManifestTimeline {
-        window_secs: field_f64(sec, "window_secs")?,
-        rows: field_u64(sec, "rows")?,
-        retained: field_u64(sec, "retained")?,
-        evicted: field_u64(sec, "evicted")?,
-        flows_sampled: field_u64(sec, "flows_sampled")? as u32,
-        series: field_u64(sec, "series")? as u32,
-        alpha: field_f64(sec, "alpha")?,
-        time_to_alpha_fair: opt_f64("time_to_alpha_fair")?,
-        final_jfi: opt_f64("final_jfi")?,
-    })
-}
-
-fn parse_bottlenecks(sec: &str) -> io::Result<Vec<ManifestBottleneck>> {
-    let mut out = Vec::new();
-    for obj in section_objects(sec) {
-        out.push(ManifestBottleneck {
-            link: field_u64(obj, "link")? as u32,
-            label: field_str(obj, "label")?,
-            utilization: field_f64(obj, "utilization")?,
-            jfi: match field_raw(obj, "jfi") {
-                Some("null") | None => None,
-                Some(v) => Some(
-                    v.parse()
-                        .map_err(|_| bad("bottleneck \"jfi\" is not a number"))?,
-                ),
-            },
-            loss_rate: field_f64(obj, "loss_rate")?,
-            max_queue_bytes: field_u64(obj, "max_queue_bytes")?,
-            ce_marked_pkts: field_u64(obj, "ce_marked")?,
-        });
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -642,8 +403,8 @@ mod tests {
         let mut m = sample_full();
         m.dispatch_secs = 0.0;
         m.wall_secs = 0.0;
-        m.events_per_sec = ccsim_sim::jsonfmt::safe_rate(m.events_processed as f64, 0.0);
-        m.sim_wall_ratio = ccsim_sim::jsonfmt::safe_rate(m.sim_secs, 0.0);
+        m.events_per_sec = ccsim_sim::safe_rate(m.events_processed as f64, 0.0);
+        m.sim_wall_ratio = ccsim_sim::safe_rate(m.sim_secs, 0.0);
         assert_eq!(m.events_per_sec, 0.0);
         assert_eq!(m.sim_wall_ratio, 0.0);
         assert!(m.eps_by_kind().is_empty(), "no rate without a denominator");
@@ -780,11 +541,70 @@ mod tests {
         assert!(RunManifest::from_json("{\"scenario\":\"x\"}").is_err());
     }
 
+    /// `from_json` on a doctored copy of the full sample's inline form.
+    fn doctored(from: &str, to: &str) -> io::Result<RunManifest> {
+        let json = sample_full().to_json_inline();
+        assert!(json.contains(from), "fixture lost {from}");
+        RunManifest::from_json(&json.replacen(from, to, 1))
+    }
+
     #[test]
-    fn fnv_is_stable() {
-        // Reference vectors for the canonical 64-bit FNV-1a.
-        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_ne!(fnv1a_64(b"ab"), fnv1a_64(b"ba"));
+    fn malformed_fields_are_typed_errors_not_defaults() {
+        // What the substring scanner silently dropped or defaulted.
+        let err = doctored("\"ack\": 300000000", "\"ack\": \"many\"").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("events_by_kind \"ack\""), "{err}");
+        // A string where a number is required — also in an optional field,
+        // which used to fall back to its default.
+        let err = doctored("\"seed\": 42", "\"seed\": \"42\"").unwrap_err();
+        assert!(err.to_string().contains("\"seed\""), "{err}");
+        assert!(doctored(
+            "\"dispatch_secs\": 10.5000000001",
+            "\"dispatch_secs\": \"x\""
+        )
+        .is_err());
+        assert!(doctored("\"rows\": 80", "\"rows\": true").is_err());
+        assert!(doctored("\"wheel_cascades\":2", "\"wheel_cascades\":[]").is_err());
+        // A duplicated key, at the top level and inside a section.
+        assert!(doctored("\"flows\": 1000,", "\"flows\": 1000, \"flows\": 1,").is_err());
+        assert!(doctored("\"retained\": 64,", "\"retained\": 64, \"retained\": 64,").is_err());
+        // A truncated document, at every length.
+        let json = sample_full().to_json();
+        for cut in (0..json.len()).filter(|&i| json.is_char_boundary(i)) {
+            assert!(
+                RunManifest::from_json(&json[..cut]).is_err(),
+                "cut at {cut}"
+            );
+        }
+    }
+
+    #[test]
+    fn key_shaped_text_inside_strings_is_not_a_field() {
+        // A first-occurrence scanner would have read these as the fields.
+        let mut m = sample_full();
+        m.scenario = "decoy \"seed\": 7, \"flows\": 1, \"profile\": {} }".into();
+        m.bottlenecks[0].label = "\"timeline\": {\"rows\": 0}".into();
+        for json in [m.to_json(), m.to_json_inline()] {
+            let back = RunManifest::from_json(&json).unwrap();
+            assert_eq!(back, m);
+            assert_eq!((back.seed, back.flows), (42, 1000));
+        }
+        // Unescaped, the same text is a key repeated in the object.
+        assert!(RunManifest::from_json(&sample().to_json().replacen(
+            "\"seed\": 42,",
+            "\"seed\": 7, \"seed\": 42,",
+            1
+        ))
+        .is_err());
+    }
+
+    #[test]
+    fn inline_form_is_the_pretty_form_with_line_breaks_collapsed() {
+        // Ledgers have always held exactly this: the pretty text, each
+        // line break and its indent replaced by one space.
+        let m = sample_full();
+        let pretty = m.to_json();
+        let joined: Vec<&str> = pretty.lines().map(str::trim_start).collect();
+        assert_eq!(m.to_json_inline(), joined.join(" "));
     }
 }

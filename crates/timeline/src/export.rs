@@ -3,7 +3,7 @@
 //! reader that round-trips the binary form.
 
 use crate::{Timeline, TimelineConfig};
-use ccsim_sim::jsonfmt::{escape, json_f64, json_opt_f64};
+use ccsim_sim::json::JsonWriter;
 use ccsim_sim::snap::{SnapError, SnapReader, SnapWriter};
 use ccsim_sim::SimDuration;
 
@@ -15,48 +15,30 @@ pub const BINARY_MAGIC: &str = "ccsim-timeline/1";
 /// row end (`"t"`, seconds), span, and the value array in column order.
 /// Idle-window JFI renders as `null`.
 pub fn to_jsonl(tl: &Timeline) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"timeline\":\"{BINARY_MAGIC}\",\"window_secs\":{},\"columns\":[",
-        json_f64(tl.config().window.as_secs_f64())
-    ));
-    for (i, col) in tl.columns().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        out.push_str(&escape(col));
-        out.push('"');
-    }
     let rows = tl.rows();
-    out.push_str(&format!(
-        "],\"rows\":{},\"retained\":{},\"evicted\":{}}}\n",
-        rows.pushed(),
-        rows.len(),
-        rows.evicted()
-    ));
+    let mut out = String::with_capacity(256 + rows.len() * tl.columns().len() * 12);
+    JsonWriter::compact(&mut out).obj(|w| {
+        w.key("timeline").str(BINARY_MAGIC);
+        w.key("window_secs").f64(tl.config().window.as_secs_f64());
+        w.key("columns").arr(tl.columns(), |w, col| w.str(col));
+        w.key("rows").u64(rows.pushed());
+        w.key("retained").u64(rows.len() as u64);
+        w.key("evicted").u64(rows.evicted());
+    });
+    out.push('\n');
     for r in 0..rows.len() {
         let (t, span, values) = rows.row(r).expect("in-range row");
-        out.push_str(&format!(
-            "{{\"t\":{},\"span\":{},\"v\":[",
-            json_f64(t),
-            json_f64(span)
-        ));
-        for (i, v) in values.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        JsonWriter::compact(&mut out).obj(|w| {
+            w.key("t").f64(t);
+            w.key("span").f64(span);
             // Every recorded series is non-negative when defined, so a
             // negative cell is the idle-window sentinel ([`crate::IDLE_JFI`]);
             // the non-finite arm is defensive against legacy captures.
-            let cell = if *v < 0.0 || !v.is_finite() {
-                None
-            } else {
-                Some(*v)
-            };
-            out.push_str(&json_opt_f64(cell));
-        }
-        out.push_str("]}\n");
+            w.key("v").arr(values, |w, v| {
+                w.opt((v >= 0.0 && v.is_finite()).then_some(v), JsonWriter::f64)
+            });
+        });
+        out.push('\n');
     }
     out
 }

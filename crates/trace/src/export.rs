@@ -2,249 +2,148 @@
 //!
 //! The first line carries the run metadata; every following line is one
 //! record with kind-specific field names (`cwnd`, `ssthresh`, `bps`, …),
-//! so the file greps and `jq`s naturally. The format is hand-rolled on
-//! both sides: the offline serde stand-in (vendor/README.md) provides no
-//! serializer, and the schema is small and fixed. [`read_jsonl`] parses
-//! exactly what [`write_jsonl`] emits (strict field order is *not*
-//! required; unknown fields are ignored).
+//! so the file greps and `jq`s naturally. Both directions are schema
+//! code over `ccsim_sim::json`: [`read_jsonl`] parses each line as a
+//! document, so field order is *not* required, unknown fields are
+//! ignored, and a malformed line is an error rather than a best guess.
 
 use crate::event::{CongestionKind, PhaseLabel, TraceKind, TraceRecord, QUEUE_FLOW};
 use crate::recorder::{RunTrace, TraceMeta};
+use ccsim_sim::json::{Json, JsonError, JsonWriter};
 use ccsim_sim::{SimDuration, SimTime};
 use std::io::{self, BufRead, Write};
 
-/// Escape a string for a JSON literal (quotes, backslashes, control
-/// bytes — scenario names are the only free-form strings here).
-fn escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Write a trace as JSONL.
 pub fn write_jsonl<W: Write>(trace: &RunTrace, mut w: W) -> io::Result<()> {
-    let mut name = String::new();
-    escape(&trace.meta.scenario, &mut name);
-    writeln!(
-        w,
-        "{{\"meta\":{{\"scenario\":\"{}\",\"seed\":{},\"flows\":{},\"records\":{},\"evicted\":{},\"thinned\":{}}}}}",
-        name,
-        trace.meta.seed,
-        trace.meta.flows,
-        trace.records.len(),
-        trace.evicted,
-        trace.thinned
-    )?;
     let mut line = String::with_capacity(128);
+    JsonWriter::compact(&mut line).obj(|w| {
+        w.key("meta").obj(|w| {
+            w.key("scenario").str(&trace.meta.scenario);
+            w.key("seed").u64(trace.meta.seed);
+            w.key("flows").u64(trace.meta.flows.into());
+            w.key("records").u64(trace.records.len() as u64);
+            w.key("evicted").u64(trace.evicted);
+            w.key("thinned").u64(trace.thinned);
+        })
+    });
+    line.push('\n');
+    w.write_all(line.as_bytes())?;
     for r in &trace.records {
         line.clear();
-        let t = r.time.as_nanos();
-        match r.kind {
-            TraceKind::Cwnd => {
-                line.push_str(&format!(
-                    "{{\"t\":{t},\"flow\":{},\"kind\":\"cwnd\",\"cwnd\":{},\"ssthresh\":{}}}",
-                    r.flow, r.a, r.b
-                ));
+        JsonWriter::compact(&mut line).obj(|w| {
+            w.key("t").u64(r.time.as_nanos());
+            // Queue and per-hop depth records belong to no flow.
+            if !matches!(r.kind, TraceKind::QueueDepth | TraceKind::HopDepth) {
+                w.key("flow").u64(r.flow.into());
             }
-            TraceKind::Srtt => {
-                line.push_str(&format!(
-                    "{{\"t\":{t},\"flow\":{},\"kind\":\"srtt\",\"ns\":{}}}",
-                    r.flow, r.a
-                ));
+            w.key("kind").str(r.kind.as_str());
+            match r.kind {
+                TraceKind::Cwnd => {
+                    w.key("cwnd").u64(r.a);
+                    w.key("ssthresh").u64(r.b);
+                }
+                TraceKind::Srtt => w.key("ns").u64(r.a),
+                TraceKind::Pacing => w.key("bps").u64(r.a),
+                TraceKind::Phase => {
+                    let label = r.phase_label().unwrap_or_default();
+                    w.key("label").str(label.as_str())
+                }
+                TraceKind::Congestion => {
+                    let ev = r.congestion_kind().map(CongestionKind::as_str);
+                    w.key("event").str(ev.unwrap_or("unknown"))
+                }
+                TraceKind::QueueDepth => {
+                    w.key("bytes").u64(r.a);
+                    w.key("pkts").u64(r.b);
+                }
+                TraceKind::Drop => w.key("queue_bytes").u64(r.a),
+                TraceKind::EcnMark => {
+                    w.key("queue_bytes").u64(r.a);
+                    w.key("hop").u64(r.b);
+                }
+                TraceKind::HopDepth => {
+                    w.key("hop").u64(r.flow.into());
+                    w.key("bytes").u64(r.a);
+                    w.key("pkts").u64(r.b);
+                }
             }
-            TraceKind::Pacing => {
-                line.push_str(&format!(
-                    "{{\"t\":{t},\"flow\":{},\"kind\":\"pacing\",\"bps\":{}}}",
-                    r.flow, r.a
-                ));
-            }
-            TraceKind::Phase => {
-                let label = r.phase_label().unwrap_or_default();
-                line.push_str(&format!(
-                    "{{\"t\":{t},\"flow\":{},\"kind\":\"phase\",\"label\":\"{}\"}}",
-                    r.flow,
-                    label.as_str()
-                ));
-            }
-            TraceKind::Congestion => {
-                let ev = r
-                    .congestion_kind()
-                    .map(CongestionKind::as_str)
-                    .unwrap_or("unknown");
-                line.push_str(&format!(
-                    "{{\"t\":{t},\"flow\":{},\"kind\":\"congestion\",\"event\":\"{ev}\"}}",
-                    r.flow
-                ));
-            }
-            TraceKind::QueueDepth => {
-                line.push_str(&format!(
-                    "{{\"t\":{t},\"kind\":\"queue\",\"bytes\":{},\"pkts\":{}}}",
-                    r.a, r.b
-                ));
-            }
-            TraceKind::Drop => {
-                line.push_str(&format!(
-                    "{{\"t\":{t},\"flow\":{},\"kind\":\"drop\",\"queue_bytes\":{}}}",
-                    r.flow, r.a
-                ));
-            }
-            TraceKind::EcnMark => {
-                line.push_str(&format!(
-                    "{{\"t\":{t},\"flow\":{},\"kind\":\"ecn_mark\",\"queue_bytes\":{},\"hop\":{}}}",
-                    r.flow, r.a, r.b
-                ));
-            }
-            TraceKind::HopDepth => {
-                line.push_str(&format!(
-                    "{{\"t\":{t},\"kind\":\"hop_queue\",\"hop\":{},\"bytes\":{},\"pkts\":{}}}",
-                    r.flow, r.a, r.b
-                ));
-            }
-        }
-        writeln!(w, "{line}")?;
+        });
+        line.push('\n');
+        w.write_all(line.as_bytes())?;
     }
     Ok(())
 }
 
-fn bad(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-/// Extract `"key":<number>` from a JSON line.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extract and unescape `"key":"<string>"` from a JSON line.
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let mut out = String::new();
-    let mut chars = line[start..].chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let v = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(v)?);
-                }
-                other => out.push(other),
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
 /// Parse one record line (as produced by [`write_jsonl`]).
-fn parse_record(line: &str) -> io::Result<TraceRecord> {
-    let t = SimTime::from_nanos(field_u64(line, "t").ok_or_else(|| bad("record missing \"t\""))?);
-    let kind_name = field_str(line, "kind").ok_or_else(|| bad("record missing \"kind\""))?;
-    let kind = TraceKind::from_str_name(&kind_name)
-        .ok_or_else(|| bad(format!("unknown kind {kind_name:?}")))?;
+fn parse_record(line: &str) -> Result<TraceRecord, JsonError> {
+    let v = Json::parse(line)?;
+    let t = SimTime::from_nanos(v.req_u64("t")?);
+    let kind_name = v.req_str("kind")?;
+    let kind = TraceKind::from_str_name(kind_name)
+        .ok_or_else(|| JsonError::new(format!("unknown kind {kind_name:?}")))?;
     let flow = match kind {
         TraceKind::QueueDepth => QUEUE_FLOW,
-        TraceKind::HopDepth => field_u64(line, "hop").ok_or_else(|| bad("hop missing"))? as u32,
-        _ => field_u64(line, "flow").ok_or_else(|| bad("record missing \"flow\""))? as u32,
+        TraceKind::HopDepth => v.req_u32("hop")?,
+        _ => v.req_u32("flow")?,
     };
-    let rec = match kind {
-        TraceKind::Cwnd => TraceRecord::cwnd(
-            t,
-            flow,
-            field_u64(line, "cwnd").ok_or_else(|| bad("cwnd missing"))?,
-            field_u64(line, "ssthresh").ok_or_else(|| bad("ssthresh missing"))?,
-        ),
-        TraceKind::Srtt => TraceRecord::srtt(
-            t,
-            flow,
-            SimDuration::from_nanos(field_u64(line, "ns").ok_or_else(|| bad("ns missing"))?),
-        ),
-        TraceKind::Pacing => TraceRecord::pacing(
-            t,
-            flow,
-            field_u64(line, "bps").ok_or_else(|| bad("bps missing"))?,
-        ),
-        TraceKind::Phase => {
-            let label = field_str(line, "label").ok_or_else(|| bad("label missing"))?;
-            TraceRecord::phase(t, flow, PhaseLabel::new(&label))
-        }
+    Ok(match kind {
+        TraceKind::Cwnd => TraceRecord::cwnd(t, flow, v.req_u64("cwnd")?, v.req_u64("ssthresh")?),
+        TraceKind::Srtt => TraceRecord::srtt(t, flow, SimDuration::from_nanos(v.req_u64("ns")?)),
+        TraceKind::Pacing => TraceRecord::pacing(t, flow, v.req_u64("bps")?),
+        TraceKind::Phase => TraceRecord::phase(t, flow, PhaseLabel::new(v.req_str("label")?)),
         TraceKind::Congestion => {
-            let ev = field_str(line, "event").ok_or_else(|| bad("event missing"))?;
-            let ck = CongestionKind::from_str_name(&ev)
-                .ok_or_else(|| bad(format!("unknown congestion event {ev:?}")))?;
+            let ev = v.req_str("event")?;
+            let ck = CongestionKind::from_str_name(ev)
+                .ok_or_else(|| JsonError::new(format!("unknown congestion event {ev:?}")))?;
             TraceRecord::congestion(t, flow, ck)
         }
-        TraceKind::QueueDepth => TraceRecord::queue_depth(
-            t,
-            field_u64(line, "bytes").ok_or_else(|| bad("bytes missing"))?,
-            field_u64(line, "pkts").ok_or_else(|| bad("pkts missing"))?,
-        ),
-        TraceKind::Drop => TraceRecord::drop(
-            t,
-            flow,
-            field_u64(line, "queue_bytes").ok_or_else(|| bad("queue_bytes missing"))?,
-        ),
-        TraceKind::EcnMark => TraceRecord::ecn_mark(
-            t,
-            flow,
-            field_u64(line, "queue_bytes").ok_or_else(|| bad("queue_bytes missing"))?,
-            field_u64(line, "hop").ok_or_else(|| bad("hop missing"))?,
-        ),
-        TraceKind::HopDepth => TraceRecord::hop_depth(
-            t,
-            flow,
-            field_u64(line, "bytes").ok_or_else(|| bad("bytes missing"))?,
-            field_u64(line, "pkts").ok_or_else(|| bad("pkts missing"))?,
-        ),
-    };
-    Ok(rec)
+        TraceKind::QueueDepth => {
+            TraceRecord::queue_depth(t, v.req_u64("bytes")?, v.req_u64("pkts")?)
+        }
+        TraceKind::Drop => TraceRecord::drop(t, flow, v.req_u64("queue_bytes")?),
+        TraceKind::EcnMark => {
+            TraceRecord::ecn_mark(t, flow, v.req_u64("queue_bytes")?, v.req_u64("hop")?)
+        }
+        TraceKind::HopDepth => {
+            TraceRecord::hop_depth(t, flow, v.req_u64("bytes")?, v.req_u64("pkts")?)
+        }
+    })
 }
 
-/// Read a trace from JSONL (the inverse of [`write_jsonl`]).
+/// Read a trace from JSONL (the inverse of [`write_jsonl`]). A malformed
+/// line — truncated, mistyped, a repeated key — is an `InvalidData` error
+/// naming the line.
 pub fn read_jsonl<R: BufRead>(r: R) -> io::Result<RunTrace> {
-    let mut lines = r.lines();
-    let header = lines.next().ok_or_else(|| bad("empty trace file"))??;
-    if !header.contains("\"meta\"") {
-        return Err(bad("first line is not a meta header"));
-    }
-    let meta = TraceMeta {
-        scenario: field_str(&header, "scenario").ok_or_else(|| bad("meta missing scenario"))?,
-        seed: field_u64(&header, "seed").ok_or_else(|| bad("meta missing seed"))?,
-        flows: field_u64(&header, "flows").ok_or_else(|| bad("meta missing flows"))? as u32,
+    let bad = |n: usize, e: JsonError| {
+        io::Error::new(io::ErrorKind::InvalidData, format!("line {n}: {e}"))
     };
-    let evicted = field_u64(&header, "evicted").unwrap_or(0);
-    let thinned = field_u64(&header, "thinned").unwrap_or(0);
-    let mut records = Vec::new();
-    for line in lines {
+    let mut lines = r.lines();
+    let header = lines
+        .next()
+        .ok_or_else(|| JsonError::new("empty trace file"))??;
+    let header = Json::parse(&header).map_err(|e| bad(1, e))?;
+    let meta = header
+        .get("meta")
+        .ok_or_else(|| JsonError::new("first line is not a meta header"))?;
+    let mut trace = RunTrace {
+        meta: TraceMeta {
+            scenario: meta.req_str("scenario")?.to_string(),
+            seed: meta.req_u64("seed")?,
+            flows: meta.req_u32("flows")?,
+        },
+        records: Vec::new(),
+        evicted: meta.opt_u64("evicted")?.unwrap_or(0),
+        thinned: meta.opt_u64("thinned")?.unwrap_or(0),
+    };
+    for (i, line) in lines.enumerate() {
         let line = line?;
-        if line.trim().is_empty() {
-            continue;
+        if !line.trim().is_empty() {
+            trace
+                .records
+                .push(parse_record(&line).map_err(|e| bad(i + 2, e))?);
         }
-        records.push(parse_record(&line)?);
     }
-    Ok(RunTrace {
-        meta,
-        records,
-        evicted,
-        thinned,
-    })
+    Ok(trace)
 }
 
 #[cfg(test)]
@@ -309,9 +208,34 @@ mod tests {
     }
 
     #[test]
-    fn escape_handles_control_chars() {
-        let mut s = String::new();
-        escape("a\"b\\c\nd", &mut s);
-        assert_eq!(s, "a\\\"b\\\\c\\u000ad");
+    fn malformed_lines_are_typed_errors_naming_the_line() {
+        let read = |text: &str| read_jsonl(io::BufReader::new(text.as_bytes()));
+        let meta = "{\"meta\":{\"scenario\":\"x\",\"seed\":1,\"flows\":1}}\n";
+        assert_eq!(read(meta).unwrap().records.len(), 0);
+        for (what, body) in [
+            (
+                "a string where a number is required",
+                "{\"t\":1,\"flow\":0,\"kind\":\"pacing\",\"bps\":\"fast\"}",
+            ),
+            ("a truncated line", "{\"t\":1,\"flow\":0,\"kind\":\"pac"),
+            (
+                "a duplicated key",
+                "{\"t\":1,\"t\":2,\"flow\":0,\"kind\":\"pacing\",\"bps\":5}",
+            ),
+            (
+                "a flow that is not a u32",
+                "{\"t\":1,\"flow\":-1,\"kind\":\"drop\"}",
+            ),
+        ] {
+            let err = read(&format!("{meta}{body}\n")).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
+            assert!(err.to_string().contains("line 2"), "{what}: {err}");
+        }
+        // The header is held to the same standard.
+        let err = read("{\"meta\":{\"scenario\":\"x\",\"seed\":\"1\",\"flows\":1}}\n").unwrap_err();
+        assert!(err.to_string().contains("\"seed\""), "{err}");
+        assert!(
+            read("{\"meta\":{\"scenario\":\"x\",\"seed\":1,\"seed\":1,\"flows\":1}}\n").is_err()
+        );
     }
 }

@@ -886,53 +886,7 @@ fn campaign_run(args: &[String]) -> ! {
         );
     }
     if let Some(path) = &bench_path {
-        let ledger = load_ledger(&ledger_path);
-        // events_per_sec divides by engine dispatch time only (scenario
-        // build, warmup slicing, and export wall time excluded) so the
-        // number is comparable with the sentinel's eps gate; wall_secs
-        // stays in the summary as the end-to-end record.
-        let (events, wall, dispatch): (u64, f64, f64) = ledger
-            .ok_entries()
-            .map(|e| {
-                (
-                    e.events_processed,
-                    e.wall_secs,
-                    e.manifest.as_ref().map_or(0.0, |m| m.dispatch_secs),
-                )
-            })
-            .fold((0, 0.0, 0.0), |(ev, w, d), (e, ws, ds)| {
-                (ev + e, w + ws, d + ds)
-            });
-        // With --profile attached, also record the worst memory-per-flow
-        // across the campaign's jobs — the megascale headline number and
-        // the input to CI's per-flow memory ceiling.
-        let peak_mem = ledger
-            .ok_entries()
-            .filter_map(|e| {
-                let p = e.manifest.as_ref()?.profile.as_ref()?;
-                (p.flows > 0).then(|| (p.memory_total_bytes(), p.flows))
-            })
-            .max_by(|a, b| {
-                let pf = |(bytes, flows): &(u64, u32)| *bytes as f64 / f64::from(*flows);
-                pf(a).total_cmp(&pf(b))
-            });
-        let mem_fields = peak_mem.map_or_else(String::new, |(bytes, flows)| {
-            format!(
-                ",\"memory_bytes_peak\":{bytes},\"memory_peak_flows\":{flows},\
-                 \"memory_per_flow_bytes\":{}",
-                ccsim::sim::jsonfmt::json_f64(bytes as f64 / f64::from(flows))
-            )
-        });
-        let summary = format!(
-            "{{\"campaign\":\"{}\",\"jobs\":{},\"failed\":{},\"events\":{events},\
-             \"wall_secs\":{},\"dispatch_secs\":{},\"events_per_sec\":{}{mem_fields}}}",
-            spec.name,
-            results.len(),
-            failed.len(),
-            ccsim::sim::jsonfmt::json_f64(wall),
-            ccsim::sim::jsonfmt::json_f64(dispatch),
-            ccsim::sim::jsonfmt::json_f64(ccsim::sim::jsonfmt::safe_rate(events as f64, dispatch)),
-        );
+        let summary = load_ledger(&ledger_path).bench_summary_json(results.len(), failed.len());
         write_file(Path::new(path), summary);
         eprintln!("wrote {path}");
     }

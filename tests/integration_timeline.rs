@@ -4,7 +4,7 @@
 
 use ccsim::campaign::{run_campaign, CampaignSpec, ExecutorOptions, LedgerEntry};
 use ccsim::experiments::{serve, LiveState, ObserveOptions, TimelineConfig};
-use ccsim::fault::json::Json;
+use ccsim::sim::json::Json;
 use ccsim::sim::SimDuration;
 use std::io::{Read, Write};
 use std::net::TcpStream;
