@@ -319,6 +319,10 @@ mod tests {
                 sync_index: Some(0.5),
                 drop_burstiness: None,
                 share_a: Some(1.0),
+                mathis_c_loss: None,
+                mathis_c_halving: None,
+                mathis_err_halving: None,
+                loss_to_halving_ratio: None,
                 convergence_time: Some(2.0),
                 bottlenecks: Vec::new(),
             }),

@@ -155,6 +155,18 @@ pub struct Rollup {
     pub drop_burstiness: Option<f64>,
     /// Throughput share of the first flow group's CCA.
     pub share_a: Option<f64>,
+    /// Best-fit Mathis constant for the majority CCA with `p` = packet
+    /// loss rate (Table 1). This and the three fields below are absent
+    /// from the JSON when `None`, so ledger lines that predate them
+    /// re-serialize byte-identically.
+    pub mathis_c_loss: Option<f64>,
+    /// Best-fit Mathis constant with `p` = CWND-halving rate (Table 1).
+    pub mathis_c_halving: Option<f64>,
+    /// Median relative Mathis prediction error under the halving-rate
+    /// fit (Figure 2; `mathis_err` is the packet-loss side).
+    pub mathis_err_halving: Option<f64>,
+    /// Packet-loss to CWND-halving ratio (Figure 3).
+    pub loss_to_halving_ratio: Option<f64>,
     /// Time to α-fair convergence (seconds, sim time) from the run's
     /// timeline capture. `None` for runs without a timeline, runs that
     /// never reached α, and legacy ledger lines (the key is absent from
@@ -171,22 +183,25 @@ impl Rollup {
     /// Distill an outcome into its ledger rollup.
     pub fn of(outcome: &RunOutcome) -> Rollup {
         let majority = majority_cca(outcome);
-        let mathis_err = majority.and_then(|cca| {
-            fit_constant(&outcome.mathis_observations(cca, PInterpretation::PacketLoss))
-                .map(|f| f.median_error)
-        });
+        let fit = |p| majority.and_then(|cca| fit_constant(&outcome.mathis_observations(cca, p)));
+        let loss_fit = fit(PInterpretation::PacketLoss);
+        let halving_fit = fit(PInterpretation::CwndHalving);
         Rollup {
             jfi: outcome.jain_index(),
             utilization: outcome.utilization(),
             aggregate_mbps: outcome.aggregate_throughput_mbps(),
             loss_rate: outcome.aggregate_loss_rate,
-            mathis_err,
+            mathis_err: loss_fit.as_ref().map(|f| f.median_error),
             sync_index: outcome.trace_synchronization_index(SYNC_BIN),
             drop_burstiness: outcome.drop_burstiness,
             share_a: outcome
                 .flow_cca
                 .first()
                 .and_then(|&cca| outcome.share_of(cca)),
+            mathis_c_loss: loss_fit.as_ref().map(|f| f.c),
+            mathis_c_halving: halving_fit.as_ref().map(|f| f.c),
+            mathis_err_halving: halving_fit.as_ref().map(|f| f.median_error),
+            loss_to_halving_ratio: outcome.loss_to_halving_ratio(),
             // The outcome carries no timeline (it must stay digest-inert);
             // JobResult::rollup injects it from the manifest.
             convergence_time: None,
@@ -194,7 +209,27 @@ impl Rollup {
         }
     }
 
-    /// Look up a metric by its spec/ledger name.
+    /// Every name [`Rollup::get`] answers to — what an expectation may
+    /// name.
+    pub const METRICS: [&'static str; 14] = [
+        "jfi",
+        "utilization",
+        "aggregate_mbps",
+        "loss_rate",
+        "mathis_err",
+        "sync_index",
+        "drop_burstiness",
+        "share_a",
+        "mathis_c_loss",
+        "mathis_c_halving",
+        "mathis_err_halving",
+        "loss_to_halving_ratio",
+        "convergence_time",
+        "bottleneck_jfi_min",
+    ];
+
+    /// Look up a metric by its spec/ledger name (one of
+    /// [`Rollup::METRICS`]; anything else is `None`).
     pub fn get(&self, metric: &str) -> Option<f64> {
         match metric {
             "jfi" => self.jfi,
@@ -205,6 +240,10 @@ impl Rollup {
             "sync_index" => self.sync_index,
             "drop_burstiness" => self.drop_burstiness,
             "share_a" => self.share_a,
+            "mathis_c_loss" => self.mathis_c_loss,
+            "mathis_c_halving" => self.mathis_c_halving,
+            "mathis_err_halving" => self.mathis_err_halving,
+            "loss_to_halving_ratio" => self.loss_to_halving_ratio,
             "convergence_time" => self.convergence_time,
             // Worst-case fairness across the topology's bottlenecks —
             // lets expectations bound every congested link at once.
@@ -512,9 +551,7 @@ where
 }
 
 /// Run plain scenarios through the campaign executor (no axes — job
-/// names are the scenario names). This is how the bench binaries'
-/// experiment grids ride the pool: build scenarios as before, execute
-/// them here, get outcomes back in input order.
+/// names are the scenario names): results come back in input order.
 pub fn run_scenarios<F>(
     scenarios: &[Scenario],
     opts: &ExecutorOptions,
@@ -732,10 +769,55 @@ mod tests {
         assert_eq!(rollup.get("utilization"), Some(rollup.utilization));
         assert_eq!(rollup.get("jfi"), rollup.jfi);
         assert_eq!(rollup.get("nonsense"), None);
+        // Two Reno flows halving against a 100 kB buffer: both Mathis
+        // fits (Table 1, Figure 2) and the Figure 3 ratio are present.
+        assert!(rollup.mathis_c_loss.unwrap() > 0.0);
+        assert!(rollup.mathis_c_halving.unwrap() > 0.0);
+        assert!(rollup.mathis_err_halving.is_some());
+        assert!(rollup.loss_to_halving_ratio.unwrap() >= 1.0);
+        assert_eq!(rollup.get("mathis_c_loss"), rollup.mathis_c_loss);
+        assert_eq!(rollup.get("mathis_c_halving"), rollup.mathis_c_halving);
+        assert_eq!(rollup.get("mathis_err_halving"), rollup.mathis_err_halving);
+        assert_eq!(
+            rollup.get("loss_to_halving_ratio"),
+            rollup.loss_to_halving_ratio
+        );
         // No trace configured: the sync index is absent, not invented.
         assert_eq!(rollup.sync_index, None);
         // No timeline configured: no convergence time either.
         assert_eq!(rollup.convergence_time, None);
+    }
+
+    #[test]
+    fn metrics_lists_exactly_the_names_get_answers_to() {
+        let full = Rollup {
+            jfi: Some(0.9),
+            utilization: 0.9,
+            aggregate_mbps: 9.0,
+            loss_rate: 0.01,
+            mathis_err: Some(0.1),
+            sync_index: Some(0.2),
+            drop_burstiness: Some(0.3),
+            share_a: Some(0.5),
+            mathis_c_loss: Some(1.78),
+            mathis_c_halving: Some(1.47),
+            mathis_err_halving: Some(0.05),
+            loss_to_halving_ratio: Some(1.7),
+            convergence_time: Some(2.0),
+            bottlenecks: vec![BottleneckMetrics {
+                link: 0,
+                label: "bn0".into(),
+                utilization: 0.9,
+                jfi: Some(0.8),
+                loss_rate: 0.0,
+                max_queue_bytes: 1,
+                ce_marked_pkts: 0,
+            }],
+        };
+        for name in Rollup::METRICS {
+            assert!(full.get(name).is_some(), "{name} is listed but unknown");
+        }
+        assert_eq!(full.get("jif"), None);
     }
 
     #[test]

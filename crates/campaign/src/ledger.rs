@@ -121,8 +121,9 @@ impl LedgerEntry {
     }
 
     /// Serialize to one JSONL line (no trailing newline). Keys newer than
-    /// the first ledger (`attempts`, `quarantined`, `eps_by_kind`, and
-    /// `convergence_time`/`bottlenecks` inside `metrics`) are absent — not
+    /// the first ledger (`attempts`, `quarantined`, `eps_by_kind`, and the
+    /// four Mathis keys, `convergence_time` and `bottlenecks` inside
+    /// `metrics`) are absent — not
     /// `null`, `{}` or `[]` — at their defaults, so legacy lines and
     /// unsupervised, unprofiled runs re-serialize byte-identically.
     pub fn to_json(&self) -> String {
@@ -169,6 +170,16 @@ impl LedgerEntry {
                     w.key("drop_burstiness")
                         .opt(m.drop_burstiness, JsonWriter::f64);
                     w.key("share_a").opt(m.share_a, JsonWriter::f64);
+                    for (key, value) in [
+                        ("mathis_c_loss", m.mathis_c_loss),
+                        ("mathis_c_halving", m.mathis_c_halving),
+                        ("mathis_err_halving", m.mathis_err_halving),
+                        ("loss_to_halving_ratio", m.loss_to_halving_ratio),
+                    ] {
+                        if let Some(v) = value {
+                            w.key(key).f64(v);
+                        }
+                    }
                     if let Some(ct) = m.convergence_time {
                         w.key("convergence_time").f64(ct);
                     }
@@ -220,6 +231,10 @@ impl LedgerEntry {
                     sync_index: m.opt_f64("sync_index")?,
                     drop_burstiness: m.opt_f64("drop_burstiness")?,
                     share_a: m.opt_f64("share_a")?,
+                    mathis_c_loss: m.opt_f64("mathis_c_loss")?,
+                    mathis_c_halving: m.opt_f64("mathis_c_halving")?,
+                    mathis_err_halving: m.opt_f64("mathis_err_halving")?,
+                    loss_to_halving_ratio: m.opt_f64("loss_to_halving_ratio")?,
                     convergence_time: m.opt_f64("convergence_time")?,
                     bottlenecks,
                 })
@@ -541,6 +556,10 @@ mod tests {
                 sync_index: None,
                 drop_burstiness: Some(0.21),
                 share_a: Some(1.0),
+                mathis_c_loss: None,
+                mathis_c_halving: None,
+                mathis_err_halving: None,
+                loss_to_halving_ratio: None,
                 convergence_time: None,
                 bottlenecks: Vec::new(),
             }),
@@ -592,6 +611,26 @@ mod tests {
         e.metrics.as_mut().unwrap().convergence_time = Some(2.5);
         let line = e.to_json();
         assert!(line.contains("\"convergence_time\":2.5"));
+        let back = LedgerEntry::from_value(&Json::parse(&line).unwrap()).unwrap();
+        assert_eq!(back, e);
+    }
+
+    #[test]
+    fn mathis_keys_round_trip_and_stay_out_of_legacy_lines() {
+        let plain = sample_entry(7, true).to_json();
+        assert!(!plain.contains("mathis_c_") && !plain.contains("loss_to_halving"));
+
+        let mut e = sample_entry(9, true);
+        let m = e.metrics.as_mut().unwrap();
+        m.mathis_c_loss = Some(1.78);
+        m.mathis_c_halving = Some(1.47);
+        m.mathis_err_halving = Some(0.06);
+        m.loss_to_halving_ratio = Some(1.7);
+        let line = e.to_json();
+        assert!(line.contains(
+            "\"share_a\":1.0,\"mathis_c_loss\":1.78,\"mathis_c_halving\":1.47,\
+             \"mathis_err_halving\":0.06,\"loss_to_halving_ratio\":1.7}"
+        ));
         let back = LedgerEntry::from_value(&Json::parse(&line).unwrap()).unwrap();
         assert_eq!(back, e);
     }

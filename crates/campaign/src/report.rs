@@ -1,13 +1,16 @@
 //! Fidelity reports: render a ledger as self-contained Markdown or HTML.
 //!
 //! The report is the campaign layer's answer to the paper's result
-//! tables: a run summary, per-axis breakdown tables (the shape of
-//! Table 1 and the per-CCA columns of Figures 2–4), a paper-metric
-//! table with unicode sparkline histograms (events/sec and wall-time
-//! distributions over the telemetry crate's log2 buckets), the
-//! expectation pass/fail table (ranges quoted from paper figures, e.g.
-//! JFI ≥ 0.9 for homogeneous Reno per Figure 4, Mathis error bands per
-//! Figures 7–8), and the full per-job listing.
+//! tables: a run summary with unicode sparkline histograms (events/sec
+//! and wall-time distributions over the telemetry crate's log2 buckets),
+//! a paper-metric table, the expectation table — one verdict per
+//! expectation and cell (axis combination), judged on the cell's mean
+//! over its seeds against the range quoted from the paper (JFI > 0.99
+//! for homogeneous Reno per Finding 4, the Mathis constants of Table 1)
+//! — one row per cell with mean ± sd over seeds, per-axis breakdowns,
+//! and the full per-job listing. Cells and axis values are listed in
+//! order of first appearance in the ledger, which is the spec's order
+//! (up to which of two concurrently running cells finishes first).
 
 use crate::ledger::{Ledger, LedgerEntry};
 use crate::spec::Expectation;
@@ -77,58 +80,92 @@ fn collect(entries: &[&LedgerEntry], metric: &str) -> Vec<f64> {
         .collect()
 }
 
-/// Metrics shown in the per-axis and fidelity tables, in column order.
-const TABLE_METRICS: [&str; 7] = [
-    "jfi",
-    "utilization",
-    "loss_rate",
-    "mathis_err",
-    "sync_index",
-    "share_a",
-    "convergence_time",
+/// Metrics shown in the fidelity, per-cell and per-axis tables, in
+/// column order, each with the paper artifact it maps to.
+const TABLE_METRICS: [(&str, &str); 12] = [
+    ("jfi", "Figure 4 + Finding 4 (intra-CCA fairness)"),
+    ("utilization", "§3 testbed (bottleneck saturation)"),
+    (
+        "loss_rate",
+        "§4 (the Mathis model's p, read as packet loss)",
+    ),
+    ("mathis_c_loss", "Table 1 (C from the packet-loss rate)"),
+    ("mathis_c_halving", "Table 1 (C from the CWND-halving rate)"),
+    ("mathis_err", "Figure 2 (median error, packet-loss rate)"),
+    (
+        "mathis_err_halving",
+        "Figure 2 (median error, CWND-halving rate)",
+    ),
+    (
+        "loss_to_halving_ratio",
+        "Figure 3 (packet-loss / CWND-halving ratio)",
+    ),
+    ("drop_burstiness", "Finding 3 (drop-train burstiness)"),
+    ("sync_index", "§5 (loss synchronization)"),
+    ("share_a", "Figures 5–8 (inter-CCA shares)"),
+    ("convergence_time", "§4 (time to α-fair allocation)"),
 ];
 
-/// One expectation's verdict against the mean over successful runs.
+/// One expectation's verdict on one cell: the cell's mean over its
+/// successful runs (one per seed) against the expected range.
 #[derive(Debug, Clone)]
 pub struct ExpectationResult {
     pub expectation: Expectation,
-    /// Mean of the metric over successful runs, when available.
-    pub observed: Option<f64>,
-    /// `None` when the metric was absent from every run.
+    /// The axis combination judged; empty for a campaign without axes.
+    pub cell: Vec<(String, String)>,
+    /// The metric in each of the cell's successful runs.
+    pub values: Vec<f64>,
+    /// Whether the mean of `values` is inside the range; `None` when no
+    /// run of the cell carried the metric.
     pub pass: Option<bool>,
 }
 
-/// Check the ledger's stored expectations against its entries.
+/// Check the ledger's stored expectations against each of its cells, in
+/// expectation-major order.
 pub fn check_expectations(ledger: &Ledger) -> Vec<ExpectationResult> {
     let ok: Vec<&LedgerEntry> = ledger.ok_entries().collect();
-    ledger
-        .expectations
-        .iter()
-        .map(|exp| {
-            let observed = mean(&collect(&ok, &exp.metric));
-            let pass = observed
+    let cells = group_by(&ok, |e| Some(e.axis.as_slice()));
+    let mut results = Vec::with_capacity(ledger.expectations.len() * cells.len());
+    for exp in &ledger.expectations {
+        for (cell, entries) in &cells {
+            let values = collect(entries, &exp.metric);
+            let pass = mean(&values)
                 .map(|v| exp.min.is_none_or(|lo| v >= lo) && exp.max.is_none_or(|hi| v <= hi));
-            ExpectationResult {
+            results.push(ExpectationResult {
                 expectation: exp.clone(),
-                observed,
+                cell: cell.to_vec(),
+                values,
                 pass,
-            }
-        })
-        .collect()
+            });
+        }
+    }
+    results
 }
 
-/// Group successful entries by the value of one axis parameter.
-fn by_axis_value<'a>(
+/// Group entries by `key` (entries without one are left out), groups in
+/// order of first appearance.
+fn group_by<'a, K: PartialEq>(
     entries: &[&'a LedgerEntry],
-    param: &str,
-) -> BTreeMap<String, Vec<&'a LedgerEntry>> {
-    let mut groups: BTreeMap<String, Vec<&LedgerEntry>> = BTreeMap::new();
+    key: impl Fn(&'a LedgerEntry) -> Option<K>,
+) -> Vec<(K, Vec<&'a LedgerEntry>)> {
+    let mut groups: Vec<(K, Vec<&LedgerEntry>)> = Vec::new();
     for &e in entries {
-        if let Some((_, value)) = e.axis.iter().find(|(p, _)| p == param) {
-            groups.entry(value.clone()).or_default().push(e);
+        let Some(k) = key(e) else { continue };
+        match groups.iter_mut().find(|(have, _)| *have == k) {
+            Some((_, members)) => members.push(e),
+            None => groups.push((k, vec![e])),
         }
     }
     groups
+}
+
+/// "flow_count=10, rtt_ms=20"; a campaign without axes is one cell.
+fn cell_label(cell: &[(String, String)]) -> String {
+    if cell.is_empty() {
+        return "(all runs)".to_string();
+    }
+    let pairs: Vec<String> = cell.iter().map(|(p, v)| format!("{p}={v}")).collect();
+    pairs.join(", ")
 }
 
 fn axis_params(entries: &[&LedgerEntry]) -> Vec<String> {
@@ -232,21 +269,11 @@ pub fn markdown(ledger: &Ledger) -> String {
     let _ = writeln!(out, "## Fidelity metrics (mean ± sd over runs)\n");
     let _ = writeln!(out, "| metric | value | paper reference |");
     let _ = writeln!(out, "|---|---|---|");
-    let refs: BTreeMap<&str, &str> = BTreeMap::from([
-        ("jfi", "Table 1 / Figure 4 (fairness at scale)"),
-        ("utilization", "§3 testbed (bottleneck saturation)"),
-        ("loss_rate", "Figure 2 (loss vs. flow count)"),
-        ("mathis_err", "Figures 7–8 (model accuracy)"),
-        ("sync_index", "§5 (loss synchronization)"),
-        ("share_a", "Figures 5–6 (inter-CCA shares)"),
-        ("convergence_time", "§4 (time to α-fair allocation)"),
-    ]);
-    for metric in TABLE_METRICS {
+    for (metric, reference) in TABLE_METRICS {
         let _ = writeln!(
             out,
-            "| {metric} | {} | {} |",
+            "| {metric} | {} | {reference} |",
             fmt_mean_sd(&collect(&ok, metric)),
-            refs.get(metric).unwrap_or(&"")
         );
     }
     out.push('\n');
@@ -291,12 +318,16 @@ pub fn markdown(ledger: &Ledger) -> String {
         out.push('\n');
     }
 
-    // Expectations.
-    if !ledger.expectations.is_empty() {
-        let _ = writeln!(out, "## Expectations\n");
-        let _ = writeln!(out, "| metric | expected | observed | source | verdict |");
-        let _ = writeln!(out, "|---|---|---|---|---|");
-        for r in check_expectations(ledger) {
+    // Expectations: one verdict per expectation and cell.
+    let verdicts = check_expectations(ledger);
+    if !verdicts.is_empty() {
+        let _ = writeln!(out, "## Expectations (each cell's mean over its seeds)\n");
+        let _ = writeln!(
+            out,
+            "| metric | cell | expected | observed (mean ± sd) | source | verdict |"
+        );
+        let _ = writeln!(out, "|---|---|---|---|---|---|");
+        for r in &verdicts {
             let range = match (r.expectation.min, r.expectation.max) {
                 (Some(lo), Some(hi)) => format!("[{lo}, {hi}]"),
                 (Some(lo), None) => format!("≥ {lo}"),
@@ -310,35 +341,79 @@ pub fn markdown(ledger: &Ledger) -> String {
             };
             let _ = writeln!(
                 out,
-                "| {} | {range} | {} | {} | {verdict} |",
+                "| {} | {} | {range} | {} | {} | {verdict} |",
                 r.expectation.metric,
-                fmt_opt(r.observed),
+                cell_label(&r.cell),
+                fmt_mean_sd(&r.values),
                 r.expectation.source
             );
         }
         out.push('\n');
     }
 
+    // One row per cell: every table metric as mean ± sd over the cell's
+    // seeds, closed by the cell's verdict over all expectations.
+    let params = axis_params(&ok);
+    if !params.is_empty() {
+        let _ = writeln!(out, "## Cells (mean ± sd over seeds)\n");
+        let mut header = String::from("|");
+        for param in &params {
+            let _ = write!(header, " {param} |");
+        }
+        header.push_str(" runs |");
+        for (metric, _) in TABLE_METRICS {
+            let _ = write!(header, " {metric} |");
+        }
+        header.push_str(" verdict |");
+        let _ = writeln!(out, "{header}");
+        let columns = params.len() + 1 + TABLE_METRICS.len() + 1;
+        let _ = writeln!(out, "|{}", "---|".repeat(columns));
+        for (cell, entries) in group_by(&ok, |e| Some(e.axis.as_slice())) {
+            out.push('|');
+            for param in &params {
+                let value = cell.iter().find(|(p, _)| p == param);
+                let _ = write!(out, " {} |", value.map_or("—", |(_, v)| v));
+            }
+            let _ = write!(out, " {} |", entries.len());
+            for (metric, _) in TABLE_METRICS {
+                let _ = write!(out, " {} |", fmt_mean_sd(&collect(&entries, metric)));
+            }
+            let mine = || verdicts.iter().filter(|r| r.cell == cell);
+            let failed: Vec<&str> = mine()
+                .filter(|r| r.pass == Some(false))
+                .map(|r| r.expectation.metric.as_str())
+                .collect();
+            let verdict = if !failed.is_empty() {
+                format!("**FAIL** ({})", failed.join(", "))
+            } else if mine().any(|r| r.pass == Some(true)) {
+                "pass".to_string()
+            } else {
+                "—".to_string()
+            };
+            let _ = writeln!(out, " {verdict} |");
+        }
+        out.push('\n');
+    }
+
     // Per-axis breakdowns.
-    for param in axis_params(&ok) {
-        let groups = by_axis_value(&ok, &param);
+    for param in &params {
+        let groups = group_by(&ok, |e| {
+            let (_, value) = e.axis.iter().find(|(p, _)| p == param)?;
+            Some(value.as_str())
+        });
         if groups.len() < 2 {
             continue;
         }
         let _ = writeln!(out, "## By {param}\n");
         let _ = write!(out, "| {param} | runs |");
-        for metric in TABLE_METRICS {
+        for (metric, _) in TABLE_METRICS {
             let _ = write!(out, " {metric} |");
         }
         out.push('\n');
-        let _ = write!(out, "|---|---|");
-        for _ in TABLE_METRICS {
-            out.push_str("---|");
-        }
-        out.push('\n');
+        let _ = writeln!(out, "|---|---|{}", "---|".repeat(TABLE_METRICS.len()));
         for (value, entries) in &groups {
             let _ = write!(out, "| {value} | {} |", entries.len());
-            for metric in TABLE_METRICS {
+            for (metric, _) in TABLE_METRICS {
                 let _ = write!(out, " {} |", fmt_mean_sd(&collect(entries, metric)));
             }
             out.push('\n');
@@ -530,6 +605,10 @@ mod tests {
                 sync_index: None,
                 drop_burstiness: None,
                 share_a: Some(0.5),
+                mathis_c_loss: None,
+                mathis_c_halving: Some(1.4),
+                mathis_err_halving: None,
+                loss_to_halving_ratio: None,
                 convergence_time: None,
                 bottlenecks: Vec::new(),
             }),
@@ -578,11 +657,82 @@ mod tests {
     }
 
     #[test]
-    fn expectations_pass_and_fail() {
-        let results = check_expectations(&sample_ledger());
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].pass, Some(true)); // mean jfi = 0.93 >= 0.8
-        assert_eq!(results[1].pass, Some(false)); // loss 0.01 > 0.001
+    fn expectations_judge_each_cell_on_its_seed_mean() {
+        let mut ledger = sample_ledger();
+        let results = check_expectations(&ledger);
+        // Two expectations × two cells, expectation-major, cells in
+        // ledger order.
+        assert_eq!(results.len(), 4);
+        assert_eq!(results[0].cell, [("cca".to_string(), "reno".to_string())]);
+        assert_eq!(results[0].values, [0.95, 0.97]);
+        assert_eq!(results[0].pass, Some(true)); // reno mean jfi 0.96 >= 0.8
+        assert_eq!(results[1].pass, Some(true)); // cubic mean 0.90
+        assert_eq!(results[2].pass, Some(false)); // loss 0.01 > 0.001
+        assert_eq!(results[3].pass, Some(false));
+
+        // A bound the whole-ledger mean (0.93) would pass but one cell
+        // (cubic, 0.90) does not: the verdict is per cell.
+        ledger.expectations[0].min = Some(0.92);
+        let results = check_expectations(&ledger);
+        assert_eq!(results[0].pass, Some(true));
+        assert_eq!(results[1].pass, Some(false));
+        let md = markdown(&ledger);
+        assert!(md.contains("| jfi | cca=cubic | ≥ 0.92 | 0.9000 ± 0.0100 | Figure 4 | **FAIL** |"));
+        assert!(md.contains("| jfi | cca=reno | ≥ 0.92 | 0.9600 ± 0.0100 | Figure 4 | pass |"));
+        // A metric no run of the cell carries is "no data", not a pass.
+        ledger.expectations[0].metric = "sync_index".into();
+        assert!(check_expectations(&ledger)[0].pass.is_none());
+        assert!(markdown(&ledger).contains("| no data |"));
+    }
+
+    /// Rows follow the ledger (= the spec), not string order: a
+    /// `BTreeMap<String, _>` listed 100, 20, 200 and interleaved a
+    /// 10/30/50/1000 sweep.
+    #[test]
+    fn axis_values_and_cells_keep_spec_order() {
+        let mut ledger = sample_ledger();
+        ledger.entries.clear();
+        for count in ["10", "1000"] {
+            for rtt in ["20", "100", "200"] {
+                for seed in [1, 2] {
+                    let mut e = entry(seed, "reno", 0.9);
+                    e.axis = vec![
+                        ("flow_count".into(), count.into()),
+                        ("rtt_ms".into(), rtt.into()),
+                    ];
+                    ledger.entries.push(e);
+                }
+            }
+        }
+        let md = markdown(&ledger);
+        let rows_after = |heading: &str| -> Vec<String> {
+            md.lines()
+                .skip_while(|l| *l != heading)
+                .skip(4) // heading, blank, table header, rule
+                .take_while(|l| l.starts_with('|'))
+                .map(|l| l.split('|').take(3).collect::<Vec<_>>().join("|"))
+                .collect()
+        };
+        assert_eq!(
+            rows_after("## By rtt_ms"),
+            ["| 20 | 4 ", "| 100 | 4 ", "| 200 | 4 "]
+        );
+        assert_eq!(
+            rows_after("## Cells (mean ± sd over seeds)"),
+            [
+                "| 10 | 20 ",
+                "| 10 | 100 ",
+                "| 10 | 200 ",
+                "| 1000 | 20 ",
+                "| 1000 | 100 ",
+                "| 1000 | 200 "
+            ]
+        );
+        // Each cell row carries its run count, its seed mean ± sd, and
+        // the verdict over every expectation.
+        assert!(md.contains("| 10 | 20 | 2 | 0.9000 ± 0.0000 |"));
+        let cell = md.lines().find(|l| l.starts_with("| 10 | 20 | 2 |"));
+        assert!(cell.unwrap().ends_with("| **FAIL** (loss_rate) |"));
     }
 
     #[test]
@@ -596,7 +746,11 @@ mod tests {
         assert!(md.contains("## Jobs"));
         assert!(md.contains("c/cca=reno/seed=1"));
         assert!(md.contains("**FAIL**"));
-        assert!(md.contains("Figures 7–8"));
+        // The reference column follows the paper's own index.
+        assert!(md.contains("| mathis_c_halving | 1.4000 ± 0.0000 | Table 1 (C from the CWND"));
+        assert!(md.contains("| mathis_err | 0.1000 ± 0.0000 | Figure 2 (median error, packet"));
+        assert!(md.contains("| loss_to_halving_ratio | — | Figure 3 ("));
+        assert!(md.contains("| share_a | 0.5000 ± 0.0000 | Figures 5–8 ("));
         // Run-shape rows carry percentiles next to the sparklines. Every
         // sample entry records events_per_sec = 200k, so each eps
         // percentile interpolates inside the [131072, 262143] bucket.
@@ -629,6 +783,7 @@ mod tests {
         // The per-axis table now carries real numbers in the column.
         let cubic_row = md
             .lines()
+            .skip_while(|l| *l != "## By cca")
             .find(|l| l.starts_with("| cubic | 2 |"))
             .expect("cubic axis row");
         let last = cubic_row

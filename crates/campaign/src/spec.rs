@@ -15,6 +15,7 @@
 //! accepts a compact preset form (`{"preset": "edge", ...overrides}`) —
 //! see [`CampaignSpec::from_json`].
 
+use crate::executor::Rollup;
 use ccsim_cca::CcaKind;
 use ccsim_core::{scenario_from_value, scenario_to_json, FlowGroup, Scenario};
 use ccsim_net::AqmKind;
@@ -28,7 +29,8 @@ use std::fmt::Write as _;
 pub enum AxisParam {
     /// Replace the CCA of every flow group (values: CCA names).
     Cca,
-    /// Set the flow count of every group (values: u32 per group).
+    /// Set the flow counts (values: one count for every group, `1000`,
+    /// or one count per group joined by `+`, `"1+1000"`).
     FlowCount,
     /// Set the base RTT of every group (values: milliseconds).
     RttMs,
@@ -86,10 +88,22 @@ impl AxisParam {
                 }
             }
             AxisParam::FlowCount => {
-                let count: u32 = value.parse().map_err(|_| {
+                let counts: Vec<u32> = value
+                    .split('+')
+                    .map(str::parse)
+                    .collect::<Result<_, _>>()
+                    .map_err(|_| {
                     JsonError::new(format!("axis flow_count: bad count \"{value}\""))
                 })?;
-                for g in &mut scenario.flows {
+                if counts.len() != 1 && counts.len() != scenario.flows.len() {
+                    return Err(JsonError::new(format!(
+                        "axis flow_count: \"{value}\" names {} counts but the base has {} flow groups",
+                        counts.len(),
+                        scenario.flows.len()
+                    )));
+                }
+                // A single count cycles onto every group.
+                for (g, &count) in scenario.flows.iter_mut().zip(counts.iter().cycle()) {
                     g.count = count;
                 }
             }
@@ -143,13 +157,12 @@ pub struct Axis {
 }
 
 /// A fidelity expectation for a campaign metric, checked by the reporter
-/// against the mean over all successful runs. `source` names the paper
+/// against each cell's mean over its seeds. `source` names the paper
 /// artifact the range comes from (e.g. "Figure 4").
 #[derive(Debug, Clone, PartialEq)]
 pub struct Expectation {
-    /// Rollup metric name (see `Rollup::get`): "jfi", "utilization",
-    /// "loss_rate", "mathis_err", "sync_index", "drop_burstiness",
-    /// "share_a", "events_per_sec".
+    /// One of [`Rollup::METRICS`] or "events_per_sec"; anything else is
+    /// rejected when the spec or ledger header is parsed.
     pub metric: String,
     pub min: Option<f64>,
     pub max: Option<f64>,
@@ -389,8 +402,15 @@ pub(crate) fn write_expectations(w: &mut JsonWriter<'_>, expectations: &[Expecta
 pub(crate) fn parse_expectations(doc: &Json) -> Result<Vec<Expectation>, JsonError> {
     let list = doc.opt_arr("expectations")?.unwrap_or(&[]).iter();
     list.map(|e| {
+        let metric = e.req_str("metric")?;
+        if !Rollup::METRICS.contains(&metric) && metric != "events_per_sec" {
+            return Err(JsonError::new(format!(
+                "expectation names unknown metric \"{metric}\" (known: {}, events_per_sec)",
+                Rollup::METRICS.join(", ")
+            )));
+        }
         Ok(Expectation {
-            metric: e.req_str("metric")?.to_string(),
+            metric: metric.to_string(),
             min: e.opt_f64("min")?,
             max: e.opt_f64("max")?,
             source: e.opt_str("source")?.unwrap_or("").to_string(),
@@ -628,6 +648,51 @@ mod tests {
         let err = spec.jobs().unwrap_err();
         assert!(err.message.contains("no flows"), "{err}");
         assert!(err.message.contains("flow_count=0"), "{err}");
+    }
+
+    #[test]
+    fn flow_count_takes_one_count_per_group() {
+        let mut spec = sample_spec();
+        spec.base.flows = vec![
+            FlowGroup::new(CcaKind::Bbr, 1, SimDuration::from_millis(20)),
+            FlowGroup::new(CcaKind::Reno, 1, SimDuration::from_millis(20)),
+        ];
+        spec.seeds = vec![1];
+        spec.axes = vec![Axis {
+            param: AxisParam::FlowCount,
+            values: vec!["1+1000".into(), "7".into()],
+        }];
+        let jobs = spec.jobs().unwrap();
+        assert_eq!(jobs[0].name, "smoke/flow_count=1+1000/seed=1");
+        let counts = |j: &CampaignJob| j.scenario.flows.iter().map(|g| g.count).collect::<Vec<_>>();
+        assert_eq!(counts(&jobs[0]), [1, 1000]);
+        // A single number still means every group.
+        assert_eq!(counts(&jobs[1]), [7, 7]);
+
+        spec.axes[0].values = vec!["1+2+3".into()];
+        let err = spec.jobs().unwrap_err();
+        assert!(err.message.contains("flow_count"), "{err}");
+        assert!(err.message.contains("3 counts"), "{err}");
+        assert!(err.message.contains("2 flow groups"), "{err}");
+        spec.axes[0].values = vec!["1+".into()];
+        assert!(spec.jobs().unwrap_err().message.contains("bad count"));
+    }
+
+    #[test]
+    fn a_misspelt_expectation_metric_is_rejected_by_name() {
+        let doc = r#"{
+            "name": "typo",
+            "base": {"preset": "edge", "flows": [{"cca": "reno", "count": 2, "rtt_ms": 20}]},
+            "expectations": [{"metric": "jif", "min": 0.9}]
+        }"#;
+        let err = CampaignSpec::from_json(doc).unwrap_err();
+        assert!(err.message.contains("\"jif\""), "{err}");
+        assert!(err.message.contains("jfi, utilization"), "{err}");
+        // Every listed name, and the ledger-level events_per_sec, parses.
+        for metric in Rollup::METRICS.iter().chain(&["events_per_sec"]) {
+            let ok = doc.replace("jif", metric);
+            assert!(CampaignSpec::from_json(&ok).is_ok(), "{metric}");
+        }
     }
 
     #[test]

@@ -15,20 +15,17 @@
 //!   checkpoint capture/restore and the divergence bisector.
 //! * [`outcome`] — run results with the paper's derived quantities (JFI,
 //!   group shares, Mathis observations, loss-to-halving ratios).
-//! * [`experiments`] — one function per table/figure of the paper, plus
-//!   the parameter grids they sweep.
-//! * [`report`] — plain-text table rendering for the bench binaries and
-//!   EXPERIMENTS.md.
+//!
+//! The paper's grids (Table 1, Figures 2–8) are not code here: they are
+//! the `examples/campaigns/paper-*.json` specs `ccsim-campaign` expands.
 
 pub mod build;
 pub mod checkpoint;
 pub mod codec;
 pub mod crash;
 pub mod error;
-pub mod experiments;
 pub mod observe;
 pub mod outcome;
-pub mod report;
 pub mod request;
 pub mod runner;
 pub mod scenario;

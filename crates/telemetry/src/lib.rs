@@ -22,7 +22,7 @@
 //! * [`prometheus`] — text-exposition export ([`write_exposition`]) and
 //!   the CI line-format checker ([`validate_exposition`]).
 //! * [`progress`] — stderr live progress ([`RunProgress`],
-//!   [`CampaignProgress`]) and labeled stage timing ([`StageTimer`]).
+//!   [`CampaignProgress`]).
 
 pub mod manifest;
 pub mod metrics;
@@ -35,7 +35,7 @@ pub mod tracker;
 pub use manifest::{fnv1a_64, ManifestBottleneck, RunManifest};
 pub use metrics::FlowMetrics;
 pub use profile::{export_profile_into, ProfSpan, Profiler, SpanStats};
-pub use progress::{CampaignProgress, RunProgress, StageTimer};
+pub use progress::{CampaignProgress, RunProgress};
 pub use prometheus::{validate_exposition, write_exposition};
 pub use registry::{Counter, Gauge, Histogram, Metric, MetricEntry, Registry};
 pub use tracker::ThroughputTracker;

@@ -1,18 +1,15 @@
 //! Live progress reporting for runs and sweeps.
 //!
-//! Long CoreScale runs used to go silent for minutes between ad-hoc
-//! `eprintln!` lines scattered over the bench binaries; this module is
-//! the uniform replacement. Everything writes to **stderr** (stdout is
-//! reserved for reports and machine-readable output) and is wall-clock
-//! rate-limited, so callers can invoke `update` as often as they like —
-//! e.g. once per runner snapshot slice — without flooding terminals or
-//! CI logs.
+//! Long CoreScale runs would otherwise go silent for minutes. Everything
+//! writes to **stderr** (stdout is reserved for reports and
+//! machine-readable output) and is wall-clock rate-limited, so callers
+//! can invoke `update` as often as they like — e.g. once per runner
+//! snapshot slice — without flooding terminals or CI logs.
 //!
 //! * [`RunProgress`] — one in-flight run: percent of sim-time, ETA, and
 //!   current events/sec, rewritten in place on TTYs.
-//! * [`StageTimer`] — a labeled wall-clock stage that prints one
-//!   `[label: 12.3s]` line when finished; the uniform replacement for
-//!   the `Stopwatch` + `eprintln!` pattern.
+//! * [`CampaignProgress`] — the aggregate line of a sweep: jobs done and
+//!   failed, ETA, events/sec across workers.
 
 use std::io::{IsTerminal, Write};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -283,49 +280,6 @@ impl CampaignProgress {
             fmt_si(events as f64),
             fmt_si(rate)
         );
-    }
-}
-
-/// A labeled wall-clock stage: prints `[label: 12.3s]` to stderr when
-/// finished (or dropped). The uniform replacement for ad-hoc
-/// `Stopwatch` + `eprintln!` timing lines.
-pub struct StageTimer {
-    label: String,
-    started: Instant,
-    reported: bool,
-}
-
-impl StageTimer {
-    /// Start timing `label`.
-    pub fn new(label: impl Into<String>) -> StageTimer {
-        StageTimer {
-            label: label.into(),
-            started: Instant::now(),
-            reported: false,
-        }
-    }
-
-    /// Elapsed seconds so far.
-    pub fn secs(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
-    }
-
-    /// Stop and print the stage line now.
-    pub fn finish(mut self) {
-        self.report();
-    }
-
-    fn report(&mut self) {
-        if !self.reported {
-            self.reported = true;
-            eprintln!("[{}: {}]", self.label, fmt_duration(self.started.elapsed()));
-        }
-    }
-}
-
-impl Drop for StageTimer {
-    fn drop(&mut self) {
-        self.report();
     }
 }
 

@@ -4,8 +4,8 @@
 //!
 //! This example sweeps all-BBR runs from 4 flows on EdgeScale up to a
 //! scaled-down CoreScale population and prints the JFI trend. (The full
-//! Figure 4 grid — 1000–5000 flows × three RTTs — is regenerated by
-//! `cargo run --release -p ccsim-bench --bin fig4`.)
+//! Figure 4 grid — 1000–5000 flows × three RTTs — is the campaign spec
+//! `examples/campaigns/paper-fig4-core.json`.)
 //!
 //! ```sh
 //! cargo run --release --example bbr_fairness_at_scale

@@ -67,6 +67,7 @@ fn main() {
     println!(
         "\nMathis 1997 derived C = 0.94 for NewReno with delayed + selective\n\
          ACKs; the paper's point is that at CoreScale only the halving-rate\n\
-         interpretation keeps C stable and errors low (cf. `--bin table1`)."
+         interpretation keeps C stable and errors low (cf. the\n\
+         `paper-mathis-*` campaign specs)."
     );
 }

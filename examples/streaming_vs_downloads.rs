@@ -60,7 +60,7 @@ fn main() {
     println!(
         "\nthe paper shows all three patterns persist — and sharpen — with\n\
          thousands of flows on a 10 Gbps core link (Figures 5-8; regenerate\n\
-         with `cargo run --release -p ccsim-bench --bin fig5` etc.)."
+         with `ccsim campaign run examples/campaigns/paper-fig5-core.json` etc.)."
     );
 }
 

@@ -29,11 +29,12 @@
 //! * [`resume`] — versioned, digest-stamped checkpoint container with
 //!   typed decode errors; the engine-state snapshots behind
 //!   `ccsim run --checkpoint-at`/`--resume-from` and `ccsim bisect`.
-//! * [`experiments`] — the paper's EdgeScale/CoreScale scenarios, the one
-//!   way to run them (`RunRequest`; `run` for the plain case), and the
-//!   per-figure experiment functions.
-//! * [`campaign`] — parallel sweep executor, persistent run ledger,
-//!   regression sentinel (`campaign diff`), and fidelity reports.
+//! * [`experiments`] — the paper's EdgeScale/CoreScale scenarios and the
+//!   one way to run them (`RunRequest`; `run` for the plain case).
+//! * [`campaign`] — the one grid runner: sweep specs (the paper's tables
+//!   and figures are `examples/campaigns/paper-*.json`), parallel
+//!   executor, persistent run ledger, regression sentinel (`campaign
+//!   diff`), and per-cell fidelity reports.
 //!
 //! ## Quickstart
 //!

@@ -320,6 +320,10 @@ fn ledger_entry(name: &str, label: &str) -> LedgerEntry {
             sync_index: None,
             drop_burstiness: Some(0.21),
             share_a: Some(1.0),
+            mathis_c_loss: Some(1.78),
+            mathis_c_halving: Some(1.47),
+            mathis_err_halving: Some(0.06),
+            loss_to_halving_ratio: Some(1.7),
             convergence_time: Some(2.5),
             bottlenecks: bottlenecks(label),
         }),
@@ -479,6 +483,27 @@ fn writers_reproduce_the_golden_bytes() {
         assert_eq!(doc, name);
         assert_eq!(got, want, "{doc} moved");
     }
+}
+
+/// The four Mathis keys are the one deliberate change to the golden
+/// table since it was taken: an entry without them (every ledger line
+/// written before they existed) still writes the parent's bytes.
+#[test]
+fn ledger_entry_without_mathis_keys_writes_the_parent_bytes() {
+    const NEW_KEYS: &str = ",\"mathis_c_loss\":1.78,\"mathis_c_halving\":1.47,\
+        \"mathis_err_halving\":0.06,\"loss_to_halving_ratio\":1.7";
+    let (_, golden) = golden::GOLDEN
+        .iter()
+        .find(|(doc, _)| *doc == "ledger_entry")
+        .unwrap();
+    assert_eq!(golden.matches(NEW_KEYS).count(), 1);
+    let mut entry = ledger_entry(GOLDEN_NAME, GOLDEN_LABEL);
+    let m = entry.metrics.as_mut().unwrap();
+    m.mathis_c_loss = None;
+    m.mathis_c_halving = None;
+    m.mathis_err_halving = None;
+    m.loss_to_halving_ratio = None;
+    assert_eq!(entry.to_json(), golden.replace(NEW_KEYS, ""));
 }
 
 /// Parse one JSON document per non-empty line (whole-text for the pretty
