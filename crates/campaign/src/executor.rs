@@ -283,11 +283,6 @@ pub struct JobResult {
 }
 
 impl JobResult {
-    /// The outcome digest, for successful runs.
-    pub fn outcome_digest(&self) -> Option<u64> {
-        self.run.as_ref().ok().map(|obs| obs.outcome.digest())
-    }
-
     /// The metric rollup, for successful runs. Timeline-derived fields
     /// come from the manifest (the outcome itself stays digest-inert).
     pub fn rollup(&self) -> Option<Rollup> {
@@ -828,9 +823,11 @@ mod tests {
             ..ExecutorOptions::default()
         };
         let timelined = run_scenarios(&[tiny(3)], &opts, |_| {});
-        assert_eq!(plain[0].outcome_digest(), timelined[0].outcome_digest());
-
         let obs = timelined[0].run.as_ref().unwrap();
+        assert_eq!(
+            plain[0].run.as_ref().unwrap().manifest.outcome_digest,
+            obs.manifest.outcome_digest
+        );
         let summary = obs.manifest.timeline.as_ref().expect("timeline summary");
         assert!(summary.rows > 0);
         let rollup = timelined[0].rollup().unwrap();

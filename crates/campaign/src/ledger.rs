@@ -81,10 +81,11 @@ impl LedgerEntry {
         self.outcome_digest.is_some()
     }
 
-    /// Build the entry for one executed job.
+    /// Build the entry for one executed job. The outcome digest is the one
+    /// the run's manifest already carries, not computed a second time.
     pub fn from_result(r: &JobResult) -> LedgerEntry {
         let (outcome_digest, error) = match &r.run {
-            Ok(obs) => (Some(format!("{:016x}", obs.outcome.digest())), None),
+            Ok(obs) => (Some(obs.manifest.outcome_digest.clone()), None),
             Err(e) => (None, Some(e.clone())),
         };
         let manifest = r.run.as_ref().ok().map(|obs| obs.manifest.clone());

@@ -38,9 +38,9 @@ use crate::outcome::RunOutcome;
 use crate::scenario::Scenario;
 use ccsim_net::link::LinkMetrics;
 use ccsim_net::msg::Msg;
-use ccsim_sim::safe_rate;
+use ccsim_sim::{safe_rate, Fnv1a};
 use ccsim_tcp::sender::SenderMetrics;
-use ccsim_telemetry::manifest::{fnv1a_64, ManifestBottleneck, ManifestTimeline, RunManifest};
+use ccsim_telemetry::manifest::{ManifestBottleneck, ManifestTimeline, RunManifest};
 use ccsim_telemetry::prometheus::write_exposition;
 use ccsim_telemetry::registry::{Counter, Gauge, Histogram, Registry};
 use ccsim_telemetry::Profiler;
@@ -238,10 +238,13 @@ pub struct ObservedRun {
     pub timeline: Option<Timeline>,
 }
 
-/// FNV-1a digest of a scenario's full configuration (over its `Debug`
-/// representation, which covers every field at full precision).
+/// FNV-1a digest of a scenario's full configuration (streamed over its
+/// `Debug` representation, which covers every field at full precision).
 pub fn scenario_digest(scenario: &Scenario) -> u64 {
-    fnv1a_64(format!("{scenario:?}").as_bytes())
+    use std::fmt::Write as _;
+    let mut h = Fnv1a::new();
+    write!(h, "{scenario:?}").expect("hashing text cannot fail");
+    h.finish()
 }
 
 impl RunInstruments {

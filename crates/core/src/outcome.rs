@@ -4,7 +4,7 @@ use ccsim_analysis::mathis::FlowObservation;
 use ccsim_analysis::{group_share, jain_fairness_index};
 use ccsim_cca::CcaKind;
 use ccsim_sim::json::JsonWriter;
-use ccsim_sim::{Bandwidth, SimDuration, SimTime};
+use ccsim_sim::{Bandwidth, Fnv1a, SimDuration, SimTime};
 use ccsim_telemetry::FlowMetrics;
 use ccsim_trace::RunTrace;
 use serde::{Deserialize, Serialize};
@@ -44,7 +44,8 @@ pub struct BottleneckMetrics {
 /// The complete result of one scenario run.
 ///
 /// `Debug` is hand-written because [`RunOutcome::digest`] hashes the
-/// `Debug` representation: `bottlenecks` is printed **only when
+/// `Debug` representation (with `trace` as `None`; the trace is hashed as
+/// its `.cctr` bytes after it): `bottlenecks` is printed **only when
 /// non-empty**, so outcomes of configurations that predate the topology
 /// subsystem keep their exact historical digests.
 #[derive(Clone, Serialize, Deserialize)]
@@ -86,6 +87,26 @@ pub struct RunOutcome {
 
 impl std::fmt::Debug for RunOutcome {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.fmt_with_trace(f, &self.trace)
+    }
+}
+
+/// An outcome's `Debug` text with `trace` printed as `None` — the first
+/// part of [`RunOutcome::digest`], rendered without cloning the outcome.
+struct Untraced<'a>(&'a RunOutcome);
+
+impl std::fmt::Debug for Untraced<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.fmt_with_trace(f, &None)
+    }
+}
+
+impl RunOutcome {
+    fn fmt_with_trace(
+        &self,
+        f: &mut std::fmt::Formatter<'_>,
+        trace: &Option<RunTrace>,
+    ) -> std::fmt::Result {
         let mut d = f.debug_struct("RunOutcome");
         d.field("scenario", &self.scenario)
             .field("seed", &self.seed)
@@ -100,7 +121,7 @@ impl std::fmt::Debug for RunOutcome {
             .field("drop_burstiness", &self.drop_burstiness)
             .field("max_queue_bytes", &self.max_queue_bytes)
             .field("events_processed", &self.events_processed)
-            .field("trace", &self.trace);
+            .field("trace", trace);
         // Digest stability: present only when populated (see type docs).
         if !self.bottlenecks.is_empty() {
             d.field("bottlenecks", &self.bottlenecks);
@@ -270,12 +291,27 @@ impl RunOutcome {
         out
     }
 
-    /// FNV-1a digest of the outcome at full precision (over the `Debug`
-    /// representation, so every float participates bit-exactly). Two runs
-    /// with equal digests produced identical results; the observability
-    /// layer's inertness guarantee is stated in terms of this value.
+    /// FNV-1a digest of the outcome at full precision. Two runs with equal
+    /// digests produced identical results; the observability layer's
+    /// inertness guarantee is stated in terms of this value.
+    ///
+    /// The hash streams over the `Debug` text with `trace` printed as
+    /// `None` (every float participates bit-exactly) and, when a trace is
+    /// present, continues over exactly the bytes
+    /// [`ccsim_trace::write_binary`] writes for it — nanosecond-exact
+    /// times, 29 bytes a record. Nothing is rendered into memory, and an
+    /// untraced outcome hashes the same bytes as `format!("{self:?}")`.
     pub fn digest(&self) -> u64 {
-        ccsim_telemetry::fnv1a_64(format!("{self:?}").as_bytes())
+        use std::fmt::Write as _;
+        let mut h = Fnv1a::new();
+        write!(h, "{:?}", Untraced(self)).expect("hashing text cannot fail");
+        if let Some(trace) = &self.trace {
+            // The sink never fails, and `write_binary` refuses only a
+            // scenario name over 65535 bytes, which `Scenario::validate`
+            // rejects before any run starts.
+            ccsim_trace::write_binary(trace, &mut h).expect("a run's trace always encodes");
+        }
+        h.finish()
     }
 
     /// Export the recorded trace next to `prefix`: `<prefix>.jsonl` when

@@ -211,6 +211,10 @@ const MAX_FLOWS: u64 = 1 << 30;
 /// operators (and tests) recognize them.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioError {
+    /// The name is longer than a `.cctr` header can hold (a `u16` length).
+    NameTooLong {
+        len: usize,
+    },
     NoFlows,
     /// The flow groups sum past what one simulator can address.
     TooManyFlows {
@@ -236,6 +240,11 @@ pub enum ScenarioError {
 impl fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            ScenarioError::NameTooLong { len } => write!(
+                f,
+                "scenario name is {len} bytes; at most {} are supported",
+                u16::MAX
+            ),
             ScenarioError::NoFlows => f.write_str("scenario has no flows"),
             ScenarioError::TooManyFlows { total, max } => {
                 write!(f, "scenario has {total} flows; at most {max} are supported")
@@ -495,6 +504,11 @@ impl Scenario {
 
     /// Validate internal consistency, returning a structured error.
     pub fn validate(&self) -> Result<(), ScenarioError> {
+        if self.name.len() > usize::from(u16::MAX) {
+            return Err(ScenarioError::NameTooLong {
+                len: self.name.len(),
+            });
+        }
         let total = self.flow_total();
         if total == 0 {
             return Err(ScenarioError::NoFlows);
@@ -612,6 +626,19 @@ mod tests {
             let text = format!("scenario has {total} flows; at most 1073741824 are supported");
             assert_eq!(err.to_string(), text);
         }
+    }
+
+    #[test]
+    fn names_past_the_cctr_header_limit_fail_validation() {
+        let reno = FlowGroup::new(CcaKind::Reno, 1, SimDuration::from_millis(20));
+        let s = Scenario::edge_scale().flows(vec![reno]);
+        s.clone().named("n".repeat(65_535)).validate().unwrap();
+        let err = s.named("n".repeat(65_536)).validate().unwrap_err();
+        assert_eq!(err, ScenarioError::NameTooLong { len: 65_536 });
+        assert_eq!(
+            err.to_string(),
+            "scenario name is 65536 bytes; at most 65535 are supported"
+        );
     }
 
     #[test]

@@ -55,6 +55,6 @@ pub use engine::{Component, ComponentId, Ctx, EngineError, Simulator};
 pub use event::{CancelToken, Event, EventQueue, HeapQueue, WheelStats};
 pub use json::{Json, JsonError, JsonWriter};
 pub use rate::{safe_rate, Bandwidth};
-pub use rng::{fnv1a_64, RngFactory};
+pub use rng::{fnv1a_64, Fnv1a, RngFactory};
 pub use snap::{SnapError, SnapReader, SnapWriter};
 pub use time::{SimDuration, SimTime};

@@ -32,12 +32,66 @@ fn splitmix64(mut z: u64) -> u64 {
 /// reimplementable by external tooling.
 #[inline]
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0100_0000_01b3);
+    let mut h = Fnv1a::new();
+    h.update(bytes);
+    h.finish()
+}
+
+/// Streaming [`fnv1a_64`]: feeding the same bytes in any number of pieces
+/// yields the same value. It is a `fmt::Write` and an `io::Write` sink, so
+/// a digest of formatted text (`write!(h, "{x:?}")`) or of an encoder's
+/// output never builds the bytes in memory. Neither write can fail.
+#[derive(Clone, Debug)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The hash of the empty string (the FNV-1a offset basis).
+    pub const fn new() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    /// Absorb `bytes`.
+    #[inline]
+    pub fn update(&mut self, bytes: &[u8]) {
+        let mut h = self.0;
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+        self.0 = h;
+    }
+
+    /// The hash of everything absorbed so far.
+    #[inline]
+    pub const fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a::new()
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    #[inline]
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
+}
+
+impl std::io::Write for Fnv1a {
+    #[inline]
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.update(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Factory deriving independent, stable RNG streams from one master seed.
@@ -132,5 +186,20 @@ mod tests {
         assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
         assert_ne!(fnv1a_64(b"ab"), fnv1a_64(b"ba"));
+    }
+
+    #[test]
+    fn streamed_fnv_equals_one_shot_whatever_the_pieces() {
+        use std::fmt::Write as _;
+        let text = "RunOutcome { scenario: \"x\", seed: 7, trace: None }";
+        let mut by_fmt = Fnv1a::new();
+        write!(by_fmt, "{}", text).unwrap();
+        let mut by_io = Fnv1a::default();
+        for piece in text.as_bytes().chunks(5) {
+            std::io::Write::write_all(&mut by_io, piece).unwrap();
+        }
+        assert_eq!(by_fmt.finish(), fnv1a_64(text.as_bytes()));
+        assert_eq!(by_io.finish(), fnv1a_64(text.as_bytes()));
+        assert_eq!(Fnv1a::new().finish(), fnv1a_64(b""));
     }
 }

@@ -322,40 +322,44 @@ impl Div<u64> for SimDuration {
 
 impl fmt::Debug for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "t={}", format_ns(self.0))
+        f.write_str("t=")?;
+        fmt_ns(self.0, f)
     }
 }
 
 impl fmt::Display for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", format_ns(self.0))
+        fmt_ns(self.0, f)
     }
 }
 
 impl fmt::Debug for SimDuration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", format_ns(self.0))
+        fmt_ns(self.0, f)
     }
 }
 
 impl fmt::Display for SimDuration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", format_ns(self.0))
+        fmt_ns(self.0, f)
     }
 }
 
-/// Human-readable rendering with an adaptive unit.
-fn format_ns(ns: u64) -> String {
+/// Human-readable rendering with an adaptive unit, written straight into
+/// `f`. Width, fill and precision flags on `f` are ignored (`write!` into
+/// a `Formatter` starts from default flags): the text is the same under
+/// any flags, as it is inside outcome and scenario digests.
+fn fmt_ns(ns: u64, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     if ns == u64::MAX {
-        "inf".to_owned()
+        f.write_str("inf")
     } else if ns >= NANOS_PER_SEC {
-        format!("{:.6}s", ns as f64 / NANOS_PER_SEC as f64)
+        write!(f, "{:.6}s", ns as f64 / NANOS_PER_SEC as f64)
     } else if ns >= NANOS_PER_MILLI {
-        format!("{:.3}ms", ns as f64 / NANOS_PER_MILLI as f64)
+        write!(f, "{:.3}ms", ns as f64 / NANOS_PER_MILLI as f64)
     } else if ns >= NANOS_PER_MICRO {
-        format!("{:.3}us", ns as f64 / NANOS_PER_MICRO as f64)
+        write!(f, "{:.3}us", ns as f64 / NANOS_PER_MICRO as f64)
     } else {
-        format!("{ns}ns")
+        write!(f, "{ns}ns")
     }
 }
 
@@ -443,6 +447,46 @@ mod tests {
         assert_eq!(format!("{}", SimDuration::from_millis(5)), "5.000ms");
         assert_eq!(format!("{}", SimDuration::from_secs(5)), "5.000000s");
         assert_eq!(format!("{}", SimDuration::MAX), "inf");
+    }
+
+    /// The allocating renderer `fmt_ns` replaced, kept as the oracle.
+    fn format_ns_oracle(ns: u64) -> String {
+        if ns == u64::MAX {
+            "inf".to_owned()
+        } else if ns >= NANOS_PER_SEC {
+            format!("{:.6}s", ns as f64 / NANOS_PER_SEC as f64)
+        } else if ns >= NANOS_PER_MILLI {
+            format!("{:.3}ms", ns as f64 / NANOS_PER_MILLI as f64)
+        } else if ns >= NANOS_PER_MICRO {
+            format!("{:.3}us", ns as f64 / NANOS_PER_MICRO as f64)
+        } else {
+            format!("{ns}ns")
+        }
+    }
+
+    #[test]
+    fn formatting_matches_the_allocating_renderer_under_any_flags() {
+        for ns in [
+            0,
+            999,
+            NANOS_PER_MICRO,
+            NANOS_PER_MILLI,
+            NANOS_PER_SEC,
+            1_234_567_891,
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
+            let text = format_ns_oracle(ns);
+            let (t, d) = (SimTime::from_nanos(ns), SimDuration::from_nanos(ns));
+            assert_eq!(format!("{t}"), text);
+            assert_eq!(format!("{t:?}"), format!("t={text}"));
+            assert_eq!(format!("{d}"), text);
+            assert_eq!(format!("{d:?}"), text);
+            // Flags never reached the old renderer's inner `format!`.
+            assert_eq!(format!("{t:>12}"), text);
+            assert_eq!(format!("{d:*<12}"), text);
+            assert_eq!(format!("{d:>12?}"), text);
+        }
     }
 
     #[test]
