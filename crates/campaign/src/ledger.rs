@@ -185,17 +185,7 @@ impl LedgerEntry {
                         w.key("convergence_time").f64(ct);
                     }
                     if !m.bottlenecks.is_empty() {
-                        w.key("bottlenecks").arr(&m.bottlenecks, |w, b| {
-                            w.obj(|w| {
-                                w.key("link").u64(b.link.into());
-                                w.key("label").str(&b.label);
-                                w.key("utilization").f64(b.utilization);
-                                w.key("jfi").opt(b.jfi, JsonWriter::f64);
-                                w.key("loss_rate").f64(b.loss_rate);
-                                w.key("max_queue_bytes").u64(b.max_queue_bytes);
-                                w.key("ce_marked").u64(b.ce_marked_pkts);
-                            })
-                        });
+                        w.key("bottlenecks").arr(&m.bottlenecks, |w, b| b.write(w));
                     }
                 })
             });
@@ -211,18 +201,12 @@ impl LedgerEntry {
         let opt_string = |key: &str| Ok::<_, JsonError>(v.opt_str(key)?.map(str::to_string));
         let metrics = match v.get("metrics") {
             Some(m) if !m.is_null() => {
-                let mut bottlenecks = Vec::new();
-                for b in m.opt_arr("bottlenecks")?.unwrap_or(&[]) {
-                    bottlenecks.push(BottleneckMetrics {
-                        link: b.req_u32("link")?,
-                        label: b.req_str("label")?.to_string(),
-                        utilization: b.req_f64("utilization")?,
-                        jfi: b.opt_f64("jfi")?,
-                        loss_rate: b.req_f64("loss_rate")?,
-                        max_queue_bytes: b.req_u64("max_queue_bytes")?,
-                        ce_marked_pkts: b.req_u64("ce_marked")?,
-                    });
-                }
+                let bottlenecks = m
+                    .opt_arr("bottlenecks")?
+                    .unwrap_or(&[])
+                    .iter()
+                    .map(BottleneckMetrics::from_value)
+                    .collect::<Result<_, _>>()?;
                 Some(Rollup {
                     jfi: m.opt_f64("jfi")?,
                     utilization: m.req_f64("utilization")?,

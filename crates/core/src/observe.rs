@@ -40,7 +40,7 @@ use ccsim_net::link::LinkMetrics;
 use ccsim_net::msg::Msg;
 use ccsim_sim::{safe_rate, Fnv1a};
 use ccsim_tcp::sender::SenderMetrics;
-use ccsim_telemetry::manifest::{ManifestBottleneck, ManifestTimeline, RunManifest};
+use ccsim_telemetry::manifest::{ManifestTimeline, RunManifest};
 use ccsim_telemetry::prometheus::write_exposition;
 use ccsim_telemetry::registry::{Counter, Gauge, Histogram, Registry};
 use ccsim_telemetry::Profiler;
@@ -316,19 +316,6 @@ impl RunInstruments {
             .zip(&self.events_kind)
             .map(|(kind, counter)| (kind.to_string(), counter.get()))
             .collect();
-        let bottlenecks = outcome
-            .bottlenecks
-            .iter()
-            .map(|b| ManifestBottleneck {
-                link: b.link,
-                label: b.label.clone(),
-                utilization: b.utilization,
-                jfi: b.jfi,
-                loss_rate: b.loss_rate,
-                max_queue_bytes: b.max_queue_bytes,
-                ce_marked_pkts: b.ce_marked_pkts,
-            })
-            .collect();
         let manifest = RunManifest {
             scenario: scenario.name.clone(),
             seed: scenario.seed,
@@ -349,7 +336,7 @@ impl RunInstruments {
             converged: outcome.converged,
             checkpoint_bytes: self.checkpoint_bytes.get(),
             events_by_kind,
-            bottlenecks,
+            bottlenecks: outcome.bottlenecks.clone(),
             profile,
             timeline: timeline_summary,
         };

@@ -20,26 +20,9 @@ pub enum PInterpretation {
     CwndHalving,
 }
 
-/// Window-scoped measurements for one bottleneck link of a multi-hop
-/// topology (or a single link running a non-default AQM/ECN config).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BottleneckMetrics {
-    /// Link index in the scenario's topology description.
-    pub link: u32,
-    /// The link's label ("bottleneck", "bn0", …).
-    pub label: String,
-    /// Link utilization over the window (transmitted bits / capacity).
-    pub utilization: f64,
-    /// Jain's Fairness Index across the flows traversing this link, if
-    /// more than zero flows produced throughput.
-    pub jfi: Option<f64>,
-    /// Packet loss rate at this link's queue over the window.
-    pub loss_rate: f64,
-    /// Peak queue occupancy at this link in the window (bytes).
-    pub max_queue_bytes: u64,
-    /// Packets CE-marked by this link's AQM in the window.
-    pub ce_marked_pkts: u64,
-}
+/// Defined beside [`FlowMetrics`] so the run manifest can embed it; this
+/// is its historical path.
+pub use ccsim_telemetry::BottleneckMetrics;
 
 /// The complete result of one scenario run.
 ///

@@ -285,32 +285,32 @@ impl Profile {
 
     /// Human-readable summary: the attribution matrix, the scheduler
     /// counters, and the memory accounts (the `ccsim perf` output).
+    ///
+    /// The matrix shows exact event counts only. The strided sample
+    /// charges each gap between readings to whichever event happened to be
+    /// sampled, so per-cell sampled time tracks the event share and is not
+    /// printed as a clock.
     pub fn render_table(&self) -> String {
         let mut out = String::with_capacity(1024);
         let total_events = self.events.total().max(1);
-        let total_nanos: u64 = self.events.nanos.iter().sum();
         let _ = writeln!(
             out,
-            "{:<10} {:>6} {:>14} {:>8} {:>12} {:>8}",
-            "class", "kind", "events", "ev%", "sampled ms", "time%"
+            "{:<10} {:>6} {:>14} {:>8}",
+            "class", "kind", "events", "ev%"
         );
         for (c, class) in self.events.classes.iter().enumerate() {
             for (k, kind) in self.events.kinds.iter().enumerate() {
-                let cell = c * self.events.kinds.len() + k;
-                let n = self.events.counts[cell];
+                let n = self.events.counts[c * self.events.kinds.len() + k];
                 if n == 0 {
                     continue;
                 }
-                let ns = self.events.nanos[cell];
                 let _ = writeln!(
                     out,
-                    "{:<10} {:>6} {:>14} {:>7.2}% {:>12.2} {:>7.2}%",
+                    "{:<10} {:>6} {:>14} {:>7.2}%",
                     class,
                     kind,
                     n,
                     100.0 * n as f64 / total_events as f64,
-                    ns as f64 / 1e6,
-                    100.0 * ns as f64 / total_nanos.max(1) as f64,
                 );
             }
         }
@@ -512,6 +512,8 @@ mod tests {
     fn table_renders_all_sections() {
         let t = sample().render_table();
         assert!(t.contains("class"));
+        // No clock column: sampled time per cell tracks the event share.
+        assert!(!t.contains("time%") && !t.contains("sampled ms"), "{t}");
         assert!(t.contains("link"));
         assert!(t.contains("wheel: cascades 12"));
         assert!(t.contains("sends at now 90 (lane merges 1)"));

@@ -32,8 +32,8 @@ pub mod prometheus;
 pub mod registry;
 pub mod tracker;
 
-pub use manifest::{fnv1a_64, ManifestBottleneck, RunManifest};
-pub use metrics::FlowMetrics;
+pub use manifest::{fnv1a_64, RunManifest};
+pub use metrics::{BottleneckMetrics, FlowMetrics};
 pub use profile::{export_profile_into, ProfSpan, Profiler, SpanStats};
 pub use progress::{CampaignProgress, RunProgress};
 pub use prometheus::{validate_exposition, write_exposition};

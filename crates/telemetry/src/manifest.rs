@@ -16,6 +16,7 @@
 //! [`RunManifest::to_json`] → [`RunManifest::from_json`] is lossless
 //! (asserted in tests and in CI's self-observability smoke job).
 
+use crate::metrics::BottleneckMetrics;
 use ccsim_sim::json::{Json, JsonError, JsonWriter};
 use std::io;
 
@@ -23,33 +24,12 @@ use std::io;
 /// outcomes (defined in `ccsim-sim`; this is its historical path).
 pub use ccsim_sim::fnv1a_64;
 
-/// Per-bottleneck metrics embedded in the manifest. A manifest-local
-/// mirror of `ccsim-core`'s `BottleneckMetrics` (this crate sits below
-/// core in the dependency DAG, so it cannot name that type directly);
-/// absent entirely for single-bottleneck legacy runs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ManifestBottleneck {
-    /// Link index in the built topology.
-    pub link: u32,
-    /// Topology label for the link.
-    pub label: String,
-    /// Delivered-bytes utilization of the link's rate over the window.
-    pub utilization: f64,
-    /// Jain fairness across the flows crossing this link, when >1 flow.
-    pub jfi: Option<f64>,
-    /// Fraction of arrivals dropped at this link.
-    pub loss_rate: f64,
-    /// Peak queue occupancy, bytes.
-    pub max_queue_bytes: u64,
-    /// ECN CE marks applied at this link.
-    pub ce_marked_pkts: u64,
-}
-
 /// Timeline capture summary embedded in the manifest — the sim-
 /// deterministic facts about a run's windowed time-series capture. A
-/// manifest-local mirror of `ccsim-timeline`'s `TimelineSummary` (same
-/// layering rule as [`ManifestBottleneck`]); absent entirely for runs
-/// that did not sample a timeline.
+/// manifest-local mirror of `ccsim-timeline`'s `TimelineSummary` (this
+/// crate sits below the timeline crate in the dependency DAG, so it
+/// cannot name that type directly); absent entirely for runs that did not
+/// sample a timeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ManifestTimeline {
     /// Configured window width, seconds.
@@ -129,7 +109,7 @@ pub struct RunManifest {
     pub events_by_kind: Vec<(String, u64)>,
     /// Per-bottleneck metrics for multi-bottleneck topologies. Empty (and
     /// absent from the JSON) for legacy single-bottleneck runs.
-    pub bottlenecks: Vec<ManifestBottleneck>,
+    pub bottlenecks: Vec<BottleneckMetrics>,
     /// Profiler output when the run was profiled (absent otherwise). The
     /// profile's own JSON is single-line and integers-only, so it embeds
     /// in both the pretty and inline manifest forms without float drift.
@@ -173,17 +153,8 @@ impl RunManifest {
                 });
             }
             if !self.bottlenecks.is_empty() {
-                w.key("bottlenecks").arr(&self.bottlenecks, |w, b| {
-                    w.obj(|w| {
-                        w.key("link").u64(b.link.into());
-                        w.key("label").str(&b.label);
-                        w.key("utilization").f64(b.utilization);
-                        w.key("jfi").opt(b.jfi, JsonWriter::f64);
-                        w.key("loss_rate").f64(b.loss_rate);
-                        w.key("max_queue_bytes").u64(b.max_queue_bytes);
-                        w.key("ce_marked").u64(b.ce_marked_pkts);
-                    })
-                });
+                w.key("bottlenecks")
+                    .arr(&self.bottlenecks, |w, b| b.write(w));
             }
             if let Some(p) = &self.profile {
                 // The profile document is compact in both layouts.
@@ -237,18 +208,12 @@ impl RunManifest {
     /// zero/empty when absent, so legacy manifests still parse; a field
     /// that is present but malformed is an error, never a default.
     pub fn from_value(v: &Json) -> Result<RunManifest, JsonError> {
-        let mut bottlenecks = Vec::new();
-        for b in v.opt_arr("bottlenecks")?.unwrap_or(&[]) {
-            bottlenecks.push(ManifestBottleneck {
-                link: b.req_u32("link")?,
-                label: b.req_str("label")?.to_string(),
-                utilization: b.req_f64("utilization")?,
-                jfi: b.opt_f64("jfi")?,
-                loss_rate: b.req_f64("loss_rate")?,
-                max_queue_bytes: b.req_u64("max_queue_bytes")?,
-                ce_marked_pkts: b.req_u64("ce_marked")?,
-            });
-        }
+        let bottlenecks = v
+            .opt_arr("bottlenecks")?
+            .unwrap_or(&[])
+            .iter()
+            .map(BottleneckMetrics::from_value)
+            .collect::<Result<_, _>>()?;
         let profile = match v.get("profile") {
             Some(p) => Some(ccsim_prof::Profile::from_value(p)?),
             None => None,
@@ -350,7 +315,7 @@ mod tests {
             ("timer".into(), 87_654_321),
         ];
         m.bottlenecks = vec![
-            ManifestBottleneck {
+            BottleneckMetrics {
                 link: 0,
                 label: "core \"bn\"".into(),
                 utilization: 0.912345,
@@ -359,7 +324,7 @@ mod tests {
                 max_queue_bytes: 250_000,
                 ce_marked_pkts: 0,
             },
-            ManifestBottleneck {
+            BottleneckMetrics {
                 link: 3,
                 label: "edge".into(),
                 utilization: 0.5,

@@ -1,6 +1,60 @@
-//! Per-flow measurement records.
+//! Per-flow and per-bottleneck measurement records.
 
+use ccsim_sim::json::{Json, JsonError, JsonWriter};
 use serde::{Deserialize, Serialize};
+
+/// Window-scoped measurements for one bottleneck link of a multi-hop
+/// topology (or a single link running a non-default AQM/ECN config).
+///
+/// The outcome digest hashes the derived `Debug` text, which prints the
+/// type name and the fields in this order: neither may change.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct BottleneckMetrics {
+    /// Link index in the scenario's topology description.
+    pub link: u32,
+    /// The link's label ("bottleneck", "bn0", …).
+    pub label: String,
+    /// Link utilization over the window (transmitted bits / capacity).
+    pub utilization: f64,
+    /// Jain's Fairness Index across the flows traversing this link, if
+    /// more than zero flows produced throughput.
+    pub jfi: Option<f64>,
+    /// Packet loss rate at this link's queue over the window.
+    pub loss_rate: f64,
+    /// Peak queue occupancy at this link in the window (bytes).
+    pub max_queue_bytes: u64,
+    /// Packets CE-marked by this link's AQM in the window.
+    pub ce_marked_pkts: u64,
+}
+
+impl BottleneckMetrics {
+    /// The full-precision object the run manifest and the campaign ledger
+    /// both embed (the outcome JSON writes its own rounded copy).
+    pub fn write(&self, w: &mut JsonWriter<'_>) {
+        w.obj(|w| {
+            w.key("link").u64(self.link.into());
+            w.key("label").str(&self.label);
+            w.key("utilization").f64(self.utilization);
+            w.key("jfi").opt(self.jfi, JsonWriter::f64);
+            w.key("loss_rate").f64(self.loss_rate);
+            w.key("max_queue_bytes").u64(self.max_queue_bytes);
+            w.key("ce_marked").u64(self.ce_marked_pkts);
+        });
+    }
+
+    /// Decode an object written by [`BottleneckMetrics::write`].
+    pub fn from_value(b: &Json) -> Result<BottleneckMetrics, JsonError> {
+        Ok(BottleneckMetrics {
+            link: b.req_u32("link")?,
+            label: b.req_str("label")?.to_string(),
+            utilization: b.req_f64("utilization")?,
+            jfi: b.opt_f64("jfi")?,
+            loss_rate: b.req_f64("loss_rate")?,
+            max_queue_bytes: b.req_u64("max_queue_bytes")?,
+            ce_marked_pkts: b.req_u64("ce_marked")?,
+        })
+    }
+}
 
 /// Everything the analysis needs to know about one flow after a run.
 ///

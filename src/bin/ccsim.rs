@@ -1,56 +1,15 @@
 //! `ccsim` — run ad-hoc congestion-control experiments from the shell.
 //!
-//! ```text
-//! ccsim run   [--setting edge|core] [--bw <mbps>] [--buffer <bytes>]
-//!             [--flows <cca>:<count>:<rtt_ms> ...] [--seed N]
-//!             [--topology single|dumbbell|parking_lot:<n>|dumbbell_asym]
-//!             [--aqm droptail|red|codel|pie] [--ecn]
-//!             [--warmup <s>] [--duration <s>] [--jitter <s>]
-//!             [--fidelity quick|standard|paper] [--json]
-//!             [--metrics <path>] [--quiet]
-//!             [--timeline] [--timeline-window <ms>] [--timeline-out <path>]
-//!             [--serve <port>]
-//! ccsim trace <run flags> [--out <prefix>] [--format jsonl|bin|both]
-//!             [--policy keepall|decimate:N|reservoir:K]
-//!             [--trace-budget <bytes>] [--queue-every <n>]
-//!             [--sync-bin <ms>]
-//! ccsim perf  <run flags> [--folded <path>] [--stride <events>]
-//! ccsim timeline <run flags> [--window <ms>] [--budget <bytes>]
-//!             [--max-flows <n>] [--out <path>] [--format jsonl|cctl]
-//!             [--serve <port>]
-//! ccsim replay <bundle-dir> [--json] [--quiet]
-//! ccsim bisect <a.json> <b.json> [--out <dir>]
-//! ccsim campaign run <spec.json> [--workers N] [--ledger <path>] ...
-//! ccsim campaign report <ledger.jsonl> [--out <path>] [--html]
-//! ccsim campaign diff <baseline.jsonl> <current.jsonl> [--skip-eps]
-//! ```
+//! `ccsim --help` lists the subcommands and `ccsim <cmd> --help` the
+//! flags one takes. Both, and the usage printed with every usage error,
+//! are generated from [`FLAGS`]: one row per (subcommands, flag), read by
+//! the one argv parser, so the help cannot drift from what is accepted.
 //!
-//! `trace` runs the same experiment with the flight recorder enabled,
-//! writes `<prefix>.jsonl` / `<prefix>.cctr`, and reports the
-//! trace-derived loss-synchronization index and drop burstiness.
-//!
-//! `perf` runs the same experiment with the digest-inert `ccsim-prof`
-//! profiler attached and prints the per-(component class × event kind)
-//! attribution matrix, timer-wheel scheduler counters, and subsystem
-//! memory accounts; `--folded <path>` writes a folded-stack file for
-//! flamegraph tooling and `--stride` tunes the wall-clock sampling
-//! stride. The simulated outcome is bit-identical with or without it.
-//!
-//! `--metrics <path>` additionally observes the run: a Prometheus
-//! text-exposition dump is written to `<path>` and a provenance manifest
-//! to `<path with extension .manifest.json>`. Observation is inert — the
-//! simulated outcome is bit-identical with or without it.
-//!
-//! `timeline` runs the experiment with the windowed time-series sampler
-//! attached (also digest-inert) and prints the capture summary — rows,
-//! eviction, time-to-α-fair — plus a unicode JFI trajectory; `--out`
-//! exports the retained rows as JSONL or columnar `.cctl`. The same
-//! sampler rides along on a plain `run` via `--timeline`
-//! (`--timeline-window` tunes the window, `--timeline-out` exports; a
-//! `.cctl` extension selects the binary form). `--serve <port>` binds
-//! `127.0.0.1:<port>` for the duration of the run and serves the live
-//! Prometheus exposition at `/metrics` and the rolling timeline at
-//! `/timeline.jsonl`, refreshed at every progress slice.
+//! `trace`, `perf` and `timeline` run the same experiment as `run` with
+//! the flight recorder, the `ccsim-prof` profiler or the windowed
+//! time-series sampler attached. The profiler, the sampler and
+//! `--metrics` are inert: the simulated outcome is bit-identical with or
+//! without them.
 //!
 //! Every run flag composes with every other: `run`, `trace`, `perf`,
 //! `timeline` and `--resume-from` all build one `RunRequest`, so metrics,
@@ -60,43 +19,23 @@
 //! `--resume-from` with any flag that shapes the scenario (the checkpoint
 //! carries its own — the `trace` subcommand counts, tracing is part of the
 //! scenario), and `trace` with `--checkpoint-at` (no test yet proves a
-//! restored flight recorder byte-exact).
+//! restored flight recorder byte-exact). The table's `shapes` column is
+//! the first list.
 //!
-//! Robustness flags:
+//! `--checkpoint-at` snapshots the engine at the first snapshot-slice
+//! boundary at or after the given time and the run continues to its end;
+//! `--resume-from` restores it and produces an outcome byte-identical to
+//! the uninterrupted run. An observed resume's manifest reports the
+//! events/s of the resumed segment only.
 //!
-//! * `--fault <spec>` (repeatable) schedules a timed link impairment;
-//!   specs are `blackout:<at_s>:<dur_s>`, `bw:<at_s>:<mbps>`,
-//!   `delay:<at_s>:<ms>`, `loss:<at_s>:<rate>` (rate 0 clears),
-//!   `burstloss:<at_s>:<enter>:<exit>`, `reorder:<at_s>:<rate>:<ms>`,
-//!   `dup:<at_s>:<rate>`. Fault plans are deterministic for a seed.
-//! * `--watchdog` checks runtime invariants (packet conservation, queue
-//!   bounds, cwnd sanity, clock monotonicity) at every snapshot slice.
-//! * `--crash-dir <dir>` catches failures — typed errors, watchdog
-//!   violations, panics — and writes a replayable crash bundle there.
-//! * `--force-panic <s>` (testing) panics from the progress callback at
-//!   the given simulated time to exercise the crash path; combine with
-//!   `--crash-dir`.
+//! Every time value, in a flag or inside a `--flows`/`--fault` spec, goes
+//! through [`parse_time`]: whole numbers are exact (so whole-second inputs
+//! keep their digests), fractions round to the nanosecond, and negative,
+//! non-finite or clock-overflowing values are usage errors.
 //!
-//! `replay` loads a crash bundle and re-runs its exact scenario (same
-//! seed, same fault plan), reporting whether the failure reproduces.
-//!
-//! Checkpoint/restore: `--checkpoint-at <s>` captures a versioned,
-//! digest-stamped snapshot of the full engine state at the first
-//! snapshot-slice boundary at or after `<s>` simulated seconds and writes
-//! it to `--checkpoint-out` (default `ccsim.ckpt`); the run then
-//! continues to its normal end. `ccsim run --resume-from <ckpt>` restores
-//! the snapshot (scenario included) and runs to the horizon, producing an
-//! outcome byte-identical to the uninterrupted run; an observed resume's
-//! manifest reports the events/s of the resumed segment only.
-//! `ccsim bisect a.json b.json` binary-searches two scenarios' checkpoint
-//! slices for the first divergent slice.
-//!
-//! `campaign` drives whole parameter sweeps: `run` expands a JSON spec
-//! (scenario template × axes × seeds) onto a worker pool and appends
-//! every result to a JSONL ledger, `report` renders a ledger as a
-//! Markdown/HTML fidelity report, and `diff` is the regression sentinel
-//! comparing two ledgers (determinism breaks, paper-metric drift,
-//! events/sec regressions). See `ccsim campaign --help`.
+//! Exit codes: 0 on success or help, 2 on a usage error, 1 on a runtime
+//! failure (and on `campaign diff` findings or a `bisect` divergence), 3
+//! when `replay` reproduces the captured failure.
 //!
 //! Examples:
 //!
@@ -120,561 +59,536 @@ use ccsim::experiments::{
 };
 use ccsim::fault::{FaultPlan, WatchdogConfig};
 use ccsim::net::AqmKind;
+use ccsim::prof::DEFAULT_STRIDE;
 use ccsim::sim::{Bandwidth, SimDuration, SimTime};
 use ccsim::telemetry::{validate_exposition, RunProgress};
 use ccsim::topo::TopologyKind;
 use ccsim::trace::{RetentionPolicy, TraceConfig};
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::process::exit;
 use std::sync::Arc;
 
-const USAGE: &str = "usage: ccsim run [--setting edge|core] [--bw <mbps>] \
-    [--buffer <bytes>] --flows <cca>:<count>:<rtt_ms> [--flows ...] \
-    [--topology single|dumbbell|parking_lot:<n>|dumbbell_asym] \
-    [--aqm droptail|red|codel|pie] [--ecn] \
-    [--seed N] [--warmup <s>] [--duration <s>] [--jitter <s>] \
-    [--fidelity quick|standard|paper] [--json] [--metrics <path>] [--quiet] \
-    [--timeline] [--timeline-window <ms>] [--timeline-out <path>] \
-    [--serve <port>] \
-    [--fault <spec> ...] [--watchdog] [--crash-dir <dir>] [--force-panic <s>] \
-    [--checkpoint-at <s>] [--checkpoint-out <path>] [--resume-from <ckpt>]\n\
-    \x20      ccsim trace <run flags> [--out <prefix>] \
-    [--format jsonl|bin|both] [--policy keepall|decimate:N|reservoir:K] \
-    [--trace-budget <bytes>] [--queue-every <n>] [--sync-bin <ms>]\n\
-    \x20      ccsim perf <run flags> [--folded <path>] [--stride <events>]\n\
-    \x20      ccsim timeline <run flags> [--window <ms>] [--budget <bytes>] \
-    [--max-flows <n>] [--out <path>] [--format jsonl|cctl] [--serve <port>]\n\
-    \x20      ccsim replay <bundle-dir> [--json] [--quiet]\n\
-    \x20      ccsim bisect <a.json> <b.json> [--out <dir>]\n\
-    \x20      ccsim campaign run|report|diff ... (ccsim campaign --help)\n\
-    ccas: reno, cubic, bbr, vegas\n\
-    fault specs: blackout:<at_s>:<dur_s>  bw:<at_s>:<mbps>  delay:<at_s>:<ms>\n\
-    \x20            loss:<at_s>:<rate>  burstloss:<at_s>:<enter>:<exit>\n\
-    \x20            reorder:<at_s>:<rate>:<ms>  dup:<at_s>:<rate>";
+// Subcommand bits: a row of `FLAGS` names the subcommands that take it.
+const RUN: u16 = 1;
+const TRACE: u16 = 1 << 1;
+const PERF: u16 = 1 << 2;
+const TIMELINE: u16 = 1 << 3;
+const REPLAY: u16 = 1 << 4;
+const BISECT: u16 = 1 << 5;
+const CAMPAIGN_RUN: u16 = 1 << 6;
+const CAMPAIGN_REPORT: u16 = 1 << 7;
+const CAMPAIGN_DIFF: u16 = 1 << 8;
+/// The subcommands that build one `RunRequest` from the run flags.
+const RUNS: u16 = RUN | TRACE | PERF | TIMELINE;
+const CAMPAIGN: u16 = CAMPAIGN_RUN | CAMPAIGN_REPORT | CAMPAIGN_DIFF;
+const ALL: u16 = RUNS | REPLAY | BISECT | CAMPAIGN;
+
+/// Every subcommand: its bit, its name and its positional arguments.
+const SUBCOMMANDS: [(u16, &str, &[&str]); 9] = [
+    (RUN, "run", &[]),
+    (TRACE, "trace", &[]),
+    (PERF, "perf", &[]),
+    (TIMELINE, "timeline", &[]),
+    (REPLAY, "replay", &["<bundle-dir>"]),
+    (BISECT, "bisect", &["<a.json>", "<b.json>"]),
+    (CAMPAIGN_RUN, "campaign run", &["<spec.json>"]),
+    (CAMPAIGN_REPORT, "campaign report", &["<ledger.jsonl>"]),
+    (
+        CAMPAIGN_DIFF,
+        "campaign diff",
+        &["<baseline.jsonl>", "<current.jsonl>"],
+    ),
+];
+
+/// What each subcommand does, for `--help`.
+fn about(cmd: u16) -> &'static str {
+    match cmd {
+        RUN => "run one experiment and print its outcome",
+        TRACE => "run with the flight recorder; write it, report sync index and burstiness",
+        PERF => "run with the profiler; print event counts, wheel counters, memory",
+        TIMELINE => "run with the windowed sampler; print rows, time-to-α-fair, JFI trajectory",
+        REPLAY => "re-run a crash bundle's scenario; exit 3 when the failure reproduces",
+        BISECT => "find the first checkpoint slice where two scenarios diverge (exit 1)",
+        CAMPAIGN_RUN => "run a spec's jobs on a worker pool into a ledger; exit 1 if any failed",
+        CAMPAIGN_REPORT => "render a ledger as a Markdown or HTML fidelity report",
+        CAMPAIGN_DIFF => "the regression sentinel: exit 1 on digest change, metric drift, eps drop",
+        _ => unreachable!("{cmd:b} is not one subcommand"),
+    }
+}
+
+/// One row of the flag table: a flag as the subcommands in `cmds` take
+/// it. Rows are keyed on (subcommand, name) because `--out` means four
+/// different things.
+struct Flag {
+    cmds: u16,
+    name: &'static str,
+    /// The value's metavar, `None` for a switch. An `a|b|c` metavar is
+    /// also the set of values [`Args::choice`] accepts.
+    metavar: Option<&'static str>,
+    /// Shapes the scenario, so `--resume-from` (whose checkpoint carries
+    /// its own) refuses it.
+    shapes: bool,
+    help: &'static str,
+}
+
+const fn value(cmds: u16, name: &'static str, metavar: &'static str, help: &'static str) -> Flag {
+    Flag {
+        cmds,
+        name,
+        metavar: Some(metavar),
+        shapes: false,
+        help,
+    }
+}
+
+const fn switch(cmds: u16, name: &'static str, help: &'static str) -> Flag {
+    Flag {
+        cmds,
+        name,
+        metavar: None,
+        shapes: false,
+        help,
+    }
+}
+
+impl Flag {
+    const fn shapes(self) -> Flag {
+        Flag {
+            shapes: true,
+            ..self
+        }
+    }
+}
+
+/// What every flag means, in the order `--help` lists them. One row per
+/// line: the table is read across, so rustfmt leaves its layout alone.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    value(RUNS, "--setting", "edge|core", "EdgeScale (default) or CoreScale preset").shapes(),
+    value(RUNS, "--bw", "<mbps>", "bottleneck rate").shapes(),
+    value(RUNS, "--buffer", "<bytes>", "bottleneck buffer").shapes(),
+    value(RUNS, "--flows", "<cca>:<count>:<rtt_ms>", "a flow group (repeatable)").shapes(),
+    value(RUNS, "--topology", "<topology>", "single|dumbbell|parking_lot:<n>|dumbbell_asym").shapes(),
+    value(RUNS, "--aqm", "droptail|red|codel|pie", "queue discipline of every link").shapes(),
+    switch(RUNS, "--ecn", "ECN marking and response").shapes(),
+    value(RUNS, "--seed", "<n>", "master seed").shapes(),
+    value(RUNS, "--warmup", "<secs>", "warm-up, excluded from measurement").shapes(),
+    value(RUNS, "--duration", "<secs>", "measurement window").shapes(),
+    value(RUNS, "--jitter", "<secs>", "flow start jitter (capped at the warm-up)").shapes(),
+    value(RUNS, "--fidelity", "quick|standard|paper", "horizon preset, over the three above").shapes(),
+    value(RUNS, "--fault", "<spec>", "timed link impairment (repeatable)").shapes(),
+    switch(RUNS, "--watchdog", "check invariants at every snapshot slice").shapes(),
+    value(TRACE, "--policy", "<policy>", "keepall, decimate:N or reservoir:K").shapes(),
+    value(TRACE, "--trace-budget", "<bytes>", "trace byte budget").shapes(),
+    value(TRACE, "--queue-every", "<n>", "record every n-th queue sample").shapes(),
+    switch(RUNS | REPLAY, "--json", "print the outcome as one JSON line"),
+    switch(RUNS | REPLAY | CAMPAIGN_RUN, "--quiet", "no live progress line"),
+    value(RUNS, "--metrics", "<path>", "Prometheus dump; manifest beside it (.manifest.json)"),
+    switch(RUNS | CAMPAIGN_RUN, "--timeline", "attach the windowed sampler"),
+    value(RUNS | CAMPAIGN_RUN, "--timeline-window", "<ms>", "sampler window (implies --timeline)"),
+    value(RUNS, "--timeline-out", "<path>", "export the timeline (.cctl: binary)"),
+    value(RUNS | CAMPAIGN_RUN, "--serve", "<port>", "serve /metrics, /timeline.jsonl on 127.0.0.1"),
+    value(RUNS | CAMPAIGN_RUN, "--crash-dir", "<dir>", "write a replayable crash bundle there"),
+    value(RUNS, "--force-panic", "<secs>", "testing: panic at this simulated time"),
+    value(RUNS, "--checkpoint-at", "<secs>", "snapshot at the first slice from here"),
+    value(RUNS, "--checkpoint-out", "<path>", "checkpoint file (default ccsim.ckpt)"),
+    value(RUNS, "--resume-from", "<ckpt>", "restore a checkpoint, run to its horizon"),
+    value(TRACE, "--out", "<prefix>", "write <prefix>.jsonl/.cctr (default trace)"),
+    value(TRACE, "--format", "jsonl|bin|both", "trace files to write (default both)"),
+    value(TRACE, "--sync-bin", "<ms>", "loss-synchronization bin (default 10)"),
+    value(PERF, "--folded", "<path>", "write folded stacks for flamegraphs"),
+    value(PERF, "--stride", "<events>", "events per clock sample (default 1024)"),
+    value(TIMELINE, "--window", "<ms>", "sampler window"),
+    value(TIMELINE, "--budget", "<bytes>", "retained-row byte budget"),
+    value(TIMELINE, "--max-flows", "<n>", "flows with a per-flow series"),
+    value(TIMELINE, "--out", "<path>", "export the retained rows"),
+    value(TIMELINE, "--format", "jsonl|cctl", "export format (default by --out's extension)"),
+    value(BISECT, "--out", "<dir>", "write the two divergent checkpoints here"),
+    value(CAMPAIGN_RUN, "--workers", "<n>", "worker threads (default: available cores)"),
+    value(CAMPAIGN_RUN, "--ledger", "<path>", "ledger (default <campaign>.ledger.jsonl)"),
+    value(CAMPAIGN_RUN, "--report", "<path>", "also render the fidelity report"),
+    switch(CAMPAIGN_RUN | CAMPAIGN_REPORT, "--html", "render the report as HTML"),
+    value(CAMPAIGN_RUN, "--bench", "<path>", "write a machine-readable run summary"),
+    switch(CAMPAIGN_RUN, "--profile", "profile every job (per-kind events/s in the ledger)"),
+    value(CAMPAIGN_RUN, "--resume", "<ledger>", "skip the jobs it completed, append the rest"),
+    value(CAMPAIGN_RUN, "--job-budget", "<secs>", "wall-clock cap per attempt"),
+    value(CAMPAIGN_RUN, "--heartbeat-timeout", "<secs>", "silence after which an attempt hung"),
+    value(CAMPAIGN_RUN, "--retries", "<n>", "retries before a job is quarantined"),
+    value(CAMPAIGN_RUN, "--backoff", "<ms>", "linear backoff between attempts (default 50)"),
+    value(CAMPAIGN_RUN, "--force-panic-job", "<substr>", "testing: matching jobs panic"),
+    value(CAMPAIGN_RUN, "--force-hang-job", "<substr>", "testing: matching jobs hang"),
+    value(CAMPAIGN_REPORT, "--out", "<path>", "write here (default -, stdout)"),
+    value(CAMPAIGN_DIFF, "--eps-tol", "<frac>", "events/s drop tolerated (default: baseline's)"),
+    switch(CAMPAIGN_DIFF, "--skip-eps", "no events/s gate (cross-machine diffs)"),
+];
+
+/// Appended to the help of the four run subcommands.
+const RUN_NOTES: &str = "
+ccas: reno, cubic, bbr, vegas
+fault specs: blackout:<at_s>:<dur_s>  bw:<at_s>:<mbps>  delay:<at_s>:<ms>
+             loss:<at_s>:<rate> (0 clears)  burstloss:<at_s>:<enter>:<exit>
+             reorder:<at_s>:<rate>:<ms>  dup:<at_s>:<rate>
+Times may be fractional. Run flags compose freely, with two exceptions:
+--resume-from takes no flag that shapes the scenario (the checkpoint carries
+its own; the trace subcommand counts), and trace takes no --checkpoint-at.
+";
+
+/// `usage:` with one synopsis per subcommand in `scope`, and for a single
+/// subcommand one line per flag it takes.
+fn usage_text(scope: u16) -> String {
+    let mut out = String::new();
+    for (i, (_, name, positionals)) in SUBCOMMANDS.iter().filter(|s| s.0 & scope != 0).enumerate() {
+        let lead = if i == 0 { "usage:" } else { "      " };
+        let args: String = positionals.iter().map(|p| format!("{p} ")).collect();
+        let _ = writeln!(out, "{lead} ccsim {name} {args}[flags]");
+    }
+    if scope.count_ones() > 1 {
+        return out + "\n`ccsim <cmd> --help` lists a subcommand's flags.\n";
+    }
+    for f in FLAGS.iter().filter(|f| f.cmds & scope != 0) {
+        let flag = format!("{} {}", f.name, f.metavar.unwrap_or_default());
+        let _ = writeln!(out, "  {:<32} {}", flag.trim_end(), f.help);
+    }
+    out
+}
+
+fn help_text(scope: u16) -> String {
+    let mut out = usage_text(scope) + "\n";
+    for &(cmd, name, _) in SUBCOMMANDS.iter().filter(|s| s.0 & scope != 0) {
+        let _ = writeln!(out, "{name}: {}", about(cmd));
+    }
+    if scope & RUNS == scope {
+        out.push_str(RUN_NOTES);
+    }
+    out + "\nexit codes: 0 success or help, 1 runtime failure, 2 usage error, 3 replay reproduced\n"
+}
+
+/// A usage error: the subcommands whose usage follows it, and the
+/// complaint.
+type Usage = (u16, String);
 
 /// Bad invocation: complaint + usage to stderr, exit 2.
-fn usage(err: &str) -> ! {
-    eprintln!("{err}\n\n{USAGE}");
-    std::process::exit(2);
+fn usage((scope, err): Usage) -> ! {
+    eprint!("{err}\n\n{}", usage_text(scope));
+    exit(2)
 }
 
-/// Requested help: usage to stdout, exit 0.
-fn help() -> ! {
-    println!("{USAGE}");
-    println!(
-        "\n--metrics <path> writes a Prometheus metrics dump to <path> and a\n\
-         run manifest to <path>.manifest.json; the simulated outcome is\n\
-         unchanged. --quiet suppresses the live progress line.\n\
-         timeline attaches the windowed time-series sampler (digest-inert)\n\
-         and prints the capture summary plus a unicode JFI trajectory;\n\
-         --out exports the retained rows (--format jsonl|cctl). The same\n\
-         sampler rides on run via --timeline/--timeline-window/--timeline-out\n\
-         (a .cctl extension selects the binary form). --serve <port> serves\n\
-         the live run at http://127.0.0.1:<port>/metrics and\n\
-         /timeline.jsonl until the run completes.\n\
-         perf runs the same experiment with the ccsim-prof event-attribution\n\
-         profiler attached (digest-inert) and prints the per-(class x kind)\n\
-         wall-time/event matrix, timer-wheel counters, and memory accounts;\n\
-         --folded <path> additionally writes a folded-stack file for\n\
-         flamegraph tooling, --stride <events> sets the wall-clock sampling\n\
-         stride (default {}).\n\
-         Run flags compose freely, with two exceptions: --resume-from takes\n\
-         no flag that shapes the scenario (the checkpoint carries its own;\n\
-         the trace subcommand counts), and trace takes no --checkpoint-at.",
-        ccsim::prof::DEFAULT_STRIDE
-    );
-    std::process::exit(0);
+/// A command line the table accepted.
+struct Args {
+    cmd: u16,
+    positionals: Vec<String>,
+    /// Every flag given, with its value, in argv order.
+    flags: Vec<(&'static Flag, Option<String>)>,
 }
 
-fn parse_policy(spec: &str) -> RetentionPolicy {
+enum Parsed {
+    Help(u16),
+    Run(Args),
+}
+
+/// The one argv walk: the subcommand, then each word as a flag of its
+/// table row (taking the next word when the row has a metavar) or as a
+/// positional. `--help`/`-h` asks for help only where a flag may stand.
+fn parse(argv: &[&str]) -> Result<Parsed, Usage> {
+    let (name, rest) = match argv {
+        ["--help" | "-h" | "help", ..] => return Ok(Parsed::Help(ALL)),
+        ["campaign", "--help" | "-h", ..] => return Ok(Parsed::Help(CAMPAIGN)),
+        ["campaign"] => {
+            let err = "campaign needs a subcommand: run, report, or diff";
+            return Err((CAMPAIGN, err.into()));
+        }
+        ["campaign", sub, rest @ ..] => (format!("campaign {sub}"), rest),
+        [name, rest @ ..] => (name.to_string(), rest),
+        [] => (String::new(), argv),
+    };
+    let Some(&(cmd, _, positionals)) = SUBCOMMANDS.iter().find(|s| s.1 == name) else {
+        return Err(match name.strip_prefix("campaign ") {
+            Some(sub) => (
+                CAMPAIGN,
+                format!("unknown campaign subcommand '{sub}' (want run, report, or diff)"),
+            ),
+            None => {
+                let err =
+                    "expected a subcommand: run, trace, perf, timeline, replay, bisect or campaign";
+                (ALL, err.into())
+            }
+        });
+    };
+    let mut args = Args {
+        cmd,
+        positionals: Vec::new(),
+        flags: Vec::new(),
+    };
+    let mut words = rest.iter();
+    while let Some(&word) = words.next() {
+        if matches!(word, "--help" | "-h") {
+            return Ok(Parsed::Help(cmd));
+        }
+        if !word.starts_with('-') && args.positionals.len() < positionals.len() {
+            args.positionals.push(word.to_string());
+            continue;
+        }
+        let Some(flag) = FLAGS.iter().find(|f| f.name == word && f.cmds & cmd != 0) else {
+            let takers: Vec<&str> = SUBCOMMANDS
+                .iter()
+                .filter(|s| FLAGS.iter().any(|f| f.name == word && f.cmds & s.0 != 0))
+                .map(|s| s.1)
+                .collect();
+            if takers.is_empty() {
+                return Err((cmd, format!("unknown {name} argument {word}")));
+            }
+            let (list, plural) = (takers.join(", "), if takers.len() > 1 { "s" } else { "" });
+            return Err((
+                cmd,
+                format!("{word} is only valid with the {list} subcommand{plural}"),
+            ));
+        };
+        let value = match flag.metavar {
+            Some(_) => match words.next() {
+                Some(v) => Some(v.to_string()),
+                None => return Err((cmd, format!("missing value for {word}"))),
+            },
+            None => None,
+        };
+        args.flags.push((flag, value));
+    }
+    if args.positionals.len() < positionals.len() {
+        return Err((cmd, format!("{name} needs {}", positionals.join(" "))));
+    }
+    // The checkpoint carries its own scenario, flight-recorder
+    // configuration included; anything shaping one here would be ignored.
+    let shaping = args
+        .flags
+        .iter()
+        .find(|(f, _)| f.shapes)
+        .map(|(f, _)| f.name);
+    let shaping = shaping.or((cmd == TRACE).then_some("trace"));
+    if let (true, Some(what)) = (args.has("--resume-from"), shaping) {
+        let why = "the checkpoint carries its own scenario";
+        return Err((
+            cmd,
+            format!("{what} cannot be combined with --resume-from: {why}"),
+        ));
+    }
+    if cmd == TRACE && args.has("--checkpoint-at") {
+        // No test yet proves a restored flight recorder byte-exact.
+        return Err((cmd, "trace cannot be combined with --checkpoint-at".into()));
+    }
+    Ok(Parsed::Run(args))
+}
+
+/// Nanoseconds per unit of a time value.
+const SECS: u64 = 1_000_000_000;
+const MILLIS: u64 = 1_000_000;
+
+/// Parse a time value given in units of `unit` nanoseconds. Whole numbers
+/// convert exactly; fractions round to the nearest nanosecond exactly as
+/// `SimDuration::from_secs_f64` does. Negative, non-finite and
+/// nanosecond-overflowing values are `None`.
+fn parse_time(text: &str, unit: u64) -> Option<SimDuration> {
+    let nanos = match text.parse::<u64>() {
+        Ok(whole) => whole.checked_mul(unit)?,
+        Err(_) => {
+            let secs = text.parse::<f64>().ok()? / (SECS / unit) as f64;
+            let nanos = (secs * 1e9).round();
+            // `u64::MAX as f64` is 2^64, the first value that overflows.
+            if !(secs >= 0.0 && nanos < u64::MAX as f64) {
+                return None;
+            }
+            nanos as u64
+        }
+    };
+    Some(SimDuration::from_nanos(nanos))
+}
+
+impl Args {
+    /// Exit 2 with `err` and this subcommand's usage.
+    fn usage(&self, err: impl Into<String>) -> ! {
+        usage((self.cmd, err.into()))
+    }
+
+    /// The rows and values given for `name`, in argv order.
+    fn given(&self, name: &str) -> Vec<(&'static Flag, Option<&str>)> {
+        debug_assert!(FLAGS.iter().any(|f| f.name == name), "{name} has no row");
+        let given = self.flags.iter().filter(|(f, _)| f.name == name);
+        given.map(|(f, v)| (*f, v.as_deref())).collect()
+    }
+
+    fn has(&self, name: &str) -> bool {
+        !self.given(name).is_empty()
+    }
+
+    /// Every value of a repeatable flag.
+    fn all(&self, name: &str) -> Vec<&str> {
+        self.given(name)
+            .into_iter()
+            .filter_map(|(_, v)| v)
+            .collect()
+    }
+
+    /// The last value given for `name`, read by `read`; a value it rejects
+    /// is a usage error naming the flag and its metavar.
+    fn value<'a, T>(&'a self, name: &str, read: impl FnOnce(&'a str) -> Option<T>) -> Option<T> {
+        let (flag, v) = self.given(name).pop()?;
+        let v = v?;
+        let want = flag.metavar.unwrap_or_default();
+        Some(read(v).unwrap_or_else(|| self.usage(format!("bad {name} {v} (want {want})"))))
+    }
+
+    fn str(&self, name: &str) -> Option<&str> {
+        self.value(name, Some)
+    }
+
+    fn parse<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        self.value(name, |v| v.parse().ok())
+    }
+
+    /// A time value in units of `unit` nanoseconds (see [`parse_time`]).
+    fn time(&self, name: &str, unit: u64) -> Option<SimDuration> {
+        self.value(name, |v| parse_time(v, unit))
+    }
+
+    /// One of the alternatives the row's `a|b|c` metavar lists.
+    fn choice(&self, name: &str) -> Option<&str> {
+        let choices = self.given(name).pop()?.0.metavar?;
+        self.value(name, |v| choices.split('|').any(|c| c == v).then_some(v))
+    }
+}
+
+fn parse_policy(spec: &str) -> Option<RetentionPolicy> {
     if spec == "keepall" {
-        return RetentionPolicy::KeepAll;
+        return Some(RetentionPolicy::KeepAll);
     }
     if let Some(n) = spec.strip_prefix("decimate:") {
-        let n: u32 = n.parse().unwrap_or_else(|_| usage("bad decimate factor"));
-        return RetentionPolicy::Decimate(n.max(1));
+        return Some(RetentionPolicy::Decimate(n.parse::<u32>().ok()?.max(1)));
     }
-    if let Some(k) = spec.strip_prefix("reservoir:") {
-        let k: u32 = k.parse().unwrap_or_else(|_| usage("bad reservoir size"));
-        return RetentionPolicy::Reservoir(k.max(1));
-    }
-    usage(&format!("bad --policy '{spec}'"));
+    let k: u32 = spec.strip_prefix("reservoir:")?.parse().ok()?;
+    Some(RetentionPolicy::Reservoir(k.max(1)))
 }
 
-fn parse_flows(spec: &str) -> FlowGroup {
+fn parse_flows(spec: &str) -> Result<FlowGroup, String> {
     let parts: Vec<&str> = spec.split(':').collect();
     if parts.len() != 3 {
-        usage(&format!(
-            "bad --flows spec '{spec}' (want cca:count:rtt_ms)"
-        ));
+        return Err(format!("bad --flows spec '{spec}' (want cca:count:rtt_ms)"));
     }
     let cca: CcaKind = parts[0]
         .parse()
-        .unwrap_or_else(|e| usage(&format!("bad CCA in '{spec}': {e}")));
+        .map_err(|e| format!("bad CCA in '{spec}': {e}"))?;
     let count: u32 = parts[1]
         .parse()
-        .unwrap_or_else(|_| usage(&format!("bad count in '{spec}'")));
-    let rtt_ms: u64 = parts[2]
-        .parse()
-        .unwrap_or_else(|_| usage(&format!("bad rtt in '{spec}'")));
-    FlowGroup::new(cca, count, SimDuration::from_millis(rtt_ms))
+        .map_err(|_| format!("bad count in '{spec}'"))?;
+    let rtt = parse_time(parts[2], MILLIS).ok_or_else(|| format!("bad rtt in '{spec}'"))?;
+    Ok(FlowGroup::new(cca, count, rtt))
 }
 
-/// Parse one `--fault` spec onto the plan (times are seconds, possibly
-/// fractional).
-fn parse_fault(plan: FaultPlan, spec: &str) -> FaultPlan {
+/// Parse one `--fault` spec onto the plan (times are seconds, delays
+/// milliseconds, both possibly fractional).
+fn parse_fault(plan: FaultPlan, spec: &str) -> Result<FaultPlan, String> {
     let parts: Vec<&str> = spec.split(':').collect();
-    let num = |s: &str| -> f64 {
-        s.parse()
-            .unwrap_or_else(|_| usage(&format!("bad number '{s}' in --fault '{spec}'")))
-    };
-    let at = |parts: &[&str]| SimTime::from_secs_f64(num(parts[1]));
-    match (parts[0], parts.len()) {
-        ("blackout", 3) => plan.blackout(at(&parts), SimDuration::from_secs_f64(num(parts[2]))),
-        ("bw", 3) => plan.set_bandwidth(at(&parts), Bandwidth::from_mbps(num(parts[2]) as u64)),
-        ("delay", 3) => {
-            plan.set_extra_delay(at(&parts), SimDuration::from_secs_f64(num(parts[2]) / 1e3))
-        }
-        ("loss", 3) => {
-            let rate = num(parts[2]);
-            if rate == 0.0 {
-                plan.clear_loss(at(&parts))
-            } else {
-                plan.iid_loss(at(&parts), rate)
-            }
-        }
-        ("burstloss", 4) => plan.burst_loss(at(&parts), num(parts[2]), num(parts[3])),
-        ("reorder", 4) => plan.reorder(
-            at(&parts),
-            num(parts[2]),
-            SimDuration::from_secs_f64(num(parts[3]) / 1e3),
-        ),
-        ("dup", 3) => plan.duplicate(at(&parts), num(parts[2])),
-        _ => usage(&format!("bad --fault spec '{spec}' (see fault specs)")),
-    }
+    let bad = |s: &str| format!("bad number '{s}' in --fault '{spec}'");
+    let num = |i: usize| parts[i].parse::<f64>().map_err(|_| bad(parts[i]));
+    let time = |i: usize, unit| parse_time(parts[i], unit).ok_or_else(|| bad(parts[i]));
+    let at = || time(1, SECS).map(|d| SimTime::ZERO + d);
+    Ok(match (parts[0], parts.len()) {
+        ("blackout", 3) => plan.blackout(at()?, time(2, SECS)?),
+        ("bw", 3) => plan.set_bandwidth(at()?, Bandwidth::from_mbps(num(2)? as u64)),
+        ("delay", 3) => plan.set_extra_delay(at()?, time(2, MILLIS)?),
+        ("loss", 3) if num(2)? == 0.0 => plan.clear_loss(at()?),
+        ("loss", 3) => plan.iid_loss(at()?, num(2)?),
+        ("burstloss", 4) => plan.burst_loss(at()?, num(2)?, num(3)?),
+        ("reorder", 4) => plan.reorder(at()?, num(2)?, time(3, MILLIS)?),
+        ("dup", 3) => plan.duplicate(at()?, num(2)?),
+        _ => return Err(format!("bad --fault spec '{spec}' (see fault specs)")),
+    })
 }
 
-/// Everything the flag parser produces. The `run`, `trace`, `perf`, and
-/// `timeline` subcommands share one parser: `trace` is `run` plus the
-/// trace-only flags, `perf` is `run` plus the profiler flags, `timeline`
-/// is `run` plus the sampler flags; mode-specific flags are rejected
-/// under the other modes.
-struct Cli {
-    tracing: bool,
-    perf: bool,
-    timeline_cmd: bool,
-    scenario: Scenario,
-    json: bool,
-    quiet: bool,
-    metrics_out: Option<String>,
-    out: String,
-    format: String,
-    sync_bin: SimDuration,
-    crash_dir: Option<PathBuf>,
-    force_panic: Option<SimTime>,
-    folded_out: Option<String>,
-    stride: u64,
-    checkpoint_at: Option<SimTime>,
-    checkpoint_out: PathBuf,
-    resume_from: Option<PathBuf>,
-    timeline: Option<TimelineConfig>,
-    timeline_out: Option<String>,
-    timeline_format: String,
-    serve_port: Option<u16>,
+/// The scenario the run flags describe (absent `--resume-from`).
+fn scenario_from_flags(args: &Args) -> Scenario {
+    let mut s = match args.choice("--setting") {
+        Some("core") => Scenario::core_scale(),
+        _ => Scenario::edge_scale(),
+    }
+    .named("cli");
+    s.bottleneck = args
+        .parse("--bw")
+        .map_or(s.bottleneck, Bandwidth::from_mbps);
+    s.buffer_bytes = args.parse("--buffer").unwrap_or(s.buffer_bytes);
+    s.topology = args
+        .value("--topology", TopologyKind::parse)
+        .unwrap_or(s.topology);
+    s.aqm = args.value("--aqm", AqmKind::parse).unwrap_or(s.aqm);
+    s.ecn |= args.has("--ecn");
+    s.seed = args.parse("--seed").unwrap_or(s.seed);
+    s.warmup = args.time("--warmup", SECS).unwrap_or(s.warmup);
+    s.duration = args.time("--duration", SECS).unwrap_or(s.duration);
+    s.start_jitter = args.time("--jitter", SECS).unwrap_or(s.start_jitter);
+    let flows: Result<Vec<_>, _> = args.all("--flows").into_iter().map(parse_flows).collect();
+    let flows = flows.unwrap_or_else(|e| args.usage(e));
+    if flows.is_empty() {
+        args.usage("at least one --flows group required");
+    }
+    s = s.flows(flows);
+    if let Some(fidelity) = args.choice("--fidelity") {
+        s = s.fidelity(match fidelity {
+            "quick" => Fidelity::Quick,
+            "paper" => Fidelity::Paper,
+            _ => Fidelity::Standard,
+        });
+    }
+    if args.cmd == TRACE {
+        let mut trace = TraceConfig::standard();
+        trace.policy = args.value("--policy", parse_policy).unwrap_or(trace.policy);
+        trace.max_bytes = args.parse("--trace-budget").unwrap_or(trace.max_bytes);
+        let every = args.parse("--queue-every");
+        trace.queue_sample_every = every.unwrap_or(trace.queue_sample_every);
+        s = s.traced(trace);
+    }
+    s.start_jitter = s.start_jitter.min(s.warmup);
+    let horizon = s.warmup.as_nanos().checked_add(s.duration.as_nanos());
+    if horizon.is_none() {
+        args.usage("--warmup plus --duration overflows the simulated clock");
+    }
+    let fault = args
+        .all("--fault")
+        .into_iter()
+        .try_fold(FaultPlan::none(), parse_fault);
+    s = s.faulted(fault.unwrap_or_else(|e| args.usage(e)));
+    if args.has("--watchdog") {
+        s = s.watched(WatchdogConfig::every_slice());
+    }
+    if let Err(e) = s.validate() {
+        args.usage(format!("invalid scenario: {e}"));
+    }
+    s
 }
 
-fn parse_cli(args: &[String]) -> Cli {
-    if args
-        .iter()
-        .any(|a| matches!(a.as_str(), "--help" | "-h" | "help"))
-    {
-        help();
+/// A sampler window of at least 1 ms.
+fn window(args: &Args, name: &str) -> Option<SimDuration> {
+    let window = args.time(name, MILLIS)?;
+    if window < SimDuration::from_millis(1) {
+        args.usage(format!("{name} must be at least 1 ms"));
     }
-    let (tracing, perf, timeline_cmd) = match args.first().map(String::as_str) {
-        Some("run") => (false, false, false),
-        Some("trace") => (true, false, false),
-        Some("perf") => (false, true, false),
-        Some("timeline") => (false, false, true),
-        _ => usage("expected subcommand 'run', 'trace', 'perf', or 'timeline'"),
-    };
-    let mut scenario = Scenario::edge_scale().named("cli");
-    let mut flows = Vec::new();
-    let mut json = false;
-    let mut quiet = false;
-    let mut metrics_out = None;
-    let mut fidelity = None;
-    let mut out = String::from("trace");
-    let mut format = String::from("both");
-    let mut trace_cfg = TraceConfig::standard();
-    let mut sync_bin = SimDuration::from_millis(10);
-    let mut fault = FaultPlan::none();
-    let mut watchdog = false;
-    let mut crash_dir = None;
-    let mut force_panic = None;
-    let mut folded_out = None;
-    let mut stride = ccsim::prof::DEFAULT_STRIDE;
-    let mut checkpoint_at = None;
-    let mut checkpoint_out = PathBuf::from("ccsim.ckpt");
-    let mut resume_from = None;
-    // The sampler is always on under the timeline subcommand; `run` opts
-    // in with --timeline (or any --timeline-* flag).
-    let mut timeline = timeline_cmd.then(TimelineConfig::default);
-    let mut timeline_out = None;
-    let mut timeline_format = String::from("jsonl");
-    let mut serve_port = None;
-    // The first flag that shapes the scenario: every arm of the first
-    // match below does, so a flag added there is covered by the
-    // --resume-from rule without a second list to keep in step.
-    let mut shaped: Option<&str> = None;
-    let mut i = 1;
-    while i < args.len() {
-        let take = |i: &mut usize| -> &String {
-            *i += 1;
-            args.get(*i).unwrap_or_else(|| usage("missing value"))
-        };
-        let flag = args[i].as_str();
-        let mut shapes_scenario = true;
-        match flag {
-            // ----- flags that shape the scenario -------------------------
-            "--setting" => {
-                scenario = match take(&mut i).as_str() {
-                    "edge" => Scenario::edge_scale(),
-                    "core" => Scenario::core_scale(),
-                    other => usage(&format!("bad --setting {other}")),
-                }
-                .named("cli");
-            }
-            "--bw" => {
-                let mbps: u64 = take(&mut i).parse().unwrap_or_else(|_| usage("bad --bw"));
-                scenario.bottleneck = Bandwidth::from_mbps(mbps);
-            }
-            "--buffer" => {
-                scenario.buffer_bytes = take(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --buffer"));
-            }
-            "--topology" => {
-                let name = take(&mut i);
-                scenario.topology = TopologyKind::parse(name)
-                    .unwrap_or_else(|| usage(&format!("bad --topology {name}")));
-            }
-            "--aqm" => {
-                let name = take(&mut i);
-                scenario.aqm =
-                    AqmKind::parse(name).unwrap_or_else(|| usage(&format!("bad --aqm {name}")));
-            }
-            "--ecn" => scenario.ecn = true,
-            "--flows" => flows.push(parse_flows(take(&mut i))),
-            "--seed" => {
-                scenario.seed = take(&mut i).parse().unwrap_or_else(|_| usage("bad --seed"));
-            }
-            "--warmup" => {
-                scenario.warmup = SimDuration::from_secs(
-                    take(&mut i)
-                        .parse()
-                        .unwrap_or_else(|_| usage("bad --warmup")),
-                );
-            }
-            "--duration" => {
-                scenario.duration = SimDuration::from_secs(
-                    take(&mut i)
-                        .parse()
-                        .unwrap_or_else(|_| usage("bad --duration")),
-                );
-            }
-            "--jitter" => {
-                scenario.start_jitter = SimDuration::from_secs(
-                    take(&mut i)
-                        .parse()
-                        .unwrap_or_else(|_| usage("bad --jitter")),
-                );
-            }
-            "--fault" => fault = parse_fault(fault, take(&mut i)),
-            "--watchdog" => watchdog = true,
-            "--fidelity" => {
-                fidelity = Some(match take(&mut i).as_str() {
-                    "quick" => Fidelity::Quick,
-                    "standard" => Fidelity::Standard,
-                    "paper" => Fidelity::Paper,
-                    other => usage(&format!("bad --fidelity {other}")),
-                });
-            }
-            "--policy" if tracing => trace_cfg.policy = parse_policy(take(&mut i)),
-            "--trace-budget" if tracing => {
-                trace_cfg.max_bytes = take(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --trace-budget"));
-            }
-            "--queue-every" if tracing => {
-                trace_cfg.queue_sample_every = take(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --queue-every"));
-            }
-            _ => shapes_scenario = false,
-        }
-        if shapes_scenario {
-            shaped.get_or_insert(flag);
-            i += 1;
-            continue;
-        }
-        match flag {
-            // ----- how to run it and what to report ----------------------
-            "--json" => json = true,
-            "--quiet" => quiet = true,
-            "--metrics" => metrics_out = Some(take(&mut i).clone()),
-            "--timeline" => {
-                timeline.get_or_insert_with(TimelineConfig::default);
-            }
-            "--timeline-window" => {
-                let ms: u64 = take(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --timeline-window"));
-                if ms == 0 {
-                    usage("--timeline-window must be at least 1 ms");
-                }
-                timeline.get_or_insert_with(TimelineConfig::default).window =
-                    SimDuration::from_millis(ms);
-            }
-            "--timeline-out" => {
-                let path = take(&mut i).clone();
-                if path.ends_with(".cctl") {
-                    timeline_format = String::from("cctl");
-                }
-                timeline_out = Some(path);
-                timeline.get_or_insert_with(TimelineConfig::default);
-            }
-            "--serve" => {
-                serve_port = Some(
-                    take(&mut i)
-                        .parse()
-                        .unwrap_or_else(|_| usage("bad --serve port")),
-                );
-            }
-            "--crash-dir" => crash_dir = Some(PathBuf::from(take(&mut i))),
-            "--force-panic" => {
-                let secs: f64 = take(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --force-panic"));
-                force_panic = Some(SimTime::from_secs_f64(secs));
-            }
-            "--checkpoint-at" => {
-                let secs: f64 = take(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --checkpoint-at"));
-                checkpoint_at = Some(SimTime::from_secs_f64(secs));
-            }
-            "--checkpoint-out" => checkpoint_out = PathBuf::from(take(&mut i)),
-            "--resume-from" => resume_from = Some(PathBuf::from(take(&mut i))),
-            // ----- perf-only flags ---------------------------------------
-            "--folded" if perf => folded_out = Some(take(&mut i).clone()),
-            "--stride" if perf => {
-                stride = take(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --stride"));
-                if stride == 0 {
-                    usage("--stride must be at least 1");
-                }
-            }
-            other if matches!(other, "--folded" | "--stride") => {
-                usage(&format!("{other} is only valid with the perf subcommand"))
-            }
-            // ----- timeline-only flags -----------------------------------
-            "--window" if timeline_cmd => {
-                let ms: u64 = take(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --window"));
-                if ms == 0 {
-                    usage("--window must be at least 1 ms");
-                }
-                timeline.get_or_insert_with(TimelineConfig::default).window =
-                    SimDuration::from_millis(ms);
-            }
-            "--budget" if timeline_cmd => {
-                timeline
-                    .get_or_insert_with(TimelineConfig::default)
-                    .budget_bytes = take(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --budget"));
-            }
-            "--max-flows" if timeline_cmd => {
-                timeline
-                    .get_or_insert_with(TimelineConfig::default)
-                    .max_flows = take(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --max-flows"));
-            }
-            "--out" if timeline_cmd => {
-                let path = take(&mut i).clone();
-                if path.ends_with(".cctl") {
-                    timeline_format = String::from("cctl");
-                }
-                timeline_out = Some(path);
-            }
-            "--format" if timeline_cmd => {
-                timeline_format = take(&mut i).clone();
-                if !matches!(timeline_format.as_str(), "jsonl" | "cctl") {
-                    usage(&format!("bad --format {timeline_format} (want jsonl|cctl)"));
-                }
-            }
-            other if matches!(other, "--window" | "--budget" | "--max-flows") => usage(&format!(
-                "{other} is only valid with the timeline subcommand"
-            )),
-            // ----- trace-only flags --------------------------------------
-            "--out" if tracing => out = take(&mut i).clone(),
-            "--format" if tracing => {
-                format = take(&mut i).clone();
-                if !matches!(format.as_str(), "jsonl" | "bin" | "both") {
-                    usage(&format!("bad --format {format}"));
-                }
-            }
-            "--sync-bin" if tracing => {
-                sync_bin = SimDuration::from_millis(
-                    take(&mut i)
-                        .parse()
-                        .unwrap_or_else(|_| usage("bad --sync-bin")),
-                );
-            }
-            other
-                if matches!(
-                    other,
-                    "--out"
-                        | "--format"
-                        | "--policy"
-                        | "--trace-budget"
-                        | "--queue-every"
-                        | "--sync-bin"
-                ) =>
-            {
-                usage(&format!(
-                    "{other} is only valid with the trace (or timeline) subcommand"
-                ))
-            }
-            other => usage(&format!("unknown argument {other}")),
-        }
-        i += 1;
-    }
-    if resume_from.is_some() {
-        // The checkpoint carries its own scenario, flight-recorder
-        // configuration included; anything given here would be ignored.
-        if tracing {
-            usage("trace cannot be combined with --resume-from: the checkpoint carries its own scenario");
-        }
-        if let Some(flag) = shaped {
-            usage(&format!(
-                "{flag} cannot be combined with --resume-from: the checkpoint carries its own scenario"
-            ));
-        }
-    } else {
-        if flows.is_empty() {
-            usage("at least one --flows group required");
-        }
-        scenario = scenario.flows(flows);
-        if let Some(f) = fidelity {
-            scenario = scenario.fidelity(f);
-        }
-        if tracing {
-            scenario = scenario.traced(trace_cfg);
-        }
-        if scenario.warmup < scenario.start_jitter {
-            scenario.start_jitter = scenario.warmup;
-        }
-        scenario = scenario.faulted(fault);
-        if watchdog {
-            scenario = scenario.watched(WatchdogConfig::every_slice());
-        }
-        if let Err(e) = scenario.validate() {
-            usage(&format!("invalid scenario: {e}"));
-        }
-    }
-    if tracing && checkpoint_at.is_some() {
-        // No test yet proves a restored flight recorder byte-exact.
-        usage("trace cannot be combined with --checkpoint-at");
-    }
-    Cli {
-        tracing,
-        perf,
-        timeline_cmd,
-        scenario,
-        json,
-        quiet,
-        metrics_out,
-        out,
-        format,
-        sync_bin,
-        crash_dir,
-        force_panic,
-        folded_out,
-        stride,
-        checkpoint_at,
-        checkpoint_out,
-        resume_from,
-        timeline,
-        timeline_out,
-        timeline_format,
-        serve_port,
-    }
+    Some(window)
 }
 
-const CAMPAIGN_USAGE: &str = "usage: ccsim campaign run <spec.json> [--workers N] \
-    [--ledger <path>] [--report <path>] [--html] [--crash-dir <dir>] \
-    [--bench <path>] [--profile] [--quiet] [--resume <ledger>] \
-    [--timeline] [--timeline-window <ms>] [--serve <port>] \
-    [--job-budget <s>] [--heartbeat-timeout <s>] [--retries N] \
-    [--backoff <ms>] [--force-panic-job <substr>] [--force-hang-job <substr>]\n\
-    \x20      ccsim campaign report <ledger.jsonl> [--out <path>] [--html]\n\
-    \x20      ccsim campaign diff <baseline.jsonl> <current.jsonl> \
-    [--eps-tol <frac>] [--skip-eps]";
-
-/// Bad campaign invocation: complaint + usage to stderr, exit 2.
-fn campaign_usage(err: &str) -> ! {
-    eprintln!("{err}\n\n{CAMPAIGN_USAGE}");
-    std::process::exit(2);
-}
-
-/// Requested campaign help: usage to stdout, exit 0.
-fn campaign_help() -> ! {
-    println!("{CAMPAIGN_USAGE}");
-    println!(
-        "\nrun expands the spec (scenario template x axes x seeds) on a worker\n\
-         pool and appends every result to an append-only JSONL ledger\n\
-         (default <campaign-name>.ledger.jsonl). Exit 0 when every job\n\
-         succeeded, 1 otherwise. --report also renders the fidelity report;\n\
-         --bench writes a machine-readable run summary. --profile attaches\n\
-         the digest-inert ccsim-prof profiler to every job, embedding a\n\
-         Profile section and per-event-kind events/s in each ledger entry\n\
-         (what the sentinel's per-kind eps gate compares). --timeline\n\
-         attaches the digest-inert windowed sampler to every job, filling\n\
-         each entry's convergence_time (time-to-α-fair) — what the\n\
-         sentinel's convergence gate and the report's convergence columns\n\
-         read; --timeline-window tunes the window. --serve <port> serves\n\
-         the campaign live at http://127.0.0.1:<port>/metrics and\n\
-         /timeline.jsonl (the most recently progressing job wins).\n\
-         report renders a ledger as Markdown (or --html) to --out or stdout.\n\
-         diff is the regression sentinel: it compares two ledgers of the\n\
-         same campaign and exits 1 on any finding — outcome-digest change\n\
-         (determinism break), paper-metric drift beyond the baseline's\n\
-         stored tolerances, or an events/sec regression beyond --eps-tol\n\
-         (default from the baseline header, 10%). --skip-eps disables the\n\
-         throughput gate for cross-machine comparisons.\n\
-         Supervision: --job-budget caps each attempt's wall-clock seconds;\n\
-         --heartbeat-timeout declares an attempt hung after that many\n\
-         seconds without a progress heartbeat; failed attempts retry up to\n\
-         --retries times (linear --backoff ms between attempts) before the\n\
-         job is quarantined. The campaign always runs to completion and\n\
-         reports quarantined jobs at the end.\n\
-         --resume <ledger> reloads a prior (possibly killed) campaign's\n\
-         ledger, truncates a torn final line, skips every job whose config\n\
-         digest already has a successful entry, and appends the rest to\n\
-         the same file. --force-panic-job/--force-hang-job are testing\n\
-         hooks: jobs whose name contains the substring panic or hang at\n\
-         their first progress report."
-    );
-    std::process::exit(0);
+/// The sampler the flags ask for: always under `timeline`, otherwise on
+/// any `--timeline*` flag.
+fn timeline_config(args: &Args) -> Option<TimelineConfig> {
+    let flags = ["--timeline", "--timeline-window", "--timeline-out"];
+    let on = args.cmd == TIMELINE || flags.iter().any(|f| args.has(f));
+    let mut config = on.then(TimelineConfig::default)?;
+    let window = window(args, "--window").or_else(|| window(args, "--timeline-window"));
+    config.window = window.unwrap_or(config.window);
+    config.budget_bytes = args.parse("--budget").unwrap_or(config.budget_bytes);
+    config.max_flows = args.parse("--max-flows").unwrap_or(config.max_flows);
+    Some(config)
 }
 
 /// Exit 1 with a message — runtime (not usage) failures.
 fn fail(msg: impl AsRef<str>) -> ! {
     eprintln!("{}", msg.as_ref());
-    std::process::exit(1);
+    exit(1);
 }
 
 fn load_ledger(path: &str) -> ccsim::campaign::Ledger {
@@ -683,102 +597,41 @@ fn load_ledger(path: &str) -> ccsim::campaign::Ledger {
 }
 
 /// The `campaign run` subcommand.
-fn campaign_run(args: &[String]) -> ! {
+fn campaign_run(args: &Args) -> ! {
     use ccsim::campaign::{
         run_campaign_supervised, CampaignSpec, ExecutorOptions, Ledger, LedgerEntry, LedgerWriter,
         SupervisorOptions,
     };
     use ccsim::telemetry::CampaignProgress;
+    use std::time::Duration;
 
-    let mut spec_path = None;
-    let mut opts = ExecutorOptions::default();
-    let mut sup = SupervisorOptions::default();
-    let mut ledger_path = None;
-    let mut report_path = None;
-    let mut bench_path = None;
-    let mut resume_path: Option<String> = None;
-    let mut serve_port: Option<u16> = None;
-    let mut html = false;
-    let mut quiet = false;
-    let mut i = 0;
-    while i < args.len() {
-        let take = |i: &mut usize| -> &String {
-            *i += 1;
-            args.get(*i)
-                .unwrap_or_else(|| campaign_usage("missing value"))
-        };
-        match args[i].as_str() {
-            "--workers" => {
-                opts.workers = take(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| campaign_usage("bad --workers"));
-            }
-            "--ledger" => ledger_path = Some(take(&mut i).clone()),
-            "--report" => report_path = Some(take(&mut i).clone()),
-            "--bench" => bench_path = Some(take(&mut i).clone()),
-            "--crash-dir" => opts.crash_dir = Some(PathBuf::from(take(&mut i))),
-            "--profile" => opts.profile = true,
-            "--timeline" => {
-                opts.timeline.get_or_insert_with(TimelineConfig::default);
-            }
-            "--timeline-window" => {
-                let ms: u64 = take(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| campaign_usage("bad --timeline-window"));
-                if ms == 0 {
-                    campaign_usage("--timeline-window must be at least 1 ms");
-                }
-                opts.timeline
-                    .get_or_insert_with(TimelineConfig::default)
-                    .window = SimDuration::from_millis(ms);
-            }
-            "--serve" => {
-                serve_port = Some(
-                    take(&mut i)
-                        .parse()
-                        .unwrap_or_else(|_| campaign_usage("bad --serve port")),
-                );
-            }
-            "--resume" => resume_path = Some(take(&mut i).clone()),
-            "--job-budget" => {
-                let secs: f64 = take(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| campaign_usage("bad --job-budget"));
-                sup.job_budget = Some(std::time::Duration::from_secs_f64(secs));
-            }
-            "--heartbeat-timeout" => {
-                let secs: f64 = take(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| campaign_usage("bad --heartbeat-timeout"));
-                sup.heartbeat_timeout = Some(std::time::Duration::from_secs_f64(secs));
-            }
-            "--retries" => {
-                sup.max_retries = take(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| campaign_usage("bad --retries"));
-            }
-            "--backoff" => {
-                let ms: u64 = take(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| campaign_usage("bad --backoff"));
-                sup.backoff = std::time::Duration::from_millis(ms);
-            }
-            "--force-panic-job" => sup.force_panic_jobs = Some(take(&mut i).clone()),
-            "--force-hang-job" => sup.force_hang_jobs = Some(take(&mut i).clone()),
-            "--html" => html = true,
-            "--quiet" => quiet = true,
-            other if spec_path.is_none() && !other.starts_with('-') => {
-                spec_path = Some(other.to_string());
-            }
-            other => campaign_usage(&format!("unknown campaign run argument {other}")),
-        }
-        i += 1;
-    }
-    let spec_path = spec_path.unwrap_or_else(|| campaign_usage("campaign run needs a spec file"));
+    let wall = |name, unit| {
+        args.time(name, unit)
+            .map(|d| Duration::from_nanos(d.as_nanos()))
+    };
+    let mut opts = ExecutorOptions {
+        crash_dir: args.str("--crash-dir").map(PathBuf::from),
+        profile: args.has("--profile"),
+        timeline: timeline_config(args),
+        ..ExecutorOptions::default()
+    };
+    opts.workers = args.parse("--workers").unwrap_or(opts.workers);
+    let mut sup = SupervisorOptions {
+        job_budget: wall("--job-budget", SECS),
+        heartbeat_timeout: wall("--heartbeat-timeout", SECS),
+        force_panic_jobs: args.str("--force-panic-job").map(str::to_string),
+        force_hang_jobs: args.str("--force-hang-job").map(str::to_string),
+        ..SupervisorOptions::default()
+    };
+    sup.max_retries = args.parse("--retries").unwrap_or(sup.max_retries);
+    sup.backoff = wall("--backoff", MILLIS).unwrap_or(sup.backoff);
+    let serve_port: Option<u16> = args.parse("--serve");
+    let (ledger_path, resume_path) = (args.str("--ledger"), args.str("--resume"));
     if resume_path.is_some() && ledger_path.is_some() {
-        campaign_usage("--resume appends to the given ledger; --ledger would name a second one");
+        args.usage("--resume appends to the given ledger; --ledger would name a second one");
     }
-    let text = std::fs::read_to_string(&spec_path)
+    let spec_path = &args.positionals[0];
+    let text = std::fs::read_to_string(spec_path)
         .unwrap_or_else(|e| fail(format!("cannot read spec {spec_path}: {e}")));
     let spec = CampaignSpec::from_json(&text)
         .unwrap_or_else(|e| fail(format!("bad campaign spec {spec_path}: {e}")));
@@ -786,7 +639,7 @@ fn campaign_run(args: &[String]) -> ! {
         .jobs()
         .unwrap_or_else(|e| fail(format!("cannot expand campaign: {e}")));
     let total_jobs = jobs.len();
-    let (ledger_path, writer) = match &resume_path {
+    let (ledger_path, writer) = match resume_path {
         Some(path) => {
             // Skip every job whose config digest already has a successful
             // entry, then append the remainder to the same file (torn
@@ -815,10 +668,11 @@ fn campaign_run(args: &[String]) -> ! {
             );
             let writer = LedgerWriter::resume(Path::new(path))
                 .unwrap_or_else(|e| fail(format!("cannot reopen ledger {path}: {e}")));
-            (path.clone(), writer)
+            (path.to_string(), writer)
         }
         None => {
-            let path = ledger_path.unwrap_or_else(|| format!("{}.ledger.jsonl", spec.name));
+            let path =
+                ledger_path.map_or_else(|| format!("{}.ledger.jsonl", spec.name), str::to_string);
             let writer = LedgerWriter::create(
                 Path::new(&path),
                 &spec.name,
@@ -840,7 +694,7 @@ fn campaign_run(args: &[String]) -> ! {
     // campaign; every worker publishes through the shared state.
     let live = serve_port.map(|port| serve_live(port, "campaign"));
     opts.live = live.as_ref().map(|(state, _)| Arc::clone(state));
-    let progress = (!quiet).then(|| CampaignProgress::new(&spec.name, jobs.len()));
+    let progress = (!args.has("--quiet")).then(|| CampaignProgress::new(&spec.name, jobs.len()));
     // The ledger is appended in completion order from worker threads; a
     // write failure is recorded and reported once at the end.
     let sink = std::sync::Mutex::new((writer, None::<std::io::Error>));
@@ -868,13 +722,13 @@ fn campaign_run(args: &[String]) -> ! {
 
     let failed: Vec<_> = results.iter().filter(|r| r.run.is_err()).collect();
     for r in &failed {
+        let verdict = if r.quarantined {
+            "QUARANTINED"
+        } else {
+            "FAILED"
+        };
         eprintln!(
-            "{} {} after {} attempt{}: {}{}",
-            if r.quarantined {
-                "QUARANTINED"
-            } else {
-                "FAILED"
-            },
+            "{verdict} {} after {} attempt{}: {}{}",
             r.job.name,
             r.attempts,
             if r.attempts == 1 { "" } else { "s" },
@@ -885,15 +739,15 @@ fn campaign_run(args: &[String]) -> ! {
                 .unwrap_or_default()
         );
     }
-    if let Some(path) = &bench_path {
+    if let Some(path) = args.str("--bench") {
         let summary = load_ledger(&ledger_path).bench_summary_json(results.len(), failed.len());
         write_file(Path::new(path), summary);
         eprintln!("wrote {path}");
     }
-    if let Some(path) = &report_path {
-        write_campaign_report(&load_ledger(&ledger_path), path, html);
+    if let Some(path) = args.str("--report") {
+        write_campaign_report(&load_ledger(&ledger_path), path, args.has("--html"));
     }
-    std::process::exit(if failed.is_empty() { 0 } else { 1 });
+    exit(if failed.is_empty() { 0 } else { 1 });
 }
 
 fn write_campaign_report(ledger: &ccsim::campaign::Ledger, path: &str, html: bool) {
@@ -910,81 +764,17 @@ fn write_campaign_report(ledger: &ccsim::campaign::Ledger, path: &str, html: boo
     }
 }
 
-/// The `campaign report` subcommand.
-fn campaign_report(args: &[String]) -> ! {
-    let mut ledger_path = None;
-    let mut out = String::from("-");
-    let mut html = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                out = args
-                    .get(i)
-                    .unwrap_or_else(|| campaign_usage("missing value"))
-                    .clone();
-            }
-            "--html" => html = true,
-            other if ledger_path.is_none() && !other.starts_with('-') => {
-                ledger_path = Some(other.to_string());
-            }
-            other => campaign_usage(&format!("unknown campaign report argument {other}")),
-        }
-        i += 1;
-    }
-    let ledger_path =
-        ledger_path.unwrap_or_else(|| campaign_usage("campaign report needs a ledger file"));
-    write_campaign_report(&load_ledger(&ledger_path), &out, html);
-    std::process::exit(0);
-}
-
 /// The `campaign diff` subcommand — the regression sentinel.
-fn campaign_diff(args: &[String]) -> ! {
-    let mut paths = Vec::new();
-    let mut opts = ccsim::campaign::DiffOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--eps-tol" => {
-                i += 1;
-                opts.eps_tol = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| campaign_usage("missing value"))
-                        .parse()
-                        .unwrap_or_else(|_| campaign_usage("bad --eps-tol")),
-                );
-            }
-            "--skip-eps" => opts.check_eps = false,
-            other if !other.starts_with('-') => paths.push(other.to_string()),
-            other => campaign_usage(&format!("unknown campaign diff argument {other}")),
-        }
-        i += 1;
-    }
-    if paths.len() != 2 {
-        campaign_usage("campaign diff needs exactly two ledger files");
-    }
-    let baseline = load_ledger(&paths[0]);
-    let current = load_ledger(&paths[1]);
+fn campaign_diff(args: &Args) -> ! {
+    let opts = ccsim::campaign::DiffOptions {
+        eps_tol: args.parse("--eps-tol"),
+        check_eps: !args.has("--skip-eps"),
+    };
+    let baseline = load_ledger(&args.positionals[0]);
+    let current = load_ledger(&args.positionals[1]);
     let report = ccsim::campaign::diff(&baseline, &current, &opts);
     print!("{}", report.render());
-    std::process::exit(if report.is_clean() { 0 } else { 1 });
-}
-
-/// The `campaign` subcommand family: run, report, diff.
-fn campaign(args: &[String]) -> ! {
-    if args.iter().any(|a| matches!(a.as_str(), "--help" | "-h")) {
-        campaign_help();
-    }
-    match args.get(1).map(String::as_str) {
-        Some("run") => campaign_run(&args[2..]),
-        Some("report") => campaign_report(&args[2..]),
-        Some("diff") => campaign_diff(&args[2..]),
-        Some(other) => campaign_usage(&format!(
-            "unknown campaign subcommand '{other}' (want run, report, or diff)"
-        )),
-        None => campaign_usage("campaign needs a subcommand: run, report, or diff"),
-    }
+    exit(if report.is_clean() { 0 } else { 1 });
 }
 
 /// Bind `127.0.0.1:<port>` for the duration of a run or campaign; the
@@ -1036,34 +826,15 @@ fn write_checkpoint(cp: &Option<Checkpoint>, out: &Path, requested: SimTime) {
 
 /// The `bisect` subcommand: binary-search two scenarios' checkpoint
 /// slices for the first divergent engine state.
-fn bisect(args: &[String]) -> ! {
+fn bisect(args: &Args) -> ! {
     use ccsim::experiments::{bisect_divergence, scenario_from_json};
-    let mut paths = Vec::new();
-    let mut out_dir: Option<PathBuf> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                out_dir = Some(PathBuf::from(
-                    args.get(i).unwrap_or_else(|| usage("missing value")),
-                ));
-            }
-            other if !other.starts_with('-') => paths.push(other.to_string()),
-            other => usage(&format!("unknown bisect argument {other}")),
-        }
-        i += 1;
-    }
-    if paths.len() != 2 {
-        usage("bisect needs exactly two scenario JSON files");
-    }
     let load = |p: &str| -> Scenario {
         let text =
             std::fs::read_to_string(p).unwrap_or_else(|e| fail(format!("cannot read {p}: {e}")));
         scenario_from_json(&text).unwrap_or_else(|e| fail(format!("bad scenario {p}: {e}")))
     };
-    let a = load(&paths[0]);
-    let b = load(&paths[1]);
+    let a = load(&args.positionals[0]);
+    let b = load(&args.positionals[1]);
     eprintln!("bisecting '{}' vs '{}'...", a.name, b.name);
     let mut probes = 0usize;
     let outcome = bisect_divergence(&a, &b, &mut |slice, at, diverged| {
@@ -1080,7 +851,7 @@ fn bisect(args: &[String]) -> ! {
                 "identical: engine states agree at all {} checkpoint slices",
                 outcome.boundaries.len()
             );
-            std::process::exit(0);
+            exit(0);
         }
         Some(d) => {
             println!(
@@ -1093,7 +864,7 @@ fn bisect(args: &[String]) -> ! {
                 "state digests   : {:016x} vs {:016x}",
                 d.digest_a, d.digest_b
             );
-            if let Some(dir) = &out_dir {
+            if let Some(dir) = args.str("--out").map(Path::new) {
                 std::fs::create_dir_all(dir)
                     .unwrap_or_else(|e| fail(format!("cannot create {}: {e}", dir.display())));
                 for (name, cp) in [
@@ -1106,31 +877,16 @@ fn bisect(args: &[String]) -> ! {
                     println!("wrote {}", path.display());
                 }
             }
-            std::process::exit(1);
+            exit(1);
         }
     }
 }
 
 /// The `replay` subcommand: load a crash bundle, re-run its scenario.
-fn replay(args: &[String]) -> ! {
-    let mut dir = None;
-    let mut json = false;
-    let mut quiet = false;
-    for a in &args[1..] {
-        match a.as_str() {
-            "--json" => json = true,
-            "--quiet" => quiet = true,
-            other if dir.is_none() && !other.starts_with('-') => {
-                dir = Some(PathBuf::from(other));
-            }
-            other => usage(&format!("unknown replay argument {other}")),
-        }
-    }
-    let dir = dir.unwrap_or_else(|| usage("replay needs a bundle directory"));
-    let bundle = CrashBundle::load(&dir).unwrap_or_else(|e| {
-        eprintln!("cannot load crash bundle {}: {e}", dir.display());
-        std::process::exit(1);
-    });
+fn replay(args: &Args) -> ! {
+    let dir = Path::new(&args.positionals[0]);
+    let bundle = CrashBundle::load(dir)
+        .unwrap_or_else(|e| fail(format!("cannot load crash bundle {}: {e}", dir.display())));
     eprintln!(
         "replaying {} (seed {}, {} fault actions; captured failure: [{}] {})",
         bundle.scenario.name,
@@ -1139,7 +895,7 @@ fn replay(args: &[String]) -> ! {
         bundle.error_class,
         bundle.error
     );
-    let mut progress = (!quiet).then(|| RunProgress::new("replay"));
+    let mut progress = (!args.has("--quiet")).then(|| RunProgress::new("replay"));
     let result = RunRequest::new(&bundle.scenario)
         .on_progress(|p| {
             if let Some(prog) = &mut progress {
@@ -1153,103 +909,141 @@ fn replay(args: &[String]) -> ! {
             if let Some(prog) = &mut progress {
                 prog.finish(outcome.events_processed);
             }
-            if json {
+            if args.has("--json") {
                 println!("{}", outcome.to_json());
             } else {
                 print_human(&outcome);
             }
             println!("outcome digest  : {:016x}", outcome.digest());
             println!("replay clean    : captured failure did not reproduce");
-            std::process::exit(0);
+            exit(0);
         }
         Err(e) => {
             println!("failure reproduced: {e}");
-            std::process::exit(3);
+            exit(3);
         }
     }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("replay") {
-        if args.iter().any(|a| matches!(a.as_str(), "--help" | "-h")) {
-            help();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let argv: Vec<&str> = argv.iter().map(String::as_str).collect();
+    let args = match parse(&argv) {
+        Ok(Parsed::Run(args)) => args,
+        Ok(Parsed::Help(scope)) => {
+            print!("{}", help_text(scope));
+            exit(0);
         }
-        replay(&args);
-    }
-    if args.first().map(String::as_str) == Some("campaign") {
-        campaign(&args);
-    }
-    if args.first().map(String::as_str) == Some("bisect") {
-        if args.iter().any(|a| matches!(a.as_str(), "--help" | "-h")) {
-            help();
+        Err(e) => usage(e),
+    };
+    match args.cmd {
+        REPLAY => replay(&args),
+        BISECT => bisect(&args),
+        CAMPAIGN_RUN => campaign_run(&args),
+        CAMPAIGN_REPORT => {
+            let ledger = load_ledger(&args.positionals[0]);
+            write_campaign_report(
+                &ledger,
+                args.str("--out").unwrap_or("-"),
+                args.has("--html"),
+            );
         }
-        bisect(&args);
+        CAMPAIGN_DIFF => campaign_diff(&args),
+        _ => run(&args),
     }
-    let cli = parse_cli(&args);
+}
 
-    // What to run: the flags' scenario, or a checkpoint and the scenario
-    // embedded in it.
-    let checkpoint = cli.resume_from.as_deref().map(|path| {
-        Checkpoint::read_file(path)
-            .unwrap_or_else(|e| fail(format!("cannot load checkpoint {}: {e}", path.display())))
-    });
-    let restored = checkpoint.as_ref().map(|cp| {
-        let scenario =
-            scenario_from_checkpoint(cp).unwrap_or_else(|e| fail(format!("bad checkpoint: {e}")));
-        eprintln!(
-            "resuming {} at t={} ({} snapshot bytes, state digest {:016x})...",
-            scenario.name,
-            SimTime::from_nanos(cp.taken_at_nanos),
-            cp.encoded_len(),
-            cp.state_digest(),
-        );
-        scenario
-    });
-    let scenario = restored.as_ref().unwrap_or(&cli.scenario);
-    if checkpoint.is_none() {
-        eprintln!(
-            "running {} flows on {} (buffer {:.2} MB, warmup {}, duration {})...",
-            scenario.flow_count(),
-            scenario.bottleneck,
-            scenario.buffer_bytes as f64 / 1e6,
-            scenario.warmup,
-            scenario.duration
-        );
+/// The `run`, `trace`, `perf` and `timeline` subcommands: the flags build
+/// one `RunRequest`.
+fn run(args: &Args) {
+    let cmd = args.cmd;
+    // Every usage error comes before the run reads a file or binds a port.
+    let stride = args.parse("--stride").unwrap_or(DEFAULT_STRIDE);
+    if stride == 0 {
+        args.usage("--stride must be at least 1");
     }
+    let timeline = timeline_config(args);
+    let (out, format) = (args.str("--out"), args.choice("--format"));
+    let timeline_out = out
+        .filter(|_| cmd == TIMELINE)
+        .or(args.str("--timeline-out"));
+    let cctl = timeline_out.is_some_and(|p| p.ends_with(".cctl"));
+    let timeline_format =
+        (format.filter(|_| cmd == TIMELINE)).unwrap_or(if cctl { "cctl" } else { "jsonl" });
+    let serve_port: Option<u16> = args.parse("--serve");
+    let at = |name: &str| args.time(name, SECS).map(|d| SimTime::ZERO + d);
+    let (force_panic, checkpoint_at) = (at("--force-panic"), at("--checkpoint-at"));
+    let sync_bin = args
+        .time("--sync-bin", MILLIS)
+        .unwrap_or(SimDuration::from_millis(10));
+
+    // What to run: a checkpoint and the scenario embedded in it, or the
+    // flags' scenario (usage errors in it come before any file is read).
+    let checkpoint = args.str("--resume-from").map(|path| {
+        Checkpoint::read_file(Path::new(path))
+            .unwrap_or_else(|e| fail(format!("cannot load checkpoint {path}: {e}")))
+    });
+    let scenario = match &checkpoint {
+        Some(cp) => {
+            let scenario = scenario_from_checkpoint(cp)
+                .unwrap_or_else(|e| fail(format!("bad checkpoint: {e}")));
+            eprintln!(
+                "resuming {} at t={} ({} snapshot bytes, state digest {:016x})...",
+                scenario.name,
+                SimTime::from_nanos(cp.taken_at_nanos),
+                cp.encoded_len(),
+                cp.state_digest(),
+            );
+            scenario
+        }
+        None => {
+            let scenario = scenario_from_flags(args);
+            eprintln!(
+                "running {} flows on {} (buffer {:.2} MB, warmup {}, duration {})...",
+                scenario.flow_count(),
+                scenario.bottleneck,
+                scenario.buffer_bytes as f64 / 1e6,
+                scenario.warmup,
+                scenario.duration
+            );
+            scenario
+        }
+    };
 
     // How to run it: one request, every option independent of the others.
     let mut request = match &checkpoint {
         Some(cp) => RunRequest::resume(cp),
-        None => RunRequest::new(scenario),
+        None => RunRequest::new(&scenario),
     };
-    if cli.perf || cli.metrics_out.is_some() || cli.timeline.is_some() {
+    let metrics_out = args.str("--metrics");
+    if cmd == PERF || metrics_out.is_some() || timeline.is_some() {
         request = request.observe(ObserveOptions {
-            profile: cli.perf,
-            profile_stride: cli.stride,
-            timeline: cli.timeline,
+            profile: cmd == PERF,
+            profile_stride: stride,
+            timeline,
         });
     }
     // The endpoint binds before the run and serves snapshots the
     // progress hook publishes; it never touches simulator state.
-    let live = cli.serve_port.map(|port| serve_live(port, "run"));
+    let live = serve_port.map(|port| serve_live(port, "run"));
     if let Some((state, _)) = &live {
         request = request.live(Arc::clone(state));
     }
-    if let Some(at) = cli.checkpoint_at {
+    if let Some(at) = checkpoint_at {
         request = request.checkpoint_at(at);
     }
-    if cli.crash_dir.is_some() || cli.force_panic.is_some() {
-        request = request.guard(cli.crash_dir.clone());
+    let crash_dir = args.str("--crash-dir").map(PathBuf::from);
+    if crash_dir.is_some() || force_panic.is_some() {
+        request = request.guard(crash_dir);
     }
     let label = checkpoint.as_ref().map_or("ccsim", |_| "resume");
-    let mut progress = (!cli.quiet).then(|| RunProgress::new(label));
+    let mut progress = (!args.has("--quiet")).then(|| RunProgress::new(label));
     let result = request
         .on_progress(|p| {
             if let Some(prog) = &mut progress {
                 prog.update(p.fraction, p.events_processed);
             }
-            if cli.force_panic.is_some_and(|t| p.now >= t) {
+            if force_panic.is_some_and(|t| p.now >= t) {
                 panic!("forced panic at {} (--force-panic)", p.now);
             }
         })
@@ -1265,7 +1059,7 @@ fn main() {
         if let Some(dir) = &failure.bundle {
             eprintln!("replay with: ccsim replay {}", dir.display());
         }
-        std::process::exit(1);
+        exit(1);
     });
 
     // What came back.
@@ -1273,11 +1067,12 @@ fn main() {
     if let Some(prog) = &mut progress {
         prog.finish(outcome.events_processed);
     }
-    if let Some(at) = cli.checkpoint_at {
-        write_checkpoint(&report.checkpoint, &cli.checkpoint_out, at);
+    if let Some(at) = checkpoint_at {
+        let out = args.str("--checkpoint-out").unwrap_or("ccsim.ckpt");
+        write_checkpoint(&report.checkpoint, Path::new(out), at);
     }
     if let (Some(metrics_path), Some(prometheus), Some(manifest)) =
-        (&cli.metrics_out, &report.prometheus, &report.manifest)
+        (metrics_out, &report.prometheus, &report.manifest)
     {
         if let Err(e) = validate_exposition(prometheus) {
             fail(format!(
@@ -1296,12 +1091,12 @@ fn main() {
     }
     // Present only under `perf`: nothing else asks for a profile.
     let profile = report.manifest.as_ref().and_then(|m| m.profile.as_ref());
-    if let (Some(profile), Some(path)) = (profile, &cli.folded_out) {
+    if let (Some(profile), Some(path)) = (profile, args.str("--folded")) {
         write_file(Path::new(path), profile.to_folded());
         eprintln!("wrote {path}");
     }
 
-    if cli.json {
+    if args.has("--json") {
         println!("{}", outcome.to_json());
     } else {
         print_human(outcome);
@@ -1314,33 +1109,31 @@ fn main() {
         print!("{}", profile.render_table());
     }
     if let Some(tl) = &report.timeline {
-        if cli.timeline_cmd {
+        if cmd == TIMELINE {
             println!();
             print_timeline_summary(tl);
         }
-        if let Some(path) = &cli.timeline_out {
-            let bytes = if cli.timeline_format == "cctl" {
+        if let Some(path) = timeline_out {
+            let bytes = if timeline_format == "cctl" {
                 ccsim::timeline::export::to_binary(tl)
             } else {
                 ccsim::timeline::export::to_jsonl(tl).into_bytes()
             };
             write_file(Path::new(path), bytes);
-            eprintln!("wrote {path} ({})", cli.timeline_format);
+            eprintln!("wrote {path} ({timeline_format})");
         }
     }
 
-    if cli.tracing {
+    if cmd == TRACE {
+        let format = format.unwrap_or("both");
         let written = outcome
             .export_trace(
-                Path::new(&cli.out),
-                matches!(cli.format.as_str(), "jsonl" | "both"),
-                matches!(cli.format.as_str(), "bin" | "both"),
+                Path::new(out.unwrap_or("trace")),
+                format != "bin",
+                format != "jsonl",
             )
-            .unwrap_or_else(|e| {
-                eprintln!("trace export failed: {e}");
-                std::process::exit(1);
-            });
-        print_trace_summary(outcome, cli.sync_bin);
+            .unwrap_or_else(|e| fail(format!("trace export failed: {e}")));
+        print_trace_summary(outcome, sync_bin);
         for path in written {
             println!("wrote {}", path.display());
         }
@@ -1462,5 +1255,88 @@ fn print_human(o: &RunOutcome) {
             share * 100.0,
             jfi
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `cmd`'s words, a placeholder per positional, then `extra`.
+    fn argv<'a>(cmd: u16, extra: &[&'a str]) -> Vec<&'a str> {
+        let (_, name, positionals) = SUBCOMMANDS.iter().find(|s| s.0 == cmd).unwrap();
+        let mut argv: Vec<&str> = name.split(' ').collect();
+        argv.extend(positionals.iter().map(|_| "p"));
+        argv.extend(extra);
+        argv
+    }
+
+    /// Every (row, subcommand) pair the table defines.
+    fn pairs() -> impl Iterator<Item = (&'static Flag, u16)> {
+        FLAGS.iter().flat_map(|f| {
+            let cmds = SUBCOMMANDS.iter().map(|s| s.0).filter(|&c| f.cmds & c != 0);
+            cmds.map(move |c| (f, c))
+        })
+    }
+
+    #[test]
+    fn no_two_rows_share_a_subcommand_and_name() {
+        for (i, a) in FLAGS.iter().enumerate() {
+            for b in &FLAGS[i + 1..] {
+                assert!(a.name != b.name || a.cmds & b.cmds == 0, "{}", a.name);
+            }
+            assert!(a.cmds != 0 && a.cmds & !ALL == 0, "{}", a.name);
+        }
+    }
+
+    #[test]
+    fn a_row_takes_a_value_if_and_only_if_it_has_a_metavar() {
+        for (flag, cmd) in pairs() {
+            let bare = parse(&argv(cmd, &[flag.name]));
+            let given = parse(&argv(cmd, &[flag.name, "v"]));
+            let (read, taken) = match (flag.metavar, bare, given) {
+                (Some(_), Err((_, err)), Ok(Parsed::Run(args))) => {
+                    assert_eq!(err, format!("missing value for {}", flag.name));
+                    (args.str(flag.name).map(str::to_string), Some("v".into()))
+                }
+                // `trace` refuses these two rows once they are read.
+                (Some(_), Err(_), Err((_, err))) if cmd == TRACE => {
+                    assert!(err.starts_with("trace cannot be combined"), "{err}");
+                    continue;
+                }
+                (None, Ok(Parsed::Run(args)), _) => (args.str(flag.name).map(str::to_string), None),
+                _ => panic!("{} under {cmd:b}", flag.name),
+            };
+            assert_eq!(read, taken, "{}", flag.name);
+        }
+    }
+
+    #[test]
+    fn every_row_is_in_its_subcommands_usage_and_nowhere_else() {
+        for &(cmd, name, _) in &SUBCOMMANDS {
+            let usage = usage_text(cmd);
+            let listed: Vec<&str> = usage
+                .lines()
+                .filter_map(|l| l.strip_prefix("  "))
+                .filter_map(|l| l.split_whitespace().next())
+                .collect();
+            let rows: Vec<&str> = pairs().filter(|p| p.1 == cmd).map(|p| p.0.name).collect();
+            assert_eq!(listed, rows, "{name}");
+            assert!(help_text(cmd).starts_with(&usage));
+        }
+        for scope in [ALL, CAMPAIGN] {
+            assert!(!usage_text(scope).contains("  --"), "{scope:b}");
+        }
+    }
+
+    #[test]
+    fn every_scenario_shaping_row_is_refused_by_name_beside_resume_from() {
+        for (flag, cmd) in pairs().filter(|p| p.0.shapes) {
+            let value: &[&str] = if flag.metavar.is_some() { &["v"] } else { &[] };
+            let words = [&["--resume-from", "x", flag.name][..], value].concat();
+            let (_, err) = parse(&argv(cmd, &words)).err().expect(flag.name);
+            let expected = format!("{} cannot be combined with --resume-from", flag.name);
+            assert!(err.starts_with(&expected), "{err}");
+        }
     }
 }

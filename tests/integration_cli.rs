@@ -73,9 +73,17 @@ fn flow_totals_past_the_limit_are_a_named_usage_error() {
 fn help_goes_to_stdout_with_exit_0() {
     for args in [
         &["--help"][..],
-        &["run", "--help"][..],
+        &["-h"][..],
         &["campaign", "--help"][..],
+        &["run", "--help"][..],
+        &["trace", "--help"][..],
+        &["perf", "-h"][..],
+        &["timeline", "--help"][..],
+        &["replay", "--help"][..],
+        &["bisect", "--help"][..],
         &["campaign", "run", "--help"][..],
+        &["campaign", "report", "--help"][..],
+        &["campaign", "diff", "--help"][..],
     ] {
         let out = ccsim(args);
         assert_eq!(out.status.code(), Some(0), "args {args:?}");
@@ -88,6 +96,100 @@ fn help_goes_to_stdout_with_exit_0() {
             "args {args:?}: help leaked to stderr"
         );
     }
+    // A subcommand's help is its own, not the run flags'.
+    for args in [&["replay", "--help"][..], &["bisect", "--help"][..]] {
+        let help = stdout(&ccsim(args));
+        assert!(
+            help.starts_with(&format!("usage: ccsim {}", args[0])),
+            "{help}"
+        );
+        assert!(!help.contains("--flows"), "args {args:?}: {help}");
+    }
+}
+
+/// A value spelled `help` is a value: the run runs and writes its files.
+#[test]
+fn help_is_a_request_only_where_a_flag_may_stand() {
+    let dir = temp_dir("help-value");
+    let out = Command::new(env!("CARGO_BIN_EXE_ccsim"))
+        .args([TINY, &["--quiet", "--metrics", "help"]].concat())
+        .current_dir(&dir)
+        .output()
+        .expect("spawn ccsim");
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    assert!(stdout(&out).starts_with('{'), "{}", stdout(&out));
+    assert!(dir.join("help").is_file() && dir.join("help.manifest.json").is_file());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A flag under the wrong subcommand names the subcommands that take it.
+#[test]
+fn wrong_subcommand_errors_name_the_ones_that_take_the_flag() {
+    for (args, complaint) in [
+        (
+            &["timeline", "--policy", "keepall"][..],
+            "--policy is only valid with the trace subcommand",
+        ),
+        (
+            &["run", "--stride", "8"][..],
+            "--stride is only valid with the perf subcommand",
+        ),
+        (
+            &["run", "--out", "x"][..],
+            "--out is only valid with the trace, timeline, bisect, campaign report subcommands",
+        ),
+    ] {
+        let out = ccsim(args);
+        assert_eq!(out.status.code(), Some(2), "args {args:?}");
+        assert_eq!(
+            stderr(&out).lines().next(),
+            Some(complaint),
+            "args {args:?}"
+        );
+    }
+}
+
+/// Every seconds or milliseconds value goes through one parser: negative,
+/// non-finite and clock-overflowing values are usage errors (some used to
+/// panic or clamp to 0), fractions are accepted, and whole numbers give
+/// the outcome they always did.
+#[test]
+fn time_values_are_checked_and_may_be_fractional() {
+    let flows = ["run", "--flows", "reno:2:20"];
+    let spec = ["campaign", "run", "spec.json"];
+    for (prefix, flag, value) in [
+        (&spec[..], "--job-budget", "-1"),
+        (&spec[..], "--heartbeat-timeout", "nan"),
+        (&spec[..], "--backoff", "-5"),
+        (&spec[..], "--timeline-window", "inf"),
+        (&flows[..], "--duration", "18446744073709551615"),
+        (&flows[..], "--warmup", "18446744073.8"),
+        (&flows[..], "--jitter", "-0.5"),
+        (&flows[..], "--checkpoint-at", "-1"),
+        (&flows[..], "--force-panic", "nan"),
+        (&flows[..], "--timeline-window", "1e30"),
+        (&flows[..], "--fault", "blackout:-3:1"),
+        (&flows[..], "--fault", "delay:1:-4"),
+        (&["run", "--flows"][..], "reno:2:-20", "--quiet"),
+        (&["timeline", "--flows", "reno:2:20"][..], "--window", "-1"),
+        (&["trace", "--flows", "reno:2:20"][..], "--sync-bin", "inf"),
+    ] {
+        let out = ccsim(&[prefix, &[flag, value]].concat());
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {err}");
+        assert!(
+            err.starts_with("bad ") && !err.contains("panicked"),
+            "{err}"
+        );
+    }
+    // `--warmup 1 --duration 4` written as fractions: the same outcome.
+    let whole = tiny_with(&["--quiet"]);
+    let fractional = tiny_with(&["--quiet", "--warmup", "1.0", "--duration", "4.000"]);
+    assert_eq!(fractional.status.code(), Some(0));
+    assert_eq!(stdout(&fractional), stdout(&whole));
+    let half = tiny_with(&["--quiet", "--duration", "1.5"]);
+    assert_eq!(half.status.code(), Some(0), "{}", stderr(&half));
+    assert_ne!(stdout(&half), stdout(&whole));
 }
 
 /// End-to-end: run a tiny campaign twice, report it, diff the ledgers

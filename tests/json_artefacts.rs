@@ -25,7 +25,7 @@ use ccsim::prof::{EventCells, MemGauge, Profile, WheelProfile};
 use ccsim::sim::json::Json;
 use ccsim::sim::{Bandwidth, SimDuration, SimTime};
 use ccsim::telemetry::manifest::ManifestTimeline;
-use ccsim::telemetry::{FlowMetrics, ManifestBottleneck, RunManifest};
+use ccsim::telemetry::{FlowMetrics, RunManifest};
 use ccsim::timeline::{FlowPoint, LinkPoint, Timeline, TimelineConfig};
 use ccsim::topo::{Topology, TopologyKind};
 use ccsim::trace::{
@@ -261,18 +261,7 @@ fn manifest(name: &str, label: &str) -> RunManifest {
             ("ack".into(), 300_000_000),
             ("ti\"mer".into(), 87_654_321),
         ],
-        bottlenecks: bottlenecks(label)
-            .into_iter()
-            .map(|b| ManifestBottleneck {
-                link: b.link,
-                label: b.label,
-                utilization: b.utilization,
-                jfi: b.jfi,
-                loss_rate: b.loss_rate,
-                max_queue_bytes: b.max_queue_bytes,
-                ce_marked_pkts: b.ce_marked_pkts,
-            })
-            .collect(),
+        bottlenecks: bottlenecks(label),
         profile: Some(profile(false)),
         timeline: Some(ManifestTimeline {
             window_secs: 2.0,
