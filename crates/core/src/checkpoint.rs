@@ -4,9 +4,10 @@
 //! depends on: the engine (clock, event queue, cancellation tokens), every
 //! link/router/sender/receiver — including CCA state and derived RNG
 //! streams — plus the harness cursor itself (watchdog baselines, warm-up
-//! counter baselines, tracker snapshots). Anything rebuildable from the
-//! [`Scenario`] (routes, plans, seeds, wiring) is *not* serialized; restore
-//! rebuilds the arena from the embedded scenario JSON and overlays state.
+//! counter baselines, the tracker's last `2w + 1` snapshots). Anything
+//! rebuildable from the [`Scenario`] (routes, plans, seeds, wiring) is
+//! *not* serialized; restore rebuilds the arena from the embedded scenario
+//! JSON and overlays state.
 //!
 //! The contract, enforced by the differential tests: for any slice
 //! boundary `t`, `run(0→T)` and `run(0→t) → snapshot → restore → run(t→T)`
@@ -94,6 +95,7 @@ pub(crate) fn capture_body(
                 w.u64(b.retransmits);
                 w.u64(b.rtos);
                 w.u64(b.delivered_bytes);
+                w.u64(b.congestion_events);
             });
             tracker.save_state(&mut w);
         }
@@ -116,20 +118,22 @@ pub(crate) fn capture(
 }
 
 /// Overlay a checkpoint body onto a freshly built network (which must have
-/// been built from the checkpoint's embedded scenario). Returns the
-/// restored harness cursor.
+/// been built from the checkpoint's embedded scenario, whose convergence
+/// rule sets `window_snapshots`). Returns the restored harness cursor.
 pub(crate) fn restore_into(
     net: &mut BuiltNetwork,
     watchdog: &mut Watchdog,
+    window_snapshots: usize,
     body: &[u8],
 ) -> Result<RestoredHarness, ResumeError> {
     let mut r = SnapReader::new(body);
-    restore_into_inner(net, watchdog, &mut r).map_err(ResumeError::from)
+    restore_into_inner(net, watchdog, window_snapshots, &mut r).map_err(ResumeError::from)
 }
 
 fn restore_into_inner(
     net: &mut BuiltNetwork,
     watchdog: &mut Watchdog,
+    window_snapshots: usize,
     r: &mut SnapReader<'_>,
 ) -> Result<RestoredHarness, SnapError> {
     net.sim.restore_state(r, Msg::load_state)?;
@@ -177,6 +181,7 @@ fn restore_into_inner(
                     retransmits: r.u64()?,
                     rtos: r.u64()?,
                     delivered_bytes: r.u64()?,
+                    congestion_events: r.u64()?,
                 })
             })?;
             if sender_base.len() != flows {
@@ -185,7 +190,7 @@ fn restore_into_inner(
                     sender_base.len()
                 )));
             }
-            let mut tracker = ThroughputTracker::new();
+            let mut tracker = ThroughputTracker::new(window_snapshots);
             tracker.load_state(r)?;
             RestoredHarness::Measurement {
                 sender_base,
@@ -469,7 +474,7 @@ mod tests {
             short.body.truncate(cut);
             let mut net = crate::build::BuiltNetwork::try_build(&s).unwrap();
             let mut wd = Watchdog::new(s.watchdog);
-            assert!(restore_into(&mut net, &mut wd, &short.body).is_err());
+            assert!(restore_into(&mut net, &mut wd, 0, &short.body).is_err());
         }
     }
 
@@ -485,7 +490,7 @@ mod tests {
         )];
         let mut net = crate::build::BuiltNetwork::try_build(&other).unwrap();
         let mut wd = Watchdog::new(other.watchdog);
-        let err = restore_into(&mut net, &mut wd, &cp.body).unwrap_err();
+        let err = restore_into(&mut net, &mut wd, 0, &cp.body).unwrap_err();
         assert!(err.to_string().contains("flows"), "{err}");
     }
 }

@@ -35,6 +35,9 @@ pub(crate) struct SenderBaseline {
     pub(crate) retransmits: u64,
     pub(crate) rtos: u64,
     pub(crate) delivered_bytes: u64,
+    /// Congestion events strictly before the warm-up boundary; those *at*
+    /// it belong to the measurement window.
+    pub(crate) congestion_events: u64,
 }
 
 /// A progress report from inside a run, issued after every simulated
@@ -311,10 +314,14 @@ pub(crate) fn run_internal_ctl(
     // already rewound every config-derived setting; the checkpoint body
     // holds only live state (clock, queues, windows, RNG streams, harness
     // cursors).
+    let window_snapshots = scenario
+        .convergence
+        .as_ref()
+        .map_or(0, |rule| rule.window_snapshots);
     let mut restored = None;
     if let Some(cp) = ctl.resume_from {
         restored = Some(
-            checkpoint::restore_into(&mut net, &mut watchdog, &cp.body)
+            checkpoint::restore_into(&mut net, &mut watchdog, window_snapshots, &cp.body)
                 .map_err(SimError::Resume)?,
         );
         if let Some(inst) = inst {
@@ -421,6 +428,7 @@ pub(crate) fn run_internal_ctl(
                         retransmits: s.retransmits,
                         rtos: s.rtos,
                         delivered_bytes: 0, // filled from receivers below
+                        congestion_events: s.congestion_events_before(warmup_end),
                     }
                 })
                 .collect();
@@ -438,7 +446,7 @@ pub(crate) fn run_internal_ctl(
             // the conservation baseline with them.
             watchdog.rebaseline(&net);
 
-            let mut tracker = ThroughputTracker::new();
+            let mut tracker = ThroughputTracker::new(window_snapshots);
             tracker.record(warmup_end, delivered_base.clone());
             (sender_base, tracker, warmup_end)
         }
@@ -468,9 +476,8 @@ pub(crate) fn run_internal_ctl(
             });
         }
         if let Some(rule) = &scenario.convergence {
-            let agg =
-                tracker.relative_change(rule.window_snapshots, |r| Some(r.iter().sum::<f64>()));
-            let jfi = tracker.relative_change(rule.window_snapshots, jain_fairness_index);
+            let agg = tracker.relative_change(|r| Some(r.iter().sum::<f64>()));
+            let jfi = tracker.relative_change(jain_fairness_index);
             if let (Some(a), Some(j)) = (agg, jfi) {
                 if a < rule.tolerance && j < rule.tolerance {
                     converged = true;
@@ -544,11 +551,6 @@ pub(crate) fn run_internal_ctl(
         let stats = net.sim.component::<Sender>(net.senders[i]).stats();
         let base = sender_base[i];
         let window_delivered = delivered_end[i] - base.delivered_bytes;
-        let window_events = stats
-            .congestion_event_log
-            .iter()
-            .filter(|&&t| t >= warmup_end)
-            .count() as u64;
         flows.push(FlowMetrics {
             flow: i as u32,
             cca: net.flow_cca[i].name().to_string(),
@@ -557,7 +559,7 @@ pub(crate) fn run_internal_ctl(
             delivered_bytes: window_delivered,
             data_pkts_sent: stats.data_pkts_sent - base.data_pkts_sent,
             retransmits: stats.retransmits - base.retransmits,
-            congestion_events: window_events,
+            congestion_events: stats.congestion_events() - base.congestion_events,
             rtos: stats.rtos - base.rtos,
             queue_drops: per_flow_summed(|s| &s.per_flow_dropped, i),
             queue_arrivals: per_flow_summed(|s| &s.per_flow_arrived, i),

@@ -174,6 +174,7 @@ pub const DEFAULT_MSS: u32 = 1448;
 
 impl Packet {
     /// Build a data segment covering `[seq, end_seq)`.
+    #[inline]
     pub fn data(flow: FlowId, dst: ComponentId, seq: u64, end_seq: u64, now: SimTime) -> Packet {
         debug_assert!(end_seq > seq, "empty data segment");
         Packet {
@@ -192,6 +193,7 @@ impl Packet {
     }
 
     /// Build a pure ACK.
+    #[inline]
     pub fn ack(
         flow: FlowId,
         dst: ComponentId,

@@ -14,7 +14,7 @@
 //!
 //! ```text
 //! magic    8 B   "CCSNAP\r\n"
-//! version  4 B   little-endian u32 (currently 1)
+//! version  4 B   little-endian u32 (currently 2)
 //! scenario       length-prefixed UTF-8 (the run's scenario JSON)
 //! taken_at 8 B   sim-time nanoseconds of the capture boundary
 //! body           length-prefixed opaque engine+harness state
@@ -43,7 +43,13 @@ pub const SNAP_MAGIC: [u8; 8] = *b"CCSNAP\r\n";
 /// *or* to the layer encodings inside `body` — a restore across
 /// mismatched encodings would not be byte-identical, so it must fail
 /// loudly instead.
-pub const SNAP_VERSION: u32 = 1;
+///
+/// Version 2 dropped the sender's congestion-event log, cwnd-trace slot
+/// and delivered-bytes copy, the engine's per-kind event counters, and all
+/// but the last `2w + 1` tracker snapshots; it added each sender's latest
+/// congestion-event instant and the warm-up baseline's event count
+/// (DESIGN.md §7 item 8 lists the bytes).
+pub const SNAP_VERSION: u32 = 2;
 
 /// The container's integrity hash (defined in `ccsim-sim`; this is its
 /// historical path).

@@ -614,10 +614,13 @@ impl<M: 'static> Simulator<M> {
 
     // ----- checkpoint/restore -------------------------------------------
 
-    /// Serialize the engine's replay-relevant state: clock, event counts,
-    /// and the full pending-event queue (see [`EventQueue::save_state`]).
-    /// Components are **not** serialized here — the harness owns their
-    /// concrete types and snapshots them alongside.
+    /// Serialize the engine's replay-relevant state: clock, event count,
+    /// pending-event high-water mark and the full pending-event queue (see
+    /// [`EventQueue::save_state`]). Components are **not** serialized here
+    /// — the harness owns their concrete types and snapshots them
+    /// alongside — and neither are the per-class counters of
+    /// [`Simulator::run_until_classified`], which only an observed run
+    /// fills: the state is the same bytes observed or not.
     ///
     /// Must be called between run slices (never from inside a handler):
     /// a partially-drained same-timestamp dispatch batch cannot be
@@ -635,7 +638,6 @@ impl<M: 'static> Simulator<M> {
         w.time(self.now);
         w.u64(self.processed);
         w.u64(self.max_pending);
-        w.seq(&self.class_counts, |w, &c| w.u64(c));
         self.queue.save_state(w, save_msg);
     }
 
@@ -645,9 +647,8 @@ impl<M: 'static> Simulator<M> {
     /// overwrites their mutable state, after which this call realigns the
     /// clock and pending events.
     ///
-    /// Saved per-class event counts only apply when the current
-    /// configuration has matching class dimensions (an unobserved
-    /// snapshot restored into an observed run keeps its zeroed counters).
+    /// Per-class event counters are not part of the state: after a
+    /// restore they count from zero.
     ///
     /// A snapshot whose queue is inconsistent (see
     /// [`EventQueue::load_state`]) or holds an event for a component this
@@ -661,7 +662,6 @@ impl<M: 'static> Simulator<M> {
         let now = r.time()?;
         let processed = r.u64()?;
         let max_pending = r.u64()?;
-        let class_counts = r.seq(|r| r.u64())?;
         // An entry addressed outside the arena would otherwise surface
         // mid-run as `UnknownComponent`; the snapshot never came from this
         // configuration.
@@ -669,9 +669,6 @@ impl<M: 'static> Simulator<M> {
         self.now = now;
         self.processed = processed;
         self.max_pending = max_pending;
-        if !class_counts.is_empty() && class_counts.len() == self.class_counts.len() {
-            self.class_counts = class_counts;
-        }
         self.queue = queue;
         self.batch.clear();
         Ok(())

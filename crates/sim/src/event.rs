@@ -111,6 +111,7 @@ pub struct CancelToken {
 }
 
 impl Default for CancelToken {
+    #[inline]
     fn default() -> Self {
         CancelToken {
             idx: u32::MAX,
@@ -153,6 +154,7 @@ struct TokenTable {
 }
 
 impl TokenTable {
+    #[inline]
     fn alloc(&mut self) -> CancelToken {
         if let Some(idx) = self.free.pop() {
             CancelToken {

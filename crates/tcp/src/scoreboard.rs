@@ -9,14 +9,16 @@
 //! and all ACKs fall on segment boundaries (receivers acknowledge whole
 //! segments); both properties are asserted in debug builds.
 //!
-//! Beside the segment deque the scoreboard keeps three ordered indexes —
-//! the lost set, the SACKed runs and the in-flight holes below the highest
-//! SACK — updated wherever a segment changes state. An ACK in recovery
-//! then visits only the segments whose state it changes and finds the rest
-//! by arithmetic or binary search, instead of scanning the window. The
-//! indexes are derived state: checkpoints do not carry them and
-//! [`Scoreboard::load_state`] rebuilds them.
+//! Beside the segment deque the scoreboard keeps three indexes — the lost
+//! set (a bitmap over segment ordinals, see [`crate::lost`]), the SACKed
+//! runs and the in-flight holes below the highest SACK — updated wherever
+//! a segment changes state. An ACK in recovery then visits only the
+//! segments whose state it changes and finds the rest by arithmetic or
+//! binary search, instead of scanning the window. The indexes are derived
+//! state: checkpoints do not carry them and [`Scoreboard::load_state`]
+//! rebuilds them.
 
+use crate::lost::LostSet;
 use crate::rate::TxRecord;
 use ccsim_net::packet::SackBlocks;
 use ccsim_sim::{SimDuration, SimTime, SnapError, SnapReader, SnapWriter};
@@ -138,6 +140,9 @@ impl Segment {
     }
 }
 
+// The packed layout is what pays for the indexes at megascale.
+const _: () = assert!(std::mem::size_of::<Segment>() == 48);
+
 /// Outcome of processing one ACK against the scoreboard.
 #[derive(Debug, Clone, Copy)]
 pub struct AckResult {
@@ -181,7 +186,7 @@ impl Covered {
 /// is loaded.
 #[derive(Default)]
 struct Derived {
-    lost: VecDeque<u64>,
+    lost: LostSet,
     runs: VecDeque<(u64, u64)>,
     holes: VecDeque<(SimTime, u64)>,
     sacked_bytes: u64,
@@ -190,9 +195,10 @@ struct Derived {
 }
 
 impl Derived {
+    /// The indexes and counters of `segs`, numbering `segs[0]` ordinal 0.
     fn of(segs: &VecDeque<Segment>, high_sacked: u64) -> Derived {
         let mut d = Derived::default();
-        for seg in segs {
+        for (ord, seg) in (0..).zip(segs) {
             if seg.is(SACKED) {
                 d.sacked_bytes += seg.len();
                 d.sacked_segs += 1;
@@ -202,7 +208,7 @@ impl Derived {
                 }
             } else if seg.is(LOST) {
                 d.lost_bytes += seg.len();
-                d.lost.push_back(seg.seq);
+                d.lost.insert(ord);
             } else if seg.seq < high_sacked {
                 d.holes.push_back(seg.hole_key());
             }
@@ -213,8 +219,8 @@ impl Derived {
 }
 
 /// Insert `key` into an ascending deque. Appending is the common case
-/// (retransmissions carry the latest send time, new losses lie above old
-/// ones); `VecDeque::insert` shifts the shorter side otherwise.
+/// (retransmissions carry the latest send time); `VecDeque::insert`
+/// shifts the shorter side otherwise.
 fn insert_sorted<T: Ord + Copy>(q: &mut VecDeque<T>, key: T) {
     match q.back() {
         Some(&back) if key < back => {
@@ -259,12 +265,15 @@ pub struct Scoreboard {
     delivered_latest_sent: SimTime,
     mss: u32,
     dupthresh: u32,
+    /// Ordinal of `segs[0]`: the segment at `segs[i]` is ordinal
+    /// `front_ord + i` for life.
+    front_ord: u64,
     // The indexes come last and the paths of a flow that is not in
     // recovery decide on the counters above without reading them: at
     // megascale every cache line of per-flow state an ACK touches counts.
-    /// Index 1 — start sequences of the lost segments, ascending. The
-    /// front is the next retransmission candidate.
-    lost: VecDeque<u64>,
+    /// Index 1 — ordinals of the lost segments. The first is the next
+    /// retransmission candidate.
+    lost: LostSet,
     /// Index 2 — maximal `[start, end)` byte ranges of SACKed segments,
     /// ascending. A SACK block visits only the gaps between them.
     runs: VecDeque<(u64, u64)>,
@@ -279,7 +288,8 @@ impl Scoreboard {
     pub fn new(mss: u32) -> Scoreboard {
         Scoreboard {
             segs: VecDeque::new(),
-            lost: VecDeque::new(),
+            front_ord: 0,
+            lost: LostSet::new(),
             runs: VecDeque::new(),
             holes: VecDeque::new(),
             snd_una: 0,
@@ -344,7 +354,7 @@ impl Scoreboard {
         use std::mem::size_of;
         (size_of::<Self>()
             + self.segs.capacity() * size_of::<Segment>()
-            + self.lost.capacity() * size_of::<u64>()
+            + self.lost.memory_bytes() as usize
             + self.runs.capacity() * size_of::<(u64, u64)>()
             + self.holes.capacity() * size_of::<(SimTime, u64)>()) as u64
     }
@@ -368,9 +378,10 @@ impl Scoreboard {
 
     /// Overlay checkpointed state onto a scoreboard built with the same
     /// configuration. The indexes and counters are recomputed from the
-    /// segments; a snapshot whose stored counters or sequence bounds
-    /// disagree with its segments is rejected as corrupt (left alone it
-    /// would wrap a counter on a later ACK).
+    /// segments (ordinals restart at 0: only their order matters); a
+    /// snapshot whose stored counters or sequence bounds disagree with its
+    /// segments is rejected as corrupt (left alone it would wrap a counter
+    /// on a later ACK).
     pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let n = r.usize()?;
         if n > r.remaining() {
@@ -423,6 +434,7 @@ impl Scoreboard {
         }
         *self = Scoreboard {
             segs,
+            front_ord: 0,
             lost: d.lost,
             runs: d.runs,
             holes: d.holes,
@@ -452,6 +464,12 @@ impl Scoreboard {
             Some(seg) if seg.seq == seq => guess,
             _ => self.segs.partition_point(|s| s.seq < seq),
         }
+    }
+
+    /// Ordinal of the segment at `segs[at]`.
+    #[inline]
+    fn ord(&self, at: usize) -> u64 {
+        self.front_ord + at as u64
     }
 
     /// Record transmission of new data `[snd_nxt, snd_nxt + len)`.
@@ -484,6 +502,8 @@ impl Scoreboard {
                     break;
                 }
                 let seg = self.segs.pop_front().expect("front exists");
+                let ord = self.front_ord;
+                self.front_ord += 1;
                 if seg.is(SACKED) {
                     self.sacked_bytes -= seg.len();
                     self.sacked_segs -= 1;
@@ -492,10 +512,8 @@ impl Scoreboard {
                     if seg.is(LOST) {
                         // Cumulative ACK of a segment still marked lost
                         // (e.g. the retransmission we never saw SACKed).
-                        // It is the lowest outstanding segment, hence the
-                        // front of the lost set.
                         self.lost_bytes -= seg.len();
-                        remove_sorted(&mut self.lost, seg.seq);
+                        self.lost.remove(ord);
                     } else if seg.seq < self.high_sacked {
                         remove_sorted(&mut self.holes, seg.hole_key());
                     }
@@ -527,7 +545,7 @@ impl Scoreboard {
             // trimming them here too bounds them the same way.
             if self.segs.capacity() > 8 && self.segs.capacity() / 8 >= self.segs.len().max(1) {
                 self.segs.shrink_to(self.segs.len().max(4) * 2);
-                self.lost.shrink_to(self.lost.len() * 2);
+                self.lost.shrink();
                 self.runs.shrink_to(self.runs.len() * 2);
                 self.holes.shrink_to(self.holes.len() * 2);
             }
@@ -597,9 +615,8 @@ impl Scoreboard {
 
     /// SACK the segments of `[start, end)`, none of which is SACKed.
     fn sack_gap(&mut self, start: u64, end: u64, res: &mut AckResult, covered: &mut Covered) {
-        let mut was_lost = 0;
         let first = self.seg_index(start);
-        for seg in self.segs.range_mut(first..) {
+        for (ord, seg) in (self.ord(first)..).zip(self.segs.range_mut(first..)) {
             if seg.seq >= end {
                 break;
             }
@@ -615,21 +632,14 @@ impl Scoreboard {
             self.sacked_segs += 1;
             if seg.is(LOST) {
                 seg.flags &= !LOST;
-                was_lost += seg.len();
+                self.lost_bytes -= seg.len();
+                self.lost.remove(ord);
             } else if seg.seq < self.high_sacked {
                 remove_sorted(&mut self.holes, seg.hole_key());
             }
             res.newly_acked += seg.len();
             res.newly_sacked += seg.len();
             covered.note(seg, res);
-        }
-        if was_lost > 0 {
-            // Every lost segment of the gap was just SACKed: one range of
-            // the lost set goes.
-            self.lost_bytes -= was_lost;
-            let from = self.lost.partition_point(|&seq| seq < start);
-            let to = self.lost.partition_point(|&seq| seq < end);
-            self.lost.drain(from..to);
         }
     }
 
@@ -681,12 +691,13 @@ impl Scoreboard {
                 break;
             }
             let at = self.seg_index(seq);
+            let ord = self.ord(at);
             let seg = &mut self.segs[at];
             debug_assert!(seg.seq == seq && !seg.is(SACKED | LOST));
             if seg.end() <= boundary {
                 seg.flags |= LOST;
                 newly_lost += seg.len();
-                insert_sorted(&mut self.lost, seq);
+                self.lost.insert(ord);
             } else {
                 // Old enough but too close to `high_sacked`: at most
                 // `dupthresh` full-size segments are, so few are kept.
@@ -729,7 +740,7 @@ impl Scoreboard {
         // Afterwards every un-SACKed segment is lost and none is a hole.
         self.lost.clear();
         self.holes.clear();
-        for seg in self.segs.iter_mut() {
+        for (ord, seg) in (self.front_ord..).zip(self.segs.iter_mut()) {
             if seg.is(SACKED) {
                 continue;
             }
@@ -737,7 +748,7 @@ impl Scoreboard {
                 seg.flags |= LOST;
                 newly_lost += seg.len();
             }
-            self.lost.push_back(seg.seq);
+            self.lost.insert(ord);
         }
         self.lost_bytes += newly_lost;
         self.debug_check();
@@ -750,8 +761,8 @@ impl Scoreboard {
         if self.lost_bytes == 0 {
             return None;
         }
-        let seq = *self.lost.front().filter(|&&seq| seq < limit)?;
-        Some((seq, self.segs[self.seg_index(seq)].end()))
+        let seg = &self.segs[(self.lost.first()? - self.front_ord) as usize];
+        (seg.seq < limit).then(|| (seg.seq, seg.end()))
     }
 
     /// Record retransmission of the segment starting at `seq`: it returns
@@ -774,7 +785,7 @@ impl Scoreboard {
         );
         *seg = Segment::new(seq, seg.len, tx, RETRANSMITTED);
         self.lost_bytes -= seg.len();
-        remove_sorted(&mut self.lost, seq);
+        self.lost.remove(self.ord(at));
         if seq < self.high_sacked {
             insert_sorted(&mut self.holes, (tx.sent_time, seq));
         }
@@ -787,15 +798,21 @@ impl Scoreboard {
     #[cfg(debug_assertions)]
     fn debug_check(&self) {
         let (mut sacked_bytes, mut sacked_segs, mut lost_bytes, mut holes) = (0, 0, 0, 0);
-        let mut lost = self.lost.iter();
+        let mut lost_segs = 0;
         let mut runs = self.runs.iter();
         // The SACKed run being walked, if any: `run_start..prev_end`.
         let mut run_start = None;
         let mut prev_end = self.snd_una;
         // (Field reads rather than accessor calls: nothing is inlined in a
         // debug build and this loop dominates debug-mode simulation time.)
-        for seg in &self.segs {
+        for (ord, seg) in (self.front_ord..).zip(&self.segs) {
             assert!(seg.seq == prev_end, "scoreboard gap at {}", seg.seq);
+            assert_eq!(
+                self.lost.contains(ord),
+                seg.flags & LOST != 0,
+                "lost set drift at {}",
+                seg.seq
+            );
             let len = seg.len as u64;
             if seg.flags & SACKED != 0 {
                 assert!(seg.flags & LOST == 0, "segment both sacked and lost");
@@ -813,7 +830,7 @@ impl Scoreboard {
             prev_end += len;
             if seg.flags & LOST != 0 {
                 lost_bytes += len;
-                assert_eq!(lost.next(), Some(&seg.seq), "lost set drift");
+                lost_segs += 1;
             } else if seg.seq < self.high_sacked {
                 holes += 1;
             }
@@ -828,7 +845,7 @@ impl Scoreboard {
             "counters drifted from the segments"
         );
         assert!(runs.next().is_none(), "run index holds a stale run");
-        assert!(lost.next().is_none(), "lost set holds a stale entry");
+        assert_eq!(self.lost.len(), lost_segs, "lost set holds a stale entry");
         // As many entries as holes, each entry a hole, no entry twice
         // (strictly ascending): the index is exactly the holes, in order.
         assert_eq!(holes, self.holes.len(), "hole index size drift");
@@ -1078,6 +1095,13 @@ mod tests {
         b
     }
 
+    fn lost_seqs(b: &Scoreboard) -> Vec<u64> {
+        b.lost
+            .iter()
+            .map(|ord| b.segs[(ord - b.front_ord) as usize].seq)
+            .collect()
+    }
+
     fn saved(b: &Scoreboard) -> Vec<u8> {
         let mut w = SnapWriter::new();
         b.save_state(&mut w);
@@ -1191,8 +1215,8 @@ mod tests {
         let mut restored = load(&bytes).expect("own checkpoint loads");
         assert_eq!(saved(&restored), bytes);
         assert_eq!(
-            (&restored.lost, &restored.runs, &restored.holes),
-            (&b.lost, &b.runs, &b.holes)
+            (lost_seqs(&restored), &restored.runs, &restored.holes),
+            (lost_seqs(&b), &b.runs, &b.holes)
         );
         // Both carry on identically: fresh evidence condemns the two
         // retransmissions, the next ACK retires most of the window.
@@ -1255,8 +1279,6 @@ mod tests {
 
     #[test]
     fn memory_accounting_covers_the_indexes_and_deflates_with_the_window() {
-        // The packed layout is what pays for the indexes at megascale.
-        assert_eq!(std::mem::size_of::<Segment>(), 48);
         let mut b = board_with(1024);
         let segs_only = b.memory_bytes();
         // Every other segment SACKed: 511 runs, 512 holes, then 509 lost.
@@ -1266,14 +1288,14 @@ mod tests {
         assert!(b.detect_losses() > 0);
         let indexed = b.memory_bytes();
         assert!(
-            indexed >= segs_only + 511 * 16 + 509 * 8,
+            indexed >= segs_only + 511 * 16 + 509 / 64 * 8,
             "indexes not accounted: {segs_only} -> {indexed}"
         );
         // The window collapses: segment and index capacity both go.
         b.process_ack(SimTime::from_secs(3), 1024 * MSS, &SackBlocks::EMPTY);
         assert!(b.memory_bytes() < 1024, "{} B still held", b.memory_bytes());
         assert_eq!(
-            (b.lost.capacity(), b.runs.capacity(), b.holes.capacity()),
+            (b.lost.memory_bytes(), b.runs.capacity(), b.holes.capacity()),
             (0, 0, 0)
         );
     }

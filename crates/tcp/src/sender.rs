@@ -11,9 +11,10 @@
 //! * **Loss** — after a retransmission timeout: everything outstanding is
 //!   presumed lost and the flow slow-starts from the CCA's post-RTO window.
 //!
-//! Congestion events (fast-recovery entries + RTOs) are logged with
-//! timestamps — the tcpprobe-equivalent CWND-halving record at the heart of
-//! the paper's Mathis-model analysis.
+//! Congestion events (fast-recovery entries, RTOs, ECE reductions) are
+//! counted in [`SenderStats`] — the tcpprobe-equivalent CWND-halving record
+//! at the heart of the paper's Mathis-model analysis; the flight recorder,
+//! when attached, keeps their timestamps.
 //!
 //! ## Simplifications (documented in DESIGN.md)
 //!
@@ -35,7 +36,7 @@ use ccsim_sim::{
     SnapWriter,
 };
 use ccsim_telemetry::Counter;
-use ccsim_trace::{BoundedLog, CongestionKind, FlowRecorder};
+use ccsim_trace::{CongestionKind, FlowRecorder};
 use std::sync::Arc;
 
 /// Shared metric handles for senders, registered by the harness and
@@ -55,6 +56,32 @@ pub struct SenderMetrics {
     /// Transmissions deferred by the pacing gate
     /// (`ccsim_tcp_pacing_stalls_total`).
     pub pacing_stalls: Arc<Counter>,
+}
+
+/// The sender's optional observers, boxed together: the per-ACK path tests
+/// one pointer for both, and an unobserved sender carries 8 bytes for them.
+#[derive(Default)]
+struct Observers {
+    /// Flight recorder (ccsim-trace), attached when the scenario traces.
+    recorder: Option<FlowRecorder>,
+    /// Registry-backed metrics (shared across all senders), attached when
+    /// a run is observed.
+    metrics: Option<SenderMetrics>,
+}
+
+impl Observers {
+    fn on_congestion(&mut self, now: SimTime, kind: CongestionKind) {
+        if let Some(m) = &self.metrics {
+            match kind {
+                CongestionKind::FastRecovery => m.fast_recoveries.inc(),
+                CongestionKind::Rto => m.rtos.inc(),
+                CongestionKind::EcnReduce => {}
+            }
+        }
+        if let Some(rec) = &mut self.recorder {
+            rec.on_congestion(now, kind);
+        }
+    }
 }
 
 /// Timer kind: flow start.
@@ -140,17 +167,11 @@ pub struct Sender {
     /// Set CWR on the next new data segment to confirm the reduction.
     ecn_cwr_pending: bool,
     stats: SenderStats,
-    /// Optional cwnd trace `(time, cwnd_bytes)`, sampled per ACK when
-    /// enabled (for examples/diagnostics; off in large experiments).
-    /// Bounded: at 16 bytes/entry the default cap retains ~1 MiB/flow.
-    cwnd_trace: Option<BoundedLog<(SimTime, u64)>>,
-    /// Optional flight recorder (ccsim-trace), attached by the harness
-    /// when the scenario enables tracing.
-    recorder: Option<FlowRecorder>,
-    /// Optional registry-backed metrics (shared across all senders),
-    /// attached when a run is observed.
-    metrics: Option<SenderMetrics>,
+    observers: Option<Box<Observers>>,
 }
+
+// The per-flow footprint at megascale; observers and logs stay out of it.
+const _: () = assert!(std::mem::size_of::<Sender>() <= 576);
 
 impl Sender {
     /// Build a sender with the given CCA instance.
@@ -178,40 +199,35 @@ impl Sender {
             ecn_reduce_until: 0,
             ecn_cwr_pending: false,
             stats: SenderStats::default(),
-            cwnd_trace: None,
-            recorder: None,
-            metrics: None,
+            observers: None,
         }
     }
 
-    /// Enable per-ACK cwnd tracing (drop-oldest bounded; see
-    /// [`ccsim_trace::DEFAULT_LOG_CAP`]).
-    pub fn enable_cwnd_trace(&mut self) {
-        self.cwnd_trace = Some(BoundedLog::default());
-    }
-
-    /// The recorded cwnd trace, if enabled.
-    pub fn cwnd_trace(&self) -> Option<&BoundedLog<(SimTime, u64)>> {
-        self.cwnd_trace.as_ref()
+    fn observers_mut(&mut self) -> &mut Observers {
+        self.observers.get_or_insert_with(Box::default)
     }
 
     /// Attach a flight recorder; subsequent ACK processing records cwnd /
     /// ssthresh / srtt / pacing samples, CCA phase transitions, and
     /// congestion events into it.
     pub fn enable_trace(&mut self, recorder: FlowRecorder) {
-        self.recorder = Some(recorder);
+        self.observers_mut().recorder = Some(recorder);
     }
 
     /// Detach and return the flight recorder (the harness drains it into
     /// the run trace after the simulation ends).
     pub fn take_trace(&mut self) -> Option<FlowRecorder> {
-        self.recorder.take()
+        self.observers.as_deref_mut()?.recorder.take()
     }
 
     /// Attach registry-backed metrics; RTOs, fast-recovery entries, and
     /// pacing stalls count into the shared handles from then on.
     pub fn enable_metrics(&mut self, metrics: SenderMetrics) {
-        self.metrics = Some(metrics);
+        self.observers_mut().metrics = Some(metrics);
+    }
+
+    fn recorder(&self) -> Option<&FlowRecorder> {
+        self.observers.as_deref()?.recorder.as_ref()
     }
 
     /// Counters.
@@ -220,28 +236,21 @@ impl Sender {
     }
 
     /// Approximate heap footprint of this flow's hot state: the sender
-    /// struct (CCA box counted at its pointer size) plus the SACK
-    /// scoreboard's segment storage. Harvested into the profiler's
+    /// struct (CCA and observer boxes counted at their pointer size) plus
+    /// the SACK scoreboard's storage. Harvested into the profiler's
     /// `tcp/senders` memory account — the numerator of the megascale
-    /// memory-per-flow metric. Attached trace buffers are accounted
+    /// memory-per-flow metric. An attached flight recorder is accounted
     /// separately via [`Sender::trace_memory_bytes`].
     pub fn memory_bytes(&self) -> u64 {
         std::mem::size_of::<Self>() as u64 + self.board.memory_bytes()
     }
 
-    /// Heap bytes held by this flow's attached trace buffers (cwnd log
-    /// and flight recorder), 0 when tracing is off. Feeds the profiler's
-    /// `trace/rings` account, kept apart from `tcp/senders` so the
-    /// memory-per-flow figure reflects the always-on cost.
+    /// Heap bytes held by this flow's attached flight recorder, 0 when
+    /// tracing is off. Feeds the profiler's `trace/rings` account, kept
+    /// apart from `tcp/senders` so the memory-per-flow figure reflects the
+    /// always-on cost.
     pub fn trace_memory_bytes(&self) -> u64 {
-        let mut bytes = 0;
-        if let Some(log) = &self.cwnd_trace {
-            bytes += log.memory_bytes();
-        }
-        if let Some(rec) = &self.recorder {
-            bytes += rec.memory_bytes();
-        }
-        bytes
+        self.recorder().map_or(0, FlowRecorder::memory_bytes)
     }
 
     /// The congestion controller (for cwnd/pacing inspection).
@@ -309,13 +318,7 @@ impl Sender {
         self.rtt.save_state(w);
         self.rate.save_state(w);
         self.stats.save_state(w);
-        w.opt(self.cwnd_trace.as_ref(), |w, log| {
-            log.save_state(w, |w, &(t, c)| {
-                w.time(t);
-                w.u64(c);
-            });
-        });
-        w.opt(self.recorder.as_ref(), |w, rec| rec.save_state(w));
+        w.opt(self.recorder(), |w, rec| rec.save_state(w));
         self.cca.save_state(w);
     }
 
@@ -346,26 +349,12 @@ impl Sender {
         self.rtt.load_state(r)?;
         self.rate.load_state(r)?;
         self.stats.load_state(r)?;
-        let saved_trace = r.opt(|_| Ok(()))?;
-        match (&mut self.cwnd_trace, saved_trace) {
-            (Some(log), Some(())) => {
-                log.load_state(r, |r| {
-                    let t = r.time()?;
-                    let c = r.u64()?;
-                    Ok((t, c))
-                })?;
-            }
-            (None, None) => {}
-            (have, saved) => {
-                return Err(SnapError::Corrupt(format!(
-                    "cwnd-trace presence mismatch: built {}, snapshot {}",
-                    have.is_some(),
-                    saved.is_some()
-                )));
-            }
-        }
         let saved_recorder = r.opt(|_| Ok(()))?;
-        match (&mut self.recorder, saved_recorder) {
+        let built = self
+            .observers
+            .as_deref_mut()
+            .and_then(|o| o.recorder.as_mut());
+        match (built, saved_recorder) {
             (Some(rec), Some(())) => rec.load_state(r)?,
             (None, None) => {}
             (have, saved) => {
@@ -444,7 +433,7 @@ impl Sender {
     fn arm_pace_timer(&mut self, ctx: &mut Ctx<'_, Msg>) {
         if !self.pace_pending {
             self.pace_pending = true;
-            if let Some(m) = &self.metrics {
+            if let Some(m) = self.observers.as_deref().and_then(|o| o.metrics.as_ref()) {
                 m.pacing_stalls.inc();
             }
             ctx.schedule_at(
@@ -556,7 +545,11 @@ impl Sender {
     /// RTT / pacing samples (deduplicated inside the recorder) and the
     /// CCA's operating-phase label.
     fn record_state(&mut self, now: SimTime) {
-        if let Some(rec) = &mut self.recorder {
+        if let Some(rec) = self
+            .observers
+            .as_deref_mut()
+            .and_then(|o| o.recorder.as_mut())
+        {
             rec.on_ack(
                 now,
                 self.cca.cwnd(),
@@ -565,6 +558,15 @@ impl Sender {
                 self.cca.pacing_rate().map_or(0, |r| r.as_bps()),
             );
             rec.on_phase(now, self.cca.phase());
+        }
+    }
+
+    /// Count a congestion event (the caller bumps its kind's counter) and
+    /// show it to the observers.
+    fn congestion_event(&mut self, now: SimTime, kind: CongestionKind) {
+        self.stats.note_event(now);
+        if let Some(obs) = self.observers.as_deref_mut() {
+            obs.on_congestion(now, kind);
         }
     }
 
@@ -628,7 +630,6 @@ impl Sender {
                 }
                 _ => (None, SimDuration::ZERO, self.rate.delivered(), false),
             };
-        self.stats.delivered_bytes = self.rate.delivered();
 
         let mut sample = self.build_sample(
             now,
@@ -660,13 +661,7 @@ impl Sender {
             self.prr_recover_fs = (self.board.snd_nxt() - self.board.snd_una()).max(1);
             self.force_rtx = true;
             self.stats.fast_recoveries += 1;
-            self.stats.congestion_event_log.push(now);
-            if let Some(m) = &self.metrics {
-                m.fast_recoveries.inc();
-            }
-            if let Some(rec) = &mut self.recorder {
-                rec.on_congestion(now, CongestionKind::FastRecovery);
-            }
+            self.congestion_event(now, CongestionKind::FastRecovery);
             sample.in_recovery = true;
             self.cca.on_enter_recovery(&sample);
             self.prr_ssthresh = self.cca.ssthresh();
@@ -683,10 +678,7 @@ impl Sender {
             self.ecn_reduce_until = self.board.snd_nxt();
             self.ecn_cwr_pending = true;
             self.stats.ecn_reductions += 1;
-            self.stats.congestion_event_log.push(now);
-            if let Some(rec) = &mut self.recorder {
-                rec.on_congestion(now, CongestionKind::EcnReduce);
-            }
+            self.congestion_event(now, CongestionKind::EcnReduce);
             self.cca.on_ecn(&sample);
         }
 
@@ -698,10 +690,6 @@ impl Sender {
         sample.in_recovery = self.state == CaState::Recovery;
         sample.in_flight = self.board.in_flight();
         self.cca.on_ack(&sample);
-
-        if let Some(trace) = &mut self.cwnd_trace {
-            trace.push((now, self.cca.cwnd()));
-        }
         self.record_state(now);
 
         // RTO maintenance: while data is outstanding the deadline moves one
@@ -733,13 +721,7 @@ impl Sender {
         // Genuine timeout: a live-token firing is at the armed deadline by
         // construction (rearms always cancel), so no deadline re-check.
         self.stats.rtos += 1;
-        self.stats.congestion_event_log.push(now);
-        if let Some(m) = &self.metrics {
-            m.rtos.inc();
-        }
-        if let Some(rec) = &mut self.recorder {
-            rec.on_congestion(now, CongestionKind::Rto);
-        }
+        self.congestion_event(now, CongestionKind::Rto);
         self.state = CaState::Loss;
         self.recovery_point = self.board.snd_nxt();
         let newly_lost = self.board.mark_all_lost();

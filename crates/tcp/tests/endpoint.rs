@@ -441,6 +441,17 @@ fn backed_off_rto_rearmed_mid_recovery_fires_once_at_new_deadline() {
             ack_at,
         )),
     );
+    // Each fire is pinned by the latest-event instant at a step boundary.
+    sim.run_until(SimTime::from_millis(3400));
+    let st = sim.component::<Sender>(sender_id).stats();
+    assert_eq!(
+        st.rtos, 1,
+        "only the initial fire before the rearmed deadline"
+    );
+    assert_eq!(
+        (st.last_event_at, st.events_at_last),
+        (SimTime::from_secs(1), 1)
+    );
     sim.run_until(SimTime::from_secs(4));
     let snd = sim.component::<Sender>(sender_id);
     let st = snd.stats();
@@ -448,10 +459,9 @@ fn backed_off_rto_rearmed_mid_recovery_fires_once_at_new_deadline() {
     // Both segments retransmitted at 1 s, the surviving tail again at 3.5 s.
     assert_eq!(st.retransmits, 3);
     assert_eq!(snd.ca_state(), CaState::Loss);
-    let fires: Vec<SimTime> = st.congestion_event_log.to_vec();
     assert_eq!(
-        fires,
-        vec![SimTime::from_secs(1), SimTime::from_millis(3500)],
+        (st.last_event_at, st.events_at_last),
+        (SimTime::from_millis(3500), 1),
         "rearmed RTO must fire at lastACK + backed-off RTO, exactly once"
     );
 }

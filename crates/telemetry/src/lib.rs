@@ -6,9 +6,9 @@
 //! * [`FlowMetrics`] — one flow's complete measurement record, combining
 //!   endpoint and queue counters into the quantities the paper's analysis
 //!   consumes (throughput, per-flow loss rate, CWND-halving rate).
-//! * [`ThroughputTracker`] — periodic snapshots of per-flow delivered
-//!   bytes, supporting warm-up exclusion, windowed rate computation, and
-//!   the paper's convergence rule ("metric changes < 1% over a window").
+//! * [`ThroughputTracker`] — the last few periodic snapshots of per-flow
+//!   delivered bytes, exactly those the paper's convergence rule ("metric
+//!   changes < 1% over a window") reads.
 //!
 //! Plus the simulator's self-observability layer (what the harness knows
 //! about *itself*, as opposed to what it measures about TCP):

@@ -103,9 +103,11 @@ pub struct RunManifest {
     /// manifests re-serialize byte-identically.
     pub checkpoint_bytes: u64,
     /// Engine events by classified kind (`data`/`ack`/`timer`), in
-    /// classifier order. Empty for unobserved or legacy runs; the key is
-    /// then absent from the JSON so old manifests re-serialize
-    /// byte-identically.
+    /// classifier order. A run resumed from a checkpoint counts from the
+    /// restore, as its `events_per_sec` does (checkpoints do not carry the
+    /// counters, so observed and unobserved runs capture the same state).
+    /// Empty for unobserved or legacy runs; the key is then absent from the
+    /// JSON so old manifests re-serialize byte-identically.
     pub events_by_kind: Vec<(String, u64)>,
     /// Per-bottleneck metrics for multi-bottleneck topologies. Empty (and
     /// absent from the JSON) for legacy single-bottleneck runs.

@@ -2,31 +2,47 @@
 //!
 //! The experiment runner advances the simulation in slices and records a
 //! snapshot of every flow's cumulative delivered bytes after each slice.
-//! From these the tracker derives windowed throughputs (excluding warm-up)
-//! and implements the paper's stopping rule: *run until the metric changes
-//! by less than 1% over a window* (§3.2; 20 minutes in the paper,
-//! configurable here because the harness scales time).
+//! From these the tracker implements the paper's stopping rule: *run until
+//! the metric changes by less than 1% over a window* (§3.2; 20 minutes in
+//! the paper, configurable here because the harness scales time). The rule
+//! compares the last two windows of `w` slices, so the tracker keeps only
+//! the last `2w + 1` snapshots: a 3 h paper-fidelity run at 5000 flows
+//! would otherwise hold (and checkpoint) every slice it ever took.
 
 use ccsim_sim::{SimTime, SnapError, SnapReader, SnapWriter};
+use std::collections::VecDeque;
 
-/// Snapshots of cumulative per-flow delivered bytes.
-#[derive(Debug, Clone, Default)]
+/// The last `2w + 1` snapshots of cumulative per-flow delivered bytes.
+#[derive(Debug, Clone)]
 pub struct ThroughputTracker {
-    times: Vec<SimTime>,
+    /// `w`: snapshots per comparison window.
+    window: usize,
+    times: VecDeque<SimTime>,
     /// `snapshots[i][f]` = flow f's cumulative delivered bytes at `times[i]`.
-    snapshots: Vec<Vec<u64>>,
+    snapshots: VecDeque<Vec<u64>>,
 }
 
 impl ThroughputTracker {
-    /// An empty tracker.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty tracker for a stopping rule over windows of
+    /// `window_snapshots` slices (0: no rule, keep the latest snapshot).
+    pub fn new(window_snapshots: usize) -> Self {
+        ThroughputTracker {
+            window: window_snapshots,
+            times: VecDeque::new(),
+            snapshots: VecDeque::new(),
+        }
     }
 
-    /// Record a snapshot. `per_flow_delivered[f]` is flow f's cumulative
-    /// delivered byte count at `time`. Snapshots must arrive in time order.
+    /// Snapshots kept: the `2w + 1` the rule reads.
+    fn capacity(&self) -> usize {
+        2 * self.window + 1
+    }
+
+    /// Record a snapshot, dropping the oldest beyond the `2w + 1` kept.
+    /// `per_flow_delivered[f]` is flow f's cumulative delivered byte count
+    /// at `time`. Snapshots must arrive in time order.
     pub fn record(&mut self, time: SimTime, per_flow_delivered: Vec<u64>) {
-        if let Some(&last) = self.times.last() {
+        if let Some(&last) = self.times.back() {
             assert!(time >= last, "snapshots must be time-ordered");
             assert_eq!(
                 self.snapshots[0].len(),
@@ -34,19 +50,29 @@ impl ThroughputTracker {
                 "flow count changed between snapshots"
             );
         }
-        self.times.push(time);
-        self.snapshots.push(per_flow_delivered);
+        if self.times.len() == self.capacity() {
+            self.times.pop_front();
+            self.snapshots.pop_front();
+        }
+        self.times.push_back(time);
+        self.snapshots.push_back(per_flow_delivered);
     }
 
-    /// Serialize the recorded snapshots for a checkpoint.
+    /// Serialize the kept snapshots for a checkpoint (`w` is scenario
+    /// configuration).
     pub fn save_state(&self, w: &mut SnapWriter) {
-        w.seq(&self.times, |w, &t| w.time(t));
-        w.seq(&self.snapshots, |w, snap| {
+        w.usize(self.times.len());
+        for &t in &self.times {
+            w.time(t);
+        }
+        w.usize(self.snapshots.len());
+        for snap in &self.snapshots {
             w.seq(snap, |w, &v| w.u64(v));
-        });
+        }
     }
 
-    /// Overlay checkpointed state, replacing any recorded snapshots.
+    /// Overlay checkpointed state onto a tracker built for the same `w`,
+    /// replacing any recorded snapshots.
     pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let times = r.seq(|r| r.time())?;
         let snapshots = r.seq(|r| r.seq(|r| r.u64()))?;
@@ -57,48 +83,21 @@ impl ThroughputTracker {
                 snapshots.len()
             )));
         }
-        self.times = times;
-        self.snapshots = snapshots;
+        if times.len() > self.capacity() {
+            return Err(SnapError::Corrupt(format!(
+                "tracker holds {} snapshots, a {}-slice window keeps {}",
+                times.len(),
+                self.window,
+                self.capacity()
+            )));
+        }
+        self.times = times.into();
+        self.snapshots = snapshots.into();
         Ok(())
     }
 
-    /// Number of snapshots.
-    pub fn len(&self) -> usize {
-        self.times.len()
-    }
-
-    /// True iff no snapshots recorded.
-    pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
-    }
-
-    /// Snapshot times.
-    pub fn times(&self) -> &[SimTime] {
-        &self.times
-    }
-
-    /// Index of the first snapshot at or after `t`, if any.
-    fn index_at_or_after(&self, t: SimTime) -> Option<usize> {
-        self.times.iter().position(|&x| x >= t)
-    }
-
-    /// Per-flow throughput (bytes/sec) between the first snapshot at or
-    /// after `from` and the last snapshot. `None` if fewer than two
-    /// snapshots span the window.
-    pub fn window_throughputs(&self, from: SimTime) -> Option<Vec<f64>> {
-        let i = self.index_at_or_after(from)?;
-        let j = self.times.len() - 1;
-        if j <= i {
-            return None;
-        }
-        self.throughputs_between(i, j)
-    }
-
-    /// Per-flow throughput between snapshot indices `i < j`.
-    pub fn throughputs_between(&self, i: usize, j: usize) -> Option<Vec<f64>> {
-        if i >= j || j >= self.times.len() {
-            return None;
-        }
+    /// Per-flow throughput (bytes/sec) between kept snapshots `i < j`.
+    fn throughputs_between(&self, i: usize, j: usize) -> Option<Vec<f64>> {
         let dt = (self.times[j] - self.times[i]).as_secs_f64();
         if dt <= 0.0 {
             return None;
@@ -112,27 +111,20 @@ impl ThroughputTracker {
         )
     }
 
-    /// Aggregate throughput (bytes/sec) over the window starting at `from`.
-    pub fn aggregate_throughput(&self, from: SimTime) -> Option<f64> {
-        Some(self.window_throughputs(from)?.iter().sum())
-    }
-
-    /// The paper's convergence rule: compare `metric` over the last
-    /// `window_snapshots` against the preceding equal-length window and
-    /// report the relative change. `None` until enough snapshots exist or
-    /// when the earlier value is zero.
-    pub fn relative_change<F>(&self, window_snapshots: usize, metric: F) -> Option<f64>
+    /// The paper's convergence rule: compare `metric` over the last `w`
+    /// slices against the preceding `w` and report the relative change.
+    /// `None` until `2w + 1` snapshots exist, when `w` is 0, or when the
+    /// earlier value is zero.
+    pub fn relative_change<F>(&self, metric: F) -> Option<f64>
     where
         F: Fn(&[f64]) -> Option<f64>,
     {
-        let n = self.times.len();
-        if window_snapshots == 0 || n < 2 * window_snapshots + 1 {
+        let w = self.window;
+        if w == 0 || self.times.len() < self.capacity() {
             return None;
         }
-        let recent = metric(&self.throughputs_between(n - 1 - window_snapshots, n - 1)?)?;
-        let earlier = metric(
-            &self.throughputs_between(n - 1 - 2 * window_snapshots, n - 1 - window_snapshots)?,
-        )?;
+        let recent = metric(&self.throughputs_between(w, 2 * w)?)?;
+        let earlier = metric(&self.throughputs_between(0, w)?)?;
         if earlier == 0.0 {
             return None;
         }
@@ -148,9 +140,13 @@ mod tests {
         SimTime::from_secs(s)
     }
 
+    fn sum(rates: &[f64]) -> Option<f64> {
+        Some(rates.iter().sum())
+    }
+
     /// Two flows: one at 1000 B/s, one at 500 B/s, snapshots each second.
-    fn steady(n: u64) -> ThroughputTracker {
-        let mut tr = ThroughputTracker::new();
+    fn steady(window: usize, n: u64) -> ThroughputTracker {
+        let mut tr = ThroughputTracker::new(window);
         for i in 0..n {
             tr.record(t(i), vec![i * 1000, i * 500]);
         }
@@ -158,63 +154,61 @@ mod tests {
     }
 
     #[test]
-    fn window_throughputs_are_rates() {
-        let tr = steady(11);
-        let rates = tr.window_throughputs(t(5)).unwrap();
-        assert_eq!(rates, vec![1000.0, 500.0]);
-        assert_eq!(tr.aggregate_throughput(t(5)), Some(1500.0));
-    }
-
-    #[test]
-    fn warmup_exclusion_changes_nothing_for_steady_flows() {
-        let tr = steady(20);
-        assert_eq!(
-            tr.window_throughputs(t(0)).unwrap(),
-            tr.window_throughputs(t(10)).unwrap()
-        );
-    }
-
-    #[test]
-    fn insufficient_span_yields_none() {
-        let tr = steady(3);
-        assert!(tr.window_throughputs(t(2)).is_none()); // only last snapshot
-        assert!(tr.window_throughputs(t(99)).is_none()); // beyond range
-        assert!(ThroughputTracker::new().window_throughputs(t(0)).is_none());
-    }
-
-    #[test]
     fn convergence_detects_steady_state() {
-        let tr = steady(21);
-        let change = tr
-            .relative_change(5, |rates| Some(rates.iter().sum()))
-            .unwrap();
+        let change = steady(5, 21).relative_change(sum).unwrap();
         assert!(change < 1e-12);
     }
 
     #[test]
     fn convergence_detects_ramping_flows() {
         // Quadratic delivery = linearly growing rate: windows differ.
-        let mut tr = ThroughputTracker::new();
+        let mut tr = ThroughputTracker::new(5);
         for i in 0..21u64 {
             tr.record(t(i), vec![i * i * 100]);
         }
-        let change = tr
-            .relative_change(5, |rates| Some(rates.iter().sum()))
-            .unwrap();
+        let change = tr.relative_change(sum).unwrap();
         assert!(change > 0.2, "change = {change}");
     }
 
     #[test]
     fn convergence_needs_enough_snapshots() {
-        let tr = steady(10);
-        assert!(tr.relative_change(5, |r| Some(r.iter().sum())).is_none());
-        assert!(tr.relative_change(0, |r| Some(r.iter().sum())).is_none());
+        assert!(steady(5, 10).relative_change(sum).is_none());
+        assert!(steady(0, 30).relative_change(sum).is_none());
+    }
+
+    #[test]
+    fn only_the_snapshots_the_rule_reads_are_kept() {
+        // 100·k B/s in second k: the last two 2-slice windows of a
+        // 30-slice run average 2750 and 2950 B/s.
+        let mut tr = ThroughputTracker::new(2);
+        let mut delivered = 0;
+        for k in 0..=30u64 {
+            delivered += k * 100;
+            tr.record(t(k), vec![delivered]);
+        }
+        assert_eq!(tr.times.len(), 5);
+        assert_eq!(tr.times[0], t(26));
+        let change = tr.relative_change(sum).unwrap();
+        assert!((change - 200.0 / 2750.0).abs() < 1e-12, "change = {change}");
+        // The checkpoint carries the five and only them.
+        let mut w = SnapWriter::new();
+        tr.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut back = ThroughputTracker::new(2);
+        back.load_state(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(back.relative_change(sum), tr.relative_change(sum));
+        // A narrower rule cannot hold them.
+        let mut narrow = ThroughputTracker::new(1);
+        assert!(matches!(
+            narrow.load_state(&mut SnapReader::new(&bytes)),
+            Err(SnapError::Corrupt(_))
+        ));
     }
 
     #[test]
     #[should_panic(expected = "time-ordered")]
     fn out_of_order_snapshots_panic() {
-        let mut tr = ThroughputTracker::new();
+        let mut tr = ThroughputTracker::new(1);
         tr.record(t(5), vec![0]);
         tr.record(t(4), vec![0]);
     }
@@ -222,7 +216,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "flow count changed")]
     fn flow_count_change_panics() {
-        let mut tr = ThroughputTracker::new();
+        let mut tr = ThroughputTracker::new(1);
         tr.record(t(1), vec![0, 0]);
         tr.record(t(2), vec![0]);
     }

@@ -17,6 +17,8 @@ use crate::event::{CongestionKind, PhaseLabel, TraceKind, TraceRecord};
 use crate::ring::{RetentionPolicy, SampleRing};
 use ccsim_sim::{SimDuration, SimTime, SnapError, SnapReader, SnapWriter};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Flight-recorder configuration, carried by the scenario.
 #[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -352,6 +354,33 @@ pub struct TraceMeta {
     pub flows: u32,
 }
 
+/// One part's next record in [`RunTrace::assemble`]'s merge, ordered so a
+/// max-heap pops the smallest sort key first.
+struct Head {
+    rec: TraceRecord,
+    src: usize,
+}
+
+impl Ord for Head {
+    fn cmp(&self, other: &Head) -> Ordering {
+        (other.rec.sort_key(), other.src).cmp(&(self.rec.sort_key(), self.src))
+    }
+}
+
+impl PartialOrd for Head {
+    fn partial_cmp(&self, other: &Head) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Head {
+    fn eq(&self, other: &Head) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Head {}
+
 /// The assembled trace of one run: every surviving record, time-sorted.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunTrace {
@@ -366,18 +395,37 @@ pub struct RunTrace {
 }
 
 impl RunTrace {
-    /// Assemble from drained recorder outputs (each already sorted);
-    /// merges into canonical `(time, flow, kind)` order.
+    /// Assemble from drained recorder outputs (each already sorted) by a
+    /// k-way merge into canonical `(time, flow, kind)` order. The sort key
+    /// is the whole record, so records that tie are identical and the
+    /// merge's tie order cannot show.
     pub fn assemble(meta: TraceMeta, parts: Vec<(Vec<TraceRecord>, u64, u64)>) -> RunTrace {
-        let mut evicted = 0;
-        let mut thinned = 0;
+        let evicted = parts.iter().map(|p| p.1).sum();
+        let thinned = parts.iter().map(|p| p.2).sum();
         let mut records = Vec::with_capacity(parts.iter().map(|p| p.0.len()).sum());
-        for (recs, e, t) in parts {
-            records.extend(recs);
-            evicted += e;
-            thinned += t;
+        let mut sources: Vec<_> = parts.into_iter().map(|p| p.0.into_iter()).collect();
+        let mut heads: BinaryHeap<Head> = sources
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(src, part)| {
+                Some(Head {
+                    rec: part.next()?,
+                    src,
+                })
+            })
+            .collect();
+        while let Some(mut head) = heads.peek_mut() {
+            records.push(head.rec);
+            let src = head.src;
+            match sources[src].next() {
+                Some(rec) => head.rec = rec,
+                None => {
+                    PeekMut::pop(head);
+                    // Free the drained part's buffer now, not at the end.
+                    sources[src] = Vec::new().into_iter();
+                }
+            }
         }
-        records.sort_by_key(|r| r.sort_key());
         RunTrace {
             meta,
             records,
@@ -586,6 +634,33 @@ mod tests {
         let mut sorted = times.clone();
         sorted.sort_unstable();
         assert_eq!(times, sorted);
+    }
+
+    #[test]
+    fn assemble_equals_a_sort_of_the_concatenation() {
+        // Sorted parts over a few instants, flows and values: many ties,
+        // inside a part and across parts, and one empty part.
+        let mut x = 7u64;
+        let parts: Vec<_> = (0..6)
+            .map(|p| {
+                let mut recs: Vec<_> = (0..if p == 3 { 0 } else { 50 })
+                    .map(|_| {
+                        x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        TraceRecord::cwnd(t(x >> 61), (x >> 59) as u32 % 2, x >> 62, 0)
+                    })
+                    .collect();
+                recs.sort_by_key(|r| r.sort_key());
+                (recs, 0, 0)
+            })
+            .collect();
+        let mut want: Vec<_> = parts.iter().flat_map(|p| p.0.clone()).collect();
+        want.sort_by_key(|r| r.sort_key());
+        let meta = TraceMeta {
+            scenario: "x".into(),
+            seed: 1,
+            flows: 2,
+        };
+        assert_eq!(RunTrace::assemble(meta, parts).records, want);
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Bounded storage: retention-policy ring buffers and a generic bounded
-//! log.
+//! Bounded storage: retention-policy ring buffers.
 //!
 //! The flight recorder's core guarantee is a **hard memory bound**: no
 //! matter how long a run lasts or how many events fire, a ring never holds
@@ -200,129 +199,6 @@ impl SampleRing {
     }
 }
 
-/// A generic drop-oldest bounded log — the replacement for the unbounded
-/// `Vec` diagnostic logs that predate the flight recorder (sender
-/// congestion-event logs, cwnd traces).
-#[derive(Debug, Clone)]
-pub struct BoundedLog<T> {
-    buf: VecDeque<T>,
-    cap: usize,
-    evicted: u64,
-}
-
-/// Default capacity for legacy diagnostic logs: 65 536 entries. At 8–16
-/// bytes per entry that is 0.5–1 MiB per flow — two orders of magnitude
-/// below the unbounded worst case (a CoreScale Paper-fidelity flow logs
-/// millions of events), while far exceeding what any analysis window
-/// consumes.
-pub const DEFAULT_LOG_CAP: usize = 65_536;
-
-impl<T> Default for BoundedLog<T> {
-    fn default() -> Self {
-        BoundedLog::new(DEFAULT_LOG_CAP)
-    }
-}
-
-impl<T> BoundedLog<T> {
-    /// An empty log retaining at most `cap` entries (`cap` ≥ 1).
-    pub fn new(cap: usize) -> BoundedLog<T> {
-        BoundedLog {
-            buf: VecDeque::new(),
-            cap: cap.max(1),
-            evicted: 0,
-        }
-    }
-
-    /// Append, evicting the oldest entry when full.
-    pub fn push(&mut self, value: T) {
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-            self.evicted += 1;
-        }
-        self.buf.push_back(value);
-    }
-
-    /// Iterate oldest → newest.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.buf.iter()
-    }
-
-    /// Entries currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True iff empty.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Retention capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Entries evicted to honor the capacity.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// Remove all entries (capacity and eviction count are kept).
-    pub fn clear(&mut self) {
-        self.buf.clear();
-    }
-
-    /// Approximate heap footprint (allocated buffer + struct).
-    pub fn memory_bytes(&self) -> u64 {
-        (std::mem::size_of::<Self>() + self.buf.capacity() * std::mem::size_of::<T>()) as u64
-    }
-
-    /// Serialize runtime state for a checkpoint; `save_entry` encodes one
-    /// retained entry. Capacity is configuration and not written.
-    pub fn save_state(&self, w: &mut SnapWriter, mut save_entry: impl FnMut(&mut SnapWriter, &T)) {
-        w.usize(self.buf.len());
-        for entry in &self.buf {
-            save_entry(w, entry);
-        }
-        w.u64(self.evicted);
-    }
-
-    /// Overlay checkpointed state onto a log built with the same capacity.
-    pub fn load_state<'a>(
-        &mut self,
-        r: &mut SnapReader<'a>,
-        mut load_entry: impl FnMut(&mut SnapReader<'a>) -> Result<T, SnapError>,
-    ) -> Result<(), SnapError> {
-        let n = r.usize()?;
-        if n > self.cap {
-            return Err(SnapError::Corrupt(format!(
-                "log holds {n} entries but capacity is {}",
-                self.cap
-            )));
-        }
-        let mut buf = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            buf.push_back(load_entry(r)?);
-        }
-        self.buf = buf;
-        self.evicted = r.u64()?;
-        Ok(())
-    }
-}
-
-impl<T: Clone> BoundedLog<T> {
-    /// Copy the retained entries into a `Vec`, oldest first.
-    pub fn to_vec(&self) -> Vec<T> {
-        self.buf.iter().cloned().collect()
-    }
-}
-
-// The offline serde stand-in's traits are markers (vendor/README.md);
-// under real serde these become `#[serde(transparent)]`-style impls over
-// the retained entries.
-impl<T: Serialize> Serialize for BoundedLog<T> {}
-impl<'de, T: Deserialize<'de>> Deserialize<'de> for BoundedLog<T> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -416,24 +292,5 @@ mod tests {
         r.offer(rec(1));
         assert_eq!(r.len(), 1);
         assert_eq!(r.capacity(), 1);
-    }
-
-    #[test]
-    fn bounded_log_drops_oldest() {
-        let mut l: BoundedLog<u64> = BoundedLog::new(3);
-        for i in 0..7 {
-            l.push(i);
-        }
-        assert_eq!(l.to_vec(), vec![4, 5, 6]);
-        assert_eq!(l.evicted(), 4);
-        assert_eq!(l.capacity(), 3);
-        l.clear();
-        assert!(l.is_empty());
-    }
-
-    #[test]
-    fn bounded_log_default_cap() {
-        let l: BoundedLog<u8> = BoundedLog::default();
-        assert_eq!(l.capacity(), DEFAULT_LOG_CAP);
     }
 }

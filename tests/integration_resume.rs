@@ -5,6 +5,9 @@
 //!   parking-lot topology, and under an active fault plan with AQM+ECN
 //!   (the checkpoint must carry the fault-injector cursors and AQM
 //!   state, not just the flows).
+//! * A checkpoint of the previous format generation is refused by its
+//!   version, and a run stopped by the convergence rule (whose tracker
+//!   keeps only the snapshots the rule reads) resumes to the same stop.
 //! * A campaign killed mid-run (torn final ledger line) resumes without
 //!   re-running completed jobs, and the union ledger is equivalent to
 //!   the uninterrupted one modulo wall-clock fields.
@@ -15,9 +18,10 @@ use ccsim::campaign::{
 };
 use ccsim::cca::CcaKind;
 use ccsim::experiments::observe::scenario_digest;
-use ccsim::experiments::{Checkpoint, FlowGroup, RunRequest, Scenario};
+use ccsim::experiments::{Checkpoint, ConvergenceRule, FlowGroup, RunRequest, Scenario};
 use ccsim::fault::FaultPlan;
 use ccsim::net::AqmKind;
+use ccsim::resume::{fnv1a_64, ResumeError, SNAP_VERSION};
 use ccsim::sim::{Bandwidth, SimDuration, SimTime};
 use ccsim::topo::TopologyKind;
 use std::path::PathBuf;
@@ -100,6 +104,43 @@ fn resume_is_byte_identical_under_faults_aqm_and_ecn() {
         .iid_loss(SimTime::from_secs_f64(5.0), 0.01);
     s = s.faulted(plan);
     assert_resume_identical(&s);
+}
+
+#[test]
+fn resume_is_byte_identical_when_the_convergence_rule_stops_the_run() {
+    let mut s = base(CcaKind::Reno, 4);
+    s.duration = SimDuration::from_secs(40);
+    s.convergence = Some(ConvergenceRule {
+        window_snapshots: 3,
+        tolerance: 0.05,
+    });
+    let full = RunRequest::new(&s).execute().expect("full run").outcome;
+    assert!(full.converged, "the rule must stop this run early");
+    assert_resume_identical(&s);
+}
+
+#[test]
+fn a_version_1_checkpoint_is_refused_by_its_version() {
+    assert_eq!(SNAP_VERSION, 2);
+    let cp = RunRequest::new(&base(CcaKind::Reno, 2))
+        .checkpoint_at(SimTime::from_secs(4))
+        .capture()
+        .expect("checkpoint");
+    // Re-stamp a well-formed container as version 1: the version word
+    // follows the 8-byte magic, and the trailer digest is recomputed so
+    // only the version is wrong.
+    let mut bytes = cp.encode();
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let covered = bytes.len() - 8;
+    let digest = fnv1a_64(&bytes[..covered]);
+    bytes[covered..].copy_from_slice(&digest.to_le_bytes());
+    assert_eq!(
+        Checkpoint::decode(&bytes),
+        Err(ResumeError::Version {
+            found: 1,
+            expected: 2
+        })
+    );
 }
 
 fn campaign_jobs() -> Vec<CampaignJob> {

@@ -4,9 +4,7 @@
 //! One tiny scenario, every subset of {observe with profile + timeline,
 //! guard without a directory, checkpoint at mid-horizon, progress
 //! callback}: the outcome must equal `run(&s)`'s byte for byte, every
-//! subset that checkpoints must capture the same state (up to the engine's
-//! per-kind event counters, which only an observed run fills and which
-//! its snapshot carries so that a resumed manifest's counts stay whole),
+//! subset that checkpoints must capture the same state, observed or not,
 //! and resuming from that state — observed or not — must finish on the
 //! same digest. One
 //! failing case covers the pair the CLI used to forbid: a panic under
@@ -58,9 +56,8 @@ fn every_option_subset_reproduces_the_plain_run() {
     let mid = SimTime::from_secs(3); // mid-measurement slice boundary
     let boundaries = slice_boundaries(&s);
 
-    // Indexed by the observe bit: the donor's observer state rides in its
-    // snapshot, so there are two captured states, not one.
-    let mut checkpoints = [None, None];
+    // One captured state: no observer state rides in a snapshot.
+    let mut checkpoint = None;
     let mut events_at_mid = None;
     for mask in 0..16u8 {
         let has = |bit: u8| mask & bit != 0;
@@ -114,7 +111,7 @@ fn every_option_subset_reproduces_the_plain_run() {
         );
         if let Some(cp) = report.checkpoint {
             assert_eq!(cp.taken_at_nanos, mid.as_nanos());
-            let first = checkpoints[usize::from(has(OBSERVE))].get_or_insert(cp.clone());
+            let first = checkpoint.get_or_insert(cp.clone());
             assert_eq!(
                 cp.state_digest(),
                 first.state_digest(),
@@ -132,34 +129,38 @@ fn every_option_subset_reproduces_the_plain_run() {
         }
     }
 
-    let [unobserved, observed] = checkpoints.map(|cp| cp.expect("half the subsets checkpoint"));
+    let cp = checkpoint.expect("half the subsets checkpoint");
     // `capture()` stops at the same state `execute()` passed through.
     let stopped = RunRequest::new(&s).checkpoint_at(mid).capture().unwrap();
-    assert_eq!(stopped.state_digest(), unobserved.state_digest());
+    assert_eq!(stopped.state_digest(), cp.state_digest());
 
-    // Resume either donor, unobserved and observed: the same run every way.
-    let since_restore = (plain.events_processed - events_at_mid.expect("mid is a boundary")) as f64;
-    for cp in [&unobserved, &observed] {
-        let resumed = RunRequest::resume(cp).execute().unwrap();
-        assert_eq!(resumed.outcome.to_json(), plain.to_json());
-        assert!(resumed.manifest.is_none());
+    // Resume it unobserved and observed: the same run either way.
+    let since_restore = plain.events_processed - events_at_mid.expect("mid is a boundary");
+    let resumed = RunRequest::resume(&cp).execute().unwrap();
+    assert_eq!(resumed.outcome.to_json(), plain.to_json());
+    assert!(resumed.manifest.is_none());
 
-        let resumed = RunRequest::resume(cp)
-            .observe(everything())
-            .execute()
-            .unwrap();
-        assert_eq!(resumed.outcome.to_json(), plain.to_json());
-        let m = resumed.manifest.expect("observed resume has a manifest");
-        assert_eq!(m.outcome_digest, format!("{:016x}", plain.digest()));
-        assert_eq!(m.events_processed, plain.events_processed);
-        // The resumed segment's rate counts only the events it dispatched:
-        // the donor's events before the checkpoint are not credited to it.
-        let credited = m.events_per_sec * m.dispatch_secs;
-        assert!(
-            (credited - since_restore).abs() <= 1e-6 * since_restore,
-            "manifest credits {credited} events, {since_restore} were dispatched since restore"
-        );
-    }
+    let resumed = RunRequest::resume(&cp)
+        .observe(everything())
+        .execute()
+        .unwrap();
+    assert_eq!(resumed.outcome.to_json(), plain.to_json());
+    let m = resumed.manifest.expect("observed resume has a manifest");
+    assert_eq!(m.outcome_digest, format!("{:016x}", plain.digest()));
+    assert_eq!(m.events_processed, plain.events_processed);
+    // The resumed segment's rate and per-kind counts cover only the events
+    // it dispatched: the donor's events before the checkpoint are not
+    // credited to it.
+    let credited = m.events_per_sec * m.dispatch_secs;
+    assert!(
+        (credited - since_restore as f64).abs() <= 1e-6 * since_restore as f64,
+        "manifest credits {credited} events, {since_restore} were dispatched since restore"
+    );
+    let by_kind: u64 = m.events_by_kind.iter().map(|(_, n)| n).sum();
+    assert_eq!(
+        by_kind, since_restore,
+        "events_by_kind counts from the restore"
+    );
 }
 
 #[test]
