@@ -17,10 +17,8 @@
 //! minimizes the least-squared throughput prediction error over a set of
 //! flow observations (closed form, since throughput is linear in `C`).
 
-use serde::{Deserialize, Serialize};
-
 /// One flow's observation: measured throughput plus the model inputs.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FlowObservation {
     /// Measured goodput in bytes/sec.
     pub throughput_bytes_per_sec: f64,
@@ -65,7 +63,7 @@ pub fn mathis_throughput(mss_bytes: f64, rtt_secs: f64, p: f64, c: f64) -> f64 {
 }
 
 /// Result of fitting the Mathis constant to a set of observations.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MathisFit {
     /// The least-squares-optimal constant `C`.
     pub c: f64,

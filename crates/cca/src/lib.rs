@@ -29,11 +29,9 @@ pub use util::{RoundTracker, WindowedMax};
 pub use vegas::Vegas;
 
 use ccsim_tcp::CongestionControl;
-use serde::{Deserialize, Serialize};
 
 /// The CCAs available to experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[serde(rename_all = "lowercase")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CcaKind {
     /// TCP NewReno.
     Reno,

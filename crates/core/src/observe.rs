@@ -40,7 +40,7 @@ use ccsim_net::link::LinkMetrics;
 use ccsim_net::msg::Msg;
 use ccsim_sim::{safe_rate, Fnv1a};
 use ccsim_tcp::sender::SenderMetrics;
-use ccsim_telemetry::manifest::{ManifestTimeline, RunManifest};
+use ccsim_telemetry::manifest::RunManifest;
 use ccsim_telemetry::prometheus::write_exposition;
 use ccsim_telemetry::registry::{Counter, Gauge, Histogram, Registry};
 use ccsim_telemetry::Profiler;
@@ -297,20 +297,7 @@ impl RunInstruments {
 
         let prometheus = write_exposition(&self.registry);
         let timeline = self.timeline.borrow_mut().take();
-        let timeline_summary = timeline.as_ref().map(|tl| {
-            let s = tl.summary();
-            ManifestTimeline {
-                window_secs: s.window_secs,
-                rows: s.rows,
-                retained: s.retained,
-                evicted: s.evicted,
-                flows_sampled: s.flows_sampled,
-                series: s.series,
-                alpha: s.alpha,
-                time_to_alpha_fair: s.time_to_alpha_fair,
-                final_jfi: s.final_jfi,
-            }
-        });
+        let timeline_summary = timeline.as_ref().map(Timeline::summary);
         let events_by_kind = EVENT_KINDS
             .iter()
             .zip(&self.events_kind)

@@ -7,12 +7,11 @@ use ccsim_sim::json::JsonWriter;
 use ccsim_sim::{Bandwidth, Fnv1a, SimDuration, SimTime};
 use ccsim_telemetry::FlowMetrics;
 use ccsim_trace::RunTrace;
-use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::{Path, PathBuf};
 
 /// Which interpretation of the Mathis `p` parameter to evaluate (§4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PInterpretation {
     /// `p` = packet loss rate measured at the bottleneck queue.
     PacketLoss,
@@ -31,7 +30,7 @@ pub use ccsim_telemetry::BottleneckMetrics;
 /// its `.cctr` bytes after it): `bottlenecks` is printed **only when
 /// non-empty**, so outcomes of configurations that predate the topology
 /// subsystem keep their exact historical digests.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct RunOutcome {
     /// Scenario label.
     pub scenario: String,

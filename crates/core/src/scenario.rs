@@ -28,14 +28,13 @@ use ccsim_net::AqmKind;
 use ccsim_sim::{Bandwidth, SimDuration, SimTime};
 use ccsim_topo::{Topology, TopologyError, TopologyKind};
 use ccsim_trace::TraceConfig;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The paper's fixed MSS.
 pub const DEFAULT_MSS: u32 = ccsim_net::DEFAULT_MSS;
 
 /// A group of identical flows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowGroup {
     /// Congestion control algorithm.
     pub cca: CcaKind,
@@ -59,7 +58,7 @@ impl FlowGroup {
 /// The paper's stopping rule: stop early once the headline metrics change
 /// by less than `tolerance` between consecutive windows of
 /// `window_snapshots` snapshots.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConvergenceRule {
     /// Window length, in snapshots.
     pub window_snapshots: usize,
@@ -74,7 +73,7 @@ pub struct ConvergenceRule {
 /// config digest, printed in `Debug` only when non-default) rather than
 /// being ambient engine settings. The defaults reproduce the legacy
 /// per-segment behavior byte-for-byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tuning {
     /// Receiver ACK decimation: one ACK per this many full-size segments
     /// (RFC 5681 delayed ACK, generalized). The legacy value is 2.
@@ -103,7 +102,7 @@ impl Tuning {
 }
 
 /// Time-parameter presets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fidelity {
     /// Fast CI-friendly runs (seconds of simulated time).
     Quick,
@@ -120,7 +119,7 @@ pub enum Fidelity {
 /// `config_digest` hashes the `Debug` representation: the topology / AQM /
 /// ECN fields are printed **only when non-default**, so every scenario
 /// that predates them keeps its exact historical digest.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct Scenario {
     /// Human-readable label used in reports.
     pub name: String,

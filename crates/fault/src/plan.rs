@@ -11,11 +11,10 @@
 
 use ccsim_sim::json::{Json, JsonError, JsonWriter};
 use ccsim_sim::{Bandwidth, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Random-loss process applied to packet arrivals.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LossModel {
     /// Independent per-packet loss with probability `rate` — `netem loss
     /// random`, the process the Mathis model assumes.
@@ -31,7 +30,7 @@ pub enum LossModel {
 /// One timed impairment. "Set" actions replace the previous setting of
 /// the same kind and persist until the next one; `Blackout` is
 /// self-restoring after `duration`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// Total outage: every arrival during `[at, at + duration)` is
     /// dropped. Packets already queued or in serialization still drain —
@@ -52,7 +51,7 @@ pub enum FaultKind {
 }
 
 /// A [`FaultKind`] pinned to an engine timestamp.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultAction {
     pub at: SimTime,
     pub kind: FaultKind,
@@ -61,7 +60,7 @@ pub struct FaultAction {
 /// An ordered fault schedule. Default (empty) means "no faults" and is
 /// guaranteed digest-inert: the link never consults RNG or timers for an
 /// empty plan.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     pub actions: Vec<FaultAction>,
 }

@@ -2,20 +2,19 @@
 //!
 //! The watchdog itself runs inside `ccsim-core` (it needs access to the
 //! built network's links and endpoints); this module defines what it
-//! *says*: a serde-roundtrippable [`WatchdogConfig`] carried by the
+//! *says*: a [`WatchdogConfig`] carried by the
 //! `Scenario`, and structured [`InvariantViolation`]s collected into a
 //! [`WatchdogReport`] instead of `assert!`-style aborts. Like PR 2's
 //! metrics, the watchdog is opt-in and digest-inert when off: checks are
 //! read-only and the report never enters the `RunOutcome`.
 
 use ccsim_sim::SimTime;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Watchdog switch carried by the scenario. Default is disabled — a
 /// scenario that doesn't mention the watchdog behaves (and digests)
 /// exactly as before.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WatchdogConfig {
     /// Master switch; when false no check ever runs.
     pub enabled: bool,
@@ -63,7 +62,7 @@ impl WatchdogConfig {
 }
 
 /// Which invariant class a violation belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InvariantKind {
     /// Packet conservation at the bottleneck: over any interval,
     /// arrivals = drops (queue + fault) + transmissions + backlog change.
@@ -97,7 +96,7 @@ impl fmt::Display for InvariantKind {
 
 /// One failed invariant check, with enough context to debug it from a
 /// crash bundle alone.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InvariantViolation {
     /// Engine time of the check that failed.
     pub at: SimTime,
@@ -113,7 +112,7 @@ impl fmt::Display for InvariantViolation {
 }
 
 /// Everything the watchdog observed during a run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct WatchdogReport {
     /// Number of check passes executed (a clean report with zero checks
     /// means the watchdog never actually ran — CI distinguishes that).

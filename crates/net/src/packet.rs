@@ -12,11 +12,10 @@
 //! (2^64 bytes at 10 Gbps is ~460 years).
 
 use ccsim_sim::{ComponentId, SimTime, SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies one TCP flow (one sender/receiver pair) within an experiment.
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowId(pub u32);
 
 impl FlowId {
@@ -40,7 +39,7 @@ impl fmt::Debug for FlowId {
 pub const MAX_SACK_BLOCKS: usize = 3;
 
 /// A half-open `[start, end)` range of SACKed bytes.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub struct SackBlock {
     /// First byte covered.
     pub start: u64,
@@ -63,7 +62,7 @@ impl SackBlock {
 }
 
 /// A fixed-capacity, allocation-free list of SACK blocks.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub struct SackBlocks {
     blocks: [SackBlock; MAX_SACK_BLOCKS],
     len: u8,
@@ -106,7 +105,7 @@ impl SackBlocks {
 }
 
 /// What a packet is.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum PacketKind {
     /// A data segment carrying `[seq, end_seq)`.
     Data,
@@ -116,7 +115,7 @@ pub enum PacketKind {
 }
 
 /// A simulated packet.
-#[derive(Copy, Clone, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug)]
 pub struct Packet {
     /// Owning flow.
     pub flow: FlowId,
@@ -124,7 +123,6 @@ pub struct Packet {
     pub kind: PacketKind,
     /// Final destination endpoint (used by links with
     /// [`NextHop::ToPacketDst`](crate::link::NextHop::ToPacketDst)).
-    #[serde(skip, default = "zero_component")]
     pub dst: ComponentId,
     /// Total size on the wire, headers included, in bytes.
     pub wire_bytes: u32,
@@ -156,13 +154,6 @@ pub const ECN_ECE: u8 = 0b0100;
 /// TCP flag: Congestion Window Reduced, set on the first data packet after
 /// an ECN-triggered reduction.
 pub const ECN_CWR: u8 = 0b1000;
-
-// Referenced only by `#[serde(default = ...)]`, which the offline serde
-// stand-in (vendor/README.md) accepts but does not expand.
-#[allow(dead_code)]
-fn zero_component() -> ComponentId {
-    ComponentId::from_raw(0)
-}
 
 /// Header overhead added to every segment: IPv4 (20) + TCP (20) +
 /// options (timestamp 12) = 52 bytes. Ethernet framing is excluded, as in

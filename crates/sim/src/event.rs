@@ -77,8 +77,7 @@
 //! payload inline in every entry: it is the ordering oracle for the
 //! equivalence property tests (`tests/proptest_event_queue.rs` at the
 //! workspace root, `tests/queue_model.rs` and
-//! `tests/scheduler_equivalence.rs` in this crate) and the baseline for the
-//! `event_queue` criterion bench.
+//! `tests/scheduler_equivalence.rs` in this crate).
 
 use crate::engine::ComponentId;
 use crate::snap::{SnapError, SnapReader, SnapWriter};

@@ -1,8 +1,7 @@
 //! The workspace's one JSON layer: a value, a parser and a writer.
 //!
-//! The offline serde stand-in provides derive markers but no
-//! (de)serializer (`vendor/README.md`), so every wire format in the
-//! workspace — outcome documents, scenario documents, run manifests,
+//! The workspace uses no serialization framework: every wire format —
+//! outcome documents, scenario documents, run manifests,
 //! profiles, ledgers, campaign specs, fault plans, topologies, crash
 //! bundles, trace and timeline JSONL — is schema code on top of this
 //! module, and nothing outside it knows JSON syntax. Three parts:
@@ -389,8 +388,8 @@ impl<'a> JsonWriter<'a> {
     }
 
     /// A float with shortest-round-trip precision — Rust's `Debug` form:
-    /// `1e300`, `5e-324`, `-0.0`, scientific notation when shorter, like
-    /// `serde_json` — so write → parse → write is a byte-level fixpoint
+    /// `1e300`, `5e-324`, `-0.0`, scientific notation when shorter — so
+    /// write → parse → write is a byte-level fixpoint
     /// and the parsed value is bit-exact. `Display` is deliberately not
     /// used: it expands extreme magnitudes positionally (`1e300` becomes
     /// a 301-digit integer). A non-finite value (a zero-wall-clock ratio,

@@ -10,11 +10,10 @@
 //! `bytes * 8 * 1e9` overflows `u64` past ~2.3 GB).
 
 use crate::time::{mul_u64_f64, SimDuration, F64_EXACT_LIMIT, NANOS_PER_SEC};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A data rate in bits per second.
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Bandwidth(u64);
 
 impl Bandwidth {

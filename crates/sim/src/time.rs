@@ -9,7 +9,6 @@
 //! saturating helpers are provided where wraparound would otherwise be a
 //! plausible hazard (e.g. subtracting a warm-up offset from an early event).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
@@ -21,11 +20,11 @@ pub const NANOS_PER_MILLI: u64 = 1_000_000;
 pub const NANOS_PER_SEC: u64 = 1_000_000_000;
 
 /// An absolute instant on the simulation clock, in nanoseconds since start.
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in nanoseconds.
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

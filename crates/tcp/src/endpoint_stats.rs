@@ -7,10 +7,9 @@
 //! halving rate" from these and the packet counts.
 
 use ccsim_sim::{SimTime, SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 
 /// Sender-side counters.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SenderStats {
     /// Data segments transmitted (including retransmissions).
     pub data_pkts_sent: u64,
@@ -97,7 +96,7 @@ impl SenderStats {
 }
 
 /// Receiver-side counters.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ReceiverStats {
     /// Data segments received (any order, including duplicates).
     pub data_pkts_received: u64,

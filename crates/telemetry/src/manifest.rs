@@ -18,41 +18,12 @@
 
 use crate::metrics::BottleneckMetrics;
 use ccsim_sim::json::{Json, JsonError, JsonWriter};
+use ccsim_timeline::TimelineSummary;
 use std::io;
 
 /// The workspace's canonical digest for scenario configurations and run
 /// outcomes (defined in `ccsim-sim`; this is its historical path).
 pub use ccsim_sim::fnv1a_64;
-
-/// Timeline capture summary embedded in the manifest — the sim-
-/// deterministic facts about a run's windowed time-series capture. A
-/// manifest-local mirror of `ccsim-timeline`'s `TimelineSummary` (this
-/// crate sits below the timeline crate in the dependency DAG, so it
-/// cannot name that type directly); absent entirely for runs that did not
-/// sample a timeline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ManifestTimeline {
-    /// Configured window width, seconds.
-    pub window_secs: f64,
-    /// Rows ever closed by the sampler.
-    pub rows: u64,
-    /// Rows still retained under the byte budget.
-    pub retained: u64,
-    /// Rows evicted to stay under budget.
-    pub evicted: u64,
-    /// Flows with per-flow series (aggregates always cover all flows).
-    pub flows_sampled: u32,
-    /// Total series columns captured.
-    pub series: u32,
-    /// α used for time-to-α-fair.
-    pub alpha: f64,
-    /// End time (seconds) of the first measurement window after which the
-    /// JFI trajectory stayed ≥ α; `null`/`None` when the run never
-    /// converged to α-fairness.
-    pub time_to_alpha_fair: Option<f64>,
-    /// JFI of the last retained window.
-    pub final_jfi: Option<f64>,
-}
 
 /// Machine-readable provenance record for one simulator run.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,7 +89,7 @@ pub struct RunManifest {
     pub profile: Option<ccsim_prof::Profile>,
     /// Timeline capture summary when the run sampled a windowed timeline
     /// (absent otherwise, so legacy manifests re-serialize byte-identically).
-    pub timeline: Option<ManifestTimeline>,
+    pub timeline: Option<TimelineSummary>,
 }
 
 impl RunManifest {
@@ -221,7 +192,7 @@ impl RunManifest {
             None => None,
         };
         let timeline = match v.get("timeline") {
-            Some(t) => Some(ManifestTimeline {
+            Some(t) => Some(TimelineSummary {
                 window_secs: t.req_f64("window_secs")?,
                 rows: t.req_u64("rows")?,
                 retained: t.req_u64("retained")?,
@@ -349,7 +320,7 @@ mod tests {
             )
             .unwrap(),
         );
-        m.timeline = Some(ManifestTimeline {
+        m.timeline = Some(TimelineSummary {
             window_secs: 2.0,
             rows: 80,
             retained: 64,
@@ -465,7 +436,7 @@ mod tests {
     #[test]
     fn unconverged_timeline_round_trips_its_nulls() {
         let mut m = sample();
-        m.timeline = Some(ManifestTimeline {
+        m.timeline = Some(TimelineSummary {
             window_secs: 1.0,
             rows: 3,
             retained: 3,

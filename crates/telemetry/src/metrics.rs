@@ -1,14 +1,13 @@
 //! Per-flow and per-bottleneck measurement records.
 
 use ccsim_sim::json::{Json, JsonError, JsonWriter};
-use serde::{Deserialize, Serialize};
 
 /// Window-scoped measurements for one bottleneck link of a multi-hop
 /// topology (or a single link running a non-default AQM/ECN config).
 ///
 /// The outcome digest hashes the derived `Debug` text, which prints the
 /// type name and the fields in this order: neither may change.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BottleneckMetrics {
     /// Link index in the scenario's topology description.
     pub link: u32,
@@ -61,7 +60,7 @@ impl BottleneckMetrics {
 /// Rates are computed over the measurement window (after warm-up
 /// exclusion), matching the paper's methodology of discarding the first
 /// minutes of each experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FlowMetrics {
     /// Flow index.
     pub flow: u32,

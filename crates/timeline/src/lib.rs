@@ -121,7 +121,8 @@ pub struct LinkPoint {
     pub rate_bytes_per_sec: f64,
 }
 
-/// Sim-deterministic capture summary, destined for the run manifest.
+/// Sim-deterministic capture summary; the run manifest carries it as its
+/// `timeline` section.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimelineSummary {
     /// Configured window width, seconds.

@@ -13,7 +13,6 @@
 //! record is self-contained and traces from different runs concatenate.
 
 use ccsim_sim::{SimDuration, SimTime, SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 
 /// Serialized size of one record: 8 (time) + 4 (flow) + 1 (kind) + 8 + 8.
 ///
@@ -25,7 +24,7 @@ pub const RECORD_BYTES: u64 = 29;
 pub const QUEUE_FLOW: u32 = u32::MAX;
 
 /// What a record describes. The discriminant is the on-disk kind byte.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum TraceKind {
     /// Congestion-window sample: `a` = cwnd bytes, `b` = ssthresh bytes.
@@ -108,7 +107,7 @@ impl TraceKind {
 }
 
 /// Why a congestion event fired.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum CongestionKind {
     /// SACK-detected loss: entry into fast recovery (multiplicative
@@ -158,7 +157,7 @@ impl CongestionKind {
 /// room to spare and packs exactly into the record's two payload words.
 ///
 /// [`CongestionControl::phase`]: https://docs.rs/ccsim-tcp
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub struct PhaseLabel([u8; 16]);
 
 impl PhaseLabel {
@@ -201,7 +200,7 @@ impl PhaseLabel {
 }
 
 /// One recorded occurrence. See [`TraceKind`] for the `a`/`b` semantics.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct TraceRecord {
     /// When it happened.
     pub time: SimTime,

@@ -16,12 +16,11 @@
 use crate::event::{CongestionKind, PhaseLabel, TraceKind, TraceRecord};
 use crate::ring::{RetentionPolicy, SampleRing};
 use ccsim_sim::{SimDuration, SimTime, SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Flight-recorder configuration, carried by the scenario.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct TraceConfig {
     /// Master switch. When false, no recorder is attached and the hot
     /// path pays a single branch per ACK.
@@ -344,7 +343,7 @@ impl QueueRecorder {
 
 /// Run identity carried in trace exports so a trace file is
 /// self-describing.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TraceMeta {
     /// Scenario label.
     pub scenario: String,
@@ -382,7 +381,7 @@ impl PartialEq for Head {
 impl Eq for Head {}
 
 /// The assembled trace of one run: every surviving record, time-sorted.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunTrace {
     /// Run identity.
     pub meta: TraceMeta,

@@ -16,11 +16,10 @@
 
 use crate::event::{TraceRecord, RECORD_BYTES};
 use ccsim_sim::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// How a ring thins dense sample streams.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub enum RetentionPolicy {
     /// Admit every sample (bounded only by the ring capacity).
     #[default]

@@ -24,9 +24,8 @@ use ccsim::net::AqmKind;
 use ccsim::prof::{EventCells, MemGauge, Profile, WheelProfile};
 use ccsim::sim::json::Json;
 use ccsim::sim::{Bandwidth, SimDuration, SimTime};
-use ccsim::telemetry::manifest::ManifestTimeline;
 use ccsim::telemetry::{FlowMetrics, RunManifest};
-use ccsim::timeline::{FlowPoint, LinkPoint, Timeline, TimelineConfig};
+use ccsim::timeline::{FlowPoint, LinkPoint, Timeline, TimelineConfig, TimelineSummary};
 use ccsim::topo::{Topology, TopologyKind};
 use ccsim::trace::{
     CongestionKind, PhaseLabel, RetentionPolicy, RunTrace, TraceConfig, TraceMeta, TraceRecord,
@@ -263,7 +262,7 @@ fn manifest(name: &str, label: &str) -> RunManifest {
         ],
         bottlenecks: bottlenecks(label),
         profile: Some(profile(false)),
-        timeline: Some(ManifestTimeline {
+        timeline: Some(TimelineSummary {
             window_secs: 2.0,
             rows: 80,
             retained: 64,

@@ -1,11 +1,6 @@
-//! Scenario and outcome (de)serialization: experiments must be storable
-//! and replayable from JSON-ish descriptions (we use serde's data model;
-//! the concrete wire format here is exercised via serde_test-free
-//! round-trips through the `serde_json`-compatible Value-free path:
-//! Serialize -> Deserialize over a string is not available without a
-//! format crate, so this test round-trips through bincode-like manual
-//! field checks instead: it verifies `Clone`/`PartialEq`-observable
-//! equivalence of the pieces serde would carry).
+//! A cloned `Scenario` is the same experiment: the clone keeps every field
+//! and runs to the same per-flow throughputs and event count. The scenario
+//! JSON document's round-trip is pinned in `tests/json_artefacts.rs`.
 
 use ccsim::cca::CcaKind;
 use ccsim::experiments::{FlowGroup, Scenario};
