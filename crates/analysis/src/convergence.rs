@@ -1,36 +1,19 @@
-//! Convergence diagnostics over windowed time series.
+//! Convergence over a windowed JFI series.
 //!
 //! The paper's fairness and throughput-model claims are all statements
 //! about a *steady-state measurement window* — but a single end-of-run
-//! aggregate can only say that a run converged, never **when**. These
-//! functions turn the timeline sampler's per-window series into the
-//! trajectory view the BBR-fairness literature reports: a per-window JFI
-//! trajectory, the time-to-α-fair instant (the first window after which
-//! JFI stays at or above α), and windowed variants of the Mathis error,
-//! group throughput shares, and the loss-synchronization index.
+//! aggregate can only say that a run converged, never **when**. The
+//! time-to-α-fair instant (the first window after which JFI stays at or
+//! above α) turns the timeline sampler's per-window JFI series into the
+//! convergence time the BBR-fairness literature reports.
 //!
-//! All inputs are plain slices (one entry per window, oldest first), so
-//! the functions work identically on live timeline rings, exported
-//! JSONL, and hand-built test fixtures.
-
-use crate::fairness::{group_share, jain_fairness_index};
-use crate::mathis::{fit_constant, FlowObservation};
-use crate::sync::synchronization_index;
-use crate::windows::WindowPartition;
-use ccsim_sim::{SimDuration, SimTime};
+//! Inputs are plain slices (one entry per window, oldest first), so the
+//! function works identically on live timeline rings, exported JSONL, and
+//! hand-built test fixtures.
 
 /// The default α for time-to-α-fair: JFI ≥ 0.9 is the homogeneous
 /// fairness band the paper's Figure 4 reports for loss-based CCAs.
 pub const DEFAULT_ALPHA: f64 = 0.9;
-
-/// Per-window JFI trajectory: Jain's index over each window's per-flow
-/// throughputs. `None` entries are windows where no flow moved data.
-pub fn jfi_trajectory(per_window_throughputs: &[Vec<f64>]) -> Vec<Option<f64>> {
-    per_window_throughputs
-        .iter()
-        .map(|tputs| jain_fairness_index(tputs))
-        .collect()
-}
 
 /// Time-to-α-fair: the earliest time from which the JFI trajectory stays
 /// at or above `alpha` through the end of the series.
@@ -56,64 +39,9 @@ pub fn time_to_alpha_fair(times: &[f64], jfi: &[Option<f64>], alpha: f64) -> Opt
     first_fair.map(|i| times[i])
 }
 
-/// Windowed Mathis model error: per window, fit the Mathis constant over
-/// that window's flow observations and report the median relative
-/// prediction error. `None` entries are windows where the model was
-/// undefined for every flow (no losses, no throughput).
-pub fn windowed_mathis_error(per_window_obs: &[Vec<FlowObservation>]) -> Vec<Option<f64>> {
-    per_window_obs
-        .iter()
-        .map(|obs| fit_constant(obs).map(|fit| fit.median_error))
-        .collect()
-}
-
-/// Windowed throughput share of the flows selected by `in_group`: per
-/// window, the group's fraction of aggregate throughput. `None` entries
-/// are windows with zero aggregate throughput.
-pub fn windowed_group_share<F: Fn(usize) -> bool>(
-    per_window_throughputs: &[Vec<f64>],
-    in_group: F,
-) -> Vec<Option<f64>> {
-    per_window_throughputs
-        .iter()
-        .map(|tputs| group_share(tputs, &in_group))
-        .collect()
-}
-
-/// Windowed synchronization index: the loss-synchronization index
-/// computed independently inside each window of `part`, with `bin` as
-/// the per-RTT event bin (the same `bin` the whole-run index uses).
-/// `None` entries are windows without any congestion event.
-pub fn windowed_synchronization_index(
-    per_flow_events: &[Vec<SimTime>],
-    part: &WindowPartition,
-    bin: SimDuration,
-) -> Vec<Option<f64>> {
-    part.iter()
-        .map(|(lo, hi)| synchronization_index(per_flow_events, lo, hi, bin))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn jfi_trajectory_tracks_equalizing_flows() {
-        // Two flows converging from 9:1 to 1:1.
-        let windows = vec![
-            vec![9.0, 1.0],
-            vec![7.0, 3.0],
-            vec![5.0, 5.0],
-            vec![5.0, 5.0],
-        ];
-        let traj = jfi_trajectory(&windows);
-        assert_eq!(traj.len(), 4);
-        assert!(traj[0].unwrap() < traj[1].unwrap());
-        assert!((traj[2].unwrap() - 1.0).abs() < 1e-12);
-        // Idle window: no claim.
-        assert_eq!(jfi_trajectory(&[vec![0.0, 0.0]]), vec![None]);
-    }
 
     #[test]
     fn time_to_alpha_fair_finds_the_stable_suffix_start() {
@@ -142,48 +70,5 @@ mod tests {
         assert_eq!(time_to_alpha_fair(&times, &[Some(0.95), None], 0.9), None);
         assert_eq!(time_to_alpha_fair(&[], &[], 0.9), None);
         assert_eq!(time_to_alpha_fair(&times, &[Some(1.0)], 0.9), None);
-    }
-
-    #[test]
-    fn windowed_mathis_error_is_per_window() {
-        let obs = |tput: f64, p: f64| FlowObservation {
-            throughput_bytes_per_sec: tput,
-            rtt_secs: 0.02,
-            p,
-            mss_bytes: 1460.0,
-        };
-        // Window 0: two self-consistent flows (one C fits both exactly).
-        // Window 1: model undefined (p = 0). Window 2: inconsistent flows.
-        let windows = vec![
-            vec![obs(1000.0, 0.01), obs(2000.0, 0.0025)],
-            vec![obs(1000.0, 0.0)],
-            vec![obs(1000.0, 0.01), obs(5000.0, 0.01)],
-        ];
-        let errs = windowed_mathis_error(&windows);
-        assert!(errs[0].unwrap() < 1e-9, "consistent window fits exactly");
-        assert_eq!(errs[1], None);
-        assert!(errs[2].unwrap() > 0.1, "inconsistent window shows error");
-    }
-
-    #[test]
-    fn windowed_share_tracks_the_group() {
-        let windows = vec![vec![3.0, 1.0], vec![1.0, 1.0], vec![0.0, 0.0]];
-        let shares = windowed_group_share(&windows, |i| i == 0);
-        assert_eq!(shares[0], Some(0.75));
-        assert_eq!(shares[1], Some(0.5));
-        assert_eq!(shares[2], None);
-    }
-
-    #[test]
-    fn windowed_sync_index_localizes_synchronization() {
-        let t = SimTime::from_millis;
-        // All flows synchronized in the first 100 ms, staggered in the
-        // second 100 ms.
-        let events: Vec<Vec<SimTime>> = (0..10u64).map(|i| vec![t(50), t(110 + i * 8)]).collect();
-        let part = WindowPartition::new(t(0), t(200), SimDuration::from_millis(100)).unwrap();
-        let idx = windowed_synchronization_index(&events, &part, SimDuration::from_millis(5));
-        assert_eq!(idx.len(), 2);
-        assert!((idx[0].unwrap() - 1.0).abs() < 1e-12, "synced window");
-        assert!(idx[1].unwrap() < 0.2, "staggered window");
     }
 }

@@ -13,8 +13,7 @@
 //!   desynchronization argument, quantified).
 //! * [`windows`] — the shared window-partitioning rules every windowed
 //!   diagnostic builds on.
-//! * [`convergence`] — windowed convergence diagnostics: JFI trajectory,
-//!   time-to-α-fair, windowed Mathis error / shares / sync index.
+//! * [`convergence`] — time-to-α-fair over a windowed JFI series.
 //! * [`trace`] — the above metrics applied directly to recorded
 //!   flight-recorder traces ([`ccsim_trace::RunTrace`]).
 
@@ -28,10 +27,7 @@ pub mod trace;
 pub mod windows;
 
 pub use burstiness::{burstiness, burstiness_of_intervals};
-pub use convergence::{
-    jfi_trajectory, time_to_alpha_fair, windowed_group_share, windowed_mathis_error,
-    windowed_synchronization_index, DEFAULT_ALPHA,
-};
+pub use convergence::{time_to_alpha_fair, DEFAULT_ALPHA};
 pub use fairness::{group_share, jain_fairness_index, jain_fairness_subset};
 pub use mathis::{
     errors_under_constant, fit_constant, mathis_throughput, FlowObservation, MathisFit,

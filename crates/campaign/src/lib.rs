@@ -31,4 +31,4 @@ pub use executor::{
 };
 pub use ledger::{Ledger, LedgerEntry, LedgerWriter};
 pub use report::{check_expectations, ExpectationResult};
-pub use spec::{Axis, AxisParam, CampaignJob, CampaignSpec, Expectation, Tolerances};
+pub use spec::{Axis, CampaignJob, CampaignSpec, Expectation, Tolerances};

@@ -12,146 +12,21 @@
 //! [`CampaignSpec::to_json`] → [`CampaignSpec::from_json`]
 //! reproduces every field, including the embedded base scenario via
 //! `ccsim_core::codec`. For hand-written specs the `base` object also
-//! accepts a compact preset form (`{"preset": "edge", ...overrides}`) —
-//! see [`CampaignSpec::from_json`].
+//! accepts a compact form (`{"preset": "edge", ...overrides}`) whose keys,
+//! like every axis's `param`, are rows of `ccsim_core`'s settings table —
+//! the same rows the `ccsim` run flags are — see [`CampaignSpec::from_json`].
 
 use crate::executor::Rollup;
-use ccsim_cca::CcaKind;
-use ccsim_core::{scenario_from_value, scenario_to_json, FlowGroup, Scenario};
-use ccsim_net::AqmKind;
+use ccsim_core::settings::build;
+use ccsim_core::{scenario_from_value, scenario_to_json, Scenario, Setting};
 use ccsim_sim::json::{Json, JsonError, JsonWriter};
-use ccsim_sim::{Bandwidth, SimDuration};
-use ccsim_topo::TopologyKind;
 use std::fmt::Write as _;
 
-/// A swept parameter: which scenario knob an axis overrides.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AxisParam {
-    /// Replace the CCA of every flow group (values: CCA names).
-    Cca,
-    /// Set the flow counts (values: one count for every group, `1000`,
-    /// or one count per group joined by `+`, `"1+1000"`).
-    FlowCount,
-    /// Set the base RTT of every group (values: milliseconds).
-    RttMs,
-    /// Set the bottleneck bandwidth (values: Mbps).
-    BwMbps,
-    /// Set the drop-tail buffer (values: bytes).
-    BufferBytes,
-    /// Set the topology shape (values: [`TopologyKind`] names, e.g.
-    /// "single", "dumbbell", "parking_lot:3").
-    Topology,
-    /// Set the default AQM discipline (values: [`AqmKind`] names).
-    Aqm,
-    /// Enable or disable ECN (values: "on"/"off" or "true"/"false").
-    Ecn,
-}
-
-impl AxisParam {
-    /// The spec-file name of this parameter.
-    pub fn name(self) -> &'static str {
-        match self {
-            AxisParam::Cca => "cca",
-            AxisParam::FlowCount => "flow_count",
-            AxisParam::RttMs => "rtt_ms",
-            AxisParam::BwMbps => "bw_mbps",
-            AxisParam::BufferBytes => "buffer_bytes",
-            AxisParam::Topology => "topology",
-            AxisParam::Aqm => "aqm",
-            AxisParam::Ecn => "ecn",
-        }
-    }
-
-    fn parse(name: &str) -> Option<AxisParam> {
-        Some(match name {
-            "cca" => AxisParam::Cca,
-            "flow_count" => AxisParam::FlowCount,
-            "rtt_ms" => AxisParam::RttMs,
-            "bw_mbps" => AxisParam::BwMbps,
-            "buffer_bytes" => AxisParam::BufferBytes,
-            "topology" => AxisParam::Topology,
-            "aqm" => AxisParam::Aqm,
-            "ecn" => AxisParam::Ecn,
-            _ => return None,
-        })
-    }
-
-    /// Apply one axis value to a scenario.
-    fn apply(self, scenario: &mut Scenario, value: &str) -> Result<(), JsonError> {
-        match self {
-            AxisParam::Cca => {
-                let cca: CcaKind = value
-                    .parse()
-                    .map_err(|_| JsonError::new(format!("axis cca: unknown CCA \"{value}\"")))?;
-                for g in &mut scenario.flows {
-                    g.cca = cca;
-                }
-            }
-            AxisParam::FlowCount => {
-                let counts: Vec<u32> = value
-                    .split('+')
-                    .map(str::parse)
-                    .collect::<Result<_, _>>()
-                    .map_err(|_| {
-                    JsonError::new(format!("axis flow_count: bad count \"{value}\""))
-                })?;
-                if counts.len() != 1 && counts.len() != scenario.flows.len() {
-                    return Err(JsonError::new(format!(
-                        "axis flow_count: \"{value}\" names {} counts but the base has {} flow groups",
-                        counts.len(),
-                        scenario.flows.len()
-                    )));
-                }
-                // A single count cycles onto every group.
-                for (g, &count) in scenario.flows.iter_mut().zip(counts.iter().cycle()) {
-                    g.count = count;
-                }
-            }
-            AxisParam::RttMs => {
-                let ms: u64 = value
-                    .parse()
-                    .map_err(|_| JsonError::new(format!("axis rtt_ms: bad value \"{value}\"")))?;
-                for g in &mut scenario.flows {
-                    g.base_rtt = SimDuration::from_millis(ms);
-                }
-            }
-            AxisParam::BwMbps => {
-                let mbps: u64 = value
-                    .parse()
-                    .map_err(|_| JsonError::new(format!("axis bw_mbps: bad value \"{value}\"")))?;
-                scenario.bottleneck = Bandwidth::from_mbps(mbps);
-            }
-            AxisParam::BufferBytes => {
-                scenario.buffer_bytes = value.parse().map_err(|_| {
-                    JsonError::new(format!("axis buffer_bytes: bad value \"{value}\""))
-                })?;
-            }
-            AxisParam::Topology => {
-                scenario.topology = TopologyKind::parse(value).ok_or_else(|| {
-                    JsonError::new(format!("axis topology: unknown shape \"{value}\""))
-                })?;
-            }
-            AxisParam::Aqm => {
-                scenario.aqm = AqmKind::parse(value).ok_or_else(|| {
-                    JsonError::new(format!("axis aqm: unknown discipline \"{value}\""))
-                })?;
-            }
-            AxisParam::Ecn => {
-                scenario.ecn = match value {
-                    "on" | "true" | "1" => true,
-                    "off" | "false" | "0" => false,
-                    _ => return Err(JsonError::new(format!("axis ecn: bad value \"{value}\""))),
-                };
-            }
-        }
-        Ok(())
-    }
-}
-
-/// One sweep axis: a parameter and the values it takes.
+/// One sweep axis: a scenario setting and the values it takes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Axis {
-    pub param: AxisParam,
+    /// Any row of the settings table that sets only its own knob.
+    pub param: &'static Setting,
     /// Values as strings (the JSON form; numbers keep their raw text).
     pub values: Vec<String>,
 }
@@ -237,19 +112,19 @@ impl CampaignSpec {
         if self.seeds.is_empty() {
             return Err(JsonError::new("campaign has no seeds"));
         }
-        let mut combos: Vec<Vec<(String, String)>> = vec![Vec::new()];
+        let mut combos: Vec<Vec<(&'static Setting, String)>> = vec![Vec::new()];
         for axis in &self.axes {
             if axis.values.is_empty() {
                 return Err(JsonError::new(format!(
                     "axis {} has no values",
-                    axis.param.name()
+                    axis.param.key
                 )));
             }
             let mut next = Vec::with_capacity(combos.len() * axis.values.len());
             for combo in &combos {
                 for value in &axis.values {
                     let mut c = combo.clone();
-                    c.push((axis.param.name().to_string(), value.clone()));
+                    c.push((axis.param, value.clone()));
                     next.push(c);
                 }
             }
@@ -261,10 +136,10 @@ impl CampaignSpec {
                 let mut name = self.name.clone();
                 let mut scenario = self.base.clone();
                 for (param, value) in combo {
-                    let _ = write!(name, "/{param}={value}");
-                    AxisParam::parse(param)
-                        .expect("combo params come from AxisParam::name")
-                        .apply(&mut scenario, value)?;
+                    let _ = write!(name, "/{}={value}", param.key);
+                    param
+                        .apply(&mut scenario, &Json::Str(value.clone()))
+                        .map_err(|e| JsonError::new(format!("axis {e}")))?;
                 }
                 let _ = write!(name, "/seed={seed}");
                 scenario = scenario.named(name.clone()).seed(seed);
@@ -273,7 +148,10 @@ impl CampaignSpec {
                     .map_err(|e| JsonError::new(format!("job {name}: invalid scenario: {e}")))?;
                 jobs.push(CampaignJob {
                     name,
-                    axis: combo.clone(),
+                    axis: combo
+                        .iter()
+                        .map(|(p, v)| (p.key.into(), v.clone()))
+                        .collect(),
                     seed,
                     scenario,
                 });
@@ -292,7 +170,7 @@ impl CampaignSpec {
             w.key("base").raw(&scenario_to_json(&self.base));
             w.key("axes").arr(&self.axes, |w, axis| {
                 w.obj(|w| {
-                    w.key("param").str(axis.param.name());
+                    w.key("param").str(axis.param.key);
                     w.key("values").arr(&axis.values, |w, v| w.str(v));
                 })
             });
@@ -307,7 +185,9 @@ impl CampaignSpec {
     ///
     /// The `base` object is either a full scenario document (recognized
     /// by its `bottleneck_bps` field — the `ccsim_core::codec` form) or
-    /// the compact preset form for hand-written specs:
+    /// the compact form for hand-written specs, whose keys are the rows of
+    /// the settings table ([`ccsim_core::SETTINGS`]), applied in table
+    /// order:
     ///
     /// ```json
     /// {
@@ -327,14 +207,19 @@ impl CampaignSpec {
         let base = if base_json.get("bottleneck_bps").is_some() {
             scenario_from_value(base_json)?
         } else {
-            base_from_preset(base_json)?
+            base_from_settings(base_json)?
         };
 
         let mut axes = Vec::new();
         for a in doc.opt_arr("axes")?.unwrap_or(&[]) {
             let pname = a.req_str("param")?;
-            let param = AxisParam::parse(pname)
+            let param = Setting::find(pname)
                 .ok_or_else(|| JsonError::new(format!("unknown axis param \"{pname}\"")))?;
+            if param.overwrites {
+                return Err(JsonError::new(format!(
+                    "axis param \"{pname}\" sets other settings too; sweep those instead"
+                )));
+            }
             let values = a.req_arr("values")?.iter().map(|v| match v {
                 Json::Str(s) => Ok(s.clone()),
                 Json::Num(raw) => Ok(raw.clone()),
@@ -419,77 +304,27 @@ pub(crate) fn parse_expectations(doc: &Json) -> Result<Vec<Expectation>, JsonErr
     .collect()
 }
 
-fn base_from_preset(v: &Json) -> Result<Scenario, JsonError> {
-    let mut s = match v.opt_str("preset")?.unwrap_or("edge") {
-        "edge" => Scenario::edge_scale(),
-        "core" => Scenario::core_scale(),
-        "mega" => Scenario::mega_scale(),
-        other => return Err(JsonError::new(format!("unknown preset \"{other}\""))),
-    };
-    if let Some(f) = v.opt_str("fidelity")? {
-        s = s.fidelity(match f {
-            "quick" => ccsim_core::Fidelity::Quick,
-            "standard" => ccsim_core::Fidelity::Standard,
-            "paper" => ccsim_core::Fidelity::Paper,
-            other => return Err(JsonError::new(format!("unknown fidelity \"{other}\""))),
-        });
-    }
-    if let Some(mbps) = v.opt_u64("bw_mbps")? {
-        s.bottleneck = Bandwidth::from_mbps(mbps);
-    }
-    if let Some(bytes) = v.opt_u64("buffer_bytes")? {
-        s.buffer_bytes = bytes;
-    }
-    if let Some(secs) = v.opt_f64("warmup_s")? {
-        s.warmup = SimDuration::from_secs_f64(secs);
-    }
-    if let Some(secs) = v.opt_f64("duration_s")? {
-        s.duration = SimDuration::from_secs_f64(secs);
-    }
-    if let Some(secs) = v.opt_f64("jitter_s")? {
-        s.start_jitter = SimDuration::from_secs_f64(secs);
-    }
-    if let Some(ms) = v.opt_u64("snapshot_ms")? {
-        s.snapshot_interval = SimDuration::from_millis(ms);
-    }
-    if v.opt_bool("convergence")? == Some(false) {
-        s.convergence = None;
-    }
-    if let Some(n) = v.opt_u32("delack_segments")? {
-        s.tuning.delack_segments = n;
-    }
-    if let Some(n) = v.opt_u32("tx_burst")? {
-        s.tuning.tx_burst = n;
-    }
-    if let Some(name) = v.opt_str("topology")? {
-        s.topology = TopologyKind::parse(name)
-            .ok_or_else(|| JsonError::new(format!("unknown topology \"{name}\"")))?;
-    }
-    if let Some(name) = v.opt_str("aqm")? {
-        s.aqm = AqmKind::parse(name)
-            .ok_or_else(|| JsonError::new(format!("unknown aqm \"{name}\"")))?;
-    }
-    if let Some(on) = v.opt_bool("ecn")? {
-        s.ecn = on;
-    }
-    if let Some(groups) = v.opt_arr("flows")? {
-        let mut flows = Vec::with_capacity(groups.len());
-        for g in groups {
-            let cca: CcaKind = g
-                .req_str("cca")?
-                .parse()
-                .map_err(|_| JsonError::new("unknown CCA in flow group"))?;
-            let rtt = SimDuration::from_millis(g.req_u64("rtt_ms")?);
-            flows.push(FlowGroup::new(cca, g.req_u32("count")?, rtt));
-        }
-        s = s.flows(flows);
-    }
-    Ok(s)
+/// A compact `base`: each key names a row of the settings table.
+fn base_from_settings(v: &Json) -> Result<Scenario, JsonError> {
+    let pairs = v
+        .as_obj()
+        .ok_or_else(|| JsonError::new("\"base\" is not an object"))?;
+    let given = pairs.iter().map(|(key, value)| match Setting::find(key) {
+        Some(setting) => Ok((setting, value.clone())),
+        None => Err(JsonError::new(format!("unknown base key \"{key}\""))),
+    });
+    let given: Vec<_> = given.collect::<Result<_, _>>()?;
+    build(&given).map_err(|e| JsonError::new(format!("base {e}")))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccsim_cca::CcaKind;
+    use ccsim_core::{FlowGroup, Tuning};
+    use ccsim_net::AqmKind;
+    use ccsim_sim::{Bandwidth, SimDuration};
+    use ccsim_topo::TopologyKind;
 
     fn sample_spec() -> CampaignSpec {
         let mut base = Scenario::edge_scale()
@@ -506,11 +341,11 @@ mod tests {
             base,
             axes: vec![
                 Axis {
-                    param: AxisParam::Cca,
+                    param: Setting::find("cca").unwrap(),
                     values: vec!["reno".into(), "cubic".into()],
                 },
                 Axis {
-                    param: AxisParam::RttMs,
+                    param: Setting::find("rtt_ms").unwrap(),
                     values: vec!["20".into(), "100".into()],
                 },
             ],
@@ -603,15 +438,15 @@ mod tests {
         let mut spec = sample_spec();
         spec.axes = vec![
             Axis {
-                param: AxisParam::Topology,
+                param: Setting::find("topology").unwrap(),
                 values: vec!["single".into(), "parking_lot:3".into()],
             },
             Axis {
-                param: AxisParam::Aqm,
+                param: Setting::find("aqm").unwrap(),
                 values: vec!["droptail".into(), "codel".into()],
             },
             Axis {
-                param: AxisParam::Ecn,
+                param: Setting::find("ecn").unwrap(),
                 values: vec!["off".into(), "on".into()],
             },
         ];
@@ -632,17 +467,19 @@ mod tests {
         let back = CampaignSpec::from_json(&spec.to_json()).unwrap();
         assert_eq!(back.axes, spec.axes);
         // Bad values are rejected with the axis name.
-        let err = AxisParam::Topology
-            .apply(&mut spec.base.clone(), "torus")
+        let torus = Json::Str("torus".into());
+        let err = Setting::find("topology")
+            .unwrap()
+            .apply(&mut spec.base.clone(), &torus)
             .unwrap_err();
-        assert!(err.message.contains("topology"), "{err}");
+        assert_eq!(err.to_string(), "topology: \"torus\" is not a topology");
     }
 
     #[test]
     fn invalid_jobs_are_rejected_with_their_name() {
         let mut spec = sample_spec();
         spec.axes.push(Axis {
-            param: AxisParam::FlowCount,
+            param: Setting::find("flow_count").unwrap(),
             values: vec!["0".into()],
         });
         let err = spec.jobs().unwrap_err();
@@ -659,7 +496,7 @@ mod tests {
         ];
         spec.seeds = vec![1];
         spec.axes = vec![Axis {
-            param: AxisParam::FlowCount,
+            param: Setting::find("flow_count").unwrap(),
             values: vec!["1+1000".into(), "7".into()],
         }];
         let jobs = spec.jobs().unwrap();
@@ -676,6 +513,61 @@ mod tests {
         assert!(err.message.contains("2 flow groups"), "{err}");
         spec.axes[0].values = vec!["1+".into()];
         assert!(spec.jobs().unwrap_err().message.contains("bad count"));
+    }
+
+    #[test]
+    fn a_base_only_and_a_cli_only_knob_sweep_as_axes() {
+        let mut spec = sample_spec();
+        spec.seeds = vec![1];
+        let axis = |key, values: [&str; 2]| Axis {
+            param: Setting::find(key).unwrap(),
+            values: values.map(String::from).to_vec(),
+        };
+        spec.axes = vec![axis("tx_burst", ["1", "8"]), axis("warmup_s", ["2", "2.5"])];
+        let jobs = spec.jobs().unwrap();
+        assert_eq!(jobs.len(), 4);
+        assert_eq!(jobs[3].name, "smoke/tx_burst=8/warmup_s=2.5/seed=1");
+        for job in &jobs {
+            let [(_, burst), (_, warmup)] = &job.axis[..] else {
+                panic!("{:?}", job.axis)
+            };
+            let tuning = Tuning {
+                tx_burst: burst.parse().unwrap(),
+                ..spec.base.tuning
+            };
+            let warmup = SimDuration::from_secs_f64(warmup.parse().unwrap());
+            let want = (spec.base.clone().tuned(tuning))
+                .horizon(warmup, spec.base.duration)
+                .named(job.name.clone())
+                .seed(1);
+            assert_eq!(scenario_to_json(&job.scenario), scenario_to_json(&want));
+        }
+    }
+
+    #[test]
+    fn rows_that_set_other_knobs_are_not_axes_and_base_keys_must_be_rows() {
+        let spec = |base: &str, axis: &str| {
+            let doc = format!(
+                r#"{{"name": "x", "base": {{"flows": ["reno:1:20"]{base}}},
+                    "axes": [{{"param": "{axis}", "values": ["1"]}}]}}"#
+            );
+            CampaignSpec::from_json(&doc)
+                .map(|_| ())
+                .unwrap_err()
+                .message
+        };
+        for key in ["preset", "fidelity", "flows"] {
+            let err = spec("", key);
+            assert!(
+                err.contains(&format!("\"{key}\" sets other settings")),
+                "{err}"
+            );
+        }
+        assert!(spec("", "bogus").contains("unknown axis param \"bogus\""));
+        let err = spec(r#", "bw": 10"#, "cca");
+        assert!(err.contains("unknown base key \"bw\""), "{err}");
+        let err = spec(r#", "bw_mbps": "fast""#, "cca");
+        assert_eq!(err, "base bw_mbps: \"fast\" is not a whole number");
     }
 
     #[test]

@@ -47,11 +47,7 @@ pub fn scenario_to_json(s: &Scenario) -> String {
         });
         w.key("trace").obj(|w| {
             w.key("enabled").bool(s.trace.enabled);
-            w.key("policy").str(&match s.trace.policy {
-                RetentionPolicy::KeepAll => "keepall".to_string(),
-                RetentionPolicy::Decimate(n) => format!("decimate:{n}"),
-                RetentionPolicy::Reservoir(k) => format!("reservoir:{k}"),
-            });
+            w.key("policy").str(&s.trace.policy.as_str());
             w.key("max_bytes").u64(s.trace.max_bytes);
             w.key("queue_sample_every")
                 .u64(s.trace.queue_sample_every.into());
@@ -79,27 +75,6 @@ pub fn scenario_to_json(s: &Scenario) -> String {
         }
     });
     out
-}
-
-fn parse_policy(text: &str) -> Result<RetentionPolicy, JsonError> {
-    if text == "keepall" {
-        return Ok(RetentionPolicy::KeepAll);
-    }
-    if let Some(n) = text.strip_prefix("decimate:") {
-        let n = n
-            .parse()
-            .map_err(|_| JsonError::new("bad decimate stride"))?;
-        return Ok(RetentionPolicy::Decimate(n));
-    }
-    if let Some(k) = text.strip_prefix("reservoir:") {
-        let k = k
-            .parse()
-            .map_err(|_| JsonError::new("bad reservoir size"))?;
-        return Ok(RetentionPolicy::Reservoir(k));
-    }
-    Err(JsonError::new(format!(
-        "unknown retention policy \"{text}\""
-    )))
 }
 
 /// Parse a document produced by [`scenario_to_json`].
@@ -137,9 +112,11 @@ pub fn scenario_from_value(doc: &Json) -> Result<Scenario, JsonError> {
     let trace_json = doc
         .get("trace")
         .ok_or_else(|| JsonError::new("missing \"trace\""))?;
+    let policy = trace_json.req_str("policy")?;
     let trace = TraceConfig {
         enabled: trace_json.req_bool("enabled")?,
-        policy: parse_policy(trace_json.req_str("policy")?)?,
+        policy: RetentionPolicy::parse(policy)
+            .ok_or_else(|| JsonError::new(format!("unknown retention policy \"{policy}\"")))?,
         max_bytes: trace_json.req_u64("max_bytes")?,
         queue_sample_every: trace_json.req_u32("queue_sample_every")?,
     };
@@ -309,17 +286,26 @@ mod tests {
         assert!(scenario_from_json("not json").is_err());
     }
 
+    /// A policy is read back as written, zeros included (a zero is not
+    /// raised to one, so decode ∘ encode is the identity).
     #[test]
     fn policies_round_trip() {
-        for policy in [
-            RetentionPolicy::KeepAll,
-            RetentionPolicy::Decimate(7),
-            RetentionPolicy::Reservoir(33),
+        for (policy, text) in [
+            (RetentionPolicy::KeepAll, "keepall"),
+            (RetentionPolicy::Decimate(0), "decimate:0"),
+            (RetentionPolicy::Decimate(7), "decimate:7"),
+            (RetentionPolicy::Reservoir(0), "reservoir:0"),
+            (RetentionPolicy::Reservoir(33), "reservoir:33"),
         ] {
             let mut s = full_scenario();
             s.trace.policy = policy;
-            let back = scenario_from_json(&scenario_to_json(&s)).unwrap();
+            let json = scenario_to_json(&s);
+            assert!(json.contains(&format!("\"policy\":\"{text}\"")), "{json}");
+            let back = scenario_from_json(&json).unwrap();
             assert_eq!(back.trace.policy, policy);
+        }
+        for bad in ["keep", "decimate:", "decimate:-1", "reservoir"] {
+            assert_eq!(RetentionPolicy::parse(bad), None, "{bad}");
         }
     }
 }

@@ -3,6 +3,8 @@
 //! The paper's experimental apparatus as a library:
 //!
 //! * [`scenario`] — EdgeScale/CoreScale settings and flow-group builders.
+//! * [`settings`] — the one table of scenario knobs the CLI's flags, a
+//!   campaign spec's `base` keys and its axes all read.
 //! * [`build`] — dumbbell topology wiring.
 //! * [`request`] — the one way to run a scenario: [`RunRequest`] with
 //!   composable options (observe, live, checkpoint, guard, progress),
@@ -29,6 +31,7 @@ pub mod outcome;
 pub mod request;
 pub mod runner;
 pub mod scenario;
+pub mod settings;
 mod watchdog;
 
 pub use build::BuiltNetwork;
@@ -46,6 +49,7 @@ pub use runner::{scenario_from_checkpoint, Progress};
 pub use scenario::{
     ConvergenceRule, Fidelity, FlowGroup, Scenario, ScenarioError, Tuning, DEFAULT_MSS,
 };
+pub use settings::{Setting, SettingError, SETTINGS};
 
 // ---------------------------------------------------------------------
 // Frozen-benchmark shims. `benchmark/src/compat.rs` imports exactly these

@@ -99,10 +99,24 @@ fn advance(
         let result = net.sim.try_run_until_classified(until, classify_msg);
         inst.profiler.record("dispatch", t0.elapsed());
         result?;
+        sync_engine_counts(net, inst);
     } else {
         net.sim.try_run_until(until)?;
     }
     Ok(())
+}
+
+/// Bring the engine's per-kind event counts and pending-queue peak into
+/// the registry. The engine cannot depend on the telemetry crate, so the
+/// counts live in plain fields; syncing them at every slice boundary lets
+/// a live endpoint serve them while the run is going. Both count from the
+/// build (a resumed run's from its restore), and nothing else writes the
+/// per-kind counters.
+fn sync_engine_counts(net: &BuiltNetwork, inst: &RunInstruments) {
+    for (counter, &count) in inst.events_kind.iter().zip(net.sim.event_class_counts()) {
+        counter.add(count - counter.get());
+    }
+    inst.pending_peak.set_max(net.sim.max_pending() as f64);
 }
 
 /// Component-id → profiler class-row table for `net`, indexed by raw
@@ -135,35 +149,39 @@ fn harvest_profile(
     stride: u64,
     checkpoint_bytes: u64,
 ) -> Option<ccsim_prof::Profile> {
-    use ccsim_prof::{EventCells, MemAccounts, Profile, WheelProfile};
+    use ccsim_prof::{EventCells, MemGauge, Profile, WheelProfile};
     let (counts, nanos, samples) = net.sim.profile_cells()?;
     let (counts, nanos, samples) = (counts.to_vec(), nanos.to_vec(), samples.to_vec());
 
-    let accounts = MemAccounts::new();
-    // The checkpoint buffer pool exists only when a checkpoint was taken,
-    // so checkpoint-free profiles keep their exact pool list.
-    if checkpoint_bytes > 0 {
-        accounts.account("resume/checkpoint").set(checkpoint_bytes);
-    }
-    let (senders, links, rings) = (
-        accounts.account("tcp/senders"),
-        accounts.account("net/link_queues"),
-        accounts.account("trace/rings"),
-    );
-    accounts
-        .account("sim/wheel")
-        .set(net.sim.queue_memory_bytes());
-    accounts.account("sim/scratch").set(scratch_bytes);
+    let (mut senders, mut links, mut rings) = (0, 0, 0);
     for &id in &net.senders {
         let s = net.sim.component::<Sender>(id);
-        senders.alloc(s.memory_bytes());
-        rings.alloc(s.trace_memory_bytes());
+        senders += s.memory_bytes();
+        rings += s.trace_memory_bytes();
     }
     for &id in &net.links {
         let l = net.sim.component::<Link>(id);
-        links.alloc(l.memory_bytes());
-        rings.alloc(l.trace_memory_bytes());
+        links += l.memory_bytes();
+        rings += l.trace_memory_bytes();
     }
+    let mut memory = vec![
+        ("tcp/senders", senders),
+        ("net/link_queues", links),
+        ("trace/rings", rings),
+        ("sim/wheel", net.sim.queue_memory_bytes()),
+        ("sim/scratch", scratch_bytes),
+    ];
+    // The checkpoint buffer pool exists only when a checkpoint was taken,
+    // so checkpoint-free profiles keep their exact pool list.
+    if checkpoint_bytes > 0 {
+        memory.push(("resume/checkpoint", checkpoint_bytes));
+    }
+    // Sorted by name, so exports are stable.
+    memory.sort_unstable();
+    let memory = memory.into_iter().map(|(name, bytes)| MemGauge {
+        name: name.into(),
+        bytes,
+    });
 
     Some(Profile {
         events: EventCells {
@@ -175,7 +193,7 @@ fn harvest_profile(
             samples,
         },
         wheel: WheelProfile::from(net.sim.wheel_stats()),
-        memory: accounts.snapshot(),
+        memory: memory.collect(),
         dispatch_nanos: 0,
         flows: net.flow_count() as u32,
     })
@@ -510,15 +528,10 @@ pub(crate) fn run_internal_ctl(
 
     // ----- collection ----------------------------------------------------
     let collect_span = inst.map(|i| i.profiler.span("collect"));
-    // Harvest engine-side instrumentation into the registry (the engine
-    // cannot depend on the telemetry crate, so the counts live in plain
-    // fields until here) and flush edge-held link metric state.
-    if let Some(inst) = inst {
+    // Flush edge-held link metric state (the engine's counts were synced
+    // at the last slice boundary).
+    if inst.is_some() {
         net.sim.component_mut::<Link>(net.link).finish_metrics();
-        for (counter, &count) in inst.events_kind.iter().zip(net.sim.event_class_counts()) {
-            counter.add(count);
-        }
-        inst.pending_peak.set_max(net.sim.max_pending() as f64);
     }
     let measured_for = now - warmup_end;
     let secs = measured_for.as_secs_f64();

@@ -10,13 +10,13 @@
 //! | | EdgeScale | CoreScale |
 //! |---|---|---|
 //! | bottleneck | 100 Mbps | 10 Gbps |
-//! | buffer (≈1 BDP @ 200 ms) | 3 MB | 375 MB* |
+//! | buffer (≈1 BDP @ 200 ms) | 3 MB | 250 MB* |
 //! | flows | 2–50 | 1000–5000 |
 //!
 //! *The paper sizes buffers as `bandwidth × 200 ms` but reports "375 MB"
 //! for 10 Gbps (10 Gbps × 300 ms); we follow the stated 1-BDP rule
-//! (250 MB at 200 ms) by default and expose the knob — EXPERIMENTS.md uses
-//! the paper's literal 375 MB figure.
+//! (250 MB at 200 ms), as EXPERIMENTS.md does, and expose the knob
+//! (`buffer_bytes`).
 //!
 //! Time parameters default to scaled-down values (the DES is noise-free, so
 //! stationary metrics emerge in simulated tens of seconds rather than the
@@ -227,6 +227,8 @@ pub enum ScenarioError {
     JitterExceedsWarmup,
     ZeroSnapshotInterval,
     ZeroDuration,
+    /// Warm-up plus duration overflows the simulated clock.
+    HorizonOverflow,
     BadConvergence,
     /// A [`Tuning`] knob is zero (both are batch sizes; minimum 1).
     BadTuning,
@@ -255,6 +257,9 @@ impl fmt::Display for ScenarioError {
             }
             ScenarioError::ZeroSnapshotInterval => f.write_str("zero snapshot interval"),
             ScenarioError::ZeroDuration => f.write_str("zero measurement duration"),
+            ScenarioError::HorizonOverflow => {
+                f.write_str("warm-up plus duration overflows the simulated clock")
+            }
             ScenarioError::BadConvergence => f.write_str("bad convergence rule"),
             ScenarioError::BadTuning => f.write_str("tuning batch sizes must be at least 1"),
             ScenarioError::Fault(e) => write!(f, "invalid fault plan: {e}"),
@@ -532,6 +537,12 @@ impl Scenario {
         }
         if self.duration.is_zero() {
             return Err(ScenarioError::ZeroDuration);
+        }
+        if (self.warmup.as_nanos())
+            .checked_add(self.duration.as_nanos())
+            .is_none()
+        {
+            return Err(ScenarioError::HorizonOverflow);
         }
         if let Some(c) = &self.convergence {
             if c.window_snapshots == 0 || c.tolerance <= 0.0 {

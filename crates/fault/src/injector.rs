@@ -290,12 +290,6 @@ impl LinkFaultInjector {
         Ok(())
     }
 
-    /// True while the blackout window is open at `now` (read-only; used
-    /// by tests and diagnostics).
-    pub fn in_blackout(&self, now: SimTime) -> bool {
-        self.blackout_until.is_some_and(|until| now < until)
-    }
-
     /// Injector decision counters.
     pub fn stats(&self) -> &FaultStats {
         &self.stats

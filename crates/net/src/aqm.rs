@@ -532,11 +532,6 @@ impl Codel {
         }
     }
 
-    /// Drops in the current episode (diagnostics).
-    pub fn drop_count(&self) -> u32 {
-        self.count
-    }
-
     /// `drop_next` advance: `interval / sqrt(count)`.
     fn control_law(&self, from: SimTime) -> SimTime {
         let nanos = self.interval.as_nanos() as f64 / (self.count.max(1) as f64).sqrt();

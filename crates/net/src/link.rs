@@ -325,11 +325,6 @@ impl Link {
         self.injector.as_ref().map(|i| i.stats())
     }
 
-    /// The attached fault injector, if any.
-    pub fn fault_injector(&self) -> Option<&LinkFaultInjector> {
-        self.injector.as_ref()
-    }
-
     /// The configured rate.
     pub fn rate(&self) -> Bandwidth {
         self.rate

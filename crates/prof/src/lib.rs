@@ -15,9 +15,9 @@
 //! * **Scheduler internals** — the timer wheel's always-on counters
 //!   ([`ccsim_sim::WheelStats`]): per-level occupancy high-water marks,
 //!   cascade counts, batch-size histogram, cancel/rearm rates.
-//! * **Memory accounting** — a [`MemAccounts`] registry of per-subsystem
-//!   byte gauges (sender state, link queues, trace rings, wheel slabs),
-//!   the denominator of the megascale memory-per-flow metric.
+//! * **Memory accounting** — per-subsystem byte gauges ([`MemGauge`]:
+//!   sender state, link queues, trace rings, wheel slabs), the numerator
+//!   of the megascale memory-per-flow metric.
 //!
 //! Everything here is observation: profiling never schedules, drops, or
 //! reorders an event, so outcome digests are byte-identical with the
@@ -28,10 +28,8 @@
 //! Only wall-clock nanoseconds vary run to run; [`Profile::normalized`]
 //! zeroes them, and same-seed runs produce identical normalized JSON.
 
-pub mod mem;
 pub mod profile;
 
-pub use mem::{MemAccount, MemAccounts};
 pub use profile::{EventCells, MemGauge, Profile, WheelProfile};
 
 /// Default wall-clock sampling stride: one `Instant` sample per 1024

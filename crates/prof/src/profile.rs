@@ -59,20 +59,6 @@ impl EventCells {
             })
             .collect()
     }
-
-    /// Sampled nanoseconds per class, summed over kinds, in class order.
-    pub fn per_class_nanos(&self) -> Vec<(String, u64)> {
-        self.classes
-            .iter()
-            .enumerate()
-            .map(|(c, name)| {
-                let n = (0..self.kinds.len())
-                    .map(|k| self.nanos[self.cell(c, k)])
-                    .sum();
-                (name.clone(), n)
-            })
-            .collect()
-    }
 }
 
 /// Owned, serializable mirror of the engine's [`WheelStats`].
@@ -115,7 +101,7 @@ impl From<&WheelStats> for WheelProfile {
     }
 }
 
-/// One named memory gauge, as snapshotted from [`crate::MemAccounts`].
+/// One named memory gauge: a subsystem's bytes at collection time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemGauge {
     /// Pool name (`subsystem/pool`).

@@ -151,17 +151,6 @@ impl<'a, M> Ctx<'a, M> {
         self.queue.schedule_cancellable(at, dst, msg)
     }
 
-    /// Like [`Ctx::schedule_in`], returning a cancellation token.
-    #[inline]
-    pub fn schedule_cancellable_in(
-        &mut self,
-        delay: SimDuration,
-        dst: ComponentId,
-        msg: M,
-    ) -> CancelToken {
-        self.queue.schedule_cancellable(self.now + delay, dst, msg)
-    }
-
     /// Like [`Ctx::schedule_self`], returning a cancellation token.
     #[inline]
     pub fn schedule_self_cancellable(&mut self, delay: SimDuration, msg: M) -> CancelToken {

@@ -982,8 +982,8 @@ impl<M> EventQueue<M> {
 
     /// Heap footprint of everything the queue allocates: key arena and
     /// bucket table, ready stage and lane, payload slab with its free list,
-    /// token table with its token→slot map. Feeds the `MemAccount` registry's
-    /// `sim/wheel` gauge.
+    /// token table with its token→slot map. Feeds the profile's `sim/wheel`
+    /// memory gauge.
     pub fn memory_bytes(&self) -> u64 {
         use std::mem::size_of;
         fn held<T>(capacity: usize) -> u64 {

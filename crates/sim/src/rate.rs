@@ -51,12 +51,6 @@ impl Bandwidth {
         self.0
     }
 
-    /// Megabits per second as `f64`.
-    #[inline]
-    pub fn as_mbps_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Bytes per second as `f64`.
     #[inline]
     pub fn as_bytes_per_sec(self) -> f64 {

@@ -369,26 +369,6 @@ impl Sender {
         Ok(())
     }
 
-    /// One-line internal-state dump for diagnostics.
-    pub fn debug_state(&self) -> String {
-        format!(
-            "state={:?} cwnd={} ssthresh={} inflight={} lost={} sacked={} segs={} snd_nxt={} prr(d={},o={},fs={},ss={}) rto_gen={}",
-            self.state,
-            self.cca.cwnd(),
-            self.cca.ssthresh(),
-            self.board.in_flight(),
-            self.board.lost_bytes(),
-            self.board.sacked_bytes(),
-            self.board.len(),
-            self.board.snd_nxt(),
-            self.prr_delivered,
-            self.prr_out,
-            self.prr_recover_fs,
-            self.prr_ssthresh,
-            self.rto_gen,
-        )
-    }
-
     // ----- transmission -------------------------------------------------
 
     /// Whether new data remains to be offered.

@@ -56,7 +56,7 @@ fn render_value(v: f64) -> String {
     }
 }
 
-fn write_histogram(out: &mut String, entry: &MetricEntry, h: &Histogram, ts: &str) {
+fn write_histogram(out: &mut String, entry: &MetricEntry, h: &Histogram) {
     let counts = h.bucket_counts();
     // Trailing empty buckets add no information (their cumulative count
     // equals the total); emit up to the highest non-empty bucket, then
@@ -68,7 +68,7 @@ fn write_histogram(out: &mut String, entry: &MetricEntry, h: &Histogram, ts: &st
         let le = Histogram::bucket_upper_bound(k).to_string();
         let _ = writeln!(
             out,
-            "{}_bucket{} {}{ts}",
+            "{}_bucket{} {}",
             entry.name,
             label_block(&entry.labels, Some(("le", &le))),
             cumulative
@@ -76,43 +76,30 @@ fn write_histogram(out: &mut String, entry: &MetricEntry, h: &Histogram, ts: &st
     }
     let _ = writeln!(
         out,
-        "{}_bucket{} {}{ts}",
+        "{}_bucket{} {}",
         entry.name,
         label_block(&entry.labels, Some(("le", "+Inf"))),
         h.count()
     );
     let _ = writeln!(
         out,
-        "{}_sum{} {}{ts}",
+        "{}_sum{} {}",
         entry.name,
         label_block(&entry.labels, None),
         h.sum()
     );
     let _ = writeln!(
         out,
-        "{}_count{} {}{ts}",
+        "{}_count{} {}",
         entry.name,
         label_block(&entry.labels, None),
         h.count()
     );
 }
 
-/// Render the registry as Prometheus text exposition (no timestamps —
-/// byte-identical to every dump this workspace has ever written).
+/// Render the registry as Prometheus text exposition (no timestamps:
+/// a scraper stamps samples with the scrape instant).
 pub fn write_exposition(registry: &Registry) -> String {
-    write_exposition_at(registry, None)
-}
-
-/// Render the registry as Prometheus text exposition, optionally stamping
-/// every sample line with an explicit timestamp (milliseconds since the
-/// Unix epoch, per the 0.0.4 format). With `None` the output is
-/// byte-identical to [`write_exposition`]; with `Some(ts)` each sample
-/// gains a trailing ` <ts>`, which is what lets windowed series replay
-/// into a real scraper in recorded time rather than collapsing onto the
-/// scrape instant.
-pub fn write_exposition_at(registry: &Registry, timestamp_millis: Option<i64>) -> String {
-    let ts = timestamp_millis.map_or(String::new(), |t| format!(" {t}"));
-    let ts = ts.as_str();
     let entries = registry.entries();
     let mut out = String::with_capacity(256 + entries.len() * 128);
     let mut last_family: Option<String> = None;
@@ -133,7 +120,7 @@ pub fn write_exposition_at(registry: &Registry, timestamp_millis: Option<i64>) -
             Metric::Counter(c) => {
                 let _ = writeln!(
                     out,
-                    "{}{} {}{ts}",
+                    "{}{} {}",
                     entry.name,
                     label_block(&entry.labels, None),
                     c.get()
@@ -142,13 +129,13 @@ pub fn write_exposition_at(registry: &Registry, timestamp_millis: Option<i64>) -
             Metric::Gauge(g) => {
                 let _ = writeln!(
                     out,
-                    "{}{} {}{ts}",
+                    "{}{} {}",
                     entry.name,
                     label_block(&entry.labels, None),
                     render_value(g.get())
                 );
             }
-            Metric::Histogram(h) => write_histogram(&mut out, entry, h, ts),
+            Metric::Histogram(h) => write_histogram(&mut out, entry, h),
         }
     }
     out
@@ -309,31 +296,6 @@ mod tests {
     fn own_output_validates() {
         let text = write_exposition(&sample_registry());
         validate_exposition(&text).unwrap();
-    }
-
-    #[test]
-    fn explicit_timestamps_stamp_samples_not_comments() {
-        let r = sample_registry();
-        let text = write_exposition_at(&r, Some(1_700_000_123_456));
-        validate_exposition(&text).unwrap();
-        for line in text.lines() {
-            if line.starts_with('#') {
-                assert!(!line.ends_with("1700000123456"), "comment stamped: {line}");
-            } else {
-                assert!(
-                    line.ends_with(" 1700000123456"),
-                    "sample missing timestamp: {line}"
-                );
-            }
-        }
-        // Negative (pre-epoch) timestamps are legal exposition too.
-        validate_exposition(&write_exposition_at(&r, Some(-5))).unwrap();
-    }
-
-    #[test]
-    fn no_timestamp_stays_byte_identical_to_the_plain_writer() {
-        let r = sample_registry();
-        assert_eq!(write_exposition(&r), write_exposition_at(&r, None));
     }
 
     #[test]

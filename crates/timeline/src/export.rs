@@ -2,7 +2,7 @@
 //! (SnapWriter framing, like `.cctr` traces) for bulk archival, plus the
 //! reader that round-trips the binary form.
 
-use crate::{Timeline, TimelineConfig};
+use crate::Timeline;
 use ccsim_sim::json::JsonWriter;
 use ccsim_sim::snap::{SnapError, SnapReader, SnapWriter};
 use ccsim_sim::SimDuration;
@@ -111,16 +111,11 @@ pub fn from_binary(bytes: &[u8]) -> Result<TimelineDump, SnapError> {
     })
 }
 
-/// Default timeline config — re-exported here so CLI callers building an
-/// export pipeline need only this module.
-pub fn default_config() -> TimelineConfig {
-    TimelineConfig::default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::FlowPoint;
+    use crate::TimelineConfig;
     use ccsim_sim::SimTime;
 
     fn sample_timeline() -> Timeline {

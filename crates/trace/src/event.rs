@@ -90,20 +90,6 @@ impl TraceKind {
     pub fn from_str_name(s: &str) -> Option<TraceKind> {
         TraceKind::ALL.into_iter().find(|k| k.as_str() == s)
     }
-
-    /// Whether this kind is a dense *sample* (subject to retention
-    /// thinning) as opposed to a discrete *event* (always kept until the
-    /// ring evicts).
-    pub fn is_sample(self) -> bool {
-        matches!(
-            self,
-            TraceKind::Cwnd
-                | TraceKind::Srtt
-                | TraceKind::Pacing
-                | TraceKind::QueueDepth
-                | TraceKind::HopDepth
-        )
-    }
 }
 
 /// Why a congestion event fired.

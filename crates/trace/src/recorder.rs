@@ -481,24 +481,6 @@ impl RunTrace {
             .map(|r| (r.time, r.a))
             .collect()
     }
-
-    /// ECN CE-mark timestamps, time-sorted — the marking analogue of
-    /// [`RunTrace::drop_times`].
-    pub fn ecn_mark_times(&self) -> Vec<SimTime> {
-        self.of_kind(TraceKind::EcnMark).map(|r| r.time).collect()
-    }
-
-    /// One hop's queue-depth series as `(time, backlog_bytes)`
-    /// (hop 0 = the primary bottleneck's legacy series).
-    pub fn hop_depth_series(&self, hop: u32) -> Vec<(SimTime, u64)> {
-        if hop == 0 {
-            return self.queue_depth_series();
-        }
-        self.of_kind(TraceKind::HopDepth)
-            .filter(|r| r.flow == hop)
-            .map(|r| (r.time, r.a))
-            .collect()
-    }
 }
 
 #[cfg(test)]

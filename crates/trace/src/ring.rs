@@ -31,6 +31,31 @@ pub enum RetentionPolicy {
     Reservoir(u32),
 }
 
+impl RetentionPolicy {
+    /// The policy's spelling: `keepall`, `decimate:N` or `reservoir:K`.
+    pub fn as_str(self) -> String {
+        match self {
+            RetentionPolicy::KeepAll => "keepall".into(),
+            RetentionPolicy::Decimate(n) => format!("decimate:{n}"),
+            RetentionPolicy::Reservoir(k) => format!("reservoir:{k}"),
+        }
+    }
+
+    /// Parse a policy spelled as [`RetentionPolicy::as_str`] writes it.
+    /// The number stays as written (zeros included), so parsing what
+    /// `as_str` wrote gives the policy back.
+    pub fn parse(text: &str) -> Option<RetentionPolicy> {
+        if text == "keepall" {
+            return Some(RetentionPolicy::KeepAll);
+        }
+        if let Some(n) = text.strip_prefix("decimate:") {
+            return n.parse().ok().map(RetentionPolicy::Decimate);
+        }
+        let k = text.strip_prefix("reservoir:")?;
+        k.parse().ok().map(RetentionPolicy::Reservoir)
+    }
+}
+
 /// SplitMix64 step — the deterministic source for reservoir replacement.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);

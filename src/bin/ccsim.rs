@@ -28,6 +28,12 @@
 //! the uninterrupted run. An observed resume's manifest reports the
 //! events/s of the resumed segment only.
 //!
+//! The scenario flags are the rows of `ccsim_core`'s settings table
+//! ([`SETTINGS`]) that have a flag: a campaign spec's `base` keys and axes
+//! read the same rows, so a flag and its spec key parse alike. They apply
+//! in table order (`--setting`, then `--fidelity`, then the rest), so an
+//! explicit `--warmup`/`--duration`/`--jitter` wins over `--fidelity`.
+//!
 //! Every time value, in a flag or inside a `--flows`/`--fault` spec, goes
 //! through [`parse_time`]: whole numbers are exact (so whole-second inputs
 //! keep their digests), fractions round to the nanosecond, and negative,
@@ -53,21 +59,21 @@
 //! ```
 
 use ccsim::cca::CcaKind;
+use ccsim::experiments::settings::{build, parse_time, MILLIS, SECS};
 use ccsim::experiments::{
-    scenario_from_checkpoint, Checkpoint, CrashBundle, Fidelity, FlowGroup, LiveState,
-    ObserveOptions, RunOutcome, RunRequest, Scenario, ServeHandle, Timeline, TimelineConfig,
+    scenario_from_checkpoint, Checkpoint, CrashBundle, LiveState, ObserveOptions, RunOutcome,
+    RunRequest, Scenario, ServeHandle, SettingError, Timeline, TimelineConfig, SETTINGS,
 };
 use ccsim::fault::{FaultPlan, WatchdogConfig};
-use ccsim::net::AqmKind;
 use ccsim::prof::DEFAULT_STRIDE;
+use ccsim::sim::json::Json;
 use ccsim::sim::{Bandwidth, SimDuration, SimTime};
 use ccsim::telemetry::{validate_exposition, RunProgress};
-use ccsim::topo::TopologyKind;
 use ccsim::trace::{RetentionPolicy, TraceConfig};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::exit;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 // Subcommand bits: a row of `FLAGS` names the subcommands that take it.
 const RUN: u16 = 1;
@@ -120,6 +126,7 @@ fn about(cmd: u16) -> &'static str {
 /// One row of the flag table: a flag as the subcommands in `cmds` take
 /// it. Rows are keyed on (subcommand, name) because `--out` means four
 /// different things.
+#[derive(Clone, Copy)]
 struct Flag {
     cmds: u16,
     name: &'static str,
@@ -161,22 +168,28 @@ impl Flag {
     }
 }
 
-/// What every flag means, in the order `--help` lists them. One row per
-/// line: the table is read across, so rustfmt leaves its layout alone.
+/// Every flag, in the order `--help` lists them: one row per settings-table
+/// row with a flag (scenario-shaping, under the four run subcommands),
+/// then the CLI's own.
+static FLAGS: LazyLock<Vec<Flag>> = LazyLock::new(|| {
+    let settings = SETTINGS.iter().filter_map(|s| {
+        let flag = Flag {
+            cmds: RUNS,
+            name: s.flag?,
+            metavar: s.metavar,
+            shapes: true,
+            help: s.help,
+        };
+        Some(flag)
+    });
+    settings.chain(CLI_FLAGS.iter().copied()).collect()
+});
+
+/// The flags that are not scenario settings. One row per line: the table
+/// is read across, so rustfmt leaves its layout alone.
 #[rustfmt::skip]
-const FLAGS: &[Flag] = &[
-    value(RUNS, "--setting", "edge|core", "EdgeScale (default) or CoreScale preset").shapes(),
-    value(RUNS, "--bw", "<mbps>", "bottleneck rate").shapes(),
-    value(RUNS, "--buffer", "<bytes>", "bottleneck buffer").shapes(),
-    value(RUNS, "--flows", "<cca>:<count>:<rtt_ms>", "a flow group (repeatable)").shapes(),
-    value(RUNS, "--topology", "<topology>", "single|dumbbell|parking_lot:<n>|dumbbell_asym").shapes(),
-    value(RUNS, "--aqm", "droptail|red|codel|pie", "queue discipline of every link").shapes(),
-    switch(RUNS, "--ecn", "ECN marking and response").shapes(),
+const CLI_FLAGS: &[Flag] = &[
     value(RUNS, "--seed", "<n>", "master seed").shapes(),
-    value(RUNS, "--warmup", "<secs>", "warm-up, excluded from measurement").shapes(),
-    value(RUNS, "--duration", "<secs>", "measurement window").shapes(),
-    value(RUNS, "--jitter", "<secs>", "flow start jitter (capped at the warm-up)").shapes(),
-    value(RUNS, "--fidelity", "quick|standard|paper", "horizon preset, over the three above").shapes(),
     value(RUNS, "--fault", "<spec>", "timed link impairment (repeatable)").shapes(),
     switch(RUNS, "--watchdog", "check invariants at every snapshot slice").shapes(),
     value(TRACE, "--policy", "<policy>", "keepall, decimate:N or reservoir:K").shapes(),
@@ -378,30 +391,6 @@ fn parse(argv: &[&str]) -> Result<Parsed, Usage> {
     Ok(Parsed::Run(args))
 }
 
-/// Nanoseconds per unit of a time value.
-const SECS: u64 = 1_000_000_000;
-const MILLIS: u64 = 1_000_000;
-
-/// Parse a time value given in units of `unit` nanoseconds. Whole numbers
-/// convert exactly; fractions round to the nearest nanosecond exactly as
-/// `SimDuration::from_secs_f64` does. Negative, non-finite and
-/// nanosecond-overflowing values are `None`.
-fn parse_time(text: &str, unit: u64) -> Option<SimDuration> {
-    let nanos = match text.parse::<u64>() {
-        Ok(whole) => whole.checked_mul(unit)?,
-        Err(_) => {
-            let secs = text.parse::<f64>().ok()? / (SECS / unit) as f64;
-            let nanos = (secs * 1e9).round();
-            // `u64::MAX as f64` is 2^64, the first value that overflows.
-            if !(secs >= 0.0 && nanos < u64::MAX as f64) {
-                return None;
-            }
-            nanos as u64
-        }
-    };
-    Some(SimDuration::from_nanos(nanos))
-}
-
 impl Args {
     /// Exit 2 with `err` and this subcommand's usage.
     fn usage(&self, err: impl Into<String>) -> ! {
@@ -456,32 +445,6 @@ impl Args {
     }
 }
 
-fn parse_policy(spec: &str) -> Option<RetentionPolicy> {
-    if spec == "keepall" {
-        return Some(RetentionPolicy::KeepAll);
-    }
-    if let Some(n) = spec.strip_prefix("decimate:") {
-        return Some(RetentionPolicy::Decimate(n.parse::<u32>().ok()?.max(1)));
-    }
-    let k: u32 = spec.strip_prefix("reservoir:")?.parse().ok()?;
-    Some(RetentionPolicy::Reservoir(k.max(1)))
-}
-
-fn parse_flows(spec: &str) -> Result<FlowGroup, String> {
-    let parts: Vec<&str> = spec.split(':').collect();
-    if parts.len() != 3 {
-        return Err(format!("bad --flows spec '{spec}' (want cca:count:rtt_ms)"));
-    }
-    let cca: CcaKind = parts[0]
-        .parse()
-        .map_err(|e| format!("bad CCA in '{spec}': {e}"))?;
-    let count: u32 = parts[1]
-        .parse()
-        .map_err(|_| format!("bad count in '{spec}'"))?;
-    let rtt = parse_time(parts[2], MILLIS).ok_or_else(|| format!("bad rtt in '{spec}'"))?;
-    Ok(FlowGroup::new(cca, count, rtt))
-}
-
 /// Parse one `--fault` spec onto the plan (times are seconds, delays
 /// milliseconds, both possibly fractional).
 fn parse_fault(plan: FaultPlan, spec: &str) -> Result<FaultPlan, String> {
@@ -503,51 +466,39 @@ fn parse_fault(plan: FaultPlan, spec: &str) -> Result<FaultPlan, String> {
     })
 }
 
-/// The scenario the run flags describe (absent `--resume-from`).
+/// The scenario the run flags describe (absent `--resume-from`): the
+/// settings table's flags, then the CLI's own.
 fn scenario_from_flags(args: &Args) -> Scenario {
-    let mut s = match args.choice("--setting") {
-        Some("core") => Scenario::core_scale(),
-        _ => Scenario::edge_scale(),
-    }
-    .named("cli");
-    s.bottleneck = args
-        .parse("--bw")
-        .map_or(s.bottleneck, Bandwidth::from_mbps);
-    s.buffer_bytes = args.parse("--buffer").unwrap_or(s.buffer_bytes);
-    s.topology = args
-        .value("--topology", TopologyKind::parse)
-        .unwrap_or(s.topology);
-    s.aqm = args.value("--aqm", AqmKind::parse).unwrap_or(s.aqm);
-    s.ecn |= args.has("--ecn");
+    // A switch reads `true`, a repeatable flag the list of its values and
+    // any other flag its last value.
+    let given: Vec<_> = SETTINGS
+        .iter()
+        .filter_map(|row| {
+            let given = args.given(row.flag?);
+            let text = |v: &Option<&str>| Json::Str(v.unwrap_or_default().into());
+            let value = match given.last()? {
+                (_, None) => Json::Bool(true),
+                _ if row.many => Json::Arr(given.iter().map(|(_, v)| text(v)).collect()),
+                (_, v) => text(v),
+            };
+            Some((row, value))
+        })
+        .collect();
+    let bad = |e: SettingError| {
+        let flag = e.setting.flag.unwrap_or_default();
+        args.usage(format!("bad {flag}: {}", e.reason))
+    };
+    let mut s = build(&given).unwrap_or_else(bad).named("cli");
     s.seed = args.parse("--seed").unwrap_or(s.seed);
-    s.warmup = args.time("--warmup", SECS).unwrap_or(s.warmup);
-    s.duration = args.time("--duration", SECS).unwrap_or(s.duration);
-    s.start_jitter = args.time("--jitter", SECS).unwrap_or(s.start_jitter);
-    let flows: Result<Vec<_>, _> = args.all("--flows").into_iter().map(parse_flows).collect();
-    let flows = flows.unwrap_or_else(|e| args.usage(e));
-    if flows.is_empty() {
-        args.usage("at least one --flows group required");
-    }
-    s = s.flows(flows);
-    if let Some(fidelity) = args.choice("--fidelity") {
-        s = s.fidelity(match fidelity {
-            "quick" => Fidelity::Quick,
-            "paper" => Fidelity::Paper,
-            _ => Fidelity::Standard,
-        });
-    }
     if args.cmd == TRACE {
         let mut trace = TraceConfig::standard();
-        trace.policy = args.value("--policy", parse_policy).unwrap_or(trace.policy);
+        trace.policy = args
+            .value("--policy", RetentionPolicy::parse)
+            .unwrap_or(trace.policy);
         trace.max_bytes = args.parse("--trace-budget").unwrap_or(trace.max_bytes);
         let every = args.parse("--queue-every");
         trace.queue_sample_every = every.unwrap_or(trace.queue_sample_every);
         s = s.traced(trace);
-    }
-    s.start_jitter = s.start_jitter.min(s.warmup);
-    let horizon = s.warmup.as_nanos().checked_add(s.duration.as_nanos());
-    if horizon.is_none() {
-        args.usage("--warmup plus --duration overflows the simulated clock");
     }
     let fault = args
         .all("--fault")

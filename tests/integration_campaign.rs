@@ -2,11 +2,11 @@
 //! durability under mid-campaign kill, and the regression sentinel.
 
 use ccsim::campaign::{
-    diff, run_campaign, Axis, AxisParam, CampaignSpec, DiffOptions, ExecutorOptions, FindingKind,
-    Ledger, LedgerEntry, LedgerWriter, Tolerances,
+    diff, run_campaign, Axis, CampaignSpec, DiffOptions, ExecutorOptions, FindingKind, Ledger,
+    LedgerEntry, LedgerWriter, Tolerances,
 };
 use ccsim::cca::CcaKind;
-use ccsim::experiments::{FlowGroup, Scenario};
+use ccsim::experiments::{FlowGroup, Scenario, Setting};
 use ccsim::sim::{Bandwidth, SimDuration};
 use std::path::PathBuf;
 
@@ -31,7 +31,7 @@ fn small_spec() -> CampaignSpec {
         name: "itest".into(),
         base,
         axes: vec![Axis {
-            param: AxisParam::Cca,
+            param: Setting::find("cca").unwrap(),
             values: vec!["reno".into(), "cubic".into()],
         }],
         seeds: vec![1, 2],

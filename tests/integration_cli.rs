@@ -330,6 +330,50 @@ fn tiny_with(extra: &[&str]) -> Output {
     ccsim(&[TINY, extra].concat())
 }
 
+/// Scenario flags apply in the settings table's order (`--setting`,
+/// `--fidelity`, then the rest), so an explicit time wins over the
+/// fidelity preset wherever it stands on the line.
+#[test]
+fn explicit_times_win_over_the_fidelity_preset() {
+    let small = ["run", "--flows", "reno:1:20", "--bw", "1", "--quiet"];
+    for order in [
+        ["--fidelity", "quick", "--duration", "60"],
+        ["--duration", "60", "--fidelity", "quick"],
+    ] {
+        let out = ccsim(&[&small[..], &order].concat());
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(0), "{err}");
+        assert!(
+            err.contains("warmup 5.000000s, duration 60.000000s"),
+            "{order:?}: {err}"
+        );
+    }
+    // `--setting` is the spec's `preset` row, so it takes `mega` too.
+    let out = ccsim(&[&small[..], &["--setting", "mega"]].concat());
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    assert!(
+        err.contains("warmup 1.500000s, duration 1.000000s"),
+        "{err}"
+    );
+}
+
+/// A jitter inherited from the preset is capped at a shorter `--warmup`
+/// (`TINY`'s 1 s warm-up under EdgeScale's 2 s jitter); an explicit one is
+/// taken as given, and one longer than the warm-up is refused as it is in
+/// a spec.
+#[test]
+fn only_an_inherited_jitter_is_capped_at_the_warm_up() {
+    let out = tiny_with(&["--quiet"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let out = tiny_with(&["--quiet", "--jitter", "2"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = stderr(&out);
+    let complaint = "invalid scenario: warm-up must cover the start-jitter window";
+    assert!(err.starts_with(complaint), "{err}");
+    assert!(stdout(&out).is_empty());
+}
+
 /// `--checkpoint-at` used to pick the one entry point without a callback:
 /// the progress line and the `done in` summary went missing.
 #[test]

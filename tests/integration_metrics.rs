@@ -86,3 +86,46 @@ fn manifest_round_trips_and_matches_outcome() {
     let back = RunManifest::from_json(&m.to_json()).expect("manifest json");
     assert_eq!(&back, m);
 }
+
+/// The engine's per-kind event counts reach the registry at every slice
+/// boundary, so a live `/metrics` scrape during the run sees them; the
+/// final counts are still the manifest's.
+#[test]
+fn live_metrics_count_engine_events_while_the_run_goes() {
+    use ccsim::experiments::LiveState;
+    use std::sync::Arc;
+    let data_events = |exposition: &str| -> u64 {
+        let line = exposition
+            .lines()
+            .find(|l| l.starts_with("ccsim_events_total{kind=\"data\"}"))
+            .expect("the data-event series is registered");
+        line.rsplit(' ').next().unwrap().parse().unwrap()
+    };
+    let live = Arc::new(LiveState::new());
+    let mut slices = 0;
+    let mut seen_at_second_slice = None;
+    let report = RunRequest::new(&scenario(5, CcaKind::Reno))
+        .live(Arc::clone(&live))
+        .on_progress(|_| {
+            slices += 1;
+            // The snapshot published after the first slice.
+            if slices == 2 {
+                seen_at_second_slice = Some(data_events(&live.metrics_snapshot()));
+            }
+        })
+        .execute()
+        .expect("run succeeds");
+    let seen = seen_at_second_slice.expect("the run has at least two slices");
+    assert!(seen > 0, "live /metrics served {seen} data events mid-run");
+    let manifest = report.manifest.expect("a live run is observed");
+    let by_kind = |kind: &str| {
+        manifest
+            .events_by_kind
+            .iter()
+            .find(|(k, _)| k == kind)
+            .unwrap()
+            .1
+    };
+    assert!(by_kind("data") > seen);
+    assert_eq!(data_events(&live.metrics_snapshot()), by_kind("data"));
+}

@@ -10,14 +10,12 @@
 //! a fixpoint under write → parse → write.
 
 use ccsim::campaign::ledger::{header_json, Ledger};
-use ccsim::campaign::{
-    Axis, AxisParam, CampaignSpec, Expectation, LedgerEntry, Rollup, Tolerances,
-};
+use ccsim::campaign::{Axis, CampaignSpec, Expectation, LedgerEntry, Rollup, Tolerances};
 use ccsim::cca::CcaKind;
 use ccsim::experiments::crash::write_bundle;
 use ccsim::experiments::{
     scenario_from_json, scenario_to_json, BottleneckMetrics, ConvergenceRule, FlowGroup,
-    RunOutcome, Scenario, SimError, Tuning,
+    RunOutcome, Scenario, Setting, SimError, Tuning,
 };
 use ccsim::fault::{FaultPlan, InvariantKind, InvariantViolation, WatchdogConfig, WatchdogReport};
 use ccsim::net::AqmKind;
@@ -352,11 +350,11 @@ fn spec(name: &str) -> CampaignSpec {
         base: scenario(name),
         axes: vec![
             Axis {
-                param: AxisParam::Cca,
+                param: Setting::find("cca").unwrap(),
                 values: vec!["reno".into(), "cu\"bic".into()],
             },
             Axis {
-                param: AxisParam::RttMs,
+                param: Setting::find("rtt_ms").unwrap(),
                 values: vec!["20".into(), "100".into()],
             },
         ],

@@ -136,10 +136,7 @@ fn flow_count_values_name_one_count_per_group() {
     let counts: Vec<u32> = first.scenario.flows.iter().map(|g| g.count).collect();
     assert_eq!(counts, [1, 1000]);
 
-    let axis = spec
-        .axes
-        .iter_mut()
-        .find(|a| a.param.name() == "flow_count");
+    let axis = spec.axes.iter_mut().find(|a| a.param.key == "flow_count");
     axis.unwrap().values = vec!["1+2+3".into()];
     let err = spec.jobs().unwrap_err().to_string();
     assert!(
