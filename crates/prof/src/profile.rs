@@ -74,10 +74,12 @@ pub struct WheelProfile {
     pub batch_hist: Vec<u64>,
     /// Cancellations that hit a live event.
     pub cancels: u64,
-    /// Cancel calls on stale tokens.
+    /// Cancel calls on stale tokens (the null token is not counted).
     pub cancel_misses: u64,
     /// Events scheduled cancellable (rearmable timers).
     pub cancellable_scheduled: u64,
+    /// Of those, re-arms that took over the key a cancel left in the queue.
+    pub revived: u64,
     /// Same-instant sends that took the FIFO lane (every `Ctx::send`).
     pub sends_now: u64,
     /// Times the lane fell back to the overlay heap because another key
@@ -95,6 +97,7 @@ impl From<&WheelStats> for WheelProfile {
             cancels: s.cancels,
             cancel_misses: s.cancel_misses,
             cancellable_scheduled: s.cancellable_scheduled,
+            revived: s.revived,
             sends_now: s.sends_now,
             lane_merges: s.lane_merges,
         }
@@ -189,6 +192,9 @@ impl Profile {
             w.key("wheel_cancel_misses").u64(self.wheel.cancel_misses);
             w.key("wheel_cancellable")
                 .u64(self.wheel.cancellable_scheduled);
+            if self.wheel.revived != 0 {
+                w.key("wheel_revived").u64(self.wheel.revived);
+            }
             if (self.wheel.sends_now, self.wheel.lane_merges) != (0, 0) {
                 w.key("wheel_sends_now").u64(self.wheel.sends_now);
                 w.key("wheel_lane_merges").u64(self.wheel.lane_merges);
@@ -237,6 +243,7 @@ impl Profile {
                 cancel_misses: v.req_u64("wheel_cancel_misses")?,
                 cancellable_scheduled: v.req_u64("wheel_cancellable")?,
                 // Newer than the oldest profile a ledger may hold.
+                revived: v.opt_u64("wheel_revived")?.unwrap_or(0),
                 sends_now: v.opt_u64("wheel_sends_now")?.unwrap_or(0),
                 lane_merges: v.opt_u64("wheel_lane_merges")?.unwrap_or(0),
             },
@@ -316,13 +323,14 @@ impl Profile {
         }
         let _ = writeln!(
             out,
-            "wheel: cascades {} ({} entries), cancels {} (misses {}), cancellable {}, \
-             sends at now {} (lane merges {})",
+            "wheel: cascades {} ({} entries), cancels {} (misses {}), cancellable {} \
+             (revived {}), sends at now {} (lane merges {})",
             self.wheel.cascades,
             self.wheel.cascaded_entries,
             self.wheel.cancels,
             self.wheel.cancel_misses,
             self.wheel.cancellable_scheduled,
+            self.wheel.revived,
             self.wheel.sends_now,
             self.wheel.lane_merges
         );
@@ -381,6 +389,7 @@ mod tests {
                 cancels: 8,
                 cancel_misses: 2,
                 cancellable_scheduled: 15,
+                revived: 11,
                 sends_now: 90,
                 lane_merges: 1,
             },
@@ -416,10 +425,12 @@ mod tests {
         let p = sample();
         let old = p
             .to_json()
+            .replace(",\"wheel_revived\":11", "")
             .replace(",\"wheel_sends_now\":90,\"wheel_lane_merges\":1", "");
-        assert!(!old.contains("wheel_sends_now"));
+        assert!(!old.contains("wheel_sends_now") && !old.contains("wheel_revived"));
         let back = Profile::from_json(&old).unwrap();
         assert_eq!((back.wheel.sends_now, back.wheel.lane_merges), (0, 0));
+        assert_eq!(back.wheel.revived, 0);
         assert_eq!(back.wheel.cancellable_scheduled, 15);
         // The legacy-line rule: what parsed without the keys writes
         // without them …
@@ -502,6 +513,7 @@ mod tests {
         assert!(!t.contains("time%") && !t.contains("sampled ms"), "{t}");
         assert!(t.contains("link"));
         assert!(t.contains("wheel: cascades 12"));
+        assert!(t.contains("cancellable 15 (revived 11)"));
         assert!(t.contains("sends at now 90 (lane merges 1)"));
         assert!(t.contains("tcp/senders"));
         assert!(t.contains("3072 per flow"));

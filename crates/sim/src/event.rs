@@ -25,9 +25,10 @@
 //! (`M`; a 112-byte `Packet` message in the simulator) is written into a
 //! slab slot by `schedule` and taken out once, at dispatch; in between it
 //! does not move. A cancelled event gives its slab slot back at once, so
-//! the tombstone a rearmed RTO leaves behind in a far wheel slot is a key,
-//! not a packet. Slab slots are an implementation detail: pop order depends
-//! on `(time, seq)` alone and checkpoints never mention them.
+//! what a cancel leaves behind in a far wheel slot is a key, not a packet
+//! (and usually the next re-arm takes it over). Slab slots are an
+//! implementation detail: pop order depends on `(time, seq)` alone and
+//! checkpoints never mention them.
 //!
 //! [`EventQueue`] is a tiered scheduler:
 //!
@@ -68,10 +69,20 @@
 //!   between run slices and is never serialized.
 //! * **Cancellation tokens** — [`EventQueue::schedule_cancellable`] returns
 //!   a [`CancelToken`]; [`EventQueue::cancel`] bumps the token's entry in a
-//!   generation table and drops the payload, both O(1). The dead key is
-//!   recognised by its stale generation and discarded when its slot is
-//!   drained, so a cancel-and-rearm timer (RTO, delayed ACK) neither parks
-//!   a payload in the queue nor burns a dispatch when it surfaces.
+//!   generation table and drops the payload, both O(1). The key stays where
+//!   it is, dead: recognised by its stale generation when it surfaces, and
+//!   never dispatched. A cancel-and-rearm timer (RTO, delayed ACK) gets its
+//!   token index straight back from the LIFO free list, and when the new
+//!   time is at or after the dead key's own, the re-arm inserts nothing: it
+//!   records `(time, seq, dst)` for the index, and the dead key, when it
+//!   surfaces, is re-inserted carrying them. The dead key sits no later in
+//!   the `(time, seq)` order than the event it carries, so it reaches the
+//!   ready stage's head (or is drained from its bucket) before that event's
+//!   turn, and the order stays exact. Tokens, payload slots, seqs and the
+//!   counters change exactly as cancel-then-insert would change them, so
+//!   pops and checkpoints cannot tell the difference. A re-arm to an
+//!   earlier time inserts a fresh key, and the old one is dropped when it
+//!   surfaces.
 //!
 //! The binary heap the wheel replaced is kept verbatim as [`HeapQueue`],
 //! payload inline in every entry: it is the ordering oracle for the
@@ -235,6 +246,59 @@ impl Ord for Key {
     }
 }
 
+/// `TokRec::rearm_seq` while no re-arm rides the tracked key: seqs count
+/// up from 0 and never reach it.
+const NO_REARM: u64 = u64::MAX;
+
+/// Per token index: where its live event's payload sits, and the key the
+/// index last put in the queue, which a re-arm may take over (see the
+/// module docs).
+#[derive(Clone, Copy)]
+struct TokRec {
+    /// Payload slot of the live event bearing this index (meaningful only
+    /// while its token is live), so `cancel` can release the payload
+    /// without finding the key.
+    slot: u32,
+    /// Destination of the re-arm recorded below.
+    rearm_dst: u32,
+    /// Token generation of the index's **tracked** key — the one it last
+    /// inserted, still resident — or 0 for none (generations start at 1).
+    key_gen: u64,
+    /// The tracked key's time: a re-arm at or after it can ride that key.
+    key_time: SimTime,
+    /// The re-arm riding the tracked key, made by the index's live token:
+    /// its time and seq, or [`NO_REARM`]. Cancelling the live token clears
+    /// it, so the live generation is the re-arm's own.
+    rearm_time: SimTime,
+    rearm_seq: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<TokRec>() == 40);
+
+impl TokRec {
+    const NONE: TokRec = TokRec {
+        slot: 0,
+        rearm_dst: 0,
+        key_gen: 0,
+        key_time: SimTime::ZERO,
+        rearm_time: SimTime::ZERO,
+        rearm_seq: NO_REARM,
+    };
+
+    /// The key the recorded re-arm would have been inserted as, under
+    /// the index's live generation `gen`.
+    fn rearmed_key(&self, tok: u32, gen: u64) -> Key {
+        Key {
+            time: self.rearm_time,
+            seq: self.rearm_seq,
+            tok_gen: gen,
+            tok,
+            dst: self.rearm_dst,
+            slot: self.slot,
+        }
+    }
+}
+
 /// A destination as keys hold it. `Simulator::add_component` keeps every
 /// real id within u32; an id beyond it can only be a wiring bug, and must
 /// not alias a real component by truncation.
@@ -346,7 +410,7 @@ pub const BATCH_BUCKETS: usize = 16;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WheelStats {
     /// High-water mark of physically-resident entries per wheel level
-    /// (tombstoned entries count until their slot is drained).
+    /// (dead keys count until they surface).
     pub level_high_water: [u64; LEVELS],
     /// Slot drains at level > 0, each re-routing its entries downward.
     pub cascades: u64,
@@ -359,10 +423,15 @@ pub struct WheelStats {
     pub batch_hist: [u64; BATCH_BUCKETS],
     /// Cancellations that hit a live event.
     pub cancels: u64,
-    /// Cancel calls that found a stale token (already fired/cancelled).
+    /// Cancel calls with a stale token (already fired or cancelled). The
+    /// null token (`CancelToken::default()`, "nothing armed") is not
+    /// counted.
     pub cancel_misses: u64,
     /// Events scheduled with a cancellation token (rearmable timers).
     pub cancellable_scheduled: u64,
+    /// Of those, re-arms that took over the key their index's cancel left
+    /// in the queue instead of inserting one.
+    pub revived: u64,
     /// Same-instant sends that entered the FIFO lane (every `Ctx::send`).
     pub sends_now: u64,
     /// Times the lane was merged into the overlay heap because another
@@ -381,6 +450,7 @@ impl Default for WheelStats {
             cancels: 0,
             cancel_misses: 0,
             cancellable_scheduled: 0,
+            revived: 0,
             sends_now: 0,
             lane_merges: 0,
         }
@@ -422,10 +492,10 @@ pub struct EventQueue<M> {
     /// Vacant slab slots, reused last-freed-first so the slots in use stay
     /// the ones most recently in cache.
     free_slots: Vec<u32>,
-    /// Token index → payload slot of the live event bearing that token
-    /// (meaningful only while the token is live), so `cancel` can release
-    /// the payload without finding the key.
-    tok_slot: Vec<u32>,
+    /// Per token index: its live event's payload slot and its re-arm
+    /// bookkeeping. Kept apart from the generation table, which every
+    /// drained key reads.
+    toks: Vec<TokRec>,
     /// Per-level occupancy bitmaps (bit = slot has entries).
     occupied: [u64; LEVELS],
     /// The wheel's notion of "now", in ticks (ns >> GRAN_BITS). Invariant:
@@ -437,7 +507,7 @@ pub struct EventQueue<M> {
     live: usize,
     next_seq: u64,
     scheduled_total: u64,
-    /// Physically-resident keys per level (tombstones included), the
+    /// Physically-resident keys per level (dead keys included), the
     /// basis for the per-level high-water marks in `stats`.
     level_live: [u64; LEVELS],
     stats: WheelStats,
@@ -462,7 +532,7 @@ impl<M> EventQueue<M> {
             free_chunk: NIL,
             payload: Vec::new(),
             free_slots: Vec::new(),
-            tok_slot: Vec::new(),
+            toks: Vec::new(),
             occupied: [0; LEVELS],
             cur_tick: 0,
             tokens: TokenTable::default(),
@@ -570,7 +640,7 @@ impl<M> EventQueue<M> {
         let time = self.lane_time;
         // Anything the ready stage holds at or before the lane's instant
         // was scheduled while these sends were, so seqs may interleave.
-        // (A tombstone there makes this a false alarm; merging is still
+        // (A dead key there makes this a false alarm; merging is still
         // correct.) The wheel proper only holds later granules.
         let clash = |k: Option<&Key>| k.is_some_and(|k| k.time <= time);
         if clash(self.overlay.peek()) || clash(self.run.last()) {
@@ -637,24 +707,40 @@ impl<M> EventQueue<M> {
         let tok = self.tokens.alloc();
         self.stats.cancellable_scheduled += 1;
         let k = self.new_key(time, dst, tok.idx, tok.gen, msg);
-        if tok.idx as usize == self.tok_slot.len() {
-            self.tok_slot.push(k.slot);
-        } else {
-            self.tok_slot[tok.idx as usize] = k.slot;
+        if tok.idx as usize == self.toks.len() {
+            self.toks.push(TokRec::NONE);
         }
-        self.insert(k);
+        let rec = &mut self.toks[tok.idx as usize];
+        rec.slot = k.slot;
+        // An index handed out again is retired, so a key it still tracks
+        // is dead. If that key is due no later than this event, it reaches
+        // the ready stage first and can carry the event there.
+        if rec.key_gen != 0 && time >= rec.key_time {
+            (rec.rearm_time, rec.rearm_seq, rec.rearm_dst) = (time, k.seq, k.dst);
+            self.stats.revived += 1;
+        } else {
+            (rec.key_gen, rec.key_time) = (tok.gen, time);
+            self.insert(k);
+        }
         tok
     }
 
     /// Cancel a pending event. Returns `true` iff the token was live (the
     /// event had neither fired nor been cancelled); the event will then
     /// never be delivered. O(1): the payload is dropped and its slab slot
-    /// vacated here; the key stays behind as a tombstone, recognised by
-    /// its stale token generation and discarded when its slot is next
-    /// touched.
+    /// vacated here; the key stays behind, dead, recognised by its stale
+    /// token generation when it surfaces (and possibly taken over by the
+    /// next re-arm of the same index first). The null token returns
+    /// `false` without counting a miss: it is how a timer owner says
+    /// "nothing was armed".
     pub fn cancel(&mut self, tok: CancelToken) -> bool {
+        if tok.idx == NO_TOKEN {
+            return false;
+        }
         if self.tokens.cancel(tok) {
-            let slot = self.tok_slot[tok.idx as usize];
+            let rec = &mut self.toks[tok.idx as usize];
+            rec.rearm_seq = NO_REARM;
+            let slot = rec.slot;
             debug_assert!(
                 self.payload[slot as usize].is_some(),
                 "live token, no payload"
@@ -723,28 +809,31 @@ impl<M> EventQueue<M> {
     /// (tail of `run` or top of `overlay`). Returns `false` iff no live
     /// entries remain anywhere.
     ///
-    /// Dead (cancelled) keys encountered on the way are dropped and never
-    /// surface from `pop`; their payload slots were vacated by `cancel`.
-    /// Sends still in the lane are merged in first: whoever asks the ready
-    /// stage for its head (`pop`, `peek_time`, a batch extraction) wants
-    /// them ordered with everything else.
+    /// Dead (cancelled) keys encountered on the way never surface from
+    /// `pop`: each is re-inserted carrying the re-arm that rode it, or
+    /// dropped (its payload slot was vacated by `cancel`). Sends still in
+    /// the lane are merged in first: whoever asks the ready stage for its
+    /// head (`pop`, `peek_time`, a batch extraction) wants them ordered
+    /// with everything else.
     fn prepare(&mut self) -> bool {
         if !self.lane.is_empty() {
             self.merge_lane();
         }
         loop {
-            // Drop tombstones off both ready-stage heads.
+            // Clear dead keys off both ready-stage heads.
             while let Some(k) = self.run.last() {
                 if self.tokens.is_live(k.tok, k.tok_gen) {
                     break;
                 }
-                self.run.pop();
+                let k = self.run.pop().expect("checked above");
+                self.surface_dead(k);
             }
             while let Some(k) = self.overlay.peek() {
                 if self.tokens.is_live(k.tok, k.tok_gen) {
                     break;
                 }
-                self.overlay.pop();
+                let k = self.overlay.pop().expect("checked above");
+                self.surface_dead(k);
             }
             if !self.run.is_empty() || !self.overlay.is_empty() {
                 return true;
@@ -778,7 +867,8 @@ impl<M> EventQueue<M> {
     }
 
     /// After a successful [`EventQueue::prepare`]: extract the next key,
-    /// retiring its token. The caller now owns payload slot `slot`.
+    /// retiring its token and untracking the key (a live key is always its
+    /// index's tracked one). The caller now owns payload slot `slot`.
     #[inline]
     fn pop_prepared(&mut self) -> Key {
         let k = if self.head_in_run() {
@@ -786,9 +876,50 @@ impl<M> EventQueue<M> {
         } else {
             self.overlay.pop().expect("prepared")
         };
-        self.tokens.retire(k.tok);
+        if k.tok != NO_TOKEN {
+            self.tokens.retire(k.tok);
+            self.toks[k.tok as usize].key_gen = 0;
+        }
         self.live -= 1;
         k
+    }
+
+    /// What a resident dead key stands for: the re-arm riding it, if the
+    /// key is its index's tracked one and a re-arm is recorded; otherwise
+    /// nothing.
+    fn carried(&self, k: &Key) -> Option<Key> {
+        let rec = &self.toks[k.tok as usize];
+        (rec.key_gen == k.tok_gen && rec.rearm_seq != NO_REARM)
+            .then(|| rec.rearmed_key(k.tok, self.tokens.gens[k.tok as usize]))
+    }
+
+    /// The pending event a resident key stands for: itself while live,
+    /// else the re-arm it carries, if any.
+    fn effective(&self, k: &Key) -> Option<Key> {
+        if self.tokens.is_live(k.tok, k.tok_gen) {
+            Some(*k)
+        } else {
+            self.carried(k)
+        }
+    }
+
+    /// A dead key has left the ready stage or its bucket: re-insert the
+    /// re-arm it carries, now tracked in its place, or drop it, untracking
+    /// it if it was tracked.
+    #[cold]
+    #[inline(never)]
+    fn surface_dead(&mut self, k: Key) {
+        let carried = self.carried(&k);
+        let rec = &mut self.toks[k.tok as usize];
+        match carried {
+            Some(live) => {
+                (rec.key_gen, rec.key_time) = (live.tok_gen, live.time);
+                rec.rearm_seq = NO_REARM;
+                self.insert(live);
+            }
+            None if rec.key_gen == k.tok_gen => rec.key_gen = 0,
+            None => {}
+        }
     }
 
     /// Claim an extracted key's payload and assemble the public event.
@@ -835,6 +966,7 @@ impl<M> EventQueue<M> {
             for i in 0..len as usize {
                 let k = self.chunks[c as usize].keys[i];
                 if !self.tokens.is_live(k.tok, k.tok_gen) {
+                    self.surface_dead(k);
                     continue;
                 }
                 if level == 0 {
@@ -982,7 +1114,7 @@ impl<M> EventQueue<M> {
 
     /// Heap footprint of everything the queue allocates: key arena and
     /// bucket table, ready stage and lane, payload slab with its free list,
-    /// token table with its token→slot map. Feeds the profile's `sim/wheel`
+    /// token table with its per-index records. Feeds the profile's `sim/wheel`
     /// memory gauge.
     pub fn memory_bytes(&self) -> u64 {
         use std::mem::size_of;
@@ -995,12 +1127,13 @@ impl<M> EventQueue<M> {
             + held::<Bucket>(self.buckets.capacity())
             + held::<Chunk>(self.chunks.capacity())
             + held::<Option<M>>(self.payload.capacity())
-            + held::<u32>(self.free_slots.capacity() + self.tok_slot.capacity())
+            + held::<u32>(self.free_slots.capacity())
+            + held::<TokRec>(self.toks.capacity())
             + held::<u64>(self.tokens.gens.capacity())
             + held::<u32>(self.tokens.free.capacity())
     }
 
-    /// Every key still in the queue, tombstones included.
+    /// Every key still in the queue, dead ones included.
     fn keys(&self) -> impl Iterator<Item = &Key> {
         self.run
             .iter()
@@ -1019,11 +1152,13 @@ impl<M> EventQueue<M> {
 
     /// Panic unless the slab is consistent with the keys: every slot is
     /// either on the free list and empty, or full and owned by exactly one
-    /// live key or one of `extracted` (the payload slots of [`Ready`]
-    /// records not yet claimed); `len()` equals the live key count plus the
-    /// sends in the lane (which own no slot); and a live token maps to its
-    /// key's slot. Likewise the key arena: every
-    /// chunk is on exactly one bucket's chain or on the vacant list.
+    /// pending event (a live key, or the re-arm a dead key carries) or one
+    /// of `extracted` (the payload slots of [`Ready`] records not yet
+    /// claimed); `len()` equals the pending count plus the sends in the
+    /// lane (which own no slot); a live token maps to its key's slot; and
+    /// every tracked key is resident, once, at its recorded time. Likewise
+    /// the key arena: every chunk is on exactly one bucket's chain or on
+    /// the vacant list.
     /// O(resident keys + slab) — for tests and rare debug-build
     /// checkpoints, not the dispatch path.
     pub(crate) fn debug_check_with(&self, extracted: impl Iterator<Item = u32>) {
@@ -1052,18 +1187,33 @@ impl<M> EventQueue<M> {
             owners[s as usize] = 1;
         };
         let mut live = 0;
+        let mut tracked = vec![false; self.toks.len()];
         for k in self.keys() {
-            if self.tokens.is_live(k.tok, k.tok_gen) {
+            if k.tok != NO_TOKEN && self.toks[k.tok as usize].key_gen == k.tok_gen {
+                let seen = std::mem::replace(&mut tracked[k.tok as usize], true);
+                assert!(!seen, "token {}: tracked key resident twice", k.tok);
+                assert_eq!(
+                    self.toks[k.tok as usize].key_time, k.time,
+                    "tracked key time"
+                );
+            }
+            if let Some(k) = self.effective(k) {
                 live += 1;
-                own(k.slot, "live key");
+                own(k.slot, "pending event");
                 assert!(
-                    k.tok == NO_TOKEN || self.tok_slot[k.tok as usize] == k.slot,
+                    k.tok == NO_TOKEN || self.toks[k.tok as usize].slot == k.slot,
                     "token {} maps to slot {}, its key holds {}",
                     k.tok,
-                    self.tok_slot[k.tok as usize],
+                    self.toks[k.tok as usize].slot,
                     k.slot
                 );
             }
+        }
+        for (i, (rec, &seen)) in self.toks.iter().zip(&tracked).enumerate() {
+            assert!(
+                rec.key_gen == 0 || seen,
+                "token {i}: tracked key not resident"
+            );
         }
         assert_eq!(live + self.lane.len(), self.live, "live count drifted");
         extracted.for_each(|s| own(s, "batch record"));
@@ -1084,15 +1234,16 @@ impl<M> EventQueue<M> {
 
     /// Serialize the queue's live contents and ordering state.
     ///
-    /// The encoding is canonical: live entries are written sorted by
+    /// The encoding is canonical: pending events are written sorted by
     /// (time, seq) — a total order, seqs are unique — so
     /// encode → decode → encode is a byte fixpoint regardless of how
     /// keys were physically distributed across wheel levels, the run
-    /// stage, and the overlay heap at snapshot time, or which slab slots
-    /// their payloads sat in (slot numbers are never written). Tombstoned
-    /// (cancelled) entries are skipped; their token slots were already
-    /// retired into the free list, which is carried verbatim so
-    /// post-restore token allocation replays identically. Wheel telemetry
+    /// stage, and the overlay heap at snapshot time, which slab slots
+    /// their payloads sat in (slot numbers are never written), or whether
+    /// an event rides a dead key. A dead key is written as the re-arm it
+    /// carries, if any, or skipped; its token index was already retired
+    /// into the free list, which is carried verbatim so post-restore token
+    /// allocation replays identically. Wheel telemetry
     /// (`WheelStats`, high-water marks) is *not* part of the state: it
     /// never influences pop order.
     pub fn save_state(&self, w: &mut SnapWriter, mut save_msg: impl FnMut(&mut SnapWriter, &M)) {
@@ -1100,11 +1251,8 @@ impl<M> EventQueue<M> {
         w.seq(&self.tokens.free, |w, &i| w.u32(i));
         w.u64(self.next_seq);
         w.u64(self.scheduled_total);
-        let mut entries: Vec<&Key> = Vec::with_capacity(self.live);
-        entries.extend(
-            self.keys()
-                .filter(|k| self.tokens.is_live(k.tok, k.tok_gen)),
-        );
+        let mut entries: Vec<Key> = Vec::with_capacity(self.live);
+        entries.extend(self.keys().filter_map(|k| self.effective(k)));
         debug_assert_eq!(entries.len(), self.live, "live count drifted");
         entries.sort_by_key(|k| (k.time, k.seq));
         w.u64(entries.len() as u64);
@@ -1170,7 +1318,7 @@ impl<M> EventQueue<M> {
         let next_seq = r.u64()?;
         let scheduled_total = r.u64()?;
         let mut q = EventQueue::new();
-        q.tok_slot = vec![0; gens.len()];
+        q.toks = vec![TokRec::NONE; gens.len()];
         q.tokens = TokenTable { gens, free };
         q.next_seq = next_seq;
         q.scheduled_total = scheduled_total;
@@ -1205,7 +1353,8 @@ impl<M> EventQueue<M> {
             q.live += 1;
             let slot = q.store(msg);
             if tok != NO_TOKEN {
-                q.tok_slot[tok as usize] = slot;
+                let rec = &mut q.toks[tok as usize];
+                (rec.slot, rec.key_gen, rec.key_time) = (slot, tok_gen, time);
             }
             q.insert(Key {
                 time,
@@ -1559,6 +1708,9 @@ mod tests {
         let tok = CancelToken::default();
         assert!(!q.is_pending(tok));
         assert!(!q.cancel(tok));
+        // "Nothing armed" is not a miss; a stale token is (see
+        // `wheel_stats_track_scheduler_activity`).
+        assert_eq!(q.wheel_stats().cancel_misses, 0);
     }
 
     #[test]
@@ -1628,24 +1780,78 @@ mod tests {
     #[test]
     fn cancel_vacates_the_payload_slot_at_once() {
         // The rearm pattern: each cancel must hand its slab slot to the
-        // very next schedule, so the slab never outgrows the live set
-        // while the tombstoned keys wait in a far wheel slot.
+        // very next schedule, so the slab never outgrows the live set, and
+        // each re-arm to a later time rides the key the cancel left, so
+        // the wheel does not grow either.
         let mut q = EventQueue::new();
-        let far = SimTime::from_secs(3);
-        let mut tok = q.schedule_cancellable(far, id(0), 0u64);
-        for i in 1..1_000 {
+        let mut tok = q.schedule_cancellable(SimTime::from_secs(3), id(0), 0u64);
+        for i in 1..=1_000 {
             assert!(q.cancel(tok));
-            tok = q.schedule_cancellable(far, id(0), i);
+            tok = q.schedule_cancellable(SimTime::from_micros(3_000_000 + i), id(0), i);
             q.debug_check();
         }
         assert_eq!(q.payload.len(), 1);
-        assert_eq!(q.keys().count(), 1_000, "999 tombstones and one live key");
-        // A tombstone that surfaces releases nothing: the slot it once
+        assert_eq!(
+            q.keys().count(),
+            1,
+            "one resident key carries the last re-arm"
+        );
+        assert_eq!(q.wheel_stats().revived, 1_000);
+        // An earlier re-arm cannot ride it: a second key goes in.
+        assert!(q.cancel(tok));
+        q.schedule_cancellable(SimTime::from_secs(2), id(0), 1_001);
+        assert_eq!(q.keys().count(), 2);
+        assert_eq!(q.wheel_stats().revived, 1_000);
+        q.debug_check();
+        // The dead key that surfaces releases nothing: the slot it once
         // owned belongs to the survivor by now.
-        assert_eq!(q.pop().unwrap().msg, 999);
+        let e = q.pop().unwrap();
+        assert_eq!((e.time, e.msg), (SimTime::from_secs(2), 1_001));
         assert!(q.pop().is_none());
         q.debug_check();
         assert_eq!(q.free_slots, vec![0]);
+    }
+
+    #[test]
+    fn a_rearm_rides_the_dead_key_and_fires_in_its_own_turn() {
+        // The re-armed event keeps the seq it drew: a key scheduled in
+        // between at the same instant still fires first.
+        let mut q = EventQueue::new();
+        let t = SimTime::from_millis(40);
+        let tok = q.schedule_cancellable(SimTime::from_millis(30), id(1), 1u64);
+        q.schedule(t, id(2), 2);
+        assert!(q.cancel(tok));
+        let again = q.schedule_cancellable(t, id(3), 3);
+        assert_eq!(q.wheel_stats().revived, 1);
+        assert_eq!(q.keys().count(), 2);
+        assert!(q.is_pending(again));
+        let mut out = VecDeque::new();
+        assert_eq!(q.take_head_batch(&mut out), 2);
+        let got: Vec<_> = out.iter().map(|e| (e.time, e.dst, e.msg)).collect();
+        assert_eq!(got, vec![(t, id(2), 2), (t, id(3), 3)]);
+        // Fired: the index tracks nothing, so the next re-arm inserts.
+        assert!(!q.cancel(again));
+        q.schedule_cancellable(t, id(1), 4);
+        assert_eq!(q.wheel_stats().revived, 1);
+        assert_eq!(q.pop().unwrap().msg, 4);
+        q.debug_check();
+    }
+
+    #[test]
+    fn cancelling_a_ridden_key_twice_leaves_one_dead_key() {
+        let mut q = EventQueue::new();
+        let mut tok = q.schedule_cancellable(SimTime::from_millis(5), id(0), 0u64);
+        assert!(q.cancel(tok));
+        tok = q.schedule_cancellable(SimTime::from_millis(7), id(0), 1);
+        assert!(q.cancel(tok));
+        assert!(q.is_empty());
+        q.debug_check();
+        let mut w = SnapWriter::new();
+        q.save_state(&mut w, |w, &m| w.u64(m));
+        assert!(load(w.as_bytes()).unwrap().is_empty());
+        assert!(q.pop().is_none());
+        assert_eq!(q.keys().count(), 0);
+        q.debug_check();
     }
 
     #[test]

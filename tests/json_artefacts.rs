@@ -195,8 +195,9 @@ fn crash_json(name: &str) -> String {
     text
 }
 
-/// A profile recorded after the same-instant lane existed (`legacy`
-/// false) or before it (`legacy` true: both lane counters zero).
+/// A profile recorded after the same-instant lane and re-arm reuse
+/// existed (`legacy` false) or before either (`legacy` true: both lane
+/// counters and the reuse count zero).
 fn profile(legacy: bool) -> Profile {
     Profile {
         events: EventCells {
@@ -215,6 +216,7 @@ fn profile(legacy: bool) -> Profile {
             cancels: 8,
             cancel_misses: 2,
             cancellable_scheduled: 15,
+            revived: if legacy { 0 } else { 11 },
             sends_now: if legacy { 0 } else { 90 },
             lane_merges: if legacy { 0 } else { 1 },
         },
@@ -471,9 +473,9 @@ fn writers_reproduce_the_golden_bytes() {
     }
 }
 
-/// The four Mathis keys are the one deliberate change to the golden
-/// table since it was taken: an entry without them (every ledger line
-/// written before they existed) still writes the parent's bytes.
+/// The four Mathis keys are one of the two deliberate changes to the
+/// golden table since it was taken: an entry without them (every ledger
+/// line written before they existed) still writes the parent's bytes.
 #[test]
 fn ledger_entry_without_mathis_keys_writes_the_parent_bytes() {
     const NEW_KEYS: &str = ",\"mathis_c_loss\":1.78,\"mathis_c_halving\":1.47,\
@@ -490,6 +492,22 @@ fn ledger_entry_without_mathis_keys_writes_the_parent_bytes() {
     m.mathis_err_halving = None;
     m.loss_to_halving_ratio = None;
     assert_eq!(entry.to_json(), golden.replace(NEW_KEYS, ""));
+}
+
+/// The other: `wheel_revived` in every profile. A profile whose queue
+/// reused no key (every profile written before the reuse existed) still
+/// writes the parent's bytes.
+#[test]
+fn profile_without_revived_writes_the_parent_bytes() {
+    const NEW_KEY: &str = ",\"wheel_revived\":11";
+    let (_, golden) = golden::GOLDEN
+        .iter()
+        .find(|(doc, _)| *doc == "profile")
+        .unwrap();
+    assert_eq!(golden.matches(NEW_KEY).count(), 1);
+    let mut p = profile(false);
+    p.wheel.revived = 0;
+    assert_eq!(p.to_json(), golden.replace(NEW_KEY, ""));
 }
 
 /// Parse one JSON document per non-empty line (whole-text for the pretty
@@ -541,10 +559,11 @@ fn every_document_is_a_write_parse_write_fixpoint() {
         };
         assert_eq!(again, text, "{doc}: decode → encode moved bytes");
     }
-    // A profile older than the same-instant lane has no lane keys, and
-    // keeps having none.
+    // A profile older than the same-instant lane has no lane keys and no
+    // reuse count, and keeps having none.
     let legacy = profile(true).to_json();
     assert!(!legacy.contains("wheel_sends_now") && !legacy.contains("wheel_lane_merges"));
+    assert!(!legacy.contains("wheel_revived"));
     assert_eq!(Profile::from_json(&legacy).unwrap().to_json(), legacy);
 }
 

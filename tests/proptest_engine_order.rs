@@ -16,9 +16,12 @@
 //! event at the head timestamp, tally the batch, dispatch in order;
 //! `try_step`: pop one). Scripted components do a generated mix of `send`,
 //! `schedule_in(0)`, `schedule_at(now)`, `schedule_self_cancellable(0)`
-//! with and without a `cancel`, cancels of older timers and later-dated
-//! schedules; what each delivery does is a pure function of the seed and
-//! the payload id, so engine and model diverge only if their orders do.
+//! with and without a `cancel`, cancels of older timers, re-arms (a cancel,
+//! then a timer at a later, equal or earlier time than the cancelled one,
+//! to the same or another component: the queue's key reuse) and
+//! later-dated schedules; what each delivery does is a pure function of
+//! the seed and the payload id, so engine and model diverge only if their
+//! orders do.
 //! After every drive operation the clocks, `events_pending`,
 //! `events_processed` and `max_pending` must agree; at the end so must the
 //! delivery logs (with every cancel's outcome) and `batch_hist`.
@@ -46,6 +49,18 @@
 //!   keys plus lane entries); without that call the next line's
 //!   `events_pending` assertion fails, as the one in
 //!   `a_dispatch_error_mid_generation_leaves_the_rest_deliverable` does.
+//! * **Reuse a key due after the re-arm** (`schedule_cancellable` without
+//!   its `time >= rec.key_time` test): an earlier re-arm rides a later
+//!   dead key and fires late — the engine's "event queue went backwards"
+//!   in the property; `revived` (1, want 0) for the earlier re-arm in
+//!   `a_rearm_rides_its_dead_key_across_a_checkpoint_hop`; and
+//!   `events_pending` in
+//!   `a_checkpoint_hop_at_a_slice_boundary_continues_identically`.
+//! * **Keep tracking a key that fired** (`pop_prepared` without
+//!   `key_gen = 0`): a later re-arm of the index would ride a key that is
+//!   gone, and its timer would never fire — `Simulator::debug_check`,
+//!   which `check_case` calls after every operation, panics with "tracked
+//!   key not resident" in the property and in four of the cases below.
 
 use ccsim::sim::{
     CancelToken, Component, ComponentId, Ctx, EngineError, SimDuration, SimTime, Simulator,
@@ -55,6 +70,7 @@ use proptest::prelude::*;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Components in the arena.
 const ACTORS: usize = 4;
@@ -77,6 +93,10 @@ enum Act {
     Timer(u64, bool),
     /// Cancel the k-th newest token ever issued (live or stale).
     Cancel(usize),
+    /// Cancel the k-th newest token, then arm a timer `offset` ns from the
+    /// cancelled one's time (never before now) to `dst`, or to the
+    /// cancelled timer's destination when `None`.
+    Rearm(usize, i64, Option<usize>),
 }
 
 /// The scheduling surface a script needs, over [`Ctx`] or over the model.
@@ -86,6 +106,7 @@ trait Sched {
     fn at_now(&mut self, dst: usize, id: u64);
     fn schedule_in(&mut self, dst: usize, delay: u64, id: u64);
     fn timer(&mut self, delay: u64, id: u64) -> Self::Token;
+    fn timer_at(&mut self, at: SimTime, dst: usize, id: u64) -> Self::Token;
     fn cancel(&mut self, tok: Self::Token) -> bool;
 }
 
@@ -107,6 +128,9 @@ impl Sched for Ctx<'_, u64> {
     }
     fn timer(&mut self, delay: u64, id: u64) -> CancelToken {
         self.schedule_self_cancellable(SimDuration::from_nanos(delay), id)
+    }
+    fn timer_at(&mut self, at: SimTime, dst: usize, id: u64) -> CancelToken {
+        self.schedule_cancellable_at(at, ComponentId::from_raw(dst), id)
     }
     fn cancel(&mut self, tok: CancelToken) -> bool {
         Ctx::cancel(self, tok)
@@ -136,7 +160,8 @@ struct World<T> {
     plan: HashMap<u64, Vec<Act>>,
     next_id: u64,
     budget: u64,
-    tokens: Vec<T>,
+    /// Every token issued, with the time and destination it was armed for.
+    tokens: Vec<(T, SimTime, usize)>,
     sends: u64,
     log: Vec<Delivery>,
 }
@@ -179,7 +204,7 @@ impl<T: Copy> World<T> {
         (0..draw() % 4)
             .map(|_| {
                 let dst = (draw() % ACTORS as u64) as usize;
-                match draw() % if plain { 4 } else { 12 } {
+                match draw() % if plain { 4 } else { 14 } {
                     0 | 1 => Act::Send(dst),
                     2 | 3 => Act::Later(dst, delay(draw())),
                     4 => Act::InZero(dst),
@@ -188,6 +213,15 @@ impl<T: Copy> World<T> {
                     7 => Act::Timer(0, true),
                     8 => Act::Timer(delay(draw()), draw() % 4 == 0),
                     9 | 10 => Act::Cancel((draw() % 4) as usize),
+                    12 | 13 => {
+                        let back = (draw() % 4) as usize;
+                        let offset = match draw() % 3 {
+                            0 => delay(draw()) as i64,
+                            1 => 0,
+                            _ => -(delay(draw()) as i64),
+                        };
+                        Act::Rearm(back, offset, (draw() % 2 == 0).then_some(dst))
+                    }
                     _ => Act::Send(dst),
                 }
             })
@@ -197,11 +231,13 @@ impl<T: Copy> World<T> {
     fn react<S: Sched<Token = T>>(&mut self, now: SimTime, me: usize, id: u64, s: &mut S) {
         let mut cancels = Vec::new();
         for act in self.script(id) {
-            if let Act::Cancel(back) = act {
-                if let Some(&tok) = self.tokens.iter().rev().nth(back) {
+            if let Act::Cancel(back) | Act::Rearm(back, ..) = act {
+                if let Some(&(tok, ..)) = self.tokens.iter().rev().nth(back) {
                     cancels.push(s.cancel(tok));
                 }
-                continue;
+                if matches!(act, Act::Cancel(_)) {
+                    continue;
+                }
             }
             if self.next_id >= self.budget {
                 continue;
@@ -218,10 +254,23 @@ impl<T: Copy> World<T> {
                 Act::Later(dst, d) => s.schedule_in(dst, d, new),
                 Act::Timer(d, cancel_now) => {
                     let tok = s.timer(d, new);
-                    self.tokens.push(tok);
+                    let at = SimTime::from_nanos(now.as_nanos() + d);
+                    self.tokens.push((tok, at, me));
                     if cancel_now {
                         cancels.push(s.cancel(tok));
                     }
+                }
+                Act::Rearm(back, offset, to) => {
+                    let (was, was_dst) = self
+                        .tokens
+                        .iter()
+                        .rev()
+                        .nth(back)
+                        .map_or((now, me), |&(_, at, dst)| (at, dst));
+                    let at = SimTime::from_nanos(was.as_nanos().saturating_add_signed(offset));
+                    let (at, dst) = (at.max(now), to.unwrap_or(was_dst));
+                    let tok = s.timer_at(at, dst, new);
+                    self.tokens.push((tok, at, dst));
                 }
                 Act::Cancel(_) => unreachable!("handled above"),
             }
@@ -281,6 +330,9 @@ impl Sched for ModelCtx<'_> {
     }
     fn timer(&mut self, delay: u64, id: u64) -> Slot {
         self.push(self.after(delay), self.me, id)
+    }
+    fn timer_at(&mut self, at: SimTime, dst: usize, id: u64) -> Slot {
+        self.push(at, dst, id)
     }
     /// An event that fired, was cancelled or has been extracted into the
     /// batch being dispatched is no longer pending: its token is stale.
@@ -391,6 +443,8 @@ struct Report {
     log: Vec<Delivery>,
     sends_now: u64,
     lane_merges: u64,
+    /// Re-arms that rode the key their cancel left (`WheelStats::revived`).
+    revived: u64,
 }
 
 /// Run `drives` (then drain) on engine and model, asserting agreement
@@ -416,7 +470,7 @@ fn check_case(
     }
     // The wheel's counters are telemetry, not state: a restored engine
     // starts them at zero, so carry the totals across hops.
-    let (mut hist, mut sends_now, mut lane_merges) = ([0u64; HIST], 0, 0);
+    let (mut hist, mut sends_now, mut lane_merges, mut revived) = ([0u64; HIST], 0, 0, 0);
     let mut harvest = |sim: &Simulator<u64>| {
         let stats = sim.wheel_stats();
         for (sum, n) in hist.iter_mut().zip(stats.batch_hist) {
@@ -424,6 +478,7 @@ fn check_case(
         }
         sends_now += stats.sends_now;
         lane_merges += stats.lane_merges;
+        revived += stats.revived;
     };
     let mut drives = drives.to_vec();
     // Then run dry: widening slices (or single steps) until nothing is
@@ -492,6 +547,7 @@ fn check_case(
         log: world.log.clone(),
         sends_now,
         lane_merges,
+        revived,
     }
 }
 
@@ -506,6 +562,13 @@ fn burst(seed: u64) -> Vec<(u64, usize)> {
 fn ids(report: &Report) -> Vec<u64> {
     report.log.iter().map(|d| d.2).collect()
 }
+
+/// Cases run and re-arms that reused a key, summed over every case so far.
+static CASES: AtomicU64 = AtomicU64::new(0);
+static REVIVED: AtomicU64 = AtomicU64::new(0);
+/// By this many cases some re-arm must have reused a key, or the script
+/// no longer reaches the reuse path.
+const REVIVED_BY: u64 = 32;
 
 proptest! {
     #[test]
@@ -538,7 +601,11 @@ proptest! {
             }
         }
         let none = HashMap::new();
-        check_case(seed, budget, &none, &burst(seed), &drives, mode == 1);
+        let r = check_case(seed, budget, &none, &burst(seed), &drives, mode == 1);
+        let total = REVIVED.fetch_add(r.revived, Ordering::Relaxed) + r.revived;
+        if CASES.fetch_add(1, Ordering::Relaxed) + 1 == REVIVED_BY {
+            prop_assert!(total > 0, "no re-arm reused a key in {REVIVED_BY} cases");
+        }
     }
 }
 
@@ -621,6 +688,28 @@ fn a_checkpoint_hop_at_a_slice_boundary_continues_identically() {
         let hopped = check_case(seed, 600, &none, &kickoff, &slices(true), false);
         assert_eq!(plain.log, hopped.log);
         assert!(plain.sends_now > 100, "the script must exercise the lane");
+    }
+}
+
+#[test]
+fn a_rearm_rides_its_dead_key_across_a_checkpoint_hop() {
+    // 0 arms a 5 ms timer (1) and pokes actor 1 a microsecond later (2),
+    // which cancels the timer and re-arms it relative to its old time
+    // (3). Later or at the same time, the re-arm rides the dead key, and
+    // a checkpoint hop must carry it as an ordinary event; earlier, it
+    // takes a key of its own.
+    for (offset, revived) in [(2_000_000, 1), (0, 1), (-4_000_000, 0)] {
+        let plan = plan(&[
+            (0, &[Act::Timer(5_000_000, false), Act::Later(1, 1_000)]),
+            (2, &[Act::Rearm(0, offset, None)]),
+        ]);
+        let drives = [Drive::Slice(10_000), Drive::Hop, Drive::Slice(10_000_000)];
+        let r = check_case(0, 100, &plan, &[(500, 0)], &drives, false);
+        assert_eq!(ids(&r), vec![0, 2, 3]);
+        assert_eq!(r.log[1].3, vec![true], "the cancel hit the live timer");
+        let at = (500 + 5_000_000i64 + offset).max(1_500) as u64;
+        assert_eq!(r.log[2].0, SimTime::from_nanos(at));
+        assert_eq!(r.revived, revived, "offset {offset}");
     }
 }
 

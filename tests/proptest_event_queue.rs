@@ -13,13 +13,34 @@
 //! * `queue_matches_heap_and_documented_checkpoint`: the public queue API
 //!   against [`HeapQueue`], with a `save_state → load_state` hop at random
 //!   points and the checkpoint bytes compared with an encoder written
-//!   here from the documented format.
+//!   here from the documented format. Its re-arm op (cancel one of the
+//!   newest tokens, then `schedule_cancellable` at a later, equal or
+//!   earlier time than the cancelled event's, to the same or another
+//!   destination) drives the queue's key reuse: a re-arm at or after the
+//!   event it replaces must ride the dead key (`WheelStats::revived`),
+//!   re-arming a re-armed token cancels after a reuse, zero and
+//!   sub-microsecond delays put the dead key in the sorted run or the
+//!   overlay, and hops checkpoint events that ride dead keys.
 //! * `engine_batch_matches_heap_batch_loop`: a scripted component graph
 //!   run by [`Simulator`] (the record batch) against the same script run
 //!   by a hand-written batch loop over `HeapQueue`, including cancels of
 //!   events already extracted into the current batch, sends at "now"
 //!   while records are outstanding, dispatch errors that leave a batch
 //!   half drained, and an engine checkpoint hop.
+//!
+//! Mutations of the key reuse in `crates/sim/src/event.rs` this file was
+//! checked against, and the first assertion each one trips:
+//!
+//! * **Reuse a key due after the re-arm** (`schedule_cancellable` without
+//!   its `time >= rec.key_time` test): an earlier re-arm fires late, at
+//!   its dead key's time — the batch-size comparison with the heap in
+//!   `queue_matches_heap_and_documented_checkpoint` (4 events against
+//!   5); `engine_batch_matches_heap_batch_loop` trips the engine's
+//!   "event queue went backwards".
+//! * **Keep tracking a key that fired** (`pop_prepared` without
+//!   `key_gen = 0`): the next re-arm of that index would ride a key that
+//!   is gone, and the event would be lost — `debug_check` panics with
+//!   "tracked key not resident" in both properties.
 
 use ccsim::sim::{
     CancelToken, Component, ComponentId, Ctx, EngineError, Event, EventQueue, HeapQueue, SimTime,
@@ -29,6 +50,7 @@ use proptest::prelude::*;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 const NO_TOKEN: u32 = u32::MAX;
 
@@ -148,10 +170,17 @@ fn flat(e: &Event<u64>) -> (SimTime, usize, u64) {
     (e.time, e.dst.as_usize(), e.msg)
 }
 
+/// Cases run and re-arms that reused a key, summed over every case so far.
+static CASES: AtomicU64 = AtomicU64::new(0);
+static REVIVED: AtomicU64 = AtomicU64::new(0);
+/// By this many cases some re-arm must have reused a key, or the
+/// generator no longer reaches the reuse path.
+const REVIVED_BY: u64 = 32;
+
 proptest! {
     #[test]
     fn queue_matches_heap_and_documented_checkpoint(
-        ops in prop::collection::vec((0u8..16, 0u64..u64::MAX), 1..500),
+        ops in prop::collection::vec((0u8..18, 0u64..u64::MAX), 1..500),
     ) {
         let mut wheel: EventQueue<u64> = EventQueue::new();
         let mut heap: HeapQueue<u64> = HeapQueue::new();
@@ -162,6 +191,8 @@ proptest! {
         let mut clock = SimTime::ZERO;
         let mut next_id = 0u64;
         let (mut wb, mut hb) = (VecDeque::new(), VecDeque::new());
+        // `WheelStats` restart at zero on a restored queue.
+        let mut revived = 0;
         for (op, x) in ops {
             match op {
                 0..=4 => {
@@ -228,7 +259,43 @@ proptest! {
                     }
                     wb.clear();
                 }
+                14 | 15 => {
+                    // Re-arm: cancel a recent token (most are the newest,
+                    // so re-arming a re-armed timer is common), then arm a
+                    // new event relative to the cancelled one's time.
+                    if !issued.is_empty() {
+                        let back = (x % issued.len() as u64).min(x >> 62) as usize;
+                        let (tok, id) = issued[issued.len() - 1 - back];
+                        let old = model.live.get(&id).map(|p| (p.time, p.dst));
+                        let hit = wheel.cancel(tok);
+                        prop_assert_eq!(hit, heap.cancel(tok));
+                        prop_assert_eq!(hit, old.is_some());
+                        if hit {
+                            model.gone(id);
+                        }
+                        let (was, was_dst) = old.unwrap_or((clock, 0));
+                        let d = delay(x >> 8);
+                        let at = match (x >> 4) % 3 {
+                            0 => SimTime::from_nanos(was.as_nanos() + d),
+                            1 => was,
+                            _ => SimTime::from_nanos(was.as_nanos().saturating_sub(d)).max(clock),
+                        };
+                        let dst = if (x >> 6) & 1 == 0 { was_dst } else { (x >> 40) as usize % 5 };
+                        let before = wheel.wheel_stats().revived;
+                        let tok = wheel.schedule_cancellable(at, ComponentId::from_raw(dst), next_id);
+                        prop_assert_eq!(tok, heap.schedule_cancellable(at, ComponentId::from_raw(dst), next_id));
+                        model.scheduled(at, dst, next_id, Some(tok));
+                        issued.push((tok, next_id));
+                        next_id += 1;
+                        // The cancelled event's key (or the older dead key
+                        // it rode, due no later) is still resident.
+                        if hit && at >= was {
+                            prop_assert_eq!(wheel.wheel_stats().revived, before + 1);
+                        }
+                    }
+                }
                 _ => {
+                    revived += wheel.wheel_stats().revived;
                     let bytes = save(&wheel);
                     prop_assert_eq!(&bytes, &model.encode());
                     wheel = EventQueue::load_state(&mut SnapReader::new(&bytes), |r| r.u64())
@@ -251,6 +318,11 @@ proptest! {
         }
         // Drained: `debug_check` has just shown every slab slot free.
         prop_assert!(wheel.is_empty());
+        revived += wheel.wheel_stats().revived;
+        let total = REVIVED.fetch_add(revived, Ordering::Relaxed) + revived;
+        if CASES.fetch_add(1, Ordering::Relaxed) + 1 == REVIVED_BY {
+            prop_assert!(total > 0, "no re-arm reused a key in {REVIVED_BY} cases");
+        }
     }
 }
 
