@@ -16,7 +16,7 @@
 use crate::build::BuiltNetwork;
 use crate::error::SimError;
 use crate::request::RunRequest;
-use crate::runner::SenderBaseline;
+use crate::runner::{Measurement, SenderBaseline};
 use crate::scenario::Scenario;
 use crate::watchdog::Watchdog;
 use ccsim_net::link::Link;
@@ -28,30 +28,10 @@ use ccsim_tcp::sender::Sender;
 use ccsim_telemetry::ThroughputTracker;
 use ccsim_topo::Router;
 
-/// Phase tag stored in the checkpoint body.
+/// Phase tag stored in the checkpoint body: no measurement cursor yet
+/// (mid-warm-up), or one follows.
 const PHASE_WARMUP: u8 = 0;
 const PHASE_MEASUREMENT: u8 = 1;
-
-/// Borrowed view of the runner's harness state at capture time.
-pub(crate) enum HarnessRef<'a> {
-    /// Mid-warm-up: no counter baselines or tracker exist yet.
-    Warmup,
-    /// Mid-measurement: baselines and tracker snapshots are live state.
-    Measurement {
-        sender_base: &'a [SenderBaseline],
-        tracker: &'a ThroughputTracker,
-    },
-}
-
-/// Harness state recovered from a checkpoint body.
-#[derive(Debug)]
-pub(crate) enum RestoredHarness {
-    Warmup,
-    Measurement {
-        sender_base: Vec<SenderBaseline>,
-        tracker: ThroughputTracker,
-    },
-}
 
 /// Serialize the full simulation + harness state into a checkpoint body.
 ///
@@ -61,7 +41,7 @@ pub(crate) enum RestoredHarness {
 pub(crate) fn capture_body(
     net: &BuiltNetwork,
     watchdog: &Watchdog,
-    harness: HarnessRef<'_>,
+    measure: Option<&Measurement>,
 ) -> Vec<u8> {
     let mut w = SnapWriter::new();
     net.sim.save_state(&mut w, |w, m: &Msg| m.save_state(w));
@@ -83,12 +63,12 @@ pub(crate) fn capture_body(
             .save_state(&mut w);
     }
     watchdog.save_state(&mut w);
-    match harness {
-        HarnessRef::Warmup => w.u8(PHASE_WARMUP),
-        HarnessRef::Measurement {
+    match measure {
+        None => w.u8(PHASE_WARMUP),
+        Some(Measurement {
             sender_base,
             tracker,
-        } => {
+        }) => {
             w.u8(PHASE_MEASUREMENT);
             w.seq(sender_base, |w, b| {
                 w.u64(b.data_pkts_sent);
@@ -108,24 +88,25 @@ pub(crate) fn capture(
     scenario: &Scenario,
     net: &BuiltNetwork,
     watchdog: &Watchdog,
-    harness: HarnessRef<'_>,
+    measure: Option<&Measurement>,
 ) -> Checkpoint {
     Checkpoint {
         scenario_json: crate::codec::scenario_to_json(scenario),
         taken_at_nanos: net.sim.now().as_nanos(),
-        body: capture_body(net, watchdog, harness),
+        body: capture_body(net, watchdog, measure),
     }
 }
 
 /// Overlay a checkpoint body onto a freshly built network (which must have
 /// been built from the checkpoint's embedded scenario, whose convergence
-/// rule sets `window_snapshots`). Returns the restored harness cursor.
+/// rule sets `window_snapshots`). Returns the restored measurement cursor
+/// (`None` for a warm-up checkpoint).
 pub(crate) fn restore_into(
     net: &mut BuiltNetwork,
     watchdog: &mut Watchdog,
     window_snapshots: usize,
     body: &[u8],
-) -> Result<RestoredHarness, ResumeError> {
+) -> Result<Option<Measurement>, ResumeError> {
     let mut r = SnapReader::new(body);
     restore_into_inner(net, watchdog, window_snapshots, &mut r).map_err(ResumeError::from)
 }
@@ -135,7 +116,7 @@ fn restore_into_inner(
     watchdog: &mut Watchdog,
     window_snapshots: usize,
     r: &mut SnapReader<'_>,
-) -> Result<RestoredHarness, SnapError> {
+) -> Result<Option<Measurement>, SnapError> {
     net.sim.restore_state(r, Msg::load_state)?;
     let links = r.u32()? as usize;
     if links != net.links.len() {
@@ -172,8 +153,8 @@ fn restore_into_inner(
         net.sim.component_mut::<Receiver>(rid).load_state(r)?;
     }
     watchdog.load_state(r)?;
-    let harness = match r.u8()? {
-        PHASE_WARMUP => RestoredHarness::Warmup,
+    let measure = match r.u8()? {
+        PHASE_WARMUP => None,
         PHASE_MEASUREMENT => {
             let sender_base = r.seq(|r| {
                 Ok(SenderBaseline {
@@ -192,10 +173,10 @@ fn restore_into_inner(
             }
             let mut tracker = ThroughputTracker::new(window_snapshots);
             tracker.load_state(r)?;
-            RestoredHarness::Measurement {
+            Some(Measurement {
                 sender_base,
                 tracker,
-            }
+            })
         }
         tag => return Err(SnapError::Corrupt(format!("unknown phase tag {tag}"))),
     };
@@ -205,13 +186,13 @@ fn restore_into_inner(
             r.remaining()
         )));
     }
-    Ok(harness)
+    Ok(measure)
 }
 
 /// The slice boundaries at which a run of `scenario` can take a
 /// checkpoint, in time order: every warm-up slice end (including the
 /// warm-up boundary itself) followed by every measurement slice end, up to
-/// the horizon. Replicates the runner's slicing arithmetic exactly.
+/// the horizon. The runner walks exactly this list.
 pub fn slice_boundaries(scenario: &Scenario) -> Vec<SimTime> {
     let warmup_end = SimTime::ZERO + scenario.warmup;
     let horizon = warmup_end + scenario.duration;

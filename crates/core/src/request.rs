@@ -28,7 +28,6 @@ use crate::scenario::Scenario;
 use ccsim_resume::{Checkpoint, ResumeError};
 use ccsim_sim::SimTime;
 use ccsim_telemetry::manifest::RunManifest;
-use ccsim_timeline::export::to_jsonl;
 use ccsim_timeline::serve::LiveState;
 use ccsim_timeline::Timeline;
 use std::fmt;
@@ -36,10 +35,7 @@ use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Live snapshots are re-rendered at most this often (wall time).
-const LIVE_PUBLISH_EVERY: Duration = Duration::from_millis(250);
+use std::time::Instant;
 
 /// Where a request starts from.
 enum Source<'a> {
@@ -253,7 +249,7 @@ impl<'a> RunRequest<'a> {
             checkpoint_at: self.checkpoint_at,
             stop_at_checkpoint,
         };
-        let (observe, live) = (self.observe, self.live.as_deref());
+        let (observe, live) = (self.observe, self.live.take());
         let body = || run_with(scenario, ctl, observe, live, &mut *self.on_progress);
         let result = if self.guard {
             catch_unwind(AssertUnwindSafe(body)).unwrap_or_else(|payload| {
@@ -282,12 +278,13 @@ impl<'a> RunRequest<'a> {
 }
 
 /// One pass through the runner loop. Unobserved requests take the plain
-/// path — no instruments, no classifier, the caller's callback as is.
+/// path — no instruments, no classifier; observed ones hand the live
+/// endpoint to the instruments, whose per-slice step publishes into it.
 fn run_with(
     scenario: &Scenario,
     ctl: RunCtl<'_>,
     observe: Option<ObserveOptions>,
-    live: Option<&LiveState>,
+    live: Option<Arc<LiveState>>,
     on_progress: &mut dyn FnMut(&Progress),
 ) -> Result<(Option<RunReport>, Option<Checkpoint>), SimError> {
     let mut checkpoint = None;
@@ -303,32 +300,12 @@ fn run_with(
         return Ok((outcome.map(plain), checkpoint));
     };
 
-    let inst = RunInstruments::with_options(options);
+    let mut inst = RunInstruments::new(options, live);
     let wall_start = Instant::now();
-    let mut last_publish: Option<Instant> = None;
-    let mut publishing = |p: &Progress| {
-        on_progress(p);
-        // The publisher only *reads* instruments that are updated anyway,
-        // so serving is digest-inert like every other observation layer.
-        if let Some(state) = live {
-            if last_publish.is_none_or(|t| t.elapsed() >= LIVE_PUBLISH_EVERY) {
-                last_publish = Some(Instant::now());
-                inst.publish_into(state);
-            }
-        }
-    };
-    let outcome = run_internal_ctl(scenario, Some(&inst), &mut publishing, ctl, &mut checkpoint)?;
+    let outcome = run_internal_ctl(scenario, Some(&mut inst), on_progress, ctl, &mut checkpoint)?;
     let report = outcome.map(|outcome| {
         let wall_secs = wall_start.elapsed().as_secs_f64();
         let (manifest, prometheus, timeline) = inst.finish(scenario, &outcome, wall_secs);
-        if let Some(state) = live {
-            // Final publish so the endpoints show the completed run, not
-            // the last throttled snapshot.
-            state.publish_metrics(prometheus.clone());
-            if let Some(tl) = &timeline {
-                state.publish_timeline(to_jsonl(tl));
-            }
-        }
         RunReport {
             manifest: Some(manifest),
             prometheus: Some(prometheus),

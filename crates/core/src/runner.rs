@@ -12,9 +12,9 @@
 //!    consecutive windows — the paper's "< 1% over 20 minutes" rule.
 
 use crate::build::BuiltNetwork;
-use crate::checkpoint::{self, HarnessRef, RestoredHarness};
+use crate::checkpoint::{self, slice_boundaries};
 use crate::error::SimError;
-use crate::observe::{classify_msg, RunInstruments, COMPONENT_CLASSES, EVENT_KINDS};
+use crate::observe::{classify_msg, Phase, RunInstruments};
 use crate::outcome::{BottleneckMetrics, RunOutcome};
 use crate::scenario::Scenario;
 use crate::watchdog::Watchdog;
@@ -25,8 +25,8 @@ use ccsim_resume::{Checkpoint, ResumeError};
 use ccsim_sim::SimTime;
 use ccsim_tcp::sender::Sender;
 use ccsim_telemetry::{FlowMetrics, ThroughputTracker};
-use ccsim_timeline::{FlowPoint, LinkPoint, Timeline};
 use ccsim_trace::{RunTrace, TraceMeta};
+use std::time::Instant;
 
 /// Numeric sender-counter baseline captured at the warm-up boundary.
 #[derive(Debug, Clone, Copy, Default)]
@@ -38,6 +38,16 @@ pub(crate) struct SenderBaseline {
     /// Congestion events strictly before the warm-up boundary; those *at*
     /// it belong to the measurement window.
     pub(crate) congestion_events: u64,
+}
+
+/// The measurement cursor, taken at the warm-up boundary: per-flow
+/// counter baselines and the tracker the convergence rule reads. A run
+/// holds none during its warm-up; a measurement-phase checkpoint carries
+/// it.
+#[derive(Debug)]
+pub(crate) struct Measurement {
+    pub(crate) sender_base: Vec<SenderBaseline>,
+    pub(crate) tracker: ThroughputTracker,
 }
 
 /// A progress report from inside a run, issued after every simulated
@@ -85,180 +95,59 @@ pub fn scenario_from_checkpoint(cp: &Checkpoint) -> Result<Scenario, SimError> {
 /// Advance the simulation to `until`, classifying events per kind when
 /// the run is observed. `classify_msg` is passed as a function item so it
 /// inlines into the engine's event loop; the unobserved path is the plain
-/// `run_until` with zero observability cost. Observed advances are
-/// wrapped in a `dispatch` profiler span — the denominator of the
-/// manifest's `events_per_sec`, which deliberately excludes every
-/// harness phase (build, snapshots, collection).
+/// `run_until` with zero observability cost. Observed advances run on the
+/// `dispatch` clock.
 fn advance(
     net: &mut BuiltNetwork,
     until: SimTime,
-    inst: Option<&RunInstruments>,
+    inst: Option<&mut RunInstruments>,
 ) -> Result<(), SimError> {
     if let Some(inst) = inst {
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         let result = net.sim.try_run_until_classified(until, classify_msg);
-        inst.profiler.record("dispatch", t0.elapsed());
+        inst.clock(Phase::Dispatch, t0);
         result?;
-        sync_engine_counts(net, inst);
     } else {
         net.sim.try_run_until(until)?;
     }
     Ok(())
 }
 
-/// Bring the engine's per-kind event counts and pending-queue peak into
-/// the registry. The engine cannot depend on the telemetry crate, so the
-/// counts live in plain fields; syncing them at every slice boundary lets
-/// a live endpoint serve them while the run is going. Both count from the
-/// build (a resumed run's from its restore), and nothing else writes the
-/// per-kind counters.
-fn sync_engine_counts(net: &BuiltNetwork, inst: &RunInstruments) {
-    for (counter, &count) in inst.events_kind.iter().zip(net.sim.event_class_counts()) {
-        counter.add(count - counter.get());
-    }
-    inst.pending_peak.set_max(net.sim.max_pending() as f64);
-}
-
-/// Component-id → profiler class-row table for `net`, indexed by raw
-/// component id. Classes follow [`COMPONENT_CLASSES`] order.
-fn comp_class_table(net: &BuiltNetwork) -> Vec<u8> {
-    let ids = |v: &[ccsim_sim::ComponentId]| v.iter().map(|id| id.as_usize()).collect::<Vec<_>>();
-    let groups = [
-        ids(&net.links),
-        ids(&net.routers),
-        ids(&net.senders),
-        ids(&net.receivers),
-    ];
-    let max = groups.iter().flatten().copied().max().unwrap_or(0);
-    let mut table = vec![0u8; max + 1];
-    for (class, group) in groups.iter().enumerate() {
-        for &id in group {
-            table[id] = class as u8;
-        }
-    }
-    table
-}
-
-/// Harvest the engine's profiling state into a [`ccsim_prof::Profile`]
-/// (collection phase, while the network is still assembled). The
-/// `dispatch_nanos` field is stamped by the observed-run wrapper, which
-/// owns the dispatch span totals.
-fn harvest_profile(
+/// The warm-up-boundary actions: reset every link's counters, take the
+/// per-flow baselines, re-anchor the watchdog's conservation baseline
+/// with the reset counters, and seed the tracker at `warmup_end`.
+fn start_measurement(
     net: &mut BuiltNetwork,
-    scratch_bytes: u64,
-    stride: u64,
-    checkpoint_bytes: u64,
-) -> Option<ccsim_prof::Profile> {
-    use ccsim_prof::{EventCells, MemGauge, Profile, WheelProfile};
-    let (counts, nanos, samples) = net.sim.profile_cells()?;
-    let (counts, nanos, samples) = (counts.to_vec(), nanos.to_vec(), samples.to_vec());
-
-    let (mut senders, mut links, mut rings) = (0, 0, 0);
-    for &id in &net.senders {
-        let s = net.sim.component::<Sender>(id);
-        senders += s.memory_bytes();
-        rings += s.trace_memory_bytes();
+    watchdog: &mut Watchdog,
+    warmup_end: SimTime,
+    window_snapshots: usize,
+) -> Measurement {
+    for i in 0..net.links.len() {
+        let id = net.links[i];
+        net.sim.component_mut::<Link>(id).reset_stats();
     }
-    for &id in &net.links {
-        let l = net.sim.component::<Link>(id);
-        links += l.memory_bytes();
-        rings += l.trace_memory_bytes();
-    }
-    let mut memory = vec![
-        ("tcp/senders", senders),
-        ("net/link_queues", links),
-        ("trace/rings", rings),
-        ("sim/wheel", net.sim.queue_memory_bytes()),
-        ("sim/scratch", scratch_bytes),
-    ];
-    // The checkpoint buffer pool exists only when a checkpoint was taken,
-    // so checkpoint-free profiles keep their exact pool list.
-    if checkpoint_bytes > 0 {
-        memory.push(("resume/checkpoint", checkpoint_bytes));
-    }
-    // Sorted by name, so exports are stable.
-    memory.sort_unstable();
-    let memory = memory.into_iter().map(|(name, bytes)| MemGauge {
-        name: name.into(),
-        bytes,
-    });
-
-    Some(Profile {
-        events: EventCells {
-            classes: COMPONENT_CLASSES.iter().map(|s| s.to_string()).collect(),
-            kinds: EVENT_KINDS.iter().map(|s| s.to_string()).collect(),
-            stride,
-            counts,
-            nanos,
-            samples,
-        },
-        wheel: WheelProfile::from(net.sim.wheel_stats()),
-        memory: memory.collect(),
-        dispatch_nanos: 0,
-        flows: net.flow_count() as u32,
-    })
-}
-
-/// Snapshot the sampler inputs: one [`FlowPoint`] per sampled flow and
-/// one [`LinkPoint`] per link, all read-only simulator state.
-fn timeline_points(net: &BuiltNetwork, sampled_flows: usize) -> (Vec<FlowPoint>, Vec<LinkPoint>) {
-    let flows = net.senders[..sampled_flows]
+    let delivered = net.per_flow_delivered();
+    let sender_base = net
+        .senders
         .iter()
-        .map(|&id| {
-            let s = net.sim.component::<Sender>(id);
-            FlowPoint {
-                retransmits: s.stats().retransmits,
-                cwnd_bytes: s.cca().cwnd(),
-                srtt_secs: s.srtt().as_secs_f64(),
-                inflight_bytes: s.in_flight(),
+        .zip(&delivered)
+        .map(|(&id, &delivered_bytes)| {
+            let s = net.sim.component::<Sender>(id).stats();
+            SenderBaseline {
+                data_pkts_sent: s.data_pkts_sent,
+                retransmits: s.retransmits,
+                rtos: s.rtos,
+                delivered_bytes,
+                congestion_events: s.congestion_events_before(warmup_end),
             }
         })
         .collect();
-    let links = net
-        .links
-        .iter()
-        .map(|&id| {
-            let l = net.sim.component::<Link>(id);
-            let st = l.stats();
-            LinkPoint {
-                transmitted_bytes: st.transmitted_bytes,
-                dropped_pkts: st.dropped_pkts,
-                ce_marked_pkts: st.ce_marked_pkts,
-                queue_bytes: l.backlog_bytes(),
-                rate_bytes_per_sec: l.rate().as_bytes_per_sec(),
-            }
-        })
-        .collect();
-    (flows, links)
-}
-
-/// Feed the timeline sampler at a slice boundary. `delivered` lets the
-/// measurement loop reuse the vector it already gathered for the tracker;
-/// other call sites pass `None` and the helper snapshots the flows itself
-/// into `scratch` — but only once a row is actually due, so
-/// off-grid slices cost one comparison. `force` closes a possibly-short
-/// row regardless of the window grid (warm-up boundary, end of run).
-fn sample_timeline(
-    net: &BuiltNetwork,
-    inst: Option<&RunInstruments>,
-    scratch: &mut Vec<u64>,
-    now: SimTime,
-    delivered: Option<&[u64]>,
-    force: bool,
-) {
-    let Some(inst) = inst else { return };
-    let mut slot = inst.timeline.borrow_mut();
-    let Some(tl) = slot.as_mut() else { return };
-    if !force && !tl.wants_row(now) {
-        return;
-    }
-    let (flows, links) = timeline_points(net, tl.sampled_flows());
-    match delivered {
-        Some(d) => tl.push_row(now, d, &flows, &links),
-        None => {
-            net.per_flow_delivered_into(scratch);
-            tl.push_row(now, scratch, &flows, &links);
-        }
+    watchdog.rebaseline(net);
+    let mut tracker = ThroughputTracker::new(window_snapshots);
+    tracker.record(warmup_end, delivered);
+    Measurement {
+        sender_base,
+        tracker,
     }
 }
 
@@ -291,211 +180,102 @@ fn drain_trace(net: &mut BuiltNetwork, scenario: &Scenario) -> Option<RunTrace> 
 
 /// The single runner loop behind every [`crate::RunRequest`]. When `inst`
 /// is present, metric handles are attached to the engine/link/senders and
-/// runner phases are profiled; the simulated event sequence is identical
+/// runner phases are clocked; the simulated event sequence is identical
 /// either way (the instruments only observe). Returns `Ok(None)`
 /// iff `ctl.stop_at_checkpoint` ended the run right after capture; a
 /// captured checkpoint (if any) lands in `checkpoint_out`.
+///
+/// The run walks [`slice_boundaries`] from its start (or restore) instant.
+/// Each slice advances the engine, records the tracker's snapshot once
+/// measuring, runs the observer step (which calls `on_progress`), checks
+/// the watchdog, then the convergence rule, then takes a due checkpoint.
+/// The warm-up-boundary actions run once, at the top of the first slice
+/// that starts at the warm-up boundary without a measurement cursor — so
+/// a checkpoint taken at that boundary precedes them, and with no warm-up
+/// they precede the first slice.
 pub(crate) fn run_internal_ctl(
     scenario: &Scenario,
-    inst: Option<&RunInstruments>,
+    mut inst: Option<&mut RunInstruments>,
     on_progress: &mut dyn FnMut(&Progress),
     ctl: RunCtl<'_>,
     checkpoint_out: &mut Option<Checkpoint>,
 ) -> Result<Option<RunOutcome>, SimError> {
-    let build_span = inst.map(|i| i.profiler.span("build"));
+    let build_start = Instant::now();
     let mut net = BuiltNetwork::try_build(scenario)?;
     let mut watchdog = Watchdog::new(scenario.watchdog);
-    // Reused by the timeline's off-loop delivered snapshots.
-    let mut scratch: Vec<u64> = Vec::new();
-    if let Some(inst) = inst {
-        net.sim.set_event_classes(EVENT_KINDS.len());
-        net.sim
-            .component_mut::<Link>(net.link)
-            .enable_metrics(inst.link.clone());
-        for &id in &net.senders {
-            net.sim
-                .component_mut::<Sender>(id)
-                .enable_metrics(inst.sender.clone());
-        }
-        if inst.options.profile {
-            net.sim.enable_profiling(
-                comp_class_table(&net),
-                COMPONENT_CLASSES.len(),
-                EVENT_KINDS.len(),
-                inst.options.profile_stride,
-            );
-        }
+    if let Some(inst) = inst.as_deref_mut() {
+        inst.attach(&mut net);
+        inst.clock(Phase::Build, build_start);
     }
-    drop(build_span);
 
     // Overlay checkpointed state onto the freshly built arena. The build
     // already rewound every config-derived setting; the checkpoint body
-    // holds only live state (clock, queues, windows, RNG streams, harness
-    // cursors).
+    // holds only live state (clock, queues, windows, RNG streams, the
+    // measurement cursor).
     let window_snapshots = scenario
         .convergence
         .as_ref()
         .map_or(0, |rule| rule.window_snapshots);
-    let mut restored = None;
-    if let Some(cp) = ctl.resume_from {
-        restored = Some(
-            checkpoint::restore_into(&mut net, &mut watchdog, window_snapshots, &cp.body)
-                .map_err(SimError::Resume)?,
-        );
-        if let Some(inst) = inst {
-            inst.events_at_restore.set(net.sim.events_processed());
-        }
-    }
-
-    // Arm the windowed sampler once the network exists (it needs the
-    // flow/link counts). On a checkpoint resume the clock is non-zero:
-    // the window grid starts from the restored instant, and priming
-    // anchors the delta baselines at the current cumulative counters so
-    // the pre-resume history is not attributed to the first window.
-    if let Some(inst) = inst {
-        if let Some(cfg) = inst.options.timeline {
-            let mut tl = Timeline::new(cfg, net.flow_count(), net.links.len(), net.sim.now());
-            let (flows, links) = timeline_points(&net, tl.sampled_flows());
-            net.per_flow_delivered_into(&mut scratch);
-            tl.prime(&scratch, &flows, &links);
-            *inst.timeline.borrow_mut() = Some(tl);
-        }
+    let mut measure = match ctl.resume_from {
+        Some(cp) => checkpoint::restore_into(&mut net, &mut watchdog, window_snapshots, &cp.body)
+            .map_err(SimError::Resume)?,
+        None => None,
+    };
+    if let Some(inst) = inst.as_deref_mut() {
+        inst.start(&net);
     }
 
     let warmup_end = SimTime::ZERO + scenario.warmup;
     let horizon = warmup_end + scenario.duration;
-    let mut report = |sim_now: SimTime, events: u64, pending: usize| {
-        let fraction = if horizon.as_nanos() == 0 {
-            1.0
-        } else {
-            sim_now.as_nanos() as f64 / horizon.as_nanos() as f64
-        };
-        on_progress(&Progress {
-            now: sim_now,
-            horizon,
-            fraction,
-            events_processed: events,
-            events_pending: pending,
-        });
-    };
-
-    // Warm-up, sliced like the measurement phase so progress reporting
-    // covers it (slicing `run_until` does not change event processing).
-    // A measurement-phase resume skips it entirely — the warm-up boundary
-    // actions already happened in the donor run and their results
-    // (baselines, tracker) travel inside the checkpoint.
-    let (sender_base, mut tracker, mut now) = match restored.take() {
-        Some(RestoredHarness::Measurement {
-            sender_base,
-            tracker,
-        }) => (sender_base, tracker, net.sim.now()),
-        other => {
-            debug_assert!(matches!(other, None | Some(RestoredHarness::Warmup)));
-            {
-                let span = inst.map(|i| i.profiler.span("warmup"));
-                // Fresh runs start at zero; a warm-up-phase resume
-                // continues from the restored clock (always a slice
-                // boundary).
-                let mut t = net.sim.now();
-                while t < warmup_end {
-                    let next = (t + scenario.snapshot_interval).min(warmup_end);
-                    advance(&mut net, next, inst)?;
-                    t = next;
-                    sample_timeline(&net, inst, &mut scratch, t, None, false);
-                    report(t, net.sim.events_processed(), net.sim.events_pending());
-                    if watchdog.check(&net, scenario) {
-                        return Err(SimError::Invariant {
-                            trace: drain_trace(&mut net, scenario),
-                            report: watchdog.into_report(),
-                        });
-                    }
-                    if checkpoint_due(&ctl, checkpoint_out, t) {
-                        store_checkpoint(
-                            checkpoint::capture(scenario, &net, &watchdog, HarnessRef::Warmup),
-                            checkpoint_out,
-                            inst,
-                        );
-                        if ctl.stop_at_checkpoint {
-                            return Ok(None);
-                        }
-                    }
-                }
-                drop(span);
-            }
-
-            // Warm-up boundary: close the warm-up's tail row *before* the
-            // counter reset so no timeline delta straddles it, then reset
-            // queue counters (every link) and snapshot per-flow baselines.
-            sample_timeline(&net, inst, &mut scratch, warmup_end, None, true);
-            for i in 0..net.links.len() {
-                let id = net.links[i];
-                net.sim.component_mut::<Link>(id).reset_stats();
-            }
-            if let Some(inst) = inst {
-                if let Some(tl) = inst.timeline.borrow_mut().as_mut() {
-                    tl.note_link_reset();
-                }
-            }
-            let sender_base: Vec<SenderBaseline> = net
-                .senders
-                .iter()
-                .map(|&id| {
-                    let s = net.sim.component::<Sender>(id).stats();
-                    SenderBaseline {
-                        data_pkts_sent: s.data_pkts_sent,
-                        retransmits: s.retransmits,
-                        rtos: s.rtos,
-                        delivered_bytes: 0, // filled from receivers below
-                        congestion_events: s.congestion_events_before(warmup_end),
-                    }
-                })
-                .collect();
-            let delivered_base = net.per_flow_delivered();
-            let sender_base: Vec<SenderBaseline> = sender_base
-                .into_iter()
-                .zip(&delivered_base)
-                .map(|(mut b, &d)| {
-                    b.delivered_bytes = d;
-                    b
-                })
-                .collect();
-
-            // The warm-up reset re-anchored the link counters; re-anchor
-            // the conservation baseline with them.
-            watchdog.rebaseline(&net);
-
-            let mut tracker = ThroughputTracker::new(window_snapshots);
-            tracker.record(warmup_end, delivered_base.clone());
-            (sender_base, tracker, warmup_end)
-        }
-    };
-
-    let deadline = horizon;
+    let warmup_start = Instant::now();
+    let mut now = net.sim.now();
     let mut converged = false;
-    while now < deadline {
-        let slice_start = inst.map(|_| std::time::Instant::now());
-        let next = (now + scenario.snapshot_interval).min(deadline);
-        advance(&mut net, next, inst)?;
-        now = next;
-        let delivered = net.per_flow_delivered();
-        sample_timeline(&net, inst, &mut scratch, now, Some(&delivered), false);
-        tracker.record(now, delivered);
-        if let (Some(inst), Some(t0)) = (inst, slice_start) {
-            let elapsed = t0.elapsed();
-            inst.slice_wall
-                .record(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
-            inst.profiler.record("measure_slice", elapsed);
+    for next in slice_boundaries(scenario) {
+        if next <= now {
+            continue;
         }
-        report(now, net.sim.events_processed(), net.sim.events_pending());
+        if measure.is_none() && now == warmup_end {
+            if let Some(inst) = inst.as_deref_mut() {
+                inst.close_warmup(&net, warmup_end, warmup_start);
+            }
+            measure = Some(start_measurement(
+                &mut net,
+                &mut watchdog,
+                warmup_end,
+                window_snapshots,
+            ));
+        }
+
+        let slice_start = Instant::now();
+        advance(&mut net, next, inst.as_deref_mut())?;
+        now = next;
+        if let Some(m) = &mut measure {
+            m.tracker.record(now, net.per_flow_delivered());
+        }
+        let progress = Progress {
+            now,
+            horizon,
+            // A validated scenario's horizon is non-zero.
+            fraction: now.as_nanos() as f64 / horizon.as_nanos() as f64,
+            events_processed: net.sim.events_processed(),
+            events_pending: net.sim.events_pending(),
+        };
+        match inst.as_deref_mut() {
+            Some(inst) => {
+                let measured = measure.as_ref().and_then(|m| m.tracker.latest());
+                inst.slice(&net, &progress, measured, slice_start, on_progress);
+            }
+            None => on_progress(&progress),
+        }
         if watchdog.check(&net, scenario) {
             return Err(SimError::Invariant {
                 trace: drain_trace(&mut net, scenario),
                 report: watchdog.into_report(),
             });
         }
-        if let Some(rule) = &scenario.convergence {
-            let agg = tracker.relative_change(|r| Some(r.iter().sum::<f64>()));
-            let jfi = tracker.relative_change(jain_fairness_index);
+        if let (Some(rule), Some(m)) = (&scenario.convergence, &measure) {
+            let agg = m.tracker.relative_change(|r| Some(r.iter().sum::<f64>()));
+            let jfi = m.tracker.relative_change(jain_fairness_index);
             if let (Some(a), Some(j)) = (agg, jfi) {
                 if a < rule.tolerance && j < rule.tolerance {
                     converged = true;
@@ -507,19 +287,11 @@ pub(crate) fn run_internal_ctl(
         // stops never yields a checkpoint, so a resumed run re-evaluates
         // convergence at exactly the boundaries the donor run did.
         if checkpoint_due(&ctl, checkpoint_out, now) {
-            store_checkpoint(
-                checkpoint::capture(
-                    scenario,
-                    &net,
-                    &watchdog,
-                    HarnessRef::Measurement {
-                        sender_base: &sender_base,
-                        tracker: &tracker,
-                    },
-                ),
-                checkpoint_out,
-                inst,
-            );
+            let cp = checkpoint::capture(scenario, &net, &watchdog, measure.as_ref());
+            if let Some(inst) = inst.as_deref_mut() {
+                inst.checkpoint_bytes = cp.encoded_len() as u64;
+            }
+            *checkpoint_out = Some(cp);
             if ctl.stop_at_checkpoint {
                 return Ok(None);
             }
@@ -527,19 +299,13 @@ pub(crate) fn run_internal_ctl(
     }
 
     // ----- collection ----------------------------------------------------
-    let collect_span = inst.map(|i| i.profiler.span("collect"));
-    // Flush edge-held link metric state (the engine's counts were synced
-    // at the last slice boundary).
-    if inst.is_some() {
-        net.sim.component_mut::<Link>(net.link).finish_metrics();
-    }
+    let collect_start = Instant::now();
+    // A validated scenario has a non-zero duration, so the walk always
+    // crosses the warm-up boundary (or restored past it).
+    let Measurement { sender_base, .. } = measure.expect("empty measurement window");
     let measured_for = now - warmup_end;
     let secs = measured_for.as_secs_f64();
-    assert!(secs > 0.0, "empty measurement window");
     let delivered_end = net.per_flow_delivered();
-    // Close the run's tail row (zero-span no-op when the last slice
-    // already closed one on the grid).
-    sample_timeline(&net, inst, &mut scratch, now, Some(&delivered_end), true);
 
     let link = net.sim.component::<Link>(net.link);
     let link_stats = link.stats().clone();
@@ -606,19 +372,9 @@ pub(crate) fn run_internal_ctl(
         }
     }
 
-    // Profiling harvest runs before the trace drain so the `trace/rings`
-    // memory gauge still sees attached recorders.
-    if let Some(inst) = inst {
-        if inst.options.profile {
-            *inst.profile_out.borrow_mut() = harvest_profile(
-                &mut net,
-                (scratch.capacity() * std::mem::size_of::<u64>()) as u64,
-                inst.options.profile_stride,
-                inst.checkpoint_bytes.get(),
-            );
-        }
+    if let Some(inst) = inst.as_deref_mut() {
+        inst.collect(&mut net, now, &delivered_end);
     }
-
     let trace = drain_trace(&mut net, scenario);
 
     let outcome = RunOutcome {
@@ -638,7 +394,9 @@ pub(crate) fn run_internal_ctl(
         trace,
         bottlenecks,
     };
-    drop(collect_span);
+    if let Some(inst) = inst {
+        inst.clock(Phase::Collect, collect_start);
+    }
     debug_assert!(!watchdog.tripped(), "tripped watchdog must abort the run");
     Ok(Some(outcome))
 }
@@ -647,15 +405,6 @@ pub(crate) fn run_internal_ctl(
 /// reached its instant.
 fn checkpoint_due(ctl: &RunCtl<'_>, out: &Option<Checkpoint>, now: SimTime) -> bool {
     out.is_none() && ctl.checkpoint_at.is_some_and(|at| now >= at)
-}
-
-/// Stash a captured checkpoint, gauging its encoded size for the
-/// observed-run manifest and memory profile.
-fn store_checkpoint(cp: Checkpoint, out: &mut Option<Checkpoint>, inst: Option<&RunInstruments>) {
-    if let Some(inst) = inst {
-        inst.checkpoint_bytes.set(cp.encoded_len() as u64);
-    }
-    *out = Some(cp);
 }
 
 #[cfg(test)]

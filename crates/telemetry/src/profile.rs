@@ -1,155 +1,8 @@
-//! Wall-clock profiling spans, aggregated per label.
-//!
-//! The paper's testbed lived on knowing where its *own* time went (BESS
-//! forwarding vs. tcpprobe overhead vs. bookkeeping); the simulator's
-//! equivalent is coarse wall-clock scopes around the runner's phases —
-//! build, warm-up, measurement slices, collection — cheap enough to be
-//! always-on when a run is observed, and aggregated per label so a
-//! thousand measurement slices collapse into one row.
-//!
-//! Usage:
-//!
-//! ```
-//! use ccsim_telemetry::Profiler;
-//!
-//! let prof = Profiler::new();
-//! {
-//!     let _span = prof.span("build");
-//!     // ... work ...
-//! } // recorded on drop
-//! assert_eq!(prof.stats()[0].0, "build");
-//! ```
-//!
-//! Spans use real time ([`std::time::Instant`]) and are therefore
-//! non-deterministic — they feed dashboards and manifests, never the
-//! simulation itself.
+//! Export of a run's event-attribution [`ccsim_prof::Profile`] into the
+//! metric registry, so it rides in the same Prometheus dump as the run
+//! metrics.
 
 use crate::registry::Registry;
-use std::collections::BTreeMap;
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
-
-/// Aggregated wall-clock statistics for one span label.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpanStats {
-    /// Number of completed spans.
-    pub count: u64,
-    /// Total wall-clock nanoseconds across all spans.
-    pub total_nanos: u64,
-    /// Longest single span, nanoseconds.
-    pub max_nanos: u64,
-}
-
-impl SpanStats {
-    /// Total time as seconds.
-    pub fn total_secs(&self) -> f64 {
-        self.total_nanos as f64 / 1e9
-    }
-
-    /// Mean span length in seconds (0 when no spans completed).
-    pub fn mean_secs(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_secs() / self.count as f64
-        }
-    }
-}
-
-/// Per-label wall-clock aggregation. Labels are `&'static str` so the
-/// hot path never allocates; a `BTreeMap` keeps export order stable.
-#[derive(Debug, Default)]
-pub struct Profiler {
-    spans: Mutex<BTreeMap<&'static str, SpanStats>>,
-}
-
-impl Profiler {
-    /// An empty profiler.
-    pub fn new() -> Profiler {
-        Profiler::default()
-    }
-
-    /// Open a span; it records itself into this profiler when dropped.
-    pub fn span<'a>(&'a self, label: &'static str) -> ProfSpan<'a> {
-        ProfSpan {
-            profiler: self,
-            label,
-            start: Instant::now(),
-            done: false,
-        }
-    }
-
-    /// Record an already-measured duration under `label`.
-    pub fn record(&self, label: &'static str, elapsed: Duration) {
-        let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        let mut spans = self.spans.lock().unwrap();
-        let s = spans.entry(label).or_default();
-        s.count += 1;
-        s.total_nanos = s.total_nanos.saturating_add(nanos);
-        s.max_nanos = s.max_nanos.max(nanos);
-    }
-
-    /// Snapshot of all labels and their aggregates, in label order.
-    pub fn stats(&self) -> Vec<(&'static str, SpanStats)> {
-        self.spans
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(&l, &s)| (l, s))
-            .collect()
-    }
-
-    /// Publish every span aggregate into `registry` as the
-    /// `ccsim_phase_wall_nanos_total` / `ccsim_phase_calls_total`
-    /// counter families, labeled by phase.
-    pub fn export_into(&self, registry: &Registry) {
-        for (label, stats) in self.stats() {
-            registry
-                .counter_with(
-                    "ccsim_phase_wall_nanos_total",
-                    "Wall-clock nanoseconds spent in each runner phase",
-                    &[("phase", label)],
-                )
-                .add(stats.total_nanos);
-            registry
-                .counter_with(
-                    "ccsim_phase_calls_total",
-                    "Completed profiling spans per runner phase",
-                    &[("phase", label)],
-                )
-                .add(stats.count);
-        }
-    }
-}
-
-/// An open profiling scope; records its elapsed wall time on drop.
-#[must_use = "a ProfSpan records on drop; binding it to _ drops it immediately"]
-pub struct ProfSpan<'a> {
-    profiler: &'a Profiler,
-    label: &'static str,
-    start: Instant,
-    done: bool,
-}
-
-impl ProfSpan<'_> {
-    /// Close the span early (otherwise it closes on drop).
-    pub fn finish(mut self) {
-        self.close();
-    }
-
-    fn close(&mut self) {
-        if !self.done {
-            self.done = true;
-            self.profiler.record(self.label, self.start.elapsed());
-        }
-    }
-}
-
-impl Drop for ProfSpan<'_> {
-    fn drop(&mut self) {
-        self.close();
-    }
-}
 
 /// Register a run's [`ccsim_prof::Profile`] into `registry` so the
 /// per-component attribution rides in the same Prometheus dump as the
@@ -171,28 +24,28 @@ impl Drop for ProfSpan<'_> {
 /// proportional to the activity it actually saw.
 pub fn export_profile_into(profile: &ccsim_prof::Profile, registry: &Registry) {
     let ev = &profile.events;
-    for (ci, class) in ev.classes.iter().enumerate() {
-        for (ki, kind) in ev.kinds.iter().enumerate() {
-            let idx = ci * ev.kinds.len() + ki;
-            let (count, nanos) = (ev.counts[idx], ev.nanos[idx]);
-            if count == 0 {
-                continue;
+    // One pass per family, so each family's series form one group.
+    for (family, help, values) in [
+        (
+            "ccsim_prof_events_total",
+            "Engine events dispatched, by component class and event kind",
+            &ev.counts,
+        ),
+        (
+            "ccsim_prof_sampled_nanos_total",
+            "Strided-sample wall nanoseconds attributed to the cell",
+            &ev.nanos,
+        ),
+    ] {
+        for (ci, class) in ev.classes.iter().enumerate() {
+            for (ki, kind) in ev.kinds.iter().enumerate() {
+                let idx = ci * ev.kinds.len() + ki;
+                if ev.counts[idx] > 0 {
+                    registry
+                        .counter_with(family, help, &[("class", class), ("kind", kind)])
+                        .add(values[idx]);
+                }
             }
-            let labels = [("class", class.as_str()), ("kind", kind.as_str())];
-            registry
-                .counter_with(
-                    "ccsim_prof_events_total",
-                    "Engine events dispatched, by component class and event kind",
-                    &labels,
-                )
-                .add(count);
-            registry
-                .counter_with(
-                    "ccsim_prof_sampled_nanos_total",
-                    "Strided-sample wall nanoseconds attributed to the cell",
-                    &labels,
-                )
-                .add(nanos);
         }
     }
     for (level, &hw) in profile.wheel.level_high_water.iter().enumerate() {
@@ -254,34 +107,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn spans_aggregate_per_label() {
-        let p = Profiler::new();
-        for _ in 0..3 {
-            let _s = p.span("slice");
-        }
-        p.span("build").finish();
-        let stats = p.stats();
-        assert_eq!(stats.len(), 2);
-        assert_eq!(stats[0].0, "build");
-        assert_eq!(stats[0].1.count, 1);
-        assert_eq!(stats[1].0, "slice");
-        assert_eq!(stats[1].1.count, 3);
-        assert!(stats[1].1.max_nanos <= stats[1].1.total_nanos);
-    }
-
-    #[test]
-    fn record_accumulates_totals_and_max() {
-        let p = Profiler::new();
-        p.record("x", Duration::from_nanos(10));
-        p.record("x", Duration::from_nanos(30));
-        let (_, s) = p.stats()[0];
-        assert_eq!(s.count, 2);
-        assert_eq!(s.total_nanos, 40);
-        assert_eq!(s.max_nanos, 30);
-        assert!((s.mean_secs() - 20e-9).abs() < 1e-15);
-    }
-
-    #[test]
     fn profile_export_emits_expected_families() {
         let p = ccsim_prof::Profile::from_json(
             "{\"prof_classes\":[\"link\",\"sender\"],\"prof_kinds\":[\"data\",\"ack\"],\
@@ -304,19 +129,12 @@ mod tests {
         assert!(text.contains("ccsim_wheel_level_high_water{level=\"1\"} 2"));
         assert!(text.contains("ccsim_mem_bytes{pool=\"tcp/senders\"} 4096"));
         assert!(text.contains("ccsim_dispatch_nanos_total 1000000"));
-    }
-
-    #[test]
-    fn export_produces_labeled_counters() {
-        let p = Profiler::new();
-        p.record("build", Duration::from_micros(5));
-        let r = Registry::new();
-        p.export_into(&r);
-        assert_eq!(r.len(), 2);
-        let entries = r.entries();
-        assert!(entries
-            .iter()
-            .any(|e| e.name == "ccsim_phase_wall_nanos_total"
-                && e.labels == vec![("phase".to_string(), "build".to_string())]));
+        // Three non-zero cells, yet one header per family.
+        assert_eq!(text.matches("# TYPE ccsim_prof_events_total").count(), 1);
+        assert_eq!(
+            text.matches("# TYPE ccsim_prof_sampled_nanos_total")
+                .count(),
+            1
+        );
     }
 }

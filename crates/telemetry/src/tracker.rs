@@ -58,6 +58,11 @@ impl ThroughputTracker {
         self.snapshots.push_back(per_flow_delivered);
     }
 
+    /// The most recent snapshot, if any.
+    pub fn latest(&self) -> Option<&[u64]> {
+        self.snapshots.back().map(Vec::as_slice)
+    }
+
     /// Serialize the kept snapshots for a checkpoint (`w` is scenario
     /// configuration).
     pub fn save_state(&self, w: &mut SnapWriter) {
