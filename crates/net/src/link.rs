@@ -168,7 +168,8 @@ pub struct Link {
     recorder: Option<QueueRecorder>,
     /// Optional registry-backed metrics, attached when a run is observed.
     metrics: Option<LinkMetrics>,
-    /// Length of the in-progress consecutive-drop run (metrics only).
+    /// Length of the in-progress consecutive-drop run (metrics only, so
+    /// observer state: checkpoints leave it out and a restore zeroes it).
     drop_burst: u64,
     /// Optional fault injector (ccsim-fault), attached when the scenario
     /// carries a non-empty `FaultPlan`. `None` is the fast path: no
@@ -649,7 +650,6 @@ impl Link {
         w.seq(&self.stats.per_flow_dropped, |w, n| w.u64(*n));
         w.seq(&self.drop_log, |w, t| w.time(*t));
         w.time(self.log_from);
-        w.u64(self.drop_burst);
         w.seq(&self.burst_tail, |w, p| p.save_state(w));
         self.aqm.save_state(w);
         w.opt(self.injector.as_ref(), |w, inj| inj.save_state(w));
@@ -679,7 +679,7 @@ impl Link {
         self.stats.per_flow_dropped = r.seq(|r| r.u64())?;
         self.drop_log = r.seq(|r| r.time())?;
         self.log_from = r.time()?;
-        self.drop_burst = r.u64()?;
+        self.drop_burst = 0;
         self.burst_tail = r.seq(Packet::load_state)?;
         self.aqm.load_state(r)?;
         let saved_injector = r.opt(|_| Ok(()))?;

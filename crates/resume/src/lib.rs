@@ -48,8 +48,10 @@ pub const SNAP_MAGIC: [u8; 8] = *b"CCSNAP\r\n";
 /// and delivered-bytes copy, the engine's per-kind event counters, and all
 /// but the last `2w + 1` tracker snapshots; it added each sender's latest
 /// congestion-event instant and the warm-up baseline's event count
-/// (DESIGN.md §7 item 8 lists the bytes).
-pub const SNAP_VERSION: u32 = 2;
+/// (DESIGN.md §7 item 8 lists the bytes). Version 3 dropped each link's
+/// in-progress drop-burst length, observer state that made an observed
+/// run's checkpoint differ from an unobserved one's.
+pub const SNAP_VERSION: u32 = 3;
 
 /// The container's integrity hash (defined in `ccsim-sim`; this is its
 /// historical path).

@@ -120,25 +120,26 @@ fn resume_is_byte_identical_when_the_convergence_rule_stops_the_run() {
 }
 
 #[test]
-fn a_version_1_checkpoint_is_refused_by_its_version() {
-    assert_eq!(SNAP_VERSION, 2);
+fn a_version_2_checkpoint_is_refused_by_its_version() {
+    assert_eq!(SNAP_VERSION, 3);
     let cp = RunRequest::new(&base(CcaKind::Reno, 2))
         .checkpoint_at(SimTime::from_secs(4))
         .capture()
         .expect("checkpoint");
-    // Re-stamp a well-formed container as version 1: the version word
-    // follows the 8-byte magic, and the trailer digest is recomputed so
-    // only the version is wrong.
+    // Re-stamp a well-formed container as version 2 (whose links still
+    // carried their drop-burst word): the version word follows the 8-byte
+    // magic, and the trailer digest is recomputed so only the version is
+    // wrong.
     let mut bytes = cp.encode();
-    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
     let covered = bytes.len() - 8;
     let digest = fnv1a_64(&bytes[..covered]);
     bytes[covered..].copy_from_slice(&digest.to_le_bytes());
     assert_eq!(
         Checkpoint::decode(&bytes),
         Err(ResumeError::Version {
-            found: 1,
-            expected: 2
+            found: 2,
+            expected: 3
         })
     );
 }
