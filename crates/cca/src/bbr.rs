@@ -22,7 +22,7 @@
 //! property behind the paper's Findings 6 and 7.
 
 use crate::util::{RoundTracker, WindowedMax};
-use ccsim_sim::{Bandwidth, SimDuration, SimTime, SnapError, SnapReader, SnapWriter};
+use ccsim_sim::{snap, Bandwidth, SimDuration, SimTime, SnapError};
 use ccsim_tcp::cc::{AckSample, CongestionControl, INITIAL_CWND_SEGMENTS};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -70,6 +70,8 @@ pub enum Mode {
     /// Periodic min-RTT re-measurement at minimal window.
     ProbeRtt,
 }
+
+snap!(Mode as "BBR mode" [Startup, Drain, ProbeBw, ProbeRtt]);
 
 /// BBRv1 congestion control.
 pub struct Bbr {
@@ -461,6 +463,17 @@ impl Bbr {
             self.cwnd = self.cwnd.min(self.min_cwnd());
         }
     }
+
+    /// Refuse a restored gain-cycle index past the cycle.
+    fn check_cycle_idx(&self) -> Result<(), SnapError> {
+        if self.cycle_idx >= PACING_GAIN_CYCLE.len() {
+            return Err(SnapError::Corrupt(format!(
+                "BBR cycle index {} out of range",
+                self.cycle_idx
+            )));
+        }
+        Ok(())
+    }
 }
 
 impl CongestionControl for Bbr {
@@ -535,88 +548,14 @@ impl CongestionControl for Bbr {
         self.cwnd = self.mss;
     }
 
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.cwnd);
-        w.u64(self.pacing.as_bps());
-        w.u8(match self.mode {
-            Mode::Startup => 0,
-            Mode::Drain => 1,
-            Mode::ProbeBw => 2,
-            Mode::ProbeRtt => 3,
-        });
-        self.rounds.save_state(w);
-        self.bw_filter.save_state(w);
-        w.duration(self.min_rtt);
-        w.time(self.min_rtt_stamp);
-        w.u64(self.full_bw);
-        w.u32(self.full_bw_cnt);
-        w.bool(self.full_bw_reached);
-        w.usize(self.cycle_idx);
-        w.time(self.cycle_stamp);
-        w.opt(self.probe_rtt_done_stamp, |w, t| w.time(t));
-        w.bool(self.probe_rtt_round_done);
-        w.u64(self.prior_cwnd);
-        w.bool(self.packet_conservation);
-        w.u64(self.conservation_entry_round);
-        w.bool(self.in_recovery);
-        w.u64(self.total_lost);
-        w.bool(self.lt_is_sampling);
-        w.u64(self.lt_rtt_cnt);
-        w.bool(self.lt_use_bw);
-        w.u64(self.lt_bw);
-        w.u64(self.lt_last_delivered);
-        w.u64(self.lt_last_lost);
-        w.time(self.lt_last_stamp);
-        for word in self.rng.state() {
-            w.u64(word);
-        }
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.cwnd = r.u64()?;
-        self.pacing = Bandwidth::from_bps(r.u64()?);
-        self.mode = match r.u8()? {
-            0 => Mode::Startup,
-            1 => Mode::Drain,
-            2 => Mode::ProbeBw,
-            3 => Mode::ProbeRtt,
-            t => return Err(SnapError::Corrupt(format!("BBR mode tag {t}"))),
-        };
-        self.rounds.load_state(r)?;
-        self.bw_filter.load_state(r)?;
-        self.min_rtt = r.duration()?;
-        self.min_rtt_stamp = r.time()?;
-        self.full_bw = r.u64()?;
-        self.full_bw_cnt = r.u32()?;
-        self.full_bw_reached = r.bool()?;
-        self.cycle_idx = r.usize()?;
-        if self.cycle_idx >= PACING_GAIN_CYCLE.len() {
-            return Err(SnapError::Corrupt(format!(
-                "BBR cycle index {} out of range",
-                self.cycle_idx
-            )));
-        }
-        self.cycle_stamp = r.time()?;
-        self.probe_rtt_done_stamp = r.opt(|r| r.time())?;
-        self.probe_rtt_round_done = r.bool()?;
-        self.prior_cwnd = r.u64()?;
-        self.packet_conservation = r.bool()?;
-        self.conservation_entry_round = r.u64()?;
-        self.in_recovery = r.bool()?;
-        self.total_lost = r.u64()?;
-        self.lt_is_sampling = r.bool()?;
-        self.lt_rtt_cnt = r.u64()?;
-        self.lt_use_bw = r.bool()?;
-        self.lt_bw = r.u64()?;
-        self.lt_last_delivered = r.u64()?;
-        self.lt_last_lost = r.u64()?;
-        self.lt_last_stamp = r.time()?;
-        let mut s = [0u64; 4];
-        for word in &mut s {
-            *word = r.u64()?;
-        }
-        self.rng = SmallRng::from_state(s);
-        Ok(())
+    snap! {
+        fn save_state;
+        fn load_state then check_cycle_idx;
+        cwnd, pacing, mode, rounds, bw_filter, min_rtt, min_rtt_stamp, full_bw, full_bw_cnt,
+        full_bw_reached, cycle_idx, cycle_stamp, probe_rtt_done_stamp, probe_rtt_round_done,
+        prior_cwnd, packet_conservation, conservation_entry_round, in_recovery, total_lost,
+        lt_is_sampling, lt_rtt_cnt, lt_use_bw, lt_bw, lt_last_delivered, lt_last_lost,
+        lt_last_stamp, rng,
     }
 }
 

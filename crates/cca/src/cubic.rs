@@ -9,7 +9,7 @@
 //! accumulator applies it.
 
 use crate::util::{cap_add, RoundTracker};
-use ccsim_sim::{Bandwidth, SimDuration, SimTime, SnapError, SnapReader, SnapWriter};
+use ccsim_sim::{snap, Bandwidth, SimDuration, SimTime};
 use ccsim_tcp::cc::{AckSample, CongestionControl, INITIAL_CWND_SEGMENTS, MIN_CWND_SEGMENTS};
 
 /// RFC 8312 C constant (window growth scaling), in segments/s³.
@@ -57,23 +57,12 @@ impl HyStart {
         self.rtt_samples_this_round = 0;
     }
 
-    /// Serialize mutable state (`enabled` is configuration).
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.bool(self.found);
-        w.time(self.round_start_time);
-        w.time(self.last_ack_time);
-        w.duration(self.curr_round_min_rtt);
-        w.u32(self.rtt_samples_this_round);
-    }
-
-    /// Overlay checkpointed state.
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.found = r.bool()?;
-        self.round_start_time = r.time()?;
-        self.last_ack_time = r.time()?;
-        self.curr_round_min_rtt = r.duration()?;
-        self.rtt_samples_this_round = r.u32()?;
-        Ok(())
+    snap! {
+        /// Serialize mutable state (`enabled` is configuration).
+        fn save_state;
+        /// Overlay checkpointed state.
+        fn load_state;
+        found, round_start_time, last_ack_time, curr_round_min_rtt, rtt_samples_this_round,
     }
 }
 
@@ -310,30 +299,11 @@ impl CongestionControl for Cubic {
         self.ai_bytes = 0;
     }
 
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.cwnd);
-        w.u64(self.ssthresh);
-        w.f64(self.w_max);
-        w.f64(self.k);
-        w.opt(self.epoch_start, |w, t| w.time(t));
-        w.f64(self.origin_point);
-        w.f64(self.tcp_cwnd);
-        w.u64(self.ai_bytes);
-        self.rounds.save_state(w);
-        self.hystart.save_state(w);
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.cwnd = r.u64()?;
-        self.ssthresh = r.u64()?;
-        self.w_max = r.f64()?;
-        self.k = r.f64()?;
-        self.epoch_start = r.opt(|r| r.time())?;
-        self.origin_point = r.f64()?;
-        self.tcp_cwnd = r.f64()?;
-        self.ai_bytes = r.u64()?;
-        self.rounds.load_state(r)?;
-        self.hystart.load_state(r)
+    snap! {
+        fn save_state;
+        fn load_state;
+        cwnd, ssthresh, w_max, k, epoch_start, origin_point, tcp_cwnd, ai_bytes, rounds,
+        in hystart,
     }
 }
 

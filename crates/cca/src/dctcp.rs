@@ -11,7 +11,7 @@
 //!
 //! [`CcaKind`]: crate::CcaKind
 
-use ccsim_sim::{Bandwidth, SnapError, SnapReader, SnapWriter};
+use ccsim_sim::{snap, Bandwidth};
 use ccsim_tcp::{AckSample, CongestionControl, INITIAL_CWND_SEGMENTS, MIN_CWND_SEGMENTS};
 
 /// EWMA gain for the mark-fraction estimate (RFC 8257's g = 1/16).
@@ -132,23 +132,10 @@ impl CongestionControl for Dctcp {
         self.bytes_acked = 0;
     }
 
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.cwnd);
-        w.u64(self.ssthresh);
-        w.f64(self.alpha);
-        w.u64(self.window_acked);
-        w.u64(self.window_marked);
-        w.u64(self.bytes_acked);
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.cwnd = r.u64()?;
-        self.ssthresh = r.u64()?;
-        self.alpha = r.f64()?;
-        self.window_acked = r.u64()?;
-        self.window_marked = r.u64()?;
-        self.bytes_acked = r.u64()?;
-        Ok(())
+    snap! {
+        fn save_state;
+        fn load_state;
+        cwnd, ssthresh, alpha, window_acked, window_marked, bytes_acked,
     }
 }
 

@@ -9,7 +9,7 @@
 //! * RTO: `ssthresh = cwnd / 2`, restart from 1 MSS.
 
 use crate::util::cap_add;
-use ccsim_sim::{Bandwidth, SnapError, SnapReader, SnapWriter};
+use ccsim_sim::{snap, Bandwidth};
 use ccsim_tcp::cc::{AckSample, CongestionControl, INITIAL_CWND_SEGMENTS, MIN_CWND_SEGMENTS};
 
 /// NewReno congestion control.
@@ -118,17 +118,10 @@ impl CongestionControl for NewReno {
         self.bytes_acked = 0;
     }
 
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.cwnd);
-        w.u64(self.ssthresh);
-        w.u64(self.bytes_acked);
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.cwnd = r.u64()?;
-        self.ssthresh = r.u64()?;
-        self.bytes_acked = r.u64()?;
-        Ok(())
+    snap! {
+        fn save_state;
+        fn load_state;
+        cwnd, ssthresh, bytes_acked,
     }
 }
 

@@ -1,7 +1,7 @@
 //! Shared CCA utilities: packet-timed round tracking and windowed
 //! min/max filters.
 
-use ccsim_sim::{SnapError, SnapReader, SnapWriter};
+use ccsim_sim::snap;
 use ccsim_tcp::AckSample;
 
 /// Saturating window addition — congestion windows never wrap.
@@ -45,22 +45,13 @@ impl RoundTracker {
     pub fn rounds(&self) -> u64 {
         self.rounds
     }
-
-    /// Serialize for a checkpoint.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.next_round_delivered);
-        w.u64(self.rounds);
-        w.bool(self.round_start);
-    }
-
-    /// Overlay checkpointed state.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.next_round_delivered = r.u64()?;
-        self.rounds = r.u64()?;
-        self.round_start = r.bool()?;
-        Ok(())
-    }
 }
+
+snap!(RoundTracker {
+    next_round_delivered,
+    rounds,
+    round_start
+});
 
 /// Windowed running maximum over an integer "time" axis, after Linux's
 /// `lib/win_minmax.c` (Kathleen Nichols' streaming min/max): tracks the
@@ -87,26 +78,6 @@ impl WindowedMax {
     /// True once at least one sample has been accepted.
     pub fn is_initialized(&self) -> bool {
         self.initialized
-    }
-
-    /// Serialize for a checkpoint.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        for &(v, t) in &self.samples {
-            w.u64(v);
-            w.u64(t);
-        }
-        w.bool(self.initialized);
-    }
-
-    /// Overlay checkpointed state.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        for slot in &mut self.samples {
-            let v = r.u64()?;
-            let t = r.u64()?;
-            *slot = (v, t);
-        }
-        self.initialized = r.bool()?;
-        Ok(())
     }
 
     /// Insert `value` observed at `time`, expiring samples older than
@@ -151,6 +122,11 @@ impl WindowedMax {
         self.get()
     }
 }
+
+snap!(WindowedMax {
+    samples,
+    initialized
+});
 
 #[cfg(test)]
 mod tests {

@@ -16,7 +16,7 @@
 //!   in the sense that it rarely causes losses itself).
 
 use crate::util::{cap_add, RoundTracker};
-use ccsim_sim::{Bandwidth, SimDuration, SnapError, SnapReader, SnapWriter};
+use ccsim_sim::{snap, Bandwidth, SimDuration};
 use ccsim_tcp::cc::{AckSample, CongestionControl, INITIAL_CWND_SEGMENTS, MIN_CWND_SEGMENTS};
 
 /// Lower bound on estimated queued segments (grow below this).
@@ -160,25 +160,10 @@ impl CongestionControl for Vegas {
         self.cwnd = self.mss;
     }
 
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.cwnd);
-        w.u64(self.ssthresh);
-        w.duration(self.base_rtt);
-        w.duration(self.round_min_rtt);
-        w.u32(self.round_samples);
-        self.rounds.save_state(w);
-        w.bool(self.ss_grow_this_round);
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.cwnd = r.u64()?;
-        self.ssthresh = r.u64()?;
-        self.base_rtt = r.duration()?;
-        self.round_min_rtt = r.duration()?;
-        self.round_samples = r.u32()?;
-        self.rounds.load_state(r)?;
-        self.ss_grow_this_round = r.bool()?;
-        Ok(())
+    snap! {
+        fn save_state;
+        fn load_state;
+        cwnd, ssthresh, base_rtt, round_min_rtt, round_samples, rounds, ss_grow_this_round,
     }
 }
 

@@ -22,7 +22,7 @@ use crate::watchdog::Watchdog;
 use ccsim_net::link::Link;
 use ccsim_net::msg::Msg;
 use ccsim_resume::{Checkpoint, ResumeError};
-use ccsim_sim::{SimTime, SnapError, SnapReader, SnapWriter};
+use ccsim_sim::{SimTime, Snap, SnapError, SnapReader, SnapWriter};
 use ccsim_tcp::receiver::Receiver;
 use ccsim_tcp::sender::Sender;
 use ccsim_telemetry::ThroughputTracker;
@@ -44,7 +44,7 @@ pub(crate) fn capture_body(
     measure: Option<&Measurement>,
 ) -> Vec<u8> {
     let mut w = SnapWriter::new();
-    net.sim.save_state(&mut w, |w, m: &Msg| m.save_state(w));
+    net.sim.save_state(&mut w, |w, m: &Msg| m.put(w));
     w.u32(net.links.len() as u32);
     for &id in &net.links {
         net.sim.component::<Link>(id).save_state(&mut w);
@@ -70,13 +70,7 @@ pub(crate) fn capture_body(
             tracker,
         }) => {
             w.u8(PHASE_MEASUREMENT);
-            w.seq(sender_base, |w, b| {
-                w.u64(b.data_pkts_sent);
-                w.u64(b.retransmits);
-                w.u64(b.rtos);
-                w.u64(b.delivered_bytes);
-                w.u64(b.congestion_events);
-            });
+            sender_base.put(&mut w);
             tracker.save_state(&mut w);
         }
     }
@@ -117,7 +111,7 @@ fn restore_into_inner(
     window_snapshots: usize,
     r: &mut SnapReader<'_>,
 ) -> Result<Option<Measurement>, SnapError> {
-    net.sim.restore_state(r, Msg::load_state)?;
+    net.sim.restore_state(r, Msg::take)?;
     let links = r.u32()? as usize;
     if links != net.links.len() {
         return Err(SnapError::Corrupt(format!(
@@ -156,15 +150,7 @@ fn restore_into_inner(
     let measure = match r.u8()? {
         PHASE_WARMUP => None,
         PHASE_MEASUREMENT => {
-            let sender_base = r.seq(|r| {
-                Ok(SenderBaseline {
-                    data_pkts_sent: r.u64()?,
-                    retransmits: r.u64()?,
-                    rtos: r.u64()?,
-                    delivered_bytes: r.u64()?,
-                    congestion_events: r.u64()?,
-                })
-            })?;
+            let sender_base = Vec::<SenderBaseline>::take(r)?;
             if sender_base.len() != flows {
                 return Err(SnapError::Corrupt(format!(
                     "checkpoint has {} sender baselines for {flows} flows",
@@ -448,15 +434,49 @@ mod tests {
 
     #[test]
     fn truncated_body_is_a_typed_error_not_a_panic() {
-        let s = tiny(4);
-        let cp = capture_at(&s, SimTime::from_secs(2)).unwrap();
-        for cut in [0, 1, cp.body.len() / 2, cp.body.len() - 1] {
-            let mut short = cp.clone();
-            short.body.truncate(cut);
+        // A small mixed body: BBR and Cubic through CoDel with ECN, a fault
+        // plan whose injector is mid-burst, and a flight recorder with a
+        // tight budget, captured in the measurement phase.
+        let mut s = tiny(4);
+        s.flows = vec![
+            FlowGroup::new(CcaKind::Bbr, 1, SimDuration::from_millis(20)),
+            FlowGroup::new(CcaKind::Cubic, 1, SimDuration::from_millis(30)),
+        ];
+        s.aqm = ccsim_net::AqmKind::Codel;
+        s.ecn = true;
+        s.warmup = SimDuration::from_millis(500);
+        s.trace = ccsim_trace::TraceConfig {
+            max_bytes: 2048,
+            ..ccsim_trace::TraceConfig::standard()
+        };
+        s.fault = ccsim_fault::FaultPlan::none()
+            .blackout(SimTime::from_millis(300), SimDuration::from_millis(20))
+            .burst_loss(SimTime::from_millis(600), 0.02, 0.5);
+        let body = capture_at(&s, SimTime::from_secs(1)).unwrap().body;
+        let restore = |bytes: &[u8]| {
             let mut net = crate::build::BuiltNetwork::try_build(&s).unwrap();
             let mut wd = Watchdog::new(s.watchdog);
-            assert!(restore_into(&mut net, &mut wd, 0, &short.body).is_err());
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                restore_into(&mut net, &mut wd, 0, bytes).is_ok()
+            }))
+        };
+        assert_eq!(restore(&body).ok(), Some(true), "the intact body loads");
+        let mut panicked = Vec::new();
+        for cut in 0..body.len() {
+            match restore(&body[..cut]) {
+                Ok(loaded) => assert!(!loaded, "a body cut at {cut} loaded"),
+                Err(_) => panicked.push(format!("cut at {cut}")),
+            }
         }
+        let mut flipped = body.clone();
+        for at in 0..body.len() {
+            flipped[at] ^= 0xFF;
+            if restore(&flipped).is_err() {
+                panicked.push(format!("flip at {at}"));
+            }
+            flipped[at] ^= 0xFF;
+        }
+        assert!(panicked.is_empty(), "restore panicked on: {panicked:?}");
     }
 
     #[test]

@@ -22,7 +22,7 @@ use ccsim_analysis::{jain_fairness_index, jain_fairness_subset};
 use ccsim_net::link::{Link, LinkStats};
 use ccsim_net::AqmKind;
 use ccsim_resume::{Checkpoint, ResumeError};
-use ccsim_sim::SimTime;
+use ccsim_sim::{snap, SimTime};
 use ccsim_tcp::sender::Sender;
 use ccsim_telemetry::{FlowMetrics, ThroughputTracker};
 use ccsim_trace::{RunTrace, TraceMeta};
@@ -39,6 +39,14 @@ pub(crate) struct SenderBaseline {
     /// it belong to the measurement window.
     pub(crate) congestion_events: u64,
 }
+
+snap!(SenderBaseline {
+    data_pkts_sent,
+    retransmits,
+    rtos,
+    delivered_bytes,
+    congestion_events
+});
 
 /// The measurement cursor, taken at the warm-up boundary: per-flow
 /// counter baselines and the tracker the convergence rule reads. A run

@@ -25,7 +25,7 @@ use crate::build::BuiltNetwork;
 use crate::scenario::Scenario;
 use ccsim_fault::{InvariantKind, InvariantViolation, WatchdogConfig, WatchdogReport};
 use ccsim_net::link::Link;
-use ccsim_sim::{SimTime, SnapError, SnapReader, SnapWriter};
+use ccsim_sim::{snap, SimTime};
 use ccsim_tcp::receiver::Receiver;
 use ccsim_tcp::sender::Sender;
 
@@ -53,6 +53,13 @@ impl LinkBaseline {
         }
     }
 }
+
+snap!(LinkBaseline {
+    arrived,
+    dropped,
+    transmitted,
+    backlog_pkts
+});
 
 /// The per-run check driver. Constructed enabled or inert; an inert
 /// watchdog's methods are no-ops so the runner calls them unconditionally.
@@ -107,37 +114,14 @@ impl Watchdog {
         }
     }
 
-    /// Serialize the check-pass cursor for a checkpoint. Violations are
-    /// not serialized: a tripped watchdog aborts the run before any
-    /// checkpoint can be taken, so checkpoints only ever hold clean state.
-    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.slice);
-        w.u64(self.report.checks_run);
-        w.time(self.last_now);
-        w.u64(self.last_events);
-        w.seq(&self.base, |w, b| {
-            w.u64(b.arrived);
-            w.u64(b.dropped);
-            w.u64(b.transmitted);
-            w.u64(b.backlog_pkts);
-        });
-    }
-
-    /// Overlay a checkpointed check-pass cursor.
-    pub(crate) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.slice = r.u64()?;
-        self.report.checks_run = r.u64()?;
-        self.last_now = r.time()?;
-        self.last_events = r.u64()?;
-        self.base = r.seq(|r| {
-            Ok(LinkBaseline {
-                arrived: r.u64()?,
-                dropped: r.u64()?,
-                transmitted: r.u64()?,
-                backlog_pkts: r.u64()?,
-            })
-        })?;
-        Ok(())
+    snap! {
+        /// Serialize the check-pass cursor for a checkpoint. Violations are
+        /// not serialized: a tripped watchdog aborts the run before any
+        /// checkpoint can be taken, so checkpoints only ever hold clean state.
+        pub(crate) fn save_state;
+        /// Overlay a checkpointed check-pass cursor.
+        pub(crate) fn load_state;
+        slice, report.checks_run, last_now, last_events, base,
     }
 
     /// Run one check pass at a slice boundary (respecting the stride).

@@ -21,7 +21,7 @@
 //! actions (blackouts, rate steps) costs zero RNG state.
 
 use crate::plan::{FaultAction, FaultKind, FaultPlan, LossModel};
-use ccsim_sim::{Bandwidth, SimDuration, SimTime, SnapError, SnapReader, SnapWriter};
+use ccsim_sim::{snap, Bandwidth, SimDuration, SimTime, Snap, SnapError, SnapReader, SnapWriter};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -75,10 +75,48 @@ impl FaultStats {
     }
 }
 
+snap!(FaultStats {
+    blackout_dropped,
+    loss_dropped,
+    reordered,
+    duplicated,
+    actions_applied
+});
+
 #[derive(Debug, Clone)]
 enum LossState {
+    Off,
     Iid { rate: f64 },
     Burst { enter: f64, exit: f64, bad: bool },
+}
+
+/// A tag byte (0 off, 1 i.i.d., 2 burst), then the model's fields.
+impl Snap for LossState {
+    fn put(&self, w: &mut SnapWriter) {
+        match *self {
+            LossState::Off => w.u8(0),
+            LossState::Iid { rate } => {
+                w.u8(1);
+                rate.put(w);
+            }
+            LossState::Burst { enter, exit, bad } => {
+                w.u8(2);
+                (enter, exit, bad).put(w);
+            }
+        }
+    }
+
+    fn take(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        match r.u8()? {
+            0 => Ok(LossState::Off),
+            1 => Ok(LossState::Iid { rate: r.f64()? }),
+            2 => {
+                let (enter, exit, bad) = Snap::take(r)?;
+                Ok(LossState::Burst { enter, exit, bad })
+            }
+            b => Err(SnapError::Corrupt(format!("loss-state tag {b}"))),
+        }
+    }
 }
 
 /// Executes a sorted [`FaultPlan`] against a link's event stream.
@@ -88,7 +126,7 @@ pub struct LinkFaultInjector {
     cursor: usize,
     rng: SmallRng,
     blackout_until: Option<SimTime>,
-    loss: Option<LossState>,
+    loss: LossState,
     reorder_rate: f64,
     reorder_extra: SimDuration,
     dup_rate: f64,
@@ -104,7 +142,7 @@ impl LinkFaultInjector {
             cursor: 0,
             rng: SmallRng::seed_from_u64(seed),
             blackout_until: None,
-            loss: None,
+            loss: LossState::Off,
             reorder_rate: 0.0,
             reorder_extra: SimDuration::ZERO,
             dup_rate: 0.0,
@@ -133,14 +171,15 @@ impl LinkFaultInjector {
                 FaultKind::SetBandwidth { rate } => changes.new_rate = Some(rate),
                 FaultKind::SetExtraDelay { delay } => self.extra_delay = delay,
                 FaultKind::SetLoss { model } => {
-                    self.loss = model.map(|m| match m {
-                        LossModel::Iid { rate } => LossState::Iid { rate },
-                        LossModel::Burst { enter, exit } => LossState::Burst {
+                    self.loss = match model {
+                        None => LossState::Off,
+                        Some(LossModel::Iid { rate }) => LossState::Iid { rate },
+                        Some(LossModel::Burst { enter, exit }) => LossState::Burst {
                             enter,
                             exit,
                             bad: false,
                         },
-                    });
+                    };
                 }
                 FaultKind::SetReorder { rate, extra } => {
                     self.reorder_rate = rate;
@@ -166,8 +205,8 @@ impl LinkFaultInjector {
             self.blackout_until = None;
         }
         match &mut self.loss {
-            None => None,
-            Some(LossState::Iid { rate }) => {
+            LossState::Off => None,
+            LossState::Iid { rate } => {
                 let rate = *rate;
                 if rate > 0.0 && self.rng.gen_bool(rate) {
                     self.stats.loss_dropped += 1;
@@ -176,7 +215,7 @@ impl LinkFaultInjector {
                     None
                 }
             }
-            Some(LossState::Burst { enter, exit, bad }) => {
+            LossState::Burst { enter, exit, bad } => {
                 if *bad {
                     // Every arrival in the bad state is lost; leave with
                     // probability `exit`.
@@ -217,76 +256,28 @@ impl LinkFaultInjector {
         fate
     }
 
-    /// Serialize runtime state for a checkpoint. The action list itself
-    /// is *not* written — it is deterministic from the scenario's
-    /// `FaultPlan`, so restore rebuilds the injector from the plan and
-    /// overlays this state (cursor, RNG, active impairments, counters).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.cursor);
-        for word in self.rng.state() {
-            w.u64(word);
-        }
-        w.opt(self.blackout_until, |w, t| w.time(t));
-        match &self.loss {
-            None => w.u8(0),
-            Some(LossState::Iid { rate }) => {
-                w.u8(1);
-                w.f64(*rate);
-            }
-            Some(LossState::Burst { enter, exit, bad }) => {
-                w.u8(2);
-                w.f64(*enter);
-                w.f64(*exit);
-                w.bool(*bad);
-            }
-        }
-        w.f64(self.reorder_rate);
-        w.duration(self.reorder_extra);
-        w.f64(self.dup_rate);
-        w.duration(self.extra_delay);
-        w.u64(self.stats.blackout_dropped);
-        w.u64(self.stats.loss_dropped);
-        w.u64(self.stats.reordered);
-        w.u64(self.stats.duplicated);
-        w.u64(self.stats.actions_applied);
+    snap! {
+        /// Serialize runtime state for a checkpoint. The action list itself
+        /// is *not* written — it is deterministic from the scenario's
+        /// `FaultPlan`, so restore rebuilds the injector from the plan and
+        /// overlays this state (cursor, RNG, active impairments, counters).
+        pub fn save_state;
+        /// Overlay checkpointed runtime state onto an injector freshly built
+        /// from the same `FaultPlan` (see [`LinkFaultInjector::save_state`]).
+        pub fn load_state then check_cursor;
+        cursor, rng, blackout_until, loss, reorder_rate, reorder_extra, dup_rate, extra_delay,
+        stats,
     }
 
-    /// Overlay checkpointed runtime state onto an injector freshly built
-    /// from the same `FaultPlan` (see [`LinkFaultInjector::save_state`]).
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let cursor = r.usize()?;
-        if cursor > self.actions.len() {
+    /// Refuse a restored cursor past the rebuilt action list.
+    fn check_cursor(&self) -> Result<(), SnapError> {
+        if self.cursor > self.actions.len() {
             return Err(SnapError::Corrupt(format!(
-                "fault cursor {cursor} past {} actions",
+                "fault cursor {} past {} actions",
+                self.cursor,
                 self.actions.len()
             )));
         }
-        self.cursor = cursor;
-        let mut s = [0u64; 4];
-        for word in &mut s {
-            *word = r.u64()?;
-        }
-        self.rng = SmallRng::from_state(s);
-        self.blackout_until = r.opt(|r| r.time())?;
-        self.loss = match r.u8()? {
-            0 => None,
-            1 => Some(LossState::Iid { rate: r.f64()? }),
-            2 => Some(LossState::Burst {
-                enter: r.f64()?,
-                exit: r.f64()?,
-                bad: r.bool()?,
-            }),
-            b => return Err(SnapError::Corrupt(format!("loss-state tag {b}"))),
-        };
-        self.reorder_rate = r.f64()?;
-        self.reorder_extra = r.duration()?;
-        self.dup_rate = r.f64()?;
-        self.extra_delay = r.duration()?;
-        self.stats.blackout_dropped = r.u64()?;
-        self.stats.loss_dropped = r.u64()?;
-        self.stats.reordered = r.u64()?;
-        self.stats.duplicated = r.u64()?;
-        self.stats.actions_applied = r.u64()?;
         Ok(())
     }
 

@@ -29,7 +29,7 @@
 //! [`Link`]: crate::link::Link
 
 use crate::packet::Packet;
-use ccsim_sim::{Bandwidth, SimDuration, SimTime, SnapError, SnapReader, SnapWriter};
+use ccsim_sim::{snap, Bandwidth, SimDuration, SimTime, SnapError, SnapReader, SnapWriter};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 use std::collections::VecDeque;
@@ -194,24 +194,6 @@ pub trait AqmQueue {
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
 }
 
-/// Shared helper: serialize a packet FIFO.
-fn save_pkt_queue(w: &mut SnapWriter, q: &VecDeque<Packet>) {
-    w.u64(q.len() as u64);
-    for p in q {
-        p.save_state(w);
-    }
-}
-
-/// Shared helper: deserialize a packet FIFO.
-fn load_pkt_queue(r: &mut SnapReader<'_>) -> Result<VecDeque<Packet>, SnapError> {
-    let n = r.usize()?;
-    let mut q = VecDeque::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        q.push_back(Packet::load_state(r)?);
-    }
-    Ok(q)
-}
-
 /// Uniform draw in `[0, 1)` from the top 53 bits of a `u64`, the standard
 /// exact construction (no rejection, bit-stable everywhere).
 #[inline]
@@ -284,15 +266,10 @@ impl AqmQueue for DropTail {
         self.buffer_bytes
     }
 
-    fn save_state(&self, w: &mut SnapWriter) {
-        save_pkt_queue(w, &self.queue);
-        w.u64(self.queued_bytes);
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.queue = load_pkt_queue(r)?;
-        self.queued_bytes = r.u64()?;
-        Ok(())
+    snap! {
+        fn save_state;
+        fn load_state;
+        queue, queued_bytes,
     }
 }
 
@@ -453,30 +430,10 @@ impl AqmQueue for Red {
         self.buffer_bytes
     }
 
-    fn save_state(&self, w: &mut SnapWriter) {
-        save_pkt_queue(w, &self.queue);
-        w.u64(self.queued_bytes);
-        w.f64(self.avg);
-        w.i64(self.count);
-        w.opt(self.empty_since, |w, t| w.time(t));
-        let s = self.rng.state();
-        for word in s {
-            w.u64(word);
-        }
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.queue = load_pkt_queue(r)?;
-        self.queued_bytes = r.u64()?;
-        self.avg = r.f64()?;
-        self.count = r.i64()?;
-        self.empty_since = r.opt(|r| r.time())?;
-        let mut s = [0u64; 4];
-        for word in &mut s {
-            *word = r.u64()?;
-        }
-        self.rng = SmallRng::from_state(s);
-        Ok(())
+    snap! {
+        fn save_state;
+        fn load_state;
+        queue, queued_bytes, avg, count, empty_since, rng,
     }
 }
 
@@ -627,35 +584,10 @@ impl AqmQueue for Codel {
         self.buffer_bytes
     }
 
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.queue.len() as u64);
-        for (at, p) in &self.queue {
-            w.time(*at);
-            p.save_state(w);
-        }
-        w.u64(self.queued_bytes);
-        w.opt(self.first_above_at, |w, t| w.time(t));
-        w.bool(self.dropping);
-        w.time(self.drop_next);
-        w.u32(self.count);
-        w.u32(self.last_count);
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = r.usize()?;
-        let mut queue = VecDeque::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let at = r.time()?;
-            queue.push_back((at, Packet::load_state(r)?));
-        }
-        self.queue = queue;
-        self.queued_bytes = r.u64()?;
-        self.first_above_at = r.opt(|r| r.time())?;
-        self.dropping = r.bool()?;
-        self.drop_next = r.time()?;
-        self.count = r.u32()?;
-        self.last_count = r.u32()?;
-        Ok(())
+    snap! {
+        fn save_state;
+        fn load_state;
+        queue, queued_bytes, first_above_at, dropping, drop_next, count, last_count,
     }
 }
 
@@ -846,34 +778,12 @@ impl AqmQueue for Pie {
         self.queued_bytes > 0 || self.prob > 0.0 || self.burst_allowance < PIE_BURST_ALLOWANCE
     }
 
-    fn save_state(&self, w: &mut SnapWriter) {
-        save_pkt_queue(w, &self.queue);
-        w.u64(self.queued_bytes);
-        // `rate` is mutable state: fault injection can have changed it
-        // since construction.
-        w.u64(self.rate.as_bps());
-        w.f64(self.prob);
-        w.duration(self.qdelay_old);
-        w.duration(self.burst_allowance);
-        let s = self.rng.state();
-        for word in s {
-            w.u64(word);
-        }
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.queue = load_pkt_queue(r)?;
-        self.queued_bytes = r.u64()?;
-        self.rate = Bandwidth::from_bps(r.u64()?);
-        self.prob = r.f64()?;
-        self.qdelay_old = r.duration()?;
-        self.burst_allowance = r.duration()?;
-        let mut s = [0u64; 4];
-        for word in &mut s {
-            *word = r.u64()?;
-        }
-        self.rng = SmallRng::from_state(s);
-        Ok(())
+    // `rate` is mutable state: fault injection can have changed it since
+    // construction.
+    snap! {
+        fn save_state;
+        fn load_state;
+        queue, queued_bytes, rate, prob, qdelay_old, burst_allowance, rng,
     }
 }
 

@@ -9,9 +9,7 @@
 
 use crate::msg::Msg;
 use crate::path::{deliver_after, hop_latency};
-use ccsim_sim::{
-    Component, ComponentId, Ctx, SimDuration, SimTime, SnapError, SnapReader, SnapWriter,
-};
+use ccsim_sim::{snap, Component, ComponentId, Ctx, SimDuration, SimTime};
 
 /// Where a delay line forwards packets.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -50,16 +48,13 @@ impl DelayLine {
         self.forwarded
     }
 
-    /// Serialize mutable state for a checkpoint (delay and next hop are
-    /// configuration).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.forwarded);
-    }
-
-    /// Overlay checkpointed state.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.forwarded = r.u64()?;
-        Ok(())
+    snap! {
+        /// Serialize mutable state for a checkpoint (delay and next hop are
+        /// configuration).
+        pub fn save_state;
+        /// Overlay checkpointed state.
+        pub fn load_state;
+        forwarded,
     }
 }
 

@@ -33,9 +33,7 @@ use crate::msg::{Msg, TimerToken};
 use crate::packet::Packet;
 use crate::path::{deliver_after, hop_latency};
 use ccsim_fault::{FaultStats, LinkFaultInjector};
-use ccsim_sim::{
-    Bandwidth, Component, ComponentId, Ctx, SimDuration, SimTime, SnapError, SnapReader, SnapWriter,
-};
+use ccsim_sim::{snap, Bandwidth, Component, ComponentId, Ctx, SimDuration, SimTime};
 use ccsim_telemetry::{Counter, Histogram};
 use ccsim_trace::QueueRecorder;
 use std::sync::Arc;
@@ -139,6 +137,19 @@ impl LinkStats {
         }
     }
 }
+
+snap!(LinkStats {
+    arrived_pkts,
+    arrived_bytes,
+    dropped_pkts,
+    dropped_bytes,
+    transmitted_pkts,
+    transmitted_bytes,
+    max_queue_bytes,
+    ce_marked_pkts,
+    per_flow_arrived,
+    per_flow_dropped,
+});
 
 /// A rate-limited, drop-tail, fixed-propagation-delay link.
 pub struct Link {
@@ -623,94 +634,24 @@ impl Link {
         }
     }
 
-    /// Serialize this link's mutable state for a checkpoint. Topology
-    /// configuration (propagation delay, buffer size, next hop, AQM
-    /// discipline choice, drop-log cap) is rebuilt from the scenario;
-    /// everything here is what traffic and fault actions have changed:
-    /// the current rate (fault-mutable), queue contents, in-service
-    /// packet, counters, drop log, and the delegated AQM / injector /
-    /// recorder state.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.rate.as_bps());
-        w.opt(self.ser_memo, |w, (bytes, d)| {
-            w.u32(bytes);
-            w.duration(d);
-        });
-        w.bool(self.aqm_tick_armed);
-        w.opt(self.in_service.as_ref(), |w, p| p.save_state(w));
-        w.u64(self.stats.arrived_pkts);
-        w.u64(self.stats.arrived_bytes);
-        w.u64(self.stats.dropped_pkts);
-        w.u64(self.stats.dropped_bytes);
-        w.u64(self.stats.transmitted_pkts);
-        w.u64(self.stats.transmitted_bytes);
-        w.u64(self.stats.max_queue_bytes);
-        w.u64(self.stats.ce_marked_pkts);
-        w.seq(&self.stats.per_flow_arrived, |w, n| w.u64(*n));
-        w.seq(&self.stats.per_flow_dropped, |w, n| w.u64(*n));
-        w.seq(&self.drop_log, |w, t| w.time(*t));
-        w.time(self.log_from);
-        w.seq(&self.burst_tail, |w, p| p.save_state(w));
-        self.aqm.save_state(w);
-        w.opt(self.injector.as_ref(), |w, inj| inj.save_state(w));
-        w.opt(self.recorder.as_ref(), |w, rec| rec.save_state(w));
-    }
-
-    /// Overlay checkpointed state onto a link freshly built from the same
-    /// scenario (same AQM discipline, fault plan, and trace attachment).
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.rate = Bandwidth::from_bps(r.u64()?);
-        self.ser_memo = r.opt(|r| {
-            let bytes = r.u32()?;
-            let d = r.duration()?;
-            Ok((bytes, d))
-        })?;
-        self.aqm_tick_armed = r.bool()?;
-        self.in_service = r.opt(Packet::load_state)?;
-        self.stats.arrived_pkts = r.u64()?;
-        self.stats.arrived_bytes = r.u64()?;
-        self.stats.dropped_pkts = r.u64()?;
-        self.stats.dropped_bytes = r.u64()?;
-        self.stats.transmitted_pkts = r.u64()?;
-        self.stats.transmitted_bytes = r.u64()?;
-        self.stats.max_queue_bytes = r.u64()?;
-        self.stats.ce_marked_pkts = r.u64()?;
-        self.stats.per_flow_arrived = r.seq(|r| r.u64())?;
-        self.stats.per_flow_dropped = r.seq(|r| r.u64())?;
-        self.drop_log = r.seq(|r| r.time())?;
-        self.log_from = r.time()?;
-        self.drop_burst = 0;
-        self.burst_tail = r.seq(Packet::load_state)?;
-        self.aqm.load_state(r)?;
-        let saved_injector = r.opt(|_| Ok(()))?;
-        match (&mut self.injector, saved_injector) {
-            (Some(inj), Some(())) => {
-                // The opt closure above consumed only the presence tag;
-                // re-enter the injector payload in place.
-                inj.load_state(r)?;
-            }
-            (None, None) => {}
-            (have, saved) => {
-                return Err(SnapError::Corrupt(format!(
-                    "fault injector presence mismatch: built {}, snapshot {}",
-                    have.is_some(),
-                    saved.is_some()
-                )));
-            }
-        }
-        let saved_recorder = r.opt(|_| Ok(()))?;
-        match (&mut self.recorder, saved_recorder) {
-            (Some(rec), Some(())) => rec.load_state(r)?,
-            (None, None) => {}
-            (have, saved) => {
-                return Err(SnapError::Corrupt(format!(
-                    "queue recorder presence mismatch: built {}, snapshot {}",
-                    have.is_some(),
-                    saved.is_some()
-                )));
-            }
-        }
-        Ok(())
+    snap! {
+        /// Serialize this link's mutable state for a checkpoint. Topology
+        /// configuration (propagation delay, buffer size, next hop, AQM
+        /// discipline choice, drop-log cap) is rebuilt from the scenario;
+        /// everything here is what traffic and fault actions have changed:
+        /// the current rate (fault-mutable), queue contents, in-service
+        /// packet, counters, drop log, and the delegated AQM / injector /
+        /// recorder state. The in-progress drop-burst length counts only
+        /// while metrics are attached, so it stays out.
+        pub fn save_state;
+        /// Overlay checkpointed state onto a link freshly built from the
+        /// same scenario (same AQM discipline, fault plan, and trace
+        /// attachment).
+        pub fn load_state;
+        rate, ser_memo, aqm_tick_armed, in_service, stats, drop_log, log_from, burst_tail,
+        in aqm,
+        attached "fault injector" injector,
+        attached "queue recorder" recorder,
     }
 
     fn on_fault_tick(&mut self, now: SimTime, ctx: &mut Ctx<'_, Msg>) {

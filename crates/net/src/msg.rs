@@ -12,7 +12,7 @@
 //! generation on delivery.
 
 use crate::packet::Packet;
-use ccsim_sim::{SnapError, SnapReader, SnapWriter};
+use ccsim_sim::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// A timer token. The low bits conventionally encode the timer kind and the
 /// high bits a generation counter, but the engine treats it as opaque.
@@ -48,14 +48,14 @@ pub enum Msg {
     Timer(TimerToken),
 }
 
-impl Msg {
-    /// Serialize for a checkpoint (timer-wheel entries carry `Msg`
-    /// payloads, so the queue snapshot routes through this).
-    pub fn save_state(&self, w: &mut SnapWriter) {
+/// Timer-wheel entries carry `Msg` payloads, so the queue snapshot routes
+/// through this: a tag byte, then the packet or the timer token.
+impl Snap for Msg {
+    fn put(&self, w: &mut SnapWriter) {
         match self {
             Msg::Packet(p) => {
                 w.u8(0);
-                p.save_state(w);
+                p.put(w);
             }
             Msg::Timer(t) => {
                 w.u8(1);
@@ -64,10 +64,9 @@ impl Msg {
         }
     }
 
-    /// Deserialize a message written by [`Msg::save_state`].
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<Msg, SnapError> {
+    fn take(r: &mut SnapReader<'_>) -> Result<Msg, SnapError> {
         match r.u8()? {
-            0 => Ok(Msg::Packet(Packet::load_state(r)?)),
+            0 => Ok(Msg::Packet(Packet::take(r)?)),
             1 => Ok(Msg::Timer(TimerToken(r.u64()?))),
             b => Err(SnapError::Corrupt(format!("msg tag {b}"))),
         }

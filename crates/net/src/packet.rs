@@ -11,7 +11,7 @@
 //! paper measures, and 64 bits cannot wrap within any feasible experiment
 //! (2^64 bytes at 10 Gbps is ~460 years).
 
-use ccsim_sim::{ComponentId, SimTime, SnapError, SnapReader, SnapWriter};
+use ccsim_sim::{snap, ComponentId, SimTime, Snap, SnapError, SnapReader, SnapWriter};
 use std::fmt;
 
 /// Identifies one TCP flow (one sender/receiver pair) within an experiment.
@@ -269,73 +269,57 @@ impl Packet {
     pub fn has_cwr(&self) -> bool {
         self.ecn & ECN_CWR != 0
     }
+}
 
-    // ----- checkpoint/restore -------------------------------------------
+// ----- checkpoint encoding ---------------------------------------------
 
-    /// Serialize for a checkpoint (canonical: only populated SACK blocks
-    /// are written).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.u32(self.flow.0);
-        w.u8(match self.kind {
-            PacketKind::Data => 0,
-            PacketKind::Ack => 1,
-        });
-        w.usize(self.dst.as_usize());
-        w.u32(self.wire_bytes);
-        w.u64(self.seq);
-        w.u64(self.end_seq);
-        w.u64(self.ack_seq);
-        w.u8(self.sack.len() as u8);
-        for b in self.sack.as_slice() {
-            w.u64(b.start);
-            w.u64(b.end);
-        }
-        w.time(self.sent_at);
-        w.bool(self.retransmit);
-        w.u8(self.ecn);
+impl Snap for FlowId {
+    fn put(&self, w: &mut SnapWriter) {
+        w.u32(self.0);
     }
-
-    /// Deserialize a packet written by [`Packet::save_state`].
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<Packet, SnapError> {
-        let flow = FlowId(r.u32()?);
-        let kind = match r.u8()? {
-            0 => PacketKind::Data,
-            1 => PacketKind::Ack,
-            b => return Err(SnapError::Corrupt(format!("packet kind tag {b}"))),
-        };
-        let dst = ComponentId::from_raw(r.usize()?);
-        let wire_bytes = r.u32()?;
-        let seq = r.u64()?;
-        let end_seq = r.u64()?;
-        let ack_seq = r.u64()?;
-        let n_sack = r.u8()? as usize;
-        if n_sack > MAX_SACK_BLOCKS {
-            return Err(SnapError::Corrupt(format!("{n_sack} sack blocks")));
-        }
-        let mut sack = SackBlocks::EMPTY;
-        for _ in 0..n_sack {
-            let start = r.u64()?;
-            let end = r.u64()?;
-            sack.push(SackBlock { start, end });
-        }
-        let sent_at = r.time()?;
-        let retransmit = r.bool()?;
-        let ecn = r.u8()?;
-        Ok(Packet {
-            flow,
-            kind,
-            dst,
-            wire_bytes,
-            seq,
-            end_seq,
-            ack_seq,
-            sack,
-            sent_at,
-            retransmit,
-            ecn,
-        })
+    fn take(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(FlowId(r.u32()?))
     }
 }
+
+snap!(SackBlock { start, end });
+
+/// Canonical: a count byte, then only the populated blocks.
+impl Snap for SackBlocks {
+    fn put(&self, w: &mut SnapWriter) {
+        w.u8(self.len);
+        for b in self.as_slice() {
+            b.put(w);
+        }
+    }
+    fn take(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let n = usize::from(r.u8()?);
+        if n > MAX_SACK_BLOCKS {
+            return Err(SnapError::Corrupt(format!("{n} sack blocks")));
+        }
+        let mut sack = SackBlocks::EMPTY;
+        for _ in 0..n {
+            sack.push(SackBlock::take(r)?);
+        }
+        Ok(sack)
+    }
+}
+
+snap!(PacketKind as "packet kind" [Data, Ack]);
+
+snap!(Packet {
+    flow,
+    kind,
+    dst,
+    wire_bytes,
+    seq,
+    end_seq,
+    ack_seq,
+    sack,
+    sent_at,
+    retransmit,
+    ecn
+});
 
 #[cfg(test)]
 mod tests {

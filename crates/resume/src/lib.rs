@@ -14,7 +14,7 @@
 //!
 //! ```text
 //! magic    8 B   "CCSNAP\r\n"
-//! version  4 B   little-endian u32 (currently 2)
+//! version  4 B   little-endian u32: SNAP_VERSION
 //! scenario       length-prefixed UTF-8 (the run's scenario JSON)
 //! taken_at 8 B   sim-time nanoseconds of the capture boundary
 //! body           length-prefixed opaque engine+harness state

@@ -91,7 +91,7 @@
 //! `tests/scheduler_equivalence.rs` in this crate).
 
 use crate::engine::ComponentId;
-use crate::snap::{SnapError, SnapReader, SnapWriter};
+use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -130,23 +130,11 @@ impl Default for CancelToken {
     }
 }
 
-impl CancelToken {
-    /// Serialize the token for a checkpoint. Tokens survive a
-    /// snapshot/restore cycle because [`EventQueue::save_state`] carries
-    /// the generation table verbatim: a token live before the snapshot is
-    /// live (and cancels the same event) after restore.
-    pub fn save_state(self, w: &mut SnapWriter) {
-        w.u32(self.idx);
-        w.u64(self.gen);
-    }
-
-    /// Deserialize a token written by [`CancelToken::save_state`].
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<CancelToken, SnapError> {
-        let idx = r.u32()?;
-        let gen = r.u64()?;
-        Ok(CancelToken { idx, gen })
-    }
-}
+// Tokens survive a snapshot/restore cycle because
+// [`EventQueue::save_state`] carries the generation table verbatim: a token
+// live before the snapshot is live (and cancels the same event) after
+// restore.
+crate::snap!(CancelToken { idx, gen });
 
 /// Sentinel for "entry has no cancellation token".
 const NO_TOKEN: u32 = u32::MAX;
@@ -1247,8 +1235,8 @@ impl<M> EventQueue<M> {
     /// (`WheelStats`, high-water marks) is *not* part of the state: it
     /// never influences pop order.
     pub fn save_state(&self, w: &mut SnapWriter, mut save_msg: impl FnMut(&mut SnapWriter, &M)) {
-        w.seq(&self.tokens.gens, |w, &g| w.u64(g));
-        w.seq(&self.tokens.free, |w, &i| w.u32(i));
+        self.tokens.gens.put(w);
+        self.tokens.free.put(w);
         w.u64(self.next_seq);
         w.u64(self.scheduled_total);
         let mut entries: Vec<Key> = Vec::with_capacity(self.live);
@@ -1257,11 +1245,7 @@ impl<M> EventQueue<M> {
         entries.sort_by_key(|k| (k.time, k.seq));
         w.u64(entries.len() as u64);
         for k in entries {
-            w.time(k.time);
-            w.u64(k.seq);
-            w.u32(k.tok);
-            w.u64(k.tok_gen);
-            w.usize(k.dst as usize);
+            (k.time, k.seq, k.tok, k.tok_gen, k.dst as usize).put(w);
             let msg = self.payload[k.slot as usize]
                 .as_ref()
                 .expect("live key owns a payload");
@@ -1299,8 +1283,8 @@ impl<M> EventQueue<M> {
         mut load_msg: impl FnMut(&mut SnapReader<'a>) -> Result<M, SnapError>,
     ) -> Result<EventQueue<M>, SnapError> {
         let corrupt = |what: String| Err(SnapError::Corrupt(what));
-        let gens = r.seq(|r| r.u64())?;
-        let free = r.seq(|r| r.u32())?;
+        let gens = Vec::<u64>::take(r)?;
+        let free = Vec::<u32>::take(r)?;
         // Per token index: on the free list, or borne by a loaded entry.
         let mut tok_taken = vec![false; gens.len()];
         for &idx in &free {
@@ -1325,11 +1309,7 @@ impl<M> EventQueue<M> {
         let n = r.usize()?;
         let mut seqs = Vec::new();
         for _ in 0..n {
-            let time = r.time()?;
-            let seq = r.u64()?;
-            let tok = r.u32()?;
-            let tok_gen = r.u64()?;
-            let dst = r.usize()?;
+            let (time, seq, tok, tok_gen, dst) = <(SimTime, u64, u32, u64, usize)>::take(r)?;
             let msg = load_msg(r)?;
             if seq >= next_seq {
                 return corrupt(format!("entry seq {seq} >= next_seq {next_seq}"));

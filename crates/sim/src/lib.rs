@@ -56,5 +56,5 @@ pub use event::{CancelToken, Event, EventQueue, HeapQueue, WheelStats};
 pub use json::{Json, JsonError, JsonWriter};
 pub use rate::{safe_rate, Bandwidth};
 pub use rng::{fnv1a_64, Fnv1a, RngFactory};
-pub use snap::{SnapError, SnapReader, SnapWriter};
+pub use snap::{Snap, SnapError, SnapReader, SnapWriter};
 pub use time::{SimDuration, SimTime};

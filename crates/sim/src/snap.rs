@@ -8,12 +8,21 @@
 //! restore must reproduce the *exact* bytes of pre-snapshot state, so the
 //! codec must never normalize, canonicalize, or round.
 //!
+//! Each type's encoding is written once. A value type implements [`Snap`]
+//! (`put` and `take`); a component whose state is overlaid on one rebuilt
+//! from the scenario lists its fields in one [`snap!`](crate::snap!)
+//! block, which writes both its `save_state` and its `load_state`.
+//!
 //! Reads are total: a truncated or corrupt buffer yields a typed
 //! [`SnapError`], never a panic. Higher layers (the `ccsim-resume` crate)
 //! wrap these primitives in a versioned, digest-stamped container; this
 //! module knows nothing about files or versions.
 
+use crate::engine::ComponentId;
+use crate::rate::Bandwidth;
 use crate::time::{SimDuration, SimTime};
+use rand::rngs::SmallRng;
+use std::collections::VecDeque;
 use std::fmt;
 
 /// A typed decode failure. Snapshot loading is driven by untrusted bytes
@@ -141,7 +150,7 @@ impl SnapWriter {
     }
 
     /// Append `Some`/`None` as a tag byte followed by the value.
-    pub fn opt<T>(&mut self, v: Option<T>, mut f: impl FnMut(&mut SnapWriter, T)) {
+    pub fn opt<T>(&mut self, v: Option<T>, f: impl FnOnce(&mut SnapWriter, T)) {
         match v {
             Some(v) => {
                 self.u8(1);
@@ -157,6 +166,14 @@ impl SnapWriter {
         for item in items {
             f(self, item);
         }
+    }
+
+    /// Append an attachment the scenario builds (a fault injector, a
+    /// recorder): a presence tag, then its state. Restore rebuilds the
+    /// attachment from the scenario and [`SnapReader::attached`] overlays
+    /// the state in place.
+    pub fn attached<T>(&mut self, att: Option<&T>, save: impl FnOnce(&T, &mut SnapWriter)) {
+        self.opt(att, |w, a| save(a, w));
     }
 }
 
@@ -184,7 +201,7 @@ impl<'a> SnapReader<'a> {
         self.remaining() == 0
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
+    fn split(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
         if self.remaining() < n {
             return Err(SnapError::Truncated {
                 needed: n,
@@ -198,7 +215,7 @@ impl<'a> SnapReader<'a> {
 
     /// Read one byte.
     pub fn u8(&mut self) -> Result<u8, SnapError> {
-        Ok(self.take(1)?[0])
+        Ok(self.split(1)?[0])
     }
 
     /// Read a bool; any byte other than 0/1 is corrupt.
@@ -212,22 +229,22 @@ impl<'a> SnapReader<'a> {
 
     /// Read a little-endian `u16`.
     pub fn u16(&mut self) -> Result<u16, SnapError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_le_bytes(self.split(2)?.try_into().unwrap()))
     }
 
     /// Read a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, SnapError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.split(4)?.try_into().unwrap()))
     }
 
     /// Read a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, SnapError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.split(8)?.try_into().unwrap()))
     }
 
     /// Read a little-endian `i64`.
     pub fn i64(&mut self) -> Result<i64, SnapError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(i64::from_le_bytes(self.split(8)?.try_into().unwrap()))
     }
 
     /// Read a `usize` written by [`SnapWriter::usize`]; rejects values
@@ -245,7 +262,7 @@ impl<'a> SnapReader<'a> {
     /// Read a length-prefixed byte string.
     pub fn bytes(&mut self) -> Result<&'a [u8], SnapError> {
         let len = self.usize()?;
-        self.take(len)
+        self.split(len)
     }
 
     /// Read a length-prefixed UTF-8 string.
@@ -267,7 +284,7 @@ impl<'a> SnapReader<'a> {
     /// Read an option written by [`SnapWriter::opt`].
     pub fn opt<T>(
         &mut self,
-        mut f: impl FnMut(&mut SnapReader<'a>) -> Result<T, SnapError>,
+        f: impl FnOnce(&mut SnapReader<'a>) -> Result<T, SnapError>,
     ) -> Result<Option<T>, SnapError> {
         match self.u8()? {
             0 => Ok(None),
@@ -295,6 +312,288 @@ impl<'a> SnapReader<'a> {
         }
         Ok(out)
     }
+
+    /// Read a one-byte tag naming one of `values` (the tag is the index).
+    pub fn tag<T: Copy>(&mut self, what: &str, values: &[T]) -> Result<T, SnapError> {
+        let b = self.u8()?;
+        values
+            .get(usize::from(b))
+            .copied()
+            .ok_or_else(|| SnapError::Corrupt(format!("{what} tag {b}")))
+    }
+
+    /// Overlay an attachment written by [`SnapWriter::attached`] onto the
+    /// one the scenario built. A snapshot that has the attachment where
+    /// the build has none, or the other way round, is corrupt: it belongs
+    /// to another scenario.
+    pub fn attached<T>(
+        &mut self,
+        what: &str,
+        built: Option<&mut T>,
+        load: impl FnOnce(&mut T, &mut SnapReader<'a>) -> Result<(), SnapError>,
+    ) -> Result<(), SnapError> {
+        match (built, self.opt(|_| Ok(()))?) {
+            (Some(att), Some(())) => load(att, self),
+            (None, None) => Ok(()),
+            (built, saved) => Err(SnapError::Corrupt(format!(
+                "{what} presence mismatch: built {}, snapshot {}",
+                built.is_some(),
+                saved.is_some()
+            ))),
+        }
+    }
+}
+
+/// A type's one wire encoding. `take` reads exactly what `put` wrote, and
+/// refuses (with a typed error) what no `put` can write.
+pub trait Snap: Sized {
+    /// Append this value.
+    fn put(&self, w: &mut SnapWriter);
+    /// Read a value written by [`Snap::put`].
+    fn take(r: &mut SnapReader<'_>) -> Result<Self, SnapError>;
+}
+
+macro_rules! snap_primitive {
+    ($($ty:ty => $method:ident),* $(,)?) => {$(
+        impl Snap for $ty {
+            #[inline]
+            fn put(&self, w: &mut SnapWriter) {
+                w.$method(*self);
+            }
+            #[inline]
+            fn take(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+                r.$method()
+            }
+        }
+    )*};
+}
+
+snap_primitive! {
+    u8 => u8, bool => bool, u16 => u16, u32 => u32, u64 => u64, i64 => i64,
+    usize => usize, f64 => f64, SimTime => time, SimDuration => duration,
+}
+
+impl Snap for Bandwidth {
+    fn put(&self, w: &mut SnapWriter) {
+        w.u64(self.as_bps());
+    }
+    fn take(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(Bandwidth::from_bps(r.u64()?))
+    }
+}
+
+impl Snap for ComponentId {
+    fn put(&self, w: &mut SnapWriter) {
+        w.usize(self.as_usize());
+    }
+    fn take(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(ComponentId::from_raw(r.usize()?))
+    }
+}
+
+/// The generator's four state words.
+impl Snap for SmallRng {
+    fn put(&self, w: &mut SnapWriter) {
+        self.state().put(w);
+    }
+    fn take(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(SmallRng::from_state(Snap::take(r)?))
+    }
+}
+
+impl<T: Snap> Snap for Option<T> {
+    fn put(&self, w: &mut SnapWriter) {
+        w.opt(self.as_ref(), |w, v| v.put(w));
+    }
+    fn take(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        r.opt(T::take)
+    }
+}
+
+impl<T: Snap> Snap for Vec<T> {
+    fn put(&self, w: &mut SnapWriter) {
+        w.seq(self, |w, v| v.put(w));
+    }
+    fn take(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        r.seq(T::take)
+    }
+}
+
+/// The same bytes as a `Vec` of the elements, front to back.
+impl<T: Snap> Snap for VecDeque<T> {
+    fn put(&self, w: &mut SnapWriter) {
+        w.usize(self.len());
+        for v in self {
+            v.put(w);
+        }
+    }
+    fn take(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(r.seq(T::take)?.into())
+    }
+}
+
+/// The elements back to back, no length: `N` is part of the type.
+impl<T: Snap + Copy + Default, const N: usize> Snap for [T; N] {
+    fn put(&self, w: &mut SnapWriter) {
+        for v in self {
+            v.put(w);
+        }
+    }
+    fn take(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let mut out = [T::default(); N];
+        for v in &mut out {
+            *v = T::take(r)?;
+        }
+        Ok(out)
+    }
+}
+
+/// The fields back to back, in order.
+macro_rules! snap_tuple {
+    ($($ty:ident $idx:tt),+) => {
+        impl<$($ty: Snap),+> Snap for ($($ty,)+) {
+            fn put(&self, w: &mut SnapWriter) {
+                $(self.$idx.put(w);)+
+            }
+            fn take(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+                Ok(($($ty::take(r)?,)+))
+            }
+        }
+    };
+}
+
+snap_tuple!(A 0, B 1);
+snap_tuple!(A 0, B 1, C 2);
+snap_tuple!(A 0, B 1, C 2, D 3, E 4);
+
+/// Write a type's snapshot code from one list of its fields.
+///
+/// **A checkpointed component** (state overlaid in place on one the
+/// scenario rebuilt) lists the fields it saves, and the macro writes both
+/// the `save_state` and the `load_state` method from that one list, in
+/// list order:
+///
+/// ```ignore
+/// impl Link {
+///     snap! {
+///         /// Serialize ...
+///         pub fn save_state;
+///         /// Overlay ...
+///         pub fn load_state then check;
+///         rate, stats.arrived_pkts, burst_tail,
+///         in aqm,
+///         attached "fault injector" injector,
+///     }
+/// }
+/// ```
+///
+/// Each entry is one of:
+/// * `a.b` — a value field, through its [`Snap`] encoding;
+/// * `in a.b` — a nested component, through its own `save_state` /
+///   `load_state` pair (trait objects included);
+/// * `attached "what" a.b` — an `Option` of a component the scenario
+///   builds, through [`SnapWriter::attached`] / [`SnapReader::attached`];
+///   `attached "what" via get / get_mut` reaches it through two accessor
+///   methods instead.
+///
+/// `then check` calls `self.check()?` after the last field: the place to
+/// rebuild derived state and refuse what no `save_state` writes.
+///
+/// **A value type** gets its [`Snap`] impl the same way:
+/// `snap!(SackBlock { start, end })` lists every field of the struct (a
+/// missing one fails to compile: `take` builds the struct literal), and
+/// `snap!(CaState as "sender CA-state" [Open, Recovery, Loss])` writes a
+/// fieldless enum as a one-byte tag, listing its variants in declaration
+/// order (checked at compile time).
+#[macro_export]
+macro_rules! snap {
+    ($ty:ident { $($f:ident),+ $(,)? }) => {
+        impl $crate::Snap for $ty {
+            fn put(&self, w: &mut $crate::SnapWriter) {
+                $($crate::Snap::put(&self.$f, w);)+
+            }
+            fn take(r: &mut $crate::SnapReader<'_>) -> Result<Self, $crate::SnapError> {
+                Ok($ty { $($f: $crate::Snap::take(r)?),+ })
+            }
+        }
+    };
+    ($ty:ident as $what:literal [$($v:ident),+ $(,)?]) => {
+        impl $crate::Snap for $ty {
+            fn put(&self, w: &mut $crate::SnapWriter) {
+                w.u8(*self as u8);
+            }
+            fn take(r: &mut $crate::SnapReader<'_>) -> Result<Self, $crate::SnapError> {
+                r.tag($what, &[$($ty::$v),+])
+            }
+        }
+        const _: () = {
+            let all = [$($ty::$v),+];
+            let mut i = 0;
+            while i < all.len() {
+                assert!(all[i] as usize == i, "tags must list the variants in declaration order");
+                i += 1;
+            }
+        };
+    };
+    (
+        $(#[$save_meta:meta])*
+        $save_vis:vis fn $save:ident;
+        $(#[$load_meta:meta])*
+        $load_vis:vis fn $load:ident $(then $check:ident)?;
+        $($fields:tt)+
+    ) => {
+        $(#[$save_meta])*
+        $save_vis fn $save(&self, w: &mut $crate::SnapWriter) {
+            $crate::snap!(@put self w [$($fields)+]);
+        }
+        $(#[$load_meta])*
+        $load_vis fn $load(
+            &mut self,
+            r: &mut $crate::SnapReader<'_>,
+        ) -> Result<(), $crate::SnapError> {
+            $crate::snap!(@take self r [$($fields)+]);
+            $(self.$check()?;)?
+            Ok(())
+        }
+    };
+    (@put $s:ident $w:ident []) => {};
+    (@take $s:ident $r:ident []) => {};
+    (@put $s:ident $w:ident [in $f:ident $(.$p:ident)* $(, $($rest:tt)*)?]) => {
+        $s.$f$(.$p)*.save_state($w);
+        $crate::snap!(@put $s $w [$($($rest)*)?]);
+    };
+    (@take $s:ident $r:ident [in $f:ident $(.$p:ident)* $(, $($rest:tt)*)?]) => {
+        $s.$f$(.$p)*.load_state($r)?;
+        $crate::snap!(@take $s $r [$($($rest)*)?]);
+    };
+    (@put $s:ident $w:ident
+        [attached $what:literal via $get:ident / $get_mut:ident $(, $($rest:tt)*)?]) => {
+        $w.attached($s.$get(), |a, w| a.save_state(w));
+        $crate::snap!(@put $s $w [$($($rest)*)?]);
+    };
+    (@take $s:ident $r:ident
+        [attached $what:literal via $get:ident / $get_mut:ident $(, $($rest:tt)*)?]) => {
+        $r.attached($what, $s.$get_mut(), |a, r| a.load_state(r))?;
+        $crate::snap!(@take $s $r [$($($rest)*)?]);
+    };
+    (@put $s:ident $w:ident
+        [attached $what:literal $f:ident $(.$p:ident)* $(, $($rest:tt)*)?]) => {
+        $w.attached($s.$f$(.$p)*.as_ref(), |a, w| a.save_state(w));
+        $crate::snap!(@put $s $w [$($($rest)*)?]);
+    };
+    (@take $s:ident $r:ident
+        [attached $what:literal $f:ident $(.$p:ident)* $(, $($rest:tt)*)?]) => {
+        $r.attached($what, $s.$f$(.$p)*.as_mut(), |a, r| a.load_state(r))?;
+        $crate::snap!(@take $s $r [$($($rest)*)?]);
+    };
+    (@put $s:ident $w:ident [$f:ident $(.$p:ident)* $(, $($rest:tt)*)?]) => {
+        $crate::Snap::put(&$s.$f$(.$p)*, $w);
+        $crate::snap!(@put $s $w [$($($rest)*)?]);
+    };
+    (@take $s:ident $r:ident [$f:ident $(.$p:ident)* $(, $($rest:tt)*)?]) => {
+        $s.$f$(.$p)* = $crate::Snap::take($r)?;
+        $crate::snap!(@take $s $r [$($($rest)*)?]);
+    };
 }
 
 #[cfg(test)]
@@ -373,6 +672,134 @@ mod tests {
             r.seq(|r| r.u8()),
             Err(SnapError::Truncated { .. }) | Err(SnapError::Corrupt(_))
         ));
+    }
+
+    type Mixed = (
+        Option<u32>,
+        Vec<u8>,
+        VecDeque<SimTime>,
+        [(u64, bool); 2],
+        Bandwidth,
+    );
+
+    #[test]
+    fn snap_values_write_what_the_primitives_write() {
+        let v: Mixed = (
+            Some(7),
+            vec![1, 2],
+            VecDeque::from([SimTime::from_nanos(3)]),
+            [(4, true), (5, false)],
+            Bandwidth::from_bps(6),
+        );
+        let mut w = SnapWriter::new();
+        v.put(&mut w);
+        let mut by_hand = SnapWriter::new();
+        by_hand.opt(Some(7u32), |w, x| w.u32(x));
+        by_hand.seq(&[1u8, 2], |w, &x| w.u8(x));
+        by_hand.seq(&[SimTime::from_nanos(3)], |w, &t| w.time(t));
+        for (a, b) in [(4, true), (5, false)] {
+            by_hand.u64(a);
+            by_hand.bool(b);
+        }
+        by_hand.u64(6);
+        assert_eq!(w.as_bytes(), by_hand.as_bytes());
+        let mut r = SnapReader::new(w.as_bytes());
+        assert!(Snap::take(&mut r) == Ok(v));
+        assert!(r.is_exhausted());
+    }
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Light {
+        Red,
+        Green,
+    }
+    snap!(Light as "light" [Red, Green]);
+
+    #[derive(Default)]
+    struct Inner {
+        n: u64,
+    }
+    impl Inner {
+        snap! {
+            fn save_state;
+            fn load_state;
+            n,
+        }
+    }
+
+    #[derive(Default)]
+    struct Counts {
+        seen: u32,
+    }
+
+    #[derive(Default)]
+    struct Outer {
+        light: Option<Light>,
+        counts: Counts,
+        inner: Inner,
+        att: Option<Inner>,
+        config: u64,
+    }
+    impl Outer {
+        snap! {
+            fn save_state;
+            fn load_state then check;
+            light, counts.seen, in inner, attached "inner copy" att,
+        }
+        fn check(&self) -> Result<(), SnapError> {
+            match self.counts.seen {
+                99 => Err(SnapError::Corrupt("99 seen".into())),
+                _ => Ok(()),
+            }
+        }
+    }
+
+    #[test]
+    fn one_field_list_writes_both_directions() {
+        let a = Outer {
+            light: Some(Light::Green),
+            counts: Counts { seen: 3 },
+            inner: Inner { n: 4 },
+            att: Some(Inner { n: 5 }),
+            config: 6,
+        };
+        let mut w = SnapWriter::new();
+        a.save_state(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 2 + 4 + 8 + 1 + 8);
+        let mut b = Outer {
+            att: Some(Inner::default()),
+            ..Outer::default()
+        };
+        b.load_state(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(
+            (b.light, b.counts.seen, b.inner.n),
+            (Some(Light::Green), 3, 4)
+        );
+        assert_eq!((b.att.map(|i| i.n), b.config), (Some(5), 0));
+
+        // A build without the attachment refuses a snapshot that has it.
+        let err = Outer::default().load_state(&mut SnapReader::new(&bytes));
+        assert_eq!(
+            err,
+            Err(SnapError::Corrupt(
+                "inner copy presence mismatch: built false, snapshot true".into()
+            ))
+        );
+        // The check runs after the last field; a bad tag is typed.
+        let mut seen_99 = bytes.clone();
+        seen_99[2..6].copy_from_slice(&99u32.to_le_bytes());
+        let mut c = Outer {
+            att: Some(Inner::default()),
+            ..Outer::default()
+        };
+        assert!(c.load_state(&mut SnapReader::new(&seen_99)).is_err());
+        let mut bad_tag = bytes.clone();
+        bad_tag[1] = 2;
+        assert_eq!(
+            c.load_state(&mut SnapReader::new(&bad_tag)),
+            Err(SnapError::Corrupt("light tag 2".into()))
+        );
     }
 
     #[test]

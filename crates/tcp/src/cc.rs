@@ -10,7 +10,7 @@
 //!
 //! All window quantities are in **bytes**.
 
-use ccsim_sim::{Bandwidth, SimDuration, SimTime, SnapError, SnapReader, SnapWriter};
+use ccsim_sim::{snap, Bandwidth, SimDuration, SimTime, SnapError, SnapReader, SnapWriter};
 
 /// Per-ACK information handed to the congestion controller.
 ///
@@ -169,12 +169,10 @@ impl CongestionControl for FixedWindow {
     fn on_enter_recovery(&mut self, _s: &AckSample) {}
     fn on_exit_recovery(&mut self, _s: &AckSample, _after_rto: bool) {}
     fn on_rto(&mut self, _s: &AckSample) {}
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.cwnd);
-    }
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.cwnd = r.u64()?;
-        Ok(())
+    snap! {
+        fn save_state;
+        fn load_state;
+        cwnd,
     }
 }
 

@@ -6,7 +6,7 @@
 //! recoveries, RTOs and ECE reductions. The harness derives the "CWND
 //! halving rate" from these and the packet counts.
 
-use ccsim_sim::{SimTime, SnapError, SnapReader, SnapWriter};
+use ccsim_sim::{snap, SimTime};
 
 /// Sender-side counters.
 #[derive(Debug, Clone, Default)]
@@ -64,36 +64,20 @@ impl SenderStats {
             self.congestion_events()
         }
     }
-
-    /// Serialize for a checkpoint.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.data_pkts_sent);
-        w.u64(self.bytes_sent);
-        w.u64(self.retransmits);
-        w.u64(self.acks_received);
-        w.u64(self.fast_recoveries);
-        w.u64(self.rtos);
-        w.u64(self.segments_marked_lost);
-        w.u64(self.ecn_reductions);
-        w.time(self.last_event_at);
-        w.u64(self.events_at_last);
-    }
-
-    /// Overlay checkpointed state.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.data_pkts_sent = r.u64()?;
-        self.bytes_sent = r.u64()?;
-        self.retransmits = r.u64()?;
-        self.acks_received = r.u64()?;
-        self.fast_recoveries = r.u64()?;
-        self.rtos = r.u64()?;
-        self.segments_marked_lost = r.u64()?;
-        self.ecn_reductions = r.u64()?;
-        self.last_event_at = r.time()?;
-        self.events_at_last = r.u64()?;
-        Ok(())
-    }
 }
+
+snap!(SenderStats {
+    data_pkts_sent,
+    bytes_sent,
+    retransmits,
+    acks_received,
+    fast_recoveries,
+    rtos,
+    segments_marked_lost,
+    ecn_reductions,
+    last_event_at,
+    events_at_last
+});
 
 /// Receiver-side counters.
 #[derive(Debug, Clone, Default)]
@@ -118,34 +102,17 @@ pub struct ReceiverStats {
     pub ece_acks_sent: u64,
 }
 
-impl ReceiverStats {
-    /// Serialize for a checkpoint.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.data_pkts_received);
-        w.u64(self.bytes_received);
-        w.u64(self.ooo_pkts);
-        w.u64(self.duplicate_pkts);
-        w.u64(self.retransmits_received);
-        w.u64(self.acks_sent);
-        w.u64(self.sack_acks_sent);
-        w.u64(self.ce_pkts_received);
-        w.u64(self.ece_acks_sent);
-    }
-
-    /// Overlay checkpointed state.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.data_pkts_received = r.u64()?;
-        self.bytes_received = r.u64()?;
-        self.ooo_pkts = r.u64()?;
-        self.duplicate_pkts = r.u64()?;
-        self.retransmits_received = r.u64()?;
-        self.acks_sent = r.u64()?;
-        self.sack_acks_sent = r.u64()?;
-        self.ce_pkts_received = r.u64()?;
-        self.ece_acks_sent = r.u64()?;
-        Ok(())
-    }
-}
+snap!(ReceiverStats {
+    data_pkts_received,
+    bytes_received,
+    ooo_pkts,
+    duplicate_pkts,
+    retransmits_received,
+    acks_sent,
+    sack_acks_sent,
+    ce_pkts_received,
+    ece_acks_sent
+});
 
 #[cfg(test)]
 mod tests {

@@ -8,7 +8,7 @@
 //! compressed ACKs. BBR's bandwidth filter consumes these samples; the
 //! estimator is CCA-agnostic and always on.
 
-use ccsim_sim::{Bandwidth, SimDuration, SimTime, SnapError, SnapReader, SnapWriter};
+use ccsim_sim::{snap, Bandwidth, SimDuration, SimTime};
 
 /// Connection-level delivery accounting.
 #[derive(Debug, Clone)]
@@ -23,6 +23,14 @@ pub struct RateEstimator {
     /// Samples are app-limited until `delivered` passes this point.
     app_limited_until: u64,
 }
+
+// Everything in the estimator is mutable runtime state.
+snap!(RateEstimator {
+    delivered,
+    delivered_time,
+    first_tx_time,
+    app_limited_until
+});
 
 /// Per-segment snapshot taken at transmission time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,27 +47,13 @@ pub struct TxRecord {
     pub app_limited: bool,
 }
 
-impl TxRecord {
-    /// Serialize for a checkpoint.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.time(self.sent_time);
-        w.u64(self.delivered);
-        w.time(self.delivered_time);
-        w.time(self.first_tx_time);
-        w.bool(self.app_limited);
-    }
-
-    /// Deserialize a record written by [`TxRecord::save_state`].
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<TxRecord, SnapError> {
-        Ok(TxRecord {
-            sent_time: r.time()?,
-            delivered: r.u64()?,
-            delivered_time: r.time()?,
-            first_tx_time: r.time()?,
-            app_limited: r.bool()?,
-        })
-    }
-}
+snap!(TxRecord {
+    sent_time,
+    delivered,
+    delivered_time,
+    first_tx_time,
+    app_limited
+});
 
 /// A delivery-rate sample generated by an ACK.
 #[derive(Debug, Clone, Copy)]
@@ -101,24 +95,6 @@ impl RateEstimator {
     /// When delivery last advanced.
     pub fn delivered_time(&self) -> SimTime {
         self.delivered_time
-    }
-
-    /// Serialize the full estimator state for a checkpoint (everything
-    /// here is mutable runtime state).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.delivered);
-        w.time(self.delivered_time);
-        w.time(self.first_tx_time);
-        w.u64(self.app_limited_until);
-    }
-
-    /// Overlay checkpointed state.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.delivered = r.u64()?;
-        self.delivered_time = r.time()?;
-        self.first_tx_time = r.time()?;
-        self.app_limited_until = r.u64()?;
-        Ok(())
     }
 
     /// Record a transmission. `flight_was_empty` must be true iff no data

@@ -50,7 +50,7 @@ use crate::endpoint_stats::ReceiverStats;
 use ccsim_net::msg::{Msg, TimerToken};
 use ccsim_net::packet::{FlowId, Packet, SackBlock, SackBlocks, MAX_SACK_BLOCKS};
 use ccsim_sim::{
-    CancelToken, Component, ComponentId, Ctx, SimDuration, SimTime, SnapError, SnapReader,
+    CancelToken, Component, ComponentId, Ctx, SimDuration, SimTime, Snap, SnapError, SnapReader,
     SnapWriter,
 };
 use std::collections::VecDeque;
@@ -189,20 +189,16 @@ impl Receiver {
     /// looks it up).
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.u64(self.rcv_nxt);
-        w.usize(self.ooo.len());
-        for &(s, e) in &self.ooo {
-            w.u64(s);
-            w.u64(e);
-        }
+        self.ooo.put(w);
         w.usize(self.recent.len());
         for r in &self.recent {
             w.u64(r.start);
         }
         w.u32(self.unacked_segments);
-        self.delack_timer.save_state(w);
+        self.delack_timer.put(w);
         w.u64(self.delack_generation);
         w.bool(self.ece_pending);
-        self.stats.save_state(w);
+        self.stats.put(w);
     }
 
     /// Overlay checkpointed state onto a receiver freshly built from the
@@ -251,10 +247,10 @@ impl Receiver {
         }
         self.recent = recent;
         self.unacked_segments = r.u32()?;
-        self.delack_timer = CancelToken::load_state(r)?;
+        self.delack_timer = Snap::take(r)?;
         self.delack_generation = r.u64()?;
         self.ece_pending = r.bool()?;
-        self.stats.load_state(r)?;
+        self.stats = Snap::take(r)?;
         Ok(())
     }
 

@@ -8,7 +8,7 @@
 //! The estimator also tracks the connection-lifetime minimum RTT, which the
 //! endpoint passes to the CCA (BBR keeps its own *windowed* min on top).
 
-use ccsim_sim::{SimDuration, SnapError, SnapReader, SnapWriter};
+use ccsim_sim::{snap, SimDuration};
 
 /// Linux's RTO floor (`TCP_RTO_MIN` = 200 ms).
 pub const DEFAULT_RTO_MIN: SimDuration = SimDuration::from_millis(200);
@@ -53,26 +53,13 @@ impl RttEstimator {
         }
     }
 
-    /// Serialize mutable estimator state for a checkpoint (the RTO clamps
-    /// are configuration).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.opt(self.srtt, |w, d| w.duration(d));
-        w.duration(self.rttvar);
-        w.duration(self.min_rtt);
-        w.opt(self.latest, |w, d| w.duration(d));
-        w.u32(self.backoff_shift);
-        w.u64(self.samples);
-    }
-
-    /// Overlay checkpointed state.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.srtt = r.opt(|r| r.duration())?;
-        self.rttvar = r.duration()?;
-        self.min_rtt = r.duration()?;
-        self.latest = r.opt(|r| r.duration())?;
-        self.backoff_shift = r.u32()?;
-        self.samples = r.u64()?;
-        Ok(())
+    snap! {
+        /// Serialize mutable estimator state for a checkpoint (the RTO clamps
+        /// are configuration).
+        pub fn save_state;
+        /// Overlay checkpointed state.
+        pub fn load_state;
+        srtt, rttvar, min_rtt, latest, backoff_shift, samples,
     }
 
     /// Incorporate a new RTT measurement (already Karn-filtered by the

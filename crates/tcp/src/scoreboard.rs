@@ -21,7 +21,7 @@
 use crate::lost::LostSet;
 use crate::rate::TxRecord;
 use ccsim_net::packet::SackBlocks;
-use ccsim_sim::{SimDuration, SimTime, SnapError, SnapReader, SnapWriter};
+use ccsim_sim::{SimDuration, SimTime, Snap, SnapError, SnapReader, SnapWriter};
 use std::collections::VecDeque;
 
 /// Selectively acknowledged.
@@ -105,32 +105,28 @@ impl Segment {
     fn hole_key(&self) -> (SimTime, u64) {
         (self.sent_time, self.seq)
     }
+}
 
-    /// Serialize for a checkpoint (the wire layout predates the packed
-    /// in-memory one and is kept, so checkpoints stay byte-identical).
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.seq);
-        w.u64(self.end());
-        self.tx().save_state(w);
-        w.bool(self.is(SACKED));
-        w.bool(self.is(LOST));
-        w.bool(self.is(RETRANSMITTED));
+/// The wire layout predates the packed in-memory one and is kept, so
+/// checkpoints stay byte-identical.
+impl Snap for Segment {
+    fn put(&self, w: &mut SnapWriter) {
+        (self.seq, self.end(), self.tx()).put(w);
+        (self.is(SACKED), self.is(LOST), self.is(RETRANSMITTED)).put(w);
     }
 
-    /// Deserialize a segment written by [`Segment::save_state`].
-    fn load_state(r: &mut SnapReader<'_>) -> Result<Segment, SnapError> {
-        let seq = r.u64()?;
-        let end = r.u64()?;
+    fn take(r: &mut SnapReader<'_>) -> Result<Segment, SnapError> {
+        let (seq, end, tx): (u64, u64, TxRecord) = Snap::take(r)?;
         let len = end.checked_sub(seq).filter(|&len| len > 0).ok_or_else(|| {
             SnapError::Corrupt(format!("segment range [{seq}, {end}) is empty or inverted"))
         })?;
         let len = u32::try_from(len)
             .map_err(|_| SnapError::Corrupt(format!("segment [{seq}, {end}) exceeds 4 GiB")))?;
-        let tx = TxRecord::load_state(r)?;
+        let (sacked, lost, retransmitted) = Snap::take(r)?;
         let mut seg = Segment::new(seq, len, tx, 0);
-        seg.set(SACKED, r.bool()?);
-        seg.set(LOST, r.bool()?);
-        seg.set(RETRANSMITTED, r.bool()?);
+        seg.set(SACKED, sacked);
+        seg.set(LOST, lost);
+        seg.set(RETRANSMITTED, retransmitted);
         if seg.is(SACKED) && seg.is(LOST) {
             return Err(SnapError::Corrupt(format!(
                 "segment at {seq} is both SACKed and lost"
@@ -363,10 +359,7 @@ impl Scoreboard {
     /// `dupthresh` are configuration; the indexes are derived). Segments
     /// are written in deque order, which is sequence order by construction.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.segs.len());
-        for seg in &self.segs {
-            seg.save_state(w);
-        }
+        self.segs.put(w);
         w.u64(self.snd_una);
         w.u64(self.snd_nxt);
         w.u64(self.sacked_bytes);
@@ -383,17 +376,7 @@ impl Scoreboard {
     /// segments is rejected as corrupt (left alone it would wrap a counter
     /// on a later ACK).
     pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = r.usize()?;
-        if n > r.remaining() {
-            return Err(SnapError::Truncated {
-                needed: n,
-                remaining: r.remaining(),
-            });
-        }
-        let mut segs = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            segs.push_back(Segment::load_state(r)?);
-        }
+        let segs = VecDeque::<Segment>::take(r)?;
         let snd_una = r.u64()?;
         let snd_nxt = r.u64()?;
         let sacked_bytes = r.u64()?;

@@ -31,10 +31,7 @@ use crate::rtt::RttEstimator;
 use crate::scoreboard::Scoreboard;
 use ccsim_net::msg::{Msg, TimerToken};
 use ccsim_net::packet::{FlowId, Packet};
-use ccsim_sim::{
-    CancelToken, Component, ComponentId, Ctx, SimDuration, SimTime, SnapError, SnapReader,
-    SnapWriter,
-};
+use ccsim_sim::{snap, CancelToken, Component, ComponentId, Ctx, SimDuration, SimTime};
 use ccsim_telemetry::Counter;
 use ccsim_trace::{CongestionKind, FlowRecorder};
 use std::sync::Arc;
@@ -106,6 +103,8 @@ pub enum CaState {
     /// Post-RTO loss state.
     Loss,
 }
+
+snap!(CaState as "sender CA-state" [Open, Recovery, Loss]);
 
 /// Static sender configuration.
 #[derive(Debug, Clone)]
@@ -230,6 +229,10 @@ impl Sender {
         self.observers.as_deref()?.recorder.as_ref()
     }
 
+    fn recorder_mut(&mut self) -> Option<&mut FlowRecorder> {
+        self.observers.as_deref_mut()?.recorder.as_mut()
+    }
+
     /// Counters.
     pub fn stats(&self) -> &SenderStats {
         &self.stats
@@ -288,85 +291,23 @@ impl Sender {
         self.cfg.flow
     }
 
-    /// Serialize the sender's full mutable state for a checkpoint.
-    ///
-    /// `cfg` and `metrics` are configuration/harness attachments, rebuilt
-    /// at restore; the CCA serializes last (through the mandatory trait
-    /// methods), so a restore rebuilds the same algorithm from the
-    /// scenario and overlays its state in place.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.u8(match self.state {
-            CaState::Open => 0,
-            CaState::Recovery => 1,
-            CaState::Loss => 2,
-        });
-        w.u64(self.recovery_point);
-        w.u64(self.prr_delivered);
-        w.u64(self.prr_out);
-        w.u64(self.prr_recover_fs);
-        w.u64(self.prr_ssthresh);
-        w.u64(self.last_newly_acked);
-        w.bool(self.force_rtx);
-        w.time(self.pacing_next);
-        w.bool(self.pace_pending);
-        self.rto_timer.save_state(w);
-        w.u64(self.rto_gen);
-        w.bool(self.started);
-        w.u64(self.ecn_reduce_until);
-        w.bool(self.ecn_cwr_pending);
-        self.board.save_state(w);
-        self.rtt.save_state(w);
-        self.rate.save_state(w);
-        self.stats.save_state(w);
-        w.opt(self.recorder(), |w, rec| rec.save_state(w));
-        self.cca.save_state(w);
-    }
-
-    /// Overlay checkpointed state onto a sender freshly built from the
-    /// same scenario (same config, CCA kind, and trace attachments).
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.state = match r.u8()? {
-            0 => CaState::Open,
-            1 => CaState::Recovery,
-            2 => CaState::Loss,
-            t => return Err(SnapError::Corrupt(format!("sender CA-state tag {t}"))),
-        };
-        self.recovery_point = r.u64()?;
-        self.prr_delivered = r.u64()?;
-        self.prr_out = r.u64()?;
-        self.prr_recover_fs = r.u64()?;
-        self.prr_ssthresh = r.u64()?;
-        self.last_newly_acked = r.u64()?;
-        self.force_rtx = r.bool()?;
-        self.pacing_next = r.time()?;
-        self.pace_pending = r.bool()?;
-        self.rto_timer = CancelToken::load_state(r)?;
-        self.rto_gen = r.u64()?;
-        self.started = r.bool()?;
-        self.ecn_reduce_until = r.u64()?;
-        self.ecn_cwr_pending = r.bool()?;
-        self.board.load_state(r)?;
-        self.rtt.load_state(r)?;
-        self.rate.load_state(r)?;
-        self.stats.load_state(r)?;
-        let saved_recorder = r.opt(|_| Ok(()))?;
-        let built = self
-            .observers
-            .as_deref_mut()
-            .and_then(|o| o.recorder.as_mut());
-        match (built, saved_recorder) {
-            (Some(rec), Some(())) => rec.load_state(r)?,
-            (None, None) => {}
-            (have, saved) => {
-                return Err(SnapError::Corrupt(format!(
-                    "flight-recorder presence mismatch: built {}, snapshot {}",
-                    have.is_some(),
-                    saved.is_some()
-                )));
-            }
-        }
-        self.cca.load_state(r)?;
-        Ok(())
+    snap! {
+        /// Serialize the sender's full mutable state for a checkpoint.
+        ///
+        /// `cfg` and `metrics` are configuration/harness attachments, rebuilt
+        /// at restore; the CCA serializes last (through the mandatory trait
+        /// methods), so a restore rebuilds the same algorithm from the
+        /// scenario and overlays its state in place.
+        pub fn save_state;
+        /// Overlay checkpointed state onto a sender freshly built from the
+        /// same scenario (same config, CCA kind, and trace attachments).
+        pub fn load_state;
+        state, recovery_point, prr_delivered, prr_out, prr_recover_fs, prr_ssthresh,
+        last_newly_acked, force_rtx, pacing_next, pace_pending, rto_timer, rto_gen, started,
+        ecn_reduce_until, ecn_cwr_pending,
+        in board, in rtt, rate, stats,
+        attached "flight-recorder" via recorder / recorder_mut,
+        in cca,
     }
 
     // ----- transmission -------------------------------------------------

@@ -9,7 +9,7 @@
 //! the last `2w + 1` snapshots: a 3 h paper-fidelity run at 5000 flows
 //! would otherwise hold (and checkpoint) every slice it ever took.
 
-use ccsim_sim::{SimTime, SnapError, SnapReader, SnapWriter};
+use ccsim_sim::{snap, SimTime, SnapError};
 use std::collections::VecDeque;
 
 /// The last `2w + 1` snapshots of cumulative per-flow delivered bytes.
@@ -63,41 +63,33 @@ impl ThroughputTracker {
         self.snapshots.back().map(Vec::as_slice)
     }
 
-    /// Serialize the kept snapshots for a checkpoint (`w` is scenario
-    /// configuration).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.times.len());
-        for &t in &self.times {
-            w.time(t);
-        }
-        w.usize(self.snapshots.len());
-        for snap in &self.snapshots {
-            w.seq(snap, |w, &v| w.u64(v));
-        }
+    snap! {
+        /// Serialize the kept snapshots for a checkpoint (`w` is scenario
+        /// configuration).
+        pub fn save_state;
+        /// Overlay checkpointed state onto a tracker built for the same `w`,
+        /// replacing any recorded snapshots.
+        pub fn load_state then check_kept;
+        times, snapshots,
     }
 
-    /// Overlay checkpointed state onto a tracker built for the same `w`,
-    /// replacing any recorded snapshots.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let times = r.seq(|r| r.time())?;
-        let snapshots = r.seq(|r| r.seq(|r| r.u64()))?;
-        if times.len() != snapshots.len() {
+    /// Refuse restored snapshots that are unpaired or more than `2w + 1`.
+    fn check_kept(&self) -> Result<(), SnapError> {
+        if self.times.len() != self.snapshots.len() {
             return Err(SnapError::Corrupt(format!(
                 "tracker has {} times but {} snapshots",
-                times.len(),
-                snapshots.len()
+                self.times.len(),
+                self.snapshots.len()
             )));
         }
-        if times.len() > self.capacity() {
+        if self.times.len() > self.capacity() {
             return Err(SnapError::Corrupt(format!(
                 "tracker holds {} snapshots, a {}-slice window keeps {}",
-                times.len(),
+                self.times.len(),
                 self.window,
                 self.capacity()
             )));
         }
-        self.times = times.into();
-        self.snapshots = snapshots.into();
         Ok(())
     }
 
@@ -140,6 +132,7 @@ impl ThroughputTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccsim_sim::{SnapReader, SnapWriter};
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)

@@ -18,7 +18,7 @@
 //! [`NextHop::Fixed`]: ccsim_net::NextHop::Fixed
 
 use ccsim_net::Msg;
-use ccsim_sim::{Component, ComponentId, Ctx, SimTime, SnapError, SnapReader, SnapWriter};
+use ccsim_sim::{snap, Component, ComponentId, Ctx, SimTime};
 
 /// A zero-delay per-flow packet forwarder.
 #[derive(Debug)]
@@ -49,16 +49,13 @@ impl Router {
         &self.routes
     }
 
-    /// Serialize mutable state for a checkpoint (the route table is
-    /// configuration, recomputed at instantiation).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.forwarded_pkts);
-    }
-
-    /// Overlay checkpointed state.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.forwarded_pkts = r.u64()?;
-        Ok(())
+    snap! {
+        /// Serialize mutable state for a checkpoint (the route table is
+        /// configuration, recomputed at instantiation).
+        pub fn save_state;
+        /// Overlay checkpointed state.
+        pub fn load_state;
+        forwarded_pkts,
     }
 }
 

@@ -12,7 +12,7 @@
 //! *into* the two payload words rather than interned in a side table, so a
 //! record is self-contained and traces from different runs concatenate.
 
-use ccsim_sim::{SimDuration, SimTime, SnapError, SnapReader, SnapWriter};
+use ccsim_sim::{snap, SimDuration, SimTime, Snap, SnapError, SnapReader, SnapWriter};
 
 /// Serialized size of one record: 8 (time) + 4 (flow) + 1 (kind) + 8 + 8.
 ///
@@ -319,30 +319,34 @@ impl TraceRecord {
     pub fn sort_key(&self) -> (SimTime, u32, u8, u64, u64) {
         (self.time, self.flow, self.kind as u8, self.a, self.b)
     }
+}
 
-    /// Serialize for a checkpoint.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.time(self.time);
-        w.u32(self.flow);
-        w.u8(self.kind as u8);
-        w.u64(self.a);
-        w.u64(self.b);
+snap!(TraceRecord {
+    time,
+    flow,
+    kind,
+    a,
+    b
+});
+
+impl Snap for TraceKind {
+    fn put(&self, w: &mut SnapWriter) {
+        w.u8(*self as u8);
     }
+    fn take(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let b = r.u8()?;
+        TraceKind::from_u8(b).ok_or_else(|| SnapError::Corrupt(format!("trace kind {b}")))
+    }
+}
 
-    /// Deserialize a record written by [`TraceRecord::save_state`].
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<TraceRecord, SnapError> {
-        let time = r.time()?;
-        let flow = r.u32()?;
-        let kind_byte = r.u8()?;
-        let kind = TraceKind::from_u8(kind_byte)
-            .ok_or_else(|| SnapError::Corrupt(format!("trace kind {kind_byte}")))?;
-        Ok(TraceRecord {
-            time,
-            flow,
-            kind,
-            a: r.u64()?,
-            b: r.u64()?,
-        })
+/// The label's two little-endian words.
+impl Snap for PhaseLabel {
+    fn put(&self, w: &mut SnapWriter) {
+        self.to_words().put(w);
+    }
+    fn take(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let (a, b) = Snap::take(r)?;
+        Ok(PhaseLabel::from_words(a, b))
     }
 }
 

@@ -15,7 +15,7 @@
 
 use crate::event::{CongestionKind, PhaseLabel, TraceKind, TraceRecord};
 use crate::ring::{RetentionPolicy, SampleRing};
-use ccsim_sim::{SimDuration, SimTime, SnapError, SnapReader, SnapWriter};
+use ccsim_sim::{snap, SimDuration, SimTime};
 use std::cmp::Ordering;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
@@ -195,37 +195,14 @@ impl FlowRecorder {
         (v, evicted, thinned)
     }
 
-    /// Serialize runtime state for a checkpoint (flow id, policy, and
-    /// budgets are configuration, rebuilt from the scenario).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        self.samples.save_state(w);
-        self.events.save_state(w);
-        w.u64(self.last_cwnd);
-        w.u64(self.last_ssthresh);
-        w.u64(self.last_srtt);
-        w.u64(self.last_pacing);
-        w.opt(self.last_phase, |w, p| {
-            let (a, b) = p.to_words();
-            w.u64(a);
-            w.u64(b);
-        });
-    }
-
-    /// Overlay checkpointed state onto a recorder built with the same
-    /// configuration.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.samples.load_state(r)?;
-        self.events.load_state(r)?;
-        self.last_cwnd = r.u64()?;
-        self.last_ssthresh = r.u64()?;
-        self.last_srtt = r.u64()?;
-        self.last_pacing = r.u64()?;
-        self.last_phase = r.opt(|r| {
-            let a = r.u64()?;
-            let b = r.u64()?;
-            Ok(PhaseLabel::from_words(a, b))
-        })?;
-        Ok(())
+    snap! {
+        /// Serialize runtime state for a checkpoint (flow id, policy, and
+        /// budgets are configuration, rebuilt from the scenario).
+        pub fn save_state;
+        /// Overlay checkpointed state onto a recorder built with the same
+        /// configuration.
+        pub fn load_state;
+        in samples, in events, last_cwnd, last_ssthresh, last_srtt, last_pacing, last_phase,
     }
 }
 
@@ -323,21 +300,14 @@ impl QueueRecorder {
         (v, evicted, thinned)
     }
 
-    /// Serialize runtime state for a checkpoint (`every` and `hop` are
-    /// configuration, rebuilt from the scenario).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        self.depth.save_state(w);
-        self.drops.save_state(w);
-        w.u64(self.arrivals);
-    }
-
-    /// Overlay checkpointed state onto a recorder built with the same
-    /// configuration.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.depth.load_state(r)?;
-        self.drops.load_state(r)?;
-        self.arrivals = r.u64()?;
-        Ok(())
+    snap! {
+        /// Serialize runtime state for a checkpoint (`every` and `hop` are
+        /// configuration, rebuilt from the scenario).
+        pub fn save_state;
+        /// Overlay checkpointed state onto a recorder built with the same
+        /// configuration.
+        pub fn load_state;
+        in depth, in drops, arrivals,
     }
 }
 

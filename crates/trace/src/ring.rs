@@ -15,7 +15,7 @@
 //! respect the capacity.
 
 use crate::event::{TraceRecord, RECORD_BYTES};
-use ccsim_sim::{SnapError, SnapReader, SnapWriter};
+use ccsim_sim::{snap, SnapError};
 use std::collections::VecDeque;
 
 /// How a ring thins dense sample streams.
@@ -185,40 +185,27 @@ impl SampleRing {
         v
     }
 
-    /// Serialize runtime state for a checkpoint. Capacity and policy are
-    /// configuration (rebuilt from the scenario); the buffer is written in
-    /// insertion order — reservoir replacement indexes positions, so the
-    /// order itself is state.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.buf.len());
-        for rec in &self.buf {
-            rec.save_state(w);
-        }
-        w.u64(self.seen);
-        w.u64(self.evicted);
-        w.u64(self.thinned);
-        w.u64(self.rng);
+    snap! {
+        /// Serialize runtime state for a checkpoint. Capacity and policy are
+        /// configuration (rebuilt from the scenario); the buffer is written in
+        /// insertion order — reservoir replacement indexes positions, so the
+        /// order itself is state.
+        pub fn save_state;
+        /// Overlay checkpointed state onto a ring freshly built with the same
+        /// policy/budget/seed configuration.
+        pub fn load_state then check_capacity;
+        buf, seen, evicted, thinned, rng,
     }
 
-    /// Overlay checkpointed state onto a ring freshly built with the same
-    /// policy/budget/seed configuration.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = r.usize()?;
-        if n > self.cap {
+    /// Refuse a restored buffer over the rebuilt capacity.
+    fn check_capacity(&self) -> Result<(), SnapError> {
+        if self.buf.len() > self.cap {
             return Err(SnapError::Corrupt(format!(
-                "ring holds {n} records but capacity is {}",
+                "ring holds {} records but capacity is {}",
+                self.buf.len(),
                 self.cap
             )));
         }
-        let mut buf = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            buf.push_back(TraceRecord::load_state(r)?);
-        }
-        self.buf = buf;
-        self.seen = r.u64()?;
-        self.evicted = r.u64()?;
-        self.thinned = r.u64()?;
-        self.rng = r.u64()?;
         Ok(())
     }
 }

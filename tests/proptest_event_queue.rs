@@ -44,7 +44,7 @@
 
 use ccsim::sim::{
     CancelToken, Component, ComponentId, Ctx, EngineError, Event, EventQueue, HeapQueue, SimTime,
-    Simulator, SnapReader, SnapWriter,
+    Simulator, Snap, SnapReader, SnapWriter,
 };
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -72,7 +72,7 @@ fn delay(x: u64) -> u64 {
 /// `(idx, gen)` of a token, read through its checkpoint encoding.
 fn token_parts(tok: CancelToken) -> (u32, u64) {
     let mut w = SnapWriter::new();
-    tok.save_state(&mut w);
+    tok.put(&mut w);
     let mut r = SnapReader::new(w.as_bytes());
     (r.u32().unwrap(), r.u64().unwrap())
 }

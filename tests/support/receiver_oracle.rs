@@ -10,7 +10,7 @@
 use ccsim::net::msg::{Msg, TimerToken};
 use ccsim::net::packet::{FlowId, Packet, SackBlock, SackBlocks, MAX_SACK_BLOCKS};
 use ccsim::sim::{
-    CancelToken, Component, ComponentId, Ctx, SimDuration, SimTime, SnapError, SnapReader,
+    CancelToken, Component, ComponentId, Ctx, SimDuration, SimTime, Snap, SnapError, SnapReader,
     SnapWriter,
 };
 use ccsim::tcp::ReceiverStats;
@@ -139,10 +139,10 @@ impl Receiver {
             w.u64(s);
         }
         w.u32(self.unacked_segments);
-        self.delack_timer.save_state(w);
+        self.delack_timer.put(w);
         w.u64(self.delack_generation);
         w.bool(self.ece_pending);
-        self.stats.save_state(w);
+        self.stats.put(w);
     }
 
     /// Overlay checkpointed state onto a receiver freshly built from the
@@ -183,10 +183,10 @@ impl Receiver {
         }
         self.recent_ranges = recent;
         self.unacked_segments = r.u32()?;
-        self.delack_timer = CancelToken::load_state(r)?;
+        self.delack_timer = CancelToken::take(r)?;
         self.delack_generation = r.u64()?;
         self.ece_pending = r.bool()?;
-        self.stats.load_state(r)?;
+        self.stats = ReceiverStats::take(r)?;
         Ok(())
     }
 

@@ -7,7 +7,7 @@
 #![allow(dead_code)]
 
 use ccsim::net::packet::SackBlocks;
-use ccsim::sim::{SimDuration, SimTime, SnapError, SnapReader, SnapWriter};
+use ccsim::sim::{SimDuration, SimTime, Snap, SnapError, SnapReader, SnapWriter};
 use ccsim::tcp::rate::TxRecord;
 use std::collections::VecDeque;
 
@@ -38,7 +38,7 @@ impl Segment {
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.u64(self.seq);
         w.u64(self.end);
-        self.tx.save_state(w);
+        self.tx.put(w);
         w.bool(self.sacked);
         w.bool(self.lost);
         w.bool(self.retransmitted);
@@ -56,7 +56,7 @@ impl Segment {
         Ok(Segment {
             seq,
             end,
-            tx: TxRecord::load_state(r)?,
+            tx: TxRecord::take(r)?,
             sacked: r.bool()?,
             lost: r.bool()?,
             retransmitted: r.bool()?,
