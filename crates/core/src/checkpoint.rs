@@ -435,8 +435,8 @@ mod tests {
     #[test]
     fn truncated_body_is_a_typed_error_not_a_panic() {
         // A small mixed body: BBR and Cubic through CoDel with ECN, a fault
-        // plan whose injector is mid-burst, and a flight recorder with a
-        // tight budget, captured in the measurement phase.
+        // plan whose injector holds a burst-loss model, and a flight
+        // recorder with a tight budget, captured in the measurement phase.
         let mut s = tiny(4);
         s.flows = vec![
             FlowGroup::new(CcaKind::Bbr, 1, SimDuration::from_millis(20)),

@@ -97,7 +97,7 @@ impl Snap for LossState {
             LossState::Off => w.u8(0),
             LossState::Iid { rate } => {
                 w.u8(1);
-                rate.put(w);
+                w.f64(rate);
             }
             LossState::Burst { enter, exit, bad } => {
                 w.u8(2);

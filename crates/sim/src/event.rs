@@ -130,10 +130,9 @@ impl Default for CancelToken {
     }
 }
 
-// Tokens survive a snapshot/restore cycle because
-// [`EventQueue::save_state`] carries the generation table verbatim: a token
-// live before the snapshot is live (and cancels the same event) after
-// restore.
+// Tokens survive a snapshot/restore cycle because `EventQueue::save_state`
+// carries the generation table verbatim: a token live before the snapshot
+// is live (and cancels the same event) after restore.
 crate::snap!(CancelToken { idx, gen });
 
 /// Sentinel for "entry has no cancellation token".
