@@ -93,7 +93,7 @@ mod tests {
     impl Component<Msg> for Sink {
         fn on_event(&mut self, now: SimTime, msg: Msg, _ctx: &mut Ctx<'_, Msg>) {
             if let Msg::Packet(p) = msg {
-                self.received.push((now, p.seq));
+                self.received.push((now, p.seq()));
             }
         }
     }

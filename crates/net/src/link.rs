@@ -727,7 +727,12 @@ mod tests {
     }
 
     fn pkt(flow: u32, dst: ComponentId, bytes: u32) -> Packet {
-        let mut p = Packet::data(FlowId(flow), dst, 0, bytes as u64, SimTime::ZERO);
+        pkt_at(flow, dst, bytes, 0)
+    }
+
+    /// A packet whose payload starts at byte `seq`.
+    fn pkt_at(flow: u32, dst: ComponentId, bytes: u32, seq: u64) -> Packet {
+        let mut p = Packet::data(FlowId(flow), dst, seq, seq + bytes as u64, SimTime::ZERO);
         p.wire_bytes = bytes; // test uses raw wire size without header math
         p
     }
@@ -1075,18 +1080,16 @@ mod tests {
             .reorder(SimTime::ZERO, 1.0, SimDuration::from_millis(10))
             .reorder(SimTime::from_millis(1), 0.0, SimDuration::ZERO);
         arm_faults(&mut sim, link, LinkFaultInjector::new(&plan, 9));
-        let mut first = pkt(0, sink, 1500);
-        first.seq = 1;
-        let mut second = pkt(0, sink, 1500);
-        second.seq = 2;
+        let first = pkt_at(0, sink, 1500, 1);
+        let second = pkt_at(0, sink, 1500, 2);
         sim.schedule(SimTime::ZERO, link, Msg::Packet(first));
         sim.schedule(SimTime::from_millis(2), link, Msg::Packet(second));
         sim.run();
         let rx = &sim.component::<Sink>(sink).received;
         assert_eq!(rx.len(), 2);
         // seq 2 (sent later) arrives before the held-back seq 1.
-        assert_eq!(rx[0].1.seq, 2);
-        assert_eq!(rx[1].1.seq, 1);
+        assert_eq!(rx[0].1.seq(), 2);
+        assert_eq!(rx[1].1.seq(), 1);
         assert_eq!(
             sim.component::<Link>(link).fault_stats().unwrap().reordered,
             1
@@ -1172,7 +1175,7 @@ mod tests {
             sim.component::<Sink>(sink)
                 .received
                 .iter()
-                .map(|(t, p)| (*t, p.seq))
+                .map(|(t, p)| (*t, p.seq()))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(3), run(3));
@@ -1272,8 +1275,7 @@ mod tests {
         // queue; the long train lets RED's slow EWMA (w = 1/512) converge
         // past the marking thresholds.
         for i in 0..2000u64 {
-            let mut p = pkt(0, sink, 1500);
-            p.seq = i;
+            let mut p = pkt_at(0, sink, 1500, i);
             p.set_ect();
             sim.schedule(SimTime::from_micros(i * 100), link, Msg::Packet(p));
         }
@@ -1314,8 +1316,7 @@ mod tests {
             7,
         ));
         for i in 0..200u64 {
-            let mut p = pkt(0, sink, 1500);
-            p.seq = i;
+            let mut p = pkt_at(0, sink, 1500, i);
             p.set_ect();
             sim.schedule(SimTime::from_micros(i * 100), link, Msg::Packet(p));
         }

@@ -6,11 +6,25 @@
 //! `Copy` (no heap payload) is what lets the simulator move tens of millions
 //! of them per wall-clock second.
 //!
+//! Layout rule: fields one kind never uses share storage. A data segment
+//! needs `[seq, end_seq)`; an ACK needs `ack_seq` and up to three SACK
+//! blocks. Both live in one seven-word body, and the SACK block count sits
+//! in the header next to the kind, the retransmit flag and the ECN bits.
+//! That makes a `Packet` — and a `Msg`, and an `Option<Msg>` — 80 bytes
+//! instead of 112, and every place a packet waits (link rings, the event
+//! slab, the same-instant lane) shrinks with it. The readers are
+//! accessors that return 0 (or no SACK blocks) for the other kind's
+//! fields, which is what the fields held when they were separate. SACK
+//! blocks stay absolute `u64` offsets: offsets from `ack_seq` in `u32`
+//! would save 24 more bytes but cap a flow's out-of-order span at 4 GiB,
+//! which the `mega` setting's buffer plus BDP exceeds.
+//!
 //! Sequence numbers are 64-bit byte offsets that never wrap. Real TCP uses a
 //! 32-bit wrapping space; wrap handling is irrelevant to every phenomenon the
 //! paper measures, and 64 bits cannot wrap within any feasible experiment
 //! (2^64 bytes at 10 Gbps is ~460 years).
 
+use crate::msg::Msg;
 use ccsim_sim::{snap, ComponentId, SimTime, Snap, SnapError, SnapReader, SnapWriter};
 use std::fmt;
 
@@ -114,36 +128,71 @@ pub enum PacketKind {
     Ack,
 }
 
-/// A simulated packet.
-#[derive(Copy, Clone, Debug)]
+/// Words in a packet's shared body: an ACK's `ack_seq` plus three SACK
+/// blocks of two words each. A data segment uses the first two.
+const BODY_WORDS: usize = 1 + 2 * MAX_SACK_BLOCKS;
+
+/// A simulated packet. Read the kind-specific fields through
+/// [`seq`](Packet::seq), [`end_seq`](Packet::end_seq),
+/// [`ack_seq`](Packet::ack_seq) and [`sack`](Packet::sack); build packets
+/// with [`Packet::data`] and [`Packet::ack`].
+///
+/// `repr(C)` fixes the order so that `kind` — the byte `Msg` and
+/// `Option<Msg>` keep their tags in — sits in the first 16 bytes. In the
+/// compiler's own order it landed on the last byte, and every move of a
+/// message copied the 79 bytes before it as overlapping 16-byte pieces
+/// (`core5k_droptail` `wall_s` about +3 % against the 112-byte packet).
+#[derive(Copy, Clone, PartialEq, Eq)]
+#[repr(C)]
 pub struct Packet {
     /// Owning flow.
     pub flow: FlowId,
-    /// Data segment or ACK.
-    pub kind: PacketKind,
     /// Final destination endpoint (used by links with
     /// [`NextHop::ToPacketDst`](crate::link::NextHop::ToPacketDst)).
     pub dst: ComponentId,
     /// Total size on the wire, headers included, in bytes.
     pub wire_bytes: u32,
-    /// Data: first payload byte. Ack: unused (0).
-    pub seq: u64,
-    /// Data: one past the last payload byte. Ack: unused (0).
-    pub end_seq: u64,
-    /// Ack: cumulative acknowledgment (next byte expected). Data: unused.
-    pub ack_seq: u64,
-    /// Ack: selective acknowledgment blocks.
-    pub sack: SackBlocks,
-    /// When the packet left its origin endpoint (diagnostics; senders keep
-    /// their own authoritative per-segment timestamps).
-    pub sent_at: SimTime,
+    /// Data segment or ACK.
+    kind: PacketKind,
+    /// Ack: number of populated SACK blocks in `body`. Data: 0.
+    sack_len: u8,
     /// Data: true iff this is a retransmission (diagnostics/telemetry).
     pub retransmit: bool,
     /// ECN bits (RFC 3168): IP-level ECT/CE plus the TCP-level ECE/CWR
     /// echo flags, packed into one byte. Zero = not ECN-capable, the
     /// paper's testbed configuration.
     pub ecn: u8,
+    /// When the packet left its origin endpoint (diagnostics; senders keep
+    /// their own authoritative per-segment timestamps).
+    pub sent_at: SimTime,
+    /// Data: `[seq, end_seq, 0, …]`. Ack: `[ack_seq, start0, end0, start1,
+    /// end1, start2, end2]`, unpopulated blocks zero.
+    body: [u64; BODY_WORDS],
 }
+
+/// A data segment's body: `[seq, end_seq)`, the ACK words zero.
+#[inline]
+const fn data_body(seq: u64, end_seq: u64) -> [u64; BODY_WORDS] {
+    let mut body = [0; BODY_WORDS];
+    body[0] = seq;
+    body[1] = end_seq;
+    body
+}
+
+/// An ACK's body: `ack_seq`, then every block slot, unpopulated ones zero.
+#[inline]
+const fn ack_body(ack_seq: u64, sack: &SackBlocks) -> [u64; BODY_WORDS] {
+    let [b0, b1, b2] = sack.blocks;
+    [
+        ack_seq, b0.start, b0.end, b1.start, b1.end, b2.start, b2.end,
+    ]
+}
+
+// Every place a packet waits stores one of these three; see the module docs.
+const _: () = assert!(std::mem::size_of::<Packet>() == 80);
+const _: () = assert!(std::mem::size_of::<Msg>() == 80);
+const _: () = assert!(std::mem::size_of::<Option<Msg>>() == 80);
+const _: () = assert!(std::mem::offset_of!(Packet, kind) < 16);
 
 /// ECN: ECN-Capable Transport codepoint (data packets of ECN flows).
 pub const ECN_ECT: u8 = 0b0001;
@@ -170,16 +219,14 @@ impl Packet {
         debug_assert!(end_seq > seq, "empty data segment");
         Packet {
             flow,
-            kind: PacketKind::Data,
             dst,
             wire_bytes: (end_seq - seq) as u32 + HEADER_BYTES,
-            seq,
-            end_seq,
-            ack_seq: 0,
-            sack: SackBlocks::EMPTY,
-            sent_at: now,
+            kind: PacketKind::Data,
+            sack_len: 0,
             retransmit: false,
             ecn: 0,
+            sent_at: now,
+            body: data_body(seq, end_seq),
         }
     }
 
@@ -194,23 +241,71 @@ impl Packet {
     ) -> Packet {
         Packet {
             flow,
-            kind: PacketKind::Ack,
             dst,
             wire_bytes: HEADER_BYTES + 12, // SACK option space, approximate
-            seq: 0,
-            end_seq: 0,
-            ack_seq,
-            sack,
-            sent_at: now,
+            kind: PacketKind::Ack,
+            sack_len: sack.len,
             retransmit: false,
             ecn: 0,
+            sent_at: now,
+            body: ack_body(ack_seq, &sack),
+        }
+    }
+
+    /// Data segment or ACK.
+    #[inline]
+    pub fn kind(&self) -> PacketKind {
+        self.kind
+    }
+
+    /// Data: first payload byte. Ack: 0.
+    #[inline]
+    pub fn seq(&self) -> u64 {
+        if self.is_data() {
+            self.body[0]
+        } else {
+            0
+        }
+    }
+
+    /// Data: one past the last payload byte. Ack: 0.
+    #[inline]
+    pub fn end_seq(&self) -> u64 {
+        if self.is_data() {
+            self.body[1]
+        } else {
+            0
+        }
+    }
+
+    /// Ack: cumulative acknowledgment (next byte expected). Data: 0.
+    #[inline]
+    pub fn ack_seq(&self) -> u64 {
+        if self.is_data() {
+            0
+        } else {
+            self.body[0]
+        }
+    }
+
+    /// Ack: selective acknowledgment blocks. Data: none.
+    #[inline]
+    pub fn sack(&self) -> SackBlocks {
+        if self.is_data() {
+            return SackBlocks::EMPTY;
+        }
+        let [_, s0, e0, s1, e1, s2, e2] = self.body;
+        let block = |start, end| SackBlock { start, end };
+        SackBlocks {
+            blocks: [block(s0, e0), block(s1, e1), block(s2, e2)],
+            len: self.sack_len,
         }
     }
 
     /// Payload length (0 for ACKs).
     #[inline]
     pub fn payload_len(&self) -> u64 {
-        self.end_seq - self.seq
+        self.end_seq() - self.seq()
     }
 
     /// True iff this is a data segment.
@@ -307,19 +402,80 @@ impl Snap for SackBlocks {
 
 snap!(PacketKind as "packet kind" [Data, Ack]);
 
-snap!(Packet {
-    flow,
-    kind,
-    dst,
-    wire_bytes,
-    seq,
-    end_seq,
-    ack_seq,
-    sack,
-    sent_at,
-    retransmit,
-    ecn
-});
+/// The fields in the order they had as separate struct fields.
+impl fmt::Debug for Packet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Packet")
+            .field("flow", &self.flow)
+            .field("kind", &self.kind)
+            .field("dst", &self.dst)
+            .field("wire_bytes", &self.wire_bytes)
+            .field("seq", &self.seq())
+            .field("end_seq", &self.end_seq())
+            .field("ack_seq", &self.ack_seq())
+            .field("sack", &self.sack())
+            .field("sent_at", &self.sent_at)
+            .field("retransmit", &self.retransmit)
+            .field("ecn", &self.ecn)
+            .finish()
+    }
+}
+
+/// Every field of both kinds, in the order the packet had them as
+/// separate fields, so the checkpoint bytes did not move when the two
+/// kinds began to share storage. A packet carrying both data and ACK
+/// fields cannot have been written by any build, so it is corrupt.
+impl Snap for Packet {
+    fn put(&self, w: &mut SnapWriter) {
+        self.flow.put(w);
+        self.kind.put(w);
+        self.dst.put(w);
+        w.u32(self.wire_bytes);
+        w.u64(self.seq());
+        w.u64(self.end_seq());
+        w.u64(self.ack_seq());
+        self.sack().put(w);
+        self.sent_at.put(w);
+        w.bool(self.retransmit);
+        w.u8(self.ecn);
+    }
+
+    fn take(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let flow = FlowId::take(r)?;
+        let kind = PacketKind::take(r)?;
+        let dst = ComponentId::take(r)?;
+        let wire_bytes = r.u32()?;
+        let (seq, end_seq, ack_seq) = (r.u64()?, r.u64()?, r.u64()?);
+        let sack = SackBlocks::take(r)?;
+        let mixed = match kind {
+            PacketKind::Data => ack_seq != 0 || !sack.is_empty(),
+            PacketKind::Ack => seq != 0 || end_seq != 0,
+        };
+        if mixed {
+            return Err(SnapError::Corrupt(format!(
+                "{kind:?} packet with both data and ack fields"
+            )));
+        }
+        let sent_at = SimTime::take(r)?;
+        let retransmit = r.bool()?;
+        let ecn = r.u8()?;
+        let body = match kind {
+            PacketKind::Data => data_body(seq, end_seq),
+            PacketKind::Ack => ack_body(ack_seq, &sack),
+        };
+        Ok(Packet {
+            flow,
+            dst,
+            wire_bytes,
+            kind,
+            sack_len: sack.len,
+            retransmit,
+            ecn,
+            sent_at,
+            body,
+        })
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -342,7 +498,8 @@ mod tests {
         let p = Packet::ack(FlowId(1), cid(), 4344, SackBlocks::EMPTY, SimTime::ZERO);
         assert!(!p.is_data());
         assert_eq!(p.payload_len(), 0);
-        assert_eq!(p.ack_seq, 4344);
+        assert_eq!(p.ack_seq(), 4344);
+        assert_eq!((p.seq(), p.end_seq()), (0, 0));
         assert!(p.wire_bytes < 100);
     }
 
@@ -385,12 +542,6 @@ mod tests {
     }
 
     #[test]
-    fn packet_is_small() {
-        // The hot path copies packets by value; keep them cache-friendly.
-        assert!(std::mem::size_of::<Packet>() <= 136);
-    }
-
-    #[test]
     fn ecn_bits_are_independent() {
         let mut p = Packet::data(FlowId(0), cid(), 0, 100, SimTime::ZERO);
         assert_eq!(p.ecn, 0);
@@ -405,5 +556,182 @@ mod tests {
         let mut d = Packet::data(FlowId(0), cid(), 0, 100, SimTime::ZERO);
         d.set_cwr();
         assert!(d.has_cwr() && !d.has_ece());
+    }
+
+    /// A packet as the eleven separate fields it had before data and ACK
+    /// fields shared storage.
+    #[derive(Clone)]
+    struct Fields {
+        flow: u32,
+        kind: u8,
+        dst: u64,
+        wire_bytes: u32,
+        seq: u64,
+        end_seq: u64,
+        ack_seq: u64,
+        sack: Vec<(u64, u64)>,
+        sent_at: u64,
+        retransmit: bool,
+        ecn: u8,
+    }
+
+    impl Fields {
+        fn data(seq: u64, end_seq: u64) -> Fields {
+            Fields {
+                flow: 3,
+                kind: 0,
+                dst: 9,
+                wire_bytes: (end_seq - seq) as u32 + HEADER_BYTES,
+                seq,
+                end_seq,
+                ack_seq: 0,
+                sack: vec![],
+                sent_at: 1_234_567,
+                retransmit: false,
+                ecn: 0,
+            }
+        }
+
+        fn ack(ack_seq: u64, sack: &[(u64, u64)]) -> Fields {
+            Fields {
+                kind: 1,
+                wire_bytes: HEADER_BYTES + 12,
+                seq: 0,
+                end_seq: 0,
+                ack_seq,
+                sack: sack.to_vec(),
+                ..Fields::data(0, 1)
+            }
+        }
+
+        /// The reference encoder: each field written on its own, in the
+        /// old declaration order.
+        fn bytes(&self) -> Vec<u8> {
+            let mut w = SnapWriter::new();
+            w.u32(self.flow);
+            w.u8(self.kind);
+            w.u64(self.dst);
+            w.u32(self.wire_bytes);
+            w.u64(self.seq);
+            w.u64(self.end_seq);
+            w.u64(self.ack_seq);
+            w.u8(self.sack.len() as u8);
+            for &(start, end) in &self.sack {
+                w.u64(start);
+                w.u64(end);
+            }
+            w.u64(self.sent_at);
+            w.bool(self.retransmit);
+            w.u8(self.ecn);
+            w.into_bytes()
+        }
+
+        /// The same packet built through the public constructors.
+        fn packet(&self) -> Packet {
+            let flow = FlowId(self.flow);
+            let dst = ComponentId::from_raw(self.dst as usize);
+            let now = SimTime::from_nanos(self.sent_at);
+            let mut p = if self.kind == 0 {
+                Packet::data(flow, dst, self.seq, self.end_seq, now)
+            } else {
+                let mut sack = SackBlocks::EMPTY;
+                for &(start, end) in &self.sack {
+                    sack.push(SackBlock { start, end });
+                }
+                Packet::ack(flow, dst, self.ack_seq, sack, now)
+            };
+            p.wire_bytes = self.wire_bytes;
+            p.retransmit = self.retransmit;
+            p.ecn = self.ecn;
+            p
+        }
+    }
+
+    fn take(bytes: &[u8]) -> Result<Packet, SnapError> {
+        let mut r = SnapReader::new(bytes);
+        let p = Packet::take(&mut r)?;
+        assert!(r.is_exhausted());
+        Ok(p)
+    }
+
+    #[test]
+    fn packet_codec_writes_the_separate_field_bytes() {
+        const MAX: u64 = u64::MAX;
+        let edges = |mut f: Fields| {
+            (f.flow, f.dst, f.sent_at) = (u32::MAX, u64::from(u32::MAX), MAX);
+            f
+        };
+        let flagged = |mut f: Fields, ecn: u8| {
+            f.retransmit = f.kind == 0;
+            f.ecn = ecn;
+            f
+        };
+        let blocks = [(5000, 6448), (8000, 9448), (12_000, 13_448)];
+        let top = [(MAX - 3, MAX - 2), (MAX - 1, MAX)];
+        let cases = [
+            Fields::data(1000, 2448),
+            flagged(Fields::data(1000, 2448), ECN_ECT | ECN_CWR),
+            edges(Fields::data(MAX - 1448, MAX)),
+            Fields::ack(4344, &[]),
+            Fields::ack(4344, &blocks[..1]),
+            Fields::ack(4344, &blocks[..2]),
+            Fields::ack(4344, &blocks),
+            flagged(Fields::ack(4344, &[]), ECN_ECE),
+            flagged(Fields::ack(4344, &blocks), ECN_ECE | ECN_CE),
+            edges(Fields::ack(MAX, &[])),
+            edges(Fields::ack(MAX - 4, &top)),
+            edges(flagged(
+                Fields::ack(0, &[(1, MAX), top[1], (0, 1)]),
+                ECN_ECE,
+            )),
+        ];
+        for (i, f) in cases.iter().enumerate() {
+            let p = f.packet();
+            let mut w = SnapWriter::new();
+            p.put(&mut w);
+            assert_eq!(w.as_bytes(), f.bytes(), "case {i}: bytes moved");
+            assert_eq!(take(&f.bytes()), Ok(p), "case {i}: round trip");
+            assert_eq!(p.sack().len(), f.sack.len(), "case {i}");
+
+            // A body carrying the other kind's fields too was never written.
+            let mut mixed = Vec::new();
+            if f.kind == 0 {
+                mixed.push(Fields {
+                    ack_seq: 1,
+                    ..f.clone()
+                });
+                mixed.push(Fields {
+                    sack: vec![(1, 2)],
+                    ..f.clone()
+                });
+            } else {
+                mixed.push(Fields {
+                    seq: 1,
+                    ..f.clone()
+                });
+                mixed.push(Fields {
+                    end_seq: 1,
+                    ..f.clone()
+                });
+            }
+            mixed.push(Fields {
+                kind: 2,
+                ..f.clone()
+            });
+            mixed.push(Fields {
+                sack: vec![(1, 2); 4],
+                ..f.clone()
+            });
+            mixed.push(Fields {
+                dst: u64::from(u32::MAX) + 1,
+                ..f.clone()
+            });
+            for (j, bad) in mixed.iter().enumerate() {
+                assert!(
+                    matches!(take(&bad.bytes()), Err(SnapError::Corrupt(_))),
+                    "case {i}: variant {j} accepted"
+                );
+            }
+        }
     }
 }

@@ -15,7 +15,7 @@ struct Sink {
 impl Component<Msg> for Sink {
     fn on_event(&mut self, now: SimTime, msg: Msg, _ctx: &mut Ctx<'_, Msg>) {
         if let Msg::Packet(p) = msg {
-            self.received.push((now, p.seq));
+            self.received.push((now, p.seq()));
             self.bytes += p.wire_bytes as u64;
         }
     }

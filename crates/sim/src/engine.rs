@@ -19,21 +19,36 @@ use std::collections::VecDeque;
 use std::fmt;
 
 /// Opaque handle addressing a component inside a [`Simulator`].
+///
+/// It holds a `u32`: the event queue's keys, ready records and lane store
+/// a destination in 32 bits, and a packet carries one, so the narrower
+/// handle keeps every queued packet smaller.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ComponentId(usize);
+pub struct ComponentId(u32);
 
 impl ComponentId {
     /// Construct from a raw arena index. Exposed for tests and for wiring
     /// code that needs to pre-compute ids; normal code should use the id
     /// returned by [`Simulator::add_component`].
+    ///
+    /// # Panics
+    /// Panics if `i` exceeds `u32::MAX`: no arena grows that large, and an
+    /// id must not alias a real component by truncation.
     #[inline]
     pub const fn from_raw(i: usize) -> Self {
-        ComponentId(i)
+        assert!(i <= u32::MAX as usize, "component id exceeds u32");
+        ComponentId(i as u32)
     }
 
     /// The raw arena index.
     #[inline]
     pub const fn as_usize(self) -> usize {
+        self.0 as usize
+    }
+
+    /// The raw arena index as the event queue stores it.
+    #[inline]
+    pub(crate) const fn as_u32(self) -> u32 {
         self.0
     }
 }
@@ -373,11 +388,10 @@ impl<M: 'static> Simulator<M> {
     /// Install a component, returning its id.
     ///
     /// # Panics
-    /// Panics if the arena would outgrow `u32` indices: the event queue
-    /// stores a destination as `u32`.
+    /// Panics if the arena would outgrow `u32` indices (see
+    /// [`ComponentId::from_raw`]).
     pub fn add_component<C: Component<M>>(&mut self, c: C) -> ComponentId {
-        let id = ComponentId(self.components.len());
-        assert!(u32::try_from(id.0).is_ok(), "component arena exceeds u32");
+        let id = ComponentId::from_raw(self.components.len());
         self.components.push(Box::new(c));
         id
     }
@@ -394,7 +408,7 @@ impl<M: 'static> Simulator<M> {
     /// Panics if the id is out of range or the type does not match —
     /// both indicate wiring bugs, not runtime conditions.
     pub fn component<C: Component<M>>(&self, id: ComponentId) -> &C {
-        let c: &dyn Any = self.components[id.0].as_ref();
+        let c: &dyn Any = self.components[id.as_usize()].as_ref();
         c.downcast_ref::<C>().expect("component type mismatch")
     }
 
@@ -403,7 +417,7 @@ impl<M: 'static> Simulator<M> {
     /// # Panics
     /// Same conditions as [`Simulator::component`].
     pub fn component_mut<C: Component<M>>(&mut self, id: ComponentId) -> &mut C {
-        let c: &mut dyn Any = self.components[id.0].as_mut();
+        let c: &mut dyn Any = self.components[id.as_usize()].as_mut();
         c.downcast_mut::<C>().expect("component type mismatch")
     }
 
@@ -433,11 +447,7 @@ impl<M: 'static> Simulator<M> {
     /// Take a batch record's payload out of the queue's slab.
     #[inline(always)]
     fn claim(&mut self, r: Ready) -> (SimTime, ComponentId, M) {
-        (
-            r.time,
-            ComponentId(r.dst as usize),
-            self.queue.claim(r.slot),
-        )
+        (r.time, ComponentId(r.dst), self.queue.claim(r.slot))
     }
 
     /// Deliver one already-extracted event: advance the clock, classify,
@@ -532,7 +542,7 @@ impl<M: 'static> Simulator<M> {
                     // As above: the event about to run still counts.
                     self.max_pending = self.max_pending.max(self.queue.len() as u64);
                     let (dst, msg) = self.queue.pop_lane();
-                    self.dispatch(time, ComponentId(dst as usize), msg, &mut classify)?;
+                    self.dispatch(time, ComponentId(dst), msg, &mut classify)?;
                 }
             }
             if self.queue.take_head_ready_until(deadline, &mut self.batch) == 0 {

@@ -22,7 +22,7 @@
 //! An event is split in two. Its **key** — `(time, seq)`, the cancellation
 //! token, the destination and a slab index, 40 bytes whatever `M` is — is
 //! what the structures below hold, sort, sift and cascade. Its **payload**
-//! (`M`; a 112-byte `Packet` message in the simulator) is written into a
+//! (`M`; an 80-byte `Packet` message in the simulator) is written into a
 //! slab slot by `schedule` and taken out once, at dispatch; in between it
 //! does not move. A cancelled event gives its slab slot back at once, so
 //! what a cancel leaves behind in a far wheel slot is a key, not a packet
@@ -284,14 +284,6 @@ impl TokRec {
             slot: self.slot,
         }
     }
-}
-
-/// A destination as keys hold it. `Simulator::add_component` keeps every
-/// real id within u32; an id beyond it can only be a wiring bug, and must
-/// not alias a real component by truncation.
-#[inline]
-fn dst_index(dst: ComponentId) -> u32 {
-    u32::try_from(dst.as_usize()).expect("component id exceeds u32")
 }
 
 /// An event extracted for dispatch whose payload is still in the slab:
@@ -586,7 +578,7 @@ impl<M> EventQueue<M> {
             seq: self.draw_seq(),
             tok_gen,
             tok,
-            dst: dst_index(dst),
+            dst: dst.as_u32(),
             slot: self.store(msg),
         }
     }
@@ -605,7 +597,7 @@ impl<M> EventQueue<M> {
         self.stats.sends_now += 1;
         let sent = Sent {
             seq: self.draw_seq(),
-            dst: dst_index(dst),
+            dst: dst.as_u32(),
             msg,
         };
         self.lane.push_back(sent);

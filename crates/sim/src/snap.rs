@@ -382,12 +382,18 @@ impl Snap for Bandwidth {
     }
 }
 
+/// Eight bytes on the wire, as when the id held a `usize`; one beyond
+/// `u32` names no component and is corrupt.
 impl Snap for ComponentId {
     fn put(&self, w: &mut SnapWriter) {
         w.usize(self.as_usize());
     }
     fn take(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ComponentId::from_raw(r.usize()?))
+        let i = r.u64()?;
+        match u32::try_from(i) {
+            Ok(i) => Ok(ComponentId::from_raw(i as usize)),
+            Err(_) => Err(SnapError::Corrupt(format!("component id {i}"))),
+        }
     }
 }
 

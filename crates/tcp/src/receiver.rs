@@ -438,7 +438,8 @@ impl Receiver {
             self.ece_pending = true;
         }
 
-        if p.end_seq <= self.rcv_nxt {
+        let (seq, end_seq) = (p.seq(), p.end_seq());
+        if end_seq <= self.rcv_nxt {
             // Entirely duplicate (spurious retransmission): ACK immediately
             // so the sender can clean up.
             self.stats.duplicate_pkts += 1;
@@ -446,9 +447,9 @@ impl Receiver {
             return;
         }
 
-        if p.seq == self.rcv_nxt {
+        if seq == self.rcv_nxt {
             // In-order arrival.
-            self.rcv_nxt = p.end_seq;
+            self.rcv_nxt = end_seq;
             let had_gap = !self.ooo.is_empty();
             self.drain_contiguous();
             if had_gap {
@@ -465,9 +466,9 @@ impl Receiver {
         } else {
             // Out of order: buffer and emit an immediate duplicate ACK
             // carrying SACK information.
-            debug_assert!(p.seq > self.rcv_nxt);
+            debug_assert!(seq > self.rcv_nxt);
             self.stats.ooo_pkts += 1;
-            self.insert_ooo(p.seq, p.end_seq);
+            self.insert_ooo(seq, end_seq);
             self.send_ack(now, ctx);
         }
     }
@@ -544,8 +545,8 @@ mod tests {
         sim.run();
         let acks = &sim.component::<AckSink>(sink).acks;
         assert_eq!(acks.len(), 1, "one ACK for two segments");
-        assert_eq!(acks[0].1.ack_seq, 2000);
-        assert!(acks[0].1.sack.is_empty());
+        assert_eq!(acks[0].1.ack_seq(), 2000);
+        assert!(acks[0].1.sack().is_empty());
     }
 
     #[test]
@@ -564,8 +565,8 @@ mod tests {
         sim.run();
         let acks = &sim.component::<AckSink>(sink).acks;
         assert_eq!(acks.len(), 2, "8 segments / stride 4");
-        assert_eq!(acks[0].1.ack_seq, 4000);
-        assert_eq!(acks[1].1.ack_seq, 8000);
+        assert_eq!(acks[0].1.ack_seq(), 4000);
+        assert_eq!(acks[1].1.ack_seq(), 8000);
         // A straggler below the stride still falls back to the 40 ms
         // delayed-ACK timer, so nothing is acknowledged late or never.
         sim.schedule(sim.now(), rx, Msg::Packet(data(8000, 9000)));
@@ -573,7 +574,7 @@ mod tests {
         sim.run();
         let acks = &sim.component::<AckSink>(sink).acks;
         assert_eq!(acks.len(), 3);
-        assert_eq!(acks[2].1.ack_seq, 9000);
+        assert_eq!(acks[2].1.ack_seq(), 9000);
         assert_eq!(acks[2].0, resume + DELACK_TIMEOUT);
     }
 
@@ -600,7 +601,7 @@ mod tests {
         let acks = &sim.component::<AckSink>(sink).acks;
         assert_eq!(acks.len(), 1);
         assert_eq!(acks[0].0, SimTime::from_millis(40));
-        assert_eq!(acks[0].1.ack_seq, 1000);
+        assert_eq!(acks[0].1.ack_seq(), 1000);
     }
 
     #[test]
@@ -614,11 +615,11 @@ mod tests {
         // delayed-ACK machinery has nothing further to ack.
         let dup = acks
             .iter()
-            .find(|(_, p)| !p.sack.is_empty())
+            .find(|(_, p)| !p.sack().is_empty())
             .expect("dup ack with sack");
-        assert_eq!(dup.1.ack_seq, 1000);
+        assert_eq!(dup.1.ack_seq(), 1000);
         assert_eq!(
-            dup.1.sack.as_slice(),
+            dup.1.sack().as_slice(),
             &[SackBlock {
                 start: 2000,
                 end: 3000
@@ -636,9 +637,9 @@ mod tests {
         // First: dup ack (rcv_nxt=0, SACK 1000-2000). Second: gap fill,
         // immediate full ACK of 2000.
         assert_eq!(acks.len(), 2);
-        assert_eq!(acks[0].1.ack_seq, 0);
-        assert_eq!(acks[1].1.ack_seq, 2000);
-        assert!(acks[1].1.sack.is_empty());
+        assert_eq!(acks[0].1.ack_seq(), 0);
+        assert_eq!(acks[1].1.ack_seq(), 2000);
+        assert!(acks[1].1.sack().is_empty());
         let r = sim.component::<Receiver>(rx);
         assert_eq!(r.delivered_bytes(), 2000);
         assert_eq!(r.ooo_ranges(), 0);
@@ -654,7 +655,8 @@ mod tests {
         sim.run();
         let acks = &sim.component::<AckSink>(sink).acks;
         let last = &acks.last().unwrap().1;
-        let blocks = last.sack.as_slice();
+        let sack = last.sack();
+        let blocks = sack.as_slice();
         assert_eq!(blocks.len(), 3);
         // Full recency order: most recently updated first.
         assert_eq!(
@@ -689,7 +691,7 @@ mod tests {
         sim.run();
         let acks = &sim.component::<AckSink>(sink).acks;
         assert_eq!(acks.len(), 2);
-        assert_eq!(acks[1].1.ack_seq, 2000);
+        assert_eq!(acks[1].1.ack_seq(), 2000);
         assert_eq!(sim.component::<Receiver>(rx).stats().duplicate_pkts, 1);
     }
 
@@ -715,7 +717,7 @@ mod tests {
         let acks = &sim.component::<AckSink>(sink).acks;
         let last = &acks.last().unwrap().1;
         assert_eq!(
-            last.sack.as_slice(),
+            last.sack().as_slice(),
             &[SackBlock {
                 start: 2000,
                 end: 4000

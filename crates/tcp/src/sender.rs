@@ -530,7 +530,8 @@ impl Sender {
     fn on_ack_packet(&mut self, now: SimTime, p: Packet, ctx: &mut Ctx<'_, Msg>) {
         self.stats.acks_received += 1;
         let prior_in_flight = self.board.in_flight();
-        let res = self.board.process_ack(now, p.ack_seq, &p.sack);
+        let ack_seq = p.ack_seq();
+        let res = self.board.process_ack(now, ack_seq, &p.sack());
         if let Some(rtt) = res.rtt_sample {
             self.rtt.on_sample(rtt);
         }
@@ -562,11 +563,11 @@ impl Sender {
             delivery_rate,
             interval,
             app_limited,
-            p.ack_seq,
+            ack_seq,
         );
 
         // Episode exit: the recovery point has been cumulatively ACKed.
-        if self.state != CaState::Open && p.ack_seq >= self.recovery_point {
+        if self.state != CaState::Open && ack_seq >= self.recovery_point {
             let after_rto = self.state == CaState::Loss;
             self.state = CaState::Open;
             sample.in_recovery = false;
@@ -594,7 +595,7 @@ impl Sender {
         if self.cfg.ecn
             && p.has_ece()
             && self.state == CaState::Open
-            && p.ack_seq >= self.ecn_reduce_until
+            && ack_seq >= self.ecn_reduce_until
         {
             self.ecn_reduce_until = self.board.snd_nxt();
             self.ecn_cwr_pending = true;

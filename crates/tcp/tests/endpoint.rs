@@ -326,7 +326,7 @@ struct DropFirstTx {
 impl Component<Msg> for DropFirstTx {
     fn on_event(&mut self, _now: SimTime, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
         if let Msg::Packet(p) = msg {
-            if p.kind == PacketKind::Data && p.seq == self.drop_seq && !p.retransmit {
+            if p.kind() == PacketKind::Data && p.seq() == self.drop_seq && !p.retransmit {
                 return;
             }
             ctx.schedule_in(self.delay, p.dst, Msg::Packet(p));

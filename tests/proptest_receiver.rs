@@ -187,13 +187,13 @@ impl Pair {
         assert_eq!(a.len(), b.len(), "ACK count at {:?}", self.now);
         for (x, y) in a[self.acks_checked..].iter().zip(&b[self.acks_checked..]) {
             assert_eq!(
-                (x.0, x.1.ack_seq, x.1.sack.as_slice(), x.1.has_ece()),
-                (y.0, y.1.ack_seq, y.1.sack.as_slice(), y.1.has_ece()),
+                (x.0, x.1.ack_seq(), x.1.sack().as_slice(), x.1.has_ece()),
+                (y.0, y.1.ack_seq(), y.1.sack().as_slice(), y.1.has_ece()),
                 "ACK at {:?}",
                 self.now
             );
-            for blk in x.1.sack.as_slice() {
-                assert!(blk.start > x.1.ack_seq && blk.end > blk.start, "{blk:?}");
+            for blk in x.1.sack().as_slice() {
+                assert!(blk.start > x.1.ack_seq() && blk.end > blk.start, "{blk:?}");
             }
         }
         self.acks_checked = a.len();
@@ -322,7 +322,7 @@ proptest! {
 }
 
 fn blocks(p: &Packet) -> Vec<(u64, u64)> {
-    p.sack
+    p.sack()
         .as_slice()
         .iter()
         .map(|&SackBlock { start, end }| (start / MSS, end / MSS))
@@ -351,7 +351,7 @@ fn a_drained_range_is_never_sacked_again() {
     p.send_new(1, 0);
     p.fill(0, 0);
     let ack = p.last_ack();
-    assert_eq!(ack.ack_seq, 2 * MSS);
+    assert_eq!(ack.ack_seq(), 2 * MSS);
     assert_eq!(blocks(&ack), [(3, 4)]);
 }
 

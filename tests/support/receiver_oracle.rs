@@ -324,7 +324,7 @@ impl Receiver {
             self.ece_pending = true;
         }
 
-        if p.end_seq <= self.rcv_nxt {
+        if p.end_seq() <= self.rcv_nxt {
             // Entirely duplicate (spurious retransmission): ACK immediately
             // so the sender can clean up.
             self.stats.duplicate_pkts += 1;
@@ -332,9 +332,9 @@ impl Receiver {
             return;
         }
 
-        if p.seq == self.rcv_nxt {
+        if p.seq() == self.rcv_nxt {
             // In-order arrival.
-            self.rcv_nxt = p.end_seq;
+            self.rcv_nxt = p.end_seq();
             let had_gap = !self.ooo.is_empty();
             self.drain_contiguous();
             if had_gap {
@@ -351,9 +351,9 @@ impl Receiver {
         } else {
             // Out of order: buffer and emit an immediate duplicate ACK
             // carrying SACK information.
-            debug_assert!(p.seq > self.rcv_nxt);
+            debug_assert!(p.seq() > self.rcv_nxt);
             self.stats.ooo_pkts += 1;
-            self.insert_ooo(p.seq, p.end_seq);
+            self.insert_ooo(p.seq(), p.end_seq());
             self.send_ack(now, ctx);
         }
     }
