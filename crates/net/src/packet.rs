@@ -10,14 +10,13 @@
 //! needs `[seq, end_seq)`; an ACK needs `ack_seq` and up to three SACK
 //! blocks. Both live in one seven-word body, and the SACK block count sits
 //! in the header next to the kind, the retransmit flag and the ECN bits.
-//! That makes a `Packet` — and a `Msg`, and an `Option<Msg>` — 80 bytes
-//! instead of 112, and every place a packet waits (link rings, the event
-//! slab, the same-instant lane) shrinks with it. The readers are
-//! accessors that return 0 (or no SACK blocks) for the other kind's
-//! fields, which is what the fields held when they were separate. SACK
-//! blocks stay absolute `u64` offsets: offsets from `ack_seq` in `u32`
-//! would save 24 more bytes but cap a flow's out-of-order span at 4 GiB,
-//! which the `mega` setting's buffer plus BDP exceeds.
+//! That keeps a `Packet` — and a `Msg`, and an `Option<Msg>` — at 80
+//! bytes, which every place a packet waits (link rings, the event slab,
+//! the same-instant lane) is sized by. The readers are accessors that
+//! return 0 (or no SACK blocks) for the other kind's fields. SACK blocks
+//! stay absolute `u64` offsets: offsets from `ack_seq` in `u32` would
+//! save 24 more bytes but cap a flow's out-of-order span at 4 GiB, which
+//! the `mega` setting's buffer plus BDP exceeds.
 //!
 //! Sequence numbers are 64-bit byte offsets that never wrap. Real TCP uses a
 //! 32-bit wrapping space; wrap handling is irrelevant to every phenomenon the
@@ -140,8 +139,8 @@ const BODY_WORDS: usize = 1 + 2 * MAX_SACK_BLOCKS;
 /// `repr(C)` fixes the order so that `kind` — the byte `Msg` and
 /// `Option<Msg>` keep their tags in — sits in the first 16 bytes. In the
 /// compiler's own order it landed on the last byte, and every move of a
-/// message copied the 79 bytes before it as overlapping 16-byte pieces
-/// (`core5k_droptail` `wall_s` about +3 % against the 112-byte packet).
+/// message copied the 79 bytes before it as overlapping 16-byte pieces,
+/// which cost `core5k_droptail` 3–10 % of its `wall_s`.
 #[derive(Copy, Clone, PartialEq, Eq)]
 #[repr(C)]
 pub struct Packet {
@@ -402,7 +401,7 @@ impl Snap for SackBlocks {
 
 snap!(PacketKind as "packet kind" [Data, Ack]);
 
-/// The fields in the order they had as separate struct fields.
+/// Both kinds' fields, in the order the checkpoint codec writes them.
 impl fmt::Debug for Packet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Packet")
@@ -421,10 +420,10 @@ impl fmt::Debug for Packet {
     }
 }
 
-/// Every field of both kinds, in the order the packet had them as
-/// separate fields, so the checkpoint bytes did not move when the two
-/// kinds began to share storage. A packet carrying both data and ACK
-/// fields cannot have been written by any build, so it is corrupt.
+/// Every field of both kinds, in the `SNAP_VERSION` 3 order: flow, kind,
+/// dst, wire_bytes, seq, end_seq, ack_seq, sack, sent_at, retransmit,
+/// ecn. A packet carrying both data and ACK fields cannot have been
+/// written by any build, so it is corrupt.
 impl Snap for Packet {
     fn put(&self, w: &mut SnapWriter) {
         self.flow.put(w);

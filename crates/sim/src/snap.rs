@@ -382,7 +382,7 @@ impl Snap for Bandwidth {
     }
 }
 
-/// Eight bytes on the wire, as when the id held a `usize`; one beyond
+/// Eight bytes on the wire (the `SNAP_VERSION` 3 format); an id beyond
 /// `u32` names no component and is corrupt.
 impl Snap for ComponentId {
     fn put(&self, w: &mut SnapWriter) {
