@@ -239,13 +239,14 @@ impl Sender {
     }
 
     /// Approximate heap footprint of this flow's hot state: the sender
-    /// struct (CCA and observer boxes counted at their pointer size) plus
-    /// the SACK scoreboard's storage. Harvested into the profiler's
-    /// `tcp/senders` memory account — the numerator of the megascale
-    /// memory-per-flow metric. An attached flight recorder is accounted
-    /// separately via [`Sender::trace_memory_bytes`].
+    /// struct (CCA and observer boxes counted at their pointer size, the
+    /// scoreboard inline) plus the SACK scoreboard's heap storage.
+    /// Harvested into the profiler's `tcp/senders` memory account — the
+    /// numerator of the megascale memory-per-flow metric. An attached
+    /// flight recorder is accounted separately via
+    /// [`Sender::trace_memory_bytes`].
     pub fn memory_bytes(&self) -> u64 {
-        std::mem::size_of::<Self>() as u64 + self.board.memory_bytes()
+        std::mem::size_of::<Self>() as u64 + self.board.heap_bytes()
     }
 
     /// Heap bytes held by this flow's attached flight recorder, 0 when
@@ -698,5 +699,25 @@ impl Component<Msg> for Sender {
                 other => unreachable!("unknown sender timer kind {other}"),
             },
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cc::FixedWindow;
+
+    #[test]
+    fn a_fresh_sender_counts_its_inline_scoreboard_once() {
+        let cfg = SenderConfig {
+            flow: FlowId(0),
+            mss: 1000,
+            receiver: ComponentId::from_raw(2),
+            first_hop: ComponentId::from_raw(0),
+            data_limit: None,
+            ecn: false,
+        };
+        let s = Sender::new(cfg, Box::new(FixedWindow::new(10_000)));
+        assert_eq!(s.memory_bytes(), std::mem::size_of::<Sender>() as u64);
     }
 }
