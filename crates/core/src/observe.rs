@@ -42,6 +42,7 @@ use crate::scenario::Scenario;
 use ccsim_net::link::{Link, LinkMetrics};
 use ccsim_net::msg::Msg;
 use ccsim_sim::{safe_rate, Fnv1a, SimTime};
+use ccsim_tcp::receiver::Receiver;
 use ccsim_tcp::sender::{Sender, SenderMetrics};
 use ccsim_telemetry::manifest::RunManifest;
 use ccsim_telemetry::prometheus::write_exposition;
@@ -428,11 +429,14 @@ fn harvest_profile(
     let (counts, nanos, samples) = net.sim.profile_cells()?;
     let (counts, nanos, samples) = (counts.to_vec(), nanos.to_vec(), samples.to_vec());
 
-    let (mut senders, mut links, mut rings) = (0, 0, 0);
+    let (mut senders, mut receivers, mut links, mut rings) = (0, 0, 0, 0);
     for &id in &net.senders {
         let s = net.sim.component::<Sender>(id);
         senders += s.memory_bytes();
         rings += s.trace_memory_bytes();
+    }
+    for &id in &net.receivers {
+        receivers += net.sim.component::<Receiver>(id).memory_bytes();
     }
     for &id in &net.links {
         let l = net.sim.component::<Link>(id);
@@ -441,6 +445,7 @@ fn harvest_profile(
     }
     let mut memory = vec![
         ("tcp/senders", senders),
+        ("tcp/receivers", receivers),
         ("net/link_queues", links),
         ("trace/rings", rings),
         ("sim/wheel", net.sim.queue_memory_bytes()),
@@ -769,6 +774,7 @@ mod tests {
                 "net/link_queues",
                 "sim/scratch",
                 "sim/wheel",
+                "tcp/receivers",
                 "tcp/senders",
                 "trace/rings"
             ]

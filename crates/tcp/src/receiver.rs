@@ -176,6 +176,17 @@ impl Receiver {
         self.ooo.len()
     }
 
+    /// Approximate heap footprint of this endpoint: the receiver struct
+    /// plus the allocated capacity of the out-of-order deque and the
+    /// recency ring. Harvested into the profiler's `tcp/receivers` memory
+    /// account.
+    pub fn memory_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        (size_of::<Self>()
+            + self.ooo.capacity() * size_of::<(u64, u64)>()
+            + self.recent.capacity() * size_of::<Recent>()) as u64
+    }
+
     /// The flow this receiver serves.
     pub fn flow(&self) -> FlowId {
         self.flow
@@ -838,10 +849,19 @@ mod tests {
         sim.run();
         let r = sim.component::<Receiver>(rx);
         assert_eq!((r.ooo.capacity(), r.recent.capacity()), (0, 0));
+        assert_eq!(r.memory_bytes(), std::mem::size_of::<Receiver>() as u64);
         // 216 B before the deque (a `VecDeque` header is 8 B wider than a
         // `BTreeMap`'s, a `Vec` 8 B narrower than a `VecDeque`): 100 k of
         // these sit in `mega100k_batched`'s component arena.
         assert!(std::mem::size_of::<Receiver>() <= 216 + 16);
+    }
+
+    #[test]
+    fn memory_accounting_covers_the_ranges_and_the_ring() {
+        let rx = with_holes(20);
+        assert_eq!(rx.ooo_ranges(), 20);
+        let floor = std::mem::size_of::<Receiver>() + (20 + rx.recent.len()) * 16;
+        assert!(rx.memory_bytes() >= floor as u64, "{} B", rx.memory_bytes());
     }
 
     #[test]
