@@ -42,7 +42,7 @@ mod tests {
                 seed: 0,
                 flows,
             },
-            records,
+            records: records.into(),
             evicted: 0,
             thinned: 0,
         }

@@ -55,26 +55,30 @@ pub fn write_binary<W: Write>(trace: &RunTrace, mut w: W) -> io::Result<()> {
     w.write_all(&trace.evicted.to_le_bytes())?;
     w.write_all(&trace.thinned.to_le_bytes())?;
 
-    let mut col = Vec::with_capacity(BLOCK_RECORDS * RECORD_BYTES as usize);
-    for block in trace.records.chunks(BLOCK_RECORDS) {
-        w.write_all(&(block.len() as u32).to_le_bytes())?;
-        col.clear();
-        for r in block {
-            col.extend_from_slice(&r.time.as_nanos().to_le_bytes());
+    // One pass over the records fills the five columns of a block.
+    let mut records = trace.records.iter();
+    let mut cols: [Vec<u8>; 5] =
+        [8, 4, 1, 8, 8].map(|width| Vec::with_capacity(width * BLOCK_RECORDS));
+    let mut block = Vec::with_capacity(4 + BLOCK_RECORDS * RECORD_BYTES as usize);
+    loop {
+        let [times, flows, kinds, col_a, col_b] = &mut cols;
+        for r in records.by_ref().take(BLOCK_RECORDS) {
+            times.extend_from_slice(&r.time.as_nanos().to_le_bytes());
+            flows.extend_from_slice(&r.flow.to_le_bytes());
+            kinds.push(r.kind as u8);
+            col_a.extend_from_slice(&r.a.to_le_bytes());
+            col_b.extend_from_slice(&r.b.to_le_bytes());
         }
-        for r in block {
-            col.extend_from_slice(&r.flow.to_le_bytes());
+        if kinds.is_empty() {
+            break;
         }
-        for r in block {
-            col.push(r.kind as u8);
+        block.clear();
+        block.extend_from_slice(&(kinds.len() as u32).to_le_bytes());
+        for col in &mut cols {
+            block.extend_from_slice(col);
+            col.clear();
         }
-        for r in block {
-            col.extend_from_slice(&r.a.to_le_bytes());
-        }
-        for r in block {
-            col.extend_from_slice(&r.b.to_le_bytes());
-        }
-        w.write_all(&col)?;
+        w.write_all(&block)?;
     }
     w.write_all(&0u32.to_le_bytes())?;
     Ok(())
@@ -207,7 +211,7 @@ impl<R: Read> BinaryTraceReader<R> {
         }
         Ok(RunTrace {
             meta: self.meta,
-            records,
+            records: records.into(),
             evicted: self.evicted,
             thinned: self.thinned,
         })
@@ -272,14 +276,14 @@ mod tests {
                 ),
                 _ => TraceRecord::queue_depth(SimTime::from_nanos(i), i * 100, i),
             })
-            .collect();
+            .collect::<Vec<_>>();
         RunTrace {
             meta: TraceMeta {
                 scenario: "binary-test".into(),
                 seed: 99,
                 flows: 7,
             },
-            records,
+            records: records.into(),
             evicted: 5,
             thinned: 6,
         }
@@ -314,7 +318,7 @@ mod tests {
         assert_eq!(reader.meta().flows, 7);
         assert_eq!(reader.evicted(), 5);
         let records: Vec<TraceRecord> = reader.map(Result::unwrap).collect();
-        assert_eq!(records, trace.records);
+        assert!(records.iter().eq(&trace.records));
     }
 
     #[test]

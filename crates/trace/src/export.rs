@@ -131,18 +131,18 @@ pub fn read_jsonl<R: BufRead>(r: R) -> io::Result<RunTrace> {
             seed: meta.req_u64("seed")?,
             flows: meta.req_u32("flows")?,
         },
-        records: Vec::new(),
+        records: Default::default(),
         evicted: meta.opt_u64("evicted")?.unwrap_or(0),
         thinned: meta.opt_u64("thinned")?.unwrap_or(0),
     };
+    let mut records = Vec::new();
     for (i, line) in lines.enumerate() {
         let line = line?;
         if !line.trim().is_empty() {
-            trace
-                .records
-                .push(parse_record(&line).map_err(|e| bad(i + 2, e))?);
+            records.push(parse_record(&line).map_err(|e| bad(i + 2, e))?);
         }
     }
+    trace.records = records.into();
     Ok(trace)
 }
 
@@ -169,7 +169,8 @@ mod tests {
                 TraceRecord::drop(t(7), 1, 99_000),
                 TraceRecord::ecn_mark(t(8), 0, 64_000, 2),
                 TraceRecord::hop_depth(t(9), 1, 32_000, 21),
-            ],
+            ]
+            .into(),
             evicted: 3,
             thinned: 17,
         }

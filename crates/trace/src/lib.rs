@@ -19,6 +19,8 @@
 //! * [`recorder`] — the endpoints the sender and bottleneck link drive
 //!   ([`FlowRecorder`], [`QueueRecorder`]), configured by [`TraceConfig`],
 //!   and the assembled [`RunTrace`].
+//! * [`records`] — the trace's [`Records`]: one sorted run per ring,
+//!   merged on read.
 //! * [`export`] — greppable JSONL, one record per line.
 //! * [`binary`] — the compact columnar `.cctr` format with a streaming
 //!   [`BinaryTraceReader`].
@@ -30,10 +32,12 @@ pub mod binary;
 pub mod event;
 pub mod export;
 pub mod recorder;
+pub mod records;
 pub mod ring;
 
 pub use binary::{read_binary, write_binary, BinaryTraceReader};
 pub use event::{CongestionKind, PhaseLabel, TraceKind, TraceRecord, QUEUE_FLOW, RECORD_BYTES};
 pub use export::{read_jsonl, write_jsonl};
 pub use recorder::{FlowRecorder, QueueRecorder, RunTrace, TraceConfig, TraceMeta};
+pub use records::Records;
 pub use ring::{RetentionPolicy, SampleRing};

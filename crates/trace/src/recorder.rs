@@ -9,15 +9,16 @@
 //! cross-component state and byte-for-byte deterministic.
 //!
 //! After a run, the harness drains every recorder into a [`RunTrace`]:
-//! one time-sorted record vector plus bookkeeping about what the bounds
-//! discarded, ready for export ([`crate::export`], [`crate::binary`]) and
-//! analysis.
+//! its [`Records`] plus bookkeeping about what the bounds discarded, ready
+//! for export ([`crate::export`], [`crate::binary`]) and analysis. Each
+//! ring hands its buffer over as one sorted run, without a copy; readers
+//! see the runs merged into one time-sorted sequence on read, so a drained
+//! trace is held in memory once.
 
 use crate::event::{CongestionKind, PhaseLabel, TraceKind, TraceRecord};
+use crate::records::Records;
 use crate::ring::{RetentionPolicy, SampleRing};
-use ccsim_sim::{snap, SimDuration, SimTime};
-use std::cmp::Ordering;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use ccsim_sim::{snap, SimDuration, SimTime, SnapError};
 
 /// Flight-recorder configuration, carried by the scenario.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -62,6 +63,12 @@ impl TraceConfig {
     /// Record everything within a 64 MiB global budget, sampling the
     /// queue every 64th arrival — a sensible default for EdgeScale runs
     /// and for CoreScale with `Decimate`/`Reservoir` policies.
+    ///
+    /// The budget counts wire bytes (29 a record); a record takes 32 bytes
+    /// in memory, so a full trace peaks at about 32/29 × the budget plus
+    /// the rings' growth slack. Draining hands the ring buffers to the
+    /// [`RunTrace`] as they are, so the peak is not doubled at the end of
+    /// the run.
     pub fn standard() -> TraceConfig {
         TraceConfig {
             enabled: true,
@@ -101,6 +108,10 @@ pub struct FlowRecorder {
     last_srtt: u64,
     last_pacing: u64,
     last_phase: Option<PhaseLabel>,
+    /// The label `on_phase` last saw, compared by address and length so an
+    /// unchanged phase skips the pack. Process-local: never checkpointed,
+    /// and cleared by `load_state`.
+    last_label: Option<&'static str>,
 }
 
 impl FlowRecorder {
@@ -120,6 +131,7 @@ impl FlowRecorder {
             last_srtt: 0,
             last_pacing: 0,
             last_phase: None,
+            last_label: None,
         }
     }
 
@@ -165,8 +177,16 @@ impl FlowRecorder {
     }
 
     /// CCA phase hook: records a transition when `label` differs from the
-    /// previous call's.
-    pub fn on_phase(&mut self, now: SimTime, label: &str) {
+    /// previous call's. The same `&'static str` as last time (same address
+    /// and length, hence the same bytes) returns before packing it.
+    pub fn on_phase(&mut self, now: SimTime, label: &'static str) {
+        if self
+            .last_label
+            .is_some_and(|last| std::ptr::eq(last, label))
+        {
+            return;
+        }
+        self.last_label = Some(label);
         let packed = PhaseLabel::new(label);
         if self.last_phase != Some(packed) {
             self.last_phase = Some(packed);
@@ -185,14 +205,9 @@ impl FlowRecorder {
         self.samples.bytes() + self.events.bytes()
     }
 
-    /// Drain into `(records, evicted, thinned)`.
-    pub fn finish(self) -> (Vec<TraceRecord>, u64, u64) {
-        let evicted = self.samples.evicted() + self.events.evicted();
-        let thinned = self.samples.thinned() + self.events.thinned();
-        let mut v = self.samples.into_sorted_vec();
-        v.extend(self.events.into_sorted_vec());
-        v.sort_by_key(|r| r.sort_key());
-        (v, evicted, thinned)
+    /// Drain into two [`RunTrace::assemble`] parts, one per ring.
+    pub fn finish(self) -> [(Vec<TraceRecord>, u64, u64); 2] {
+        [self.samples.into_part(), self.events.into_part()]
     }
 
     snap! {
@@ -201,8 +216,14 @@ impl FlowRecorder {
         pub fn save_state;
         /// Overlay checkpointed state onto a recorder built with the same
         /// configuration.
-        pub fn load_state;
+        pub fn load_state then forget_label;
         in samples, in events, last_cwnd, last_ssthresh, last_srtt, last_pacing, last_phase,
+    }
+
+    /// The label cache describes the pre-load `last_phase`: drop it.
+    fn forget_label(&mut self) -> Result<(), SnapError> {
+        self.last_label = None;
+        Ok(())
     }
 }
 
@@ -290,14 +311,9 @@ impl QueueRecorder {
         self.depth.bytes() + self.drops.bytes()
     }
 
-    /// Drain into `(records, evicted, thinned)`.
-    pub fn finish(self) -> (Vec<TraceRecord>, u64, u64) {
-        let evicted = self.depth.evicted() + self.drops.evicted();
-        let thinned = self.depth.thinned() + self.drops.thinned();
-        let mut v = self.depth.into_sorted_vec();
-        v.extend(self.drops.into_sorted_vec());
-        v.sort_by_key(|r| r.sort_key());
-        (v, evicted, thinned)
+    /// Drain into two [`RunTrace::assemble`] parts, one per ring.
+    pub fn finish(self) -> [(Vec<TraceRecord>, u64, u64); 2] {
+        [self.depth.into_part(), self.drops.into_part()]
     }
 
     snap! {
@@ -323,40 +339,13 @@ pub struct TraceMeta {
     pub flows: u32,
 }
 
-/// One part's next record in [`RunTrace::assemble`]'s merge, ordered so a
-/// max-heap pops the smallest sort key first.
-struct Head {
-    rec: TraceRecord,
-    src: usize,
-}
-
-impl Ord for Head {
-    fn cmp(&self, other: &Head) -> Ordering {
-        (other.rec.sort_key(), other.src).cmp(&(self.rec.sort_key(), self.src))
-    }
-}
-
-impl PartialOrd for Head {
-    fn partial_cmp(&self, other: &Head) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for Head {
-    fn eq(&self, other: &Head) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Head {}
-
 /// The assembled trace of one run: every surviving record, time-sorted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunTrace {
     /// Run identity.
     pub meta: TraceMeta,
-    /// All records, sorted by `(time, flow, kind)`.
-    pub records: Vec<TraceRecord>,
+    /// All records, read in `(time, flow, kind)` order.
+    pub records: Records,
     /// Records admitted by retention but evicted by ring capacities.
     pub evicted: u64,
     /// Samples rejected by the retention policy.
@@ -364,40 +353,18 @@ pub struct RunTrace {
 }
 
 impl RunTrace {
-    /// Assemble from drained recorder outputs (each already sorted) by a
-    /// k-way merge into canonical `(time, flow, kind)` order. The sort key
-    /// is the whole record, so records that tie are identical and the
-    /// merge's tie order cannot show.
+    /// Assemble from drained recorder outputs. Each part becomes one run
+    /// of the trace's [`Records`] as it is — no record is copied — sorted
+    /// in place only if it is out of order; readers see the runs merged
+    /// into canonical `(time, flow, kind)` order. The sort key is the whole
+    /// record, so records that tie are identical and neither the sort's
+    /// nor the merge's tie order can show.
     pub fn assemble(meta: TraceMeta, parts: Vec<(Vec<TraceRecord>, u64, u64)>) -> RunTrace {
         let evicted = parts.iter().map(|p| p.1).sum();
         let thinned = parts.iter().map(|p| p.2).sum();
-        let mut records = Vec::with_capacity(parts.iter().map(|p| p.0.len()).sum());
-        let mut sources: Vec<_> = parts.into_iter().map(|p| p.0.into_iter()).collect();
-        let mut heads: BinaryHeap<Head> = sources
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(src, part)| {
-                Some(Head {
-                    rec: part.next()?,
-                    src,
-                })
-            })
-            .collect();
-        while let Some(mut head) = heads.peek_mut() {
-            records.push(head.rec);
-            let src = head.src;
-            match sources[src].next() {
-                Some(rec) => head.rec = rec,
-                None => {
-                    PeekMut::pop(head);
-                    // Free the drained part's buffer now, not at the end.
-                    sources[src] = Vec::new().into_iter();
-                }
-            }
-        }
         RunTrace {
             meta,
-            records,
+            records: Records::from_runs(parts.into_iter().map(|p| p.0)),
             evicted,
             thinned,
         }
@@ -409,14 +376,20 @@ impl RunTrace {
         self.records.len() as u64 * crate::event::RECORD_BYTES
     }
 
-    /// Records of one kind.
+    /// Records of one kind, in order; only the runs holding that kind are
+    /// merged.
     pub fn of_kind(&self, kind: TraceKind) -> impl Iterator<Item = &TraceRecord> {
-        self.records.iter().filter(move |r| r.kind == kind)
+        self.records
+            .select(Some(kind), None)
+            .filter(move |r| r.kind == kind)
     }
 
-    /// Records belonging to one flow.
+    /// Records belonging to one flow, in order; only the runs whose flow
+    /// range covers it are merged.
     pub fn for_flow(&self, flow: u32) -> impl Iterator<Item = &TraceRecord> {
-        self.records.iter().filter(move |r| r.flow == flow)
+        self.records
+            .select(None, Some(flow))
+            .filter(move |r| r.flow == flow)
     }
 
     /// Per-flow congestion-event timestamp trains (index = flow id) —
@@ -439,8 +412,9 @@ impl RunTrace {
 
     /// One flow's cwnd series as `(time, cwnd_bytes)`.
     pub fn cwnd_series(&self, flow: u32) -> Vec<(SimTime, u64)> {
-        self.for_flow(flow)
-            .filter(|r| r.kind == TraceKind::Cwnd)
+        self.records
+            .select(Some(TraceKind::Cwnd), Some(flow))
+            .filter(|r| r.kind == TraceKind::Cwnd && r.flow == flow)
             .map(|r| (r.time, r.a))
             .collect()
     }
@@ -457,9 +431,26 @@ impl RunTrace {
 mod tests {
     use super::*;
     use crate::event::QUEUE_FLOW;
+    use ccsim_sim::{SnapReader, SnapWriter};
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
+    }
+
+    fn meta() -> TraceMeta {
+        TraceMeta {
+            scenario: "x".into(),
+            seed: 1,
+            flows: 2,
+        }
+    }
+
+    /// One [`RunTrace::assemble`] part: `(records, evicted, thinned)`.
+    type Part = (Vec<TraceRecord>, u64, u64);
+
+    /// A recorder's records, ring by ring.
+    fn drained(parts: [Part; 2]) -> Vec<TraceRecord> {
+        parts.into_iter().flat_map(|p| p.0).collect()
     }
 
     #[test]
@@ -485,7 +476,7 @@ mod tests {
             let cwnd = if i < 5 { 10_000 } else { 20_000 };
             r.on_ack(t(i), cwnd, 5_000, SimDuration::from_millis(20), 0);
         }
-        let (recs, _, _) = r.finish();
+        let recs = drained(r.finish());
         let cwnds: Vec<_> = recs.iter().filter(|r| r.kind == TraceKind::Cwnd).collect();
         assert_eq!(cwnds.len(), 2);
         let srtts: Vec<_> = recs.iter().filter(|r| r.kind == TraceKind::Srtt).collect();
@@ -501,8 +492,42 @@ mod tests {
         r.on_phase(t(1), "slowstart");
         r.on_phase(t(2), "avoidance");
         r.on_phase(t(3), "avoidance");
-        let (recs, _, _) = r.finish();
+        let recs = drained(r.finish());
         let labels: Vec<String> = recs
+            .iter()
+            .filter_map(|r| r.phase_label())
+            .map(|l| l.as_str().to_string())
+            .collect();
+        assert_eq!(labels, vec!["slowstart", "avoidance"]);
+    }
+
+    #[test]
+    fn the_label_cache_is_neither_saved_nor_kept_across_a_load() {
+        // Two `&'static str`s with the same text at different addresses
+        // are still one phase: the cache misses, the packed label matches.
+        static SLOW: &str = "slowstart";
+        let other_slow: &'static str = Box::leak(String::from("slowstart").into_boxed_str());
+        let save = |second: &'static str| {
+            let mut r = FlowRecorder::new(0, RetentionPolicy::KeepAll, 1 << 20, 1);
+            r.on_phase(t(0), SLOW);
+            r.on_phase(t(1), other_slow);
+            r.on_phase(t(2), second);
+            assert_eq!(r.events.len(), 1);
+            let mut w = SnapWriter::new();
+            r.save_state(&mut w);
+            w.into_bytes()
+        };
+        let saved = save(SLOW);
+        assert_eq!(saved, save(other_slow), "the cache is not state");
+
+        // A recorder that last saw "avoidance", overlaid with a checkpoint
+        // taken in slow start, must record the next "avoidance".
+        let mut busy = FlowRecorder::new(0, RetentionPolicy::KeepAll, 1 << 20, 1);
+        busy.on_phase(t(0), "avoidance");
+        busy.load_state(&mut SnapReader::new(&saved)).unwrap();
+        assert_eq!(busy.last_label, None);
+        busy.on_phase(t(3), "avoidance");
+        let labels: Vec<String> = drained(busy.finish())
             .iter()
             .filter_map(|r| r.phase_label())
             .map(|l| l.as_str().to_string())
@@ -517,7 +542,7 @@ mod tests {
             q.on_arrival(t(i), i * 100, i);
         }
         q.on_drop(t(99), 3, 1234);
-        let (recs, _, _) = q.finish();
+        let recs = drained(q.finish());
         let depths: Vec<_> = recs
             .iter()
             .filter(|r| r.kind == TraceKind::QueueDepth)
@@ -537,7 +562,7 @@ mod tests {
             q.on_arrival(t(i), i * 10, i);
         }
         q.on_ecn_mark(t(5), 7, 4321);
-        let (recs, _, _) = q.finish();
+        let recs = drained(q.finish());
         let depths: Vec<_> = recs
             .iter()
             .filter(|r| r.kind == TraceKind::HopDepth)
@@ -559,17 +584,12 @@ mod tests {
         for i in 0..16 {
             q.on_arrival(t(i), 100, 1);
         }
-        let (recs, _, _) = q.finish();
+        let recs = drained(q.finish());
         assert!(recs.is_empty());
     }
 
     #[test]
     fn assemble_merges_time_sorted() {
-        let meta = TraceMeta {
-            scenario: "x".into(),
-            seed: 1,
-            flows: 2,
-        };
         let a = vec![
             TraceRecord::cwnd(t(5), 0, 1, 1),
             TraceRecord::cwnd(t(9), 0, 2, 2),
@@ -578,49 +598,114 @@ mod tests {
             TraceRecord::cwnd(t(3), 1, 1, 1),
             TraceRecord::cwnd(t(7), 1, 2, 2),
         ];
-        let tr = RunTrace::assemble(meta, vec![(a, 1, 2), (b, 3, 4)]);
+        let tr = RunTrace::assemble(meta(), vec![(a, 1, 2), (b, 3, 4)]);
         assert_eq!(tr.evicted, 4);
         assert_eq!(tr.thinned, 6);
         let times: Vec<u64> = tr.records.iter().map(|r| r.time.as_nanos()).collect();
-        let mut sorted = times.clone();
-        sorted.sort_unstable();
-        assert_eq!(times, sorted);
+        assert_eq!(times, [3, 5, 7, 9].map(|ms| ms * 1_000_000));
+    }
+
+    /// `n` records over a few instants, flows and values: many ties.
+    fn scatter(x: &mut u64, n: usize) -> Vec<TraceRecord> {
+        (0..n)
+            .map(|_| {
+                *x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                TraceRecord::cwnd(t(*x >> 61), (*x >> 59) as u32 % 2, *x >> 62, 0)
+            })
+            .collect()
+    }
+
+    fn sorted(mut recs: Vec<TraceRecord>) -> Vec<TraceRecord> {
+        recs.sort_by_key(TraceRecord::sort_key);
+        recs
     }
 
     #[test]
     fn assemble_equals_a_sort_of_the_concatenation() {
-        // Sorted parts over a few instants, flows and values: many ties,
-        // inside a part and across parts, and one empty part.
         let mut x = 7u64;
-        let parts: Vec<_> = (0..6)
-            .map(|p| {
-                let mut recs: Vec<_> = (0..if p == 3 { 0 } else { 50 })
-                    .map(|_| {
-                        x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                        TraceRecord::cwnd(t(x >> 61), (x >> 59) as u32 % 2, x >> 62, 0)
+        // A reservoir ring keeps a scrambled subset; a small KeepAll ring
+        // that evicted has wrapped its deque.
+        let mut reservoir = SampleRing::new(RetentionPolicy::Reservoir(40), 1 << 20, 3);
+        for r in sorted(scatter(&mut x, 400)) {
+            reservoir.offer(r);
+        }
+        let mut wrapped = SampleRing::new(RetentionPolicy::KeepAll, 30 * 29, 3);
+        for r in sorted(scatter(&mut x, 75)) {
+            wrapped.push(r);
+        }
+        let (reservoir, wrapped) = (reservoir.into_part(), wrapped.into_part());
+        assert!(!reservoir.0.is_sorted_by_key(TraceRecord::sort_key));
+        assert_eq!((wrapped.0.len(), wrapped.1), (30, 45));
+        let cases: Vec<(&str, Vec<Part>)> = vec![
+            (
+                "sorted parts with ties inside and across parts, one empty",
+                (0..6)
+                    .map(|p| (sorted(scatter(&mut x, if p == 3 { 0 } else { 50 })), 0, 0))
+                    .collect(),
+            ),
+            (
+                "a reservoir-scrambled run beside sorted ones",
+                vec![reservoir, (sorted(scatter(&mut x, 50)), 0, 0)],
+            ),
+            (
+                "a wrapped evicting ring",
+                vec![wrapped, (sorted(scatter(&mut x, 20)), 0, 0)],
+            ),
+            (
+                "unsorted ties at one instant across runs",
+                (0..4)
+                    .map(|f| {
+                        let recs = (0..5)
+                            .rev()
+                            .map(|v| TraceRecord::cwnd(t(1), f % 2, v % 3, 0))
+                            .collect();
+                        (recs, 0, 0)
                     })
-                    .collect();
-                recs.sort_by_key(|r| r.sort_key());
-                (recs, 0, 0)
-            })
-            .collect();
-        let mut want: Vec<_> = parts.iter().flat_map(|p| p.0.clone()).collect();
-        want.sort_by_key(|r| r.sort_key());
-        let meta = TraceMeta {
-            scenario: "x".into(),
-            seed: 1,
-            flows: 2,
-        };
-        assert_eq!(RunTrace::assemble(meta, parts).records, want);
+                    .collect(),
+            ),
+            (
+                "records at the last instant, after another run is spent",
+                vec![
+                    (vec![TraceRecord::cwnd(SimTime::MAX, 0, 1, 0)], 0, 0),
+                    (vec![TraceRecord::cwnd(t(5), 1, 1, 0)], 0, 0),
+                    (vec![TraceRecord::cwnd(SimTime::MAX, 1, 1, 0)], 0, 0),
+                ],
+            ),
+            ("empty runs only", vec![(vec![], 0, 0), (vec![], 0, 0)]),
+            ("no runs", vec![]),
+            ("a single run", vec![(scatter(&mut x, 60), 0, 0)]),
+        ];
+        for (what, parts) in cases {
+            let want = sorted(parts.iter().flat_map(|p| p.0.clone()).collect());
+            let tr = RunTrace::assemble(meta(), parts);
+            assert_eq!(tr.records.len(), want.len(), "{what}");
+            let got: Vec<TraceRecord> = tr.records.iter().copied().collect();
+            assert_eq!(got, want, "{what}");
+            assert_eq!(tr.records, Records::from(want), "{what}");
+        }
+    }
+
+    #[test]
+    fn traces_split_into_different_runs_are_equal() {
+        let mut x = 11u64;
+        let all = sorted(scatter(&mut x, 90));
+        let one = RunTrace::assemble(meta(), vec![(all.clone(), 0, 0)]);
+        let three = RunTrace::assemble(
+            meta(),
+            vec![
+                (all[60..].to_vec(), 0, 0),
+                (all[..30].to_vec(), 0, 0),
+                (all[30..60].to_vec(), 0, 0),
+            ],
+        );
+        assert_eq!(one, three);
+        assert_eq!(format!("{one:?}"), format!("{three:?}"));
+        let fewer = RunTrace::assemble(meta(), vec![(all[1..].to_vec(), 0, 0)]);
+        assert_ne!(one, fewer);
     }
 
     #[test]
     fn trains_and_series_extractors() {
-        let meta = TraceMeta {
-            scenario: "x".into(),
-            seed: 1,
-            flows: 2,
-        };
         let recs = vec![
             TraceRecord::congestion(t(1), 0, CongestionKind::FastRecovery),
             TraceRecord::congestion(t(2), 1, CongestionKind::Rto),
@@ -628,7 +713,7 @@ mod tests {
             TraceRecord::queue_depth(t(4), 900, 3),
             TraceRecord::cwnd(t(5), 0, 14_480, 7_240),
         ];
-        let tr = RunTrace::assemble(meta, vec![(recs, 0, 0)]);
+        let tr = RunTrace::assemble(meta(), vec![(recs, 0, 0)]);
         let trains = tr.congestion_event_trains();
         assert_eq!(trains.len(), 2);
         assert_eq!(trains[0], vec![t(1)]);

@@ -176,13 +176,13 @@ impl SampleRing {
         self.thinned
     }
 
-    /// Consume the ring, returning its records sorted by time (reservoir
-    /// retention scrambles insertion order; the merged trace is canonical
-    /// time order).
-    pub fn into_sorted_vec(self) -> Vec<TraceRecord> {
-        let mut v: Vec<TraceRecord> = self.buf.into();
-        v.sort_by_key(|r| r.sort_key());
-        v
+    /// Consume the ring into one [`crate::RunTrace::assemble`] part:
+    /// `(records, evicted, thinned)`. The records keep the ring's own
+    /// allocation (a wrapped ring is rotated in place) and insertion order
+    /// (reservoir retention scrambles it; `assemble` sorts a part only when
+    /// it is out of order).
+    pub fn into_part(self) -> (Vec<TraceRecord>, u64, u64) {
+        (self.buf.into(), self.evicted, self.thinned)
     }
 
     snap! {
@@ -219,6 +219,12 @@ mod tests {
         TraceRecord::cwnd(SimTime::from_nanos(i), 0, i, 0)
     }
 
+    fn sorted(r: SampleRing) -> Vec<TraceRecord> {
+        let mut v = r.into_part().0;
+        v.sort_by_key(TraceRecord::sort_key);
+        v
+    }
+
     #[test]
     fn keep_all_respects_capacity_drop_oldest() {
         let mut r = SampleRing::new(RetentionPolicy::KeepAll, 10 * RECORD_BYTES, 1);
@@ -227,7 +233,7 @@ mod tests {
         }
         assert_eq!(r.len(), 10);
         assert_eq!(r.evicted(), 15);
-        let v = r.into_sorted_vec();
+        let v = r.into_part().0;
         assert_eq!(v[0].a, 15, "oldest surviving record");
         assert_eq!(v[9].a, 24, "newest record survives");
     }
@@ -240,7 +246,7 @@ mod tests {
         }
         assert_eq!(r.len(), 5);
         assert_eq!(r.thinned(), 15);
-        let kept: Vec<u64> = r.into_sorted_vec().iter().map(|x| x.a).collect();
+        let kept: Vec<u64> = r.into_part().0.iter().map(|x| x.a).collect();
         assert_eq!(kept, vec![0, 4, 8, 12, 16]);
     }
 
@@ -260,7 +266,7 @@ mod tests {
             r.offer(rec(i));
         }
         assert_eq!(r.len(), 50);
-        let v = r.into_sorted_vec();
+        let v = sorted(r);
         // A uniform subset spans the stream: some early, some late.
         assert!(v.first().unwrap().a < 2_000, "early records represented");
         assert!(v.last().unwrap().a > 8_000, "late records represented");
@@ -273,7 +279,7 @@ mod tests {
             for i in 0..1_000 {
                 r.offer(rec(i));
             }
-            r.into_sorted_vec()
+            sorted(r)
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));

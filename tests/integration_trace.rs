@@ -3,9 +3,11 @@
 
 use ccsim::cca::CcaKind;
 use ccsim::experiments::{Fidelity, FlowGroup, RunOutcome, Scenario};
-use ccsim::sim::{Bandwidth, SimDuration};
+use ccsim::net::AqmKind;
+use ccsim::sim::{Bandwidth, SimDuration, SimTime};
+use ccsim::topo::TopologyKind;
 use ccsim::trace::{read_binary, read_jsonl, write_binary, write_jsonl, RetentionPolicy};
-use ccsim::trace::{TraceConfig, TraceKind};
+use ccsim::trace::{TraceConfig, TraceKind, TraceRecord, QUEUE_FLOW};
 
 /// A small traced scenario: 4 reno + 2 cubic on a 20 Mbps bottleneck.
 fn traced_scenario(seed: u64, policy: RetentionPolicy) -> Scenario {
@@ -55,7 +57,7 @@ fn traced_run_records_all_kinds() {
     for flow in 0..6 {
         assert!(!trace.cwnd_series(flow).is_empty(), "flow {flow}");
     }
-    assert!(trace.records.windows(2).all(|w| w[0].time <= w[1].time));
+    assert!(trace.records.iter().is_sorted_by_key(|r| r.time));
     // The trace-level analysis entry points produce values on a lossy run.
     assert!(o
         .trace_synchronization_index(SimDuration::from_millis(10))
@@ -103,6 +105,73 @@ fn real_trace_round_trips_through_both_formats() {
     write_jsonl(trace, &mut jsonl).unwrap();
     let from_jsonl = read_jsonl(&jsonl[..]).unwrap();
     assert_eq!(&from_jsonl, trace, "JSONL round trip");
+}
+
+/// Every query merges only the runs that can hold what it asks for; each
+/// must still equal a filter over the whole merged trace. A parking lot
+/// under CoDel + ECN records every kind: per-hop depth and CE marks too,
+/// and tail drops from a buffer too small for the BBR flows.
+#[test]
+fn queries_equal_a_filter_over_the_whole_trace() {
+    let mut s = traced_scenario(6, RetentionPolicy::KeepAll)
+        .flows(vec![
+            FlowGroup::new(CcaKind::Reno, 4, SimDuration::from_millis(20)),
+            FlowGroup::new(CcaKind::Bbr, 2, SimDuration::from_millis(40)),
+        ])
+        .topology(TopologyKind::ParkingLot(3))
+        .aqm(AqmKind::Codel)
+        .ecn(true);
+    s.buffer_bytes = 30_000;
+    let o = s.run();
+    let trace = o.trace.as_ref().unwrap();
+    let all: Vec<TraceRecord> = trace.records.iter().copied().collect();
+    assert_eq!(all.len(), trace.records.len());
+    assert!(all.is_sorted_by_key(TraceRecord::sort_key));
+    for kind in TraceKind::ALL {
+        let want: Vec<_> = all.iter().filter(|r| r.kind == kind).collect();
+        let got: Vec<_> = trace.of_kind(kind).collect();
+        assert_eq!(got, want, "of_kind({kind:?})");
+        assert!(!want.is_empty(), "no {kind:?} records");
+    }
+    let hops = [1, 2, QUEUE_FLOW];
+    for flow in (0..trace.meta.flows).chain(hops) {
+        let want: Vec<_> = all.iter().filter(|r| r.flow == flow).collect();
+        assert!(!want.is_empty(), "flow {flow}");
+        assert_eq!(
+            trace.for_flow(flow).collect::<Vec<_>>(),
+            want,
+            "for_flow({flow})"
+        );
+        let cwnd: Vec<_> = want
+            .iter()
+            .filter(|r| r.kind == TraceKind::Cwnd)
+            .map(|r| (r.time, r.a))
+            .collect();
+        assert_eq!(trace.cwnd_series(flow), cwnd, "cwnd_series({flow})");
+    }
+    let times = |kind: TraceKind| -> Vec<SimTime> {
+        all.iter()
+            .filter(|r| r.kind == kind)
+            .map(|r| r.time)
+            .collect()
+    };
+    assert_eq!(trace.drop_times(), times(TraceKind::Drop));
+    let depth: Vec<_> = all
+        .iter()
+        .filter(|r| r.kind == TraceKind::QueueDepth)
+        .map(|r| (r.time, r.a))
+        .collect();
+    assert_eq!(trace.queue_depth_series(), depth);
+    let trains = trace.congestion_event_trains();
+    assert_eq!(trains.len(), trace.meta.flows as usize);
+    for (flow, train) in trains.iter().enumerate() {
+        let want: Vec<SimTime> = all
+            .iter()
+            .filter(|r| r.kind == TraceKind::Congestion && r.flow == flow as u32)
+            .map(|r| r.time)
+            .collect();
+        assert_eq!(*train, want, "congestion train of flow {flow}");
+    }
 }
 
 #[test]

@@ -158,7 +158,8 @@ fn trace(name: &str) -> RunTrace {
             TraceRecord::drop(t(7), 1, 99_000),
             TraceRecord::ecn_mark(t(8), 0, 64_000, 2),
             TraceRecord::hop_depth(t(9), 1, 32_000, 21),
-        ],
+        ]
+        .into(),
         evicted: 3,
         thinned: 17,
     }

@@ -21,7 +21,7 @@ use ccsim::net::AqmKind;
 use ccsim::sim::{fnv1a_64, Bandwidth, SimDuration, SimTime};
 use ccsim::telemetry::FlowMetrics;
 use ccsim::topo::TopologyKind;
-use ccsim::trace::{write_binary, RetentionPolicy, TraceConfig};
+use ccsim::trace::{write_binary, RetentionPolicy, TraceConfig, TraceRecord};
 
 /// The digest formula before traces were hashed as `.cctr` bytes.
 fn debug_text_digest(o: &RunOutcome) -> u64 {
@@ -135,16 +135,19 @@ fn traced_digest_is_the_untraced_text_then_the_cctr_bytes() {
 #[test]
 fn a_one_nanosecond_shift_in_one_record_moves_the_traced_digest() {
     let o = run(&traced(4));
-    let records = &o.trace.as_ref().unwrap().records;
+    let records: Vec<TraceRecord> = o.trace.as_ref().unwrap().records.iter().copied().collect();
     let i = records
         .iter()
         .position(|r| r.time >= SimTime::from_secs(1))
         .expect("records past 1 s");
     // Two instants inside one microsecond, away from its rounding edge.
     let base = records[i].time.as_nanos() / 1_000 * 1_000 + 100;
+    // The shifted copy goes back as one run, which reads in the order given.
     let at = |ns: u64| {
+        let mut shifted = records.clone();
+        shifted[i].time = SimTime::from_nanos(ns);
         let mut o = o.clone();
-        o.trace.as_mut().unwrap().records[i].time = SimTime::from_nanos(ns);
+        o.trace.as_mut().unwrap().records = shifted.into();
         o
     };
     let (a, b) = (at(base), at(base + 1));
