@@ -29,10 +29,10 @@
 //! [`Link`]: crate::link::Link
 
 use crate::packet::Packet;
+use crate::queue::PacketQueue;
 use ccsim_sim::{snap, Bandwidth, SimDuration, SimTime, SnapError, SnapReader, SnapWriter};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
-use std::collections::VecDeque;
 
 /// The AQM disciplines a link can run.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
@@ -210,8 +210,7 @@ fn uniform_f64(rng: &mut SmallRng) -> f64 {
 /// Behavior (and therefore every outcome digest) is identical to the
 /// pre-extraction `Link`.
 pub struct DropTail {
-    queue: VecDeque<Packet>,
-    queued_bytes: u64,
+    queue: PacketQueue,
     buffer_bytes: u64,
 }
 
@@ -219,8 +218,7 @@ impl DropTail {
     /// A drop-tail FIFO with the given byte capacity.
     pub fn new(buffer_bytes: u64) -> DropTail {
         DropTail {
-            queue: VecDeque::new(),
-            queued_bytes: 0,
+            queue: PacketQueue::new(),
             buffer_bytes,
         }
     }
@@ -232,30 +230,26 @@ impl AqmQueue for DropTail {
     }
 
     fn memory_bytes(&self) -> u64 {
-        (std::mem::size_of::<Self>() + self.queue.capacity() * std::mem::size_of::<Packet>()) as u64
+        std::mem::size_of::<Self>() as u64 + self.queue.memory_bytes()
     }
 
     fn enqueue(&mut self, _now: SimTime, p: Packet) -> Enqueued {
-        if self.queued_bytes + p.wire_bytes as u64 > self.buffer_bytes {
+        if !self.queue.fits(&p, self.buffer_bytes) {
             return Enqueued::Dropped(p);
         }
-        self.queued_bytes += p.wire_bytes as u64;
-        self.queue.push_back(p);
+        self.queue.push(p);
         Enqueued::Queued
     }
 
     fn dequeue(&mut self, _now: SimTime) -> Dequeued {
-        match self.queue.pop_front() {
-            Some(p) => {
-                self.queued_bytes -= p.wire_bytes as u64;
-                Dequeued::Deliver(p)
-            }
+        match self.queue.pop() {
+            Some(p) => Dequeued::Deliver(p),
             None => Dequeued::Empty,
         }
     }
 
     fn queued_bytes(&self) -> u64 {
-        self.queued_bytes
+        self.queue.queued_bytes()
     }
 
     fn queued_pkts(&self) -> u64 {
@@ -269,7 +263,7 @@ impl AqmQueue for DropTail {
     snap! {
         fn save_state;
         fn load_state;
-        queue, queued_bytes,
+        queue,
     }
 }
 
@@ -287,8 +281,7 @@ impl AqmQueue for DropTail {
 /// Above `max_th` the gentle ramp continues to `2·max_th` before forcing
 /// every arrival.
 pub struct Red {
-    queue: VecDeque<Packet>,
-    queued_bytes: u64,
+    queue: PacketQueue,
     buffer_bytes: u64,
     min_th: f64,
     max_th: f64,
@@ -310,8 +303,7 @@ impl Red {
     /// Gentle RED with buffer-relative default thresholds.
     pub fn new(buffer_bytes: u64, rate: Bandwidth, ecn: bool, seed: u64) -> Red {
         Red {
-            queue: VecDeque::new(),
-            queued_bytes: 0,
+            queue: PacketQueue::new(),
             buffer_bytes,
             min_th: buffer_bytes as f64 / 4.0,
             max_th: buffer_bytes as f64 * 0.75,
@@ -340,7 +332,7 @@ impl Red {
             let m = (now.saturating_since(since).as_nanos() / unit).min(10_000) as i32;
             self.avg *= (1.0 - self.w_q).powi(m);
         }
-        self.avg += self.w_q * (self.queued_bytes as f64 - self.avg);
+        self.avg += self.w_q * (self.queue.queued_bytes() as f64 - self.avg);
     }
 
     /// Early-signal decision for one arrival: `true` = mark/drop.
@@ -379,13 +371,13 @@ impl AqmQueue for Red {
     }
 
     fn memory_bytes(&self) -> u64 {
-        (std::mem::size_of::<Self>() + self.queue.capacity() * std::mem::size_of::<Packet>()) as u64
+        std::mem::size_of::<Self>() as u64 + self.queue.memory_bytes()
     }
 
     fn enqueue(&mut self, now: SimTime, mut p: Packet) -> Enqueued {
         self.update_avg(now);
         let signal = self.should_signal();
-        if self.queued_bytes + p.wire_bytes as u64 > self.buffer_bytes {
+        if !self.queue.fits(&p, self.buffer_bytes) {
             // Forced drop: the physical buffer is full (never ECN-marked).
             return Enqueued::Dropped(p);
         }
@@ -396,8 +388,7 @@ impl AqmQueue for Red {
         if marked {
             p.mark_ce();
         }
-        self.queued_bytes += p.wire_bytes as u64;
-        self.queue.push_back(p);
+        self.queue.push(p);
         if marked {
             Enqueued::Marked
         } else {
@@ -406,9 +397,8 @@ impl AqmQueue for Red {
     }
 
     fn dequeue(&mut self, now: SimTime) -> Dequeued {
-        match self.queue.pop_front() {
+        match self.queue.pop() {
             Some(p) => {
-                self.queued_bytes -= p.wire_bytes as u64;
                 if self.queue.is_empty() {
                     self.empty_since = Some(now);
                 }
@@ -419,7 +409,7 @@ impl AqmQueue for Red {
     }
 
     fn queued_bytes(&self) -> u64 {
-        self.queued_bytes
+        self.queue.queued_bytes()
     }
 
     fn queued_pkts(&self) -> u64 {
@@ -433,7 +423,7 @@ impl AqmQueue for Red {
     snap! {
         fn save_state;
         fn load_state;
-        queue, queued_bytes, avg, count, empty_since, rng,
+        queue, avg, count, empty_since, rng,
     }
 }
 
@@ -450,11 +440,11 @@ pub const CODEL_INTERVAL: SimDuration = SimDuration::from_millis(100);
 /// exceeded `target` for at least `interval`, then tighten the drop spacing
 /// as `interval/sqrt(count)` until the queue drains below target.
 ///
-/// Packets are timestamped at enqueue in the discipline's own deque, so the
-/// sojourn clock is exact virtual time, not an estimate.
+/// Packets are stamped with their enqueue time (kept beside the slots,
+/// 48 B a data packet), so the sojourn clock is exact virtual time, not an
+/// estimate.
 pub struct Codel {
-    queue: VecDeque<(SimTime, Packet)>,
-    queued_bytes: u64,
+    queue: PacketQueue<SimTime>,
     buffer_bytes: u64,
     ecn: bool,
     target: SimDuration,
@@ -475,8 +465,7 @@ impl Codel {
     /// CoDel with the reference 5 ms / 100 ms parameters.
     pub fn new(buffer_bytes: u64, ecn: bool) -> Codel {
         Codel {
-            queue: VecDeque::new(),
-            queued_bytes: 0,
+            queue: PacketQueue::new(),
             buffer_bytes,
             ecn,
             target: CODEL_TARGET,
@@ -499,7 +488,7 @@ impl Codel {
     /// (updates the first-above clock).
     fn ok_to_signal(&mut self, enqueued_at: SimTime, now: SimTime) -> bool {
         let sojourn = now.saturating_since(enqueued_at);
-        if sojourn < self.target || self.queued_bytes <= 1500 {
+        if sojourn < self.target || self.queue.queued_bytes() <= 1500 {
             self.first_above_at = None;
             false
         } else {
@@ -520,25 +509,22 @@ impl AqmQueue for Codel {
     }
 
     fn memory_bytes(&self) -> u64 {
-        (std::mem::size_of::<Self>()
-            + self.queue.capacity() * std::mem::size_of::<(SimTime, Packet)>()) as u64
+        std::mem::size_of::<Self>() as u64 + self.queue.memory_bytes()
     }
 
     fn enqueue(&mut self, now: SimTime, p: Packet) -> Enqueued {
-        if self.queued_bytes + p.wire_bytes as u64 > self.buffer_bytes {
+        if !self.queue.fits(&p, self.buffer_bytes) {
             return Enqueued::Dropped(p);
         }
-        self.queued_bytes += p.wire_bytes as u64;
-        self.queue.push_back((now, p));
+        self.queue.push_stamped(now, p);
         Enqueued::Queued
     }
 
     fn dequeue(&mut self, now: SimTime) -> Dequeued {
-        let Some((enq_at, mut p)) = self.queue.pop_front() else {
+        let Some((enq_at, mut p)) = self.queue.pop_stamped() else {
             self.dropping = false;
             return Dequeued::Empty;
         };
-        self.queued_bytes -= p.wire_bytes as u64;
         let signal = self.ok_to_signal(enq_at, now);
         if self.dropping {
             if !signal {
@@ -573,7 +559,7 @@ impl AqmQueue for Codel {
     }
 
     fn queued_bytes(&self) -> u64 {
-        self.queued_bytes
+        self.queue.queued_bytes()
     }
 
     fn queued_pkts(&self) -> u64 {
@@ -587,7 +573,7 @@ impl AqmQueue for Codel {
     snap! {
         fn save_state;
         fn load_state;
-        queue, queued_bytes, first_above_at, dropping, drop_next, count, last_count,
+        queue, first_above_at, dropping, drop_next, count, last_count,
     }
 }
 
@@ -608,8 +594,7 @@ pub const PIE_BURST_ALLOWANCE: SimDuration = SimDuration::from_millis(150);
 /// that probability. The periodic update runs off the link's AQM tick
 /// timer ([`AqmQueue::tick_interval`]).
 pub struct Pie {
-    queue: VecDeque<Packet>,
-    queued_bytes: u64,
+    queue: PacketQueue,
     buffer_bytes: u64,
     ecn: bool,
     rate: Bandwidth,
@@ -625,8 +610,7 @@ impl Pie {
     /// PIE with RFC 8033 defaults against the given drain rate.
     pub fn new(buffer_bytes: u64, rate: Bandwidth, ecn: bool, seed: u64) -> Pie {
         Pie {
-            queue: VecDeque::new(),
-            queued_bytes: 0,
+            queue: PacketQueue::new(),
             buffer_bytes,
             ecn,
             rate,
@@ -645,7 +629,7 @@ impl Pie {
 
     /// Estimated queueing delay of the current backlog.
     fn qdelay(&self) -> SimDuration {
-        self.rate.serialization_time(self.queued_bytes)
+        self.rate.serialization_time(self.queue.queued_bytes())
     }
 
     /// RFC 8033 §4.2 auto-tuning: scale the update step down while the
@@ -675,7 +659,9 @@ impl Pie {
         }
         // RFC 8033 §4.1 safeguards: never signal when the queue is trivially
         // short or the controller has barely engaged.
-        if (self.qdelay_old < self.target / 2 && self.prob < 0.2) || self.queued_bytes < 2 * 1500 {
+        if (self.qdelay_old < self.target / 2 && self.prob < 0.2)
+            || self.queue.queued_bytes() < 2 * 1500
+        {
             return false;
         }
         uniform_f64(&mut self.rng) < self.prob
@@ -688,12 +674,12 @@ impl AqmQueue for Pie {
     }
 
     fn memory_bytes(&self) -> u64 {
-        (std::mem::size_of::<Self>() + self.queue.capacity() * std::mem::size_of::<Packet>()) as u64
+        std::mem::size_of::<Self>() as u64 + self.queue.memory_bytes()
     }
 
     fn enqueue(&mut self, _now: SimTime, mut p: Packet) -> Enqueued {
         let signal = self.should_signal();
-        if self.queued_bytes + p.wire_bytes as u64 > self.buffer_bytes {
+        if !self.queue.fits(&p, self.buffer_bytes) {
             return Enqueued::Dropped(p);
         }
         if signal && !(self.ecn && p.is_ect()) {
@@ -703,8 +689,7 @@ impl AqmQueue for Pie {
         if marked {
             p.mark_ce();
         }
-        self.queued_bytes += p.wire_bytes as u64;
-        self.queue.push_back(p);
+        self.queue.push(p);
         if marked {
             Enqueued::Marked
         } else {
@@ -713,17 +698,14 @@ impl AqmQueue for Pie {
     }
 
     fn dequeue(&mut self, _now: SimTime) -> Dequeued {
-        match self.queue.pop_front() {
-            Some(p) => {
-                self.queued_bytes -= p.wire_bytes as u64;
-                Dequeued::Deliver(p)
-            }
+        match self.queue.pop() {
+            Some(p) => Dequeued::Deliver(p),
             None => Dequeued::Empty,
         }
     }
 
     fn queued_bytes(&self) -> u64 {
-        self.queued_bytes
+        self.queue.queued_bytes()
     }
 
     fn queued_pkts(&self) -> u64 {
@@ -775,7 +757,9 @@ impl AqmQueue for Pie {
     /// exactly zero, and the burst allowance has been fully re-granted —
     /// at that point every subsequent tick would be a no-op.
     fn tick_needed(&self) -> bool {
-        self.queued_bytes > 0 || self.prob > 0.0 || self.burst_allowance < PIE_BURST_ALLOWANCE
+        self.queue.queued_bytes() > 0
+            || self.prob > 0.0
+            || self.burst_allowance < PIE_BURST_ALLOWANCE
     }
 
     // `rate` is mutable state: fault injection can have changed it since
@@ -783,15 +767,15 @@ impl AqmQueue for Pie {
     snap! {
         fn save_state;
         fn load_state;
-        queue, queued_bytes, rate, prob, qdelay_old, burst_allowance, rng,
+        queue, rate, prob, qdelay_old, burst_allowance, rng,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::FlowId;
-    use ccsim_sim::ComponentId;
+    use crate::packet::{FlowId, SackBlock, SackBlocks};
+    use ccsim_sim::{ComponentId, Snap};
 
     fn pkt(bytes: u32) -> Packet {
         let mut p = Packet::data(
@@ -1068,5 +1052,211 @@ mod tests {
             }
             assert!(accepted >= 3, "{kind:?} accepted too few packets");
         }
+    }
+
+    /// Twelve arrivals 50 µs apart: data segments (some ECT, one CWR, two
+    /// retransmitted) and ACKs with 0–3 SACK blocks (some ECE).
+    fn mixed_arrivals() -> Vec<(SimTime, Packet)> {
+        let dst = ComponentId::from_raw(7);
+        (0..12u64)
+            .map(|i| {
+                let (flow, at) = (FlowId(i as u32 % 4), SimTime::from_micros(i * 50));
+                let p = if i % 3 == 2 {
+                    let mut sack = SackBlocks::EMPTY;
+                    for b in 0..i % 4 {
+                        let start = 20_000 + b * 3000;
+                        sack.push(SackBlock {
+                            start,
+                            end: start + 1448,
+                        });
+                    }
+                    let mut a = Packet::ack(flow, dst, 1000 * i, sack, at);
+                    if i % 2 == 0 {
+                        a.set_ece();
+                    }
+                    a
+                } else {
+                    let mut d = Packet::data(flow, dst, 1448 * i, 1448 * (i + 1), at);
+                    d.retransmit = i % 5 == 0;
+                    if i % 2 == 1 {
+                        d.set_ect();
+                    }
+                    if i == 4 {
+                        d.set_cwr();
+                    }
+                    d
+                };
+                (at, p)
+            })
+            .collect()
+    }
+
+    /// Offer every mixed arrival, then dequeue at each of `pulls`. Returns
+    /// the backlog the discipline should hold, with enqueue stamps.
+    fn drive(q: &mut dyn AqmQueue, pulls: &[SimTime]) -> Vec<(SimTime, Packet)> {
+        let mut backlog = std::collections::VecDeque::new();
+        for (at, mut p) in mixed_arrivals() {
+            match q.enqueue(at, p) {
+                Enqueued::Queued => backlog.push_back((at, p)),
+                Enqueued::Marked => {
+                    p.mark_ce();
+                    backlog.push_back((at, p));
+                }
+                Enqueued::Dropped(_) => {}
+            }
+        }
+        for &now in pulls {
+            if !matches!(q.dequeue(now), Dequeued::Empty) {
+                backlog.pop_front();
+            }
+        }
+        assert!(backlog.len() >= 8, "the backlog should stay mixed");
+        backlog.into()
+    }
+
+    /// The queue half of the `SNAP_VERSION` 3 bytes, field by field as the
+    /// disciplines wrote it when each kept a deque of whole `Packet`s
+    /// (CoDel: of `(SimTime, Packet)` pairs) beside a `queued_bytes: u64`.
+    fn old_queue_bytes(w: &mut SnapWriter, backlog: &[(SimTime, Packet)], stamped: bool) {
+        w.usize(backlog.len());
+        for (at, p) in backlog {
+            if stamped {
+                w.time(*at);
+            }
+            p.put(w);
+        }
+        w.u64(backlog.iter().map(|(_, p)| u64::from(p.wire_bytes)).sum());
+    }
+
+    fn old_rng_bytes(w: &mut SnapWriter, rng: &SmallRng) {
+        for word in rng.state() {
+            w.u64(word);
+        }
+    }
+
+    /// `q`'s checkpoint is `old` byte for byte; a fresh discipline loads it
+    /// back to the same state and the same packets; every truncation of it
+    /// is refused.
+    fn check_checkpoint(
+        mut q: Box<dyn AqmQueue>,
+        fresh: impl Fn() -> Box<dyn AqmQueue>,
+        old: &[u8],
+    ) {
+        let kind = q.kind();
+        let mut w = SnapWriter::new();
+        q.save_state(&mut w);
+        assert_eq!(w.as_bytes(), old, "{kind:?}: checkpoint bytes moved");
+
+        let mut back = fresh();
+        let mut r = SnapReader::new(old);
+        back.load_state(&mut r).unwrap();
+        assert!(r.is_exhausted(), "{kind:?}");
+        let mut again = SnapWriter::new();
+        back.save_state(&mut again);
+        assert_eq!(again.as_bytes(), old, "{kind:?}: round trip");
+        assert_eq!(back.queued_pkts(), q.queued_pkts(), "{kind:?}");
+        assert_eq!(back.queued_bytes(), q.queued_bytes(), "{kind:?}");
+        let now = SimTime::from_secs(1);
+        loop {
+            let (a, b) = (q.dequeue(now), back.dequeue(now));
+            assert_eq!(
+                format!("{a:?}"),
+                format!("{b:?}"),
+                "{kind:?}: restored queue diverged"
+            );
+            if matches!(a, Dequeued::Empty) {
+                break;
+            }
+        }
+
+        for cut in 0..old.len() {
+            let mut r = SnapReader::new(&old[..cut]);
+            assert!(
+                matches!(fresh().load_state(&mut r), Err(SnapError::Truncated { .. })),
+                "{kind:?}: a checkpoint cut at byte {cut} was accepted"
+            );
+        }
+    }
+
+    #[test]
+    fn droptail_checkpoint_keeps_the_old_bytes() {
+        let mut q = DropTail::new(1_000_000);
+        let backlog = drive(&mut q, &[SimTime::from_millis(1)]);
+        let mut w = SnapWriter::new();
+        old_queue_bytes(&mut w, &backlog, false);
+        check_checkpoint(
+            Box::new(q),
+            || Box::new(DropTail::new(1_000_000)),
+            w.as_bytes(),
+        );
+    }
+
+    #[test]
+    fn red_checkpoint_keeps_the_old_bytes() {
+        let rate = Bandwidth::from_mbps(100);
+        // An average queue past min_th: some ECT arrivals are marked, so
+        // the backlog carries CE bits.
+        let mut q = Red::new(20_000, rate, true, 11);
+        q.avg = 12_000.0;
+        let backlog = drive(&mut q, &[SimTime::from_millis(1)]);
+        assert!(backlog.iter().any(|(_, p)| p.is_ce()));
+        let mut w = SnapWriter::new();
+        old_queue_bytes(&mut w, &backlog, false);
+        w.f64(q.avg);
+        w.i64(q.count);
+        w.opt(q.empty_since, |w, t| w.time(t));
+        old_rng_bytes(&mut w, &q.rng);
+        check_checkpoint(
+            Box::new(q),
+            || Box::new(Red::new(20_000, rate, true, 11)),
+            w.as_bytes(),
+        );
+    }
+
+    #[test]
+    fn codel_checkpoint_keeps_the_old_bytes() {
+        // Sojourns far above target: the first pull starts the clock, the
+        // second enters the dropping state.
+        let mut q = Codel::new(1_000_000, true);
+        let backlog = drive(
+            &mut q,
+            &[SimTime::from_millis(200), SimTime::from_millis(400)],
+        );
+        assert!(q.dropping);
+        let mut w = SnapWriter::new();
+        old_queue_bytes(&mut w, &backlog, true);
+        w.opt(q.first_above_at, |w, t| w.time(t));
+        w.bool(q.dropping);
+        w.time(q.drop_next);
+        w.u32(q.count);
+        w.u32(q.last_count);
+        check_checkpoint(
+            Box::new(q),
+            || Box::new(Codel::new(1_000_000, true)),
+            w.as_bytes(),
+        );
+    }
+
+    #[test]
+    fn pie_checkpoint_keeps_the_old_bytes() {
+        let rate = Bandwidth::from_mbps(1);
+        let mut q = Pie::new(1_000_000, rate, true, 5);
+        let backlog = drive(&mut q, &[]);
+        for i in 1..=12 {
+            q.on_tick(SimTime::from_millis(15 * i));
+        }
+        assert!(q.prob > 0.0);
+        let mut w = SnapWriter::new();
+        old_queue_bytes(&mut w, &backlog, false);
+        w.u64(q.rate.as_bps());
+        w.f64(q.prob);
+        w.duration(q.qdelay_old);
+        w.duration(q.burst_allowance);
+        old_rng_bytes(&mut w, &q.rng);
+        check_checkpoint(
+            Box::new(q),
+            || Box::new(Pie::new(1_000_000, rate, true, 5)),
+            w.as_bytes(),
+        );
     }
 }

@@ -10,6 +10,9 @@
 //!   instrumentation: the equivalent of the paper's BESS switch port.
 //! * [`aqm`] — the buffering disciplines a link can run: drop-tail (the
 //!   paper's configuration), RED, CoDel, and PIE, with ECN CE marking.
+//! * `queue` (crate-private) — the packet store all four disciplines
+//!   share: a FIFO of 40-byte slots with its byte count and checkpoint
+//!   encoding.
 //! * [`delay`] — a pure constant-delay element (the `netem` equivalent).
 //! * [`path`] — the shared per-hop delivery-latency arithmetic.
 //!
@@ -23,6 +26,7 @@ pub mod link;
 pub mod msg;
 pub mod packet;
 pub mod path;
+mod queue;
 
 pub use aqm::{AqmKind, AqmQueue, Codel, Dequeued, DropTail, Enqueued, Pie, Red};
 pub use delay::{DelayLine, DelayNext};

@@ -363,15 +363,19 @@ impl Link {
     }
 
     /// Approximate heap footprint of this link: the struct, the AQM
-    /// discipline's packet storage, and the drop log. Feeds the
-    /// profiler's `net/link_queues` memory account; the attached queue
+    /// discipline's packet storage, the drop log, the burst tail and the
+    /// per-flow counters (16 B for each flow that has crossed it). Feeds
+    /// the profiler's `net/link_queues` memory account; the attached queue
     /// recorder (if tracing) is accounted under `trace/rings` via
     /// [`Link::trace_memory_bytes`].
     pub fn memory_bytes(&self) -> u64 {
+        let per_flow =
+            self.stats.per_flow_arrived.capacity() + self.stats.per_flow_dropped.capacity();
         std::mem::size_of::<Self>() as u64
             + self.aqm.memory_bytes()
             + (self.drop_log.capacity() * std::mem::size_of::<SimTime>()) as u64
             + (self.burst_tail.capacity() * std::mem::size_of::<Packet>()) as u64
+            + (per_flow * std::mem::size_of::<u64>()) as u64
     }
 
     /// Heap bytes held by the attached queue recorder, 0 when tracing is
@@ -872,6 +876,19 @@ mod tests {
         assert_eq!(l.stats().dropped_pkts, 0);
         assert_eq!(l.stats().per_flow_arrived.len(), 3);
         assert!(l.drop_log().is_empty());
+    }
+
+    #[test]
+    fn memory_account_counts_the_per_flow_counters() {
+        let mut l = Link::new(
+            Bandwidth::from_mbps(10),
+            SimDuration::ZERO,
+            0,
+            NextHop::ToPacketDst,
+        );
+        let before = l.memory_bytes();
+        l.stats.grow_for(999);
+        assert_eq!(l.memory_bytes() - before, 1000 * 16);
     }
 
     #[test]

@@ -11,9 +11,12 @@
 //! blocks. Both live in one seven-word body, and the SACK block count sits
 //! in the header next to the kind, the retransmit flag and the ECN bits.
 //! That keeps a `Packet` — and a `Msg`, and an `Option<Msg>` — at 80
-//! bytes, which every place a packet waits (link rings, the event slab,
-//! the same-instant lane) is sized by. The readers are accessors that
-//! return 0 (or no SACK blocks) for the other kind's fields. SACK blocks
+//! bytes, which the places a packet waits as a value (the event slab, the
+//! same-instant lane, a link's in-service packet and burst tail) are sized
+//! by. A link's queue stores no `Packet`s: it packs each one into 40-byte
+//! slots, one for a data segment and two for an ACK (`PacketQueue`, in
+//! the crate's `queue` module). The readers are accessors
+//! that return 0 (or no SACK blocks) for the other kind's fields. SACK blocks
 //! stay absolute `u64` offsets: offsets from `ack_seq` in `u32` would
 //! save 24 more bytes but cap a flow's out-of-order span at 4 GiB, which
 //! the `mega` setting's buffer plus BDP exceeds.
@@ -362,6 +365,61 @@ impl Packet {
     #[inline]
     pub fn has_cwr(&self) -> bool {
         self.ecn & ECN_CWR != 0
+    }
+}
+
+// ----- link-queue slots -------------------------------------------------
+
+/// One link-queue slot: five words, 40 bytes.
+pub(crate) type Slot = [u64; 5];
+
+impl Packet {
+    /// The slots a link queue holds this packet in. The first is
+    /// `[header0, header1, sent_at, body0, body1]` — all of a data
+    /// segment — and an ACK adds a second holding its last five body
+    /// words. `header0` is `flow | dst << 32`; `header1` is `wire_bytes |
+    /// kind << 32 | sack_len << 40 | retransmit << 48 | ecn << 56`. Every
+    /// field keeps its full width, so [`Packet::from_slots`] gives back
+    /// the same packet bit for bit.
+    #[inline]
+    pub(crate) fn to_slots(self) -> (Slot, Option<Slot>) {
+        let [b0, b1, b2, b3, b4, b5, b6] = self.body;
+        let head = [
+            u64::from(self.flow.0) | (self.dst.as_usize() as u64) << 32,
+            u64::from(self.wire_bytes)
+                | (self.kind as u64) << 32
+                | u64::from(self.sack_len) << 40
+                | u64::from(self.retransmit) << 48
+                | u64::from(self.ecn) << 56,
+            self.sent_at.as_nanos(),
+            b0,
+            b1,
+        ];
+        (head, (!self.is_data()).then_some([b2, b3, b4, b5, b6]))
+    }
+
+    /// The packet [`Packet::to_slots`] wrote; `tail` yields the second
+    /// slot and is called only for an ACK.
+    #[inline]
+    pub(crate) fn from_slots(head: Slot, tail: impl FnOnce() -> Slot) -> Packet {
+        let [h0, h1, sent_at, b0, b1] = head;
+        let (kind, body) = if (h1 >> 32) as u8 == PacketKind::Data as u8 {
+            (PacketKind::Data, data_body(b0, b1))
+        } else {
+            let [b2, b3, b4, b5, b6] = tail();
+            (PacketKind::Ack, [b0, b1, b2, b3, b4, b5, b6])
+        };
+        Packet {
+            flow: FlowId(h0 as u32),
+            dst: ComponentId::from_raw((h0 >> 32) as usize),
+            wire_bytes: h1 as u32,
+            kind,
+            sack_len: (h1 >> 40) as u8,
+            retransmit: (h1 >> 48) as u8 != 0,
+            ecn: (h1 >> 56) as u8,
+            sent_at: SimTime::from_nanos(sent_at),
+            body,
+        }
     }
 }
 

@@ -373,6 +373,14 @@ snap_primitive! {
     usize => usize, f64 => f64, SimTime => time, SimDuration => duration,
 }
 
+/// Nothing on the wire (the stamp of a queue whose entries carry none).
+impl Snap for () {
+    fn put(&self, _w: &mut SnapWriter) {}
+    fn take(_r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(())
+    }
+}
+
 impl Snap for Bandwidth {
     fn put(&self, w: &mut SnapWriter) {
         w.u64(self.as_bps());
