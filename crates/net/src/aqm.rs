@@ -440,9 +440,9 @@ pub const CODEL_INTERVAL: SimDuration = SimDuration::from_millis(100);
 /// exceeded `target` for at least `interval`, then tighten the drop spacing
 /// as `interval/sqrt(count)` until the queue drains below target.
 ///
-/// Packets are stamped with their enqueue time (kept beside the slots,
-/// 48 B a data packet), so the sojourn clock is exact virtual time, not an
-/// estimate.
+/// Packets are stamped with their enqueue time (carried in each queue
+/// slot, 48 B a data packet), so the sojourn clock is exact virtual time,
+/// not an estimate.
 pub struct Codel {
     queue: PacketQueue<SimTime>,
     buffer_bytes: u64,

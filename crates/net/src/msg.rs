@@ -40,7 +40,16 @@ impl TimerToken {
 }
 
 /// The single message type flowing through the simulator.
+///
+/// `repr(C, u64)` gives the tag a whole word of its own, ahead of the
+/// payload: 88 bytes, tag and payload on 8-byte boundaries, and
+/// `Option<Msg>` the same size (`None` is a tag value no variant uses).
+/// Without it the compiler keeps the tag in a niche of the packet's kind
+/// byte at offset 12, and every move copies around that byte in
+/// misaligned pieces whose loads straddle the stores just made: stalls on
+/// store-forwarding in the dispatch loop (DESIGN.md §7 item 13).
 #[derive(Copy, Clone, Debug)]
+#[repr(C, u64)]
 pub enum Msg {
     /// A packet arriving at a component (link, switch port, or endpoint).
     Packet(Packet),

@@ -10,12 +10,12 @@
 //! needs `[seq, end_seq)`; an ACK needs `ack_seq` and up to three SACK
 //! blocks. Both live in one seven-word body, and the SACK block count sits
 //! in the header next to the kind, the retransmit flag and the ECN bits.
-//! That keeps a `Packet` — and a `Msg`, and an `Option<Msg>` — at 80
-//! bytes, which the places a packet waits as a value (the event slab, the
-//! same-instant lane, a link's in-service packet and burst tail) are sized
-//! by. A link's queue stores no `Packet`s: it packs each one into 40-byte
-//! slots, one for a data segment and two for an ACK (`PacketQueue`, in
-//! the crate's `queue` module). The readers are accessors
+//! That keeps a `Packet` at 80 bytes (a link's in-service packet and burst
+//! tail), and a `Msg` and an `Option<Msg>` at 88 — the packet plus a
+//! word-wide tag — which the event slab and the same-instant lane are
+//! sized by. A link's queue stores no `Packet`s: it packs each one into
+//! 40-byte slots, one for a data segment and two for an ACK
+//! (`PacketQueue`, in the crate's `queue` module). The readers are accessors
 //! that return 0 (or no SACK blocks) for the other kind's fields. SACK blocks
 //! stay absolute `u64` offsets: offsets from `ack_seq` in `u32` would
 //! save 24 more bytes but cap a flow's out-of-order span at 4 GiB, which
@@ -139,11 +139,11 @@ const BODY_WORDS: usize = 1 + 2 * MAX_SACK_BLOCKS;
 /// [`ack_seq`](Packet::ack_seq) and [`sack`](Packet::sack); build packets
 /// with [`Packet::data`] and [`Packet::ack`].
 ///
-/// `repr(C)` fixes the order so that `kind` — the byte `Msg` and
-/// `Option<Msg>` keep their tags in — sits in the first 16 bytes. In the
-/// compiler's own order it landed on the last byte, and every move of a
-/// message copied the 79 bytes before it as overlapping 16-byte pieces,
-/// which cost `core5k_droptail` 3–10 % of its `wall_s`.
+/// `repr(C)` fixes the order: the 16-byte header (`flow`, `dst`,
+/// `wire_bytes`, then the four one-byte fields), `sent_at`, the body. The
+/// header is then the two words a link-queue slot starts with (see
+/// [`Packet::to_slots`]), and `Msg`'s own word-wide tag keeps every field
+/// on the alignment it has here (DESIGN.md §7 items 9 and 13).
 #[derive(Copy, Clone, PartialEq, Eq)]
 #[repr(C)]
 pub struct Packet {
@@ -190,11 +190,13 @@ const fn ack_body(ack_seq: u64, sack: &SackBlocks) -> [u64; BODY_WORDS] {
     ]
 }
 
-// Every place a packet waits stores one of these three; see the module docs.
+// Every place a packet waits stores one of these three; see the module
+// docs. A `Msg` is its 8-byte tag and the 80-byte packet, so a move is
+// whole aligned 16-byte pieces (DESIGN.md §7 item 13).
+const _: () = assert!(std::mem::size_of::<Msg>() == 88);
+const _: () = assert!(std::mem::size_of::<Option<Msg>>() == 88);
+const _: () = assert!(std::mem::align_of::<Msg>() == 8);
 const _: () = assert!(std::mem::size_of::<Packet>() == 80);
-const _: () = assert!(std::mem::size_of::<Msg>() == 80);
-const _: () = assert!(std::mem::size_of::<Option<Msg>>() == 80);
-const _: () = assert!(std::mem::offset_of!(Packet, kind) < 16);
 
 /// ECN: ECN-Capable Transport codepoint (data packets of ECN flows).
 pub const ECN_ECT: u8 = 0b0001;

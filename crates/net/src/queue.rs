@@ -11,25 +11,27 @@
 //! The queue also owns what every discipline kept beside its ring: the
 //! packet count, the queued bytes, the memory account and the checkpoint
 //! encoding. A discipline that needs a per-packet stamp (CoDel's enqueue
-//! time) names its type as `S`; the stamps sit in their own deque beside
-//! the slots, and the default `()` costs nothing.
+//! time) names its type as `S`, and every slot carries one: one ring of
+//! 48-byte entries for CoDel, so a packet is one push and one pop, and
+//! the default `()` keeps the entry at 40 bytes.
 
 use crate::packet::{Packet, Slot};
-use ccsim_sim::{Snap, SnapError, SnapReader, SnapWriter};
+use ccsim_sim::{SimTime, Snap, SnapError, SnapReader, SnapWriter};
 use std::collections::VecDeque;
 
 // The slot is the unit the ring grows by; see the module docs.
 const _: () = assert!(std::mem::size_of::<Slot>() == 40);
+const _: () = assert!(std::mem::size_of::<(Slot, ())>() == 40);
+const _: () = assert!(std::mem::size_of::<(Slot, SimTime)>() == 48);
 
 /// A FIFO of packets, each with a stamp of type `S`, stored as 40-byte
 /// slots (see the module docs).
 pub struct PacketQueue<S = ()> {
-    /// One slot per data segment, two per ACK, front to back.
-    slots: VecDeque<Slot>,
-    /// One stamp per packet, front to back: its length is the packet
-    /// count, for a zero-sized `S` too (a `VecDeque<()>` counts without
-    /// allocating).
-    stamps: VecDeque<S>,
+    /// One slot per data segment, two per ACK, front to back, each beside
+    /// its packet's stamp (an ACK's second slot repeats it).
+    slots: VecDeque<(Slot, S)>,
+    /// Packets queued.
+    len: usize,
     /// Sum of the queued packets' `wire_bytes`.
     bytes: u64,
 }
@@ -39,7 +41,7 @@ impl<S: Copy> PacketQueue<S> {
     pub fn new() -> Self {
         PacketQueue {
             slots: VecDeque::new(),
-            stamps: VecDeque::new(),
+            len: 0,
             bytes: 0,
         }
     }
@@ -48,21 +50,21 @@ impl<S: Copy> PacketQueue<S> {
     #[inline]
     pub fn push_stamped(&mut self, stamp: S, p: Packet) {
         self.bytes += u64::from(p.wire_bytes);
+        self.len += 1;
         let (head, tail) = p.to_slots();
-        self.slots.push_back(head);
+        self.slots.push_back((head, stamp));
         if let Some(tail) = tail {
-            self.slots.push_back(tail);
+            self.slots.push_back((tail, stamp));
         }
-        self.stamps.push_back(stamp);
     }
 
     /// Remove the front packet and its stamp.
     #[inline]
     pub fn pop_stamped(&mut self) -> Option<(S, Packet)> {
-        let stamp = self.stamps.pop_front()?;
+        let (head, stamp) = self.slots.pop_front()?;
         let slots = &mut self.slots;
-        let head = slots.pop_front().expect("a queued packet's first slot");
-        let p = Packet::from_slots(head, || slots.pop_front().expect("an ACK's second slot"));
+        let p = Packet::from_slots(head, || slots.pop_front().expect("an ACK's second slot").0);
+        self.len -= 1;
         self.bytes -= u64::from(p.wire_bytes);
         Some((stamp, p))
     }
@@ -70,13 +72,13 @@ impl<S: Copy> PacketQueue<S> {
     /// Packets queued.
     #[inline]
     pub fn len(&self) -> usize {
-        self.stamps.len()
+        self.len
     }
 
     /// True iff no packet is queued.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.stamps.is_empty()
+        self.len == 0
     }
 
     /// Sum of the queued packets' wire sizes.
@@ -93,10 +95,9 @@ impl<S: Copy> PacketQueue<S> {
         self.bytes + u64::from(p.wire_bytes) <= buffer_bytes
     }
 
-    /// Heap bytes the queue holds: slot and stamp capacity, not occupancy.
+    /// Heap bytes the queue holds: slot capacity, not occupancy.
     pub fn memory_bytes(&self) -> u64 {
-        (self.slots.capacity() * std::mem::size_of::<Slot>()
-            + self.stamps.capacity() * std::mem::size_of::<S>()) as u64
+        (self.slots.capacity() * std::mem::size_of::<(Slot, S)>()) as u64
     }
 }
 
@@ -120,11 +121,10 @@ impl PacketQueue {
 /// differs from the packets' sum was never written, so it is corrupt.
 impl<S: Snap + Copy> Snap for PacketQueue<S> {
     fn put(&self, w: &mut SnapWriter) {
-        w.usize(self.len());
+        w.usize(self.len);
         let mut slots = self.slots.iter();
-        for stamp in &self.stamps {
-            let head = *slots.next().expect("a queued packet's first slot");
-            let p = Packet::from_slots(head, || *slots.next().expect("an ACK's second slot"));
+        while let Some(&(head, stamp)) = slots.next() {
+            let p = Packet::from_slots(head, || slots.next().expect("an ACK's second slot").0);
             stamp.put(w);
             p.put(w);
         }
@@ -253,25 +253,55 @@ mod tests {
             prop_assert_eq!((q.len(), q.queued_bytes(), q.slots.len()), (0, 0, 0));
         }
 
-        /// Stamps travel with their packets, and the checkpoint encoding
-        /// round-trips a stamped queue.
+        /// Stamps travel with their packets through random interleavings
+        /// of pushes and pops of data packets and ACKs, every slot of an
+        /// ACK carries its stamp, and the checkpoint encoding writes the
+        /// old `VecDeque<(SimTime, Packet)>` bytes and round-trips.
         #[test]
         fn stamped_queue_round_trips(
-            ops in prop::collection::vec((word(), gen()), 0..64),
+            ops in prop::collection::vec((0u8..4, word(), gen()), 0..96),
         ) {
             let mut q = PacketQueue::new();
-            for &(at, g) in &ops {
-                q.push_stamped(SimTime::from_nanos(at), packet(g));
+            let mut model = std::collections::VecDeque::new();
+            for (i, &(roll, at, g)) in ops.iter().enumerate() {
+                // One step in four pops.
+                if roll == 0 {
+                    prop_assert_eq!(q.pop_stamped(), model.pop_front(), "step {}", i);
+                } else {
+                    let want = (SimTime::from_nanos(at), packet(g));
+                    q.push_stamped(want.0, want.1);
+                    model.push_back(want);
+                }
+                let slots: usize = model.iter().map(|(_, p)| if p.is_data() { 1 } else { 2 }).sum();
+                prop_assert_eq!((q.len(), q.slots.len()), (model.len(), slots));
             }
+            let mut stamps = q.slots.iter().map(|&(_, stamp)| stamp);
+            for &(at, p) in &model {
+                let copies = if p.is_data() { 1 } else { 2 };
+                for _ in 0..copies {
+                    prop_assert_eq!(stamps.next(), Some(at));
+                }
+            }
+            prop_assert_eq!(q.memory_bytes() % 48, 0);
+
             let mut w = SnapWriter::new();
             q.put(&mut w);
             let bytes = w.into_bytes();
+            let mut old = SnapWriter::new();
+            old.usize(model.len());
+            for (at, p) in &model {
+                at.put(&mut old);
+                p.put(&mut old);
+            }
+            let total: u64 = model.iter().map(|(_, p)| u64::from(p.wire_bytes)).sum();
+            old.u64(total);
+            prop_assert_eq!(&bytes[..], old.as_bytes());
+
             let mut r = SnapReader::new(&bytes);
             let mut back = PacketQueue::<SimTime>::take(&mut r).unwrap();
             prop_assert!(r.is_exhausted());
             prop_assert_eq!(back.queued_bytes(), q.queued_bytes());
-            for &(at, g) in &ops {
-                let want = (SimTime::from_nanos(at), packet(g));
+            for &want in &model {
                 prop_assert_eq!(q.pop_stamped(), Some(want));
                 prop_assert_eq!(back.pop_stamped(), Some(want));
             }

@@ -22,7 +22,8 @@
 //! An event is split in two. Its **key** — `(time, seq)`, the cancellation
 //! token, the destination and a slab index, 40 bytes whatever `M` is — is
 //! what the structures below hold, sort, sift and cascade. Its **payload**
-//! (`M`; an 80-byte `Packet` message in the simulator) is written into a
+//! (`M`; in the simulator an 88-byte `Msg`, an 80-byte packet behind a
+//! word-wide tag) is written into a
 //! slab slot by `schedule` and taken out once, at dispatch; in between it
 //! does not move. A cancelled event gives its slab slot back at once, so
 //! what a cancel leaves behind in a far wheel slot is a key, not a packet
@@ -199,37 +200,103 @@ impl TokenTable {
 /// is; the payload waits in the slab at index `slot` (see
 /// [`EventQueue`]). `dst` is the component's arena index, which
 /// [`crate::Simulator::add_component`] keeps within `u32`.
+///
+/// `repr(C)` with `dst` and `slot` side by side puts the pair a popped key
+/// hands to dispatch in one aligned word, read by one load. Across a word
+/// boundary, that load spans the two 4-byte stores that have just copied
+/// the key, and waits for both (a store-forwarding stall; DESIGN.md §7
+/// item 13).
 #[derive(Clone, Copy)]
+#[repr(C)]
 struct Key {
     time: SimTime,
     seq: u64,
     tok_gen: u64,
-    tok: u32,
     dst: u32,
     slot: u32,
+    tok: u32,
 }
 
-impl PartialEq for Key {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+const _: () = assert!(std::mem::size_of::<Key>() == 40);
+const _: () = assert!(std::mem::offset_of!(Key, dst) % 8 == 0);
+const _: () = assert!(std::mem::offset_of!(Key, slot) == std::mem::offset_of!(Key, dst) + 4);
+
+impl Key {
+    /// What the queue orders by: earliest time first, then FIFO by seq.
+    #[inline]
+    fn at(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
     }
 }
-impl Eq for Key {}
 
-impl PartialOrd for Key {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// The ready stage's overlay: a binary min-heap of keys by
+/// [`Key::at`]. Written out rather than a `BinaryHeap<Key>` so that a key
+/// is written into the heap once and never read straight back:
+/// `BinaryHeap::push` stores the new key field by field and then its sift
+/// loads it back as 16-byte pieces, each spanning two of those stores,
+/// and `pop` does the same with the key it moves to the root
+/// (DESIGN.md §7 item 13). Seqs are unique, so the pop order is the one
+/// total order whatever the heap's shape.
+#[derive(Default)]
+struct Overlay {
+    keys: Vec<Key>,
 }
 
-impl Ord for Key {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+impl Overlay {
+    /// The earliest key.
+    #[inline]
+    fn peek(&self) -> Option<&Key> {
+        self.keys.first()
+    }
+
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// Sift `k` up from a new leaf, moving each later parent down into
+    /// the hole and writing `k` once, where it stops.
+    #[inline]
+    fn push(&mut self, k: Key) {
+        let mut hole = self.keys.len();
+        self.keys.push(k);
+        while hole > 0 {
+            let parent = (hole - 1) / 2;
+            if self.keys[parent].at() <= k.at() {
+                break;
+            }
+            self.keys[hole] = self.keys[parent];
+            hole = parent;
+        }
+        self.keys[hole] = k;
+    }
+
+    /// Remove the earliest key: sift the last leaf down from the root,
+    /// moving each earlier child up into the hole.
+    #[inline]
+    fn pop(&mut self) -> Option<Key> {
+        let last = self.keys.pop()?;
+        let Some(&top) = self.keys.first() else {
+            return Some(last);
+        };
+        let n = self.keys.len();
+        let mut hole = 0;
+        loop {
+            let mut child = 2 * hole + 1;
+            if child >= n {
+                break;
+            }
+            if child + 1 < n && self.keys[child + 1].at() < self.keys[child].at() {
+                child += 1;
+            }
+            if last.at() <= self.keys[child].at() {
+                break;
+            }
+            self.keys[hole] = self.keys[child];
+            hole = child;
+        }
+        self.keys[hole] = last;
+        Some(top)
     }
 }
 
@@ -363,8 +430,8 @@ pub const KEY_BYTES: usize = std::mem::size_of::<Key>();
 /// Bytes per element of the engine's dispatch batch.
 pub const READY_BYTES: usize = std::mem::size_of::<Ready>();
 // Neither type has a type parameter, so neither size can depend on the
-// payload; these pin the absolute figures the design rests on.
-const _: () = assert!(KEY_BYTES <= 40);
+// payload; these (and the asserts beside `Key`) pin the absolute figures
+// the design rests on.
 const _: () = assert!(READY_BYTES <= 16);
 
 /// log2 of the wheel granularity: one tick = 1024 ns ≈ 1 µs, fine enough
@@ -449,7 +516,7 @@ pub struct EventQueue<M> {
     /// or at "now", a cascaded key, a late external schedule, a merged
     /// lane). Usually empty or tiny; min-ordered by (time, seq). The head of the
     /// queue is the smaller of `run.last()` and `overlay.peek()`.
-    overlay: BinaryHeap<Key>,
+    overlay: Overlay,
     /// Same-instant sends in seq order, all due at `lane_time`; every one
     /// has a higher seq than any key extracted so far. Drained by the
     /// engine a generation at a time, or merged into `overlay` when a key
@@ -477,13 +544,18 @@ pub struct EventQueue<M> {
     toks: Vec<TokRec>,
     /// Per-level occupancy bitmaps (bit = slot has entries).
     occupied: [u64; LEVELS],
+    /// Live (scheduled minus popped minus cancelled) entry count. Declared
+    /// away from the two counters every schedule bumps with it: beside
+    /// them, the three `+= 1`s became one 16-byte load-add-store over
+    /// `live` and its neighbour, and that load straddled the 8-byte store
+    /// with which the pop before had decremented `live` (DESIGN.md §7
+    /// item 13).
+    live: usize,
     /// The wheel's notion of "now", in ticks (ns >> GRAN_BITS). Invariant:
     /// every wheel entry has tick > cur_tick; the ready stage holds ticks
     /// ≤ cur_tick, so it is always globally earliest.
     cur_tick: u64,
     tokens: TokenTable,
-    /// Live (scheduled minus popped minus cancelled) entry count.
-    live: usize,
     next_seq: u64,
     scheduled_total: u64,
     /// Physically-resident keys per level (dead keys included), the
@@ -503,7 +575,7 @@ impl<M> EventQueue<M> {
     pub fn new() -> Self {
         EventQueue {
             run: Vec::new(),
-            overlay: BinaryHeap::new(),
+            overlay: Overlay::default(),
             lane: VecDeque::new(),
             lane_time: SimTime::ZERO,
             buckets: vec![Bucket::EMPTY; LEVELS * SLOTS],
@@ -828,7 +900,7 @@ impl<M> EventQueue<M> {
     #[inline]
     fn head_in_run(&self) -> bool {
         match (self.run.last(), self.overlay.peek()) {
-            (Some(r), Some(o)) => (r.time, r.seq) <= (o.time, o.seq),
+            (Some(r), Some(o)) => r.at() <= o.at(),
             (Some(_), None) => true,
             _ => false,
         }
@@ -966,8 +1038,7 @@ impl<M> EventQueue<M> {
             // they are exactly the new current granule: sort once
             // (descending, so pops come off the tail) instead of paying a
             // heap sift per event.
-            self.run
-                .sort_unstable_by_key(|k| std::cmp::Reverse((k.time, k.seq)));
+            self.run.sort_unstable_by_key(|k| std::cmp::Reverse(k.at()));
         }
         true
     }
@@ -1101,7 +1172,7 @@ impl<M> EventQueue<M> {
             (capacity * size_of::<T>()) as u64
         }
         size_of::<Self>() as u64
-            + held::<Key>(self.run.capacity() + self.overlay.capacity())
+            + held::<Key>(self.run.capacity() + self.overlay.keys.capacity())
             + held::<Sent<M>>(self.lane.capacity())
             + held::<Bucket>(self.buckets.capacity())
             + held::<Chunk>(self.chunks.capacity())
@@ -1116,7 +1187,7 @@ impl<M> EventQueue<M> {
     fn keys(&self) -> impl Iterator<Item = &Key> {
         self.run
             .iter()
-            .chain(self.overlay.iter())
+            .chain(self.overlay.keys.iter())
             .chain(self.buckets.iter().flat_map(move |b| {
                 let (mut c, mut len) = (b.head, b.len);
                 std::iter::from_fn(move || {

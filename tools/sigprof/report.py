@@ -4,12 +4,15 @@
     report.py run.prof                 # top 30 symbols of the main binary
     report.py run.prof --top 60
     report.py run.prof --symbol 'Receiver::on_data'   # annotated disassembly
+    report.py run.prof --pcs 20        # the 20 hottest single instructions
 
 Samples are attributed with `nm -C` over the executable the dump's first
 mapping names (samples in shared objects are lumped per object). With
 --symbol, every function whose demangled name contains the text is
 disassembled with `objdump` and each instruction is prefixed with the number
-of samples that landed on it.
+of samples that landed on it. With --pcs, the hottest instructions across
+the whole binary are listed one a line: share, samples, address, symbol and
+offset, and the instruction itself.
 """
 
 import argparse
@@ -58,11 +61,26 @@ def symbols(exe):
     return [s for i, s in enumerate(syms) if i == 0 or s[0] != syms[i - 1][0]]
 
 
+def instruction(exe, vaddr):
+    """The disassembled instruction at `vaddr`, e.g. `movups 0x30(%rsp),%xmm0`."""
+    listing = subprocess.run(
+        ["objdump", "-d", "--no-show-raw-insn",
+         f"--start-address={vaddr:#x}", f"--stop-address={vaddr + 16:#x}", exe],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    for line in listing.splitlines():
+        m = re.match(r"\s*([0-9a-f]+):\s+(.*)", line)
+        if m and int(m.group(1), 16) == vaddr:
+            return " ".join(m.group(2).split())
+    return "?"
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     ap.add_argument("dump")
     ap.add_argument("--top", type=int, default=30)
     ap.add_argument("--symbol", help="annotate functions whose name contains this text")
+    ap.add_argument("--pcs", type=int, metavar="N", help="list the N hottest instructions")
     args = ap.parse_args()
 
     maps, pcs, dropped = read_dump(args.dump)
@@ -88,6 +106,12 @@ def main():
 
     total = len(pcs)
     print(f"{total} samples ({dropped} dropped) in {exe}")
+    if args.pcs:
+        for vaddr, n in by_addr.most_common(args.pcs):
+            i = bisect.bisect_right(starts, vaddr) - 1
+            where = f"{syms[i][2]}+{vaddr - syms[i][0]:#x}" if i >= 0 else "[no symbol]"
+            print(f"{100 * n / total:6.2f}%  {n:7d}  {vaddr:#x}  {instruction(exe, vaddr)}  {where}")
+        return
     if not args.symbol:
         for name, n in by_symbol.most_common(args.top):
             print(f"{100 * n / total:6.2f}%  {n:7d}  {name}")
