@@ -160,22 +160,22 @@ fn start_measurement(
 }
 
 /// Drain the flight recorders (present only when the scenario enabled
-/// tracing) into one trace whose runs are the rings' own buffers, not
+/// tracing) into one trace whose runs are the rings' own logs, not
 /// copies. Factored out of collection so an aborting run (watchdog
 /// violation) can still salvage the trace tail for its crash bundle.
 fn drain_trace(net: &mut BuiltNetwork, scenario: &Scenario) -> Option<RunTrace> {
     if !scenario.trace.enabled {
         return None;
     }
-    let mut parts = Vec::with_capacity(2 * (net.senders.len() + net.links.len()));
+    let mut rings = Vec::with_capacity(2 * (net.senders.len() + net.links.len()));
     for &id in &net.senders {
         if let Some(rec) = net.sim.component_mut::<Sender>(id).take_trace() {
-            parts.extend(rec.finish());
+            rings.extend(rec.finish());
         }
     }
     for &id in &net.links {
         if let Some(rec) = net.sim.component_mut::<Link>(id).take_trace() {
-            parts.extend(rec.finish());
+            rings.extend(rec.finish());
         }
     }
     let meta = TraceMeta {
@@ -183,7 +183,7 @@ fn drain_trace(net: &mut BuiltNetwork, scenario: &Scenario) -> Option<RunTrace> 
         seed: scenario.seed,
         flows: scenario.flow_count(),
     };
-    Some(RunTrace::assemble(meta, parts))
+    Some(RunTrace::from_rings(meta, rings))
 }
 
 /// The single runner loop behind every [`crate::RunRequest`]. When `inst`

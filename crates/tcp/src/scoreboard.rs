@@ -58,11 +58,14 @@ struct Segment {
 
 impl Segment {
     fn new(tx: TxRecord, flags: u64) -> Segment {
-        // A real assert: a wider count would spill into the flags.
+        // A real assert: a wider count would spill into the flags. It
+        // formats a copy: a reference into `tx` would keep the whole
+        // record in memory, where the caller stores it in 8-byte fields
+        // and this reads it back in 16-byte pieces.
+        let delivered = tx.delivered;
         assert!(
-            tx.delivered <= DELIVERED_MAX,
-            "delivered count {} does not fit in 60 bits",
-            tx.delivered
+            delivered <= DELIVERED_MAX,
+            "delivered count {delivered} does not fit in 60 bits"
         );
         let mut seg = Segment {
             sent_time: tx.sent_time,
@@ -605,6 +608,11 @@ impl Scoreboard {
     }
 
     /// Record transmission of new data `[snd_nxt, snd_nxt + len)`.
+    ///
+    /// Inlined so that the sender's `tx` stays in registers: passed through
+    /// memory, it was written as 8-byte fields and read back in 16-byte
+    /// pieces, a store-forwarding stall on every new segment.
+    #[inline]
     pub fn on_send_new(&mut self, len: u64, tx: TxRecord) {
         debug_assert!(len > 0);
         let seq = self.snd_nxt;
@@ -925,31 +933,39 @@ impl Scoreboard {
     }
 
     /// Record retransmission of the segment starting at `seq`: it returns
-    /// to flight with a fresh delivery snapshot.
+    /// to flight with a fresh delivery snapshot. Inlined, like
+    /// [`Scoreboard::on_send_new`], so `tx` is stored from registers.
     ///
     /// # Panics
     /// Panics if no lost segment starts at `seq`.
+    #[inline]
     pub fn mark_retransmitted(&mut self, seq: u64, tx: TxRecord) {
+        let at = self.take_lost(seq);
+        self.segs[at] = Segment::new(tx, RETRANSMITTED);
+        if seq < self.high_sacked {
+            insert_sorted(&mut self.holes, (tx.sent_time, seq));
+        }
+        self.debug_check();
+    }
+
+    /// The index of the lost segment starting at `seq`, taken out of the
+    /// lost set and `lost_bytes`; the caller overwrites the segment.
+    fn take_lost(&mut self, seq: u64) -> usize {
         let at = self.seg_index(seq);
         assert!(
             at < self.segs.len() && self.seq_at(at) == seq,
             "retransmitting unknown segment"
         );
-        let len = self.len_at(at);
-        let seg = &mut self.segs[at];
+        let seg = &self.segs[at];
         // A real assert: letting a live segment through would wrap
         // `lost_bytes` in release.
         assert!(
             seg.is(LOST) && !seg.is(SACKED),
             "retransmitting a live segment"
         );
-        *seg = Segment::new(tx, RETRANSMITTED);
-        self.lost_bytes -= len;
+        self.lost_bytes -= self.len_at(at);
         self.lost.remove(self.ord(at));
-        if seq < self.high_sacked {
-            insert_sorted(&mut self.holes, (tx.sent_time, seq));
-        }
-        self.debug_check();
+        at
     }
 
     /// Debug builds re-derive the counters and the three indexes from the

@@ -318,7 +318,7 @@ mod tests {
         assert_eq!(reader.meta().flows, 7);
         assert_eq!(reader.evicted(), 5);
         let records: Vec<TraceRecord> = reader.map(Result::unwrap).collect();
-        assert!(records.iter().eq(&trace.records));
+        assert!(records.into_iter().eq(&trace.records));
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Every recordable occurrence is a [`TraceRecord`]: a fixed-width
 //! `(time, flow, kind, a, b)` tuple. The fixed shape is deliberate — it is
-//! what makes ring-buffer byte accounting exact ([`RECORD_BYTES`] per
-//! record, no heap payload), lets the binary exporter write plain columns,
-//! and keeps recording off the simulator's allocation path entirely.
+//! what makes the budget's byte accounting exact ([`RECORD_BYTES`] wire
+//! bytes per record, no heap payload) and lets the binary exporter write
+//! plain columns.
 //!
 //! The `a`/`b` payload words are interpreted per [`TraceKind`]; typed
 //! constructors and accessors on [`TraceRecord`] keep call sites honest.
@@ -16,8 +16,9 @@ use ccsim_sim::{snap, SimDuration, SimTime, Snap, SnapError, SnapReader, SnapWri
 
 /// Serialized size of one record: 8 (time) + 4 (flow) + 1 (kind) + 8 + 8.
 ///
-/// The in-memory `TraceRecord` is padded to 32 bytes; budgets are stated in
-/// *wire* bytes so an exported file never exceeds the configured budget.
+/// A `TraceRecord` value is padded to 32 bytes, and a ring holds one in
+/// about 6 (see [`crate::ring`]); budgets are stated in *wire* bytes so an
+/// exported file never exceeds the configured budget.
 pub const RECORD_BYTES: u64 = 29;
 
 /// Sentinel flow id for link-scoped records (queue-depth samples).

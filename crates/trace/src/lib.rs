@@ -16,11 +16,13 @@
 //! * [`ring`] — per-flow ring buffers with [`RetentionPolicy`]
 //!   (`KeepAll` / `Decimate(n)` / `Reservoir(k)`) under a global byte
 //!   budget.
+//! * `log` — the delta-varint byte log a ring and a drained run hold
+//!   their records in, about 6 bytes a record instead of 32.
 //! * [`recorder`] — the endpoints the sender and bottleneck link drive
 //!   ([`FlowRecorder`], [`QueueRecorder`]), configured by [`TraceConfig`],
 //!   and the assembled [`RunTrace`].
 //! * [`records`] — the trace's [`Records`]: one sorted run per ring,
-//!   merged on read.
+//!   merged on read and yielded by value.
 //! * [`export`] — greppable JSONL, one record per line.
 //! * [`binary`] — the compact columnar `.cctr` format with a streaming
 //!   [`BinaryTraceReader`].
@@ -31,6 +33,7 @@
 pub mod binary;
 pub mod event;
 pub mod export;
+mod log;
 pub mod recorder;
 pub mod records;
 pub mod ring;

@@ -11,11 +11,12 @@
 //! After a run, the harness drains every recorder into a [`RunTrace`]:
 //! its [`Records`] plus bookkeeping about what the bounds discarded, ready
 //! for export ([`crate::export`], [`crate::binary`]) and analysis. Each
-//! ring hands its buffer over as one sorted run, without a copy; readers
-//! see the runs merged into one time-sorted sequence on read, so a drained
-//! trace is held in memory once.
+//! ring hands its delta-varint log over as one sorted run, without a copy;
+//! readers see the runs merged into one time-sorted sequence on read, so a
+//! drained trace is held in memory once, in its compact form.
 
 use crate::event::{CongestionKind, PhaseLabel, TraceKind, TraceRecord};
+use crate::log::RecordLog;
 use crate::records::Records;
 use crate::ring::{RetentionPolicy, SampleRing};
 use ccsim_sim::{snap, SimDuration, SimTime, SnapError};
@@ -64,9 +65,13 @@ impl TraceConfig {
     /// queue every 64th arrival — a sensible default for EdgeScale runs
     /// and for CoreScale with `Decimate`/`Reservoir` policies.
     ///
-    /// The budget counts wire bytes (29 a record); a record takes 32 bytes
-    /// in memory, so a full trace peaks at about 32/29 × the budget plus
-    /// the rings' growth slack. Draining hands the ring buffers to the
+    /// The budget counts wire bytes (29 a record), so it bounds the
+    /// records a trace holds and the size of its export, not its memory.
+    /// A `KeepAll` or `Decimate` ring holds a record as a delta, about 6
+    /// bytes on a CoreScale trace and never more than 36, plus the log's
+    /// spare capacity and spent front bytes; a `Reservoir` ring holds it
+    /// in a 32-byte slot. The profiler's `trace/rings` account reports
+    /// what the rings take. Draining hands the ring logs to the
     /// [`RunTrace`] as they are, so the peak is not doubled at the end of
     /// the run.
     pub fn standard() -> TraceConfig {
@@ -140,7 +145,7 @@ impl FlowRecorder {
         self.flow
     }
 
-    /// Approximate heap footprint of this recorder's rings (profiler
+    /// Memory this recorder takes: itself and its rings' logs (profiler
     /// `trace/rings` account).
     pub fn memory_bytes(&self) -> u64 {
         std::mem::size_of::<Self>() as u64
@@ -205,9 +210,9 @@ impl FlowRecorder {
         self.samples.bytes() + self.events.bytes()
     }
 
-    /// Drain into two [`RunTrace::assemble`] parts, one per ring.
-    pub fn finish(self) -> [(Vec<TraceRecord>, u64, u64); 2] {
-        [self.samples.into_part(), self.events.into_part()]
+    /// Drain into the two rings, for [`RunTrace::from_rings`].
+    pub fn finish(self) -> [SampleRing; 2] {
+        [self.samples, self.events]
     }
 
     snap! {
@@ -268,7 +273,7 @@ impl QueueRecorder {
         self.hop
     }
 
-    /// Approximate heap footprint of this recorder's rings (profiler
+    /// Memory this recorder takes: itself and its rings' logs (profiler
     /// `trace/rings` account).
     pub fn memory_bytes(&self) -> u64 {
         std::mem::size_of::<Self>() as u64 + self.depth.memory_bytes() + self.drops.memory_bytes()
@@ -311,9 +316,9 @@ impl QueueRecorder {
         self.depth.bytes() + self.drops.bytes()
     }
 
-    /// Drain into two [`RunTrace::assemble`] parts, one per ring.
-    pub fn finish(self) -> [(Vec<TraceRecord>, u64, u64); 2] {
-        [self.depth.into_part(), self.drops.into_part()]
+    /// Drain into the two rings, for [`RunTrace::from_rings`].
+    pub fn finish(self) -> [SampleRing; 2] {
+        [self.depth, self.drops]
     }
 
     snap! {
@@ -353,18 +358,40 @@ pub struct RunTrace {
 }
 
 impl RunTrace {
-    /// Assemble from drained recorder outputs. Each part becomes one run
-    /// of the trace's [`Records`] as it is — no record is copied — sorted
-    /// in place only if it is out of order; readers see the runs merged
-    /// into canonical `(time, flow, kind)` order. The sort key is the whole
+    /// Assemble from drained recorder rings. Each ring's log becomes one
+    /// run of the trace's [`Records`] as it is — no record is copied —
+    /// sorted only if it is out of order; readers see the runs merged into
+    /// canonical `(time, flow, kind)` order. The sort key is the whole
     /// record, so records that tie are identical and neither the sort's
     /// nor the merge's tie order can show.
+    pub fn from_rings(meta: TraceMeta, rings: impl IntoIterator<Item = SampleRing>) -> RunTrace {
+        let (mut evicted, mut thinned) = (0, 0);
+        let logs: Vec<RecordLog> = rings
+            .into_iter()
+            .map(|ring| {
+                let (log, e, t) = ring.into_log();
+                evicted += e;
+                thinned += t;
+                log
+            })
+            .collect();
+        RunTrace {
+            meta,
+            records: Records::from_runs(logs),
+            evicted,
+            thinned,
+        }
+    }
+
+    /// Assemble from `(records, evicted, thinned)` parts, each in any
+    /// order: [`RunTrace::from_rings`] for records that are not in rings.
+    /// Each part is encoded into one run.
     pub fn assemble(meta: TraceMeta, parts: Vec<(Vec<TraceRecord>, u64, u64)>) -> RunTrace {
         let evicted = parts.iter().map(|p| p.1).sum();
         let thinned = parts.iter().map(|p| p.2).sum();
         RunTrace {
             meta,
-            records: Records::from_runs(parts.into_iter().map(|p| p.0)),
+            records: Records::from_runs(parts.iter().map(|p| p.0.iter().collect())),
             evicted,
             thinned,
         }
@@ -378,7 +405,7 @@ impl RunTrace {
 
     /// Records of one kind, in order; only the runs holding that kind are
     /// merged.
-    pub fn of_kind(&self, kind: TraceKind) -> impl Iterator<Item = &TraceRecord> {
+    pub fn of_kind(&self, kind: TraceKind) -> impl Iterator<Item = TraceRecord> + '_ {
         self.records
             .select(Some(kind), None)
             .filter(move |r| r.kind == kind)
@@ -386,7 +413,7 @@ impl RunTrace {
 
     /// Records belonging to one flow, in order; only the runs whose flow
     /// range covers it are merged.
-    pub fn for_flow(&self, flow: u32) -> impl Iterator<Item = &TraceRecord> {
+    pub fn for_flow(&self, flow: u32) -> impl Iterator<Item = TraceRecord> + '_ {
         self.records
             .select(None, Some(flow))
             .filter(move |r| r.flow == flow)
@@ -449,8 +476,8 @@ mod tests {
     type Part = (Vec<TraceRecord>, u64, u64);
 
     /// A recorder's records, ring by ring.
-    fn drained(parts: [Part; 2]) -> Vec<TraceRecord> {
-        parts.into_iter().flat_map(|p| p.0).collect()
+    fn drained(rings: [SampleRing; 2]) -> Vec<TraceRecord> {
+        rings.iter().flat_map(SampleRing::iter).collect()
     }
 
     #[test]
@@ -633,7 +660,8 @@ mod tests {
         for r in sorted(scatter(&mut x, 75)) {
             wrapped.push(r);
         }
-        let (reservoir, wrapped) = (reservoir.into_part(), wrapped.into_part());
+        let part = |ring: SampleRing| (ring.iter().collect(), ring.evicted(), ring.thinned());
+        let (reservoir, wrapped): (Part, Part) = (part(reservoir), part(wrapped));
         assert!(!reservoir.0.is_sorted_by_key(TraceRecord::sort_key));
         assert_eq!((wrapped.0.len(), wrapped.1), (30, 45));
         let cases: Vec<(&str, Vec<Part>)> = vec![
@@ -679,7 +707,7 @@ mod tests {
             let want = sorted(parts.iter().flat_map(|p| p.0.clone()).collect());
             let tr = RunTrace::assemble(meta(), parts);
             assert_eq!(tr.records.len(), want.len(), "{what}");
-            let got: Vec<TraceRecord> = tr.records.iter().copied().collect();
+            let got: Vec<TraceRecord> = tr.records.iter().collect();
             assert_eq!(got, want, "{what}");
             assert_eq!(tr.records, Records::from(want), "{what}");
         }

@@ -1147,9 +1147,10 @@ fn print_trace_summary(o: &RunOutcome, sync_bin: SimDuration) {
         return;
     };
     println!(
-        "trace           : {} records ({:.2} MB wire), {} evicted, {} thinned",
+        "trace           : {} records ({:.2} MB wire, {:.2} MB held), {} evicted, {} thinned",
         trace.records.len(),
         trace.wire_bytes() as f64 / 1e6,
+        trace.records.memory_bytes() as f64 / 1e6,
         trace.evicted,
         trace.thinned
     );

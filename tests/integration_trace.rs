@@ -124,18 +124,18 @@ fn queries_equal_a_filter_over_the_whole_trace() {
     s.buffer_bytes = 30_000;
     let o = s.run();
     let trace = o.trace.as_ref().unwrap();
-    let all: Vec<TraceRecord> = trace.records.iter().copied().collect();
+    let all: Vec<TraceRecord> = trace.records.iter().collect();
     assert_eq!(all.len(), trace.records.len());
     assert!(all.is_sorted_by_key(TraceRecord::sort_key));
     for kind in TraceKind::ALL {
-        let want: Vec<_> = all.iter().filter(|r| r.kind == kind).collect();
+        let want: Vec<_> = all.iter().copied().filter(|r| r.kind == kind).collect();
         let got: Vec<_> = trace.of_kind(kind).collect();
         assert_eq!(got, want, "of_kind({kind:?})");
         assert!(!want.is_empty(), "no {kind:?} records");
     }
     let hops = [1, 2, QUEUE_FLOW];
     for flow in (0..trace.meta.flows).chain(hops) {
-        let want: Vec<_> = all.iter().filter(|r| r.flow == flow).collect();
+        let want: Vec<_> = all.iter().copied().filter(|r| r.flow == flow).collect();
         assert!(!want.is_empty(), "flow {flow}");
         assert_eq!(
             trace.for_flow(flow).collect::<Vec<_>>(),

@@ -104,3 +104,29 @@ fn cubic_in_its_tcp_friendly_region_shares_evenly_with_newreno() {
     let share = run(&s).share_of(CcaKind::Cubic).expect("a Cubic flow ran");
     assert!((0.4..=0.6).contains(&share), "Cubic's share {share}");
 }
+
+/// Goodput over a measurement window cannot exceed the link's line rate
+/// less headers: the bottleneck serialises at most `C × window` wire
+/// bytes in it, of which 1448 in every 1500 are payload.
+///
+/// Measured: 1.120 on this seed (1.067 on seed 2, 1.004 on seed 3 with a
+/// 4 s window), against a ceiling of 0.965. Delivered bytes are counted
+/// when the receiver releases them in order, so a window that opens just
+/// after the start-up recovery storm counts bytes that crossed the link
+/// before it opened, once their holes fill.
+///
+/// Answer: conservation of bytes at a work-conserving link of capacity C.
+#[test]
+#[ignore = "utilization 1.120"]
+fn window_goodput_never_exceeds_the_line_rate() {
+    let mut s = edge("known/goodput-ceiling", CcaKind::Reno, 50, 20);
+    s.start_jitter = SimDuration::from_secs(1);
+    s.warmup = SimDuration::from_secs(1);
+    s.duration = SimDuration::from_secs(1);
+    let line_rate_goodput = 1448.0 / 1500.0;
+    let utilization = run(&s).utilization();
+    assert!(
+        utilization <= line_rate_goodput + 1e-9,
+        "utilization {utilization} exceeds line rate less headers ({line_rate_goodput})"
+    );
+}

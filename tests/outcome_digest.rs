@@ -135,7 +135,7 @@ fn traced_digest_is_the_untraced_text_then_the_cctr_bytes() {
 #[test]
 fn a_one_nanosecond_shift_in_one_record_moves_the_traced_digest() {
     let o = run(&traced(4));
-    let records: Vec<TraceRecord> = o.trace.as_ref().unwrap().records.iter().copied().collect();
+    let records: Vec<TraceRecord> = o.trace.as_ref().unwrap().records.iter().collect();
     let i = records
         .iter()
         .position(|r| r.time >= SimTime::from_secs(1))
