@@ -395,7 +395,8 @@ impl Ledger {
     /// export wall time excluded) so it is comparable with the sentinel's
     /// eps gate; `wall_secs` stays as the end-to-end record. Profiled
     /// campaigns also record the worst memory-per-flow across jobs — the
-    /// megascale headline number and the input to CI's per-flow ceiling.
+    /// megascale headline number, read by the
+    /// `megascale_smoke.memory_per_flow_bytes` gate row.
     pub fn bench_summary_json(&self, jobs: usize, failed: usize) -> String {
         let (mut events, mut wall, mut dispatch) = (0u64, 0.0, 0.0);
         for e in self.ok_entries() {

@@ -11,7 +11,9 @@
 //! [`diff::diff`] is the regression sentinel (determinism breaks,
 //! fidelity drift, events/sec regressions) and [`report::markdown`] /
 //! [`report::html`] render the fidelity report mapping results back to
-//! the paper's Table 1 and Figures 2–8.
+//! the paper's Table 1 and Figures 2–8. Beside the sentinel,
+//! [`gates::evaluate`] checks a CI job's artefacts against its rows of
+//! `baselines/gates.json`, the one table of numeric CI bounds.
 //!
 //! Determinism contract: outcomes depend only on (configuration, seed),
 //! so a campaign run with 8 workers is byte-identical — per-run outcome
@@ -20,6 +22,7 @@
 
 pub mod diff;
 pub mod executor;
+pub mod gates;
 pub mod ledger;
 pub mod report;
 pub mod spec;

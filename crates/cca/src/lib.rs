@@ -16,14 +16,12 @@
 
 pub mod bbr;
 pub mod cubic;
-pub mod dctcp;
 pub mod reno;
 pub mod util;
 pub mod vegas;
 
 pub use bbr::{Bbr, Mode as BbrMode};
 pub use cubic::Cubic;
-pub use dctcp::Dctcp;
 pub use reno::NewReno;
 pub use util::{RoundTracker, WindowedMax};
 pub use vegas::Vegas;

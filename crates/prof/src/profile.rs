@@ -7,8 +7,7 @@
 //! every ledger line. Key names carry a `prof_` / `wheel_` / `pool`
 //! prefix. Nothing needs that any more — it dates from a manifest reader
 //! that extracted fields by first textual occurrence — but committed
-//! ledgers and CI's `grep -o '"wheel_sends_now":…'` carry the names, so
-//! they are the format.
+//! ledgers carry the names, so they are the format.
 
 use ccsim_sim::json::{Json, JsonError, JsonWriter};
 use ccsim_sim::WheelStats;
@@ -225,6 +224,19 @@ impl Profile {
                 bytes: g.req_u64("pool_bytes")?,
             })
         });
+        // Written together or not at all (see `to_json`), so one without
+        // the other is a damaged document, not a zero.
+        let (sends_now, lane_merges) = match (
+            v.opt_u64("wheel_sends_now")?,
+            v.opt_u64("wheel_lane_merges")?,
+        ) {
+            (Some(s), Some(m)) => (s, m),
+            (None, None) => (0, 0),
+            _ => {
+                let both = "\"wheel_sends_now\" and \"wheel_lane_merges\" come together";
+                return Err(JsonError::new(both));
+            }
+        };
         Ok(Profile {
             events: EventCells {
                 classes: v.req_strs("prof_classes")?,
@@ -244,8 +256,8 @@ impl Profile {
                 cancellable_scheduled: v.req_u64("wheel_cancellable")?,
                 // Newer than the oldest profile a ledger may hold.
                 revived: v.opt_u64("wheel_revived")?.unwrap_or(0),
-                sends_now: v.opt_u64("wheel_sends_now")?.unwrap_or(0),
-                lane_merges: v.opt_u64("wheel_lane_merges")?.unwrap_or(0),
+                sends_now,
+                lane_merges,
             },
             memory: memory.collect::<Result<_, JsonError>>()?,
             dispatch_nanos: v.req_u64("dispatch_nanos")?,
@@ -435,8 +447,8 @@ mod tests {
         // The legacy-line rule: what parsed without the keys writes
         // without them …
         assert_eq!(back.to_json(), old);
-        // … and one nonzero counter is enough to write both (CI greps
-        // both out of every fresh profile).
+        // … and one nonzero counter is enough to write both (the lane
+        // gate rows read both from every fresh profile).
         let mut fresh = back;
         fresh.wheel.sends_now = 7;
         assert!(fresh
@@ -452,6 +464,10 @@ mod tests {
         assert!(err.message.contains("wheel_cancels"), "{err}");
         let bad = json.replace("\"prof_counts\":[100,", "\"prof_counts\":[\"x\",");
         assert!(Profile::from_json(&bad).is_err());
+        // A lane counter without its partner is damage, not a zero.
+        let bad = json.replace(",\"wheel_lane_merges\":1", "");
+        let err = Profile::from_json(&bad).unwrap_err();
+        assert!(err.message.contains("wheel_lane_merges"), "{err}");
     }
 
     #[test]

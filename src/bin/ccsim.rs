@@ -40,8 +40,8 @@
 //! non-finite or clock-overflowing values are usage errors.
 //!
 //! Exit codes: 0 on success or help, 2 on a usage error, 1 on a runtime
-//! failure (and on `campaign diff` findings or a `bisect` divergence), 3
-//! when `replay` reproduces the captured failure.
+//! failure (and on `campaign diff` findings, a failing `gates` row or a
+//! `bisect` divergence), 3 when `replay` reproduces the captured failure.
 //!
 //! Examples:
 //!
@@ -85,13 +85,14 @@ const BISECT: u16 = 1 << 5;
 const CAMPAIGN_RUN: u16 = 1 << 6;
 const CAMPAIGN_REPORT: u16 = 1 << 7;
 const CAMPAIGN_DIFF: u16 = 1 << 8;
+const GATES: u16 = 1 << 9;
 /// The subcommands that build one `RunRequest` from the run flags.
 const RUNS: u16 = RUN | TRACE | PERF | TIMELINE;
 const CAMPAIGN: u16 = CAMPAIGN_RUN | CAMPAIGN_REPORT | CAMPAIGN_DIFF;
-const ALL: u16 = RUNS | REPLAY | BISECT | CAMPAIGN;
+const ALL: u16 = RUNS | REPLAY | BISECT | CAMPAIGN | GATES;
 
 /// Every subcommand: its bit, its name and its positional arguments.
-const SUBCOMMANDS: [(u16, &str, &[&str]); 9] = [
+const SUBCOMMANDS: [(u16, &str, &[&str]); 10] = [
     (RUN, "run", &[]),
     (TRACE, "trace", &[]),
     (PERF, "perf", &[]),
@@ -105,6 +106,7 @@ const SUBCOMMANDS: [(u16, &str, &[&str]); 9] = [
         "campaign diff",
         &["<baseline.jsonl>", "<current.jsonl>"],
     ),
+    (GATES, "gates", &["<job>", "<dir>"]),
 ];
 
 /// What each subcommand does, for `--help`.
@@ -119,6 +121,7 @@ fn about(cmd: u16) -> &'static str {
         CAMPAIGN_RUN => "run a spec's jobs on a worker pool into a ledger; exit 1 if any failed",
         CAMPAIGN_REPORT => "render a ledger as a Markdown or HTML fidelity report",
         CAMPAIGN_DIFF => "the regression sentinel: exit 1 on digest change, metric drift, eps drop",
+        GATES => "check a CI job's artefacts in <dir> against its rows of baselines/gates.json",
         _ => unreachable!("{cmd:b} is not one subcommand"),
     }
 }
@@ -251,10 +254,16 @@ its own; the trace subcommand counts), and trace takes no --checkpoint-at.
 /// subcommand one line per flag it takes.
 fn usage_text(scope: u16) -> String {
     let mut out = String::new();
-    for (i, (_, name, positionals)) in SUBCOMMANDS.iter().filter(|s| s.0 & scope != 0).enumerate() {
+    for (i, &(cmd, name, positionals)) in
+        SUBCOMMANDS.iter().filter(|s| s.0 & scope != 0).enumerate()
+    {
         let lead = if i == 0 { "usage:" } else { "      " };
-        let args: String = positionals.iter().map(|p| format!("{p} ")).collect();
-        let _ = writeln!(out, "{lead} ccsim {name} {args}[flags]");
+        let mut words = vec![name];
+        words.extend(positionals);
+        if FLAGS.iter().any(|f| f.cmds & cmd != 0) {
+            words.push("[flags]");
+        }
+        let _ = writeln!(out, "{lead} ccsim {}", words.join(" "));
     }
     if scope.count_ones() > 1 {
         return out + "\n`ccsim <cmd> --help` lists a subcommand's flags.\n";
@@ -323,7 +332,7 @@ fn parse(argv: &[&str]) -> Result<Parsed, Usage> {
             ),
             None => {
                 let err =
-                    "expected a subcommand: run, trace, perf, timeline, replay, bisect or campaign";
+                    "expected a subcommand: run, trace, perf, timeline, replay, bisect, campaign or gates";
                 (ALL, err.into())
             }
         });
@@ -728,6 +737,20 @@ fn campaign_diff(args: &Args) -> ! {
     exit(if report.is_clean() { 0 } else { 1 });
 }
 
+/// The `gates` subcommand: one line per row of the job, exit 1 if any fails.
+fn gates(args: &Args) -> ! {
+    use ccsim::campaign::gates;
+    let table = gates::table().unwrap_or_else(|e| fail(format!("baselines/gates.json: {e}")));
+    let job = &args.positionals[0];
+    let Some(verdicts) = gates::evaluate(&table, job, Path::new(&args.positionals[1])) else {
+        let jobs = gates::jobs(&table).join(", ");
+        args.usage(format!("no gate rows for job {job} (jobs: {jobs})"));
+    };
+    print!("{}", gates::render(&verdicts));
+    let failed = verdicts.iter().any(|v| !v.passed());
+    exit(if failed { 1 } else { 0 });
+}
+
 /// Bind `127.0.0.1:<port>` for the duration of a run or campaign; the
 /// state is what the progress hooks publish into.
 fn serve_live(port: u16, what: &str) -> (Arc<LiveState>, ServeHandle) {
@@ -900,6 +923,7 @@ fn main() {
             );
         }
         CAMPAIGN_DIFF => campaign_diff(&args),
+        GATES => gates(&args),
         _ => run(&args),
     }
 }

@@ -3,9 +3,8 @@
 //! Each case is a tiny scenario captured through
 //! [`RunRequest::checkpoint_at`]; the test asserts the container's
 //! encoded length and the FNV-1a digest of its body. Together the cases
-//! write every checkpointed type: the four scenario CCAs (DCTCP, which no
-//! scenario builds, is pinned directly), the four AQMs with ECN on, a fault
-//! plan whose injector holds each loss state, tracing (flow and queue
+//! write every checkpointed type: the four CCAs, the four AQMs with ECN
+//! on, a fault plan whose injector holds each loss state, tracing (flow and queue
 //! recorders), routers on `parking_lot:3`, the batched receiver and link
 //! (`delack_segments: 4`, `tx_burst: 8`, so a burst tail is in service), a
 //! watchdog, and both phases (a warm-up and a measurement capture).
@@ -14,13 +13,12 @@
 //! a changed figure is a changed checkpoint format, which needs a new
 //! `SNAP_VERSION` and new figures in the same change.
 
-use ccsim::cca::{CcaKind, Dctcp};
+use ccsim::cca::CcaKind;
 use ccsim::experiments::{FlowGroup, RunRequest, Scenario, Tuning};
 use ccsim::fault::{FaultPlan, WatchdogConfig};
 use ccsim::net::AqmKind;
 use ccsim::resume::fnv1a_64;
-use ccsim::sim::{Bandwidth, SimDuration, SimTime, SnapWriter};
-use ccsim::tcp::{AckSample, CongestionControl};
+use ccsim::sim::{Bandwidth, SimDuration, SimTime};
 use ccsim::topo::TopologyKind;
 use ccsim::trace::TraceConfig;
 
@@ -149,46 +147,4 @@ fn checkpoint_bytes_are_pinned() {
     }
     let want: Vec<_> = PINNED.to_vec();
     assert_eq!(got, want, "checkpoint bytes moved; got {got:#x?}");
-}
-
-/// DCTCP is the one CCA no scenario builds, so its state is pinned
-/// straight off the algorithm after a scripted ACK sequence with marks.
-#[test]
-fn dctcp_state_bytes_are_pinned() {
-    let mut cc = Dctcp::new(1000);
-    let mut sample = AckSample {
-        now: SimTime::ZERO,
-        rtt: Some(ms(20)),
-        srtt: ms(20),
-        min_rtt: ms(20),
-        newly_acked: 1000,
-        newly_lost: 0,
-        delivered: 0,
-        prior_delivered: 0,
-        prior_in_flight: 10_000,
-        in_flight: 10_000,
-        delivery_rate: None,
-        interval: ms(20),
-        is_app_limited: false,
-        in_recovery: false,
-        mss: 1000,
-        cumulative_ack: 0,
-    };
-    for i in 1..=200u64 {
-        sample.now = SimTime::from_millis(i);
-        sample.prior_delivered = sample.delivered;
-        sample.delivered += 1000;
-        sample.cumulative_ack += 1000;
-        cc.on_ack(&sample);
-        if i % 37 == 0 {
-            cc.on_ecn(&sample);
-        }
-    }
-    let mut w = SnapWriter::new();
-    cc.save_state(&mut w);
-    assert_eq!(
-        (w.len(), fnv1a_64(w.as_bytes())),
-        (48, 0x2c6c_d18e_4b0a_e4dd),
-        "DCTCP state bytes moved"
-    );
 }

@@ -159,4 +159,23 @@ fn sentinel_is_clean_on_rerun_and_fires_on_doctored_regressions() {
     );
     assert_eq!(report.count(FindingKind::DeterminismBreak), 1);
     assert!(!report.is_clean());
+
+    // The same doctoring on the committed single- and multi-bottleneck
+    // baselines: clean against themselves, one break for one digest.
+    let skip_eps = DiffOptions {
+        eps_tol: None,
+        check_eps: false,
+    };
+    for name in ["ci-smoke", "topo-smoke"] {
+        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join(format!("baselines/{name}.ledger.jsonl"));
+        let committed = Ledger::load(&path).unwrap();
+        assert!(diff(&committed, &committed, &skip_eps).is_clean(), "{name}");
+        let mut doctored = committed.clone();
+        let digest = doctored.entries[0].outcome_digest.as_mut().unwrap();
+        digest.insert_str(0, "f00d");
+        let report = diff(&committed, &doctored, &skip_eps);
+        assert_eq!(report.count(FindingKind::DeterminismBreak), 1, "{name}");
+        assert_eq!(report.findings.len(), 1, "{name}: {}", report.render());
+    }
 }

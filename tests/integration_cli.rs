@@ -3,7 +3,8 @@
 //!
 //! Conventions under test: usage errors complain on **stderr** and exit
 //! 2; `--help` prints on **stdout** and exits 0; runtime failures exit
-//! 1; `campaign diff` exits 1 on findings and 0 when clean.
+//! 1; `campaign diff` exits 1 on findings and 0 when clean, as `gates`
+//! does on a failing row.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -84,6 +85,7 @@ fn help_goes_to_stdout_with_exit_0() {
         &["campaign", "run", "--help"][..],
         &["campaign", "report", "--help"][..],
         &["campaign", "diff", "--help"][..],
+        &["gates", "--help"][..],
     ] {
         let out = ccsim(args);
         assert_eq!(out.status.code(), Some(0), "args {args:?}");
@@ -306,6 +308,59 @@ fn campaign_diff_fails_with_exit_1_on_missing_ledger() {
     ]);
     assert_eq!(out.status.code(), Some(1));
     assert!(stderr(&out).contains("cannot load ledger"));
+}
+
+#[test]
+fn gates_exits_0_when_every_row_passes_1_on_a_failing_row_2_on_an_unknown_job() {
+    // The megascale job's two artefacts, as its commands write them.
+    let dir = temp_dir("gates");
+    let d = dir.to_str().unwrap();
+    let write = |per_flow: &str| {
+        let bench =
+            format!("{{\"campaign\":\"megascale-smoke\",\"memory_per_flow_bytes\":{per_flow}}}");
+        std::fs::write(dir.join("BENCH_megascale.json"), bench).unwrap();
+    };
+    let last_line = "{\"correct\":true,\"attempted\":5,\"failed\":0,\"metrics\":{}}";
+    std::fs::write(
+        dir.join("mega100k.txt"),
+        format!("runs_failed 0 count\n{last_line}\n"),
+    )
+    .unwrap();
+    write("1924.372");
+    let out = ccsim(&["gates", "megascale", d]);
+    assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
+    assert_eq!(stdout(&out).lines().count(), 3);
+    assert!(
+        stdout(&out).lines().all(|l| l.ends_with(" ok")),
+        "{}",
+        stdout(&out)
+    );
+
+    // Its trip value: a 48-byte scoreboard segment.
+    write("2168");
+    let out = ccsim(&["gates", "megascale", d]);
+    assert_eq!(out.status.code(), Some(1));
+    let text = stdout(&out);
+    let failing: Vec<&str> = text.lines().filter(|l| l.contains("FAIL")).collect();
+    assert_eq!(failing.len(), 1, "{text}");
+    assert!(failing[0].starts_with("megascale_smoke.memory_per_flow_bytes"));
+
+    // A missing artefact fails its rows; it does not read 0.
+    std::fs::remove_file(dir.join("BENCH_megascale.json")).unwrap();
+    let out = ccsim(&["gates", "megascale", d]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        stdout(&out).contains("BENCH_megascale.json"),
+        "{}",
+        stdout(&out)
+    );
+
+    for args in [&["gates", "nosuchjob", d][..], &["gates", "megascale"][..]] {
+        let out = ccsim(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(stderr(&out).contains("usage: ccsim gates <job> <dir>"));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A 2-flow run small enough for the debug binary.
