@@ -8,8 +8,9 @@
 //!    seed, so any mismatch is a behavior change, never noise.
 //! 2. **Status changes** — a run that used to succeed now fails (or vice
 //!    versa).
-//! 3. **Fidelity drift** — paper metrics (JFI, Mathis median error,
-//!    synchronization index) moved beyond the tolerances stored in the
+//! 3. **Fidelity drift** — a paper metric with a drift tolerance in
+//!    [`METRICS`] (JFI, Mathis median error, synchronization index,
+//!    convergence time) moved beyond the tolerance stored in the
 //!    baseline header. Only reachable when the digest *also* changed, but
 //!    reported separately because it means the change is large enough to
 //!    alter the paper's conclusions, not just flip low bits.
@@ -19,6 +20,7 @@
 //! 5. **Coverage changes** — configs present in one ledger only.
 
 use crate::ledger::{Ledger, LedgerEntry};
+use crate::metric::METRICS;
 use std::fmt::Write as _;
 
 /// What kind of regression a finding reports.
@@ -116,25 +118,6 @@ impl DiffReport {
     }
 }
 
-fn drift(
-    findings: &mut Vec<Finding>,
-    job: &str,
-    metric: &str,
-    base: Option<f64>,
-    cur: Option<f64>,
-    tol: f64,
-) {
-    if let (Some(b), Some(c)) = (base, cur) {
-        if (c - b).abs() > tol {
-            findings.push(Finding {
-                kind: FindingKind::FidelityDrift,
-                job: job.to_string(),
-                detail: format!("{metric} drifted {b:.4} -> {c:.4} (tolerance ±{tol})"),
-            });
-        }
-    }
-}
-
 /// Compare `current` against `baseline`. Tolerances come from the
 /// baseline header ([`crate::spec::Tolerances`]), with the events/sec
 /// fraction overridable via [`DiffOptions::eps_tol`].
@@ -213,34 +196,24 @@ fn compare_pair(
             ),
         });
     }
-    if let (Some(bm), Some(cm)) = (&base.metrics, &cur.metrics) {
-        drift(findings, &cur.job, "jfi", bm.jfi, cm.jfi, tol.jfi);
-        drift(
-            findings,
-            &cur.job,
-            "mathis_err",
-            bm.mathis_err,
-            cm.mathis_err,
-            tol.mathis_err,
-        );
-        drift(
-            findings,
-            &cur.job,
-            "sync_index",
-            bm.sync_index,
-            cm.sync_index,
-            tol.sync_index,
-        );
-        // Fires only when both ledgers captured timelines; a baseline
-        // recorded without `--timeline` never gates convergence time.
-        drift(
-            findings,
-            &cur.job,
-            "convergence_time",
-            bm.convergence_time,
-            cm.convergence_time,
-            tol.convergence_secs,
-        );
+    // A metric gates only when both entries carry it: a baseline recorded
+    // without `--timeline` never gates convergence time.
+    for metric in METRICS {
+        let Some(tolerance) = metric.tolerance.map(|t| t(tol)) else {
+            continue;
+        };
+        if let (Some(b), Some(c)) = ((metric.read)(base), (metric.read)(cur)) {
+            if (c - b).abs() > tolerance {
+                findings.push(Finding {
+                    kind: FindingKind::FidelityDrift,
+                    job: cur.job.clone(),
+                    detail: format!(
+                        "{} drifted {b:.4} -> {c:.4} (tolerance ±{tolerance})",
+                        metric.name
+                    ),
+                });
+            }
+        }
     }
     if check_eps && base.events_per_sec > 0.0 {
         let frac = (base.events_per_sec - cur.events_per_sec) / base.events_per_sec;
@@ -291,7 +264,7 @@ fn compare_pair(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::Rollup;
+    use crate::metric::Rollup;
     use crate::spec::Tolerances;
 
     fn entry(seed: u64) -> LedgerEntry {
@@ -317,14 +290,9 @@ mod tests {
                 loss_rate: 0.01,
                 mathis_err: Some(0.10),
                 sync_index: Some(0.5),
-                drop_burstiness: None,
                 share_a: Some(1.0),
-                mathis_c_loss: None,
-                mathis_c_halving: None,
-                mathis_err_halving: None,
-                loss_to_halving_ratio: None,
                 convergence_time: Some(2.0),
-                bottlenecks: Vec::new(),
+                ..Rollup::default()
             }),
             manifest: None,
         }

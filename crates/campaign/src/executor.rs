@@ -12,24 +12,17 @@
 //! produces per-run outcome digests byte-identical to `--workers 1`.
 //! The integration tests assert exactly that.
 
+use crate::metric::{Rollup, Run, METRICS};
 use crate::spec::CampaignJob;
-use ccsim_analysis::mathis::fit_constant;
-use ccsim_cca::CcaKind;
 use ccsim_core::observe::scenario_digest;
 use ccsim_core::{
-    crash, BottleneckMetrics, LiveState, ObserveOptions, ObservedRun, PInterpretation, RunOutcome,
-    RunRequest, Scenario, TimelineConfig,
+    crash, LiveState, ObserveOptions, ObservedRun, RunRequest, Scenario, TimelineConfig,
 };
-use ccsim_sim::SimDuration;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// The trace bin used for the ledger's synchronization-index rollup
-/// (matches the CLI's `--sync-bin` default).
-pub const SYNC_BIN: SimDuration = SimDuration::from_millis(10);
 
 /// Executor configuration.
 #[derive(Debug, Clone)]
@@ -134,136 +127,6 @@ impl SupervisorOptions {
     }
 }
 
-/// The paper-fidelity metrics distilled from one run — what the ledger
-/// stores per entry and what `campaign diff` compares across ledgers.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Rollup {
-    /// Jain's Fairness Index across all flows.
-    pub jfi: Option<f64>,
-    /// Bottleneck utilization over the window.
-    pub utilization: f64,
-    /// Aggregate throughput, Mbps.
-    pub aggregate_mbps: f64,
-    /// Aggregate bottleneck loss rate.
-    pub loss_rate: f64,
-    /// Median relative Mathis prediction error (packet-loss
-    /// interpretation) for the run's majority CCA.
-    pub mathis_err: Option<f64>,
-    /// Trace-based loss-synchronization index (needs tracing enabled).
-    pub sync_index: Option<f64>,
-    /// Goh–Barabási burstiness of the drop train.
-    pub drop_burstiness: Option<f64>,
-    /// Throughput share of the first flow group's CCA.
-    pub share_a: Option<f64>,
-    /// Best-fit Mathis constant for the majority CCA with `p` = packet
-    /// loss rate (Table 1). This and the three fields below are absent
-    /// from the JSON when `None`, so ledger lines that predate them
-    /// re-serialize byte-identically.
-    pub mathis_c_loss: Option<f64>,
-    /// Best-fit Mathis constant with `p` = CWND-halving rate (Table 1).
-    pub mathis_c_halving: Option<f64>,
-    /// Median relative Mathis prediction error under the halving-rate
-    /// fit (Figure 2; `mathis_err` is the packet-loss side).
-    pub mathis_err_halving: Option<f64>,
-    /// Packet-loss to CWND-halving ratio (Figure 3).
-    pub loss_to_halving_ratio: Option<f64>,
-    /// Time to α-fair convergence (seconds, sim time) from the run's
-    /// timeline capture. `None` for runs without a timeline, runs that
-    /// never reached α, and legacy ledger lines (the key is absent from
-    /// their JSON, so they re-serialize byte-identically).
-    pub convergence_time: Option<f64>,
-    /// Per-bottleneck utilization/fairness records. Empty for legacy
-    /// single-bottleneck drop-tail runs (the runner only populates them
-    /// for topology-subsystem configurations), so old ledger lines parse
-    /// and re-serialize byte-identically.
-    pub bottlenecks: Vec<BottleneckMetrics>,
-}
-
-impl Rollup {
-    /// Distill an outcome into its ledger rollup.
-    pub fn of(outcome: &RunOutcome) -> Rollup {
-        let majority = majority_cca(outcome);
-        let fit = |p| majority.and_then(|cca| fit_constant(&outcome.mathis_observations(cca, p)));
-        let loss_fit = fit(PInterpretation::PacketLoss);
-        let halving_fit = fit(PInterpretation::CwndHalving);
-        Rollup {
-            jfi: outcome.jain_index(),
-            utilization: outcome.utilization(),
-            aggregate_mbps: outcome.aggregate_throughput_mbps(),
-            loss_rate: outcome.aggregate_loss_rate,
-            mathis_err: loss_fit.as_ref().map(|f| f.median_error),
-            sync_index: outcome.trace_synchronization_index(SYNC_BIN),
-            drop_burstiness: outcome.drop_burstiness,
-            share_a: outcome
-                .flow_cca
-                .first()
-                .and_then(|&cca| outcome.share_of(cca)),
-            mathis_c_loss: loss_fit.as_ref().map(|f| f.c),
-            mathis_c_halving: halving_fit.as_ref().map(|f| f.c),
-            mathis_err_halving: halving_fit.as_ref().map(|f| f.median_error),
-            loss_to_halving_ratio: outcome.loss_to_halving_ratio(),
-            // The outcome carries no timeline (it must stay digest-inert);
-            // JobResult::rollup injects it from the manifest.
-            convergence_time: None,
-            bottlenecks: outcome.bottlenecks.clone(),
-        }
-    }
-
-    /// Every name [`Rollup::get`] answers to — what an expectation may
-    /// name.
-    pub const METRICS: [&'static str; 14] = [
-        "jfi",
-        "utilization",
-        "aggregate_mbps",
-        "loss_rate",
-        "mathis_err",
-        "sync_index",
-        "drop_burstiness",
-        "share_a",
-        "mathis_c_loss",
-        "mathis_c_halving",
-        "mathis_err_halving",
-        "loss_to_halving_ratio",
-        "convergence_time",
-        "bottleneck_jfi_min",
-    ];
-
-    /// Look up a metric by its spec/ledger name (one of
-    /// [`Rollup::METRICS`]; anything else is `None`).
-    pub fn get(&self, metric: &str) -> Option<f64> {
-        match metric {
-            "jfi" => self.jfi,
-            "utilization" => Some(self.utilization),
-            "aggregate_mbps" => Some(self.aggregate_mbps),
-            "loss_rate" => Some(self.loss_rate),
-            "mathis_err" => self.mathis_err,
-            "sync_index" => self.sync_index,
-            "drop_burstiness" => self.drop_burstiness,
-            "share_a" => self.share_a,
-            "mathis_c_loss" => self.mathis_c_loss,
-            "mathis_c_halving" => self.mathis_c_halving,
-            "mathis_err_halving" => self.mathis_err_halving,
-            "loss_to_halving_ratio" => self.loss_to_halving_ratio,
-            "convergence_time" => self.convergence_time,
-            // Worst-case fairness across the topology's bottlenecks —
-            // lets expectations bound every congested link at once.
-            "bottleneck_jfi_min" => self
-                .bottlenecks
-                .iter()
-                .filter_map(|b| b.jfi)
-                .min_by(|a, b| a.total_cmp(b)),
-            _ => None,
-        }
-    }
-}
-
-fn majority_cca(outcome: &RunOutcome) -> Option<CcaKind> {
-    let mut kinds: Vec<CcaKind> = outcome.flow_cca.clone();
-    kinds.sort_by_key(|k| k.name());
-    kinds.dedup();
-    kinds.into_iter().max_by_key(|&k| outcome.count_of(k))
-}
-
 /// The result of one executed job: the observed run on success, an error
 /// string (typed failure or panic message) otherwise.
 #[derive(Debug)]
@@ -283,18 +146,21 @@ pub struct JobResult {
 }
 
 impl JobResult {
-    /// The metric rollup, for successful runs. Timeline-derived fields
-    /// come from the manifest (the outcome itself stays digest-inert).
+    /// The metric rollup, for successful runs: every stored row of
+    /// [`METRICS`] read out of the run, plus the per-bottleneck records.
     pub fn rollup(&self) -> Option<Rollup> {
-        self.run.as_ref().ok().map(|obs| {
-            let mut r = Rollup::of(&obs.outcome);
-            r.convergence_time = obs
-                .manifest
-                .timeline
-                .as_ref()
-                .and_then(|t| t.time_to_alpha_fair);
-            r
-        })
+        let obs = self.run.as_ref().ok()?;
+        let run = Run::new(obs);
+        let mut rollup = Rollup {
+            bottlenecks: obs.outcome.bottlenecks.clone(),
+            ..Rollup::default()
+        };
+        for metric in METRICS {
+            if let Some(value) = (metric.extract)(&run) {
+                (metric.store)(&mut rollup, value);
+            }
+        }
+        Some(rollup)
     }
 }
 
@@ -570,8 +436,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccsim_cca::CcaKind;
     use ccsim_core::FlowGroup;
-    use ccsim_sim::Bandwidth;
+    use ccsim_sim::{Bandwidth, SimDuration};
 
     fn tiny(seed: u64) -> Scenario {
         let mut s = Scenario::edge_scale()
@@ -761,58 +628,24 @@ mod tests {
         let rollup = results[0].rollup().unwrap();
         assert!(rollup.utilization > 0.5);
         assert!(rollup.jfi.unwrap() > 0.5);
-        assert_eq!(rollup.get("utilization"), Some(rollup.utilization));
-        assert_eq!(rollup.get("jfi"), rollup.jfi);
-        assert_eq!(rollup.get("nonsense"), None);
         // Two Reno flows halving against a 100 kB buffer: both Mathis
         // fits (Table 1, Figure 2) and the Figure 3 ratio are present.
         assert!(rollup.mathis_c_loss.unwrap() > 0.0);
         assert!(rollup.mathis_c_halving.unwrap() > 0.0);
         assert!(rollup.mathis_err_halving.is_some());
         assert!(rollup.loss_to_halving_ratio.unwrap() >= 1.0);
-        assert_eq!(rollup.get("mathis_c_loss"), rollup.mathis_c_loss);
-        assert_eq!(rollup.get("mathis_c_halving"), rollup.mathis_c_halving);
-        assert_eq!(rollup.get("mathis_err_halving"), rollup.mathis_err_halving);
-        assert_eq!(
-            rollup.get("loss_to_halving_ratio"),
-            rollup.loss_to_halving_ratio
-        );
         // No trace configured: the sync index is absent, not invented.
         assert_eq!(rollup.sync_index, None);
         // No timeline configured: no convergence time either.
         assert_eq!(rollup.convergence_time, None);
-    }
-
-    #[test]
-    fn metrics_lists_exactly_the_names_get_answers_to() {
-        let full = Rollup {
-            jfi: Some(0.9),
-            utilization: 0.9,
-            aggregate_mbps: 9.0,
-            loss_rate: 0.01,
-            mathis_err: Some(0.1),
-            sync_index: Some(0.2),
-            drop_burstiness: Some(0.3),
-            share_a: Some(0.5),
-            mathis_c_loss: Some(1.78),
-            mathis_c_halving: Some(1.47),
-            mathis_err_halving: Some(0.05),
-            loss_to_halving_ratio: Some(1.7),
-            convergence_time: Some(2.0),
-            bottlenecks: vec![BottleneckMetrics {
-                link: 0,
-                label: "bn0".into(),
-                utilization: 0.9,
-                jfi: Some(0.8),
-                loss_rate: 0.0,
-                max_queue_bytes: 1,
-                ce_marked_pkts: 0,
-            }],
-        };
-        for name in Rollup::METRICS {
-            assert!(full.get(name).is_some(), "{name} is listed but unknown");
+        // Every row reads back from the ledger entry what it took from
+        // the run.
+        let entry = crate::LedgerEntry::from_result(&results[0]);
+        let run = Run::new(results[0].run.as_ref().unwrap());
+        for metric in METRICS {
+            let (read, extracted) = ((metric.read)(&entry), (metric.extract)(&run));
+            assert_eq!(read, extracted, "{}", metric.name);
         }
-        assert_eq!(full.get("jif"), None);
     }
 
     #[test]
@@ -832,7 +665,6 @@ mod tests {
         assert!(summary.rows > 0);
         let rollup = timelined[0].rollup().unwrap();
         assert_eq!(rollup.convergence_time, summary.time_to_alpha_fair);
-        assert_eq!(rollup.get("convergence_time"), rollup.convergence_time);
         // Two fair Reno flows at equal RTT converge quickly: the rollup
         // actually carries a time, it is not vacuously None.
         assert!(rollup.convergence_time.is_some());

@@ -14,7 +14,8 @@
 //! (`campaign diff`) indexes entries by config digest via
 //! [`Ledger::by_config`].
 
-use crate::executor::{JobResult, Rollup};
+use crate::executor::JobResult;
+use crate::metric::{Presence, Rollup, EVENTS_PER_SEC, METRICS};
 use crate::spec::{
     parse_expectations, parse_tolerances, write_expectations, write_tolerances, Expectation,
     Tolerances,
@@ -122,11 +123,11 @@ impl LedgerEntry {
     }
 
     /// Serialize to one JSONL line (no trailing newline). Keys newer than
-    /// the first ledger (`attempts`, `quarantined`, `eps_by_kind`, and the
-    /// four Mathis keys, `convergence_time` and `bottlenecks` inside
-    /// `metrics`) are absent — not
-    /// `null`, `{}` or `[]` — at their defaults, so legacy lines and
-    /// unsupervised, unprofiled runs re-serialize byte-identically.
+    /// the first ledger (`attempts`, `quarantined`, `eps_by_kind`, and
+    /// inside `metrics` every absent-when-`None` row of [`METRICS`] and
+    /// `bottlenecks`) are absent — not `null`, `{}` or `[]` — at their
+    /// defaults, so legacy lines and unsupervised, unprofiled runs
+    /// re-serialize byte-identically.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(2048);
         JsonWriter::compact(&mut out).obj(|w| {
@@ -146,7 +147,7 @@ impl LedgerEntry {
             w.key("sim_secs").f64(self.sim_secs);
             w.key("wall_secs").f64(self.wall_secs);
             w.key("events_processed").u64(self.events_processed);
-            w.key("events_per_sec").f64(self.events_per_sec);
+            w.key(EVENTS_PER_SEC).f64(self.events_per_sec);
             if self.attempts != 1 {
                 w.key("attempts").u64(self.attempts.into());
             }
@@ -162,27 +163,11 @@ impl LedgerEntry {
             }
             w.key("metrics").opt(self.metrics.as_ref(), |w, m| {
                 w.obj(|w| {
-                    w.key("jfi").opt(m.jfi, JsonWriter::f64);
-                    w.key("utilization").f64(m.utilization);
-                    w.key("aggregate_mbps").f64(m.aggregate_mbps);
-                    w.key("loss_rate").f64(m.loss_rate);
-                    w.key("mathis_err").opt(m.mathis_err, JsonWriter::f64);
-                    w.key("sync_index").opt(m.sync_index, JsonWriter::f64);
-                    w.key("drop_burstiness")
-                        .opt(m.drop_burstiness, JsonWriter::f64);
-                    w.key("share_a").opt(m.share_a, JsonWriter::f64);
-                    for (key, value) in [
-                        ("mathis_c_loss", m.mathis_c_loss),
-                        ("mathis_c_halving", m.mathis_c_halving),
-                        ("mathis_err_halving", m.mathis_err_halving),
-                        ("loss_to_halving_ratio", m.loss_to_halving_ratio),
-                    ] {
-                        if let Some(v) = value {
-                            w.key(key).f64(v);
+                    for metric in METRICS {
+                        match (metric.presence, (metric.read)(self)) {
+                            (Presence::NotStored, _) | (Presence::AbsentWhenNone, None) => {}
+                            (_, value) => w.key(metric.name).opt(value, JsonWriter::f64),
                         }
-                    }
-                    if let Some(ct) = m.convergence_time {
-                        w.key("convergence_time").f64(ct);
                     }
                     if !m.bottlenecks.is_empty() {
                         w.key("bottlenecks").arr(&m.bottlenecks, |w, b| b.write(w));
@@ -207,22 +192,21 @@ impl LedgerEntry {
                     .iter()
                     .map(BottleneckMetrics::from_value)
                     .collect::<Result<_, _>>()?;
-                Some(Rollup {
-                    jfi: m.opt_f64("jfi")?,
-                    utilization: m.req_f64("utilization")?,
-                    aggregate_mbps: m.req_f64("aggregate_mbps")?,
-                    loss_rate: m.req_f64("loss_rate")?,
-                    mathis_err: m.opt_f64("mathis_err")?,
-                    sync_index: m.opt_f64("sync_index")?,
-                    drop_burstiness: m.opt_f64("drop_burstiness")?,
-                    share_a: m.opt_f64("share_a")?,
-                    mathis_c_loss: m.opt_f64("mathis_c_loss")?,
-                    mathis_c_halving: m.opt_f64("mathis_c_halving")?,
-                    mathis_err_halving: m.opt_f64("mathis_err_halving")?,
-                    loss_to_halving_ratio: m.opt_f64("loss_to_halving_ratio")?,
-                    convergence_time: m.opt_f64("convergence_time")?,
+                let mut rollup = Rollup {
                     bottlenecks,
-                })
+                    ..Rollup::default()
+                };
+                for metric in METRICS {
+                    let value = match metric.presence {
+                        Presence::Always => Some(m.req_f64(metric.name)?),
+                        Presence::NotStored => None,
+                        _ => m.opt_f64(metric.name)?,
+                    };
+                    if let Some(value) = value {
+                        (metric.store)(&mut rollup, value);
+                    }
+                }
+                Some(rollup)
             }
             _ => None,
         };
@@ -243,7 +227,7 @@ impl LedgerEntry {
             sim_secs: v.opt_f64("sim_secs")?.unwrap_or(0.0),
             wall_secs: v.opt_f64("wall_secs")?.unwrap_or(0.0),
             events_processed: v.opt_u64("events_processed")?.unwrap_or(0),
-            events_per_sec: v.opt_f64("events_per_sec")?.unwrap_or(0.0),
+            events_per_sec: v.opt_f64(EVENTS_PER_SEC)?.unwrap_or(0.0),
             eps_by_kind: v.opt_pairs("eps_by_kind", Json::as_f64)?,
             metrics,
             manifest,
@@ -420,7 +404,7 @@ impl Ledger {
             w.key("events").u64(events);
             w.key("wall_secs").f64(wall);
             w.key("dispatch_secs").f64(dispatch);
-            w.key("events_per_sec")
+            w.key(EVENTS_PER_SEC)
                 .f64(safe_rate(events as f64, dispatch));
             if let Some(peak) = peak_mem {
                 w.key("memory_bytes_peak").u64(peak.0);
@@ -539,15 +523,9 @@ mod tests {
                 aggregate_mbps: 9.3,
                 loss_rate: 0.0123,
                 mathis_err: Some(0.08),
-                sync_index: None,
                 drop_burstiness: Some(0.21),
                 share_a: Some(1.0),
-                mathis_c_loss: None,
-                mathis_c_halving: None,
-                mathis_err_halving: None,
-                loss_to_halving_ratio: None,
-                convergence_time: None,
-                bottlenecks: Vec::new(),
+                ..Rollup::default()
             }),
             manifest: None,
         }
@@ -588,37 +566,59 @@ mod tests {
         }
     }
 
+    /// Every row of the metric table: `None` is written as its presence
+    /// rule says, `Some` comes back bit for bit through the ledger line,
+    /// and an expectation may name it.
     #[test]
-    fn convergence_time_round_trips_and_stays_out_of_legacy_lines() {
-        let plain = sample_entry(7, true);
-        assert!(!plain.to_json().contains("convergence_time"));
-
-        let mut e = sample_entry(9, true);
-        e.metrics.as_mut().unwrap().convergence_time = Some(2.5);
-        let line = e.to_json();
-        assert!(line.contains("\"convergence_time\":2.5"));
-        let back = LedgerEntry::from_value(&Json::parse(&line).unwrap()).unwrap();
-        assert_eq!(back, e);
-    }
-
-    #[test]
-    fn mathis_keys_round_trip_and_stay_out_of_legacy_lines() {
-        let plain = sample_entry(7, true).to_json();
-        assert!(!plain.contains("mathis_c_") && !plain.contains("loss_to_halving"));
-
-        let mut e = sample_entry(9, true);
-        let m = e.metrics.as_mut().unwrap();
-        m.mathis_c_loss = Some(1.78);
-        m.mathis_c_halving = Some(1.47);
-        m.mathis_err_halving = Some(0.06);
-        m.loss_to_halving_ratio = Some(1.7);
-        let line = e.to_json();
-        assert!(line.contains(
-            "\"share_a\":1.0,\"mathis_c_loss\":1.78,\"mathis_c_halving\":1.47,\
-             \"mathis_err_halving\":0.06,\"loss_to_halving_ratio\":1.7}"
-        ));
-        let back = LedgerEntry::from_value(&Json::parse(&line).unwrap()).unwrap();
-        assert_eq!(back, e);
+    fn every_metric_row_round_trips_keeps_its_presence_rule_and_names_an_expectation() {
+        use crate::metric::{Metric, Presence};
+        let spec = |metric: &str| {
+            crate::CampaignSpec::from_json(&format!(
+                r#"{{"name": "walk", "base": {{"flows": ["reno:2:20"]}},
+                    "expectations": [{{"metric": "{metric}", "min": 0.5}}]}}"#
+            ))
+        };
+        let reparse = |e: &LedgerEntry| {
+            let v = Json::parse(&e.to_json()).unwrap();
+            (LedgerEntry::from_value(&v).unwrap(), v)
+        };
+        let with = |metrics| LedgerEntry {
+            metrics: Some(metrics),
+            ..sample_entry(1, true)
+        };
+        let blank = with(Rollup::default());
+        let (back, v) = reparse(&blank);
+        assert_eq!(back, blank);
+        for (i, metric) in METRICS.iter().enumerate() {
+            let name = metric.name;
+            assert!(spec(name).is_ok(), "{name} is not a valid expectation");
+            let key = v.get("metrics").unwrap().get(name);
+            match metric.presence {
+                Presence::Always => assert_eq!(key.and_then(Json::as_f64), Some(0.0), "{name}"),
+                Presence::NullWhenNone => assert!(key.is_some_and(Json::is_null), "{name}"),
+                _ => assert!(key.is_none(), "{name}"),
+            }
+            if metric.presence == Presence::NotStored {
+                continue;
+            }
+            let value = 1.0 / (i as f64 + 3.0);
+            let mut rollup = Rollup::default();
+            (metric.store)(&mut rollup, value);
+            let (back, v) = reparse(&with(rollup));
+            let written = v.get("metrics").unwrap().get(name).and_then(Json::as_f64);
+            assert_eq!(written.map(f64::to_bits), Some(value.to_bits()), "{name}");
+            let read = (metric.read)(&back).map(f64::to_bits);
+            assert_eq!(read, Some(value.to_bits()), "{name}");
+            // ...and it is the only metric that moved.
+            let moved = METRICS
+                .iter()
+                .filter(|m| (m.read)(&back) != (m.read)(&blank));
+            assert_eq!(moved.map(|m| m.name).collect::<Vec<_>>(), [name]);
+        }
+        // A name outside the table is refused, and the error lists them all.
+        let err = spec("jif").map(|_| ()).unwrap_err().message;
+        assert!(err.contains("\"jif\""), "{err}");
+        assert!(err.contains(&Metric::names()), "{err}");
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! [`diff::diff`] is the regression sentinel (determinism breaks,
 //! fidelity drift, events/sec regressions) and [`report::markdown`] /
 //! [`report::html`] render the fidelity report mapping results back to
-//! the paper's Table 1 and Figures 2–8. Beside the sentinel,
+//! the paper's Table 1 and Figures 2–8. Each metric those verdicts read
+//! is one row of [`METRICS`]. Beside the sentinel,
 //! [`gates::evaluate`] checks a CI job's artefacts against its rows of
 //! `baselines/gates.json`, the one table of numeric CI bounds.
 //!
@@ -24,14 +25,16 @@ pub mod diff;
 pub mod executor;
 pub mod gates;
 pub mod ledger;
+pub mod metric;
 pub mod report;
 pub mod spec;
 
 pub use diff::{diff, DiffOptions, DiffReport, Finding, FindingKind};
 pub use executor::{
-    run_campaign, run_campaign_supervised, run_scenarios, ExecutorOptions, JobResult, Rollup,
+    run_campaign, run_campaign_supervised, run_scenarios, ExecutorOptions, JobResult,
     SupervisorOptions,
 };
 pub use ledger::{Ledger, LedgerEntry, LedgerWriter};
-pub use report::{check_expectations, ExpectationResult};
+pub use metric::{Metric, Rollup, METRICS};
+pub use report::{check_expectations, verdict_row, ExpectationResult};
 pub use spec::{Axis, CampaignJob, CampaignSpec, Expectation, Tolerances};

@@ -13,6 +13,7 @@
 //! (up to which of two concurrently running cells finishes first).
 
 use crate::ledger::{Ledger, LedgerEntry};
+use crate::metric::{Metric, METRICS};
 use crate::spec::Expectation;
 use ccsim_analysis::stats::{mean, std_dev};
 use ccsim_telemetry::Histogram;
@@ -70,41 +71,15 @@ fn fmt_mean_sd(values: &[f64]) -> String {
     }
 }
 
-fn collect(entries: &[&LedgerEntry], metric: &str) -> Vec<f64> {
-    entries
-        .iter()
-        .filter_map(|e| match metric {
-            "events_per_sec" => Some(e.events_per_sec),
-            _ => e.metrics.as_ref().and_then(|m| m.get(metric)),
-        })
-        .collect()
+fn collect(entries: &[&LedgerEntry], metric: &Metric) -> Vec<f64> {
+    entries.iter().filter_map(|e| (metric.read)(e)).collect()
 }
 
-/// Metrics shown in the fidelity, per-cell and per-axis tables, in
-/// column order, each with the paper artifact it maps to.
-const TABLE_METRICS: [(&str, &str); 12] = [
-    ("jfi", "Figure 4 + Finding 4 (intra-CCA fairness)"),
-    ("utilization", "§3 testbed (bottleneck saturation)"),
-    (
-        "loss_rate",
-        "§4 (the Mathis model's p, read as packet loss)",
-    ),
-    ("mathis_c_loss", "Table 1 (C from the packet-loss rate)"),
-    ("mathis_c_halving", "Table 1 (C from the CWND-halving rate)"),
-    ("mathis_err", "Figure 2 (median error, packet-loss rate)"),
-    (
-        "mathis_err_halving",
-        "Figure 2 (median error, CWND-halving rate)",
-    ),
-    (
-        "loss_to_halving_ratio",
-        "Figure 3 (packet-loss / CWND-halving ratio)",
-    ),
-    ("drop_burstiness", "Finding 3 (drop-train burstiness)"),
-    ("sync_index", "§5 (loss synchronization)"),
-    ("share_a", "Figures 5–8 (inter-CCA shares)"),
-    ("convergence_time", "§4 (time to α-fair allocation)"),
-];
+/// The metrics shown in the fidelity, per-cell and per-axis tables — the
+/// rows that cite a paper artefact — in table order.
+fn reported() -> impl Iterator<Item = (&'static Metric, &'static str)> {
+    METRICS.iter().filter_map(|m| Some((m, m.paper?)))
+}
 
 /// One expectation's verdict on one cell: the cell's mean over its
 /// successful runs (one per seed) against the expected range.
@@ -113,6 +88,10 @@ pub struct ExpectationResult {
     pub expectation: Expectation,
     /// The axis combination judged; empty for a campaign without axes.
     pub cell: Vec<(String, String)>,
+    /// The cell's successful runs, one per seed.
+    pub runs: usize,
+    /// Their mean simulated seconds (the convergence rule ends runs early).
+    pub mean_sim_secs: f64,
     /// The metric in each of the cell's successful runs.
     pub values: Vec<f64>,
     /// Whether the mean of `values` is inside the range; `None` when no
@@ -127,19 +106,53 @@ pub fn check_expectations(ledger: &Ledger) -> Vec<ExpectationResult> {
     let cells = group_by(&ok, |e| Some(e.axis.as_slice()));
     let mut results = Vec::with_capacity(ledger.expectations.len() * cells.len());
     for exp in &ledger.expectations {
+        let metric = Metric::find(&exp.metric);
         for (cell, entries) in &cells {
-            let values = collect(entries, &exp.metric);
+            let values = metric.map_or(Vec::new(), |m| collect(entries, m));
             let pass = mean(&values)
                 .map(|v| exp.min.is_none_or(|lo| v >= lo) && exp.max.is_none_or(|hi| v <= hi));
+            let sim_secs: Vec<f64> = entries.iter().map(|e| e.sim_secs).collect();
             results.push(ExpectationResult {
                 expectation: exp.clone(),
                 cell: cell.to_vec(),
+                runs: entries.len(),
+                mean_sim_secs: mean(&sim_secs).unwrap_or(0.0),
                 values,
                 pass,
             });
         }
     }
     results
+}
+
+/// An expectation's range: "[lo, hi]", "≥ lo" or "≤ hi".
+fn band(e: &Expectation) -> String {
+    match (e.min, e.max) {
+        (Some(lo), Some(hi)) => format!("[{lo}, {hi}]"),
+        (Some(lo), None) => format!("≥ {lo}"),
+        (None, Some(hi)) => format!("≤ {hi}"),
+        (None, None) => "(any)".to_string(),
+    }
+}
+
+/// One verdict as a row of the report's Expectations table:
+/// `| metric | cell | seeds | paper band | measured (mean ± sd) | mean sim s | verdict |`.
+/// EXPERIMENTS.md's verdict tables are these rows, pasted.
+pub fn verdict_row(r: &ExpectationResult) -> String {
+    let verdict = match r.pass {
+        Some(true) => "pass",
+        Some(false) => "**FAIL**",
+        None => "no data",
+    };
+    format!(
+        "| {} | {} | {} | {} | {} | {:.0} | {verdict} |",
+        r.expectation.metric,
+        cell_label(&r.cell),
+        r.runs,
+        band(&r.expectation),
+        fmt_mean_sd(&r.values),
+        r.mean_sim_secs,
+    )
 }
 
 /// Group entries by `key` (entries without one are left out), groups in
@@ -248,7 +261,10 @@ pub fn markdown(ledger: &Ledger) -> String {
     );
     // Present only for campaigns run with `--timeline`: where in sim
     // time each run first reached (and held) an α-fair allocation.
-    let conv: Vec<f64> = collect(&ok, "convergence_time");
+    let conv: Vec<f64> = ok
+        .iter()
+        .filter_map(|e| e.metrics.as_ref()?.convergence_time)
+        .collect();
     if !conv.is_empty() {
         let conv_hist = Histogram::new();
         for c in &conv {
@@ -269,10 +285,11 @@ pub fn markdown(ledger: &Ledger) -> String {
     let _ = writeln!(out, "## Fidelity metrics (mean ± sd over runs)\n");
     let _ = writeln!(out, "| metric | value | paper reference |");
     let _ = writeln!(out, "|---|---|---|");
-    for (metric, reference) in TABLE_METRICS {
+    for (metric, reference) in reported() {
         let _ = writeln!(
             out,
-            "| {metric} | {} | {reference} |",
+            "| {} | {} | {reference} |",
+            metric.name,
             fmt_mean_sd(&collect(&ok, metric)),
         );
     }
@@ -322,31 +339,16 @@ pub fn markdown(ledger: &Ledger) -> String {
     let verdicts = check_expectations(ledger);
     if !verdicts.is_empty() {
         let _ = writeln!(out, "## Expectations (each cell's mean over its seeds)\n");
+        for e in &ledger.expectations {
+            let _ = writeln!(out, "- {} {}: {}", e.metric, band(e), e.source);
+        }
         let _ = writeln!(
             out,
-            "| metric | cell | expected | observed (mean ± sd) | source | verdict |"
+            "\n| metric | cell | seeds | paper band | measured (mean ± sd) | mean sim s | verdict |"
         );
-        let _ = writeln!(out, "|---|---|---|---|---|---|");
+        let _ = writeln!(out, "|---|---|---|---|---|---|---|");
         for r in &verdicts {
-            let range = match (r.expectation.min, r.expectation.max) {
-                (Some(lo), Some(hi)) => format!("[{lo}, {hi}]"),
-                (Some(lo), None) => format!("≥ {lo}"),
-                (None, Some(hi)) => format!("≤ {hi}"),
-                (None, None) => "(any)".to_string(),
-            };
-            let verdict = match r.pass {
-                Some(true) => "pass",
-                Some(false) => "**FAIL**",
-                None => "no data",
-            };
-            let _ = writeln!(
-                out,
-                "| {} | {} | {range} | {} | {} | {verdict} |",
-                r.expectation.metric,
-                cell_label(&r.cell),
-                fmt_mean_sd(&r.values),
-                r.expectation.source
-            );
+            let _ = writeln!(out, "{}", verdict_row(r));
         }
         out.push('\n');
     }
@@ -361,12 +363,12 @@ pub fn markdown(ledger: &Ledger) -> String {
             let _ = write!(header, " {param} |");
         }
         header.push_str(" runs |");
-        for (metric, _) in TABLE_METRICS {
-            let _ = write!(header, " {metric} |");
+        for (metric, _) in reported() {
+            let _ = write!(header, " {} |", metric.name);
         }
         header.push_str(" verdict |");
         let _ = writeln!(out, "{header}");
-        let columns = params.len() + 1 + TABLE_METRICS.len() + 1;
+        let columns = params.len() + 1 + reported().count() + 1;
         let _ = writeln!(out, "|{}", "---|".repeat(columns));
         for (cell, entries) in group_by(&ok, |e| Some(e.axis.as_slice())) {
             out.push('|');
@@ -375,7 +377,7 @@ pub fn markdown(ledger: &Ledger) -> String {
                 let _ = write!(out, " {} |", value.map_or("—", |(_, v)| v));
             }
             let _ = write!(out, " {} |", entries.len());
-            for (metric, _) in TABLE_METRICS {
+            for (metric, _) in reported() {
                 let _ = write!(out, " {} |", fmt_mean_sd(&collect(&entries, metric)));
             }
             let mine = || verdicts.iter().filter(|r| r.cell == cell);
@@ -406,14 +408,14 @@ pub fn markdown(ledger: &Ledger) -> String {
         }
         let _ = writeln!(out, "## By {param}\n");
         let _ = write!(out, "| {param} | runs |");
-        for (metric, _) in TABLE_METRICS {
-            let _ = write!(out, " {metric} |");
+        for (metric, _) in reported() {
+            let _ = write!(out, " {} |", metric.name);
         }
         out.push('\n');
-        let _ = writeln!(out, "|---|---|{}", "---|".repeat(TABLE_METRICS.len()));
+        let _ = writeln!(out, "|---|---|{}", "---|".repeat(reported().count()));
         for (value, entries) in &groups {
             let _ = write!(out, "| {value} | {} |", entries.len());
-            for (metric, _) in TABLE_METRICS {
+            for (metric, _) in reported() {
                 let _ = write!(out, " {} |", fmt_mean_sd(&collect(entries, metric)));
             }
             out.push('\n');
@@ -577,7 +579,7 @@ fn push_inline(out: &mut String, text: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::Rollup;
+    use crate::metric::Rollup;
     use crate::spec::Tolerances;
 
     fn entry(seed: u64, cca: &str, jfi: f64) -> LedgerEntry {
@@ -602,15 +604,9 @@ mod tests {
                 aggregate_mbps: 9.0,
                 loss_rate: 0.01,
                 mathis_err: Some(0.1),
-                sync_index: None,
-                drop_burstiness: None,
                 share_a: Some(0.5),
-                mathis_c_loss: None,
                 mathis_c_halving: Some(1.4),
-                mathis_err_halving: None,
-                loss_to_halving_ratio: None,
-                convergence_time: None,
-                bottlenecks: Vec::new(),
+                ..Rollup::default()
             }),
             manifest: None,
         }
@@ -677,8 +673,9 @@ mod tests {
         assert_eq!(results[0].pass, Some(true));
         assert_eq!(results[1].pass, Some(false));
         let md = markdown(&ledger);
-        assert!(md.contains("| jfi | cca=cubic | ≥ 0.92 | 0.9000 ± 0.0100 | Figure 4 | **FAIL** |"));
-        assert!(md.contains("| jfi | cca=reno | ≥ 0.92 | 0.9600 ± 0.0100 | Figure 4 | pass |"));
+        assert!(md.contains("- jfi ≥ 0.92: Figure 4\n"));
+        assert!(md.contains("| jfi | cca=cubic | 2 | ≥ 0.92 | 0.9000 ± 0.0100 | 5 | **FAIL** |"));
+        assert!(md.contains("| jfi | cca=reno | 2 | ≥ 0.92 | 0.9600 ± 0.0100 | 5 | pass |"));
         // A metric no run of the cell carries is "no data", not a pass.
         ledger.expectations[0].metric = "sync_index".into();
         assert!(check_expectations(&ledger)[0].pass.is_none());

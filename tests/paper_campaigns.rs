@@ -4,7 +4,7 @@
 //! 100 Mbps with 10/30/50 flows, CoreScale 10 Gbps with 1000/3000/5000,
 //! base RTTs 20/100/200 ms) and run one shrunken Mathis cell end to end.
 
-use ccsim::campaign::{run_campaign, CampaignSpec, ExecutorOptions, Rollup};
+use ccsim::campaign::{run_campaign, CampaignSpec, ExecutorOptions, Metric};
 use ccsim::sim::{Bandwidth, SimDuration};
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -107,11 +107,7 @@ fn paper_specs_sweep_the_papers_grid() {
 
         assert!(!spec.expectations.is_empty(), "{stem}: no expectation");
         for e in &spec.expectations {
-            assert!(
-                Rollup::METRICS.contains(&e.metric.as_str()),
-                "{stem}: {}",
-                e.metric
-            );
+            assert!(Metric::find(&e.metric).is_some(), "{stem}: {}", e.metric);
             assert!(
                 e.min.is_some() || e.max.is_some(),
                 "{stem}: {} is unbounded",
@@ -165,20 +161,19 @@ fn a_shrunken_mathis_core_cell_produces_a_full_row() {
     let results = run_campaign(spec.jobs().unwrap(), &ExecutorOptions::default(), |_| {});
     assert_eq!(results.len(), 1);
     let row = results[0].rollup().expect("the cell ran");
-    let get = |metric| row.get(metric);
-    assert!(get("utilization").unwrap() > 0.5, "{row:?}");
-    assert!(get("loss_rate").unwrap() > 0.0, "the cell must see losses");
+    assert!(row.utilization > 0.5, "{row:?}");
+    assert!(row.loss_rate > 0.0, "the cell must see losses");
     assert!(
-        get("mathis_c_loss").unwrap() > 0.0,
+        row.mathis_c_loss.unwrap() > 0.0,
         "no loss-rate fit: {row:?}"
     );
     assert!(
-        get("mathis_c_halving").unwrap() > 0.0,
+        row.mathis_c_halving.unwrap() > 0.0,
         "no halving fit: {row:?}"
     );
-    assert!(get("mathis_err").is_some() && get("mathis_err_halving").is_some());
-    assert!(get("loss_to_halving_ratio").unwrap() > 0.5, "{row:?}");
-    assert!(get("drop_burstiness").is_some(), "{row:?}");
-    let jfi = get("jfi").unwrap();
+    assert!(row.mathis_err.is_some() && row.mathis_err_halving.is_some());
+    assert!(row.loss_to_halving_ratio.unwrap() > 0.5, "{row:?}");
+    assert!(row.drop_burstiness.is_some(), "{row:?}");
+    let jfi = row.jfi.unwrap();
     assert!(jfi > 0.1 && jfi <= 1.0, "jfi = {jfi}");
 }
