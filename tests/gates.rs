@@ -2,7 +2,7 @@
 //! passes its measured value and fails its trip value when read through
 //! its artefact's reader, a missing metric fails its row instead of
 //! reading 0, and the jobs with rows are exactly the CI jobs that call
-//! `ccsim gates`.
+//! `ccsim gates`, each naming its rows' artefacts.
 
 use ccsim::campaign::gates::{self, Artefact, Bound, Gate};
 use ccsim::campaign::{Ledger, LedgerEntry};
@@ -207,10 +207,16 @@ fn ledger_metrics_resolve_through_the_typed_readers() {
 fn the_jobs_with_rows_are_the_jobs_that_call_the_evaluator() {
     let ci = include_str!("../.github/workflows/ci.yml");
     let (mut job, mut calls) = (None, Vec::new());
+    // Each job's name and the text of its steps.
+    let mut steps: Vec<(&str, String)> = Vec::new();
     for line in ci.lines().skip_while(|l| *l != "jobs:").skip(1) {
         let name = line.strip_prefix("  ").and_then(|l| l.strip_suffix(':'));
         if let Some(name) = name.filter(|n| !n.starts_with(' ')) {
             job = Some(name);
+            steps.push((name, String::new()));
+        } else if let Some((_, text)) = steps.last_mut() {
+            text.push_str(line);
+            text.push('\n');
         }
         let mut words = line.split_whitespace().skip_while(|w| *w != "gates");
         if line.contains("ccsim") && words.next().is_some() {
@@ -227,5 +233,18 @@ fn the_jobs_with_rows_are_the_jobs_that_call_the_evaluator() {
         calls.len(),
         "a job calls gates twice: {calls:?}"
     );
-    assert_eq!(sorted, gates::jobs(&table()));
+    let table = table();
+    assert_eq!(sorted, gates::jobs(&table));
+    // A row's artefact is a file its own job's steps name, so renaming
+    // one on either side fails here rather than only in CI.
+    for g in &table {
+        let (_, text) = steps.iter().find(|(name, _)| *name == g.job).unwrap();
+        assert!(
+            text.contains(&g.artefact),
+            "{}: job {} never names {}",
+            g.name,
+            g.job,
+            g.artefact
+        );
+    }
 }

@@ -312,50 +312,49 @@ fn campaign_diff_fails_with_exit_1_on_missing_ledger() {
 
 #[test]
 fn gates_exits_0_when_every_row_passes_1_on_a_failing_row_2_on_an_unknown_job() {
-    // The megascale job's two artefacts, as its commands write them.
+    // The runs job's two artefacts: the manifests its observed smoke run
+    // and its checkpointed CoreScale run write.
     let dir = temp_dir("gates");
     let d = dir.to_str().unwrap();
-    let write = |per_flow: &str| {
-        let bench =
-            format!("{{\"campaign\":\"megascale-smoke\",\"memory_per_flow_bytes\":{per_flow}}}");
-        std::fs::write(dir.join("BENCH_megascale.json"), bench).unwrap();
+    let write = |bytes: &str| {
+        let manifest = format!("{{\"flows\":5000,\"checkpoint_bytes\":{bytes}}}");
+        std::fs::write(dir.join("core-ckpt.manifest.json"), manifest).unwrap();
     };
-    let last_line = "{\"correct\":true,\"attempted\":5,\"failed\":0,\"metrics\":{}}";
     std::fs::write(
-        dir.join("mega100k.txt"),
-        format!("runs_failed 0 count\n{last_line}\n"),
+        dir.join("selfobs.manifest.json"),
+        "{\"flows\":12,\"events_per_sec\":6430956.3}",
     )
     .unwrap();
-    write("1924.372");
-    let out = ccsim(&["gates", "megascale", d]);
+    write("18936374");
+    let out = ccsim(&["gates", "runs", d]);
     assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
-    assert_eq!(stdout(&out).lines().count(), 3);
+    assert_eq!(stdout(&out).lines().count(), 2);
     assert!(
         stdout(&out).lines().all(|l| l.ends_with(" ok")),
         "{}",
         stdout(&out)
     );
 
-    // Its trip value: a 48-byte scoreboard segment.
-    write("2168");
-    let out = ccsim(&["gates", "megascale", d]);
+    // Its trip value: a capture that did not happen.
+    write("0");
+    let out = ccsim(&["gates", "runs", d]);
     assert_eq!(out.status.code(), Some(1));
     let text = stdout(&out);
     let failing: Vec<&str> = text.lines().filter(|l| l.contains("FAIL")).collect();
     assert_eq!(failing.len(), 1, "{text}");
-    assert!(failing[0].starts_with("megascale_smoke.memory_per_flow_bytes"));
+    assert!(failing[0].starts_with("corescale.checkpoint_bytes"));
 
     // A missing artefact fails its rows; it does not read 0.
-    std::fs::remove_file(dir.join("BENCH_megascale.json")).unwrap();
-    let out = ccsim(&["gates", "megascale", d]);
+    std::fs::remove_file(dir.join("core-ckpt.manifest.json")).unwrap();
+    let out = ccsim(&["gates", "runs", d]);
     assert_eq!(out.status.code(), Some(1));
     assert!(
-        stdout(&out).contains("BENCH_megascale.json"),
+        stdout(&out).contains("core-ckpt.manifest.json"),
         "{}",
         stdout(&out)
     );
 
-    for args in [&["gates", "nosuchjob", d][..], &["gates", "megascale"][..]] {
+    for args in [&["gates", "nosuchjob", d][..], &["gates", "runs"][..]] {
         let out = ccsim(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(stderr(&out).contains("usage: ccsim gates <job> <dir>"));
