@@ -2,15 +2,18 @@
 //! per-run artifacts (Prometheus dump + manifest).
 //!
 //! An *observed* run is an ordinary run with instruments attached:
-//! registry-backed metric handles on the bottleneck link and the senders,
-//! an event classifier on the engine, a wall clock per runner phase, and
-//! one per-slice step (`RunInstruments::slice`) that samples everything
-//! the runner reads at slice boundaries. Observation is **provably inert** — the
-//! enablement lives here, outside [`Scenario`], so the simulated
-//! configuration is bit-identical with and without it, and the metric
-//! primitives only touch their own atomics, never simulation state. The
-//! integration tests assert that a metrics-on run and a metrics-off run
-//! of the same (scenario, seed) produce identical [`RunOutcome`] digests.
+//! plain tallies on the bottleneck link and the senders, an event
+//! classifier on the engine, a wall clock per runner phase, and one
+//! per-slice step (`RunInstruments::slice`) that samples everything the
+//! runner reads at slice boundaries. [`RunInstruments`] is the registry's
+//! only writer: the components count into plain fields and never see a
+//! metric handle (`ccsim-net` and `ccsim-tcp` do not depend on
+//! `ccsim-telemetry`). Observation is **provably inert** — the enablement
+//! lives here, outside [`Scenario`], so the simulated configuration is
+//! bit-identical with and without it, and the tallies are written by the
+//! components and read only here. The integration tests assert that a
+//! metrics-on run and a metrics-off run of the same (scenario, seed)
+//! produce identical [`RunOutcome`] digests.
 //!
 //! Metric families emitted per run:
 //!
@@ -30,6 +33,14 @@
 //! | `ccsim_phase_wall_nanos_total{phase}` | counter | runner phase wall time |
 //! | `ccsim_phase_calls_total{phase}` | counter | times each runner phase was clocked |
 //!
+//! The three link families load from the bottleneck's
+//! [`LinkTallies`](ccsim_net::LinkTallies), pacing stalls from the
+//! senders' tallies, and the RTO and recovery counts from Σ
+//! [`SenderStats`](ccsim_tcp::SenderStats) less the sum at
+//! [`RunInstruments::start`], so a resumed run counts from its restore.
+//! The copies happen at every slice and at collection, which also closes
+//! the drop burst in progress.
+//!
 //! With [`ObserveOptions::profile`] on, the `ccsim-prof` families join
 //! the dump as well (`ccsim_prof_events_total{class,kind}`, timer-wheel
 //! counters, `ccsim_mem_bytes{pool}` — see
@@ -39,11 +50,11 @@ use crate::build::BuiltNetwork;
 use crate::outcome::RunOutcome;
 use crate::runner::Progress;
 use crate::scenario::Scenario;
-use ccsim_net::link::{Link, LinkMetrics};
+use ccsim_net::link::Link;
 use ccsim_net::msg::Msg;
 use ccsim_sim::{safe_rate, Fnv1a, SimTime};
 use ccsim_tcp::receiver::Receiver;
-use ccsim_tcp::sender::{Sender, SenderMetrics};
+use ccsim_tcp::sender::Sender;
 use ccsim_telemetry::manifest::RunManifest;
 use ccsim_telemetry::prometheus::write_exposition;
 use ccsim_telemetry::registry::{Counter, Gauge, Histogram, Registry};
@@ -136,10 +147,10 @@ impl ObserveOptions {
 }
 
 /// Everything attached to one observed run: the registry the metrics
-/// live in, the phase clocks, the pre-registered handles the runner wires
-/// into components (handles are created up front so the hot path never
-/// performs a name lookup), and what the per-slice step samples into. The
-/// runner owns it for the run (`&mut`), so nothing here needs a cell.
+/// live in, the phase clocks, the pre-registered handles the per-slice
+/// step loads (created up front, so no step performs a name lookup), and
+/// the baselines it loads against. The runner owns it for the run
+/// (`&mut`), so nothing here needs a cell.
 pub(crate) struct RunInstruments {
     /// The metric registry for this run.
     registry: Registry,
@@ -152,8 +163,16 @@ pub(crate) struct RunInstruments {
     events_per_sec: Arc<Gauge>,
     sim_wall_ratio: Arc<Gauge>,
     slice_wall: Arc<Histogram>,
-    link: LinkMetrics,
-    sender: SenderMetrics,
+    link_queue_bytes: Arc<Histogram>,
+    link_drop_bursts: Arc<Histogram>,
+    link_busy_nanos: Arc<Counter>,
+    tcp_rtos: Arc<Counter>,
+    tcp_fast_recoveries: Arc<Counter>,
+    tcp_pacing_stalls: Arc<Counter>,
+    /// Σ `SenderStats` `(rtos, fast_recoveries)` when the run started
+    /// (non-zero only after a checkpoint restore): the baseline of the two
+    /// congestion families, which count this segment's events only.
+    congestion_at_start: (u64, u64),
     /// Filled by [`RunInstruments::collect`] when profiling is on
     /// (everything except `dispatch_nanos`, stamped by `finish`).
     profile: Option<ccsim_prof::Profile>,
@@ -205,34 +224,30 @@ impl RunInstruments {
             "ccsim_slice_wall_nanos",
             "Wall-clock nanoseconds per measurement slice",
         );
-        let link = LinkMetrics {
-            queue_bytes: registry.histogram(
-                "ccsim_link_queue_bytes",
-                "Bottleneck queue occupancy in bytes, sampled at packet arrivals",
-            ),
-            drop_burst_pkts: registry.histogram(
-                "ccsim_link_drop_burst_pkts",
-                "Sizes of consecutive-drop bursts at the bottleneck, in packets",
-            ),
-            busy_nanos: registry.counter(
-                "ccsim_link_busy_nanos_total",
-                "Simulated nanoseconds the bottleneck serializer was busy",
-            ),
-        };
-        let sender = SenderMetrics {
-            rtos: registry.counter(
-                "ccsim_tcp_rtos_total",
-                "Genuine retransmission timeouts across all flows",
-            ),
-            fast_recoveries: registry.counter(
-                "ccsim_tcp_fast_recoveries_total",
-                "Fast-recovery episode entries across all flows",
-            ),
-            pacing_stalls: registry.counter(
-                "ccsim_tcp_pacing_stalls_total",
-                "Transmissions deferred by the pacing gate across all flows",
-            ),
-        };
+        let link_queue_bytes = registry.histogram(
+            "ccsim_link_queue_bytes",
+            "Bottleneck queue occupancy in bytes, sampled at packet arrivals",
+        );
+        let link_drop_bursts = registry.histogram(
+            "ccsim_link_drop_burst_pkts",
+            "Sizes of consecutive-drop bursts at the bottleneck, in packets",
+        );
+        let link_busy_nanos = registry.counter(
+            "ccsim_link_busy_nanos_total",
+            "Simulated nanoseconds the bottleneck serializer was busy",
+        );
+        let tcp_rtos = registry.counter(
+            "ccsim_tcp_rtos_total",
+            "Genuine retransmission timeouts across all flows",
+        );
+        let tcp_fast_recoveries = registry.counter(
+            "ccsim_tcp_fast_recoveries_total",
+            "Fast-recovery episode entries across all flows",
+        );
+        let tcp_pacing_stalls = registry.counter(
+            "ccsim_tcp_pacing_stalls_total",
+            "Transmissions deferred by the pacing gate across all flows",
+        );
         RunInstruments {
             registry,
             phases: [(0, 0); PHASES.len()],
@@ -242,8 +257,13 @@ impl RunInstruments {
             events_per_sec,
             sim_wall_ratio,
             slice_wall,
-            link,
-            sender,
+            link_queue_bytes,
+            link_drop_bursts,
+            link_busy_nanos,
+            tcp_rtos,
+            tcp_fast_recoveries,
+            tcp_pacing_stalls,
+            congestion_at_start: (0, 0),
             profile: None,
             checkpoint_bytes: 0,
             events_at_start: 0,
@@ -264,17 +284,13 @@ impl RunInstruments {
         elapsed
     }
 
-    /// Wire the metric handles and the event classifier (and the event
-    /// profiler, when asked for) into a freshly built network.
+    /// Attach the tallies and the event classifier (and the event
+    /// profiler, when asked for) to a freshly built network.
     pub(crate) fn attach(&self, net: &mut BuiltNetwork) {
         net.sim.set_event_classes(EVENT_KINDS.len());
-        net.sim
-            .component_mut::<Link>(net.link)
-            .enable_metrics(self.link.clone());
+        net.sim.component_mut::<Link>(net.link).enable_tallies();
         for &id in &net.senders {
-            net.sim
-                .component_mut::<Sender>(id)
-                .enable_metrics(self.sender.clone());
+            net.sim.component_mut::<Sender>(id).enable_tallies();
         }
         if self.options.profile {
             net.sim.enable_profiling(
@@ -287,13 +303,15 @@ impl RunInstruments {
     }
 
     /// Anchor the run once the network holds its starting state (after
-    /// any restore): the event baseline of `events_per_sec`, and the
-    /// timeline's window grid. On a resume the grid starts from the
-    /// restored instant, and priming anchors the delta baselines at the
-    /// current cumulative counters so the pre-resume history is not
-    /// attributed to the first window.
+    /// any restore): the event baseline of `events_per_sec`, the
+    /// congestion families' baseline, and the timeline's window grid. On
+    /// a resume the grid starts from the restored instant, and priming
+    /// anchors the delta baselines at the current cumulative counters so
+    /// the pre-resume history is not attributed to the first window.
     pub(crate) fn start(&mut self, net: &BuiltNetwork) {
         self.events_at_start = net.sim.events_processed();
+        let (rtos, recoveries, _) = sender_counts(net);
+        self.congestion_at_start = (rtos, recoveries);
         if let Some(cfg) = self.options.timeline {
             let mut tl = Timeline::new(cfg, net.flow_count(), net.links.len(), net.sim.now());
             let (flows, links) = timeline_points(net, tl.sampled_flows());
@@ -304,13 +322,14 @@ impl RunInstruments {
     }
 
     /// The per-slice step, after the engine reached `progress.now`:
-    /// bring the engine's per-kind counts and pending peak into the
-    /// registry (the engine cannot depend on the telemetry crate, so they
-    /// live in plain fields there), feed the timeline when its grid calls
-    /// for a row, clock a measurement slice (from `started`), hand
-    /// `progress` to the caller's callback, then publish to the live
-    /// endpoint at most every [`LIVE_PUBLISH_EVERY`]. `measured` is the
-    /// tracker's snapshot at this boundary; `None` during the warm-up.
+    /// bring the engine's per-kind counts and pending peak and the
+    /// components' counts into the registry (neither the engine nor the
+    /// components depend on the telemetry crate, so they count in plain
+    /// fields), feed the timeline when its grid calls for a row, clock a
+    /// measurement slice (from `started`), hand `progress` to the
+    /// caller's callback, then publish to the live endpoint at most every
+    /// [`LIVE_PUBLISH_EVERY`]. `measured` is the tracker's snapshot at
+    /// this boundary; `None` during the warm-up.
     pub(crate) fn slice(
         &mut self,
         net: &BuiltNetwork,
@@ -320,9 +339,10 @@ impl RunInstruments {
         on_progress: &mut dyn FnMut(&Progress),
     ) {
         for (counter, &count) in self.events_kind.iter().zip(net.sim.event_class_counts()) {
-            counter.add(count - counter.get());
+            raise_to(counter, count);
         }
         self.pending_peak.set_max(net.sim.max_pending() as f64);
+        self.load_components(net, false);
         if self
             .timeline
             .as_ref()
@@ -360,13 +380,13 @@ impl RunInstruments {
         }
     }
 
-    /// At collection, before the trace drains: flush the bottleneck's
-    /// edge-held metric state, close the run's tail row (a zero-span no-op
-    /// when the last slice closed one on the grid), and harvest the event
-    /// profile while the flight recorders still count towards
-    /// `trace/rings`.
-    pub(crate) fn collect(&mut self, net: &mut BuiltNetwork, now: SimTime, delivered: &[u64]) {
-        net.sim.component_mut::<Link>(net.link).finish_metrics();
+    /// At collection, before the trace drains: load the components'
+    /// counts with the drop burst in progress closed, close the run's
+    /// tail row (a zero-span no-op when the last slice closed one on the
+    /// grid), and harvest the event profile while the flight recorders
+    /// still count towards `trace/rings`.
+    pub(crate) fn collect(&mut self, net: &BuiltNetwork, now: SimTime, delivered: &[u64]) {
+        self.load_components(net, true);
         self.push_row(net, now, Some(delivered));
         if self.options.profile {
             self.profile = harvest_profile(
@@ -376,6 +396,31 @@ impl RunInstruments {
                 self.checkpoint_bytes,
             );
         }
+    }
+
+    /// Copy the components' counts into their six families: the
+    /// bottleneck's [`ccsim_net::LinkTallies`] (with the drop burst in
+    /// progress closed when `closing`: a histogram observation must not
+    /// move between buckets, so only the run's end may count an open
+    /// burst), and over all senders the RTOs and recovery entries since
+    /// [`RunInstruments::start`] and the pacing stalls.
+    fn load_components(&self, net: &BuiltNetwork, closing: bool) {
+        if let Some(t) = net.sim.component::<Link>(net.link).tallies() {
+            self.link_queue_bytes.load(&t.queue_bytes);
+            if closing {
+                self.link_drop_bursts.load(&t.drop_bursts_closed());
+            } else {
+                self.link_drop_bursts.load(&t.drop_burst_pkts);
+            }
+            raise_to(&self.link_busy_nanos, t.busy_nanos);
+        }
+        let (rtos, recoveries, stalls) = sender_counts(net);
+        raise_to(&self.tcp_rtos, rtos - self.congestion_at_start.0);
+        raise_to(
+            &self.tcp_fast_recoveries,
+            recoveries - self.congestion_at_start.1,
+        );
+        raise_to(&self.tcp_pacing_stalls, stalls);
     }
 
     /// Close the timeline row ending at `now`, reading `delivered` or,
@@ -393,6 +438,25 @@ impl RunInstruments {
         };
         tl.push_row(now, delivered, &flows, &links);
     }
+}
+
+/// Raise a monotone counter to `value`, a count its source keeps.
+fn raise_to(counter: &Counter, value: u64) {
+    counter.add(value - counter.get());
+}
+
+/// Σ over the senders of `(rtos, fast_recoveries, pacing stalls)`: the
+/// first two from the always-kept `SenderStats`, the last from the tally
+/// [`RunInstruments::attach`] attached.
+fn sender_counts(net: &BuiltNetwork) -> (u64, u64, u64) {
+    let mut sums = (0, 0, 0);
+    for &id in &net.senders {
+        let s = net.sim.component::<Sender>(id);
+        sums.0 += s.stats().rtos;
+        sums.1 += s.stats().fast_recoveries;
+        sums.2 += s.pacing_stalls().unwrap_or(0);
+    }
+    sums
 }
 
 /// Component-id → profiler class-row table for `net`, indexed by raw

@@ -187,8 +187,8 @@ fn drain_trace(net: &mut BuiltNetwork, scenario: &Scenario) -> Option<RunTrace> 
 }
 
 /// The single runner loop behind every [`crate::RunRequest`]. When `inst`
-/// is present, metric handles are attached to the engine/link/senders and
-/// runner phases are clocked; the simulated event sequence is identical
+/// is present, the event classifier and the link/sender tallies are
+/// attached and runner phases are clocked; the simulated event sequence is identical
 /// either way (the instruments only observe). Returns `Ok(None)`
 /// iff `ctl.stop_at_checkpoint` ended the run right after capture; a
 /// captured checkpoint (if any) lands in `checkpoint_out`.
@@ -381,7 +381,7 @@ pub(crate) fn run_internal_ctl(
     }
 
     if let Some(inst) = inst.as_deref_mut() {
-        inst.collect(&mut net, now, &delivered_end);
+        inst.collect(&net, now, &delivered_end);
     }
     let trace = drain_trace(&mut net, scenario);
 

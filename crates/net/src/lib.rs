@@ -30,7 +30,7 @@ mod queue;
 
 pub use aqm::{AqmKind, AqmQueue, Codel, Dequeued, DropTail, Enqueued, Pie, Red};
 pub use delay::{DelayLine, DelayNext};
-pub use link::{Link, LinkMetrics, LinkStats, NextHop, AQM_TICK, FAULT_TICK};
+pub use link::{Link, LinkStats, LinkTallies, NextHop, AQM_TICK, FAULT_TICK};
 pub use msg::{Msg, TimerToken};
 pub use packet::{
     FlowId, Packet, PacketKind, SackBlock, SackBlocks, DEFAULT_MSS, ECN_CE, ECN_CWR, ECN_ECE,

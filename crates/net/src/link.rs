@@ -27,35 +27,107 @@
 //! the bottleneck queue"), which downstream analysis turns into loss rates
 //! and Goh–Barabási burstiness scores. The log can be capped for very long
 //! runs; counters are always exact.
+//!
+//! Optional observers share one box, so each hook on the per-packet path
+//! tests one pointer whatever is attached: the flight recorder
+//! (`ccsim-trace`) and [`LinkTallies`], the plain counts the harness
+//! copies into its metric registry at slice boundaries. Nothing the link
+//! does reads them back.
 
 use crate::aqm::{AqmQueue, Dequeued, DropTail, Enqueued};
 use crate::msg::{Msg, TimerToken};
 use crate::packet::Packet;
 use crate::path::{deliver_after, hop_latency};
 use ccsim_fault::{FaultStats, LinkFaultInjector};
-use ccsim_sim::{snap, Bandwidth, Component, ComponentId, Ctx, SimDuration, SimTime};
-use ccsim_telemetry::{Counter, Histogram};
+use ccsim_sim::{snap, Bandwidth, Component, ComponentId, Ctx, Log2Tally, SimDuration, SimTime};
 use ccsim_trace::QueueRecorder;
-use std::sync::Arc;
 
-/// Shared metric handles for a link, registered by the harness and
-/// attached with [`Link::enable_metrics`]. Handles are `Arc`s straight
-/// into the registry's atomics, so the hot path pays no name lookup —
-/// one relaxed atomic add per count — and the primitives never touch
-/// simulation state (metrics on/off cannot change an outcome).
-#[derive(Clone)]
-pub struct LinkMetrics {
+/// What a link tallies for an observed run beyond its kept counters,
+/// attached with [`Link::enable_tallies`]. Plain `u64`s: the harness
+/// copies them into its registry, and the link never reads them, so
+/// tallying cannot change an outcome. Observer state: checkpoints leave
+/// it out and a restored link tallies from its restore.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LinkTallies {
     /// Queue occupancy in bytes, sampled at each packet arrival
     /// (`ccsim_link_queue_bytes`).
-    pub queue_bytes: Arc<Histogram>,
-    /// Sizes of consecutive-drop bursts, in packets
+    pub queue_bytes: Log2Tally,
+    /// Sizes of ended consecutive-drop bursts, in packets
     /// (`ccsim_link_drop_burst_pkts`). A burst ends when an arrival is
     /// accepted again.
-    pub drop_burst_pkts: Arc<Histogram>,
+    pub drop_burst_pkts: Log2Tally,
+    /// Length of the burst in progress, not yet in `drop_burst_pkts`.
+    pub open_drop_burst: u64,
     /// Nanoseconds the serializer spent busy
     /// (`ccsim_link_busy_nanos_total`); idle time is wall sim-time minus
     /// this.
-    pub busy_nanos: Arc<Counter>,
+    pub busy_nanos: u64,
+}
+
+impl LinkTallies {
+    /// `drop_burst_pkts` with the burst in progress closed: the sizes as
+    /// they stand when the run ends.
+    pub fn drop_bursts_closed(&self) -> Log2Tally {
+        let mut bursts = self.drop_burst_pkts.clone();
+        if self.open_drop_burst > 0 {
+            bursts.record(self.open_drop_burst);
+        }
+        bursts
+    }
+}
+
+/// The link's optional observers, boxed together: each per-packet hook
+/// tests one pointer for both, and an unobserved link carries 8 bytes for
+/// them.
+#[derive(Default)]
+struct Observers {
+    /// Flight recorder (ccsim-trace): queue-depth samples and the
+    /// full-run drop train, attached by the harness when tracing is on.
+    recorder: Option<QueueRecorder>,
+    /// Tallies, attached when a run is observed.
+    tallies: Option<LinkTallies>,
+}
+
+impl Observers {
+    fn on_arrival(&mut self, now: SimTime, backlog_bytes: u64, queued_pkts: u64) {
+        if let Some(rec) = &mut self.recorder {
+            rec.on_arrival(now, backlog_bytes, queued_pkts);
+        }
+        if let Some(t) = &mut self.tallies {
+            t.queue_bytes.record(backlog_bytes);
+        }
+    }
+
+    /// An accepted arrival ends any drop burst in progress.
+    fn on_accept(&mut self) {
+        if let Some(t) = &mut self.tallies {
+            if t.open_drop_burst > 0 {
+                t.drop_burst_pkts.record(t.open_drop_burst);
+                t.open_drop_burst = 0;
+            }
+        }
+    }
+
+    fn on_drop(&mut self, now: SimTime, flow: u32, backlog_bytes: u64) {
+        if let Some(t) = &mut self.tallies {
+            t.open_drop_burst += 1;
+        }
+        if let Some(rec) = &mut self.recorder {
+            rec.on_drop(now, flow, backlog_bytes);
+        }
+    }
+
+    fn on_ecn_mark(&mut self, now: SimTime, flow: u32, backlog_bytes: u64) {
+        if let Some(rec) = &mut self.recorder {
+            rec.on_ecn_mark(now, flow, backlog_bytes);
+        }
+    }
+
+    fn on_serialize(&mut self, ser: SimDuration) {
+        if let Some(t) = &mut self.tallies {
+            t.busy_nanos += ser.as_nanos();
+        }
+    }
 }
 
 /// Where a link forwards packets after serialization + propagation.
@@ -174,14 +246,8 @@ pub struct Link {
     drop_log_cap: usize,
     /// Drops before this instant are not logged (warm-up exclusion).
     log_from: SimTime,
-    /// Optional flight recorder (ccsim-trace): queue-depth samples and the
-    /// full-run drop train, attached by the harness when tracing is on.
-    recorder: Option<QueueRecorder>,
-    /// Optional registry-backed metrics, attached when a run is observed.
-    metrics: Option<LinkMetrics>,
-    /// Length of the in-progress consecutive-drop run (metrics only, so
-    /// observer state: checkpoints leave it out and a restore zeroes it).
-    drop_burst: u64,
+    /// Flight recorder and tallies, boxed (see [`Observers`]).
+    observers: Option<Box<Observers>>,
     /// Optional fault injector (ccsim-fault), attached when the scenario
     /// carries a non-empty `FaultPlan`. `None` is the fast path: no
     /// branch beyond this option check, no RNG, no timers.
@@ -224,9 +290,7 @@ impl Link {
             // queue itself. Counters remain exact past the cap.
             drop_log_cap: 1_000_000,
             log_from: SimTime::ZERO,
-            recorder: None,
-            metrics: None,
-            drop_burst: 0,
+            observers: None,
             injector: None,
             ser_memo: None,
             tx_burst: 1,
@@ -294,35 +358,40 @@ impl Link {
         self.log_from = t;
     }
 
+    fn observers_mut(&mut self) -> &mut Observers {
+        self.observers.get_or_insert_with(Box::default)
+    }
+
     /// Attach a flight recorder; subsequent arrivals sample the queue
     /// depth and every drop is recorded with its backlog.
     pub fn enable_trace(&mut self, recorder: QueueRecorder) {
-        self.recorder = Some(recorder);
+        self.observers_mut().recorder = Some(recorder);
     }
 
     /// Detach and return the flight recorder (the harness drains it into
     /// the run trace after the simulation ends).
     pub fn take_trace(&mut self) -> Option<QueueRecorder> {
-        self.recorder.take()
+        self.observers.as_deref_mut()?.recorder.take()
     }
 
-    /// Attach registry-backed metrics; subsequent arrivals sample queue
+    fn recorder(&self) -> Option<&QueueRecorder> {
+        self.observers.as_deref()?.recorder.as_ref()
+    }
+
+    fn recorder_mut(&mut self) -> Option<&mut QueueRecorder> {
+        self.observers.as_deref_mut()?.recorder.as_mut()
+    }
+
+    /// Attach [`LinkTallies`], from zero; subsequent arrivals sample queue
     /// occupancy, serialization accumulates busy time, and drop bursts
     /// are sized as they end.
-    pub fn enable_metrics(&mut self, metrics: LinkMetrics) {
-        self.metrics = Some(metrics);
+    pub fn enable_tallies(&mut self) {
+        self.observers_mut().tallies = Some(LinkTallies::default());
     }
 
-    /// Flush metric state that only materializes at an edge — currently
-    /// the final in-progress drop burst. The harness calls this once
-    /// after the simulation ends, before exporting the registry.
-    pub fn finish_metrics(&mut self) {
-        if self.drop_burst > 0 {
-            if let Some(m) = &self.metrics {
-                m.drop_burst_pkts.record(self.drop_burst);
-            }
-            self.drop_burst = 0;
-        }
+    /// The attached tallies, if any.
+    pub fn tallies(&self) -> Option<&LinkTallies> {
+        self.observers.as_deref()?.tallies.as_ref()
     }
 
     /// Attach a fault injector. The caller must also schedule the first
@@ -362,11 +431,12 @@ impl Link {
         &self.drop_log
     }
 
-    /// Approximate heap footprint of this link: the struct, the AQM
-    /// discipline's packet storage, the drop log, the burst tail and the
-    /// per-flow counters (16 B for each flow that has crossed it). Feeds
-    /// the profiler's `net/link_queues` memory account; the attached queue
-    /// recorder (if tracing) is accounted under `trace/rings` via
+    /// Approximate heap footprint of this link: the struct (the observer
+    /// box counted at its pointer size), the AQM discipline's packet
+    /// storage, the drop log, the burst tail and the per-flow counters
+    /// (16 B for each flow that has crossed it). Feeds the profiler's
+    /// `net/link_queues` memory account; the attached queue recorder (if
+    /// tracing) is accounted under `trace/rings` via
     /// [`Link::trace_memory_bytes`].
     pub fn memory_bytes(&self) -> u64 {
         let per_flow =
@@ -381,7 +451,7 @@ impl Link {
     /// Heap bytes held by the attached queue recorder, 0 when tracing is
     /// off.
     pub fn trace_memory_bytes(&self) -> u64 {
-        self.recorder.as_ref().map_or(0, |rec| rec.memory_bytes())
+        self.recorder().map_or(0, QueueRecorder::memory_bytes)
     }
 
     /// Current backlog in bytes (waiting packets, excluding in-service).
@@ -413,11 +483,8 @@ impl Link {
     /// An accepted arrival ends any in-progress drop burst.
     #[inline]
     fn end_drop_burst(&mut self) {
-        if self.drop_burst > 0 {
-            if let Some(m) = &self.metrics {
-                m.drop_burst_pkts.record(self.drop_burst);
-            }
-            self.drop_burst = 0;
+        if let Some(obs) = &mut self.observers {
+            obs.on_accept();
         }
     }
 
@@ -441,8 +508,8 @@ impl Link {
 
     fn start_service(&mut self, p: Packet, ctx: &mut Ctx<'_, Msg>) {
         let ser = self.ser_time(p.wire_bytes);
-        if let Some(m) = &self.metrics {
-            m.busy_nanos.add(ser.as_nanos());
+        if let Some(obs) = &mut self.observers {
+            obs.on_serialize(ser);
         }
         self.in_service = Some(p);
         ctx.schedule_self(ser, Msg::Timer(TimerToken::pack(SERIALIZATION_DONE, 0)));
@@ -472,8 +539,8 @@ impl Link {
             };
             let Some(p) = next else { break };
             let ser = self.ser_time(p.wire_bytes);
-            if let Some(m) = &self.metrics {
-                m.busy_nanos.add(ser.as_nanos());
+            if let Some(obs) = &mut self.observers {
+                obs.on_serialize(ser);
             }
             offset += ser;
             let dst = self.forward_to(&p);
@@ -503,8 +570,8 @@ impl Link {
                 Dequeued::Deliver(next) => return Some(next),
                 Dequeued::Marked(next) => {
                     self.stats.ce_marked_pkts += 1;
-                    if let Some(rec) = &mut self.recorder {
-                        rec.on_ecn_mark(now, next.flow.0, self.aqm.queued_bytes());
+                    if let Some(obs) = &mut self.observers {
+                        obs.on_ecn_mark(now, next.flow.0, self.aqm.queued_bytes());
                     }
                     return Some(next);
                 }
@@ -514,22 +581,19 @@ impl Link {
         }
     }
 
-    /// Account one dropped packet: counters, metrics burst, drop log, and
-    /// flight recorder. Queue-overflow, AQM early drops, fault drops, and
+    /// Account one dropped packet: counters, drop log, and observers (the
+    /// drop-burst tally and the flight recorder). Queue-overflow, AQM early drops, fault drops, and
     /// CoDel dequeue-time drops all flow through here so loss-rate
     /// analysis sees total loss regardless of cause.
     fn count_drop(&mut self, now: SimTime, p: &Packet) {
         self.stats.dropped_pkts += 1;
         self.stats.dropped_bytes += p.wire_bytes as u64;
         self.stats.per_flow_dropped[p.flow.index()] += 1;
-        if self.metrics.is_some() {
-            self.drop_burst += 1;
-        }
         if now >= self.log_from && self.drop_log.len() < self.drop_log_cap {
             self.drop_log.push(now);
         }
-        if let Some(rec) = &mut self.recorder {
-            rec.on_drop(now, p.flow.0, self.aqm.queued_bytes());
+        if let Some(obs) = &mut self.observers {
+            obs.on_drop(now, p.flow.0, self.aqm.queued_bytes());
         }
     }
 
@@ -550,11 +614,8 @@ impl Link {
         self.stats.arrived_pkts += 1;
         self.stats.arrived_bytes += p.wire_bytes as u64;
         self.stats.per_flow_arrived[fi] += 1;
-        if let Some(rec) = &mut self.recorder {
-            rec.on_arrival(now, self.aqm.queued_bytes(), self.aqm.queued_pkts());
-        }
-        if let Some(m) = &self.metrics {
-            m.queue_bytes.record(self.aqm.queued_bytes());
+        if let Some(obs) = &mut self.observers {
+            obs.on_arrival(now, self.aqm.queued_bytes(), self.aqm.queued_pkts());
         }
         if let Some(inj) = &mut self.injector {
             if inj.arrival_drop(now).is_some() {
@@ -581,8 +642,8 @@ impl Link {
             Enqueued::Marked => {
                 self.end_drop_burst();
                 self.stats.ce_marked_pkts += 1;
-                if let Some(rec) = &mut self.recorder {
-                    rec.on_ecn_mark(now, p.flow.0, self.aqm.queued_bytes());
+                if let Some(obs) = &mut self.observers {
+                    obs.on_ecn_mark(now, p.flow.0, self.aqm.queued_bytes());
                 }
                 self.stats.max_queue_bytes =
                     self.stats.max_queue_bytes.max(self.aqm.queued_bytes());
@@ -645,8 +706,7 @@ impl Link {
         /// everything here is what traffic and fault actions have changed:
         /// the current rate (fault-mutable), queue contents, in-service
         /// packet, counters, drop log, and the delegated AQM / injector /
-        /// recorder state. The in-progress drop-burst length counts only
-        /// while metrics are attached, so it stays out.
+        /// recorder state. The tallies are observer state and stay out.
         pub fn save_state;
         /// Overlay checkpointed state onto a link freshly built from the
         /// same scenario (same AQM discipline, fault plan, and trace
@@ -655,7 +715,7 @@ impl Link {
         rate, ser_memo, aqm_tick_armed, in_service, stats, drop_log, log_from, burst_tail,
         in aqm,
         attached "fault injector" injector,
-        attached "queue recorder" recorder,
+        attached "queue recorder" via recorder / recorder_mut,
     }
 
     fn on_fault_tick(&mut self, now: SimTime, ctx: &mut Ctx<'_, Msg>) {
@@ -914,14 +974,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_capture_occupancy_bursts_and_busy_time() {
-        use ccsim_telemetry::Registry;
-        let registry = Registry::new();
-        let metrics = LinkMetrics {
-            queue_bytes: registry.histogram("ccsim_link_queue_bytes", "occupancy"),
-            drop_burst_pkts: registry.histogram("ccsim_link_drop_burst_pkts", "bursts"),
-            busy_nanos: registry.counter("ccsim_link_busy_nanos_total", "busy"),
-        };
+    fn tallies_capture_occupancy_bursts_and_busy_time() {
         let mut sim = Simulator::new(0);
         let sink = sim.add_component(Sink { received: vec![] });
         // Buffer fits exactly two waiting 1500 B packets.
@@ -931,27 +984,55 @@ mod tests {
             3000,
             NextHop::ToPacketDst,
         ));
-        sim.component_mut::<Link>(link)
-            .enable_metrics(metrics.clone());
+        sim.component_mut::<Link>(link).enable_tallies();
         // 1 in service + 2 queued + 2 dropped (one burst of 2).
         for i in 0..5 {
             sim.schedule(SimTime::ZERO, link, Msg::Packet(pkt(i, sink, 1500)));
         }
         sim.run();
-        sim.component_mut::<Link>(link).finish_metrics();
-        // Occupancy sampled at all 5 arrivals.
-        assert_eq!(metrics.queue_bytes.count(), 5);
-        // One burst of 2 drops, flushed by finish_metrics.
-        assert_eq!(metrics.drop_burst_pkts.count(), 1);
-        assert_eq!(metrics.drop_burst_pkts.sum(), 2);
+        let t = sim.component::<Link>(link).tallies().unwrap();
+        // Occupancy sampled at all 5 arrivals: 0, 0, 1500, 3000, 3000.
+        assert_eq!(t.queue_bytes.count, 5);
+        assert_eq!(t.queue_bytes.sum, 7500);
+        // One burst of 2 drops, still open when the run ends.
+        assert_eq!(t.drop_burst_pkts.count, 0);
+        assert_eq!(t.open_drop_burst, 2);
+        let closed = t.drop_bursts_closed();
+        assert_eq!((closed.count, closed.sum), (1, 2));
         // 3 packets × 1500 B @ 100 Mbps = 3 × 120 µs busy.
-        assert_eq!(metrics.busy_nanos.get(), 360_000);
+        assert_eq!(t.busy_nanos, 360_000);
     }
 
     #[test]
-    fn metrics_do_not_change_link_behavior() {
-        let run = |with_metrics: bool| {
-            let registry = ccsim_telemetry::Registry::new();
+    fn an_accepted_arrival_closes_the_drop_burst() {
+        let mut sim = Simulator::new(0);
+        let sink = sim.add_component(Sink { received: vec![] });
+        let link = sim.add_component(Link::new(
+            Bandwidth::from_mbps(100),
+            SimDuration::ZERO,
+            0, // everything beyond the in-service packet drops
+            NextHop::ToPacketDst,
+        ));
+        sim.component_mut::<Link>(link).enable_tallies();
+        // t=0: served, then 3 drops; t=1 ms (link idle again): served.
+        for _ in 0..4 {
+            sim.schedule(SimTime::ZERO, link, Msg::Packet(pkt(0, sink, 1500)));
+        }
+        sim.schedule(
+            SimTime::from_millis(1),
+            link,
+            Msg::Packet(pkt(0, sink, 1500)),
+        );
+        sim.run();
+        let t = sim.component::<Link>(link).tallies().unwrap();
+        assert_eq!(t.open_drop_burst, 0);
+        assert_eq!((t.drop_burst_pkts.count, t.drop_burst_pkts.sum), (1, 3));
+        assert_eq!(t.drop_bursts_closed(), t.drop_burst_pkts);
+    }
+
+    #[test]
+    fn tallies_do_not_change_link_behavior() {
+        let run = |with_tallies: bool| {
             let mut sim = Simulator::new(7);
             let sink = sim.add_component(Sink { received: vec![] });
             let link = sim.add_component(Link::new(
@@ -960,12 +1041,8 @@ mod tests {
                 3000,
                 NextHop::ToPacketDst,
             ));
-            if with_metrics {
-                sim.component_mut::<Link>(link).enable_metrics(LinkMetrics {
-                    queue_bytes: registry.histogram("q", "q"),
-                    drop_burst_pkts: registry.histogram("b", "b"),
-                    busy_nanos: registry.counter("n", "n"),
-                });
+            if with_tallies {
+                sim.component_mut::<Link>(link).enable_tallies();
             }
             for i in 0..8 {
                 sim.schedule(

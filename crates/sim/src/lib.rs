@@ -49,6 +49,7 @@ pub mod json;
 pub mod rate;
 pub mod rng;
 pub mod snap;
+pub mod tally;
 pub mod time;
 
 pub use engine::{Component, ComponentId, Ctx, EngineError, Simulator};
@@ -57,4 +58,5 @@ pub use json::{Json, JsonError, JsonWriter};
 pub use rate::{safe_rate, Bandwidth};
 pub use rng::{fnv1a_64, Fnv1a, RngFactory};
 pub use snap::{Snap, SnapError, SnapReader, SnapWriter};
+pub use tally::{Log2Tally, LOG2_BUCKETS};
 pub use time::{SimDuration, SimTime};

@@ -30,4 +30,4 @@ pub use rate::{RateEstimator, RateSample, TxRecord};
 pub use receiver::Receiver;
 pub use rtt::RttEstimator;
 pub use scoreboard::{AckResult, Scoreboard};
-pub use sender::{start_msg, CaState, Sender, SenderConfig, SenderMetrics};
+pub use sender::{start_msg, CaState, Sender, SenderConfig};

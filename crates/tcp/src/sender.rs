@@ -32,28 +32,7 @@ use crate::scoreboard::Scoreboard;
 use ccsim_net::msg::{Msg, TimerToken};
 use ccsim_net::packet::{FlowId, Packet};
 use ccsim_sim::{snap, CancelToken, Component, ComponentId, Ctx, SimDuration, SimTime};
-use ccsim_telemetry::Counter;
 use ccsim_trace::{CongestionKind, FlowRecorder};
-use std::sync::Arc;
-
-/// Shared metric handles for senders, registered by the harness and
-/// attached with [`Sender::enable_metrics`]. One instance is cloned
-/// across every sender in a run (the counters aggregate over flows —
-/// per-flow series would explode cardinality at 5000 flows; per-flow
-/// detail lives in [`SenderStats`] and the flight recorder). `Arc`
-/// handles go straight to the registry's atomics: one relaxed add per
-/// event, no simulation state touched.
-#[derive(Clone)]
-pub struct SenderMetrics {
-    /// Genuine retransmission timeouts (`ccsim_tcp_rtos_total`).
-    pub rtos: Arc<Counter>,
-    /// Fast-recovery episode entries
-    /// (`ccsim_tcp_fast_recoveries_total`).
-    pub fast_recoveries: Arc<Counter>,
-    /// Transmissions deferred by the pacing gate
-    /// (`ccsim_tcp_pacing_stalls_total`).
-    pub pacing_stalls: Arc<Counter>,
-}
 
 /// The sender's optional observers, boxed together: the per-ACK path tests
 /// one pointer for both, and an unobserved sender carries 8 bytes for them.
@@ -61,24 +40,12 @@ pub struct SenderMetrics {
 struct Observers {
     /// Flight recorder (ccsim-trace), attached when the scenario traces.
     recorder: Option<FlowRecorder>,
-    /// Registry-backed metrics (shared across all senders), attached when
-    /// a run is observed.
-    metrics: Option<SenderMetrics>,
-}
-
-impl Observers {
-    fn on_congestion(&mut self, now: SimTime, kind: CongestionKind) {
-        if let Some(m) = &self.metrics {
-            match kind {
-                CongestionKind::FastRecovery => m.fast_recoveries.inc(),
-                CongestionKind::Rto => m.rtos.inc(),
-                CongestionKind::EcnReduce => {}
-            }
-        }
-        if let Some(rec) = &mut self.recorder {
-            rec.on_congestion(now, kind);
-        }
-    }
+    /// Transmissions deferred by the pacing gate, tallied from
+    /// [`Sender::enable_tallies`] on for the harness to sum over flows
+    /// (`ccsim_tcp_pacing_stalls_total`). Observer state: checkpoints
+    /// leave it out. RTOs and recovery entries need no tally: the harness
+    /// reads them from [`SenderStats`].
+    pacing_stalls: Option<u64>,
 }
 
 /// Timer kind: flow start.
@@ -219,10 +186,15 @@ impl Sender {
         self.observers.as_deref_mut()?.recorder.take()
     }
 
-    /// Attach registry-backed metrics; RTOs, fast-recovery entries, and
-    /// pacing stalls count into the shared handles from then on.
-    pub fn enable_metrics(&mut self, metrics: SenderMetrics) {
-        self.observers_mut().metrics = Some(metrics);
+    /// Attach the pacing-stall tally, from zero.
+    pub fn enable_tallies(&mut self) {
+        self.observers_mut().pacing_stalls = Some(0);
+    }
+
+    /// Transmissions the pacing gate deferred since
+    /// [`Sender::enable_tallies`]; `None` when no tally is attached.
+    pub fn pacing_stalls(&self) -> Option<u64> {
+        self.observers.as_deref()?.pacing_stalls
     }
 
     fn recorder(&self) -> Option<&FlowRecorder> {
@@ -295,10 +267,11 @@ impl Sender {
     snap! {
         /// Serialize the sender's full mutable state for a checkpoint.
         ///
-        /// `cfg` and `metrics` are configuration/harness attachments, rebuilt
-        /// at restore; the CCA serializes last (through the mandatory trait
-        /// methods), so a restore rebuilds the same algorithm from the
-        /// scenario and overlays its state in place.
+        /// `cfg` is configuration, rebuilt at restore, and the pacing-stall
+        /// tally is observer state, left out; the CCA serializes last
+        /// (through the mandatory trait methods), so a restore rebuilds the
+        /// same algorithm from the scenario and overlays its state in
+        /// place.
         pub fn save_state;
         /// Overlay checkpointed state onto a sender freshly built from the
         /// same scenario (same config, CCA kind, and trace attachments).
@@ -355,8 +328,12 @@ impl Sender {
     fn arm_pace_timer(&mut self, ctx: &mut Ctx<'_, Msg>) {
         if !self.pace_pending {
             self.pace_pending = true;
-            if let Some(m) = self.observers.as_deref().and_then(|o| o.metrics.as_ref()) {
-                m.pacing_stalls.inc();
+            if let Some(n) = self
+                .observers
+                .as_deref_mut()
+                .and_then(|o| o.pacing_stalls.as_mut())
+            {
+                *n += 1;
             }
             ctx.schedule_at(
                 self.pacing_next,
@@ -484,11 +461,11 @@ impl Sender {
     }
 
     /// Count a congestion event (the caller bumps its kind's counter) and
-    /// show it to the observers.
+    /// show it to the flight recorder.
     fn congestion_event(&mut self, now: SimTime, kind: CongestionKind) {
         self.stats.note_event(now);
-        if let Some(obs) = self.observers.as_deref_mut() {
-            obs.on_congestion(now, kind);
+        if let Some(rec) = self.recorder_mut() {
+            rec.on_congestion(now, kind);
         }
     }
 

@@ -13,9 +13,10 @@
 //! Plus the simulator's self-observability layer (what the harness knows
 //! about *itself*, as opposed to what it measures about TCP):
 //!
-//! * [`registry`] — zero-dependency [`Counter`] / [`Gauge`] /
-//!   [`Histogram`] primitives and the [`Registry`] that names them; cheap
-//!   enough for the hot event loop (one relaxed atomic add per count).
+//! * [`registry`] — [`Counter`] / [`Gauge`] / [`Histogram`] primitives
+//!   over atomics and the [`Registry`] that names them, written by the
+//!   harness at slice boundaries (the simulation components keep plain
+//!   tallies and never hold a handle).
 //! * [`profile`] — [`export_profile_into`], which writes a run's
 //!   event-attribution profile into a [`Registry`].
 //! * [`manifest`] — the per-run provenance [`RunManifest`] and the

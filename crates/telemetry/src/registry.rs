@@ -1,5 +1,5 @@
 //! The metrics registry: named counters, gauges, and log2-bucket
-//! histograms cheap enough for the simulator's hot event loop.
+//! histograms, written by the harness and read by the exporters.
 //!
 //! Design constraints, in order:
 //!
@@ -8,24 +8,28 @@
 //!    RNG streams, or the event queue. A run with metrics on and off must
 //!    produce byte-identical outcomes (tested in
 //!    `tests/integration_metrics.rs`).
-//! 2. **Cheap.** One `Counter::inc` is a single relaxed atomic add; one
-//!    `Histogram::record` is three. Components hold [`Arc`] handles
-//!    directly (no name lookup on the hot path) and pay a single `Option`
-//!    branch when metrics are disabled — the same pattern the flight
-//!    recorder (`ccsim-trace`) uses.
-//! 3. **Zero-dependency.** Only `std` atomics, so every crate above
-//!    `ccsim-sim` can record without dependency cycles.
+//! 2. **Outside the components.** No simulation component holds a
+//!    handle: `ccsim-net` and `ccsim-tcp` do not depend on this crate.
+//!    They keep plain `u64` tallies (and [`ccsim_sim::Log2Tally`]s) in
+//!    their boxed observers, and the harness copies those, with the
+//!    counters the components keep anyway, into the registry at slice
+//!    boundaries. One writer, so "observation only reads" is a property
+//!    of the crate graph.
+//! 3. **Cheap to read.** A handle is an [`Arc`] straight into the
+//!    registry's atomics: the harness and the live endpoint pay no name
+//!    lookup per update, and a scrape never blocks the run. The log2
+//!    bucket rule is [`ccsim_sim::Log2Tally`]'s, so a tally loads into a
+//!    [`Histogram`] bucket for bucket.
 //!
 //! The registry itself is only touched at registration and export time
 //! (a `Mutex` is fine there); the handles it returns are lock-free.
 
+use ccsim_sim::Log2Tally;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Number of histogram buckets: bucket `k` counts values of bit length
-/// `k`, i.e. `v == 0` lands in bucket 0 and `v` in `[2^(k-1), 2^k)` lands
-/// in bucket `k`, so `u64::MAX` lands in bucket 64.
-pub const HISTOGRAM_BUCKETS: usize = 65;
+/// Number of histogram buckets: [`ccsim_sim::LOG2_BUCKETS`].
+pub const HISTOGRAM_BUCKETS: usize = ccsim_sim::LOG2_BUCKETS;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -101,14 +105,9 @@ impl Gauge {
     }
 }
 
-/// A histogram with power-of-two (log2) bucket boundaries.
-///
-/// Bucket `k` has the upper bound `2^k - 1`: bucket 0 holds only zeros,
-/// bucket 1 holds `{1}`, bucket 2 holds `{2, 3}`, bucket `k` holds
-/// `[2^(k-1), 2^k)`. Exponential buckets cover the full `u64` range in 65
-/// slots with constant-time classification (one `leading_zeros`), which
-/// is what queue occupancies and wall-clock latencies need: the
-/// interesting structure spans many orders of magnitude.
+/// A histogram with power-of-two (log2) bucket boundaries: the bucket
+/// rule of [`Log2Tally`] (bucket `k` holds `[2^(k-1), 2^k)`, bucket 0
+/// only zeros), over atomics.
 #[derive(Debug)]
 pub struct Histogram {
     count: AtomicU64,
@@ -132,21 +131,16 @@ impl Histogram {
         Histogram::default()
     }
 
-    /// The bucket index for `v`: its bit length (0 for 0).
+    /// The bucket index for `v` ([`Log2Tally::bucket_index`]).
     #[inline]
     pub fn bucket_index(v: u64) -> usize {
-        (u64::BITS - v.leading_zeros()) as usize
+        Log2Tally::bucket_index(v)
     }
 
-    /// The inclusive upper bound of bucket `k` (`2^k - 1`; `u64::MAX`
-    /// for the last bucket).
+    /// The inclusive upper bound of bucket `k`
+    /// ([`Log2Tally::bucket_upper_bound`]).
     pub fn bucket_upper_bound(k: usize) -> u64 {
-        debug_assert!(k < HISTOGRAM_BUCKETS);
-        if k >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << k) - 1
-        }
+        Log2Tally::bucket_upper_bound(k)
     }
 
     /// Record one observation.
@@ -155,6 +149,16 @@ impl Histogram {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.buckets[Self::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Overwrite every cell with `tally`'s: the harness copies a
+    /// component's tally in at each slice boundary.
+    pub fn load(&self, tally: &Log2Tally) {
+        self.count.store(tally.count, Ordering::Relaxed);
+        self.sum.store(tally.sum, Ordering::Relaxed);
+        for (cell, &n) in self.buckets.iter().zip(&tally.buckets) {
+            cell.store(n, Ordering::Relaxed);
+        }
     }
 
     /// Total number of observations.
@@ -205,18 +209,11 @@ impl Histogram {
             if (upto as f64) >= rank {
                 // Bucket k spans [lower, upper]: [0,0] for k = 0, else
                 // [2^(k-1), 2^k - 1].
-                let lower = if k == 0 {
-                    0.0
-                } else {
-                    (1u64 << (k - 1)) as f64
+                let lower = match k {
+                    0 => 0.0,
+                    k => (Self::bucket_upper_bound(k - 1) + 1) as f64,
                 };
-                let upper = if k == 0 {
-                    0.0
-                } else if k >= 64 {
-                    u64::MAX as f64
-                } else {
-                    ((1u64 << k) - 1) as f64
-                };
+                let upper = Self::bucket_upper_bound(k) as f64;
                 let frac = (rank - seen as f64) / c as f64;
                 return Some(lower + (upper - lower) * frac.clamp(0.0, 1.0));
             }
@@ -260,8 +257,8 @@ pub struct MetricEntry {
     pub metric: Metric,
 }
 
-/// A collection of named metrics, shared between the instrumented
-/// components (which hold `Arc` handles) and the exporter.
+/// A collection of named metrics, shared between the harness (which
+/// holds `Arc` handles) and the exporters.
 #[derive(Default)]
 pub struct Registry {
     entries: Mutex<Vec<MetricEntry>>,
@@ -447,6 +444,21 @@ mod tests {
         assert_eq!(b[2], 2); // 2, 3
         assert_eq!(b[7], 1); // 100 in [64, 128)
         assert_eq!(h.max_bucket(), Some(7));
+    }
+
+    #[test]
+    fn a_loaded_tally_reads_as_the_same_values_recorded() {
+        let (recorded, loaded) = (Histogram::new(), Histogram::new());
+        let mut tally = Log2Tally::default();
+        for v in [0, 1, 2, 3, 100, 1 << 40] {
+            recorded.record(v);
+            tally.record(v);
+        }
+        loaded.record(7); // overwritten, not added to
+        loaded.load(&tally);
+        assert_eq!(loaded.count(), recorded.count());
+        assert_eq!(loaded.sum(), recorded.sum());
+        assert_eq!(loaded.bucket_counts(), recorded.bucket_counts());
     }
 
     #[test]

@@ -5,8 +5,11 @@
 
 use ccsim::cca::CcaKind;
 use ccsim::experiments::{run, FlowGroup, ObserveOptions, ObservedRun, RunRequest, Scenario};
-use ccsim::sim::{Bandwidth, SimDuration};
+use ccsim::fault::FaultPlan;
+use ccsim::net::AqmKind;
+use ccsim::sim::{Bandwidth, Log2Tally, SimDuration, SimTime};
 use ccsim::telemetry::{validate_exposition, RunManifest};
+use ccsim::trace::{CongestionKind, RetentionPolicy, TraceConfig, TraceKind};
 
 fn run_observed(scenario: &Scenario) -> ObservedRun {
     RunRequest::new(scenario)
@@ -29,6 +32,57 @@ fn scenario(seed: u64, cca: CcaKind) -> Scenario {
     s.start_jitter = SimDuration::from_millis(300);
     s.convergence = None;
     s
+}
+
+/// Reno and BBR over a 40-packet buffer: drops, RTOs, recoveries and
+/// pacing stalls all happen within a few seconds.
+fn mixed(seed: u64) -> Scenario {
+    let mut s = Scenario::edge_scale()
+        .named("observability-mixed")
+        .flows(vec![
+            FlowGroup::new(CcaKind::Reno, 3, SimDuration::from_millis(20)),
+            FlowGroup::new(CcaKind::Bbr, 2, SimDuration::from_millis(30)),
+        ])
+        .seed(seed);
+    s.bottleneck = Bandwidth::from_mbps(20);
+    s.buffer_bytes = 60_000;
+    s.warmup = SimDuration::from_secs(1);
+    s.duration = SimDuration::from_secs(5);
+    s.start_jitter = SimDuration::from_millis(300);
+    s.convergence = None;
+    s
+}
+
+/// The value of the unlabelled sample `name` in a Prometheus dump.
+fn sample(exposition: &str, name: &str) -> u64 {
+    exposition
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("no sample {name}"))
+        .parse()
+        .unwrap()
+}
+
+/// The sample lines a histogram family `name` holding `tally` exports:
+/// cumulative buckets up to the highest non-empty one, `+Inf`, sum, count.
+fn histogram_lines(name: &str, tally: &Log2Tally) -> Vec<String> {
+    let top = tally
+        .buckets
+        .iter()
+        .rposition(|&c| c > 0)
+        .map_or(0, |k| k + 1);
+    let mut cumulative = 0;
+    let mut lines: Vec<String> = (0..top)
+        .map(|k| {
+            cumulative += tally.buckets[k];
+            let le = Log2Tally::bucket_upper_bound(k);
+            format!("{name}_bucket{{le=\"{le}\"}} {cumulative}")
+        })
+        .collect();
+    lines.push(format!("{name}_bucket{{le=\"+Inf\"}} {}", tally.count));
+    lines.push(format!("{name}_sum {}", tally.sum));
+    lines.push(format!("{name}_count {}", tally.count));
+    lines
 }
 
 /// The tentpole guarantee: attaching the full instrument set changes
@@ -62,7 +116,11 @@ fn prometheus_dump_is_valid_and_populated() {
         "ccsim_events_per_sec",
         "ccsim_sim_wall_ratio",
         "ccsim_link_queue_bytes",
+        "ccsim_link_drop_burst_pkts",
         "ccsim_link_busy_nanos_total",
+        "ccsim_tcp_rtos_total",
+        "ccsim_tcp_fast_recoveries_total",
+        "ccsim_tcp_pacing_stalls_total",
         "ccsim_phase_wall_nanos_total",
     ] {
         assert!(obs.prometheus.contains(family), "missing {family}");
@@ -128,4 +186,128 @@ fn live_metrics_count_engine_events_while_the_run_goes() {
     };
     assert!(by_kind("data") > seen);
     assert_eq!(data_events(&live.metrics_snapshot()), by_kind("data"));
+}
+
+/// Views that check each other: on one traced, observed run the metric
+/// families and the flight recorder count the same events. The
+/// occupancy histogram, bucket for bucket, is the one the bottleneck's
+/// depth samples rebuild (every arrival sampled); the drop bursts sum to
+/// the trace's drop records; the RTO and recovery counters equal its
+/// congestion records of each kind. On a drop-tail bottleneck, on a
+/// CoDel+ECN one (where drops also happen at dequeue), and on a drop-tail
+/// one whose run ends inside a blackout, so the last drop burst is still
+/// open when the run is collected.
+#[test]
+fn metric_families_agree_with_the_trace() {
+    let mut ends_in_outage = mixed(21);
+    ends_in_outage.fault =
+        FaultPlan::none().blackout(SimTime::from_millis(5_500), SimDuration::from_secs(1));
+    for (case, s) in [
+        ("drop-tail", mixed(21)),
+        ("codel+ecn", mixed(21).aqm(AqmKind::Codel).ecn(true)),
+        ("ends in an outage", ends_in_outage),
+    ] {
+        let s = s.traced(TraceConfig {
+            enabled: true,
+            policy: RetentionPolicy::KeepAll,
+            max_bytes: 1 << 30,
+            queue_sample_every: 1,
+        });
+        let obs = run_observed(&s);
+        let prom = &obs.prometheus;
+        let trace = obs.outcome.trace.as_ref().expect("traced run");
+        assert_eq!(
+            (trace.evicted, trace.thinned),
+            (0, 0),
+            "{case}: budget too small"
+        );
+
+        let mut depth = Log2Tally::default();
+        for r in trace.of_kind(TraceKind::QueueDepth) {
+            depth.record(r.a);
+        }
+        let dumped: Vec<&str> = prom
+            .lines()
+            .filter(|l| l.starts_with("ccsim_link_queue_bytes_"))
+            .collect();
+        assert_eq!(
+            dumped,
+            histogram_lines("ccsim_link_queue_bytes", &depth),
+            "{case}"
+        );
+
+        let drops = trace.of_kind(TraceKind::Drop).count() as u64;
+        assert_eq!(
+            sample(prom, "ccsim_link_drop_burst_pkts_sum"),
+            drops,
+            "{case}"
+        );
+
+        let congestion = |kind: CongestionKind| {
+            trace
+                .of_kind(TraceKind::Congestion)
+                .filter(|r| r.congestion_kind() == Some(kind))
+                .count() as u64
+        };
+        let (rtos, recoveries) = (
+            congestion(CongestionKind::Rto),
+            congestion(CongestionKind::FastRecovery),
+        );
+        assert_eq!(sample(prom, "ccsim_tcp_rtos_total"), rtos, "{case}");
+        assert_eq!(
+            sample(prom, "ccsim_tcp_fast_recoveries_total"),
+            recoveries,
+            "{case}"
+        );
+        assert!(
+            depth.count > 0 && drops > 0 && rtos > 0 && recoveries > 0,
+            "{case}: a view is empty"
+        );
+    }
+}
+
+/// A resumed run's component families count from its restore: each
+/// counter (and the occupancy histogram's count and sum) equals the
+/// uninterrupted run's value less its value at the checkpoint instant,
+/// read from an observed run of the same scenario cut there. (The
+/// drop-burst sizes do not subtract: a burst open at the checkpoint is
+/// split in two.)
+#[test]
+fn a_resumed_run_counts_component_families_from_its_restore() {
+    let s = mixed(17);
+    let at = SimTime::from_secs(3);
+    let mut cut = s.clone();
+    cut.duration = SimDuration::from_secs(2);
+
+    let full = run_observed(&s).prometheus;
+    let before = run_observed(&cut).prometheus;
+    let checkpoint = RunRequest::new(&s)
+        .checkpoint_at(at)
+        .capture()
+        .expect("capture");
+    let resumed = RunRequest::resume(&checkpoint)
+        .observe(ObserveOptions::default())
+        .execute()
+        .expect("resume")
+        .prometheus
+        .expect("observed");
+    for name in [
+        "ccsim_link_queue_bytes_count",
+        "ccsim_link_queue_bytes_sum",
+        "ccsim_link_busy_nanos_total",
+        "ccsim_tcp_rtos_total",
+        "ccsim_tcp_fast_recoveries_total",
+        "ccsim_tcp_pacing_stalls_total",
+    ] {
+        let (f, b, r) = (
+            sample(&full, name),
+            sample(&before, name),
+            sample(&resumed, name),
+        );
+        assert!(
+            b > 0 && r > 0,
+            "{name}: {b} before, {r} after the checkpoint"
+        );
+        assert_eq!(r, f - b, "{name}");
+    }
 }
