@@ -342,7 +342,7 @@ impl RunInstruments {
             raise_to(counter, count);
         }
         self.pending_peak.set_max(net.sim.max_pending() as f64);
-        self.load_components(net, false);
+        self.load_components(net);
         if self
             .timeline
             .as_ref()
@@ -386,7 +386,12 @@ impl RunInstruments {
     /// grid), and harvest the event profile while the flight recorders
     /// still count towards `trace/rings`.
     pub(crate) fn collect(&mut self, net: &BuiltNetwork, now: SimTime, delivered: &[u64]) {
-        self.load_components(net, true);
+        self.load_components(net);
+        // A histogram observation must not move between buckets, so only
+        // the run's end may count the burst in progress.
+        if let Some(t) = net.sim.component::<Link>(net.link).tallies() {
+            self.link_drop_bursts.load(&t.drop_bursts_closed());
+        }
         self.push_row(net, now, Some(delivered));
         if self.options.profile {
             self.profile = harvest_profile(
@@ -399,19 +404,13 @@ impl RunInstruments {
     }
 
     /// Copy the components' counts into their six families: the
-    /// bottleneck's [`ccsim_net::LinkTallies`] (with the drop burst in
-    /// progress closed when `closing`: a histogram observation must not
-    /// move between buckets, so only the run's end may count an open
-    /// burst), and over all senders the RTOs and recovery entries since
+    /// bottleneck's [`ccsim_net::LinkTallies`] (closed drop bursts only),
+    /// and over all senders the RTOs and recovery entries since
     /// [`RunInstruments::start`] and the pacing stalls.
-    fn load_components(&self, net: &BuiltNetwork, closing: bool) {
+    fn load_components(&self, net: &BuiltNetwork) {
         if let Some(t) = net.sim.component::<Link>(net.link).tallies() {
             self.link_queue_bytes.load(&t.queue_bytes);
-            if closing {
-                self.link_drop_bursts.load(&t.drop_bursts_closed());
-            } else {
-                self.link_drop_bursts.load(&t.drop_burst_pkts);
-            }
+            self.link_drop_bursts.load(&t.drop_burst_pkts);
             raise_to(&self.link_busy_nanos, t.busy_nanos);
         }
         let (rtos, recoveries, stalls) = sender_counts(net);

@@ -198,6 +198,10 @@ impl<'a, M> Ctx<'a, M> {
 /// classified dispatch only; the plain (unclassified) path is untouched.
 ///
 /// Cell **counts** are exact and deterministic given the event stream.
+/// While profiling is on they are the only per-event count: the engine's
+/// per-kind counters are brought up to date from them at the end of each
+/// classified run call ([`EngineProf::fold_kinds`]), so a profiled event
+/// pays one counter increment, as an unprofiled one does, plus the tick.
 /// Wall time is attributed by strided sampling: every `stride`-th
 /// classified event takes an `Instant` and charges the elapsed time since
 /// the previous sample to its own cell. *Which* events are sampled is a
@@ -215,6 +219,9 @@ struct EngineProf {
     cell_nanos: Vec<u64>,
     /// Samples charged per cell.
     cell_samples: Vec<u64>,
+    /// Per kind, the events already added to the engine's per-kind
+    /// counters.
+    folded: Vec<u64>,
     stride: u64,
     tick: u64,
     last_sample: Option<std::time::Instant>,
@@ -229,13 +236,39 @@ impl EngineProf {
         self.cell_counts[cell] += 1;
         self.tick += 1;
         if self.tick >= self.stride {
-            self.tick = 0;
-            let now = std::time::Instant::now();
-            if let Some(prev) = self.last_sample.replace(now) {
-                let nanos = u64::try_from(now.duration_since(prev).as_nanos()).unwrap_or(u64::MAX);
-                self.cell_nanos[cell] = self.cell_nanos[cell].saturating_add(nanos);
-                self.cell_samples[cell] += 1;
-            }
+            self.sample(cell);
+        }
+    }
+
+    /// Take the stride's wall-clock sample and charge it to `cell`. Out of
+    /// line, so the clock read and its arithmetic stay out of the dispatch
+    /// loop's code.
+    #[cold]
+    #[inline(never)]
+    fn sample(&mut self, cell: usize) {
+        self.tick = 0;
+        let now = std::time::Instant::now();
+        if let Some(prev) = self.last_sample.replace(now) {
+            let nanos = u64::try_from(now.duration_since(prev).as_nanos()).unwrap_or(u64::MAX);
+            self.cell_nanos[cell] = self.cell_nanos[cell].saturating_add(nanos);
+            self.cell_samples[cell] += 1;
+        }
+    }
+
+    /// Add each kind's events since the last fold (summed over the
+    /// classes) to `kind_counts`. The kinds are the engine's event
+    /// classes ([`Simulator::enable_profiling`] checks the count), so
+    /// this is exactly what counting them per event would have left.
+    fn fold_kinds(&mut self, kind_counts: &mut [u64]) {
+        for (kind, (count, folded)) in kind_counts.iter_mut().zip(&mut self.folded).enumerate() {
+            let total: u64 = self
+                .cell_counts
+                .iter()
+                .skip(kind)
+                .step_by(self.n_kinds)
+                .sum();
+            *count += total - *folded;
+            *folded = total;
         }
     }
 }
@@ -259,7 +292,9 @@ pub struct Simulator<M> {
     /// engine knows nothing about `M`'s structure (and must not depend on
     /// the telemetry crate, which depends on this one), so the harness
     /// supplies a pure classifier `M -> class index` per run call and
-    /// reads the counts back afterwards.
+    /// reads the counts back afterwards. While profiling is on, the
+    /// profiler's cells count instead and fold in here at the end of each
+    /// call.
     class_counts: Vec<u64>,
     /// Opt-in per-(component-class × event-kind) attribution; `None`
     /// (the default) keeps profiling entirely off the dispatch path.
@@ -285,9 +320,11 @@ impl<M: 'static> Simulator<M> {
     /// Enable per-(component-class × event-kind) profiling for subsequent
     /// [`Simulator::run_until_classified`] calls. `comp_class` maps each
     /// component arena index to a class in `0..n_classes` (missing or
-    /// out-of-range entries clamp); `stride` is the wall-clock sampling
-    /// period in events (≥ 1). Cell counts are exact; wall time is
-    /// attributed by strided `Instant` sampling (see [`EngineProf`]).
+    /// out-of-range entries clamp); the kinds are the event classes, so
+    /// [`Simulator::set_event_classes`] must have been called with
+    /// `n_kinds`; `stride` is the wall-clock sampling period in events
+    /// (≥ 1). Cell counts are exact; wall time is attributed by strided
+    /// `Instant` sampling (see [`EngineProf`]).
     pub fn enable_profiling(
         &mut self,
         comp_class: Vec<u8>,
@@ -297,6 +334,11 @@ impl<M: 'static> Simulator<M> {
     ) {
         assert!(n_classes > 0 && n_kinds > 0, "need at least one cell");
         assert!(stride > 0, "sampling stride must be >= 1");
+        assert_eq!(
+            n_kinds,
+            self.class_counts.len(),
+            "profiling counts the event classes: call set_event_classes(n_kinds) first"
+        );
         self.prof = Some(Box::new(EngineProf {
             comp_class,
             n_classes,
@@ -304,6 +346,7 @@ impl<M: 'static> Simulator<M> {
             cell_counts: vec![0; n_classes * n_kinds],
             cell_nanos: vec![0; n_classes * n_kinds],
             cell_samples: vec![0; n_classes * n_kinds],
+            folded: vec![0; n_kinds],
             stride,
             tick: 0,
             last_sample: None,
@@ -346,9 +389,14 @@ impl<M: 'static> Simulator<M> {
     }
 
     /// Size the per-class event counters for [`Simulator::run_until_classified`]
-    /// (out-of-range class indices land in the last class).
+    /// (out-of-range class indices land in the last class). Must precede
+    /// [`Simulator::enable_profiling`].
     pub fn set_event_classes(&mut self, classes: usize) {
         assert!(classes > 0, "need at least one event class");
+        assert!(
+            self.prof.is_none(),
+            "the event classes are fixed once profiling is on"
+        );
         self.class_counts = vec![0; classes];
     }
 
@@ -463,11 +511,10 @@ impl<M: 'static> Simulator<M> {
         debug_assert!(time >= self.now, "event queue went backwards");
         self.now = time;
         if let Some(k) = classify(&msg) {
-            if let Some(last) = self.class_counts.len().checked_sub(1) {
-                self.class_counts[k.min(last)] += 1;
-            }
             if let Some(p) = self.prof.as_deref_mut() {
                 p.record(dst.as_usize(), k);
+            } else if let Some(last) = self.class_counts.len().checked_sub(1) {
+                self.class_counts[k.min(last)] += 1;
             }
         }
         let Simulator {
@@ -608,7 +655,11 @@ impl<M: 'static> Simulator<M> {
             // affects the charged nanoseconds, never which events sample.
             p.last_sample = None;
         }
-        self.run_until_with(deadline, |m| Some(classify(m)))
+        let ran = self.run_until_with(deadline, |m| Some(classify(m)));
+        if let Some(p) = self.prof.as_deref_mut() {
+            p.fold_kinds(&mut self.class_counts);
+        }
+        ran
     }
 
     // ----- checkpoint/restore -------------------------------------------
@@ -844,6 +895,11 @@ mod tests {
         // 7 events at stride 2 sample at events 2, 4, 6; the first sample
         // only arms the anchor, so exactly 2 are charged — deterministic.
         assert_eq!(samples.iter().sum::<u64>(), 2);
+        // The per-kind counts folded in from the cells read as they do
+        // unprofiled, and a call that dispatches nothing adds nothing.
+        assert_eq!(sim.event_class_counts(), &[3, 4]);
+        sim.run_until_classified(SimTime::from_secs(2_000), |_| 0);
+        assert_eq!(sim.event_class_counts(), &[3, 4]);
     }
 
     #[test]

@@ -68,6 +68,19 @@ mod tests {
     use super::*;
 
     #[test]
+    fn bucket_boundaries() {
+        assert_eq!(Log2Tally::bucket_index(0), 0);
+        assert_eq!(Log2Tally::bucket_index(1), 1);
+        assert_eq!(Log2Tally::bucket_index(2), 2);
+        assert_eq!(Log2Tally::bucket_index(3), 2);
+        assert_eq!(Log2Tally::bucket_index(4), 3);
+        assert_eq!(Log2Tally::bucket_index(u64::MAX), 64);
+        assert_eq!(Log2Tally::bucket_upper_bound(0), 0);
+        assert_eq!(Log2Tally::bucket_upper_bound(3), 7);
+        assert_eq!(Log2Tally::bucket_upper_bound(64), u64::MAX);
+    }
+
+    #[test]
     fn records_count_sum_and_buckets() {
         let mut t = Log2Tally::default();
         for v in [0, 1, 2, 3, 100, u64::MAX] {

@@ -12,47 +12,70 @@
 //! accepts exactly what [`write_exposition`] emits (and standard
 //! exposition output generally) and reports the first malformed line.
 
-use crate::registry::{Histogram, Metric, MetricEntry, Registry, HISTOGRAM_BUCKETS};
+use crate::registry::{Histogram, Metric, MetricEntry, Registry};
+use ccsim_sim::{Log2Tally, LOG2_BUCKETS};
 use std::fmt::Write as _;
 
-fn escape_help(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('\n', "\\n")
-}
+/// What `# HELP` text escapes: backslashes and newlines.
+const HELP_ESCAPES: &[(char, &str)] = &[('\\', "\\\\"), ('\n', "\\n")];
+/// What a label value escapes: HELP's escapes and double quotes.
+const LABEL_ESCAPES: &[(char, &str)] = &[('\\', "\\\\"), ('\n', "\\n"), ('"', "\\\"")];
 
-fn escape_label_value(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-}
-
-/// Render `{k="v",...}` for a label set, with an optional extra label
-/// (used for histogram `le`). Empty label sets render as nothing.
-fn label_block(labels: &[(String, String)], extra: Option<(&str, &str)>) -> String {
-    let mut parts: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
-        .collect();
-    if let Some((k, v)) = extra {
-        parts.push(format!("{k}=\"{}\"", escape_label_value(v)));
-    }
-    if parts.is_empty() {
-        String::new()
-    } else {
-        format!("{{{}}}", parts.join(","))
+/// Append `s` with each character `escapes` names replaced.
+fn push_escaped(out: &mut String, s: &str, escapes: &[(char, &str)]) {
+    for c in s.chars() {
+        match escapes.iter().find(|(from, _)| *from == c) {
+            Some((_, to)) => out.push_str(to),
+            None => out.push(c),
+        }
     }
 }
 
-/// Render a sample value the way Prometheus expects (integers without a
-/// decimal point; floats via shortest round-trip).
-fn render_value(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".to_string()
-    } else if v == f64::INFINITY {
-        "+Inf".to_string()
-    } else if v == f64::NEG_INFINITY {
-        "-Inf".to_string()
-    } else {
-        format!("{v}")
+/// Append `{k="v",...}` for a label set, with an optional extra label
+/// (used for histogram `le`). Empty label sets append nothing.
+fn push_labels(out: &mut String, labels: &[(String, String)], extra: Option<(&str, &str)>) {
+    let pairs = labels.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+    let mut open = false;
+    for (k, v) in pairs.chain(extra) {
+        out.push(if open { ',' } else { '{' });
+        open = true;
+        out.push_str(k);
+        out.push_str("=\"");
+        push_escaped(out, v, LABEL_ESCAPES);
+        out.push('"');
+    }
+    if open {
+        out.push('}');
+    }
+}
+
+/// Append one sample line: `name` + `suffix`, the labels, and `value`.
+fn push_sample(
+    out: &mut String,
+    entry: &MetricEntry,
+    suffix: &str,
+    extra: Option<(&str, &str)>,
+    value: impl std::fmt::Display,
+) {
+    out.push_str(&entry.name);
+    out.push_str(suffix);
+    push_labels(out, &entry.labels, extra);
+    let _ = writeln!(out, " {value}");
+}
+
+/// A gauge value the way Prometheus expects it: integers without a
+/// decimal point, other floats via shortest round-trip, and `NaN`,
+/// `+Inf`, `-Inf` spelled out.
+struct PromFloat(f64);
+
+impl std::fmt::Display for PromFloat {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.0 {
+            v if v.is_nan() => f.write_str("NaN"),
+            f64::INFINITY => f.write_str("+Inf"),
+            f64::NEG_INFINITY => f.write_str("-Inf"),
+            v => write!(f, "{v}"),
+        }
     }
 }
 
@@ -61,84 +84,51 @@ fn write_histogram(out: &mut String, entry: &MetricEntry, h: &Histogram) {
     // Trailing empty buckets add no information (their cumulative count
     // equals the total); emit up to the highest non-empty bucket, then
     // +Inf, so a 65-bucket family stays readable.
-    let top = h.max_bucket().map_or(0, |k| k + 1).min(HISTOGRAM_BUCKETS);
+    let top = h.max_bucket().map_or(0, |k| k + 1).min(LOG2_BUCKETS);
     let mut cumulative = 0u64;
+    let mut le = String::new();
     for (k, &c) in counts.iter().enumerate().take(top) {
         cumulative += c;
-        let le = Histogram::bucket_upper_bound(k).to_string();
-        let _ = writeln!(
-            out,
-            "{}_bucket{} {}",
-            entry.name,
-            label_block(&entry.labels, Some(("le", &le))),
-            cumulative
-        );
+        le.clear();
+        let _ = write!(le, "{}", Log2Tally::bucket_upper_bound(k));
+        push_sample(out, entry, "_bucket", Some(("le", &le)), cumulative);
     }
-    let _ = writeln!(
-        out,
-        "{}_bucket{} {}",
-        entry.name,
-        label_block(&entry.labels, Some(("le", "+Inf"))),
-        h.count()
-    );
-    let _ = writeln!(
-        out,
-        "{}_sum{} {}",
-        entry.name,
-        label_block(&entry.labels, None),
-        h.sum()
-    );
-    let _ = writeln!(
-        out,
-        "{}_count{} {}",
-        entry.name,
-        label_block(&entry.labels, None),
-        h.count()
-    );
+    push_sample(out, entry, "_bucket", Some(("le", "+Inf")), h.count());
+    push_sample(out, entry, "_sum", None, h.sum());
+    push_sample(out, entry, "_count", None, h.count());
 }
 
 /// Render the registry as Prometheus text exposition (no timestamps:
-/// a scraper stamps samples with the scrape instant).
+/// a scraper stamps samples with the scrape instant). Written in place
+/// under the registry's lock: no entry is copied and no line allocates.
 pub fn write_exposition(registry: &Registry) -> String {
-    let entries = registry.entries();
-    let mut out = String::with_capacity(256 + entries.len() * 128);
-    let mut last_family: Option<String> = None;
-    for entry in &entries {
-        // HELP/TYPE once per family; series of one family are registered
-        // consecutively (the registry preserves insertion order).
-        if last_family.as_deref() != Some(entry.name.as_str()) {
-            let kind = match &entry.metric {
-                Metric::Counter(_) => "counter",
-                Metric::Gauge(_) => "gauge",
-                Metric::Histogram(_) => "histogram",
-            };
-            let _ = writeln!(out, "# HELP {} {}", entry.name, escape_help(&entry.help));
-            let _ = writeln!(out, "# TYPE {} {}", entry.name, kind);
-            last_family = Some(entry.name.clone());
-        }
-        match &entry.metric {
-            Metric::Counter(c) => {
-                let _ = writeln!(
-                    out,
-                    "{}{} {}",
-                    entry.name,
-                    label_block(&entry.labels, None),
-                    c.get()
-                );
+    registry.with_entries(|entries| {
+        let mut out = String::with_capacity(256 + entries.len() * 128);
+        let mut last_family: Option<&str> = None;
+        for entry in entries {
+            // HELP/TYPE once per family; series of one family are registered
+            // consecutively (the registry preserves insertion order).
+            if last_family != Some(entry.name.as_str()) {
+                let kind = match &entry.metric {
+                    Metric::Counter(_) => "counter",
+                    Metric::Gauge(_) => "gauge",
+                    Metric::Histogram(_) => "histogram",
+                };
+                out.push_str("# HELP ");
+                out.push_str(&entry.name);
+                out.push(' ');
+                push_escaped(&mut out, &entry.help, HELP_ESCAPES);
+                let _ = writeln!(out, "\n# TYPE {} {kind}", entry.name);
+                last_family = Some(&entry.name);
             }
-            Metric::Gauge(g) => {
-                let _ = writeln!(
-                    out,
-                    "{}{} {}",
-                    entry.name,
-                    label_block(&entry.labels, None),
-                    render_value(g.get())
-                );
+            match &entry.metric {
+                Metric::Counter(c) => push_sample(&mut out, entry, "", None, c.get()),
+                Metric::Gauge(g) => push_sample(&mut out, entry, "", None, PromFloat(g.get())),
+                Metric::Histogram(h) => write_histogram(&mut out, entry, h),
             }
-            Metric::Histogram(h) => write_histogram(&mut out, entry, h),
         }
-    }
-    out
+        out
+    })
 }
 
 fn is_name(s: &str) -> bool {
@@ -292,6 +282,73 @@ mod tests {
         assert!(text.contains("ccsim_link_queue_bytes_count 3"));
         // HELP/TYPE emitted once per family, not per series.
         assert_eq!(text.matches("# TYPE ccsim_events_total").count(), 1);
+    }
+
+    #[test]
+    fn exposition_bytes_are_exact() {
+        let r = sample_registry();
+        r.counter_with(
+            "ccsim_escaped_total",
+            "help with \\ and\nnewline",
+            &[("a", "q\"uote"), ("b", "back\\slash\nline")],
+        )
+        .add(7);
+        r.gauge_with("ccsim_values", "float renderings", &[("v", "nan")])
+            .set(f64::NAN);
+        r.gauge_with("ccsim_values", "float renderings", &[("v", "inf")])
+            .set(f64::INFINITY);
+        r.gauge_with("ccsim_values", "float renderings", &[("v", "-inf")])
+            .set(f64::NEG_INFINITY);
+        r.gauge_with("ccsim_values", "float renderings", &[("v", "small")])
+            .set(-2.5e-7);
+        r.histogram_with("ccsim_sizes", "labeled histogram", &[("link", "0")])
+            .record(5);
+        r.histogram("ccsim_empty", "no observations");
+        let expected = r#"# HELP ccsim_events_total events
+# TYPE ccsim_events_total counter
+ccsim_events_total{kind="data"} 10
+ccsim_events_total{kind="ack"} 5
+# HELP ccsim_events_per_sec rate
+# TYPE ccsim_events_per_sec gauge
+ccsim_events_per_sec 1500000
+# HELP ccsim_link_queue_bytes occupancy
+# TYPE ccsim_link_queue_bytes histogram
+ccsim_link_queue_bytes_bucket{le="0"} 1
+ccsim_link_queue_bytes_bucket{le="1"} 1
+ccsim_link_queue_bytes_bucket{le="3"} 2
+ccsim_link_queue_bytes_bucket{le="7"} 2
+ccsim_link_queue_bytes_bucket{le="15"} 2
+ccsim_link_queue_bytes_bucket{le="31"} 2
+ccsim_link_queue_bytes_bucket{le="63"} 2
+ccsim_link_queue_bytes_bucket{le="127"} 3
+ccsim_link_queue_bytes_bucket{le="+Inf"} 3
+ccsim_link_queue_bytes_sum 103
+ccsim_link_queue_bytes_count 3
+# HELP ccsim_escaped_total help with \\ and\nnewline
+# TYPE ccsim_escaped_total counter
+ccsim_escaped_total{a="q\"uote",b="back\\slash\nline"} 7
+# HELP ccsim_values float renderings
+# TYPE ccsim_values gauge
+ccsim_values{v="nan"} NaN
+ccsim_values{v="inf"} +Inf
+ccsim_values{v="-inf"} -Inf
+ccsim_values{v="small"} -0.00000025
+# HELP ccsim_sizes labeled histogram
+# TYPE ccsim_sizes histogram
+ccsim_sizes_bucket{link="0",le="0"} 0
+ccsim_sizes_bucket{link="0",le="1"} 0
+ccsim_sizes_bucket{link="0",le="3"} 0
+ccsim_sizes_bucket{link="0",le="7"} 1
+ccsim_sizes_bucket{link="0",le="+Inf"} 1
+ccsim_sizes_sum{link="0"} 5
+ccsim_sizes_count{link="0"} 1
+# HELP ccsim_empty no observations
+# TYPE ccsim_empty histogram
+ccsim_empty_bucket{le="+Inf"} 0
+ccsim_empty_sum 0
+ccsim_empty_count 0
+"#;
+        assert_eq!(write_exposition(&r), expected);
     }
 
     #[test]

@@ -24,12 +24,9 @@
 //! The registry itself is only touched at registration and export time
 //! (a `Mutex` is fine there); the handles it returns are lock-free.
 
-use ccsim_sim::Log2Tally;
+use ccsim_sim::{Log2Tally, LOG2_BUCKETS};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Number of histogram buckets: [`ccsim_sim::LOG2_BUCKETS`].
-pub const HISTOGRAM_BUCKETS: usize = ccsim_sim::LOG2_BUCKETS;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -112,7 +109,7 @@ impl Gauge {
 pub struct Histogram {
     count: AtomicU64,
     sum: AtomicU64,
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
+    buckets: [AtomicU64; LOG2_BUCKETS],
 }
 
 impl Default for Histogram {
@@ -120,7 +117,7 @@ impl Default for Histogram {
         Histogram {
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
-            buckets: [(); HISTOGRAM_BUCKETS].map(|_| AtomicU64::new(0)),
+            buckets: [(); LOG2_BUCKETS].map(|_| AtomicU64::new(0)),
         }
     }
 }
@@ -131,24 +128,12 @@ impl Histogram {
         Histogram::default()
     }
 
-    /// The bucket index for `v` ([`Log2Tally::bucket_index`]).
-    #[inline]
-    pub fn bucket_index(v: u64) -> usize {
-        Log2Tally::bucket_index(v)
-    }
-
-    /// The inclusive upper bound of bucket `k`
-    /// ([`Log2Tally::bucket_upper_bound`]).
-    pub fn bucket_upper_bound(k: usize) -> u64 {
-        Log2Tally::bucket_upper_bound(k)
-    }
-
     /// Record one observation.
     #[inline]
     pub fn record(&self, v: u64) {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.buckets[Self::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        self.buckets[Log2Tally::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Overwrite every cell with `tally`'s: the harness copies a
@@ -172,8 +157,8 @@ impl Histogram {
     }
 
     /// Per-bucket (non-cumulative) counts.
-    pub fn bucket_counts(&self) -> [u64; HISTOGRAM_BUCKETS] {
-        let mut out = [0u64; HISTOGRAM_BUCKETS];
+    pub fn bucket_counts(&self) -> [u64; LOG2_BUCKETS] {
+        let mut out = [0u64; LOG2_BUCKETS];
         for (o, b) in out.iter_mut().zip(&self.buckets) {
             *o = b.load(Ordering::Relaxed);
         }
@@ -211,15 +196,15 @@ impl Histogram {
                 // [2^(k-1), 2^k - 1].
                 let lower = match k {
                     0 => 0.0,
-                    k => (Self::bucket_upper_bound(k - 1) + 1) as f64,
+                    k => (Log2Tally::bucket_upper_bound(k - 1) + 1) as f64,
                 };
-                let upper = Self::bucket_upper_bound(k) as f64;
+                let upper = Log2Tally::bucket_upper_bound(k) as f64;
                 let frac = (rank - seen as f64) / c as f64;
                 return Some(lower + (upper - lower) * frac.clamp(0.0, 1.0));
             }
             seen = upto;
         }
-        Some(Self::bucket_upper_bound(HISTOGRAM_BUCKETS - 1) as f64)
+        Some(Log2Tally::bucket_upper_bound(LOG2_BUCKETS - 1) as f64)
     }
 }
 
@@ -377,9 +362,10 @@ impl Registry {
         }
     }
 
-    /// Snapshot every registered entry (for export).
-    pub fn entries(&self) -> Vec<MetricEntry> {
-        self.entries.lock().unwrap().clone()
+    /// Read every registered entry, in registration order, under the
+    /// registry's lock (for export: nothing is copied).
+    pub fn with_entries<R>(&self, read: impl FnOnce(&[MetricEntry]) -> R) -> R {
+        read(&self.entries.lock().unwrap())
     }
 
     /// Number of registered series.
@@ -415,19 +401,6 @@ mod tests {
         assert_eq!(g.get(), 9.5);
         g.set(1.0);
         assert_eq!(g.get(), 1.0);
-    }
-
-    #[test]
-    fn histogram_bucket_boundaries() {
-        assert_eq!(Histogram::bucket_index(0), 0);
-        assert_eq!(Histogram::bucket_index(1), 1);
-        assert_eq!(Histogram::bucket_index(2), 2);
-        assert_eq!(Histogram::bucket_index(3), 2);
-        assert_eq!(Histogram::bucket_index(4), 3);
-        assert_eq!(Histogram::bucket_index(u64::MAX), 64);
-        assert_eq!(Histogram::bucket_upper_bound(0), 0);
-        assert_eq!(Histogram::bucket_upper_bound(3), 7);
-        assert_eq!(Histogram::bucket_upper_bound(64), u64::MAX);
     }
 
     #[test]

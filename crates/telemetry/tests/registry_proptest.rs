@@ -1,6 +1,7 @@
 //! Property-based tests for the metrics registry primitives: log2-bucket
 //! boundary invariants and thread-safety of the counters.
 
+use ccsim_sim::Log2Tally;
 use ccsim_telemetry::{Counter, Gauge, Histogram};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -10,7 +11,7 @@ proptest! {
     /// for zero: every value lands in the bucket whose range contains it.
     #[test]
     fn bucket_index_brackets_value(v in 0u64..=u64::MAX) {
-        let k = Histogram::bucket_index(v);
+        let k = Log2Tally::bucket_index(v);
         if v == 0 {
             prop_assert_eq!(k, 0);
         } else {
@@ -25,10 +26,10 @@ proptest! {
     /// `bucket_index`: `v <= upper(k)` and `v > upper(k-1)`.
     #[test]
     fn bucket_bounds_are_inclusive_and_tight(v in 0u64..=u64::MAX) {
-        let k = Histogram::bucket_index(v);
-        prop_assert!(v <= Histogram::bucket_upper_bound(k));
+        let k = Log2Tally::bucket_index(v);
+        prop_assert!(v <= Log2Tally::bucket_upper_bound(k));
         if k > 0 {
-            prop_assert!(v > Histogram::bucket_upper_bound(k - 1));
+            prop_assert!(v > Log2Tally::bucket_upper_bound(k - 1));
         }
     }
 
@@ -37,9 +38,9 @@ proptest! {
     #[test]
     fn powers_of_two_straddle_buckets(k in 1u32..64) {
         let boundary = 1u64 << k;
-        prop_assert_eq!(Histogram::bucket_index(boundary - 1), k as usize);
-        prop_assert_eq!(Histogram::bucket_index(boundary), k as usize + 1);
-        prop_assert_eq!(Histogram::bucket_upper_bound(k as usize), boundary - 1);
+        prop_assert_eq!(Log2Tally::bucket_index(boundary - 1), k as usize);
+        prop_assert_eq!(Log2Tally::bucket_index(boundary), k as usize + 1);
+        prop_assert_eq!(Log2Tally::bucket_upper_bound(k as usize), boundary - 1);
     }
 
     /// Recording any set of values keeps count/sum/buckets consistent:
@@ -57,7 +58,7 @@ proptest! {
         prop_assert_eq!(h.sum(), expect_sum);
         prop_assert_eq!(h.bucket_counts().iter().sum::<u64>(), values.len() as u64);
         if let Some(max) = values.iter().max() {
-            prop_assert_eq!(h.max_bucket(), Some(Histogram::bucket_index(*max)));
+            prop_assert_eq!(h.max_bucket(), Some(Log2Tally::bucket_index(*max)));
         } else {
             prop_assert_eq!(h.max_bucket(), None);
         }

@@ -11,8 +11,9 @@
 //!
 //! * `profiler_costs_under_two_percent` — an observed quickstart run with
 //!   the event-attribution profiler at its default stride against the
-//!   same run bare: one class-table lookup and two increments per event,
-//!   one clock read per 1024 events, and the profile's export at the end.
+//!   same run bare: per event a class-table lookup, a cell increment in
+//!   place of the bare run's per-kind one, and a tick; an out-of-line
+//!   clock read per 1024 events; and the profile's export at the end.
 //!   Must stay under 1.02.
 //! * `timeline_costs_under_two_percent` — the same pair with the windowed
 //!   sampler (1 s windows), which reads slice snapshots and never touches
@@ -24,7 +25,7 @@
 //!
 //! Mutation checks (each made in a throwaway copy; each gate failed):
 //! * profiler — `profile_stride: 1` in `ObserveOptions::profiled`, a
-//!   clock read per event: ratio 1.44.
+//!   clock read per event: ratio 1.52.
 //! * timeline — `ColumnSet::new` allocates and zeroes every ring to its
 //!   share of the 4 MiB budget up front: ratio 1.06. (A 1 ms window is
 //!   not a mutation this gate sees: rows close only at slice boundaries.)
@@ -49,8 +50,8 @@ use std::time::Instant;
 /// has phases in which every call runs up to 1.8x slow, and both calls of
 /// a pair fall in the same phase. The quickest quarter, because the gates
 /// are about the code's own cost and contention inflates it (on a shared
-/// 2-vCPU x86-64 VM the profiler reads about 2 % in slow phases, 1.3 % in
-/// quiet ones); this is min-of-N made robust to single lucky calls. The
+/// 2-vCPU x86-64 VM the profiler reads about 1 %, up to 2 % in slow
+/// phases); this is min-of-N made robust to single lucky calls. The
 /// median, to drop the pairs that straddle a phase change.
 fn cost_ratio<I, O>(
     gate: &str,
@@ -111,10 +112,13 @@ fn quickstart() -> Scenario {
     s
 }
 
-/// Bare observed quickstart runs against runs with `with` attached.
+/// Bare observed quickstart runs against runs with `with` attached, for
+/// 12 s of bare time: in a slow phase of a shared host (bare runs near
+/// 14 ms, not 8) the profiler's read spread by 0.012 (sd) over 6 s and by
+/// 0.006 over 12 s, centred at 1.000 and 1.005.
 fn observer_ratio(gate: &str, with: fn() -> ObserveOptions) -> f64 {
     let s = quickstart();
-    cost_ratio(gate, 6.0, ObserveOptions::default, with, |options| {
+    cost_ratio(gate, 12.0, ObserveOptions::default, with, |options| {
         RunRequest::new(&s)
             .observe(options)
             .execute()

@@ -77,6 +77,15 @@ fn profiling_is_digest_inert_across_smoke_campaigns() {
                 "{name}/{}",
                 q.job
             );
+            // The engine's per-kind counts, folded from the cells while the
+            // profiler runs, are the cells summed over the classes.
+            let by_kind = &q.manifest.as_ref().unwrap().events_by_kind;
+            let cells = &profile.events;
+            for (k, (kind, n)) in by_kind.iter().enumerate() {
+                assert_eq!(kind, &cells.kinds[k], "{name}/{}", q.job);
+                let summed: u64 = cells.counts.iter().skip(k).step_by(cells.kinds.len()).sum();
+                assert_eq!(*n, summed, "{name}/{}: {kind} events", q.job);
+            }
         }
     }
 }
