@@ -7,7 +7,7 @@
 //!   (Figures 4–8).
 //! * [`mathis`] — the Mathis throughput model, least-squares constant
 //!   fitting, and prediction-error evaluation (Table 1, Figure 2).
-//! * [`burstiness`] — the Goh–Barabási burstiness score applied to queue
+//! * [`burstiness`](mod@burstiness) — the Goh–Barabási burstiness score applied to queue
 //!   drop trains (Finding 3's corroboration).
 //! * [`sync`] — the loss-event synchronization index (the Appenzeller
 //!   desynchronization argument, quantified).

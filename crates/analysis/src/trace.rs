@@ -1,6 +1,6 @@
 //! Analysis entry points over recorded flight-recorder traces.
 //!
-//! The metrics themselves live in [`crate::sync`] and [`crate::burstiness`]
+//! The metrics themselves live in [`crate::sync`] and [`crate::burstiness`](mod@crate::burstiness)
 //! and operate on plain timestamp trains; these wrappers extract the trains
 //! from a [`RunTrace`] so callers (the runner, the CLI `trace` subcommand,
 //! notebooks reading exported files) go from trace to number in one call.
@@ -20,7 +20,7 @@ pub fn trace_synchronization_index(
     synchronization_index(&trace.congestion_event_trains(), start, end, bin)
 }
 
-/// Goh–Barabási burstiness (see [`crate::burstiness`]) of the trace's
+/// Goh–Barabási burstiness (see [`crate::burstiness`](fn@crate::burstiness)) of the trace's
 /// bottleneck drop train.
 pub fn trace_drop_burstiness(trace: &RunTrace) -> Option<f64> {
     burstiness(&trace.drop_times())

@@ -32,7 +32,7 @@ pub struct ExecutorOptions {
     /// When set, failed jobs write a replayable crash bundle here.
     pub crash_dir: Option<PathBuf>,
     /// Attach the `ccsim-prof` profiler to every job. Digest-inert; the
-    /// per-run [`ccsim_prof::Profile`] rides in each ledger entry's
+    /// per-run `ccsim_prof::Profile` rides in each ledger entry's
     /// manifest, and the sentinel gains per-event-kind events/s gates.
     pub profile: bool,
     /// Capture a windowed timeline on every job. Digest-inert; the

@@ -2,7 +2,7 @@
 //!
 //! The report is the campaign layer's answer to the paper's result
 //! tables: a run summary with unicode sparkline histograms (events/sec
-//! and wall-time distributions over the telemetry crate's log2 buckets),
+//! and wall-time distributions over `ccsim_sim::Log2Tally`'s log2 buckets),
 //! a paper-metric table, the expectation table — one verdict per
 //! expectation and cell (axis combination), judged on the cell's mean
 //! over its seeds against the range quoted from the paper (JFI > 0.99
@@ -16,16 +16,16 @@ use crate::ledger::{Ledger, LedgerEntry};
 use crate::metric::{Metric, METRICS};
 use crate::spec::Expectation;
 use ccsim_analysis::stats::{mean, std_dev};
-use ccsim_telemetry::Histogram;
+use ccsim_sim::Log2Tally;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 const SPARK: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
 
-/// Render a log2 histogram as a unicode sparkline over its occupied
+/// Render a log2 tally as a unicode sparkline over its occupied
 /// bucket range. Returns "(empty)" when nothing was recorded.
-pub fn sparkline(hist: &Histogram) -> String {
-    let counts = hist.bucket_counts();
+pub fn sparkline(hist: &Log2Tally) -> String {
+    let counts = &hist.buckets;
     let Some(hi) = hist.max_bucket() else {
         return "(empty)".to_string();
     };
@@ -52,9 +52,9 @@ fn fmt_opt(v: Option<f64>) -> String {
     }
 }
 
-/// Format a histogram quantile in engineer-friendly units (k/M suffixes
-/// above 10^3/10^6). Returns "—" for an empty histogram.
-fn fmt_quantile(hist: &Histogram, q: f64) -> String {
+/// Format a tally's quantile in engineer-friendly units (k/M suffixes
+/// above 10^3/10^6). Returns "—" for an empty tally.
+fn fmt_quantile(hist: &Log2Tally, q: f64) -> String {
     match hist.quantile(q) {
         None => "—".to_string(),
         Some(v) if v >= 1e6 => format!("{:.1} M", v / 1e6),
@@ -231,8 +231,8 @@ pub fn markdown(ledger: &Ledger) -> String {
 
     // Run-shape sparklines: where did wall time and event rate land?
     // Log2-bucketed like the engine's own metric histograms.
-    let eps_hist = Histogram::new();
-    let wall_hist = Histogram::new();
+    let mut eps_hist = Log2Tally::default();
+    let mut wall_hist = Log2Tally::default();
     for e in &ok {
         eps_hist.record(e.events_per_sec as u64);
         wall_hist.record((e.wall_secs * 1e3) as u64);
@@ -266,7 +266,7 @@ pub fn markdown(ledger: &Ledger) -> String {
         .filter_map(|e| e.metrics.as_ref()?.convergence_time)
         .collect();
     if !conv.is_empty() {
-        let conv_hist = Histogram::new();
+        let mut conv_hist = Log2Tally::default();
         for c in &conv {
             conv_hist.record((c * 1e3) as u64);
         }
@@ -639,7 +639,7 @@ mod tests {
 
     #[test]
     fn sparkline_covers_occupied_buckets_only() {
-        let h = Histogram::new();
+        let mut h = Log2Tally::default();
         assert_eq!(sparkline(&h), "(empty)");
         for v in [1u64, 1, 1, 2, 1000] {
             h.record(v);

@@ -1,13 +1,13 @@
 //! # ccsim-cca — congestion control algorithms
 //!
 //! Faithful implementations of the three CCAs the paper studies, behind the
-//! [`CongestionControl`](ccsim_tcp::CongestionControl) trait:
+//! [`CongestionControl`] trait:
 //!
-//! * [`NewReno`](reno::NewReno) — RFC 5681/6582 AIMD with appropriate byte
+//! * [`NewReno`] — RFC 5681/6582 AIMD with appropriate byte
 //!   counting; the algorithm the Mathis model describes.
-//! * [`Cubic`](cubic::Cubic) — RFC 8312 with fast convergence, the
+//! * [`Cubic`] — RFC 8312 with fast convergence, the
 //!   TCP-friendly region, and HyStart (Linux defaults).
-//! * [`Bbr`](bbr::Bbr) — BBRv1 per Linux `tcp_bbr.c`: Startup/Drain/
+//! * [`Bbr`] — BBRv1 per Linux `tcp_bbr.c`: Startup/Drain/
 //!   ProbeBW/ProbeRTT, windowed-max bandwidth filter, long-term (policer)
 //!   sampling, and recovery window modulation.
 //!

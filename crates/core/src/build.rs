@@ -1,6 +1,6 @@
 //! Network construction: wire a [`Scenario`] into a live simulator.
 //!
-//! The network shape comes from the scenario's [`TopologyKind`]
+//! The network shape comes from the scenario's [`TopologyKind`](ccsim_topo::TopologyKind)
 //! (single-bottleneck by default — the paper's dumbbell reduced to its
 //! essential elements, DESIGN.md decision D5): `ccsim-topo` generates the
 //! [`Topology`] description, instantiates its [`Link`]s (chained directly

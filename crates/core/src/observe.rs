@@ -4,11 +4,12 @@
 //! An *observed* run is an ordinary run with instruments attached:
 //! plain tallies on the bottleneck link and the senders, an event
 //! classifier on the engine, a wall clock per runner phase, and one
-//! per-slice step (`RunInstruments::slice`) that samples everything the
-//! runner reads at slice boundaries. [`RunInstruments`] is the registry's
-//! only writer: the components count into plain fields and never see a
-//! metric handle (`ccsim-net` and `ccsim-tcp` do not depend on
-//! `ccsim-telemetry`). Observation is **provably inert** — the enablement
+//! per-slice step (`RunInstruments::slice`) that feeds the timeline and
+//! the live endpoint. The counts stay with their owners: the engine and
+//! the components count into plain fields (`ccsim-net` and `ccsim-tcp`
+//! do not depend on `ccsim-telemetry`), and `RunInstruments` reads
+//! them into a plain snapshot only when it writes a dump.
+//! Observation is **provably inert** — the enablement
 //! lives here, outside [`Scenario`], so the simulated configuration is
 //! bit-identical with and without it, and the tallies are written by the
 //! components and read only here. The integration tests assert that a
@@ -33,13 +34,16 @@
 //! | `ccsim_phase_wall_nanos_total{phase}` | counter | runner phase wall time |
 //! | `ccsim_phase_calls_total{phase}` | counter | times each runner phase was clocked |
 //!
-//! The three link families load from the bottleneck's
-//! [`LinkTallies`](ccsim_net::LinkTallies), pacing stalls from the
-//! senders' tallies, and the RTO and recovery counts from Σ
+//! The engine families read the engine's per-kind counts and pending
+//! peak, the three link families the bottleneck's
+//! [`LinkTallies`](ccsim_net::LinkTallies), pacing stalls the senders'
+//! tallies, and the RTO and recovery counts Σ
 //! [`SenderStats`](ccsim_tcp::SenderStats) less the sum at
-//! [`RunInstruments::start`], so a resumed run counts from its restore.
-//! The copies happen at every slice and at collection, which also closes
-//! the drop burst in progress.
+//! `RunInstruments::start`, so a resumed run counts from its restore.
+//! They are read when the live endpoint is due a publish (whose drop
+//! bursts are the closed ones only, so no observation moves between
+//! buckets from one scrape to the next) and once at collection, whose
+//! snapshot the dump writes with the drop burst in progress closed.
 //!
 //! With [`ObserveOptions::profile`] on, the `ccsim-prof` families join
 //! the dump as well (`ccsim_prof_events_total{class,kind}`, timer-wheel
@@ -52,12 +56,11 @@ use crate::runner::Progress;
 use crate::scenario::Scenario;
 use ccsim_net::link::Link;
 use ccsim_net::msg::Msg;
-use ccsim_sim::{safe_rate, Fnv1a, SimTime};
+use ccsim_sim::{safe_rate, Fnv1a, Log2Tally, SimTime};
 use ccsim_tcp::receiver::Receiver;
 use ccsim_tcp::sender::Sender;
 use ccsim_telemetry::manifest::RunManifest;
-use ccsim_telemetry::prometheus::write_exposition;
-use ccsim_telemetry::registry::{Counter, Gauge, Histogram, Registry};
+use ccsim_telemetry::prometheus::Exposition;
 use ccsim_timeline::export::to_jsonl;
 use ccsim_timeline::serve::LiveState;
 use ccsim_timeline::{FlowPoint, LinkPoint, Timeline, TimelineConfig};
@@ -146,33 +149,23 @@ impl ObserveOptions {
     }
 }
 
-/// Everything attached to one observed run: the registry the metrics
-/// live in, the phase clocks, the pre-registered handles the per-slice
-/// step loads (created up front, so no step performs a name lookup), and
-/// the baselines it loads against. The runner owns it for the run
-/// (`&mut`), so nothing here needs a cell.
+/// Everything attached to one observed run: the phase clocks, the
+/// slice-time tally, the baselines the counts are read against, and the
+/// snapshot collection takes. The runner owns it for the run (`&mut`),
+/// so nothing here needs a cell.
 pub(crate) struct RunInstruments {
-    /// The metric registry for this run.
-    registry: Registry,
     /// `(wall nanos, calls)` per [`PHASES`] entry.
     phases: [(u64, u64); PHASES.len()],
     /// Observation knobs this run was started with.
     options: ObserveOptions,
-    events_kind: [Arc<Counter>; 3],
-    pending_peak: Arc<Gauge>,
-    events_per_sec: Arc<Gauge>,
-    sim_wall_ratio: Arc<Gauge>,
-    slice_wall: Arc<Histogram>,
-    link_queue_bytes: Arc<Histogram>,
-    link_drop_bursts: Arc<Histogram>,
-    link_busy_nanos: Arc<Counter>,
-    tcp_rtos: Arc<Counter>,
-    tcp_fast_recoveries: Arc<Counter>,
-    tcp_pacing_stalls: Arc<Counter>,
+    /// Wall nanoseconds per measurement slice (`ccsim_slice_wall_nanos`).
+    slice_wall: Log2Tally,
     /// Σ `SenderStats` `(rtos, fast_recoveries)` when the run started
     /// (non-zero only after a checkpoint restore): the baseline of the two
     /// congestion families, which count this segment's events only.
     congestion_at_start: (u64, u64),
+    /// The counts as [`RunInstruments::collect`] read them.
+    counts: RunCounts,
     /// Filled by [`RunInstruments::collect`] when profiling is on
     /// (everything except `dispatch_nanos`, stamped by `finish`).
     profile: Option<ccsim_prof::Profile>,
@@ -196,74 +189,38 @@ pub(crate) struct RunInstruments {
     last_publish: Option<Instant>,
 }
 
+/// One read of everything the run-level families count, taken from the
+/// counts' owners: plain values, written into a dump and then dropped.
+#[derive(Default)]
+struct RunCounts {
+    /// The engine's per-kind event counts, in [`EVENT_KINDS`] order.
+    events_by_kind: [u64; EVENT_KINDS.len()],
+    /// The engine's pending-event high-water mark.
+    pending_peak: u64,
+    /// The bottleneck's queue-occupancy tally ([`ccsim_net::LinkTallies`]).
+    queue_bytes: Log2Tally,
+    /// Its drop-burst sizes, the burst in progress closed at the run's end.
+    drop_bursts: Log2Tally,
+    /// Its serializer's busy nanoseconds.
+    busy_nanos: u64,
+    /// Σ over the senders, since [`RunInstruments::start`].
+    rtos: u64,
+    /// Σ over the senders, since [`RunInstruments::start`].
+    fast_recoveries: u64,
+    /// Σ over the senders' pacing-stall tallies.
+    pacing_stalls: u64,
+}
+
 impl RunInstruments {
-    /// Register every metric family an observed run emits and return the
-    /// handles. With `live`, the per-slice step publishes into it.
+    /// Fresh instruments for one observed run. With `live`, the per-slice
+    /// step publishes into it.
     pub(crate) fn new(options: ObserveOptions, live: Option<Arc<LiveState>>) -> RunInstruments {
-        let registry = Registry::new();
-        let events_kind = EVENT_KINDS.map(|kind| {
-            registry.counter_with(
-                "ccsim_events_total",
-                "Engine events processed, by message kind",
-                &[("kind", kind)],
-            )
-        });
-        let pending_peak = registry.gauge(
-            "ccsim_events_pending_peak",
-            "High-water mark of the engine's pending-event queue",
-        );
-        let events_per_sec = registry.gauge(
-            "ccsim_events_per_sec",
-            "Engine events processed per wall-clock second",
-        );
-        let sim_wall_ratio = registry.gauge(
-            "ccsim_sim_wall_ratio",
-            "Simulated seconds per wall-clock second",
-        );
-        let slice_wall = registry.histogram(
-            "ccsim_slice_wall_nanos",
-            "Wall-clock nanoseconds per measurement slice",
-        );
-        let link_queue_bytes = registry.histogram(
-            "ccsim_link_queue_bytes",
-            "Bottleneck queue occupancy in bytes, sampled at packet arrivals",
-        );
-        let link_drop_bursts = registry.histogram(
-            "ccsim_link_drop_burst_pkts",
-            "Sizes of consecutive-drop bursts at the bottleneck, in packets",
-        );
-        let link_busy_nanos = registry.counter(
-            "ccsim_link_busy_nanos_total",
-            "Simulated nanoseconds the bottleneck serializer was busy",
-        );
-        let tcp_rtos = registry.counter(
-            "ccsim_tcp_rtos_total",
-            "Genuine retransmission timeouts across all flows",
-        );
-        let tcp_fast_recoveries = registry.counter(
-            "ccsim_tcp_fast_recoveries_total",
-            "Fast-recovery episode entries across all flows",
-        );
-        let tcp_pacing_stalls = registry.counter(
-            "ccsim_tcp_pacing_stalls_total",
-            "Transmissions deferred by the pacing gate across all flows",
-        );
         RunInstruments {
-            registry,
             phases: [(0, 0); PHASES.len()],
             options,
-            events_kind,
-            pending_peak,
-            events_per_sec,
-            sim_wall_ratio,
-            slice_wall,
-            link_queue_bytes,
-            link_drop_bursts,
-            link_busy_nanos,
-            tcp_rtos,
-            tcp_fast_recoveries,
-            tcp_pacing_stalls,
+            slice_wall: Log2Tally::default(),
             congestion_at_start: (0, 0),
+            counts: RunCounts::default(),
             profile: None,
             checkpoint_bytes: 0,
             events_at_start: 0,
@@ -321,13 +278,10 @@ impl RunInstruments {
         }
     }
 
-    /// The per-slice step, after the engine reached `progress.now`:
-    /// bring the engine's per-kind counts and pending peak and the
-    /// components' counts into the registry (neither the engine nor the
-    /// components depend on the telemetry crate, so they count in plain
-    /// fields), feed the timeline when its grid calls for a row, clock a
-    /// measurement slice (from `started`), hand `progress` to the
-    /// caller's callback, then publish to the live endpoint at most every
+    /// The per-slice step, after the engine reached `progress.now`: feed
+    /// the timeline when its grid calls for a row, clock a measurement
+    /// slice (from `started`), hand `progress` to the caller's callback,
+    /// then publish to the live endpoint at most every
     /// [`LIVE_PUBLISH_EVERY`]. `measured` is the tracker's snapshot at
     /// this boundary; `None` during the warm-up.
     pub(crate) fn slice(
@@ -338,11 +292,6 @@ impl RunInstruments {
         started: Instant,
         on_progress: &mut dyn FnMut(&Progress),
     ) {
-        for (counter, &count) in self.events_kind.iter().zip(net.sim.event_class_counts()) {
-            raise_to(counter, count);
-        }
-        self.pending_peak.set_max(net.sim.max_pending() as f64);
-        self.load_components(net);
         if self
             .timeline
             .as_ref()
@@ -355,15 +304,15 @@ impl RunInstruments {
             self.slice_wall.record(nanos);
         }
         on_progress(progress);
-        // The publisher only *reads* instruments that are updated anyway,
-        // so serving is digest-inert like every other observation layer.
+        // The publisher only *reads* counts that are kept anyway, so
+        // serving is digest-inert like every other observation layer.
         if let Some(state) = &self.live {
             if self
                 .last_publish
                 .is_none_or(|t| t.elapsed() >= LIVE_PUBLISH_EVERY)
             {
                 self.last_publish = Some(Instant::now());
-                self.publish_into(state);
+                self.publish_into(net, state);
             }
         }
     }
@@ -380,18 +329,12 @@ impl RunInstruments {
         }
     }
 
-    /// At collection, before the trace drains: load the components'
-    /// counts with the drop burst in progress closed, close the run's
-    /// tail row (a zero-span no-op when the last slice closed one on the
-    /// grid), and harvest the event profile while the flight recorders
-    /// still count towards `trace/rings`.
+    /// At collection, before the trace drains: read the counts the dump
+    /// writes, close the run's tail row (a zero-span no-op when the last
+    /// slice closed one on the grid), and harvest the event profile while
+    /// the flight recorders still count towards `trace/rings`.
     pub(crate) fn collect(&mut self, net: &BuiltNetwork, now: SimTime, delivered: &[u64]) {
-        self.load_components(net);
-        // A histogram observation must not move between buckets, so only
-        // the run's end may count the burst in progress.
-        if let Some(t) = net.sim.component::<Link>(net.link).tallies() {
-            self.link_drop_bursts.load(&t.drop_bursts_closed());
-        }
+        self.counts = self.read_counts(net, true);
         self.push_row(net, now, Some(delivered));
         if self.options.profile {
             self.profile = harvest_profile(
@@ -403,23 +346,110 @@ impl RunInstruments {
         }
     }
 
-    /// Copy the components' counts into their six families: the
-    /// bottleneck's [`ccsim_net::LinkTallies`] (closed drop bursts only),
-    /// and over all senders the RTOs and recovery entries since
-    /// [`RunInstruments::start`] and the pacing stalls.
-    fn load_components(&self, net: &BuiltNetwork) {
-        if let Some(t) = net.sim.component::<Link>(net.link).tallies() {
-            self.link_queue_bytes.load(&t.queue_bytes);
-            self.link_drop_bursts.load(&t.drop_burst_pkts);
-            raise_to(&self.link_busy_nanos, t.busy_nanos);
+    /// Read the run-level families' counts from their owners: the
+    /// engine's per-kind counts and pending peak, the bottleneck's
+    /// [`ccsim_net::LinkTallies`], and over all senders the RTOs and recovery
+    /// entries since [`RunInstruments::start`] and the pacing stalls. A
+    /// run that has `ended` counts the drop burst in progress; a live
+    /// scrape counts closed bursts only, so no observation moves between
+    /// buckets from one scrape to the next.
+    fn read_counts(&self, net: &BuiltNetwork, ended: bool) -> RunCounts {
+        let mut events_by_kind = [0; EVENT_KINDS.len()];
+        for (n, &count) in events_by_kind.iter_mut().zip(net.sim.event_class_counts()) {
+            *n = count;
         }
-        let (rtos, recoveries, stalls) = sender_counts(net);
-        raise_to(&self.tcp_rtos, rtos - self.congestion_at_start.0);
-        raise_to(
-            &self.tcp_fast_recoveries,
-            recoveries - self.congestion_at_start.1,
-        );
-        raise_to(&self.tcp_pacing_stalls, stalls);
+        let link = net.sim.component::<Link>(net.link).tallies();
+        let link = link.cloned().unwrap_or_default();
+        let (rtos, recoveries, pacing_stalls) = sender_counts(net);
+        RunCounts {
+            events_by_kind,
+            pending_peak: net.sim.max_pending(),
+            drop_bursts: if ended {
+                link.drop_bursts_closed()
+            } else {
+                link.drop_burst_pkts
+            },
+            queue_bytes: link.queue_bytes,
+            busy_nanos: link.busy_nanos,
+            rtos: rtos - self.congestion_at_start.0,
+            fast_recoveries: recoveries - self.congestion_at_start.1,
+            pacing_stalls,
+        }
+    }
+
+    /// Append the run-level families holding `c` to `out`, with the two
+    /// rate gauges at `rates`.
+    fn write_counts(&self, out: &mut Exposition, c: &RunCounts, rates: (f64, f64)) {
+        for (kind, &n) in EVENT_KINDS.iter().zip(&c.events_by_kind) {
+            out.counter(
+                "ccsim_events_total",
+                "Engine events processed, by message kind",
+                &[("kind", kind)],
+                n,
+            );
+        }
+        for (family, help, value) in [
+            (
+                "ccsim_events_pending_peak",
+                "High-water mark of the engine's pending-event queue",
+                c.pending_peak as f64,
+            ),
+            (
+                "ccsim_events_per_sec",
+                "Engine events processed per wall-clock second",
+                rates.0,
+            ),
+            (
+                "ccsim_sim_wall_ratio",
+                "Simulated seconds per wall-clock second",
+                rates.1,
+            ),
+        ] {
+            out.gauge(family, help, &[], value);
+        }
+        for (family, help, tally) in [
+            (
+                "ccsim_slice_wall_nanos",
+                "Wall-clock nanoseconds per measurement slice",
+                &self.slice_wall,
+            ),
+            (
+                "ccsim_link_queue_bytes",
+                "Bottleneck queue occupancy in bytes, sampled at packet arrivals",
+                &c.queue_bytes,
+            ),
+            (
+                "ccsim_link_drop_burst_pkts",
+                "Sizes of consecutive-drop bursts at the bottleneck, in packets",
+                &c.drop_bursts,
+            ),
+        ] {
+            out.histogram(family, help, &[], tally);
+        }
+        for (family, help, value) in [
+            (
+                "ccsim_link_busy_nanos_total",
+                "Simulated nanoseconds the bottleneck serializer was busy",
+                c.busy_nanos,
+            ),
+            (
+                "ccsim_tcp_rtos_total",
+                "Genuine retransmission timeouts across all flows",
+                c.rtos,
+            ),
+            (
+                "ccsim_tcp_fast_recoveries_total",
+                "Fast-recovery episode entries across all flows",
+                c.fast_recoveries,
+            ),
+            (
+                "ccsim_tcp_pacing_stalls_total",
+                "Transmissions deferred by the pacing gate across all flows",
+                c.pacing_stalls,
+            ),
+        ] {
+            out.counter(family, help, &[], value);
+        }
     }
 
     /// Close the timeline row ending at `now`, reading `delivered` or,
@@ -437,11 +467,6 @@ impl RunInstruments {
         };
         tl.push_row(now, delivered, &flows, &links);
     }
-}
-
-/// Raise a monotone counter to `value`, a count its source keeps.
-fn raise_to(counter: &Counter, value: u64) {
-    counter.add(value - counter.get());
 }
 
 /// Σ over the senders of `(rtos, fast_recoveries, pacing stalls)`: the
@@ -600,19 +625,23 @@ pub fn scenario_digest(scenario: &Scenario) -> u64 {
 }
 
 impl RunInstruments {
-    /// Publish the registry's current exposition (and the timeline so
-    /// far, when one is being captured) into a live endpoint.
-    fn publish_into(&self, state: &LiveState) {
-        state.publish_metrics(write_exposition(&self.registry));
+    /// Publish the counts as they stand (and the timeline so far, when
+    /// one is being captured) into a live endpoint. The rate gauges read
+    /// 0 until the run ends, and the phase clocks and the profile join
+    /// only the final publish.
+    fn publish_into(&self, net: &BuiltNetwork, state: &LiveState) {
+        let mut out = Exposition::new();
+        self.write_counts(&mut out, &self.read_counts(net, false), (0.0, 0.0));
+        state.publish_metrics(out.into_text());
         if let Some(tl) = &self.timeline {
             state.publish_timeline(to_jsonl(tl));
         }
     }
 
-    /// Close an observed run: derive the rate gauges, export the phase
-    /// clocks and the profile into the registry, assemble the manifest,
-    /// the Prometheus dump and the captured timeline, and leave the
-    /// completed artefacts on the live endpoint.
+    /// Close an observed run: derive the rate gauges, write the counts
+    /// [`RunInstruments::collect`] read, the phase clocks and the profile
+    /// into the Prometheus dump, assemble the manifest and the captured
+    /// timeline, and leave the completed artefacts on the live endpoint.
     pub(crate) fn finish(
         mut self,
         scenario: &Scenario,
@@ -632,37 +661,34 @@ impl RunInstruments {
         // sub-microsecond runs (dispatch clock rounds to 0 ns).
         let events_per_sec = safe_rate(events_dispatched as f64, dispatch_secs);
         let sim_wall_ratio = safe_rate(sim_secs, wall_secs);
-        self.events_per_sec.set(events_per_sec);
-        self.sim_wall_ratio.set(sim_wall_ratio);
 
+        let mut out = Exposition::new();
+        self.write_counts(&mut out, &self.counts, (events_per_sec, sim_wall_ratio));
         // One group per family: every wall-clock series, then every count.
         // A phase the run never entered has no series.
         let clocked = || PHASES.iter().zip(self.phases).filter(|(_, (_, n))| *n > 0);
         for (phase, (nanos, _)) in clocked() {
-            self.registry
-                .counter_with(
-                    "ccsim_phase_wall_nanos_total",
-                    "Wall-clock nanoseconds spent in each runner phase",
-                    &[("phase", phase)],
-                )
-                .add(nanos);
+            out.counter(
+                "ccsim_phase_wall_nanos_total",
+                "Wall-clock nanoseconds spent in each runner phase",
+                &[("phase", phase)],
+                nanos,
+            );
         }
         for (phase, (_, calls)) in clocked() {
-            self.registry
-                .counter_with(
-                    "ccsim_phase_calls_total",
-                    "Times each runner phase was clocked",
-                    &[("phase", phase)],
-                )
-                .add(calls);
+            out.counter(
+                "ccsim_phase_calls_total",
+                "Times each runner phase was clocked",
+                &[("phase", phase)],
+                calls,
+            );
         }
-
         if let Some(p) = &mut self.profile {
             p.dispatch_nanos = dispatch_nanos;
-            ccsim_telemetry::export_profile_into(p, &self.registry);
+            ccsim_telemetry::export_profile_into(p, &mut out);
         }
-
-        let prometheus = write_exposition(&self.registry);
+        let metric_series = out.series();
+        let prometheus = out.into_text();
         if let Some(state) = &self.live {
             // Final publish so the endpoints show the completed run, not
             // the last throttled snapshot.
@@ -674,8 +700,8 @@ impl RunInstruments {
         let timeline_summary = self.timeline.as_ref().map(Timeline::summary);
         let events_by_kind = EVENT_KINDS
             .iter()
-            .zip(&self.events_kind)
-            .map(|(kind, counter)| (kind.to_string(), counter.get()))
+            .zip(self.counts.events_by_kind)
+            .map(|(kind, n)| (kind.to_string(), n))
             .collect();
         let manifest = RunManifest {
             scenario: scenario.name.clone(),
@@ -690,10 +716,10 @@ impl RunInstruments {
             events_processed: outcome.events_processed,
             events_per_sec,
             peak_queue_bytes: outcome.max_queue_bytes,
-            peak_pending_events: self.pending_peak.get() as u64,
+            peak_pending_events: self.counts.pending_peak,
             trace_bytes: outcome.trace.as_ref().map_or(0, |t| t.wire_bytes()),
             metric_bytes: prometheus.len() as u64,
-            metric_series: self.registry.len() as u64,
+            metric_series,
             converged: outcome.converged,
             checkpoint_bytes: self.checkpoint_bytes,
             events_by_kind,

@@ -161,10 +161,10 @@ impl<'a> RunRequest<'a> {
     }
 
     /// Publish live snapshots into `state` as the run progresses: the
-    /// registry's Prometheus exposition and (with timeline capture on) the
-    /// timeline JSONL, throttled to ~4×/sec of wall time, plus a final
-    /// publish of the completed artefacts. Implies [`observe`] with the
-    /// default options unless they were given.
+    /// Prometheus exposition of the counts so far and (with timeline
+    /// capture on) the timeline JSONL, throttled to ~4×/sec of wall
+    /// time, plus a final publish of the completed artefacts. Implies
+    /// [`observe`] with the default options unless they were given.
     ///
     /// [`observe`]: RunRequest::observe
     pub fn live(mut self, state: Arc<LiveState>) -> Self {

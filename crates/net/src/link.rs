@@ -31,8 +31,8 @@
 //! Optional observers share one box, so each hook on the per-packet path
 //! tests one pointer whatever is attached: the flight recorder
 //! (`ccsim-trace`) and [`LinkTallies`], the plain counts the harness
-//! copies into its metric registry at slice boundaries. Nothing the link
-//! does reads them back.
+//! reads when it writes a Prometheus dump. Nothing the link does reads
+//! them back.
 
 use crate::aqm::{AqmQueue, Dequeued, DropTail, Enqueued};
 use crate::msg::{Msg, TimerToken};
@@ -44,7 +44,7 @@ use ccsim_trace::QueueRecorder;
 
 /// What a link tallies for an observed run beyond its kept counters,
 /// attached with [`Link::enable_tallies`]. Plain `u64`s: the harness
-/// copies them into its registry, and the link never reads them, so
+/// reads them into its dumps, and the link never reads them, so
 /// tallying cannot change an outcome. Observer state: checkpoints leave
 /// it out and a restored link tallies from its restore.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

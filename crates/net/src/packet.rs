@@ -142,7 +142,7 @@ const BODY_WORDS: usize = 1 + 2 * MAX_SACK_BLOCKS;
 /// `repr(C)` fixes the order: the 16-byte header (`flow`, `dst`,
 /// `wire_bytes`, then the four one-byte fields), `sent_at`, the body. The
 /// header is then the two words a link-queue slot starts with (see
-/// [`Packet::to_slots`]), and `Msg`'s own word-wide tag keeps every field
+/// `Packet::to_slots`), and `Msg`'s own word-wide tag keeps every field
 /// on the alignment it has here (DESIGN.md §7 items 9 and 13).
 #[derive(Copy, Clone, PartialEq, Eq)]
 #[repr(C)]

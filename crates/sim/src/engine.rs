@@ -324,7 +324,7 @@ impl<M: 'static> Simulator<M> {
     /// [`Simulator::set_event_classes`] must have been called with
     /// `n_kinds`; `stride` is the wall-clock sampling period in events
     /// (≥ 1). Cell counts are exact; wall time is attributed by strided
-    /// `Instant` sampling (see [`EngineProf`]).
+    /// `Instant` sampling (see `EngineProf`).
     pub fn enable_profiling(
         &mut self,
         comp_class: Vec<u8>,

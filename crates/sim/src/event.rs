@@ -33,8 +33,8 @@
 //!
 //! [`EventQueue`] is a tiered scheduler:
 //!
-//! * **Wheel** — [`LEVELS`] levels of [`SLOTS`] slots each. Level `L` buckets
-//!   events whose delivery tick (time >> [`GRAN_BITS`]) first differs from
+//! * **Wheel** — [`LEVELS`] levels of `SLOTS` slots each. Level `L` buckets
+//!   events whose delivery tick (time >> `GRAN_BITS`) first differs from
 //!   the wheel's current tick in bit-group `L` (the tokio-style
 //!   highest-differing-group rule). Together the levels cover the **entire**
 //!   `u64` nanosecond range (GRAN_BITS + LEVELS·SLOT_BITS = 64 bits), so no

@@ -82,7 +82,7 @@ impl Bandwidth {
     ///
     /// Above 2^53 bps the naive `u64 -> f64 -> u64` round-trip misplaces
     /// low bits; this routes through exact 128-bit mantissa arithmetic
-    /// there (see [`mul_u64_f64`]) so e.g. `mul_f64(1.0)` is the identity
+    /// there (see `mul_u64_f64`) so e.g. `mul_f64(1.0)` is the identity
     /// over the full range.
     #[inline]
     pub fn mul_f64(self, k: f64) -> Bandwidth {

@@ -1,5 +1,6 @@
 //! A plain log2-bucket tally: the one definition of the bucket rule the
-//! components count into and the metric registry's histograms load from.
+//! components count into, the Prometheus dump's histograms are written
+//! from, and the campaign report's sparklines and quantiles read.
 //!
 //! Bucket `k` counts values of bit length `k`: bucket 0 holds only zeros,
 //! bucket 1 holds `{1}`, bucket 2 holds `{2, 3}`, bucket `k` holds
@@ -61,6 +62,45 @@ impl Log2Tally {
         self.sum = self.sum.wrapping_add(v);
         self.buckets[Self::bucket_index(v)] += 1;
     }
+
+    /// Index of the highest non-empty bucket, if any observation exists.
+    pub fn max_bucket(&self) -> Option<usize> {
+        self.buckets.iter().rposition(|&c| c > 0)
+    }
+
+    /// Estimate the `q`-quantile (`0.0..=1.0`) by linear interpolation
+    /// inside the bucket containing the target rank. The estimate is
+    /// exact for bucket boundaries and at worst off by the bucket width —
+    /// the usual Prometheus-style reconstruction. Returns `None` on an
+    /// empty tally.
+    pub fn quantile(&self, q: f64) -> Option<f64> {
+        if self.count == 0 {
+            return None;
+        }
+        let q = q.clamp(0.0, 1.0);
+        // Rank of the target observation, 1-based; q = 0 maps to rank 1.
+        let rank = (q * self.count as f64).max(1.0);
+        let mut seen = 0u64;
+        for (k, &c) in self.buckets.iter().enumerate() {
+            if c == 0 {
+                continue;
+            }
+            let upto = seen + c;
+            if (upto as f64) >= rank {
+                // Bucket k spans [lower, upper]: [0,0] for k = 0, else
+                // [2^(k-1), 2^k - 1].
+                let lower = match k {
+                    0 => 0.0,
+                    k => (Self::bucket_upper_bound(k - 1) + 1) as f64,
+                };
+                let upper = Self::bucket_upper_bound(k) as f64;
+                let frac = (rank - seen as f64) / c as f64;
+                return Some(lower + (upper - lower) * frac.clamp(0.0, 1.0));
+            }
+            seen = upto;
+        }
+        Some(Self::bucket_upper_bound(LOG2_BUCKETS - 1) as f64)
+    }
 }
 
 #[cfg(test)]
@@ -92,5 +132,31 @@ mod tests {
         assert_eq!(t.buckets[2], 2);
         assert_eq!(t.buckets[7], 1);
         assert_eq!(t.buckets[64], 1);
+        assert_eq!(t.max_bucket(), Some(64));
+        assert_eq!(Log2Tally::default().max_bucket(), None);
+    }
+
+    #[test]
+    fn quantiles_interpolate_within_buckets() {
+        let mut t = Log2Tally::default();
+        assert_eq!(t.quantile(0.5), None);
+
+        // 100 observations spread across buckets 4 ([8,15]) and 7 ([64,127]).
+        for _ in 0..90 {
+            t.record(10);
+        }
+        for _ in 0..10 {
+            t.record(100);
+        }
+        let p50 = t.quantile(0.50).unwrap();
+        assert!((8.0..=15.0).contains(&p50), "p50 = {p50}");
+        let p90 = t.quantile(0.90).unwrap();
+        assert!((8.0..=15.0).contains(&p90), "p90 = {p90}");
+        let p99 = t.quantile(0.99).unwrap();
+        assert!((64.0..=127.0).contains(&p99), "p99 = {p99}");
+        // Monotone in q, and the extremes land in the extreme buckets.
+        assert!(p50 <= p90 && p90 <= p99);
+        assert!(t.quantile(0.0).unwrap() <= p50);
+        assert!(t.quantile(1.0).unwrap() >= p99);
     }
 }

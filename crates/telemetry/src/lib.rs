@@ -13,32 +13,33 @@
 //! Plus the simulator's self-observability layer (what the harness knows
 //! about *itself*, as opposed to what it measures about TCP):
 //!
-//! * [`registry`] — [`Counter`] / [`Gauge`] / [`Histogram`] primitives
-//!   over atomics and the [`Registry`] that names them, written by the
-//!   harness at slice boundaries (the simulation components keep plain
-//!   tallies and never hold a handle).
-//! * [`profile`] — [`export_profile_into`], which writes a run's
-//!   event-attribution profile into a [`Registry`].
+//! * [`prometheus`] — the text-exposition writer ([`Exposition`]: one
+//!   series at a time, a histogram from a [`ccsim_sim::Log2Tally`]) and
+//!   the format checker ([`validate_exposition`]: well-formed lines, one
+//!   `# TYPE` per family, each family's samples in one group). The
+//!   harness writes a run's counts straight from their owners; nothing
+//!   holds a second copy of them.
+//! * [`profile`] — [`export_profile_into`], which appends a run's
+//!   event-attribution profile to an [`Exposition`].
 //! * [`manifest`] — the per-run provenance [`RunManifest`] and the
 //!   workspace digest function [`fnv1a_64`].
-//! * [`prometheus`] — text-exposition export ([`write_exposition`]) and
-//!   the format checker ([`validate_exposition`]: well-formed lines, one
-//!   `# TYPE` per family, each family's samples in one group).
 //! * [`progress`] — stderr live progress ([`RunProgress`],
 //!   [`CampaignProgress`]).
+//! * [`counter`] — [`Counter`], a relaxed atomic count that only the
+//!   benchmark's isolated per-increment row uses.
 
+pub mod counter;
 pub mod manifest;
 pub mod metrics;
 pub mod profile;
 pub mod progress;
 pub mod prometheus;
-pub mod registry;
 pub mod tracker;
 
+pub use counter::Counter;
 pub use manifest::{fnv1a_64, RunManifest};
 pub use metrics::{BottleneckMetrics, FlowMetrics};
 pub use profile::export_profile_into;
 pub use progress::{CampaignProgress, RunProgress};
-pub use prometheus::{validate_exposition, write_exposition};
-pub use registry::{Counter, Gauge, Histogram, Metric, MetricEntry, Registry};
+pub use prometheus::{validate_exposition, Exposition};
 pub use tracker::ThroughputTracker;

@@ -1,12 +1,11 @@
-//! Export of a run's event-attribution [`ccsim_prof::Profile`] into the
-//! metric registry, so it rides in the same Prometheus dump as the run
-//! metrics.
+//! Export of a run's event-attribution [`ccsim_prof::Profile`] into a
+//! Prometheus dump, so it rides in the same file as the run metrics.
 
-use crate::registry::Registry;
+use crate::prometheus::Exposition;
 
-/// Register a run's [`ccsim_prof::Profile`] into `registry` so the
-/// per-component attribution rides in the same Prometheus dump as the
-/// run metrics. Families:
+/// Append a run's [`ccsim_prof::Profile`] to `out`, so the per-component
+/// attribution rides in the same Prometheus dump as the run metrics.
+/// Families, in this order:
 ///
 /// | family | kind | labels |
 /// |---|---|---|
@@ -20,9 +19,9 @@ use crate::registry::Registry;
 /// | `ccsim_mem_bytes` | gauge | `pool` |
 /// | `ccsim_dispatch_nanos_total` | counter | — |
 ///
-/// Zero-count cells are skipped so a profiled run's exposition stays
-/// proportional to the activity it actually saw.
-pub fn export_profile_into(profile: &ccsim_prof::Profile, registry: &Registry) {
+/// Zero-count cells and empty wheel levels are skipped, so a profiled
+/// run's exposition stays proportional to the activity it actually saw.
+pub fn export_profile_into(profile: &ccsim_prof::Profile, out: &mut Exposition) {
     let ev = &profile.events;
     // One pass per family, so each family's series form one group.
     for (family, help, values) in [
@@ -41,65 +40,61 @@ pub fn export_profile_into(profile: &ccsim_prof::Profile, registry: &Registry) {
             for (ki, kind) in ev.kinds.iter().enumerate() {
                 let idx = ci * ev.kinds.len() + ki;
                 if ev.counts[idx] > 0 {
-                    registry
-                        .counter_with(family, help, &[("class", class), ("kind", kind)])
-                        .add(values[idx]);
+                    let labels = [("class", class.as_str()), ("kind", kind.as_str())];
+                    out.counter(family, help, &labels, values[idx]);
                 }
             }
         }
     }
     for (level, &hw) in profile.wheel.level_high_water.iter().enumerate() {
-        if hw == 0 {
-            continue;
-        }
-        let level = level.to_string();
-        registry
-            .gauge_with(
+        if hw > 0 {
+            out.gauge(
                 "ccsim_wheel_level_high_water",
                 "Peak live entries per timer-wheel level",
-                &[("level", level.as_str())],
-            )
-            .set(hw as f64);
+                &[("level", &level.to_string())],
+                hw as f64,
+            );
+        }
     }
-    registry
-        .counter(
+    let wheel = &profile.wheel;
+    for (family, help, value) in [
+        (
             "ccsim_wheel_cascades_total",
             "Timer-wheel higher-level bucket drains (cascades)",
-        )
-        .add(profile.wheel.cascades);
-    registry
-        .counter(
+            wheel.cascades,
+        ),
+        (
             "ccsim_wheel_cascaded_entries_total",
             "Entries re-filed to lower wheel levels by cascades",
-        )
-        .add(profile.wheel.cascaded_entries);
-    registry
-        .counter(
+            wheel.cascaded_entries,
+        ),
+        (
             "ccsim_wheel_cancels_total",
             "Timer cancellations that found a live entry",
-        )
-        .add(profile.wheel.cancels);
-    registry
-        .counter(
+            wheel.cancels,
+        ),
+        (
             "ccsim_wheel_cancel_misses_total",
             "Timer cancellations whose entry had already fired or died",
-        )
-        .add(profile.wheel.cancel_misses);
-    for g in &profile.memory {
-        registry
-            .gauge_with(
-                "ccsim_mem_bytes",
-                "Approximate heap bytes held per subsystem pool",
-                &[("pool", g.name.as_str())],
-            )
-            .set(g.bytes as f64);
+            wheel.cancel_misses,
+        ),
+    ] {
+        out.counter(family, help, &[], value);
     }
-    registry
-        .counter(
-            "ccsim_dispatch_nanos_total",
-            "Wall nanoseconds spent inside engine dispatch",
-        )
-        .add(profile.dispatch_nanos);
+    for g in &profile.memory {
+        out.gauge(
+            "ccsim_mem_bytes",
+            "Approximate heap bytes held per subsystem pool",
+            &[("pool", &g.name)],
+            g.bytes as f64,
+        );
+    }
+    out.counter(
+        "ccsim_dispatch_nanos_total",
+        "Wall nanoseconds spent inside engine dispatch",
+        &[],
+        profile.dispatch_nanos,
+    );
 }
 
 #[cfg(test)]
@@ -119,9 +114,12 @@ mod tests {
              \"dispatch_nanos\":1000000,\"prof_flows\":2}",
         )
         .unwrap();
-        let r = Registry::new();
-        export_profile_into(&p, &r);
-        let text = crate::prometheus::write_exposition(&r);
+        let mut out = Exposition::new();
+        export_profile_into(&p, &mut out);
+        // Three cells in each of two families, the two non-empty wheel
+        // levels, four wheel counters, one pool, the dispatch clock.
+        assert_eq!(out.series(), 3 + 3 + 2 + 4 + 1 + 1);
+        let text = out.into_text();
         crate::validate_exposition(&text).unwrap();
         assert!(text.contains("ccsim_prof_events_total{class=\"link\",kind=\"data\"} 5"));
         // The zero-count (link, ack) cell is skipped.

@@ -1,19 +1,21 @@
-//! Prometheus text-exposition export for the [`Registry`].
+//! Prometheus text exposition: the one writer every dump goes through,
+//! and the format checker.
 //!
-//! Emits the classic 0.0.4 text format: `# HELP` / `# TYPE` headers per
-//! metric family, then one sample line per series. Histograms expand into
-//! cumulative `_bucket{le="..."}` series (upper bounds `2^k - 1`, matching
-//! [`crate::registry::Histogram`]'s log2 buckets) plus `_sum` and
-//! `_count`. The dump is a point-in-time snapshot written after a run —
-//! there is no HTTP endpoint; sweeps produce one file per run, next to
-//! the run's other artifacts.
+//! [`Exposition`] appends the classic 0.0.4 text format family by family:
+//! `# HELP` / `# TYPE` once, then one sample line per series. A histogram
+//! is written from a [`Log2Tally`] as cumulative `_bucket{le="..."}`
+//! lines (upper bounds `2^k - 1`), then `_sum` and `_count`. The values
+//! come straight from the counts' owners: a run's harness reads the
+//! engine and the components into a plain snapshot and writes it, both
+//! for the dump written after the run and for the live `/metrics`
+//! endpoint that `--serve` refreshes while it goes, so no count is held
+//! twice.
 //!
 //! [`validate_exposition`] is the CI-facing line-format checker: it
-//! accepts exactly what [`write_exposition`] emits (and standard
-//! exposition output generally) and reports the first malformed line.
+//! accepts exactly what [`Exposition`] emits (and standard exposition
+//! output generally) and reports the first malformed line.
 
-use crate::registry::{Histogram, Metric, MetricEntry, Registry};
-use ccsim_sim::{Log2Tally, LOG2_BUCKETS};
+use ccsim_sim::Log2Tally;
 use std::fmt::Write as _;
 
 /// What `# HELP` text escapes: backslashes and newlines.
@@ -29,38 +31,6 @@ fn push_escaped(out: &mut String, s: &str, escapes: &[(char, &str)]) {
             None => out.push(c),
         }
     }
-}
-
-/// Append `{k="v",...}` for a label set, with an optional extra label
-/// (used for histogram `le`). Empty label sets append nothing.
-fn push_labels(out: &mut String, labels: &[(String, String)], extra: Option<(&str, &str)>) {
-    let pairs = labels.iter().map(|(k, v)| (k.as_str(), v.as_str()));
-    let mut open = false;
-    for (k, v) in pairs.chain(extra) {
-        out.push(if open { ',' } else { '{' });
-        open = true;
-        out.push_str(k);
-        out.push_str("=\"");
-        push_escaped(out, v, LABEL_ESCAPES);
-        out.push('"');
-    }
-    if open {
-        out.push('}');
-    }
-}
-
-/// Append one sample line: `name` + `suffix`, the labels, and `value`.
-fn push_sample(
-    out: &mut String,
-    entry: &MetricEntry,
-    suffix: &str,
-    extra: Option<(&str, &str)>,
-    value: impl std::fmt::Display,
-) {
-    out.push_str(&entry.name);
-    out.push_str(suffix);
-    push_labels(out, &entry.labels, extra);
-    let _ = writeln!(out, " {value}");
 }
 
 /// A gauge value the way Prometheus expects it: integers without a
@@ -79,56 +49,119 @@ impl std::fmt::Display for PromFloat {
     }
 }
 
-fn write_histogram(out: &mut String, entry: &MetricEntry, h: &Histogram) {
-    let counts = h.bucket_counts();
-    // Trailing empty buckets add no information (their cumulative count
-    // equals the total); emit up to the highest non-empty bucket, then
-    // +Inf, so a 65-bucket family stays readable.
-    let top = h.max_bucket().map_or(0, |k| k + 1).min(LOG2_BUCKETS);
-    let mut cumulative = 0u64;
-    let mut le = String::new();
-    for (k, &c) in counts.iter().enumerate().take(top) {
-        cumulative += c;
-        le.clear();
-        let _ = write!(le, "{}", Log2Tally::bucket_upper_bound(k));
-        push_sample(out, entry, "_bucket", Some(("le", &le)), cumulative);
-    }
-    push_sample(out, entry, "_bucket", Some(("le", "+Inf")), h.count());
-    push_sample(out, entry, "_sum", None, h.sum());
-    push_sample(out, entry, "_count", None, h.count());
+/// A label set: `(name, value)` pairs in the order they are written.
+pub type Labels<'a> = &'a [(&'a str, &'a str)];
+
+/// A Prometheus text-exposition dump, written one series at a time.
+///
+/// Each call appends one series of the family `name`; the family's
+/// `# HELP` / `# TYPE` lines are written before its first series, so a
+/// family with no series leaves no trace. A family's series must be
+/// appended consecutively (the format allows one group per family).
+/// Nothing is timestamped: a scraper stamps samples with the scrape
+/// instant.
+#[derive(Debug, Default)]
+pub struct Exposition {
+    text: String,
+    /// Series appended so far; a histogram is one series.
+    series: u64,
+    /// The family whose group is open.
+    family: String,
 }
 
-/// Render the registry as Prometheus text exposition (no timestamps:
-/// a scraper stamps samples with the scrape instant). Written in place
-/// under the registry's lock: no entry is copied and no line allocates.
-pub fn write_exposition(registry: &Registry) -> String {
-    registry.with_entries(|entries| {
-        let mut out = String::with_capacity(256 + entries.len() * 128);
-        let mut last_family: Option<&str> = None;
-        for entry in entries {
-            // HELP/TYPE once per family; series of one family are registered
-            // consecutively (the registry preserves insertion order).
-            if last_family != Some(entry.name.as_str()) {
-                let kind = match &entry.metric {
-                    Metric::Counter(_) => "counter",
-                    Metric::Gauge(_) => "gauge",
-                    Metric::Histogram(_) => "histogram",
-                };
-                out.push_str("# HELP ");
-                out.push_str(&entry.name);
-                out.push(' ');
-                push_escaped(&mut out, &entry.help, HELP_ESCAPES);
-                let _ = writeln!(out, "\n# TYPE {} {kind}", entry.name);
-                last_family = Some(&entry.name);
-            }
-            match &entry.metric {
-                Metric::Counter(c) => push_sample(&mut out, entry, "", None, c.get()),
-                Metric::Gauge(g) => push_sample(&mut out, entry, "", None, PromFloat(g.get())),
-                Metric::Histogram(h) => write_histogram(&mut out, entry, h),
-            }
+impl Exposition {
+    /// An empty dump.
+    pub fn new() -> Exposition {
+        Exposition::default()
+    }
+
+    /// Append one counter series.
+    pub fn counter(&mut self, name: &str, help: &str, labels: Labels<'_>, value: u64) {
+        self.open(name, help, "counter");
+        self.sample(name, "", labels, None, value);
+    }
+
+    /// Append one gauge series.
+    pub fn gauge(&mut self, name: &str, help: &str, labels: Labels<'_>, value: f64) {
+        self.open(name, help, "gauge");
+        self.sample(name, "", labels, None, PromFloat(value));
+    }
+
+    /// Append one histogram series holding `tally`. Trailing empty
+    /// buckets add no information (their cumulative count equals the
+    /// total), so the buckets stop at the highest non-empty one, then
+    /// `+Inf`.
+    pub fn histogram(&mut self, name: &str, help: &str, labels: Labels<'_>, tally: &Log2Tally) {
+        self.open(name, help, "histogram");
+        let top = tally.max_bucket().map_or(0, |k| k + 1);
+        let mut cumulative = 0u64;
+        let mut le = String::new();
+        for (k, &c) in tally.buckets.iter().enumerate().take(top) {
+            cumulative += c;
+            le.clear();
+            let _ = write!(le, "{}", Log2Tally::bucket_upper_bound(k));
+            self.sample(name, "_bucket", labels, Some(("le", &le)), cumulative);
         }
-        out
-    })
+        self.sample(name, "_bucket", labels, Some(("le", "+Inf")), tally.count);
+        self.sample(name, "_sum", labels, None, tally.sum);
+        self.sample(name, "_count", labels, None, tally.count);
+    }
+
+    /// Number of series appended so far (a histogram counts once).
+    pub fn series(&self) -> u64 {
+        self.series
+    }
+
+    /// The finished dump.
+    pub fn into_text(self) -> String {
+        self.text
+    }
+
+    /// Count one series of `name`, writing the family's header first when
+    /// its group is not the open one.
+    fn open(&mut self, name: &str, help: &str, kind: &str) {
+        debug_assert!(is_name(name), "invalid metric name {name:?}");
+        self.series += 1;
+        if self.family == name {
+            return;
+        }
+        self.text.push_str("# HELP ");
+        self.text.push_str(name);
+        self.text.push(' ');
+        push_escaped(&mut self.text, help, HELP_ESCAPES);
+        let _ = writeln!(self.text, "\n# TYPE {name} {kind}");
+        self.family.clear();
+        self.family.push_str(name);
+    }
+
+    /// Append one sample line: `name` + `suffix`, the labels (plus
+    /// `extra`, a histogram's `le`), and `value`.
+    fn sample(
+        &mut self,
+        name: &str,
+        suffix: &str,
+        labels: Labels<'_>,
+        extra: Option<(&str, &str)>,
+        value: impl std::fmt::Display,
+    ) {
+        let out = &mut self.text;
+        out.push_str(name);
+        out.push_str(suffix);
+        let mut open = false;
+        for &(k, v) in labels.iter().chain(&extra) {
+            debug_assert!(is_name(k) && !k.contains(':'), "invalid label name {k:?}");
+            out.push(if open { ',' } else { '{' });
+            open = true;
+            out.push_str(k);
+            out.push_str("=\"");
+            push_escaped(out, v, LABEL_ESCAPES);
+            out.push('"');
+        }
+        if open {
+            out.push('}');
+        }
+        let _ = writeln!(out, " {value}");
+    }
 }
 
 fn is_name(s: &str) -> bool {
@@ -255,23 +288,27 @@ pub fn validate_exposition(text: &str) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn sample_registry() -> Registry {
-        let r = Registry::new();
-        r.counter_with("ccsim_events_total", "events", &[("kind", "data")])
-            .add(10);
-        r.counter_with("ccsim_events_total", "events", &[("kind", "ack")])
-            .add(5);
-        r.gauge("ccsim_events_per_sec", "rate").set(1.5e6);
-        let h = r.histogram("ccsim_link_queue_bytes", "occupancy");
-        h.record(0);
-        h.record(3);
-        h.record(100);
-        r
+    fn tally(values: &[u64]) -> Log2Tally {
+        let mut t = Log2Tally::default();
+        for &v in values {
+            t.record(v);
+        }
+        t
+    }
+
+    fn sample_exposition() -> Exposition {
+        let mut e = Exposition::new();
+        e.counter("ccsim_events_total", "events", &[("kind", "data")], 10);
+        e.counter("ccsim_events_total", "events", &[("kind", "ack")], 5);
+        e.gauge("ccsim_events_per_sec", "rate", &[], 1.5e6);
+        let occupancy = tally(&[0, 3, 100]);
+        e.histogram("ccsim_link_queue_bytes", "occupancy", &[], &occupancy);
+        e
     }
 
     #[test]
     fn exposition_has_headers_and_samples() {
-        let text = write_exposition(&sample_registry());
+        let text = sample_exposition().into_text();
         assert!(text.contains("# TYPE ccsim_events_total counter"));
         assert!(text.contains("ccsim_events_total{kind=\"data\"} 10"));
         assert!(text.contains("# TYPE ccsim_link_queue_bytes histogram"));
@@ -286,24 +323,25 @@ mod tests {
 
     #[test]
     fn exposition_bytes_are_exact() {
-        let r = sample_registry();
-        r.counter_with(
+        let mut e = sample_exposition();
+        e.counter(
             "ccsim_escaped_total",
             "help with \\ and\nnewline",
             &[("a", "q\"uote"), ("b", "back\\slash\nline")],
-        )
-        .add(7);
-        r.gauge_with("ccsim_values", "float renderings", &[("v", "nan")])
-            .set(f64::NAN);
-        r.gauge_with("ccsim_values", "float renderings", &[("v", "inf")])
-            .set(f64::INFINITY);
-        r.gauge_with("ccsim_values", "float renderings", &[("v", "-inf")])
-            .set(f64::NEG_INFINITY);
-        r.gauge_with("ccsim_values", "float renderings", &[("v", "small")])
-            .set(-2.5e-7);
-        r.histogram_with("ccsim_sizes", "labeled histogram", &[("link", "0")])
-            .record(5);
-        r.histogram("ccsim_empty", "no observations");
+            7,
+        );
+        for (v, value) in [
+            ("nan", f64::NAN),
+            ("inf", f64::INFINITY),
+            ("-inf", f64::NEG_INFINITY),
+            ("small", -2.5e-7),
+        ] {
+            e.gauge("ccsim_values", "float renderings", &[("v", v)], value);
+        }
+        let sizes = tally(&[5]);
+        e.histogram("ccsim_sizes", "labeled histogram", &[("link", "0")], &sizes);
+        e.histogram("ccsim_empty", "no observations", &[], &Log2Tally::default());
+        assert_eq!(e.series(), 11);
         let expected = r#"# HELP ccsim_events_total events
 # TYPE ccsim_events_total counter
 ccsim_events_total{kind="data"} 10
@@ -348,12 +386,12 @@ ccsim_empty_bucket{le="+Inf"} 0
 ccsim_empty_sum 0
 ccsim_empty_count 0
 "#;
-        assert_eq!(write_exposition(&r), expected);
+        assert_eq!(e.into_text(), expected);
     }
 
     #[test]
     fn histogram_buckets_are_cumulative() {
-        let text = write_exposition(&sample_registry());
+        let text = sample_exposition().into_text();
         let counts: Vec<u64> = text
             .lines()
             .filter(|l| l.starts_with("ccsim_link_queue_bytes_bucket"))
@@ -364,8 +402,9 @@ ccsim_empty_count 0
 
     #[test]
     fn own_output_validates() {
-        let text = write_exposition(&sample_registry());
-        validate_exposition(&text).unwrap();
+        let e = sample_exposition();
+        assert_eq!(e.series(), 4);
+        validate_exposition(&e.into_text()).unwrap();
     }
 
     #[test]
@@ -414,8 +453,8 @@ ccsim_phase_calls_total{phase=\"collect\"} 1
     }
 
     #[test]
-    fn empty_registry_is_valid() {
-        let text = write_exposition(&Registry::new());
+    fn empty_exposition_is_valid() {
+        let text = Exposition::new().into_text();
         assert!(text.is_empty());
         validate_exposition(&text).unwrap();
     }

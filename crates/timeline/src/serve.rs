@@ -3,7 +3,7 @@
 //! A tiny blocking HTTP/1.1 server on `127.0.0.1:<port>` serving two
 //! routes from snapshots the runner publishes at slice boundaries:
 //!
-//! * `/metrics` — Prometheus exposition (live registry + current window);
+//! * `/metrics` — Prometheus exposition of the run's counts so far;
 //! * `/timeline.jsonl` — the retained timeline rows as JSONL.
 //!
 //! Publishing copies pre-rendered strings under a mutex, so the server

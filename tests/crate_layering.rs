@@ -1,9 +1,9 @@
 //! The crate graph keeps observation out of the protocol components: no
 //! crate that a link, a sender or a congestion controller is built from
-//! may reach the metric registry, the timeline sampler or the profiler.
+//! may reach the telemetry crate, the timeline sampler or the profiler.
 //! The harness (`ccsim-core`) reads the components' plain counters and
-//! tallies and is the registry's only writer, so "observation only reads"
-//! holds by construction rather than by convention.
+//! tallies straight into its Prometheus dumps, so "observation only
+//! reads" holds by construction rather than by convention.
 
 use std::collections::BTreeSet;
 use std::path::Path;

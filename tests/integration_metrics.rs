@@ -145,9 +145,9 @@ fn manifest_round_trips_and_matches_outcome() {
     assert_eq!(&back, m);
 }
 
-/// The engine's per-kind event counts reach the registry at every slice
-/// boundary, so a live `/metrics` scrape during the run sees them; the
-/// final counts are still the manifest's.
+/// A live publish reads the engine's per-kind event counts at a slice
+/// boundary, so a `/metrics` scrape during the run sees them; the final
+/// counts are still the manifest's.
 #[test]
 fn live_metrics_count_engine_events_while_the_run_goes() {
     use ccsim::experiments::LiveState;
@@ -310,4 +310,128 @@ fn a_resumed_run_counts_component_families_from_its_restore() {
         );
         assert_eq!(r, f - b, "{name}");
     }
+}
+
+/// One sample line of a Prometheus dump: family-level name (with any
+/// `_bucket`/`_sum`/`_count` suffix), label block, value text.
+struct Sample<'a> {
+    name: &'a str,
+    labels: &'a str,
+    value: &'a str,
+}
+
+fn samples(exposition: &str) -> Vec<Sample<'_>> {
+    exposition
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.is_empty())
+        .map(|l| {
+            let (series, value) = l.rsplit_once(' ').expect("name and value");
+            let (name, labels) = series.split_once('{').unwrap_or((series, ""));
+            Sample {
+                name,
+                labels,
+                value,
+            }
+        })
+        .collect()
+}
+
+/// Views that check each other, on an observed, profiled, live-served
+/// run that takes a checkpoint and on the resume of that checkpoint:
+/// the dump's engine families are the manifest's counts, its rate
+/// gauges spell the manifest's f64s exactly, its series are the
+/// manifest's `metric_series`, the profile's event cells add up to the
+/// events the run dispatched, and the live endpoint's final snapshot is
+/// the dump itself. A resumed run's engine counters and profile cells
+/// both count from the restore: they add up to the events dispatched
+/// since the checkpoint, not to the whole run's `events_processed`.
+#[test]
+fn every_view_of_a_run_agrees_with_its_manifest() {
+    use ccsim::experiments::{LiveState, RunReport};
+    use std::sync::Arc;
+
+    fn check(case: &str, report: &RunReport, live: &LiveState, dispatched: u64) {
+        let prom = report.prometheus.as_deref().expect("observed");
+        let m = report.manifest.as_ref().expect("observed");
+        validate_exposition(prom).unwrap();
+        let all = samples(prom);
+        let one = |name: &str| {
+            let mut found = all.iter().filter(|s| s.name == name);
+            let s = found.next().unwrap_or_else(|| panic!("{case}: no {name}"));
+            assert!(found.next().is_none(), "{case}: {name} is one series");
+            s.value
+        };
+
+        let kinds: Vec<(String, u64)> = all
+            .iter()
+            .filter(|s| s.name == "ccsim_events_total")
+            .map(|s| {
+                let kind = s.labels.trim_start_matches("kind=\"");
+                let kind = kind.trim_end_matches("\"}").to_string();
+                (kind, s.value.parse().unwrap())
+            })
+            .collect();
+        assert_eq!(kinds, m.events_by_kind, "{case}");
+        let pending: u64 = one("ccsim_events_pending_peak").parse().unwrap();
+        assert_eq!(pending, m.peak_pending_events, "{case}");
+        let eps: f64 = one("ccsim_events_per_sec").parse().unwrap();
+        assert_eq!(eps.to_bits(), m.events_per_sec.to_bits(), "{case}");
+        let ratio: f64 = one("ccsim_sim_wall_ratio").parse().unwrap();
+        assert_eq!(ratio.to_bits(), m.sim_wall_ratio.to_bits(), "{case}");
+
+        // A histogram is one series of `_bucket`, `_sum` and `_count` lines.
+        let histograms: Vec<&str> = prom
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE ")?.strip_suffix(" histogram"))
+            .collect();
+        let series = all
+            .iter()
+            .filter(|s| {
+                !histograms
+                    .iter()
+                    .any(|h| matches!(s.name.strip_prefix(h), Some("_bucket" | "_sum")))
+            })
+            .count();
+        assert_eq!(series as u64, m.metric_series, "{case}");
+
+        let prof: u64 = all
+            .iter()
+            .filter(|s| s.name == "ccsim_prof_events_total")
+            .map(|s| s.value.parse::<u64>().unwrap())
+            .sum();
+        let by_kind: u64 = m.events_by_kind.iter().map(|(_, n)| n).sum();
+        assert_eq!((prof, by_kind), (dispatched, dispatched), "{case}");
+
+        assert_eq!(live.metrics_snapshot(), prom, "{case}");
+    }
+
+    let s = mixed(23);
+    let at = SimTime::from_secs(3);
+    let mut events_at_checkpoint = None;
+    let live = Arc::new(LiveState::new());
+    let report = RunRequest::new(&s)
+        .observe(ObserveOptions::profiled())
+        .live(Arc::clone(&live))
+        .checkpoint_at(at)
+        .on_progress(|p| {
+            if p.now == at {
+                events_at_checkpoint = Some(p.events_processed);
+            }
+        })
+        .execute()
+        .expect("run succeeds");
+    let events_at_checkpoint = events_at_checkpoint.expect("a slice ends at the checkpoint");
+    let events = report.outcome.events_processed;
+    check("fresh", &report, &live, events);
+
+    let checkpoint = report.checkpoint.as_ref().expect("checkpoint taken");
+    let live = Arc::new(LiveState::new());
+    let resumed = RunRequest::resume(checkpoint)
+        .observe(ObserveOptions::profiled())
+        .live(Arc::clone(&live))
+        .execute()
+        .expect("resume succeeds");
+    assert_eq!(resumed.outcome.events_processed, events);
+    assert!(events_at_checkpoint > 0);
+    check("resumed", &resumed, &live, events - events_at_checkpoint);
 }
