@@ -4,7 +4,7 @@
 //! depends on: the engine (clock, event queue, cancellation tokens), every
 //! link/router/sender/receiver — including CCA state and derived RNG
 //! streams — plus the harness cursor itself (watchdog baselines, warm-up
-//! counter baselines, the tracker's last `2w + 1` snapshots). Anything
+//! reading, the tracker's last `2w + 1` snapshots). Anything
 //! rebuildable from the [`Scenario`] (routes, plans, seeds, wiring) is
 //! *not* serialized; restore rebuilds the arena from the embedded scenario
 //! JSON and overlays state.
@@ -14,15 +14,16 @@
 //! produce byte-identical outcomes.
 
 use crate::build::BuiltNetwork;
+use crate::counters::{Counters, FlowCounts};
 use crate::error::SimError;
 use crate::request::RunRequest;
-use crate::runner::{Measurement, SenderBaseline};
+use crate::runner::Measurement;
 use crate::scenario::Scenario;
 use crate::watchdog::Watchdog;
 use ccsim_net::link::Link;
 use ccsim_net::msg::Msg;
 use ccsim_resume::{Checkpoint, ResumeError};
-use ccsim_sim::{SimTime, Snap, SnapError, SnapReader, SnapWriter};
+use ccsim_sim::{SimTime, Snap, SnapReader, SnapWriter};
 use ccsim_tcp::receiver::Receiver;
 use ccsim_tcp::sender::Sender;
 use ccsim_telemetry::ThroughputTracker;
@@ -37,7 +38,10 @@ const PHASE_MEASUREMENT: u8 = 1;
 ///
 /// Layout (all length-prefixed via the snap codec):
 /// engine → links → routers → (sender, receiver) per flow → watchdog →
-/// phase tag → [measurement only: sender baselines, tracker].
+/// phase tag → [measurement only: the warm-up reading, tracker]. The
+/// warm-up reading holds five counts per flow (sent, retransmits, RTOs,
+/// delivered bytes, congestion events): what the outcome's window reads.
+/// A restored one lacks the rest, which no window takes from it.
 pub(crate) fn capture_body(
     net: &BuiltNetwork,
     watchdog: &Watchdog,
@@ -65,12 +69,17 @@ pub(crate) fn capture_body(
     watchdog.save_state(&mut w);
     match measure {
         None => w.u8(PHASE_WARMUP),
-        Some(Measurement {
-            sender_base,
-            tracker,
-        }) => {
+        Some(Measurement { base, tracker }) => {
             w.u8(PHASE_MEASUREMENT);
-            sender_base.put(&mut w);
+            let flows = base
+                .flows
+                .iter()
+                .zip(&base.delivered)
+                .map(|(f, &delivered)| {
+                    let [sent, retransmits, rtos, congestion_events, _] = f.to_array();
+                    [sent, retransmits, rtos, delivered, congestion_events]
+                });
+            flows.collect::<Vec<_>>().put(&mut w);
             tracker.save_state(&mut w);
         }
     }
@@ -101,20 +110,11 @@ pub(crate) fn restore_into(
     window_snapshots: usize,
     body: &[u8],
 ) -> Result<Option<Measurement>, ResumeError> {
-    let mut r = SnapReader::new(body);
-    restore_into_inner(net, watchdog, window_snapshots, &mut r).map_err(ResumeError::from)
-}
-
-fn restore_into_inner(
-    net: &mut BuiltNetwork,
-    watchdog: &mut Watchdog,
-    window_snapshots: usize,
-    r: &mut SnapReader<'_>,
-) -> Result<Option<Measurement>, SnapError> {
+    let r = &mut SnapReader::new(body);
     net.sim.restore_state(r, Msg::take)?;
     let links = r.u32()? as usize;
     if links != net.links.len() {
-        return Err(SnapError::Corrupt(format!(
+        return Err(ResumeError::Corrupt(format!(
             "checkpoint has {links} links, scenario builds {}",
             net.links.len()
         )));
@@ -125,7 +125,7 @@ fn restore_into_inner(
     }
     let routers = r.u32()? as usize;
     if routers != net.routers.len() {
-        return Err(SnapError::Corrupt(format!(
+        return Err(ResumeError::Corrupt(format!(
             "checkpoint has {routers} routers, scenario builds {}",
             net.routers.len()
         )));
@@ -136,7 +136,7 @@ fn restore_into_inner(
     }
     let flows = r.u32()? as usize;
     if flows != net.senders.len() {
-        return Err(SnapError::Corrupt(format!(
+        return Err(ResumeError::Corrupt(format!(
             "checkpoint has {flows} flows, scenario builds {}",
             net.senders.len()
         )));
@@ -150,24 +150,32 @@ fn restore_into_inner(
     let measure = match r.u8()? {
         PHASE_WARMUP => None,
         PHASE_MEASUREMENT => {
-            let sender_base = Vec::<SenderBaseline>::take(r)?;
-            if sender_base.len() != flows {
-                return Err(SnapError::Corrupt(format!(
+            let cursor = Vec::<[u64; 5]>::take(r)?;
+            if cursor.len() != flows {
+                return Err(ResumeError::Corrupt(format!(
                     "checkpoint has {} sender baselines for {flows} flows",
-                    sender_base.len()
+                    cursor.len()
                 )));
             }
+            let (flows, delivered) = (cursor.into_iter())
+                .map(|[sent, retransmits, rtos, delivered, congestion_events]| {
+                    let f = [sent, retransmits, rtos, congestion_events, 0];
+                    (FlowCounts::from_array(f), delivered)
+                })
+                .unzip();
+            let base = Counters {
+                flows,
+                delivered,
+                ..Counters::default()
+            };
             let mut tracker = ThroughputTracker::new(window_snapshots);
             tracker.load_state(r)?;
-            Some(Measurement {
-                sender_base,
-                tracker,
-            })
+            Some(Measurement { base, tracker })
         }
-        tag => return Err(SnapError::Corrupt(format!("unknown phase tag {tag}"))),
+        tag => return Err(ResumeError::Corrupt(format!("unknown phase tag {tag}"))),
     };
     if !r.is_exhausted() {
-        return Err(SnapError::Corrupt(format!(
+        return Err(ResumeError::Corrupt(format!(
             "{} trailing bytes after checkpoint body",
             r.remaining()
         )));

@@ -11,6 +11,8 @@
 //!   `execute`/`capture`, and [`run`] as the plain convenience.
 //! * [`runner`] — warm-up, snapshotting, the convergence stopping rule,
 //!   and window-scoped metric collection (the loop behind every request).
+//! * [`counters`] — one reading of every count; each measurement window
+//!   is the difference of two.
 //! * [`observe`] — self-observability: metric attachment, Prometheus
 //!   dumps, and per-run provenance manifests.
 //! * [`crash`] / [`checkpoint`] — crash bundles and replay; whole-run
@@ -24,6 +26,7 @@
 pub mod build;
 pub mod checkpoint;
 pub mod codec;
+pub mod counters;
 pub mod crash;
 pub mod error;
 pub mod observe;
@@ -40,6 +43,7 @@ pub use ccsim_timeline::serve::{serve, LiveState, ServeHandle};
 pub use ccsim_timeline::{Timeline, TimelineConfig, TimelineSummary};
 pub use checkpoint::{bisect_divergence, slice_boundaries, BisectOutcome, DivergencePoint};
 pub use codec::{scenario_from_json, scenario_from_value, scenario_to_json};
+pub use counters::Counters;
 pub use crash::{panic_message, BundleError, CrashBundle};
 pub use error::SimError;
 pub use observe::{ObserveOptions, ObservedRun};

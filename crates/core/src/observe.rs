@@ -34,16 +34,14 @@
 //! | `ccsim_phase_wall_nanos_total{phase}` | counter | runner phase wall time |
 //! | `ccsim_phase_calls_total{phase}` | counter | times each runner phase was clocked |
 //!
-//! The engine families read the engine's per-kind counts and pending
-//! peak, the three link families the bottleneck's
-//! [`LinkTallies`](ccsim_net::LinkTallies), pacing stalls the senders'
-//! tallies, and the RTO and recovery counts Σ
-//! [`SenderStats`](ccsim_tcp::SenderStats) less the sum at
-//! `RunInstruments::start`, so a resumed run counts from its restore.
-//! They are read when the live endpoint is due a publish (whose drop
-//! bursts are the closed ones only, so no observation moves between
-//! buckets from one scrape to the next) and once at collection, whose
-//! snapshot the dump writes with the drop burst in progress closed.
+//! The event, RTO and recovery counts are [`Counters`] since the run's
+//! start reading (so a resumed run counts from its restore); the pending
+//! peak, the bottleneck's [`LinkTallies`] and the pacing stalls are read
+//! from their owners. They are read when the live endpoint is due a
+//! publish (whose drop bursts are the closed ones only, so no observation
+//! moves between buckets from one scrape to the next) and once at
+//! collection, whose snapshot the dump writes with the drop burst in
+//! progress closed.
 //!
 //! With [`ObserveOptions::profile`] on, the `ccsim-prof` families join
 //! the dump as well (`ccsim_prof_events_total{class,kind}`, timer-wheel
@@ -51,11 +49,13 @@
 //! [`ccsim_telemetry::export_profile_into`]).
 
 use crate::build::BuiltNetwork;
+use crate::counters::Counters;
 use crate::outcome::RunOutcome;
 use crate::runner::Progress;
 use crate::scenario::Scenario;
 use ccsim_net::link::Link;
 use ccsim_net::msg::Msg;
+use ccsim_net::LinkTallies;
 use ccsim_sim::{safe_rate, Fnv1a, Log2Tally, SimTime};
 use ccsim_tcp::receiver::Receiver;
 use ccsim_tcp::sender::Sender;
@@ -150,9 +150,10 @@ impl ObserveOptions {
 }
 
 /// Everything attached to one observed run: the phase clocks, the
-/// slice-time tally, the baselines the counts are read against, and the
-/// snapshot collection takes. The runner owns it for the run (`&mut`),
+/// slice-time tally, the start reading the counts are read against, and
+/// the snapshot collection takes. The runner owns it for the run (`&mut`),
 /// so nothing here needs a cell.
+#[derive(Default)]
 pub(crate) struct RunInstruments {
     /// `(wall nanos, calls)` per [`PHASES`] entry.
     phases: [(u64, u64); PHASES.len()],
@@ -160,10 +161,9 @@ pub(crate) struct RunInstruments {
     options: ObserveOptions,
     /// Wall nanoseconds per measurement slice (`ccsim_slice_wall_nanos`).
     slice_wall: Log2Tally,
-    /// Σ `SenderStats` `(rtos, fast_recoveries)` when the run started
-    /// (non-zero only after a checkpoint restore): the baseline of the two
-    /// congestion families, which count this segment's events only.
-    congestion_at_start: (u64, u64),
+    /// The start reading, taken by [`RunInstruments::start`]: every view
+    /// here counts since it (see [`crate::counters`]).
+    start: Counters,
     /// The counts as [`RunInstruments::collect`] read them.
     counts: RunCounts,
     /// Filled by [`RunInstruments::collect`] when profiling is on
@@ -173,10 +173,6 @@ pub(crate) struct RunInstruments {
     /// the manifest's `checkpoint_bytes` and, under profiling, the
     /// `resume/checkpoint` memory pool.
     pub(crate) checkpoint_bytes: u64,
-    /// The engine's event count when the run started (non-zero only after
-    /// a checkpoint restore): the baseline of the manifest's
-    /// `events_per_sec`, whose dispatch clock only covers this segment.
-    events_at_start: u64,
     /// The windowed sampler, created by [`RunInstruments::start`] once the
     /// network exists (it needs the flow/link counts) when
     /// [`ObserveOptions::timeline`] is set.
@@ -193,20 +189,14 @@ pub(crate) struct RunInstruments {
 /// counts' owners: plain values, written into a dump and then dropped.
 #[derive(Default)]
 struct RunCounts {
-    /// The engine's per-kind event counts, in [`EVENT_KINDS`] order.
-    events_by_kind: [u64; EVENT_KINDS.len()],
+    /// The counts since the start reading: events by kind, and per flow
+    /// the RTOs and recovery entries.
+    counted: Counters,
     /// The engine's pending-event high-water mark.
     pending_peak: u64,
-    /// The bottleneck's queue-occupancy tally ([`ccsim_net::LinkTallies`]).
-    queue_bytes: Log2Tally,
-    /// Its drop-burst sizes, the burst in progress closed at the run's end.
-    drop_bursts: Log2Tally,
-    /// Its serializer's busy nanoseconds.
-    busy_nanos: u64,
-    /// Σ over the senders, since [`RunInstruments::start`].
-    rtos: u64,
-    /// Σ over the senders, since [`RunInstruments::start`].
-    fast_recoveries: u64,
+    /// The bottleneck's tallies, the drop burst in progress closed at the
+    /// run's end.
+    link: LinkTallies,
     /// Σ over the senders' pacing-stall tallies.
     pacing_stalls: u64,
 }
@@ -216,18 +206,9 @@ impl RunInstruments {
     /// step publishes into it.
     pub(crate) fn new(options: ObserveOptions, live: Option<Arc<LiveState>>) -> RunInstruments {
         RunInstruments {
-            phases: [(0, 0); PHASES.len()],
             options,
-            slice_wall: Log2Tally::default(),
-            congestion_at_start: (0, 0),
-            counts: RunCounts::default(),
-            profile: None,
-            checkpoint_bytes: 0,
-            events_at_start: 0,
-            timeline: None,
-            scratch: Vec::new(),
             live,
-            last_publish: None,
+            ..RunInstruments::default()
         }
     }
 
@@ -260,22 +241,15 @@ impl RunInstruments {
     }
 
     /// Anchor the run once the network holds its starting state (after
-    /// any restore): the event baseline of `events_per_sec`, the
-    /// congestion families' baseline, and the timeline's window grid. On
-    /// a resume the grid starts from the restored instant, and priming
-    /// anchors the delta baselines at the current cumulative counters so
-    /// the pre-resume history is not attributed to the first window.
+    /// any restore): take the start reading and lay the timeline's window
+    /// grid from this instant. The timeline is fed counts since the start
+    /// reading, so its first row's deltas start from zero.
     pub(crate) fn start(&mut self, net: &BuiltNetwork) {
-        self.events_at_start = net.sim.events_processed();
-        let (rtos, recoveries, _) = sender_counts(net);
-        self.congestion_at_start = (rtos, recoveries);
-        if let Some(cfg) = self.options.timeline {
-            let mut tl = Timeline::new(cfg, net.flow_count(), net.links.len(), net.sim.now());
-            let (flows, links) = timeline_points(net, tl.sampled_flows());
-            net.per_flow_delivered_into(&mut self.scratch);
-            tl.prime(&self.scratch, &flows, &links);
-            self.timeline = Some(tl);
-        }
+        self.start = Counters::read(net);
+        self.timeline = self
+            .options
+            .timeline
+            .map(|cfg| Timeline::new(cfg, net.flow_count(), net.links.len(), net.sim.now()));
     }
 
     /// The per-slice step, after the engine reached `progress.now`: feed
@@ -320,22 +294,25 @@ impl RunInstruments {
     /// At the warm-up boundary, before the link counters reset: stop the
     /// warm-up clock (started at `started`), close the warm-up's tail row
     /// so no timeline delta straddles the reset, and re-anchor the
-    /// timeline's link deltas at the zero the reset leaves.
+    /// timeline's link deltas and the start reading's links at the zero
+    /// the reset leaves.
     pub(crate) fn close_warmup(&mut self, net: &BuiltNetwork, at: SimTime, started: Instant) {
         self.clock(Phase::Warmup, started);
         self.push_row(net, at, None);
         if let Some(tl) = &mut self.timeline {
             tl.note_link_reset();
         }
+        self.start.links.clear();
     }
 
-    /// At collection, before the trace drains: read the counts the dump
-    /// writes, close the run's tail row (a zero-span no-op when the last
-    /// slice closed one on the grid), and harvest the event profile while
-    /// the flight recorders still count towards `trace/rings`.
-    pub(crate) fn collect(&mut self, net: &BuiltNetwork, now: SimTime, delivered: &[u64]) {
-        self.counts = self.read_counts(net, true);
-        self.push_row(net, now, Some(delivered));
+    /// At collection, before the trace drains, with the run's `end`
+    /// reading: keep the counts the dump writes, close the run's tail row
+    /// (a zero-span no-op when the last slice closed one on the grid), and
+    /// harvest the event profile while the flight recorders still count
+    /// towards `trace/rings`.
+    pub(crate) fn collect(&mut self, net: &BuiltNetwork, now: SimTime, end: &Counters) {
+        self.counts = self.read_counts(net, end.clone(), true);
+        self.push_row(net, now, Some(&end.delivered));
         if self.options.profile {
             self.profile = harvest_profile(
                 net,
@@ -346,41 +323,32 @@ impl RunInstruments {
         }
     }
 
-    /// Read the run-level families' counts from their owners: the
-    /// engine's per-kind counts and pending peak, the bottleneck's
-    /// [`ccsim_net::LinkTallies`], and over all senders the RTOs and recovery
-    /// entries since [`RunInstruments::start`] and the pacing stalls. A
-    /// run that has `ended` counts the drop burst in progress; a live
-    /// scrape counts closed bursts only, so no observation moves between
-    /// buckets from one scrape to the next.
-    fn read_counts(&self, net: &BuiltNetwork, ended: bool) -> RunCounts {
-        let mut events_by_kind = [0; EVENT_KINDS.len()];
-        for (n, &count) in events_by_kind.iter_mut().zip(net.sim.event_class_counts()) {
-            *n = count;
-        }
+    /// Read the run-level families' counts: `reading` since the start
+    /// reading, and from their owners the engine's pending peak, the
+    /// bottleneck's [`LinkTallies`] and the senders' pacing stalls. A run
+    /// that has `ended` counts the drop burst in progress; a live scrape
+    /// counts closed bursts only, so no observation moves between buckets
+    /// from one scrape to the next.
+    fn read_counts(&self, net: &BuiltNetwork, reading: Counters, ended: bool) -> RunCounts {
         let link = net.sim.component::<Link>(net.link).tallies();
-        let link = link.cloned().unwrap_or_default();
-        let (rtos, recoveries, pacing_stalls) = sender_counts(net);
+        let mut link = link.cloned().unwrap_or_default();
+        if ended {
+            link.drop_burst_pkts = link.drop_bursts_closed();
+        }
+        let stalls = |&id| net.sim.component::<Sender>(id).pacing_stalls();
         RunCounts {
-            events_by_kind,
+            counted: reading.since(&self.start),
             pending_peak: net.sim.max_pending(),
-            drop_bursts: if ended {
-                link.drop_bursts_closed()
-            } else {
-                link.drop_burst_pkts
-            },
-            queue_bytes: link.queue_bytes,
-            busy_nanos: link.busy_nanos,
-            rtos: rtos - self.congestion_at_start.0,
-            fast_recoveries: recoveries - self.congestion_at_start.1,
-            pacing_stalls,
+            link,
+            pacing_stalls: net.senders.iter().filter_map(stalls).sum(),
         }
     }
 
     /// Append the run-level families holding `c` to `out`, with the two
     /// rate gauges at `rates`.
     fn write_counts(&self, out: &mut Exposition, c: &RunCounts, rates: (f64, f64)) {
-        for (kind, &n) in EVENT_KINDS.iter().zip(&c.events_by_kind) {
+        let flows = &c.counted.flows;
+        for (kind, &n) in EVENT_KINDS.iter().zip(&c.counted.events_by_kind) {
             out.counter(
                 "ccsim_events_total",
                 "Engine events processed, by message kind",
@@ -416,12 +384,12 @@ impl RunInstruments {
             (
                 "ccsim_link_queue_bytes",
                 "Bottleneck queue occupancy in bytes, sampled at packet arrivals",
-                &c.queue_bytes,
+                &c.link.queue_bytes,
             ),
             (
                 "ccsim_link_drop_burst_pkts",
                 "Sizes of consecutive-drop bursts at the bottleneck, in packets",
-                &c.drop_bursts,
+                &c.link.drop_burst_pkts,
             ),
         ] {
             out.histogram(family, help, &[], tally);
@@ -430,17 +398,17 @@ impl RunInstruments {
             (
                 "ccsim_link_busy_nanos_total",
                 "Simulated nanoseconds the bottleneck serializer was busy",
-                c.busy_nanos,
+                c.link.busy_nanos,
             ),
             (
                 "ccsim_tcp_rtos_total",
                 "Genuine retransmission timeouts across all flows",
-                c.rtos,
+                flows.iter().map(|f| f.rtos).sum(),
             ),
             (
                 "ccsim_tcp_fast_recoveries_total",
                 "Fast-recovery episode entries across all flows",
-                c.fast_recoveries,
+                flows.iter().map(|f| f.fast_recoveries).sum(),
             ),
             (
                 "ccsim_tcp_pacing_stalls_total",
@@ -452,35 +420,39 @@ impl RunInstruments {
         }
     }
 
-    /// Close the timeline row ending at `now`, reading `delivered` or,
-    /// when the caller has none, snapshotting the flows into the scratch
-    /// vector.
+    /// Close the timeline row ending at `now` with the counts since the
+    /// start reading: the delivered bytes `delivered` (cumulative) or,
+    /// when the caller has none, read into the scratch vector, and the
+    /// sampled flows' and every link's counts.
     fn push_row(&mut self, net: &BuiltNetwork, now: SimTime, delivered: Option<&[u64]>) {
         let Some(tl) = &mut self.timeline else { return };
-        let (flows, links) = timeline_points(net, tl.sampled_flows());
-        let delivered = match delivered {
-            Some(d) => d,
-            None => {
-                net.per_flow_delivered_into(&mut self.scratch);
-                &self.scratch
+        if delivered.is_none() {
+            net.per_flow_delivered_into(&mut self.scratch);
+        }
+        let delivered = delivered.unwrap_or(&self.scratch);
+        let row = Counters::read_some(net, tl.sampled_flows(), delivered, false).since(&self.start);
+        let flows = net.senders.iter().zip(&row.flows).map(|(&id, c)| {
+            let s = net.sim.component::<Sender>(id);
+            FlowPoint {
+                retransmits: c.retransmits,
+                cwnd_bytes: s.cca().cwnd(),
+                srtt_secs: s.srtt().as_secs_f64(),
+                inflight_bytes: s.in_flight(),
             }
-        };
-        tl.push_row(now, delivered, &flows, &links);
+        });
+        let links = net.links.iter().zip(&row.links).map(|(&id, c)| {
+            let l = net.sim.component::<Link>(id);
+            LinkPoint {
+                transmitted_bytes: c.transmitted_bytes,
+                dropped_pkts: c.dropped_pkts,
+                ce_marked_pkts: c.ce_marked_pkts,
+                queue_bytes: l.backlog_bytes(),
+                rate_bytes_per_sec: l.rate().as_bytes_per_sec(),
+            }
+        });
+        let (flows, links): (Vec<FlowPoint>, Vec<LinkPoint>) = (flows.collect(), links.collect());
+        tl.push_row(now, &row.delivered, &flows, &links);
     }
-}
-
-/// Σ over the senders of `(rtos, fast_recoveries, pacing stalls)`: the
-/// first two from the always-kept `SenderStats`, the last from the tally
-/// [`RunInstruments::attach`] attached.
-fn sender_counts(net: &BuiltNetwork) -> (u64, u64, u64) {
-    let mut sums = (0, 0, 0);
-    for &id in &net.senders {
-        let s = net.sim.component::<Sender>(id);
-        sums.0 += s.stats().rtos;
-        sums.1 += s.stats().fast_recoveries;
-        sums.2 += s.pacing_stalls().unwrap_or(0);
-    }
-    sums
 }
 
 /// Component-id → profiler class-row table for `net`, indexed by raw
@@ -567,39 +539,6 @@ fn harvest_profile(
     })
 }
 
-/// Snapshot the sampler inputs: one [`FlowPoint`] per sampled flow and
-/// one [`LinkPoint`] per link, all read-only simulator state.
-fn timeline_points(net: &BuiltNetwork, sampled_flows: usize) -> (Vec<FlowPoint>, Vec<LinkPoint>) {
-    let flows = net.senders[..sampled_flows]
-        .iter()
-        .map(|&id| {
-            let s = net.sim.component::<Sender>(id);
-            FlowPoint {
-                retransmits: s.stats().retransmits,
-                cwnd_bytes: s.cca().cwnd(),
-                srtt_secs: s.srtt().as_secs_f64(),
-                inflight_bytes: s.in_flight(),
-            }
-        })
-        .collect();
-    let links = net
-        .links
-        .iter()
-        .map(|&id| {
-            let l = net.sim.component::<Link>(id);
-            let st = l.stats();
-            LinkPoint {
-                transmitted_bytes: st.transmitted_bytes,
-                dropped_pkts: st.dropped_pkts,
-                ce_marked_pkts: st.ce_marked_pkts,
-                queue_bytes: l.backlog_bytes(),
-                rate_bytes_per_sec: l.rate().as_bytes_per_sec(),
-            }
-        })
-        .collect();
-    (flows, links)
-}
-
 /// The result of an observed run: the outcome itself plus the two
 /// self-observability artifacts.
 #[derive(Debug)]
@@ -631,7 +570,8 @@ impl RunInstruments {
     /// only the final publish.
     fn publish_into(&self, net: &BuiltNetwork, state: &LiveState) {
         let mut out = Exposition::new();
-        self.write_counts(&mut out, &self.read_counts(net, false), (0.0, 0.0));
+        let counts = self.read_counts(net, Counters::read(net), false);
+        self.write_counts(&mut out, &counts, (0.0, 0.0));
         state.publish_metrics(out.into_text());
         if let Some(tl) = &self.timeline {
             state.publish_timeline(to_jsonl(tl));
@@ -653,13 +593,12 @@ impl RunInstruments {
         // bookkeeping, and collection do not dilute the figure.
         let dispatch_nanos = self.phases[Phase::Dispatch as usize].0;
         let dispatch_secs = dispatch_nanos as f64 / 1e9;
-        // A resumed run's dispatch clock starts at the restore, so only the
-        // events dispatched since then count towards its rate; the
-        // manifest's `events_processed` stays the whole run's.
-        let events_dispatched = outcome.events_processed - self.events_at_start;
-        // `safe_rate` keeps both figures finite on zero-event or
-        // sub-microsecond runs (dispatch clock rounds to 0 ns).
-        let events_per_sec = safe_rate(events_dispatched as f64, dispatch_secs);
+        // A resumed run's dispatch clock starts at the restore, so its rate
+        // counts the events since the start reading; the manifest's
+        // `events_processed` stays the whole run's. `safe_rate` keeps both
+        // figures finite on zero-event or sub-microsecond runs (dispatch
+        // clock rounds to 0 ns).
+        let events_per_sec = safe_rate(self.counts.counted.events as f64, dispatch_secs);
         let sim_wall_ratio = safe_rate(sim_secs, wall_secs);
 
         let mut out = Exposition::new();
@@ -700,7 +639,7 @@ impl RunInstruments {
         let timeline_summary = self.timeline.as_ref().map(Timeline::summary);
         let events_by_kind = EVENT_KINDS
             .iter()
-            .zip(self.counts.events_by_kind)
+            .zip(self.counts.counted.events_by_kind)
             .map(|(kind, n)| (kind.to_string(), n))
             .collect();
         let manifest = RunManifest {

@@ -4,7 +4,8 @@
 //!
 //! 1. flows start at jittered times, all before the warm-up boundary;
 //! 2. everything before the warm-up boundary is excluded — queue counters
-//!    are reset and per-flow counter baselines snapshotted there;
+//!    are reset and the warm-up [`Counters`] reading taken there, which
+//!    the end reading is differenced against;
 //! 3. the simulation advances in snapshot slices; after each slice the
 //!    tracker records cumulative per-flow delivered bytes;
 //! 4. the run stops at the horizon, or earlier once the headline metrics
@@ -13,6 +14,7 @@
 
 use crate::build::BuiltNetwork;
 use crate::checkpoint::{self, slice_boundaries};
+use crate::counters::Counters;
 use crate::error::SimError;
 use crate::observe::{classify_msg, Phase, RunInstruments};
 use crate::outcome::{BottleneckMetrics, RunOutcome};
@@ -22,39 +24,19 @@ use ccsim_analysis::{jain_fairness_index, jain_fairness_subset};
 use ccsim_net::link::{Link, LinkStats};
 use ccsim_net::AqmKind;
 use ccsim_resume::{Checkpoint, ResumeError};
-use ccsim_sim::{snap, SimTime};
+use ccsim_sim::SimTime;
 use ccsim_tcp::sender::Sender;
 use ccsim_telemetry::{FlowMetrics, ThroughputTracker};
 use ccsim_trace::{RunTrace, TraceMeta};
 use std::time::Instant;
 
-/// Numeric sender-counter baseline captured at the warm-up boundary.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SenderBaseline {
-    pub(crate) data_pkts_sent: u64,
-    pub(crate) retransmits: u64,
-    pub(crate) rtos: u64,
-    pub(crate) delivered_bytes: u64,
-    /// Congestion events strictly before the warm-up boundary; those *at*
-    /// it belong to the measurement window.
-    pub(crate) congestion_events: u64,
-}
-
-snap!(SenderBaseline {
-    data_pkts_sent,
-    retransmits,
-    rtos,
-    delivered_bytes,
-    congestion_events
-});
-
-/// The measurement cursor, taken at the warm-up boundary: per-flow
-/// counter baselines and the tracker the convergence rule reads. A run
-/// holds none during its warm-up; a measurement-phase checkpoint carries
-/// it.
+/// The measurement cursor, taken at the warm-up boundary: the warm-up
+/// reading the outcome's counts are differenced against, and the tracker
+/// the convergence rule reads. A run holds none during its warm-up; a
+/// measurement-phase checkpoint carries it.
 #[derive(Debug)]
 pub(crate) struct Measurement {
-    pub(crate) sender_base: Vec<SenderBaseline>,
+    pub(crate) base: Counters,
     pub(crate) tracker: ThroughputTracker,
 }
 
@@ -119,44 +101,6 @@ fn advance(
         net.sim.try_run_until(until)?;
     }
     Ok(())
-}
-
-/// The warm-up-boundary actions: reset every link's counters, take the
-/// per-flow baselines, re-anchor the watchdog's conservation baseline
-/// with the reset counters, and seed the tracker at `warmup_end`.
-fn start_measurement(
-    net: &mut BuiltNetwork,
-    watchdog: &mut Watchdog,
-    warmup_end: SimTime,
-    window_snapshots: usize,
-) -> Measurement {
-    for i in 0..net.links.len() {
-        let id = net.links[i];
-        net.sim.component_mut::<Link>(id).reset_stats();
-    }
-    let delivered = net.per_flow_delivered();
-    let sender_base = net
-        .senders
-        .iter()
-        .zip(&delivered)
-        .map(|(&id, &delivered_bytes)| {
-            let s = net.sim.component::<Sender>(id).stats();
-            SenderBaseline {
-                data_pkts_sent: s.data_pkts_sent,
-                retransmits: s.retransmits,
-                rtos: s.rtos,
-                delivered_bytes,
-                congestion_events: s.congestion_events_before(warmup_end),
-            }
-        })
-        .collect();
-    watchdog.rebaseline(net);
-    let mut tracker = ThroughputTracker::new(window_snapshots);
-    tracker.record(warmup_end, delivered);
-    Measurement {
-        sender_base,
-        tracker,
-    }
 }
 
 /// Drain the flight recorders (present only when the scenario enabled
@@ -225,8 +169,7 @@ pub(crate) fn run_internal_ctl(
         .as_ref()
         .map_or(0, |rule| rule.window_snapshots);
     let mut measure = match ctl.resume_from {
-        Some(cp) => checkpoint::restore_into(&mut net, &mut watchdog, window_snapshots, &cp.body)
-            .map_err(SimError::Resume)?,
+        Some(cp) => checkpoint::restore_into(&mut net, &mut watchdog, window_snapshots, &cp.body)?,
         None => None,
     };
     if let Some(inst) = inst.as_deref_mut() {
@@ -246,12 +189,18 @@ pub(crate) fn run_internal_ctl(
             if let Some(inst) = inst.as_deref_mut() {
                 inst.close_warmup(&net, warmup_end, warmup_start);
             }
-            measure = Some(start_measurement(
-                &mut net,
-                &mut watchdog,
-                warmup_end,
-                window_snapshots,
-            ));
+            // The warm-up-boundary actions: reset the link counters, take
+            // the warm-up reading, re-anchor the watchdog's conservation
+            // base on it, and seed the tracker.
+            for &id in &net.links {
+                net.sim.component_mut::<Link>(id).reset_stats();
+            }
+            let delivered = net.per_flow_delivered();
+            let base = Counters::read_some(&net, net.flow_count(), &delivered, true);
+            watchdog.rebaseline(&base);
+            let mut tracker = ThroughputTracker::new(window_snapshots);
+            tracker.record(warmup_end, delivered);
+            measure = Some(Measurement { base, tracker });
         }
 
         let slice_start = Instant::now();
@@ -310,10 +259,14 @@ pub(crate) fn run_internal_ctl(
     let collect_start = Instant::now();
     // A validated scenario has a non-zero duration, so the walk always
     // crosses the warm-up boundary (or restored past it).
-    let Measurement { sender_base, .. } = measure.expect("empty measurement window");
+    let Measurement { base, .. } = measure.expect("empty measurement window");
     let measured_for = now - warmup_end;
     let secs = measured_for.as_secs_f64();
-    let delivered_end = net.per_flow_delivered();
+    let end = Counters::read(&net);
+    if let Some(inst) = inst.as_deref_mut() {
+        inst.collect(&net, now, &end);
+    }
+    let window = end.since(&base);
 
     let link = net.sim.component::<Link>(net.link);
     let link_stats = link.stats().clone();
@@ -335,19 +288,17 @@ pub(crate) fn run_internal_ctl(
 
     let mut flows = Vec::with_capacity(net.flow_count());
     for i in 0..net.flow_count() {
-        let stats = net.sim.component::<Sender>(net.senders[i]).stats();
-        let base = sender_base[i];
-        let window_delivered = delivered_end[i] - base.delivered_bytes;
+        let (counts, delivered) = (window.flows[i], window.delivered[i]);
         flows.push(FlowMetrics {
             flow: i as u32,
             cca: net.flow_cca[i].name().to_string(),
             base_rtt_secs: net.flow_rtt[i].as_secs_f64(),
-            throughput_bytes_per_sec: window_delivered as f64 / secs,
-            delivered_bytes: window_delivered,
-            data_pkts_sent: stats.data_pkts_sent - base.data_pkts_sent,
-            retransmits: stats.retransmits - base.retransmits,
-            congestion_events: stats.congestion_events() - base.congestion_events,
-            rtos: stats.rtos - base.rtos,
+            throughput_bytes_per_sec: delivered as f64 / secs,
+            delivered_bytes: delivered,
+            data_pkts_sent: counts.data_pkts_sent,
+            retransmits: counts.retransmits,
+            congestion_events: counts.congestion_events,
+            rtos: counts.rtos,
             queue_drops: per_flow_summed(|s| &s.per_flow_dropped, i),
             queue_arrivals: per_flow_summed(|s| &s.per_flow_arrived, i),
         });
@@ -380,9 +331,6 @@ pub(crate) fn run_internal_ctl(
         }
     }
 
-    if let Some(inst) = inst.as_deref_mut() {
-        inst.collect(&net, now, &delivered_end);
-    }
     let trace = drain_trace(&mut net, scenario);
 
     let outcome = RunOutcome {
@@ -501,9 +449,13 @@ mod tests {
             // Throughput implied by delivered bytes must match the field.
             let implied = f.delivered_bytes as f64 / o.measured_for.as_secs_f64();
             assert!((implied - f.throughput_bytes_per_sec).abs() < 1.0);
-            // Queue arrivals were reset at warm-up: they cannot exceed what
-            // the whole run could have sent in the window.
-            assert!(f.queue_arrivals > 0);
         }
+        // On one drop-tail link the per-flow queue counters and the loss
+        // rate are the same window of the same counters: both reset at the
+        // warm-up boundary, so their ratio is the loss rate exactly.
+        let drops: u64 = o.flows.iter().map(|f| f.queue_drops).sum();
+        let arrivals: u64 = o.flows.iter().map(|f| f.queue_arrivals).sum();
+        assert!(drops > 0 && arrivals > drops, "{drops} of {arrivals}");
+        assert_eq!(drops as f64 / arrivals as f64, o.aggregate_loss_rate);
     }
 }

@@ -22,10 +22,11 @@
 //!   backwards between checks.
 
 use crate::build::BuiltNetwork;
+use crate::counters::{Counters, LinkCounts};
 use crate::scenario::Scenario;
 use ccsim_fault::{InvariantKind, InvariantViolation, WatchdogConfig, WatchdogReport};
 use ccsim_net::link::Link;
-use ccsim_sim::{snap, SimTime};
+use ccsim_sim::{SimTime, Snap, SnapError, SnapReader, SnapWriter};
 use ccsim_tcp::receiver::Receiver;
 use ccsim_tcp::sender::Sender;
 
@@ -33,41 +34,15 @@ use ccsim_tcp::sender::Sender;
 /// check, and the report only needs enough instances to diagnose it.
 const MAX_VIOLATIONS: usize = 64;
 
-/// Link-counter snapshot the conservation check differences against.
-#[derive(Clone, Copy, Default)]
-struct LinkBaseline {
-    arrived: u64,
-    dropped: u64,
-    transmitted: u64,
-    backlog_pkts: u64,
-}
-
-impl LinkBaseline {
-    fn capture(link: &Link) -> LinkBaseline {
-        let s = link.stats();
-        LinkBaseline {
-            arrived: s.arrived_pkts,
-            dropped: s.dropped_pkts,
-            transmitted: s.transmitted_pkts,
-            backlog_pkts: link.queued_pkts() + link.in_service_pkts(),
-        }
-    }
-}
-
-snap!(LinkBaseline {
-    arrived,
-    dropped,
-    transmitted,
-    backlog_pkts
-});
-
 /// The per-run check driver. Constructed enabled or inert; an inert
 /// watchdog's methods are no-ops so the runner calls them unconditionally.
 pub(crate) struct Watchdog {
     cfg: WatchdogConfig,
     report: WatchdogReport,
     slice: u64,
-    base: Vec<LinkBaseline>,
+    /// The links of the reading the conservation deltas start from: the
+    /// warm-up reading once measuring, zero counters before it.
+    base: Counters,
     last_now: SimTime,
     last_events: u64,
 }
@@ -78,23 +53,18 @@ impl Watchdog {
             cfg,
             report: WatchdogReport::default(),
             slice: 0,
-            base: Vec::new(),
+            base: Counters::default(),
             last_now: SimTime::ZERO,
             last_events: 0,
         }
     }
 
-    /// Re-anchor the conservation baselines — called right after the
-    /// warm-up boundary resets the link counters.
-    pub(crate) fn rebaseline(&mut self, net: &BuiltNetwork) {
-        if !self.cfg.enabled {
-            return;
+    /// Re-anchor the conservation base on the warm-up reading, taken
+    /// right after the warm-up boundary reset the link counters.
+    pub(crate) fn rebaseline(&mut self, warmup: &Counters) {
+        if self.cfg.enabled {
+            self.base.links.clone_from(&warmup.links);
         }
-        self.base = net
-            .links
-            .iter()
-            .map(|&id| LinkBaseline::capture(net.sim.component::<Link>(id)))
-            .collect();
     }
 
     /// True if any check has failed so far.
@@ -114,14 +84,29 @@ impl Watchdog {
         }
     }
 
-    snap! {
-        /// Serialize the check-pass cursor for a checkpoint. Violations are
-        /// not serialized: a tripped watchdog aborts the run before any
-        /// checkpoint can be taken, so checkpoints only ever hold clean state.
-        pub(crate) fn save_state;
-        /// Overlay a checkpointed check-pass cursor.
-        pub(crate) fn load_state;
-        slice, report.checks_run, last_now, last_events, base,
+    /// Serialize the check-pass cursor for a checkpoint, with four counts
+    /// per link of the base (arrived, dropped, transmitted, backlog).
+    /// Violations are not serialized: a tripped watchdog aborts the run
+    /// before any checkpoint can be taken, so checkpoints only ever hold
+    /// clean state.
+    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
+        let base = self.base.links.iter().map(|l| {
+            let [arrived, dropped, transmitted, backlog, ..] = l.to_array();
+            [arrived, dropped, transmitted, backlog]
+        });
+        let cursor = (self.slice, self.report.checks_run, self.last_now);
+        (cursor, self.last_events, base.collect::<Vec<_>>()).put(w);
+    }
+
+    /// Overlay a checkpointed check-pass cursor.
+    pub(crate) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let base: Vec<[u64; 4]>;
+        let cursor: (u64, u64, SimTime);
+        (cursor, self.last_events, base) = Snap::take(r)?;
+        (self.slice, self.report.checks_run, self.last_now) = cursor;
+        let base = base.into_iter().map(|[a, d, t, b]| [a, d, t, b, 0, 0]);
+        self.base.links = base.map(LinkCounts::from_array).collect();
+        Ok(())
     }
 
     /// Run one check pass at a slice boundary (respecting the stride).
@@ -154,28 +139,31 @@ impl Watchdog {
         self.last_events = events;
 
         // Before the first rebaseline every delta is measured from zero
-        // counters, which is exactly what a fresh simulator has.
-        if self.base.len() != net.links.len() {
-            self.base.resize(net.links.len(), LinkBaseline::default());
-        }
+        // counters, which is exactly what a fresh simulator has. The base
+        // holds one entry per link from the first pass on, as checkpoints
+        // have always recorded it.
+        self.base
+            .links
+            .resize(net.links.len(), LinkCounts::default());
+        let window = Counters::read_some(net, 0, &[], false).since(&self.base);
 
-        for (li, &link_id) in net.links.iter().enumerate() {
+        for (li, (&link_id, d)) in net.links.iter().zip(&window.links).enumerate() {
             let link = net.sim.component::<Link>(link_id);
 
-            // Conservation at this link, as deltas from the baseline.
-            let cur = LinkBaseline::capture(link);
-            let base = self.base[li];
-            let d_arrived = cur.arrived as i128 - base.arrived as i128;
-            let d_dropped = cur.dropped as i128 - base.dropped as i128;
-            let d_transmitted = cur.transmitted as i128 - base.transmitted as i128;
-            let d_backlog = cur.backlog_pkts as i128 - base.backlog_pkts as i128;
-            if d_arrived != d_dropped + d_transmitted + d_backlog {
+            // Conservation at this link. The backlog is a level whose
+            // delta may be negative, so the identity is checked modulo
+            // 2^64 and the deltas print signed.
+            let accounted = d.dropped_pkts.wrapping_add(d.transmitted_pkts);
+            if d.arrived_pkts != accounted.wrapping_add(d.backlog_pkts) {
                 self.record(
                     now,
                     InvariantKind::Conservation,
                     format!(
-                        "link {li}: Δarrived {d_arrived} != Δdropped {d_dropped} \
-                         + Δtransmitted {d_transmitted} + Δbacklog {d_backlog}"
+                        "link {li}: Δarrived {} != Δdropped {} + Δtransmitted {} + Δbacklog {}",
+                        d.arrived_pkts as i64,
+                        d.dropped_pkts as i64,
+                        d.transmitted_pkts as i64,
+                        d.backlog_pkts as i64
                     ),
                 );
             }
@@ -264,7 +252,7 @@ mod tests {
         let s = tiny();
         let mut net = BuiltNetwork::build(&s);
         let mut wd = Watchdog::new(WatchdogConfig::every_slice());
-        wd.rebaseline(&net);
+        wd.rebaseline(&Counters::read(&net));
         for k in 1..=10u64 {
             net.sim
                 .run_until(SimTime::ZERO + SimDuration::from_millis(300 * k));
@@ -280,7 +268,7 @@ mod tests {
         let s = tiny();
         let mut net = BuiltNetwork::build(&s);
         let mut wd = Watchdog::new(WatchdogConfig::every_n(3));
-        wd.rebaseline(&net);
+        wd.rebaseline(&Counters::read(&net));
         for k in 1..=9u64 {
             net.sim
                 .run_until(SimTime::ZERO + SimDuration::from_millis(100 * k));
@@ -295,12 +283,12 @@ mod tests {
         let s = tiny();
         let mut net = BuiltNetwork::build(&s);
         let mut wd = Watchdog::new(WatchdogConfig::every_slice());
-        wd.rebaseline(&net);
+        wd.rebaseline(&Counters::read(&net));
         net.sim.run_until(SimTime::from_secs(1));
         // Corrupt the baseline behind the watchdog's back: the deltas can
         // no longer balance, which is exactly the kind of counter
         // corruption the check exists to catch.
-        wd.base[0].arrived += 1000;
+        wd.base.links[0].arrived_pkts += 1000;
         assert!(wd.check(&net, &s));
         let report = wd.into_report();
         assert!(!report.is_clean());

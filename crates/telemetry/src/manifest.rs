@@ -26,6 +26,15 @@ use std::io;
 pub use ccsim_sim::fnv1a_64;
 
 /// Machine-readable provenance record for one simulator run.
+///
+/// A run resumed from a checkpoint counts two ways. Its observer views
+/// — `events_by_kind`, the profile's cells, the RTO and recovery
+/// families of its Prometheus dump, and `events_per_sec` — count since the
+/// restore: a checkpoint carries no observer state, so observed and
+/// unobserved runs capture the same bytes. `events_processed` and the
+/// outcome (and so `outcome_digest`) count the whole run. So a resumed
+/// run's per-kind counts add up to its `events_processed` less the count
+/// at the checkpoint.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunManifest {
     /// Scenario label.
@@ -53,8 +62,9 @@ pub struct RunManifest {
     /// Engine events processed.
     pub events_processed: u64,
     /// Engine events per *dispatch* second (events_processed /
-    /// dispatch_secs): the engine's own throughput, not diluted by
-    /// harness phases. Legacy manifests divided by total wall time.
+    /// dispatch_secs, since the restore on a resumed run): the engine's
+    /// own throughput, not diluted by harness phases. Legacy manifests
+    /// divided by total wall time.
     pub events_per_sec: f64,
     /// Peak bottleneck queue occupancy, bytes.
     pub peak_queue_bytes: u64,
@@ -74,11 +84,9 @@ pub struct RunManifest {
     /// manifests re-serialize byte-identically.
     pub checkpoint_bytes: u64,
     /// Engine events by classified kind (`data`/`ack`/`timer`), in
-    /// classifier order. A run resumed from a checkpoint counts from the
-    /// restore, as its `events_per_sec` does (checkpoints do not carry the
-    /// counters, so observed and unobserved runs capture the same state).
-    /// Empty for unobserved or legacy runs; the key is then absent from the
-    /// JSON so old manifests re-serialize byte-identically.
+    /// classifier order; on a resumed run, since the restore (see the type's
+    /// docs). Empty for unobserved or legacy runs; the key is then absent
+    /// from the JSON so old manifests re-serialize byte-identically.
     pub events_by_kind: Vec<(String, u64)>,
     /// Per-bottleneck metrics for multi-bottleneck topologies. Empty (and
     /// absent from the JSON) for legacy single-bottleneck runs.

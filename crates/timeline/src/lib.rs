@@ -94,6 +94,7 @@ impl TimelineConfig {
 }
 
 /// One flow's instantaneous + cumulative readings at a slice boundary.
+/// Cumulative counts run from the sampler's start instant.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FlowPoint {
     /// Cumulative retransmissions (the sampler diffs consecutive rows).
@@ -107,6 +108,8 @@ pub struct FlowPoint {
 }
 
 /// One link's instantaneous + cumulative readings at a slice boundary.
+/// Cumulative counts run from the sampler's start instant (or the last
+/// [`Timeline::note_link_reset`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LinkPoint {
     /// Cumulative bytes transmitted (diffed per row).
@@ -162,16 +165,18 @@ pub struct Timeline {
     /// First row index that lies past the warm-up boundary (rows before it
     /// are excluded from convergence diagnostics).
     measured_from: u64,
+    /// The cumulative counts the last row closed at: per flow delivered
+    /// bytes and (sampled flows) retransmits, per link transmitted bytes,
+    /// drops and CE marks.
     prev_delivered: Vec<u64>,
     prev_retrans: Vec<u64>,
-    prev_link_tx: Vec<u64>,
-    prev_link_drops: Vec<u64>,
-    prev_link_ce: Vec<u64>,
+    prev_links: Vec<[u64; 3]>,
 }
 
 impl Timeline {
     /// A sampler starting at `start` (usually `SimTime::ZERO`) for a run
-    /// with `n_flows` flows and `n_links` links.
+    /// with `n_flows` flows and `n_links` links. Every cumulative count it
+    /// is fed runs from `start`, so its first row's deltas start at zero.
     pub fn new(cfg: TimelineConfig, n_flows: usize, n_links: usize, start: SimTime) -> Timeline {
         let sampled_flows = n_flows.min(cfg.max_flows as usize);
         let mut columns = Vec::new();
@@ -201,9 +206,7 @@ impl Timeline {
             measured_from: 0,
             prev_delivered: vec![0; n_flows],
             prev_retrans: vec![0; sampled_flows],
-            prev_link_tx: vec![0; n_links],
-            prev_link_drops: vec![0; n_links],
-            prev_link_ce: vec![0; n_links],
+            prev_links: vec![[0; 3]; n_links],
         }
     }
 
@@ -234,10 +237,11 @@ impl Timeline {
 
     /// Close the row `(last_row_end, now]`.
     ///
-    /// `delivered_all` is the cumulative per-flow delivered-bytes vector
-    /// over *all* flows; `flows` carries the first [`Timeline::sampled_flows`]
-    /// flows; `links` covers every link. A zero-span call (repeat `now`)
-    /// is a no-op, so forced closes compose with grid closes.
+    /// `delivered_all` is the per-flow delivered-bytes vector over *all*
+    /// flows, cumulative since the sampler's start; `flows` carries the
+    /// first [`Timeline::sampled_flows`] flows; `links` covers every link.
+    /// A zero-span call (repeat `now`) is a no-op, so forced closes compose
+    /// with grid closes.
     pub fn push_row(
         &mut self,
         now: SimTime,
@@ -263,55 +267,32 @@ impl Timeline {
         values.push(jain_fairness_index(&deltas).unwrap_or(IDLE_JFI));
         values.push(deltas.iter().sum::<f64>() / span);
 
-        for (f, point) in flows.iter().enumerate() {
+        for (f, (point, prev)) in flows.iter().zip(&mut self.prev_retrans).enumerate() {
             let goodput = delivered_all[f].saturating_sub(self.prev_delivered[f]) as f64 / span;
             values.push(goodput);
             values.push(point.cwnd_bytes as f64);
             values.push(point.srtt_secs);
             values.push(point.inflight_bytes as f64);
-            values.push(point.retransmits.saturating_sub(self.prev_retrans[f]) as f64);
+            values.push(point.retransmits.saturating_sub(*prev) as f64);
+            *prev = point.retransmits;
         }
-        for (l, point) in links.iter().enumerate() {
-            let tx = point.transmitted_bytes.saturating_sub(self.prev_link_tx[l]) as f64;
+        for (point, prev) in links.iter().zip(&mut self.prev_links) {
+            let now = [
+                point.transmitted_bytes,
+                point.dropped_pkts,
+                point.ce_marked_pkts,
+            ];
+            let [tx, drops, ce] = [0, 1, 2].map(|k| now[k].saturating_sub(prev[k]) as f64);
             let capacity = point.rate_bytes_per_sec * span;
             values.push(if capacity > 0.0 { tx / capacity } else { 0.0 });
-            values.push(point.queue_bytes as f64);
-            values.push(point.dropped_pkts.saturating_sub(self.prev_link_drops[l]) as f64);
-            values.push(point.ce_marked_pkts.saturating_sub(self.prev_link_ce[l]) as f64);
+            values.extend([point.queue_bytes as f64, drops, ce]);
+            *prev = now;
         }
         self.rows.push(now.as_secs_f64(), span, &values);
 
         self.prev_delivered.copy_from_slice(delivered_all);
-        for (f, point) in flows.iter().enumerate() {
-            self.prev_retrans[f] = point.retransmits;
-        }
-        for (l, point) in links.iter().enumerate() {
-            self.prev_link_tx[l] = point.transmitted_bytes;
-            self.prev_link_drops[l] = point.dropped_pkts;
-            self.prev_link_ce[l] = point.ce_marked_pkts;
-        }
         self.last_row_t = now;
         self.next_boundary = next_multiple(now, self.cfg.window);
-    }
-
-    /// Set the delta baselines from the current cumulative counters
-    /// without closing a row. Called once right after construction, so a
-    /// run resumed from a mid-run checkpoint (non-zero counters) does not
-    /// attribute the whole pre-resume history to its first window; for a
-    /// fresh run every counter is zero and priming changes nothing.
-    pub fn prime(&mut self, delivered_all: &[u64], flows: &[FlowPoint], links: &[LinkPoint]) {
-        assert_eq!(delivered_all.len(), self.n_flows, "delivered vector arity");
-        assert_eq!(flows.len(), self.sampled_flows, "flow point arity");
-        assert_eq!(links.len(), self.n_links, "link point arity");
-        self.prev_delivered.copy_from_slice(delivered_all);
-        for (f, point) in flows.iter().enumerate() {
-            self.prev_retrans[f] = point.retransmits;
-        }
-        for (l, point) in links.iter().enumerate() {
-            self.prev_link_tx[l] = point.transmitted_bytes;
-            self.prev_link_drops[l] = point.dropped_pkts;
-            self.prev_link_ce[l] = point.ce_marked_pkts;
-        }
     }
 
     /// Note that the links' cumulative counters were just reset to zero
@@ -319,9 +300,7 @@ impl Timeline {
     /// close). Re-baselines the link deltas so the next row is not
     /// negative-clamped to zero.
     pub fn note_link_reset(&mut self) {
-        self.prev_link_tx.iter_mut().for_each(|v| *v = 0);
-        self.prev_link_drops.iter_mut().for_each(|v| *v = 0);
-        self.prev_link_ce.iter_mut().for_each(|v| *v = 0);
+        self.prev_links.fill([0; 3]);
         // Rows so far are warm-up; convergence diagnostics start after.
         self.measured_from = self.rows.pushed();
     }

@@ -4,7 +4,9 @@
 //! internally consistent.
 
 use ccsim::cca::CcaKind;
-use ccsim::experiments::{run, FlowGroup, ObserveOptions, ObservedRun, RunRequest, Scenario};
+use ccsim::experiments::{
+    run, Counters, FlowGroup, ObserveOptions, ObservedRun, RunRequest, Scenario,
+};
 use ccsim::fault::FaultPlan;
 use ccsim::net::AqmKind;
 use ccsim::sim::{Bandwidth, Log2Tally, SimDuration, SimTime};
@@ -312,6 +314,51 @@ fn a_resumed_run_counts_component_families_from_its_restore() {
     }
 }
 
+/// A timelined run resumed from the warm-up boundary (captured before the
+/// warm-up actions run) and from mid-measurement: every timeline row after
+/// the restore equals the uninterrupted run's row at the same instant, and
+/// the RTO and recovery families equal the uninterrupted run's less the
+/// counts in the resumed run's start reading.
+#[test]
+fn a_resumed_timeline_and_its_congestion_families_count_from_the_start_reading() {
+    let s = mixed(29);
+    let options = ObserveOptions::timelined();
+    let observe = |request: RunRequest<'_>| {
+        let report = request.observe(options).execute().expect("run succeeds");
+        let timeline = report.timeline.expect("timelined");
+        let rows: Vec<(f64, f64, Vec<f64>)> = (0..timeline.rows().len())
+            .map(|r| timeline.rows().row(r).unwrap())
+            .collect();
+        (rows, report.prometheus.expect("observed"))
+    };
+    let (full_rows, full) = observe(RunRequest::new(&s));
+    let families = ["ccsim_tcp_rtos_total", "ccsim_tcp_fast_recoveries_total"];
+    for at in [1, 3].map(SimTime::from_secs) {
+        let cp = RunRequest::new(&s)
+            .checkpoint_at(at)
+            .capture()
+            .expect("capture");
+        let (rows, resumed) = observe(RunRequest::resume(&cp));
+        let after: Vec<_> = full_rows
+            .iter()
+            .filter(|(end, _, _)| *end > at.as_secs_f64())
+            .collect();
+        assert!(!after.is_empty());
+        assert_eq!(rows.iter().collect::<Vec<_>>(), after, "rows from {at}");
+
+        let start = Counters::at_checkpoint(&cp).unwrap();
+        let counted = [
+            start.flows.iter().map(|f| f.rtos).sum::<u64>(),
+            start.flows.iter().map(|f| f.fast_recoveries).sum(),
+        ];
+        for (name, at_checkpoint) in families.into_iter().zip(counted) {
+            assert!(sample(&full, name) > 0, "{name}");
+            let want = sample(&full, name) - at_checkpoint;
+            assert_eq!(sample(&resumed, name), want, "{name} from {at}");
+        }
+    }
+}
+
 /// One sample line of a Prometheus dump: family-level name (with any
 /// `_bucket`/`_sum`/`_count` suffix), label block, value text.
 struct Sample<'a> {
@@ -344,7 +391,7 @@ fn samples(exposition: &str) -> Vec<Sample<'_>> {
 /// events the run dispatched, and the live endpoint's final snapshot is
 /// the dump itself. A resumed run's engine counters and profile cells
 /// both count from the restore: they add up to the events dispatched
-/// since the checkpoint, not to the whole run's `events_processed`.
+/// since its start reading, not to the whole run's `events_processed`.
 #[test]
 fn every_view_of_a_run_agrees_with_its_manifest() {
     use ccsim::experiments::{LiveState, RunReport};
@@ -407,24 +454,19 @@ fn every_view_of_a_run_agrees_with_its_manifest() {
 
     let s = mixed(23);
     let at = SimTime::from_secs(3);
-    let mut events_at_checkpoint = None;
     let live = Arc::new(LiveState::new());
     let report = RunRequest::new(&s)
         .observe(ObserveOptions::profiled())
         .live(Arc::clone(&live))
         .checkpoint_at(at)
-        .on_progress(|p| {
-            if p.now == at {
-                events_at_checkpoint = Some(p.events_processed);
-            }
-        })
         .execute()
         .expect("run succeeds");
-    let events_at_checkpoint = events_at_checkpoint.expect("a slice ends at the checkpoint");
     let events = report.outcome.events_processed;
     check("fresh", &report, &live, events);
 
     let checkpoint = report.checkpoint.as_ref().expect("checkpoint taken");
+    // The resumed run's start reading: what its observer views count from.
+    let events_at_checkpoint = Counters::at_checkpoint(checkpoint).unwrap().events;
     let live = Arc::new(LiveState::new());
     let resumed = RunRequest::resume(checkpoint)
         .observe(ObserveOptions::profiled())

@@ -1,7 +1,8 @@
 //! Checkpoint/restore and campaign-resume guarantees, end to end:
 //!
-//! * `run(0→T)` and `run(0→T/2) → snapshot → encode → decode → run(→T)`
-//!   produce byte-identical outcomes — across CCAs, on a routed
+//! * `run(0→T)` and `run(0→t) → snapshot → encode → decode → run(→T)`
+//!   produce byte-identical outcomes for `t` mid-warm-up, at the warm-up
+//!   boundary and mid-measurement — across CCAs, on a routed
 //!   parking-lot topology, and under an active fault plan with AQM+ECN
 //!   (the checkpoint must carry the fault-injector cursors and AQM
 //!   state, not just the flows).
@@ -19,7 +20,7 @@ use ccsim::campaign::{
 use ccsim::cca::CcaKind;
 use ccsim::experiments::observe::scenario_digest;
 use ccsim::experiments::{Checkpoint, ConvergenceRule, FlowGroup, RunRequest, Scenario};
-use ccsim::fault::FaultPlan;
+use ccsim::fault::{FaultPlan, WatchdogConfig};
 use ccsim::net::AqmKind;
 use ccsim::resume::{fnv1a_64, ResumeError, SNAP_VERSION};
 use ccsim::sim::{Bandwidth, SimDuration, SimTime};
@@ -41,47 +42,46 @@ fn base(cca: CcaKind, seed: u64) -> Scenario {
     s
 }
 
-/// The differential: full run vs checkpoint-at-midpoint, round-tripped
+/// The differential: full run vs a checkpoint at each of `at`, round-tripped
 /// through the serialized container, then resumed to the horizon.
-fn assert_resume_identical(s: &Scenario) {
+fn assert_resume_identical(s: &Scenario, at: &[SimTime]) {
     let full = RunRequest::new(s).execute().expect("full run").outcome;
-    let cp = RunRequest::new(s)
-        .checkpoint_at(SimTime::from_secs(4))
-        .capture()
-        .expect("checkpoint");
-    let decoded = Checkpoint::decode(&cp.encode()).expect("container round-trip");
-    assert_eq!(
-        decoded, cp,
-        "{}: container round-trip changed state",
-        s.name
-    );
-    let resumed = RunRequest::resume(&decoded)
-        .execute()
-        .expect("resumed run")
-        .outcome;
-    assert_eq!(
-        full.digest(),
-        resumed.digest(),
-        "{}: resumed outcome digest diverged",
-        s.name
-    );
-    assert_eq!(
-        full.to_json(),
-        resumed.to_json(),
-        "{}: resumed outcome JSON diverged",
-        s.name
-    );
-    assert_eq!(
-        full.events_processed, resumed.events_processed,
-        "{}",
-        s.name
-    );
+    for &at in at {
+        let case = format!("{} from {at}", s.name);
+        let cp = RunRequest::new(s)
+            .checkpoint_at(at)
+            .capture()
+            .expect("checkpoint");
+        let decoded = Checkpoint::decode(&cp.encode()).expect("container round-trip");
+        assert_eq!(decoded, cp, "{case}: container round-trip changed state");
+        let resumed = RunRequest::resume(&decoded)
+            .execute()
+            .expect("resumed run")
+            .outcome;
+        assert_eq!(
+            full.digest(),
+            resumed.digest(),
+            "{case}: resumed outcome digest diverged"
+        );
+        assert_eq!(
+            full.to_json(),
+            resumed.to_json(),
+            "{case}: resumed outcome JSON diverged"
+        );
+        assert_eq!(full.events_processed, resumed.events_processed, "{case}");
+    }
+}
+
+/// Mid-warm-up, the warm-up boundary (captured before the warm-up actions
+/// run) and mid-measurement: every phase of the measurement cursor.
+fn every_phase() -> [SimTime; 3] {
+    [1, 2, 4].map(SimTime::from_secs)
 }
 
 #[test]
 fn resume_is_byte_identical_across_ccas() {
     for cca in [CcaKind::Reno, CcaKind::Cubic, CcaKind::Bbr] {
-        assert_resume_identical(&base(cca, 11));
+        assert_resume_identical(&base(cca, 11), &every_phase());
     }
 }
 
@@ -89,7 +89,10 @@ fn resume_is_byte_identical_across_ccas() {
 fn resume_is_byte_identical_on_a_parking_lot_topology() {
     let mut s = base(CcaKind::Cubic, 5);
     s.topology = TopologyKind::parse("parking_lot:3").expect("parking_lot:3 parses");
-    assert_resume_identical(&s);
+    // The watchdog checks every slice, so its restored conservation base
+    // is checked at every link and in every phase.
+    s.watchdog = WatchdogConfig::every_slice();
+    assert_resume_identical(&s, &every_phase());
 }
 
 #[test]
@@ -103,7 +106,7 @@ fn resume_is_byte_identical_under_faults_aqm_and_ecn() {
         .blackout(SimTime::from_secs_f64(3.0), SimDuration::from_millis(200))
         .iid_loss(SimTime::from_secs_f64(5.0), 0.01);
     s = s.faulted(plan);
-    assert_resume_identical(&s);
+    assert_resume_identical(&s, &every_phase());
 }
 
 #[test]
@@ -116,7 +119,7 @@ fn resume_is_byte_identical_when_the_convergence_rule_stops_the_run() {
     });
     let full = RunRequest::new(&s).execute().expect("full run").outcome;
     assert!(full.converged, "the rule must stop this run early");
-    assert_resume_identical(&s);
+    assert_resume_identical(&s, &every_phase());
 }
 
 #[test]
